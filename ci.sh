@@ -32,9 +32,6 @@ ACR_DELTA=0 cargo test -q --test determinism_differential --test repair_incident
 echo "==> cargo test (dense reference engine, ACR_SPARSE=0; multi-patch determinism)"
 ACR_SPARSE=0 cargo test -q --test determinism_differential
 
-echo "==> cargo test (symbolic screen off, ACR_SYM=0; decision invariance)"
-ACR_SYM=0 cargo test -q --test determinism_differential --test repair_incidents
-
 echo "==> exp_delta --smoke (delta/full equivalence regression guard)"
 cargo run --release -q -p acr-bench --bin exp_delta -- --smoke
 
@@ -55,16 +52,6 @@ if [ "$conv_sparse" != "$conv_noshard" ]; then
     exit 1
 fi
 
-echo "==> exp_flow --smoke (static relevance gate: skips > 0, identical reports)"
-flow_on=$(cargo run --release -q -p acr-bench --bin exp_flow -- --smoke | tee /dev/stderr | grep '^report_digest=')
-
-echo "==> exp_flow --smoke (gate off, ACR_FLOW=0; digests must agree)"
-flow_off=$(ACR_FLOW=0 cargo run --release -q -p acr-bench --bin exp_flow -- --smoke | tee /dev/stderr | grep '^report_digest=')
-if [ "$flow_on" != "$flow_off" ]; then
-    echo "FAIL: gated and ungated passes computed different repairs ($flow_on vs $flow_off)" >&2
-    exit 1
-fi
-
 echo "==> exp_obs --smoke (journal/trace schema + determinism guard)"
 obs_on=$(cargo run --release -q -p acr-bench --bin exp_obs -- --smoke | tee /dev/stderr | grep '^report_digest=')
 
@@ -76,28 +63,11 @@ if [ "$obs_on" != "$obs_off" ]; then
 fi
 
 echo "==> exp_scenarios --smoke (scenario corpus + strategy A/B + golden digest)"
-scen_on=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep -E '^(report|corpus)_digest=')
-
-echo "==> exp_scenarios --smoke (gate off, ACR_FLOW=0; digests must agree)"
-scen_off=$(ACR_FLOW=0 cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep -E '^(report|corpus)_digest=')
-if [ "$scen_on" != "$scen_off" ]; then
-    echo "FAIL: scenario corpus or repairs diverged under ACR_FLOW=0 ($scen_on vs $scen_off)" >&2
-    exit 1
-fi
+scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep '^corpus_digest=')
 # The corpus content itself is regression-pinned (golden_corpus.rs); the
 # bench must be running on exactly that corpus.
-if ! grep -q 'b1380ed19022fbaf' <<<"$scen_on"; then
+if ! grep -q 'b1380ed19022fbaf' <<<"$scen"; then
     echo "FAIL: exp_scenarios ran on a corpus that does not match the golden pin" >&2
-    exit 1
-fi
-
-echo "==> exp_symbolic --smoke (symbolic screen: strictly fewer sims, identical decisions)"
-sym_on=$(cargo run --release -q -p acr-bench --bin exp_symbolic -- --smoke | tee /dev/stderr | grep '^report_digest=')
-
-echo "==> exp_symbolic --smoke (screen off, ACR_SYM=0; digests must agree)"
-sym_off=$(ACR_SYM=0 cargo run --release -q -p acr-bench --bin exp_symbolic -- --smoke | tee /dev/stderr | grep '^report_digest=')
-if [ "$sym_on" != "$sym_off" ]; then
-    echo "FAIL: symbolic and concrete validation computed different repairs ($sym_on vs $sym_off)" >&2
     exit 1
 fi
 
@@ -106,7 +76,7 @@ obs_tmp=$(mktemp -d)
 ACR_TRACE="$obs_tmp/trace.json" ACR_JOURNAL="$obs_tmp/journal.jsonl" \
     cargo run --release -q --example trace_repair >/dev/null
 grep -q '"traceEvents"' "$obs_tmp/trace.json"
-grep -q '"schema":"acr-journal/v4"' "$obs_tmp/journal.jsonl"
+grep -q '"schema":"acr-journal/v5"' "$obs_tmp/journal.jsonl"
 rm -rf "$obs_tmp"
 
 echo "==> exp_serve --smoke (daemon cold/resident A/B: identical decisions, fewer sims)"
@@ -125,7 +95,13 @@ if ! grep -q 'queue_depth=0' <<<"$acrd_daemon"; then
     exit 1
 fi
 
-echo "==> cargo test (heavy-tests; includes prop_sym_validate decision-transparency proptests)"
+echo "==> cargo test (heavy-tests: the proptest suites)"
 cargo test -q --workspace --features heavy-tests
+
+# benchmark/ is a package of its own that this repository's PRs may not
+# edit; its tests link the public API it measures, so an API cut that
+# would break it fails here first.
+echo "==> cargo test (benchmark/: the repair-job benchmark against the current API)"
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "CI OK"

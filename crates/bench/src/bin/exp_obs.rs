@@ -5,7 +5,7 @@
 //! matrix:
 //!
 //! 1. **Schema** — every journal line parses as JSON and carries the
-//!    fields its `event` kind promises (`acr-journal/v4`, including the
+//!    fields its `event` kind promises (`acr-journal/v5`, including the
 //!    daemon serving events `job_start`/`job_end`/`admission_rejected`),
 //!    and the exported trace is loadable Chrome trace-event JSON.
 //! 2. **Determinism** — two identical runs produce byte-identical
@@ -156,11 +156,6 @@ fn repair_all(loads: &[Workload], threads: usize, delta: bool) -> Vec<RepairRepo
                     delta,
                     cache: Some(Arc::new(SimCache::default())),
                     operators: OperatorSet::Both,
-                    // The symbolic screen only exists against a
-                    // delta-compiled base, so it would legitimately move
-                    // cost counters across this matrix's delta axis; the
-                    // ACR_SYM axis is differenced by `exp_symbolic`.
-                    symbolic: false,
                     ..RepairConfig::default()
                 },
             );
@@ -169,7 +164,7 @@ fn repair_all(loads: &[Workload], threads: usize, delta: bool) -> Vec<RepairRepo
         .collect()
 }
 
-/// Asserts one journal line satisfies the `acr-journal/v4` schema.
+/// Asserts one journal line satisfies the `acr-journal/v5` schema.
 fn check_journal_line(line: &str) {
     let v = json::parse(line).unwrap_or_else(|e| panic!("journal line is not JSON ({e}): {line}"));
     let event = v
@@ -191,18 +186,12 @@ fn check_journal_line(line: &str) {
             );
             let cfg = v.get("config").unwrap();
             for k in [
-                "strategy", "seed", "threads", "cache", "delta", "lint", "flow", "symbolic", "tags",
+                "strategy", "seed", "threads", "cache", "delta", "lint", "tags",
             ] {
                 assert!(cfg.get(k).is_some(), "run_start config lacks '{k}': {line}");
             }
         }
-        "flow_summary" => need(&[
-            "ts_us",
-            "fixpoint_iterations",
-            "facts",
-            "prior_lines",
-            "gate",
-        ]),
+        "flow_summary" => need(&["ts_us", "fixpoint_iterations", "facts", "prior_lines"]),
         "iteration" => {
             need(&[
                 "ts_us",
@@ -215,8 +204,6 @@ fn check_journal_line(line: &str) {
                 "validated",
                 "cached",
                 "invalid",
-                "flow_skipped",
-                "sym_validated",
                 "suspects",
                 "candidates",
             ]);
@@ -237,8 +224,6 @@ fn check_journal_line(line: &str) {
                 "iterations",
                 "validations",
                 "validations_cached",
-                "validations_skipped",
-                "validations_symbolic",
                 "attribution",
                 "tags",
             ]);
@@ -249,19 +234,6 @@ fn check_journal_line(line: &str) {
             }
         }
         "shard_summary" => need(&["ts_us", "sharded_runs", "sharded_prefixes"]),
-        // v4: per-run accounting of the selective symbolic validator.
-        "sym_summary" => need(&[
-            "ts_us",
-            "sym_validated",
-            "screened",
-            "eligible",
-            "prefixes_guarded",
-            "peak_classes",
-            "rounds",
-            "policy_evals",
-            "memo_hits",
-            "smt_solves",
-        ]),
         "baseline_run" => need(&["ts_us", "baseline"]),
         // v3 serving events: a daemon job brackets the engine's
         // run_start..run_end records.
@@ -581,7 +553,6 @@ fn main() {
             counter("flow.fixpoint.iterations"),
         )
         .u64("flow_facts", counter("flow.facts"))
-        .u64("flow_gate_skipped", counter("flow.gate.skipped"))
         .u64("dpll_solves", counter("smt.dpll.solves"))
         .u64("sim_shard_runs", counter("sim.shard_runs"))
         .u64("sim_shard_prefixes", counter("sim.shard_prefixes"))

@@ -4,17 +4,10 @@
 //! The paper's Figure 1 measures resolving time over *single*-fault
 //! incidents; production outages compose. This harness generates the
 //! `acr-scenarios` corpus (multi-independent, interacting, cascading and
-//! partial-observability families) and scores five pluggable
+//! partial-observability families) and scores four pluggable
 //! [`RepairStrategy`] implementations on every scenario:
 //!
-//! - `acr-beam` — ACR with the multi-patch beam search (concrete
-//!   validation only: `symbolic` pinned off),
-//! - `acr-sym` — the same beam search with the selective symbolic
-//!   validator pinned on: one guarded convergence per candidate batch,
-//!   concretized per candidate through the SMT guard domain. Scored as
-//!   its own strategy so the per-family scoreboard shows the A/B —
-//!   decisions identical to `acr-beam` (asserted signature-for-
-//!   signature), strictly fewer concrete simulations in aggregate,
+//! - `acr-beam` — ACR with the multi-patch beam search,
 //! - `acr-single` — ACR restricted to single-site patches (ablation),
 //! - `metaprov` — the provenance baseline,
 //! - `aed` — the synthesis baseline (400-validation budget).
@@ -33,11 +26,10 @@
 //! for itself on exactly the incidents the paper's composed-fault
 //! discussion predicts.
 //!
-//! Two digests are printed for `ci.sh`'s cross-process differencing:
-//! `corpus_digest=` (the scenario corpus content) and `report_digest=`
-//! (FNV-1a over the acr-beam reports' semantic signatures — identical
-//! under `ACR_FLOW=0`, since the flow gate must not change any repair).
-//! The corpus is already CI-sized, so `--smoke` is accepted but changes
+//! Two digests are printed: `corpus_digest=` (the scenario corpus
+//! content, which `ci.sh` checks against the golden pin) and
+//! `report_digest=` (FNV-1a over the acr-beam reports' semantic
+//! signatures). The corpus is already CI-sized, so `--smoke` is accepted but changes
 //! nothing — truncating it would dodge the incidents the A/B acceptance
 //! hinges on.
 //!
@@ -54,8 +46,8 @@ use acr_topo::Topology;
 use acr_verify::{Spec, Verifier};
 use std::collections::BTreeMap;
 
-/// Semantic signature of an ACR report (exp_flow's shape): what was
-/// decided, not what it cost — stable across the flow toggle.
+/// Semantic signature of an ACR report: what was decided, not what it
+/// cost.
 fn signature(label: &str, r: &acr_core::RepairReport) -> String {
     use acr_core::RepairOutcome;
     let outcome = match &r.outcome {
@@ -106,25 +98,20 @@ fn digest(signatures: &[String]) -> u64 {
 
 /// The ACR strategies, rebuilt per scenario so reports carry its tags.
 fn acr_strategies(scenario: &Scenario) -> Vec<AcrStrategy> {
-    // `symbolic` is pinned per strategy (not ambient) so `acr-beam` vs
-    // `acr-sym` is an explicit A/B of the selective symbolic validator
-    // on otherwise identical configurations, whatever `ACR_SYM` says.
-    let with = |label: &str, strategy: Strategy, symbolic: bool| {
+    let with = |label: &str, strategy: Strategy| {
         AcrStrategy::new(
             label,
             RepairConfig {
                 seed: 11,
                 strategy,
-                symbolic,
                 tags: scenario.tags(),
                 ..RepairConfig::default()
             },
         )
     };
     vec![
-        with("acr-beam", Strategy::beam(), false),
-        with("acr-sym", Strategy::beam(), true),
-        with("acr-single", Strategy::single_patch(), false),
+        with("acr-beam", Strategy::beam()),
+        with("acr-single", Strategy::single_patch()),
     ]
 }
 
@@ -160,11 +147,9 @@ fn main() {
     let per_family = 2;
     let net = standard_network();
     let scenarios = corpus(&net, per_family, 2024);
-    let ambient_flow = RepairConfig::default().flow;
     println!(
-        "scenario corpus: {} scenarios ({per_family} per family), 12-router WAN; ambient ACR_FLOW -> {}",
-        scenarios.len(),
-        if ambient_flow { "on" } else { "off" }
+        "scenario corpus: {} scenarios ({per_family} per family), 12-router WAN",
+        scenarios.len()
     );
     println!("corpus_digest={:016x}\n", corpus_digest(&scenarios));
 
@@ -177,8 +162,6 @@ fn main() {
 
     let mut scored: Vec<(usize, Scored)> = Vec::new();
     let mut beam_signatures: Vec<String> = Vec::new();
-    let mut sym_signatures: Vec<String> = Vec::new();
-    let (mut beam_validations, mut sym_validations, mut sym_screened) = (0usize, 0usize, 0usize);
     let mut rows: Vec<String> = Vec::new();
     for (si, scenario) in scenarios.iter().enumerate() {
         let spec = scenario.visible_spec(&net.spec);
@@ -197,12 +180,6 @@ fn main() {
             );
             if acr.name() == "acr-beam" {
                 beam_signatures.push(signature(&scenario.label, report));
-                beam_validations += report.validations;
-            }
-            if acr.name() == "acr-sym" {
-                sym_signatures.push(signature(&scenario.label, report));
-                sym_validations += report.validations;
-                sym_screened += report.validations_symbolic;
             }
             attempts.push(Scored {
                 strategy: acr.name().to_string(),
@@ -340,50 +317,19 @@ fn main() {
         beam_only.join(", ")
     );
 
-    // A/B acceptance: the selective symbolic validator is decision-
-    // transparent (signature-for-signature against acr-beam) and spends
-    // fewer concrete simulations across the corpus.
-    assert_eq!(
-        beam_signatures, sym_signatures,
-        "acr-sym diverged from acr-beam on a repair decision"
-    );
-    assert!(
-        sym_validations <= beam_validations,
-        "acr-sym must not simulate more than acr-beam ({sym_validations} vs {beam_validations})"
-    );
-    assert!(
-        sym_screened > 0,
-        "acceptance: the symbolic screen never fired across the corpus"
-    );
-    println!(
-        "A/B: acr-sym reproduces every acr-beam decision with {beam_validations} -> \
-         {sym_validations} concrete simulations ({sym_screened} symbolically screened)"
-    );
-
     let families_covered = ScenarioFamily::ALL
         .iter()
         .filter(|f| scenarios.iter().any(|s| s.family == **f))
         .count();
     assert!(families_covered >= 4, "corpus must cover all four families");
 
-    // ci.sh compares this line between the default pass and ACR_FLOW=0.
     println!("report_digest={:016x}", digest(&beam_signatures));
 
     let path = write_bench_mode("scenarios", smoke, |env| {
         env.bool("smoke", smoke)
-            .bool("ambient_flow", ambient_flow)
             .int("scenarios", scenarios.len())
             .int("per_family", per_family)
-            .int("strategies", 5)
-            .raw(
-                "symbolic_ab",
-                &json::Obj::new()
-                    .int("validations_beam", beam_validations)
-                    .int("validations_sym", sym_validations)
-                    .int("sym_screened", sym_screened)
-                    .bool("decisions_identical", true)
-                    .build(),
-            )
+            .int("strategies", 4)
             .str(
                 "corpus_digest",
                 &format!("{:016x}", corpus_digest(&scenarios)),

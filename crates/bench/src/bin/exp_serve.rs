@@ -79,7 +79,6 @@ struct PassStats {
     p99_ms: f64,
     validations: usize,
     cached: usize,
-    skipped: usize,
     resident_jobs: u64,
     decision_digest: u64,
     sigs: Vec<String>,
@@ -129,7 +128,6 @@ fn serve_stream(
         p99_ms: percentile(&lat_ms, 99.0),
         validations: d.records_in_order().map(|r| r.validations).sum(),
         cached: d.records_in_order().map(|r| r.validations_cached).sum(),
-        skipped: d.records_in_order().map(|r| r.validations_skipped).sum(),
         resident_jobs: d.resident_jobs,
         decision_digest: d.decision_digest(),
         sigs: d
@@ -287,7 +285,6 @@ fn main() {
             .num("p99_ms", p.p99_ms)
             .int("validations", p.validations)
             .int("validations_cached", p.cached)
-            .int("validations_skipped", p.skipped)
             .u64("resident_jobs", p.resident_jobs)
             .int("fixed", p.fixed)
             .build()

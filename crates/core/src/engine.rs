@@ -17,12 +17,9 @@
 use crate::ctx::RepairCtx;
 use crate::session::NetworkSession;
 use crate::strategy::{crossover, Strategy};
-use crate::symvalidate::SymStats;
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
-use crate::validate::{
-    resolve_threads, validate_batch, CandidateOutcome, FlowGate, LintBase, LintMemo,
-};
+use crate::validate::{resolve_threads, validate_batch, LintBase, LintMemo, Verdict};
 use acr_cfg::{DeviceModel, LineId, NetworkConfig, Patch};
 use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
@@ -31,7 +28,7 @@ use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, Stages};
 use acr_sim::ShardedCache;
 use acr_topo::Topology;
-use acr_verify::{make_entry, IncrementalVerifier, SimCache, Spec, Verification};
+use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,8 +41,6 @@ static CAND_VALIDATED: Counter = Counter::new("engine.candidates.validated");
 static CAND_CACHED: Counter = Counter::new("engine.candidates.cached");
 static CAND_INVALID: Counter = Counter::new("engine.candidates.invalid");
 static CAND_KEPT: Counter = Counter::new("engine.candidates.kept");
-static CAND_FLOW_SKIPPED: Counter = Counter::new("engine.candidates.flow_skipped");
-static CAND_SYM_VALIDATED: Counter = Counter::new("engine.candidates.sym_validated");
 static FLOW_FIXPOINT_ITERATIONS: Counter = Counter::new("flow.fixpoint.iterations");
 static FLOW_FACTS: Counter = Counter::new("flow.facts");
 static RESIDENT_HITS: Counter = Counter::new("engine.resident.hits");
@@ -109,30 +104,6 @@ pub struct RepairConfig {
     /// `ACR_DELTA` environment variable sets the default (on unless
     /// `0`/`false`/`off`).
     pub delta: bool,
-    /// The `acr-flow` static relevance gate: candidates whose patch is
-    /// provably invisible to every spec property's prefix cone are
-    /// served the base verification instead of being simulated (counted
-    /// in [`RepairReport::validations_skipped`]). Serving is exact, so
-    /// reports are byte-identical with this on or off; the flow
-    /// analysis itself (lint rules, localization prior) always runs.
-    /// The `ACR_FLOW` environment variable sets the default (on unless
-    /// `0`/`false`/`off`).
-    pub flow: bool,
-    /// Selective symbolic candidate validation: candidates headed for
-    /// simulation are first screened as a *batch* by one guarded
-    /// convergence pass per affected prefix (`acr-verify`'s symbolic
-    /// screen plus an `acr-smt` guard readoff). Screened candidates
-    /// skip concrete simulation unless they survive population
-    /// truncation — survivors are materialized concretely (their
-    /// coverage matrices drive localization) with the symbolic fitness
-    /// re-asserted. Screening is exact, so *decisions* — outcome,
-    /// patch, fitness trajectory, kept sets — are byte-identical with
-    /// this on or off; only validation-cost accounting moves
-    /// (`validated` vs [`IterationStats::sym_validated`]). Concrete
-    /// simulation remains the always-available fallback for candidates
-    /// the eligibility gate refuses. The `ACR_SYM` environment variable
-    /// sets the default (on unless `0`/`false`/`off`).
-    pub symbolic: bool,
     /// Free-form labels carried verbatim into [`RepairReport::tags`] and
     /// the run journal — the scenario harness stamps the scenario family
     /// (e.g. `family:interacting`) here so every report and journal line
@@ -157,22 +128,6 @@ fn default_delta() -> bool {
     )
 }
 
-/// The `flow` default: on, unless `ACR_FLOW` says `0`/`false`/`off`.
-fn default_flow() -> bool {
-    !matches!(
-        std::env::var("ACR_FLOW").ok().as_deref(),
-        Some("0") | Some("false") | Some("off")
-    )
-}
-
-/// The `symbolic` default: on, unless `ACR_SYM` says `0`/`false`/`off`.
-fn default_symbolic() -> bool {
-    !matches!(
-        std::env::var("ACR_SYM").ok().as_deref(),
-        Some("0") | Some("false") | Some("off")
-    )
-}
-
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
@@ -188,8 +143,6 @@ impl Default for RepairConfig {
             threads: default_threads(),
             cache: Some(Arc::new(SimCache::default())),
             delta: default_delta(),
-            flow: default_flow(),
-            symbolic: default_symbolic(),
             tags: Vec::new(),
         }
     }
@@ -247,15 +200,6 @@ pub struct IterationStats {
     pub cached: usize,
     /// Candidates whose patch failed to apply or re-parse.
     pub invalid: usize,
-    /// Candidates skipped by the static relevance gate (served the base
-    /// verification without simulation).
-    pub flow_skipped: usize,
-    /// Candidates validated by the symbolic batch screen *without* a
-    /// concrete simulation. A screened candidate that survives
-    /// population truncation is materialized concretely and counted in
-    /// `validated` instead, so `validated` remains exactly the number
-    /// of concrete simulations.
-    pub sym_validated: usize,
 }
 
 /// How a repair run ended.
@@ -321,14 +265,6 @@ pub struct RepairReport {
     /// Candidate validations served from the simulation memo-cache
     /// (identical verdicts, no simulation).
     pub validations_cached: usize,
-    /// Candidate validations skipped entirely by the `acr-flow` static
-    /// relevance gate (provably invisible patches, served the base
-    /// verification).
-    pub validations_skipped: usize,
-    /// Candidate validations resolved by the symbolic batch screen
-    /// without a concrete simulation (exact verdicts read off guarded
-    /// batch convergence).
-    pub validations_symbolic: usize,
     /// Per-stage wall-clock breakdown.
     pub stage: StageTimes,
     pub wall: Duration,
@@ -348,41 +284,22 @@ impl RepairReport {
     /// The candidate-accounting identity every report must satisfy:
     /// per iteration, every generated candidate lands in exactly one
     /// outcome bucket (`generated` equals the sum of `invalid`,
-    /// `lint_rejected`, `validated`, `cached`, `flow_skipped` and
-    /// `sym_validated`), so the candidates that survive the static
-    /// gates decompose as *attempted = simulated plus cached plus
-    /// flow-skipped plus sym-validated*; and the report totals are
-    /// exactly the per-iteration sums. Returns a description of the
-    /// first violated equation.
+    /// `lint_rejected`, `validated` and `cached`), so the candidates
+    /// that survive the lint gate decompose as *attempted = simulated
+    /// plus cached*; and the report totals are exactly the per-iteration
+    /// sums. Returns a description of the first violated equation.
     pub fn check_accounting(&self) -> Result<(), String> {
-        let (mut sim, mut cached, mut skipped, mut sym) = (0usize, 0usize, 0usize, 0usize);
         for it in &self.iterations {
-            let buckets = it.invalid
-                + it.lint_rejected
-                + it.validated
-                + it.cached
-                + it.flow_skipped
-                + it.sym_validated;
+            let buckets = it.invalid + it.lint_rejected + it.validated + it.cached;
             if it.generated != buckets {
                 return Err(format!(
-                    "iteration {}: generated {} != invalid {} + lint_rejected {} + validated {} + cached {} + flow_skipped {} + sym_validated {}",
+                    "iteration {}: generated {} != invalid {} + lint_rejected {} + validated {} + cached {}",
                     it.iteration, it.generated, it.invalid, it.lint_rejected, it.validated,
-                    it.cached, it.flow_skipped, it.sym_validated
+                    it.cached
                 ));
             }
-            let attempted = it.generated - it.invalid - it.lint_rejected;
-            if attempted != it.validated + it.cached + it.flow_skipped + it.sym_validated {
-                return Err(format!(
-                    "iteration {}: attempted {} != simulated {} + cached {} + flow_skipped {} + sym_validated {}",
-                    it.iteration, attempted, it.validated, it.cached, it.flow_skipped,
-                    it.sym_validated
-                ));
-            }
-            sim += it.validated;
-            cached += it.cached;
-            skipped += it.flow_skipped;
-            sym += it.sym_validated;
         }
+        let (sim, cached) = validation_totals(&self.iterations);
         if sim != self.validations {
             return Err(format!(
                 "validations {} != per-iteration sum {sim}",
@@ -393,18 +310,6 @@ impl RepairReport {
             return Err(format!(
                 "validations_cached {} != per-iteration sum {cached}",
                 self.validations_cached
-            ));
-        }
-        if skipped != self.validations_skipped {
-            return Err(format!(
-                "validations_skipped {} != per-iteration sum {skipped}",
-                self.validations_skipped
-            ));
-        }
-        if sym != self.validations_symbolic {
-            return Err(format!(
-                "validations_symbolic {} != per-iteration sum {sym}",
-                self.validations_symbolic
             ));
         }
         let attributed: usize = self.attribution.iter().map(|s| s.edits).sum();
@@ -434,41 +339,6 @@ struct Variant {
     diags: Vec<Diagnostic>,
     /// Provenance of `patch`, one segment per operator application.
     segments: Vec<PatchSegment>,
-}
-
-/// A candidate that survived the validate stage's discard check.
-/// `Full` carries a complete [`Variant`]; `Sym` is a symbolically
-/// screened candidate whose fitness is exact but which has no
-/// [`Verification`] yet — it is materialized concretely only if it
-/// survives population truncation (a surviving variant needs its
-/// coverage matrix to seed the next iteration's localization).
-// Short-lived per-iteration values; the size skew isn't worth a Box.
-#[allow(clippy::large_enum_variant)]
-enum Kept {
-    Full(Variant),
-    Sym {
-        cfg: NetworkConfig,
-        patch: Patch,
-        fitness: usize,
-        diags: Vec<Diagnostic>,
-        segments: Vec<PatchSegment>,
-    },
-}
-
-impl Kept {
-    fn fitness(&self) -> usize {
-        match self {
-            Kept::Full(v) => v.fitness,
-            Kept::Sym { fitness, .. } => *fitness,
-        }
-    }
-
-    fn patch_len(&self) -> usize {
-        match self {
-            Kept::Full(v) => v.patch.len(),
-            Kept::Sym { patch, .. } => patch.len(),
-        }
-    }
 }
 
 /// The repair engine, bound to a topology and spec.
@@ -591,11 +461,9 @@ impl<'a> RepairEngine<'a> {
             .map(|b| b.diags.clone())
             .unwrap_or_default();
 
-        // Network-wide dataflow facts over the broken base. The
-        // localization prior and the journal's flow summary use them
-        // unconditionally (so `ACR_FLOW=0` cannot change trajectories);
-        // `config.flow` only arms the candidate-skipping gate. Pure in
-        // the configuration, so sessions cache them by fingerprint.
+        // Network-wide dataflow facts over the broken base, for the
+        // localization prior and the journal's flow summary. Pure in the
+        // configuration, so sessions cache them by fingerprint.
         let flow_facts: Arc<acr_flow::FlowFacts> =
             match session.as_mut().and_then(|s| s.flow_for(fp)) {
                 Some(cached) => cached,
@@ -610,10 +478,6 @@ impl<'a> RepairEngine<'a> {
                 }
             };
         let flow_prior = flow_prior(self.spec, &base_verification, &flow_facts);
-        let flow_gate = self.config.flow.then(|| FlowGate {
-            protected: self.spec.properties.iter().map(|p| p.hs.dst).collect(),
-            base: base_verification.clone(),
-        });
 
         // Validate-stage plumbing: the memo-cache keys every candidate
         // under (verifier context, committed base, candidate config),
@@ -631,46 +495,27 @@ impl<'a> RepairEngine<'a> {
         let threads = resolve_threads(self.config.threads);
         drop(commit_guard);
 
-        let report = 'run: {
-            let mut iterations = Vec::new();
-            let mut validations = 0usize;
-            let mut validations_cached = 0usize;
-            let mut validations_skipped = 0usize;
-            let mut validations_symbolic = 0usize;
-            let mut sym_totals = SymStats::default();
+        self.journal_run_start(original, initial_failed, threads);
+        if acr_obs::enabled(acr_obs::JOURNAL) {
+            journal::emit(
+                &json::Obj::new()
+                    .str("event", "flow_summary")
+                    .u64("ts_us", journal::now_us())
+                    .u64("fixpoint_iterations", flow_facts.iterations)
+                    .int("facts", flow_facts.fact_count())
+                    .int("prior_lines", flow_prior.len())
+                    .build(),
+            );
+        }
 
-            self.journal_run_start(original, initial_failed, threads);
-            if acr_obs::enabled(acr_obs::JOURNAL) {
-                journal::emit(
-                    &json::Obj::new()
-                        .str("event", "flow_summary")
-                        .u64("ts_us", journal::now_us())
-                        .u64("fixpoint_iterations", flow_facts.iterations)
-                        .int("facts", flow_facts.fact_count())
-                        .int("prior_lines", flow_prior.len())
-                        .bool("gate", self.config.flow)
-                        .build(),
-                );
-            }
-
+        let mut iterations = Vec::new();
+        let (outcome, attribution) = 'run: {
             if initial_failed == 0 {
-                break 'run finish(
-                    RepairOutcome::Fixed {
-                        patch: Patch::new(),
-                        repaired: original.clone(),
-                    },
-                    iterations,
-                    initial_failed,
-                    validations,
-                    validations_cached,
-                    validations_skipped,
-                    validations_symbolic,
-                    &sym_totals,
-                    iv.shard_totals(),
-                    &stages,
-                    Vec::new(),
-                    &self.config.tags,
-                );
+                let fixed = RepairOutcome::Fixed {
+                    patch: Patch::new(),
+                    repaired: original.clone(),
+                };
+                break 'run (fixed, Vec::new());
             }
 
             let mut population: Vec<Variant> = vec![Variant {
@@ -708,30 +553,18 @@ impl<'a> RepairEngine<'a> {
                 CAND_GENERATED.add(generated as u64);
                 if generated == 0 {
                     let best = best_of(&population);
-                    break 'run finish(
-                        RepairOutcome::NoCandidates {
-                            best_patch: best.patch.clone(),
-                            best_fitness: best.fitness,
-                        },
-                        iterations,
-                        initial_failed,
-                        validations,
-                        validations_cached,
-                        validations_skipped,
-                        validations_symbolic,
-                        &sym_totals,
-                        iv.shard_totals(),
-                        &stages,
-                        best.segments.clone(),
-                        &self.config.tags,
-                    );
+                    let dried_up = RepairOutcome::NoCandidates {
+                        best_patch: best.patch.clone(),
+                        best_fitness: best.fitness,
+                    };
+                    break 'run (dried_up, best.segments.clone());
                 }
                 let (fresh_patches, fresh_segments): (Vec<Patch>, Vec<Vec<PatchSegment>>) =
                     fresh.into_iter().unzip();
 
                 // ---- validate: lint gate + memo-cache + worker pool --------
                 let validate_guard = stages.time("engine.validate", "engine");
-                let (batch, iter_sym) = validate_batch(
+                let batch = validate_batch(
                     fresh_patches,
                     original,
                     &mut iv,
@@ -739,18 +572,13 @@ impl<'a> RepairEngine<'a> {
                     lint_base,
                     &lint_memo,
                     cache,
-                    flow_gate.as_ref(),
                     ctx_base,
                     threads,
-                    self.config.symbolic,
                 );
-                sym_totals.absorb(&iter_sym);
-                let mut kept: Vec<Kept> = Vec::new();
+                let mut kept: Vec<Variant> = Vec::new();
                 let (mut recomputed, mut reused) = (0, 0);
                 let (mut lint_rejected, mut validated, mut cached_count, mut invalid) =
                     (0, 0, 0, 0);
-                let mut flow_skipped = 0usize;
-                let mut sym_count = 0usize;
                 // Journal rows for this iteration's candidates, in batch
                 // (candidate-index) order.
                 let mut cand_rows: Vec<String> = Vec::new();
@@ -761,27 +589,27 @@ impl<'a> RepairEngine<'a> {
                             .str("patch", &vc.patch.to_string())
                             .int("segments", segs.len())
                     });
-                    match vc.outcome {
-                        CandidateOutcome::Invalid => {
+                    // The one place a verdict's bucket is decided: every
+                    // candidate lands in exactly one of the four counters.
+                    match vc.verdict {
+                        Verdict::Invalid => {
                             invalid += 1;
                             if let Some(r) = row.take() {
                                 cand_rows.push(r.str("outcome", "invalid").build());
                             }
                         }
-                        CandidateOutcome::LintRejected => {
+                        Verdict::LintRejected => {
                             lint_rejected += 1;
                             if let Some(r) = row.take() {
                                 cand_rows.push(r.str("outcome", "lint_rejected").build());
                             }
                         }
-                        CandidateOutcome::Validated {
-                            verification,
+                        Verdict::Validated {
+                            entry,
                             stats,
                             diags,
-                            arena,
-                            cached,
                         } => {
-                            if cached {
+                            if vc.memo_served {
                                 cached_count += 1;
                             } else {
                                 validated += 1;
@@ -792,7 +620,7 @@ impl<'a> RepairEngine<'a> {
                             stages.add("sim.establish", stats.establish);
                             stages.add("sim.simulate", stats.simulate);
                             stages.add("sim.converge", stats.converge);
-                            let fitness = verification.failed_count();
+                            let fitness = entry.verification.failed_count();
                             // §5: discard candidates whose fitness exceeds
                             // the previous iteration's fitness.
                             let discard = fitness > prev_fitness;
@@ -800,81 +628,23 @@ impl<'a> RepairEngine<'a> {
                                 cand_rows.push(
                                     r.str("outcome", if discard { "discarded" } else { "kept" })
                                         .int("fitness", fitness)
-                                        .bool("cached", cached)
+                                        .bool("cached", vc.memo_served)
                                         .build(),
                                 );
                             }
                             if discard {
                                 continue;
                             }
-                            // Worker- or cache-computed verdicts carry their
-                            // own pruned arena; re-intern the closures into
-                            // the persistent one (index order, so the arena
-                            // grows deterministically).
-                            let verification = match &arena {
-                                Some(src) => iv.absorb_verification(&verification, src),
-                                None => verification,
-                            };
-                            kept.push(Kept::Full(Variant {
+                            // A verdict carries its own pruned arena;
+                            // re-intern the closures into the persistent
+                            // one (index order, so the arena grows
+                            // deterministically).
+                            let verification =
+                                iv.absorb_verification(&entry.verification, &entry.arena);
+                            kept.push(Variant {
                                 cfg: vc.cfg.expect("validated candidates carry a config"),
                                 patch: vc.patch,
                                 verification,
-                                fitness,
-                                diags,
-                                segments: segs,
-                            }));
-                        }
-                        CandidateOutcome::FlowSkipped {
-                            verification,
-                            diags,
-                        } => {
-                            flow_skipped += 1;
-                            // The served verification *is* the base's, so its
-                            // fitness equals the previous baseline — never
-                            // discarded, and its derivation roots already
-                            // resolve in the persistent arena.
-                            let fitness = verification.failed_count();
-                            let discard = fitness > prev_fitness;
-                            if let Some(r) = row.take() {
-                                cand_rows.push(
-                                    r.str("outcome", "flow_skipped")
-                                        .int("fitness", fitness)
-                                        .bool("discarded", discard)
-                                        .build(),
-                                );
-                            }
-                            if discard {
-                                continue;
-                            }
-                            kept.push(Kept::Full(Variant {
-                                cfg: vc.cfg.expect("gate-served candidates carry a config"),
-                                patch: vc.patch,
-                                verification,
-                                fitness,
-                                diags,
-                                segments: segs,
-                            }));
-                        }
-                        CandidateOutcome::SymValidated { fitness, diags } => {
-                            sym_count += 1;
-                            // The symbolic fitness is exact, so the §5
-                            // discard check decides identically to the
-                            // concrete path.
-                            let discard = fitness > prev_fitness;
-                            if let Some(r) = row.take() {
-                                cand_rows.push(
-                                    r.str("outcome", "sym_validated")
-                                        .int("fitness", fitness)
-                                        .bool("discarded", discard)
-                                        .build(),
-                                );
-                            }
-                            if discard {
-                                continue;
-                            }
-                            kept.push(Kept::Sym {
-                                cfg: vc.cfg.expect("screened candidates carry a config"),
-                                patch: vc.patch,
                                 fitness,
                                 diags,
                                 segments: segs,
@@ -882,94 +652,21 @@ impl<'a> RepairEngine<'a> {
                         }
                     }
                 }
-                validations += validated;
-                validations_cached += cached_count;
-                validations_skipped += flow_skipped;
                 CAND_LINT_REJECTED.add(lint_rejected as u64);
                 CAND_VALIDATED.add(validated as u64);
                 CAND_CACHED.add(cached_count as u64);
                 CAND_INVALID.add(invalid as u64);
-                CAND_FLOW_SKIPPED.add(flow_skipped as u64);
                 drop(validate_guard);
 
                 let select_guard = stages.time("engine.select", "engine");
                 let kept_count = kept.len();
                 CAND_KEPT.add(kept_count as u64);
-                let iter_fitness = kept.iter().map(Kept::fitness).max().unwrap_or(prev_fitness);
-                let done = kept.iter().any(|k| k.fitness() == 0);
+                let iter_fitness = kept.iter().map(|v| v.fitness).max().unwrap_or(prev_fitness);
+                let done = kept.iter().any(|v| v.fitness == 0);
 
-                // Merge exactly as the concrete path does: a stable sort
-                // by (fitness, patch length) over the existing population
-                // followed by this iteration's kept candidates, truncated
-                // to the cap. Only *surviving* symbolically screened
-                // candidates are materialized concretely — a survivor
-                // needs its coverage matrix for the next localization —
-                // and the engine re-asserts the symbolic fitness against
-                // the concrete verdict. Materialized survivors move from
-                // the `sym_validated` bucket to `validated`, so
-                // `validated` stays exactly the number of concrete
-                // simulations. Their verdicts are deliberately *not*
-                // inserted into the memo-cache (cost-only divergence from
-                // the concrete path; decisions are unaffected).
-                let mut merged: Vec<Kept> =
-                    population.drain(..).map(Kept::Full).chain(kept).collect();
-                merged.sort_by_key(|k| (k.fitness(), k.patch_len()));
-                merged.truncate(self.config.max_population);
-                for k in merged {
-                    population.push(match k {
-                        Kept::Full(v) => v,
-                        Kept::Sym {
-                            cfg,
-                            patch,
-                            fitness,
-                            diags,
-                            segments,
-                        } => {
-                            let verification = iv.verify_candidate(&cfg, &patch);
-                            let stats = iv.last_stats();
-                            recomputed += stats.recomputed;
-                            reused += stats.reused;
-                            stages.add("sim.compile", stats.compile);
-                            stages.add("sim.establish", stats.establish);
-                            stages.add("sim.simulate", stats.simulate);
-                            stages.add("sim.converge", stats.converge);
-                            assert_eq!(
-                                verification.failed_count(),
-                                fitness,
-                                "symbolic fitness must equal the concrete verdict (patch {patch})"
-                            );
-                            // A materialized verdict enters the memo-cache
-                            // like any other fresh simulation, so a warm
-                            // replay of the incident serves survivors
-                            // without re-simulating them.
-                            if let Some(c) = cache {
-                                let entry = make_entry(
-                                    &verification,
-                                    iv.arena(),
-                                    stats.recomputed + stats.reused,
-                                );
-                                c.insert_candidate(
-                                    (ctx_base.0, ctx_base.1, cfg.fingerprint()),
-                                    entry,
-                                );
-                            }
-                            validated += 1;
-                            validations += 1;
-                            CAND_VALIDATED.inc();
-                            sym_count -= 1;
-                            Variant {
-                                cfg,
-                                patch,
-                                verification,
-                                fitness,
-                                diags,
-                                segments,
-                            }
-                        }
-                    });
-                }
-                validations_symbolic += sym_count;
-                CAND_SYM_VALIDATED.add(sym_count as u64);
+                population.extend(kept);
+                population.sort_by_key(|v| (v.fitness, v.patch.len()));
+                population.truncate(self.config.max_population);
                 let best_fitness = population
                     .first()
                     .map(|v| v.fitness)
@@ -987,8 +684,6 @@ impl<'a> RepairEngine<'a> {
                     validated,
                     cached: cached_count,
                     invalid,
-                    flow_skipped,
-                    sym_validated: sym_count,
                 };
                 if journal_on {
                     journal_iteration(&stats, &suspects, &cand_rows);
@@ -1003,45 +698,30 @@ impl<'a> RepairEngine<'a> {
                         .filter(|v| v.fitness == 0)
                         .min_by_key(|v| v.patch.len())
                         .expect("done implies a zero-fitness variant");
-                    break 'run finish(
-                        RepairOutcome::Fixed {
-                            patch: winner.patch.clone(),
-                            repaired: winner.cfg.clone(),
-                        },
-                        iterations,
-                        initial_failed,
-                        validations,
-                        validations_cached,
-                        validations_skipped,
-                        validations_symbolic,
-                        &sym_totals,
-                        iv.shard_totals(),
-                        &stages,
-                        winner.segments.clone(),
-                        &self.config.tags,
-                    );
+                    let fixed = RepairOutcome::Fixed {
+                        patch: winner.patch.clone(),
+                        repaired: winner.cfg.clone(),
+                    };
+                    break 'run (fixed, winner.segments.clone());
                 }
             }
 
             let best = best_of(&population);
-            finish(
-                RepairOutcome::IterationLimit {
-                    best_patch: best.patch.clone(),
-                    best_fitness: best.fitness,
-                },
-                iterations,
-                initial_failed,
-                validations,
-                validations_cached,
-                validations_skipped,
-                validations_symbolic,
-                &sym_totals,
-                iv.shard_totals(),
-                &stages,
-                best.segments.clone(),
-                &self.config.tags,
-            )
+            let capped = RepairOutcome::IterationLimit {
+                best_patch: best.patch.clone(),
+                best_fitness: best.fitness,
+            };
+            (capped, best.segments.clone())
         }; // 'run
+        let report = finish(
+            outcome,
+            iterations,
+            initial_failed,
+            iv.shard_totals(),
+            &stages,
+            attribution,
+            &self.config.tags,
+        );
 
         // Park the verifier (compiled base, per-prefix caches, memo)
         // back in the session as the most-recent warm slot for the next
@@ -1076,8 +756,6 @@ impl<'a> RepairEngine<'a> {
             .int("threads", threads)
             .bool("cache", self.config.cache.is_some())
             .bool("delta", self.config.delta)
-            .bool("flow", self.config.flow)
-            .bool("symbolic", self.config.symbolic)
             .raw("tags", &tags_json(&self.config.tags))
             .build();
         journal::emit(
@@ -1384,25 +1062,29 @@ fn attribution_json(segments: &[PatchSegment]) -> String {
     }))
 }
 
-/// The single place a [`RepairReport`] is assembled: every return path
-/// of the repair loop funnels here, so the [`StageTimes`] derivation from
-/// the run's [`Stages`] accumulator exists exactly once. Also emits the
+/// Sums the per-iteration `(validated, cached)` buckets — the report's
+/// `(validations, validations_cached)` totals.
+fn validation_totals(iterations: &[IterationStats]) -> (usize, usize) {
+    iterations.iter().fold((0, 0), |(sim, cached), it| {
+        (sim + it.validated, cached + it.cached)
+    })
+}
+
+/// The single place a [`RepairReport`] is assembled: the [`StageTimes`]
+/// derivation from the run's [`Stages`] accumulator and the report totals
+/// (summed from the iteration list, so the totals half of the accounting
+/// identity holds by construction) exist exactly once. Also emits the
 /// journal's `run_end` record and flushes every obs sink.
-#[allow(clippy::too_many_arguments)]
 fn finish(
     outcome: RepairOutcome,
     iterations: Vec<IterationStats>,
     initial_failed: usize,
-    validations: usize,
-    validations_cached: usize,
-    validations_skipped: usize,
-    validations_symbolic: usize,
-    sym: &SymStats,
     shard_totals: (u64, u64),
     stages: &Stages,
     attribution: Vec<PatchSegment>,
     tags: &[String],
 ) -> RepairReport {
+    let (validations, validations_cached) = validation_totals(&iterations);
     let stage = StageTimes {
         commit: stages.get("engine.commit"),
         generate: stages.get("engine.generate"),
@@ -1438,25 +1120,6 @@ fn finish(
                 .u64("sharded_prefixes", shard_totals.1)
                 .build(),
         );
-        // Symbolic-screen accounting for the run: how much guarded work
-        // the screen did and how many candidates it resolved without a
-        // concrete simulation. Computed on the coordinator, so the
-        // record is thread-count independent like the rest.
-        journal::emit(
-            &json::Obj::new()
-                .str("event", "sym_summary")
-                .u64("ts_us", journal::now_us())
-                .int("sym_validated", validations_symbolic)
-                .int("screened", sym.screened)
-                .int("eligible", sym.eligible)
-                .int("prefixes_guarded", sym.prefixes_guarded)
-                .int("peak_classes", sym.peak_classes)
-                .u64("rounds", sym.rounds)
-                .u64("policy_evals", sym.policy_evals)
-                .u64("memo_hits", sym.memo_hits)
-                .u64("smt_solves", sym.smt_solves)
-                .build(),
-        );
         journal::emit(
             &json::Obj::new()
                 .str("event", "run_end")
@@ -1468,8 +1131,6 @@ fn finish(
                 .int("initial_failed", initial_failed)
                 .int("validations", validations)
                 .int("validations_cached", validations_cached)
-                .int("validations_skipped", validations_skipped)
-                .int("validations_symbolic", validations_symbolic)
                 .raw("attribution", &attribution_json(&attribution))
                 .raw("tags", &tags_json(tags))
                 .build(),
@@ -1482,8 +1143,6 @@ fn finish(
         initial_failed,
         validations,
         validations_cached,
-        validations_skipped,
-        validations_symbolic,
         stage,
         wall: stages.wall(),
         attribution,
@@ -1508,8 +1167,6 @@ fn journal_iteration(stats: &IterationStats, suspects: &str, cand_rows: &[String
             .int("validated", stats.validated)
             .int("cached", stats.cached)
             .int("invalid", stats.invalid)
-            .int("flow_skipped", stats.flow_skipped)
-            .int("sym_validated", stats.sym_validated)
             .int("recomputed_prefixes", stats.recomputed_prefixes)
             .int("reused_prefixes", stats.reused_prefixes)
             .raw("suspects", suspects)

@@ -41,7 +41,6 @@ pub mod session;
 pub mod space;
 pub mod strategy;
 pub mod symbolize;
-mod symvalidate;
 pub mod templates;
 pub mod universal;
 mod validate;

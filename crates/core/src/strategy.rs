@@ -44,8 +44,8 @@ pub enum Strategy {
     /// lines (capped at `max_pairs` per parent). Combined with the
     /// parent's accumulated patch this searches sets of coordinated
     /// edits directly, instead of waiting for them to accrete one
-    /// iteration at a time; the lint and flow gates prune the
-    /// combinations like any other candidate.
+    /// iteration at a time; the lint gate prunes the combinations
+    /// like any other candidate.
     Beam {
         /// Beam width: surviving variants expanded per iteration.
         width: usize,

@@ -10,7 +10,7 @@
 //! `std::thread::scope` worker pool.
 //!
 //! **Determinism argument.** A candidate's verdict is a pure function of
-//! (committed base state, candidate config): [`CandidateValidator`]
+//! (committed base state, candidate config): [`acr_verify::CandidateValidator`]
 //! never mutates the per-prefix memo, lint is stateless, and the
 //! memo-cache is only *read* while workers run. Everything order
 //! sensitive is pinned to candidate index order on the coordinating
@@ -35,18 +35,23 @@
 //! from the sequential path's, but every consumer is content-driven
 //! (closures are sorted and deduplicated, anchor checks return booleans),
 //! so repair outcomes are byte-identical.
+//!
+//! **One verdict type.** However a candidate was resolved — simulated on
+//! a worker, simulated in place on the coordinator, served from the
+//! memo-cache, or deduplicated against an earlier candidate of the same
+//! batch — its verdict is the same [`Verdict`] value holding the same
+//! `Arc<CandidateEntry>` the memo-cache stores: the verification and its
+//! pruned arena exist once, and every holder shares them.
 
-use crate::symvalidate::SymStats;
 use acr_cfg::{DeviceModel, NetworkConfig, Patch};
 use acr_lint::{lint_with_models, DiagKey, Diagnostic};
-use acr_net_types::{Prefix, RouterId};
+use acr_net_types::RouterId;
 use acr_obs::metrics::Counter;
 use acr_obs::span;
 use acr_sim::{DerivArena, ShardedCache};
 use acr_topo::Topology;
 use acr_verify::{
-    make_entry, CandidateEntry, CandidateValidator, IncrementalStats, IncrementalVerifier,
-    SimCache, Verification,
+    make_entry, CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -93,66 +98,45 @@ pub(crate) type LintMemo = ShardedCache<u64, Arc<(bool, Vec<Diagnostic>)>>;
 static LINT_MEMO_HITS: Counter = Counter::new("lint.memo.hits");
 static LINT_MEMO_MISSES: Counter = Counter::new("lint.memo.misses");
 static LINT_GATE_REJECTED: Counter = Counter::new("lint.gate.rejected");
-static FLOW_GATE_SKIPPED: Counter = Counter::new("flow.gate.skipped");
 
-/// The static relevance gate (`acr-flow`). A candidate whose patch is
-/// provably invisible to every protected prefix — each spec property's
-/// destination cone — is *served* the base verification instead of
-/// being simulated: invisibility means full simulation would compute
-/// exactly this value (see `acr_flow::gate`), so reports are
-/// byte-identical with the gate on or off.
-pub(crate) struct FlowGate {
-    /// Destination cones of every spec property.
-    pub protected: Vec<Prefix>,
-    /// The committed base verification served to skipped candidates.
-    pub base: Verification,
-}
-
-/// What the validate stage concluded for one candidate patch.
-// Short-lived per-batch values, one per candidate; the variant size skew
-// (a full Verification vs unit) isn't worth a Box hop.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum CandidateOutcome {
+/// What the validate stage concluded for one candidate patch — the one
+/// verdict type between a candidate's plan and the engine loop.
+#[derive(Clone)]
+pub(crate) enum Verdict {
     /// The patch failed to apply or its devices no longer re-parse; it
     /// never reached the validators.
     Invalid,
     /// Rejected by the static lint gate before simulation.
     LintRejected,
-    /// Verified (freshly simulated or memo-served).
+    /// Verified: freshly simulated, or served from memo.
     Validated {
-        verification: Verification,
+        /// The verification and the pruned arena its roots resolve in —
+        /// the very entry the memo-cache holds.
+        entry: Arc<CandidateEntry>,
         stats: IncrementalStats,
         diags: Vec<Diagnostic>,
-        /// Arena the verification's roots resolve in; `None` means the
-        /// verifier's persistent arena (sequential compute path).
-        arena: Option<DerivArena>,
-        /// Served from the memo-cache (counts as `validations_cached`).
-        cached: bool,
     },
-    /// Skipped by the static relevance gate: the patch is provably
-    /// invisible to every protected prefix, so the base verification
-    /// *is* this candidate's verification (roots resolve in the
-    /// persistent arena, where the base was committed).
-    FlowSkipped {
-        verification: Verification,
-        diags: Vec<Diagnostic>,
-    },
-    /// Validated by the symbolic batch screen: the fitness is exact (it
-    /// equals what a concrete simulation would report), but no
-    /// [`Verification`] was produced. The engine materializes the
-    /// candidate concretely if it survives population truncation — a
-    /// surviving variant needs its coverage matrix for localization.
-    SymValidated {
-        fitness: usize,
-        diags: Vec<Diagnostic>,
-    },
+}
+
+impl Verdict {
+    fn entry(&self) -> Option<&Arc<CandidateEntry>> {
+        match self {
+            Verdict::Validated { entry, .. } => Some(entry),
+            _ => None,
+        }
+    }
 }
 
 /// One batch entry, index-aligned with the incoming patch order.
 pub(crate) struct ValidatedCandidate {
     pub patch: Patch,
     pub cfg: Option<NetworkConfig>,
-    pub outcome: CandidateOutcome,
+    pub verdict: Verdict,
+    /// The verdict came from memo (a cache hit, or an earlier candidate
+    /// of this batch with the same rendered config) rather than from a
+    /// simulation of this candidate: a validated one counts as
+    /// `validations_cached`.
+    pub memo_served: bool,
 }
 
 struct Prepared {
@@ -161,65 +145,20 @@ struct Prepared {
     fp: u64,
 }
 
-/// What to do for one prepared candidate.
+/// How one prepared candidate gets its verdict.
 enum Plan {
-    /// Reuse the resolution of an earlier item index (same rendered
+    /// Reuse the verdict of an earlier item index (same rendered
     /// config; only planned when the cache is enabled).
     Dup(usize),
     /// The memo-cache held this fingerprint at batch start.
     Hit(Arc<CandidateEntry>),
-    /// The flow gate proved the patch invisible: lint it, then serve
-    /// the base verification without simulating (and without touching
-    /// the memo-cache — there is nothing to store).
-    Serve,
-    /// The symbolic batch screen already holds this candidate's exact
-    /// fitness: lint it, then report the verdict without simulating.
-    /// Nothing enters the memo-cache — there is no verification to
-    /// store; a later recurrence of the config plans `Compute` again.
-    Sym(usize),
     /// Simulate.
     Compute,
 }
 
-/// Worker-side resolution, before the coordinator's cache post-pass.
-#[allow(clippy::large_enum_variant)]
-enum Resolved {
-    LintRejected,
-    /// Freshly simulated.
-    Fresh {
-        /// Engine-facing verdict; roots resolve in `src` when present,
-        /// in the persistent arena otherwise.
-        verification: Verification,
-        src: Option<DerivArena>,
-        /// Pruned payload for the memo-cache (`Some` iff caching is on).
-        cache_entry: Option<CandidateEntry>,
-        stats: IncrementalStats,
-        diags: Vec<Diagnostic>,
-    },
-    /// Memo-served.
-    Cached {
-        entry: Arc<CandidateEntry>,
-        diags: Vec<Diagnostic>,
-    },
-    /// Flow-gate served: lint ran (and passed), simulation was skipped.
-    Served {
-        diags: Vec<Diagnostic>,
-    },
-    /// Symbolically screened: lint ran (and passed), the fitness came
-    /// off the guarded batch pass.
-    Sym {
-        fitness: usize,
-        diags: Vec<Diagnostic>,
-    },
-}
-
 /// Validates a batch of candidate patches against the committed base.
 /// Results come back index-aligned with `fresh`; all cache mutations
-/// happen here, in candidate-index order. With `symbolic`, candidates
-/// planned for simulation are first offered to the symbolic batch
-/// screen (single-threaded, on the coordinator — verdicts are
-/// thread-count independent by construction); the returned
-/// [`SymStats`] accounts the screen's work.
+/// happen here, in candidate-index order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn validate_batch(
     fresh: Vec<Patch>,
@@ -229,106 +168,55 @@ pub(crate) fn validate_batch(
     lint_base: Option<&LintBase>,
     lint_memo: &LintMemo,
     cache: Option<&SimCache>,
-    flow: Option<&FlowGate>,
     ctx_base: (u64, u64),
     threads: usize,
-    symbolic: bool,
-) -> (Vec<ValidatedCandidate>, SymStats) {
-    // ---- prepare: materialize configs, fingerprint, dedup ------------
+) -> Vec<ValidatedCandidate> {
+    // ---- prepare + plan: materialize configs, fingerprint, dedup, and
+    // peek the memo-cache (not mutated until the post-pass, so every peek
+    // sees batch-start state) -------------------------------------------
+    let (ctx_fp, base_fp) = ctx_base;
     let mut out: Vec<ValidatedCandidate> = Vec::with_capacity(fresh.len());
     let mut items: Vec<(usize, Prepared)> = Vec::new();
-    let mut dups: Vec<Option<usize>> = Vec::new();
+    let mut plans: Vec<Plan> = Vec::new();
     let mut by_fp: HashMap<u64, usize> = HashMap::new();
     for patch in fresh {
-        let slot = out.len();
+        let invalid = |patch| ValidatedCandidate {
+            patch,
+            cfg: None,
+            verdict: Verdict::Invalid,
+            memo_served: false,
+        };
         let cfg = match patch.apply_cloned(original) {
             Ok(cfg) if reparses(&cfg, &patch) => cfg,
             _ => {
-                out.push(ValidatedCandidate {
-                    patch,
-                    cfg: None,
-                    outcome: CandidateOutcome::Invalid,
-                });
+                out.push(invalid(patch));
                 continue;
             }
         };
         let fp = cfg.fingerprint();
-        let item_idx = items.len();
-        let dup_of = if cache.is_some() {
-            let first = *by_fp.entry(fp).or_insert(item_idx);
-            (first != item_idx).then_some(first)
-        } else {
-            None
-        };
-        dups.push(dup_of);
-        items.push((slot, Prepared { patch, cfg, fp }));
-        out.push(ValidatedCandidate {
-            patch: Patch::new(), // placeholder, replaced below
-            cfg: None,
-            outcome: CandidateOutcome::Invalid,
+        plans.push(match cache {
+            None => Plan::Compute,
+            Some(c) => {
+                let first = *by_fp.entry(fp).or_insert(items.len());
+                if first != items.len() {
+                    Plan::Dup(first)
+                } else if let Some(entry) = c.peek_candidate((ctx_fp, base_fp, fp)) {
+                    Plan::Hit(entry)
+                } else {
+                    Plan::Compute
+                }
+            }
         });
-    }
-
-    // ---- plan: peek the memo-cache against batch-start state ---------
-    let (ctx_fp, base_fp) = ctx_base;
-    let mut plans: Vec<Plan> = items
-        .iter()
-        .zip(&dups)
-        .map(|((_, it), dup)| {
-            // The relevance gate outranks the memo-cache and dedup: a
-            // provably invisible patch costs one clone either way, and
-            // keeping it off the cache keeps cache contents independent
-            // of gate order within a batch.
-            if let Some(g) = flow {
-                if acr_flow::patch_invisible(original, &it.patch, &g.protected) {
-                    return Plan::Serve;
-                }
-            }
-            match dup {
-                Some(j) => Plan::Dup(*j),
-                None => match cache.and_then(|c| c.peek_candidate((ctx_fp, base_fp, it.fp))) {
-                    Some(entry) => Plan::Hit(entry),
-                    None => Plan::Compute,
-                },
-            }
-        })
-        .collect();
-
-    // ---- symbolic screen: one guarded pass over the Compute plans ----
-    // Runs on the coordinator before workers spawn, so verdicts (and the
-    // per-candidate plan) are identical at every thread count. The gates
-    // above outrank it: flow-served, memo-hit and dup candidates keep
-    // their (cheaper, equally exact) plans.
-    let mut sym_stats = SymStats::default();
-    if symbolic {
-        let compute_idx: Vec<usize> = plans
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Plan::Compute))
-            .map(|(k, _)| k)
-            .collect();
-        if !compute_idx.is_empty() {
-            let cands: Vec<(&NetworkConfig, &Patch)> = compute_idx
-                .iter()
-                .map(|&k| (&items[k].1.cfg, &items[k].1.patch))
-                .collect();
-            if let Some(batch) = crate::symvalidate::screen(iv, &cands) {
-                sym_stats = batch.stats;
-                for (i, &k) in compute_idx.iter().enumerate() {
-                    if let Some(f) = batch.fitness[i] {
-                        plans[k] = Plan::Sym(f);
-                    }
-                }
-            }
-        }
+        items.push((out.len(), Prepared { patch, cfg, fp }));
+        out.push(invalid(Patch::new())); // placeholder, replaced below
     }
 
     // ---- resolve: lint + simulate, sequentially or on the pool -------
     let worker_threads = threads.min(items.len()).max(1);
-    let build_entries = cache.is_some();
-    let resolved: Vec<Option<Resolved>> = if worker_threads <= 1 {
-        // The legacy sequential path: computed candidates intern
-        // directly into the persistent arena, in order.
+    let resolved: Vec<Option<Verdict>> = if worker_threads <= 1 {
+        // The sequential path: candidates are verified in place through
+        // the persistent verifier (same arena, same interning order,
+        // cross-candidate policy memo), in index order.
         items
             .iter()
             .zip(&plans)
@@ -337,15 +225,10 @@ pub(crate) fn validate_batch(
                 Plan::Dup(_) => None,
                 plan => {
                     let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
-                    Some(resolve_sequential(
-                        it,
-                        plan,
-                        iv,
-                        topo,
-                        lint_base,
-                        lint_memo,
-                        build_entries,
-                    ))
+                    Some(resolve(it, plan, topo, lint_base, lint_memo, || {
+                        let verification = iv.verify_candidate(&it.cfg, &it.patch);
+                        (verification, iv.last_stats(), iv.arena())
+                    }))
                 }
             })
             .collect()
@@ -353,7 +236,7 @@ pub(crate) fn validate_batch(
         let validator = iv.validator();
         let base_arena = iv.arena().clone();
         let queue = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Resolved>>> =
+        let slots: Vec<Mutex<Option<Verdict>>> =
             (0..items.len()).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
             for _ in 0..worker_threads {
@@ -369,17 +252,13 @@ pub(crate) fn validate_batch(
                             continue;
                         }
                         let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
-                        let res = resolve_worker(
-                            &items[k].1,
-                            &plans[k],
-                            &validator,
-                            &base_arena,
-                            &mut arena,
-                            topo,
-                            lint_base,
-                            lint_memo,
-                            build_entries,
-                        );
+                        let it = &items[k].1;
+                        let res = resolve(it, &plans[k], topo, lint_base, lint_memo, || {
+                            let arena = arena.get_or_insert_with(|| base_arena.clone());
+                            let (verification, stats) =
+                                validator.verify_candidate(&it.cfg, &it.patch, arena);
+                            (verification, stats, &*arena)
+                        });
                         *slots[k].lock().unwrap() = Some(res);
                     }
                 });
@@ -388,121 +267,35 @@ pub(crate) fn validate_batch(
         slots.into_iter().map(|m| m.into_inner().unwrap()).collect()
     };
 
-    // ---- post-pass: cache maintenance + dup resolution, index order --
-    let mut finals: Vec<CandidateOutcome> = Vec::with_capacity(items.len());
+    // ---- post-pass: dup resolution + cache maintenance, index order --
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(items.len());
     for (k, res) in resolved.into_iter().enumerate() {
-        let key = (ctx_fp, base_fp, items[k].1.fp);
-        let outcome = match res {
-            None => {
-                let j = match plans[k] {
-                    Plan::Dup(j) => j,
-                    _ => unreachable!("only dup plans resolve to None"),
-                };
-                match &finals[j] {
-                    CandidateOutcome::LintRejected => CandidateOutcome::LintRejected,
-                    CandidateOutcome::Validated {
-                        verification,
-                        stats,
-                        diags,
-                        arena,
-                        ..
-                    } => {
-                        // Sequentially this would be an insert-then-hit:
-                        // promote the shared entry like any other hit.
-                        if let Some(c) = cache {
-                            c.touch_candidate(key);
-                        }
-                        CandidateOutcome::Validated {
-                            verification: verification.clone(),
-                            stats: *stats,
-                            diags: diags.clone(),
-                            arena: arena.clone(),
-                            cached: true,
-                        }
-                    }
-                    // Same rendered config as a gate-served candidate:
-                    // its verification is the base's too. No cache
-                    // promotion — served verdicts are never stored.
-                    CandidateOutcome::FlowSkipped {
-                        verification,
-                        diags,
-                    } => {
-                        FLOW_GATE_SKIPPED.inc();
-                        CandidateOutcome::FlowSkipped {
-                            verification: verification.clone(),
-                            diags: diags.clone(),
-                        }
-                    }
-                    // Same rendered config as a symbolically screened
-                    // candidate: the exact verdict carries over. Nothing
-                    // to promote — sym verdicts are never cached.
-                    CandidateOutcome::SymValidated { fitness, diags } => {
-                        CandidateOutcome::SymValidated {
-                            fitness: *fitness,
-                            diags: diags.clone(),
-                        }
-                    }
-                    CandidateOutcome::Invalid => unreachable!("dups are valid by construction"),
-                }
-            }
-            Some(Resolved::LintRejected) => CandidateOutcome::LintRejected,
-            Some(Resolved::Sym { fitness, diags }) => {
-                CandidateOutcome::SymValidated { fitness, diags }
-            }
-            Some(Resolved::Served { diags }) => {
-                FLOW_GATE_SKIPPED.inc();
-                let gate = flow.expect("Serve plans only exist with a gate");
-                CandidateOutcome::FlowSkipped {
-                    verification: gate.base.clone(),
-                    diags,
-                }
-            }
-            Some(Resolved::Cached { entry, diags }) => {
-                if let Some(c) = cache {
-                    c.touch_candidate(key);
-                }
-                CandidateOutcome::Validated {
-                    verification: entry.verification.clone(),
-                    stats: IncrementalStats {
-                        recomputed: 0,
-                        reused: entry.universe,
-                        ..IncrementalStats::default()
-                    },
-                    diags,
-                    arena: Some(entry.arena.clone()),
-                    cached: true,
-                }
-            }
-            Some(Resolved::Fresh {
-                verification,
-                src,
-                cache_entry,
-                stats,
-                diags,
-            }) => {
-                if let (Some(c), Some(entry)) = (cache, cache_entry) {
-                    c.insert_candidate(key, entry);
-                }
-                CandidateOutcome::Validated {
-                    verification,
-                    stats,
-                    diags,
-                    arena: src,
-                    cached: false,
-                }
-            }
+        let verdict = match (&plans[k], res) {
+            (Plan::Dup(j), _) => verdicts[*j].clone(),
+            (_, Some(verdict)) => verdict,
+            (_, None) => unreachable!("only dup plans are left unresolved"),
         };
-        finals.push(outcome);
+        // A fresh simulation enters the cache; a hit is promoted — and so
+        // is a dup, which sequentially would be an insert-then-hit.
+        if let (Some(c), Some(entry)) = (cache, verdict.entry()) {
+            let key = (ctx_fp, base_fp, items[k].1.fp);
+            match plans[k] {
+                Plan::Compute => c.insert_candidate(key, entry.clone()),
+                Plan::Hit(_) | Plan::Dup(_) => c.touch_candidate(key),
+            }
+        }
+        verdicts.push(verdict);
     }
 
-    for ((slot, it), outcome) in items.into_iter().zip(finals) {
+    for (((slot, it), verdict), plan) in items.into_iter().zip(verdicts).zip(&plans) {
         out[slot] = ValidatedCandidate {
             patch: it.patch,
             cfg: Some(it.cfg),
-            outcome,
+            verdict,
+            memo_served: !matches!(plan, Plan::Compute),
         };
     }
-    (out, sym_stats)
+    out
 }
 
 /// Lint verdict for one candidate, memoized by config fingerprint.
@@ -534,94 +327,45 @@ fn lint_verdict(
     verdict
 }
 
-/// Sequential resolution: computes through the persistent verifier so
-/// `threads = 1` keeps the exact legacy code path (same arena, same
-/// interning order).
-fn resolve_sequential(
+/// Resolves one non-dup candidate: the lint gate first, then the planned
+/// memo hit or a simulation. `simulate` returns the verification, its
+/// stats and the arena its roots resolve in — the persistent arena on the
+/// sequential path, the worker's private clone on the pool — and the
+/// verdict leaves pruned to exactly its own closure, so it outlives
+/// either.
+fn resolve<'s>(
     it: &Prepared,
     plan: &Plan,
-    iv: &mut IncrementalVerifier<'_>,
     topo: &Topology,
     lint_base: Option<&LintBase>,
     lint_memo: &LintMemo,
-    build_entry: bool,
-) -> Resolved {
+    simulate: impl FnOnce() -> (Verification, IncrementalStats, &'s DerivArena),
+) -> Verdict {
     let (fresh_error, diags) = lint_verdict(it, topo, lint_base, lint_memo);
     if fresh_error {
         LINT_GATE_REJECTED.inc();
-        return Resolved::LintRejected;
+        return Verdict::LintRejected;
     }
-    match plan {
-        Plan::Hit(entry) => Resolved::Cached {
-            entry: entry.clone(),
-            diags,
-        },
-        Plan::Serve => Resolved::Served { diags },
-        Plan::Sym(fitness) => Resolved::Sym {
-            fitness: *fitness,
-            diags,
-        },
-        Plan::Compute => {
-            let verification = iv.verify_candidate(&it.cfg, &it.patch);
-            let stats = iv.last_stats();
-            let cache_entry = build_entry
-                .then(|| make_entry(&verification, iv.arena(), stats.recomputed + stats.reused));
-            Resolved::Fresh {
-                verification,
-                src: None,
-                cache_entry,
-                stats,
-                diags,
-            }
+    let (entry, stats) = match plan {
+        Plan::Hit(entry) => {
+            let stats = IncrementalStats {
+                recomputed: 0,
+                reused: entry.universe,
+                ..IncrementalStats::default()
+            };
+            (entry.clone(), stats)
         }
-        Plan::Dup(_) => unreachable!("dups never reach resolve_sequential"),
-    }
-}
-
-/// Worker-side resolution: simulates into a private arena clone and
-/// prunes the verdict before handing it back to the coordinator.
-#[allow(clippy::too_many_arguments)]
-fn resolve_worker(
-    it: &Prepared,
-    plan: &Plan,
-    validator: &CandidateValidator<'_, '_>,
-    base_arena: &DerivArena,
-    arena: &mut Option<DerivArena>,
-    topo: &Topology,
-    lint_base: Option<&LintBase>,
-    lint_memo: &LintMemo,
-    build_entry: bool,
-) -> Resolved {
-    let (fresh_error, diags) = lint_verdict(it, topo, lint_base, lint_memo);
-    if fresh_error {
-        LINT_GATE_REJECTED.inc();
-        return Resolved::LintRejected;
-    }
-    match plan {
-        Plan::Hit(entry) => Resolved::Cached {
-            entry: entry.clone(),
-            diags,
-        },
-        Plan::Serve => Resolved::Served { diags },
-        Plan::Sym(fitness) => Resolved::Sym {
-            fitness: *fitness,
-            diags,
-        },
         Plan::Compute => {
-            let arena = arena.get_or_insert_with(|| base_arena.clone());
-            let (verification, stats) = validator.verify_candidate(&it.cfg, &it.patch, arena);
-            // Prune: the worker arena is private and dies with the
-            // batch, so the verdict leaves with exactly its own closure.
+            let (verification, stats, arena) = simulate();
             let entry = make_entry(&verification, arena, stats.recomputed + stats.reused);
-            Resolved::Fresh {
-                verification: entry.verification.clone(),
-                src: Some(entry.arena.clone()),
-                cache_entry: build_entry.then_some(entry),
-                stats,
-                diags,
-            }
+            (Arc::new(entry), stats)
         }
-        Plan::Dup(_) => unreachable!("dups never reach resolve_worker"),
+        Plan::Dup(_) => unreachable!("dups never reach resolve"),
+    };
+    Verdict::Validated {
+        entry,
+        stats,
+        diags,
     }
 }
 

@@ -13,16 +13,18 @@
 //! Because the relation over-approximates every concrete behaviour, its
 //! *negatives* are definite: a prefix that **cannot** be accepted
 //! anywhere, a policy node that **cannot** match any route, a community
-//! that **cannot** have been set upstream. Three consumers build on
+//! that **cannot** have been set upstream. Two consumers build on
 //! that:
 //!
 //! - `acr-lint`'s cross-device rules report the definite negatives as
 //!   network-wide diagnostics;
-//! - `acr-core::validate` skips simulating repair candidates whose
-//!   patch is provably invisible to the violated properties
-//!   ([`gate::patch_invisible`]);
 //! - `acr-localize` boosts lines on the abstract derivation path of a
 //!   violated property ([`FlowFacts::support_for`]).
+//!
+//! A third, the patch-invisibility proof ([`gate::patch_invisible`]),
+//! no longer has a caller in the engine — it skipped at most one
+//! candidate per pass on every benchmark workload — and remains only
+//! because `benchmark/`'s `flow.gate_ms` probe links it.
 //!
 //! The soundness argument lives in the module docs of [`transfer`] and
 //! [`gate`]; the property suite in `tests/prop_flow.rs` checks it

@@ -4,7 +4,7 @@
 //! iteration / candidate-index order, so a journal is byte-identical
 //! across runs (and across worker-thread counts) once `"ts_us"` fields
 //! are scrubbed — see [`scrub_timestamps`]. The schema
-//! (`acr-journal/v4`) is what `exp_obs` validates in CI:
+//! (`acr-journal/v5`) is what `exp_obs` validates in CI:
 //!
 //! - `run_start` — network shape, initial failures, the engine
 //!   configuration under a `config` key (the only run-parameter-bearing
@@ -27,12 +27,13 @@
 //!   events bracket the engine's own `run_start`..`run_end` records, so
 //!   a served journal stays diffable against a one-shot run by dropping
 //!   the `job_*` lines;
-//! - (v4) the selective symbolic validator: `run_start`'s config gains
-//!   the `symbolic` flag, `iteration` counters and candidate rows gain
-//!   the `sym_validated` outcome, `run_end` gains
-//!   `validations_symbolic`, and a per-run `sym_summary` record
-//!   accounts the guarded screen's work (prefixes guarded, peak guard
-//!   classes, convergence rounds, policy evals/memo hits, SMT solves).
+//! - (v5) v4 minus the two deleted validation screens (flow gate,
+//!   symbolic batch screen): no `sym_summary` event; `iteration` and
+//!   `run_end` carry no flow-skipped / sym-validated counters — every
+//!   candidate is `invalid`, `lint_rejected`, `validated` or `cached`;
+//!   `run_start`'s config has no `flow` / `symbolic` flag and
+//!   `flow_summary` no `gate`. A reader that defaults absent counters
+//!   to 0 reads v4 and v5 alike.
 //!
 //! Sinks: a file (`ACR_JOURNAL=path`, append within one process) or an
 //! in-memory capture buffer for tests ([`capture_to_memory`] /
@@ -43,7 +44,7 @@ use std::io::Write;
 use std::sync::Mutex;
 
 /// The journal schema version stamped into `run_start` records.
-pub const SCHEMA: &str = "acr-journal/v4";
+pub const SCHEMA: &str = "acr-journal/v5";
 
 enum Sink {
     File(File),

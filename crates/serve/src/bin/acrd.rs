@@ -71,7 +71,7 @@ fn main() {
     }
 
     // The standard CI corpus: 12-router WAN, 12 sampled incidents,
-    // engine seed = incident index (the exp_flow convention).
+    // engine seed = incident index.
     let net = generate(&gen::wan(4, 8));
     let incidents = sample_incidents(&net, 12, 77);
 

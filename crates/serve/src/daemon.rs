@@ -52,8 +52,6 @@ pub struct ServeConfig {
     pub threads: Option<usize>,
     /// Explicit delta-compile setting; `None` inherits `ACR_DELTA`.
     pub delta: Option<bool>,
-    /// Explicit flow-gate setting; `None` inherits `ACR_FLOW`.
-    pub flow: Option<bool>,
     /// Serve from a fresh session per job (the cold A/B baseline)
     /// instead of resident per-network state. Default `false`.
     pub cold: bool,
@@ -106,8 +104,6 @@ pub struct JobRecord {
     pub report_json: String,
     pub validations: usize,
     pub validations_cached: usize,
-    pub validations_skipped: usize,
-    pub validations_symbolic: usize,
     pub wall: Duration,
 }
 
@@ -235,8 +231,6 @@ impl Acrd {
                 report_json: String::new(),
                 validations: 0,
                 validations_cached: 0,
-                validations_skipped: 0,
-                validations_symbolic: 0,
                 wall: Duration::ZERO,
             },
         );
@@ -267,9 +261,6 @@ impl Acrd {
         }
         if let Some(d) = self.cfg.delta {
             rc.delta = d;
-        }
-        if let Some(f) = self.cfg.flow {
-            rc.flow = f;
         }
         rc
     }
@@ -322,8 +313,6 @@ impl Acrd {
         rec.report_json = report_json(&report);
         rec.validations = report.validations;
         rec.validations_cached = report.validations_cached;
-        rec.validations_skipped = report.validations_skipped;
-        rec.validations_symbolic = report.validations_symbolic;
         rec.wall = wall;
         self.completed += 1;
         COMPLETED.inc();

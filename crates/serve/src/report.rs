@@ -29,7 +29,7 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64 over signature lines, newline-folded — the same digest
-/// shape `exp_flow`/`exp_obs` print as `report_digest=<hex>` for ci.sh
+/// shape `exp_obs`/`exp_scenarios` print as `report_digest=<hex>` for ci.sh
 /// cross-process comparison.
 pub fn digest(signatures: impl IntoIterator<Item = impl AsRef<str>>) -> u64 {
     let mut h = FNV_OFFSET;
@@ -120,24 +120,16 @@ pub fn full_signature(label: &str, r: &RepairReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{}:{}:{}:{}:{}:{}:{}",
-                s.iteration,
-                s.validated,
-                s.cached,
-                s.flow_skipped,
-                s.sym_validated,
-                s.recomputed_prefixes,
-                s.reused_prefixes
+                "{}:{}:{}:{}:{}",
+                s.iteration, s.validated, s.cached, s.recomputed_prefixes, s.reused_prefixes
             )
         })
         .collect();
     format!(
-        "{} || v={} c={} s={} y={} | {}",
+        "{} || v={} c={} | {}",
         decision_signature(label, r),
         r.validations,
         r.validations_cached,
-        r.validations_skipped,
-        r.validations_symbolic,
         buckets.join(";")
     )
 }
@@ -160,8 +152,6 @@ pub fn report_json(r: &RepairReport) -> String {
                 .int("validated", s.validated)
                 .int("cached", s.cached)
                 .int("invalid", s.invalid)
-                .int("flow_skipped", s.flow_skipped)
-                .int("sym_validated", s.sym_validated)
                 .int("recomputed_prefixes", s.recomputed_prefixes)
                 .int("reused_prefixes", s.reused_prefixes)
                 .build()
@@ -200,8 +190,6 @@ pub fn report_json(r: &RepairReport) -> String {
         .int("iterations", r.iterations.len())
         .int("validations", r.validations)
         .int("validations_cached", r.validations_cached)
-        .int("validations_skipped", r.validations_skipped)
-        .int("validations_symbolic", r.validations_symbolic)
         .u64("wall_us", r.wall.as_micros() as u64)
         .raw("iteration_detail", &json::array(iters))
         .raw("attribution", &json::array(attr))

@@ -11,7 +11,15 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 
+/// The obs flags and the journal sink are process-global: while
+/// `journal_v5_daemon_events` captures, a daemon running in any other
+/// test of this binary would write into its buffer. Every test that
+/// runs a job holds this lock.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn small() -> (GeneratedNetwork, NetworkConfig) {
     let net = generate(&gen::wan(2, 3));
@@ -57,6 +65,7 @@ fn req(net: &GeneratedNetwork, broken: &NetworkConfig, seed: u64) -> SubmitReq {
 
 #[test]
 fn job_lifecycle_over_the_jsonl_surface() {
+    let _g = lock();
     let (net, broken) = small();
     let mut d = daemon(&net, false);
     let id = d.submit(req(&net, &broken, 0)).unwrap();
@@ -94,6 +103,7 @@ fn job_lifecycle_over_the_jsonl_surface() {
 /// Deterministic job ids: same submissions, same ids, in any daemon.
 #[test]
 fn job_ids_are_deterministic_across_daemons() {
+    let _g = lock();
     let (net, broken) = small();
     let mut d1 = daemon(&net, false);
     let mut d2 = daemon(&net, false);
@@ -111,6 +121,7 @@ fn job_ids_are_deterministic_across_daemons() {
 /// cold daemon never goes resident; its decisions match too.
 #[test]
 fn resident_replay_matches_cold_decisions_with_less_work() {
+    let _g = lock();
     let (net, broken) = small();
     let mut res = daemon(&net, false);
     res.submit(req(&net, &broken, 0)).unwrap();
@@ -144,6 +155,7 @@ fn resident_replay_matches_cold_decisions_with_less_work() {
 /// next job commits cold) but nothing ever goes stale or wrong.
 #[test]
 fn invalidate_drops_warm_state_not_correctness() {
+    let _g = lock();
     let (net, broken) = small();
     let mut d = daemon(&net, false);
     d.submit(req(&net, &broken, 0)).unwrap();
@@ -167,6 +179,7 @@ fn invalidate_drops_warm_state_not_correctness() {
 /// journal, and leaves an empty queue with all records done.
 #[test]
 fn finish_drains_the_queue_completely() {
+    let _g = lock();
     let (net, broken) = small();
     let mut d = daemon(&net, false);
     for seed in 0..3 {
@@ -181,12 +194,13 @@ fn finish_drains_the_queue_completely() {
         .all(|r| r.state == acr_serve::JobState::Done));
 }
 
-/// Journal schema v3: daemon events (`job_start` / `job_end` /
-/// `admission_rejected`) bracket the engine's records, carry
-/// tenant/network/job ids, and the engine still stamps the v3 schema.
+/// Daemon journal events (`job_start` / `job_end` /
+/// `admission_rejected`, since schema v3) bracket the engine's records,
+/// carry tenant/network/job ids, and the engine stamps the current
+/// schema.
 #[test]
-fn journal_v3_daemon_events() {
-    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn journal_v5_daemon_events() {
+    let _g = lock();
     acr_obs::set_flags(acr_obs::JOURNAL);
     journal::capture_to_memory();
 
@@ -242,7 +256,7 @@ fn journal_v3_daemon_events() {
         rejects[0].get("reason").and_then(json::Value::as_str),
         Some("unknown_network")
     );
-    // The engine's own records are interleaved and stamp schema v3.
+    // The engine's own records are interleaved and stamp the schema.
     let run_start = lines
         .iter()
         .find(|v| event(v).as_deref() == Some("run_start"))
@@ -251,7 +265,7 @@ fn journal_v3_daemon_events() {
         run_start.get("schema").and_then(json::Value::as_str),
         Some(journal::SCHEMA)
     );
-    assert_eq!(journal::SCHEMA, "acr-journal/v4");
+    assert_eq!(journal::SCHEMA, "acr-journal/v5");
     // Bracketing: job_start before run_start before run_end before job_end.
     let pos = |e: &str| {
         lines
@@ -267,6 +281,7 @@ fn journal_v3_daemon_events() {
 /// the same daemon state as the JSONL surface.
 #[test]
 fn http_surface_round_trip() {
+    let _g = lock();
     let (net, broken) = small();
     let daemon = Arc::new(Mutex::new(daemon(&net, false)));
     let server = acr_serve::serve(daemon.clone(), "127.0.0.1:0").expect("bind");

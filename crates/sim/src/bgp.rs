@@ -236,7 +236,7 @@ enum Transfer {
 }
 
 /// An unmemoized transfer result, before the accepted route is interned.
-pub(crate) enum Evaluated {
+enum Evaluated {
     Accepted(Route),
     Denied(DerivId),
     Silent,
@@ -298,7 +298,7 @@ struct MemoEntry {
 /// and parent list, built in place and interned via
 /// [`DerivArena::intern_ref`] so a dedup hit allocates nothing.
 #[derive(Default)]
-pub(crate) struct EvalScratch {
+struct EvalScratch {
     lines: Vec<LineId>,
     parents: Vec<DerivId>,
 }
@@ -510,7 +510,7 @@ impl PolicyMemo {
 
 /// One unmemoized transfer: `sender` exports `best` over `session`,
 /// `receiver` imports the result.
-pub(crate) fn transfer(
+fn transfer(
     receiver: &RouterCtx<'_>,
     sender: &RouterCtx<'_>,
     session: &Session,
@@ -594,7 +594,7 @@ fn intern_locals(
 /// Id-level twin of [`intern_locals`] for the interned sparse engine:
 /// same arena intern calls in the same order, with the routes hash-consed
 /// into `routes` instead of cloned per round.
-pub(crate) fn intern_locals_ids(
+fn intern_locals_ids(
     prefix: Prefix,
     originations: &[Origination],
     arena: &mut DerivArena,
@@ -804,7 +804,7 @@ fn hash_slot_id(routes: &RouteInterner, i: usize, r: Option<RouteId>) -> u64 {
 
 /// Protocol-key equality of two id slots — an integer compare, since key
 /// ids are hash-consed over [`crate::route::RouteKey`].
-pub(crate) fn keys_eq_id(routes: &RouteInterner, a: Option<RouteId>, b: Option<RouteId>) -> bool {
+fn keys_eq_id(routes: &RouteInterner, a: Option<RouteId>, b: Option<RouteId>) -> bool {
     match (a, b) {
         (Some(x), Some(y)) => x == y || routes.key_id(x) == routes.key_id(y),
         (None, None) => true,

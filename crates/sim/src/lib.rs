@@ -28,7 +28,6 @@ pub mod deriv;
 pub mod fib;
 pub mod forward;
 pub(crate) mod fxhash;
-pub mod guard;
 pub mod origin;
 pub mod policy;
 pub mod route;
@@ -37,14 +36,11 @@ pub mod shard;
 pub mod sim;
 
 pub use base::{CompiledBase, DeltaInfo, ResidentBase, SessionDelta, SessionPart, SimBuild};
-pub use bgp::{
-    ConvergeEngine, ConvergeWork, Origination, PolicyMemo, PrefixOutcome, MAX_ROUNDS_BASE,
-};
+pub use bgp::{ConvergeEngine, ConvergeWork, PolicyMemo, PrefixOutcome, MAX_ROUNDS_BASE};
 pub use cache::{CacheStats, ShardedCache};
 pub use deriv::{DerivArena, DerivId, DerivKind, DerivNode};
 pub use fib::{bgp_fragment, Fib, FibAction, FibEntry};
 pub use forward::{ForwardOutcome, ForwardResult};
-pub use guard::{run_prefix_guarded, GuardClass, GuardSpec, GuardedRun};
 pub use origin::OriginIndex;
 pub use route::{select_best_id, Route, RouteId, RouteInterner, RouteKey};
 pub use session::{Session, SessionDiag, SessionFailure};

@@ -46,8 +46,9 @@ pub(crate) static SHARD_REPLAYED_NODES: Counter = Counter::new("sim.shard_replay
 pub enum ShardMode {
     /// Follow the `ACR_SHARD` environment toggle (read once, like the
     /// other `ACR_*` toggles): unset/anything → sharding on with
-    /// [`resolve_threads`]`(0)` workers; `0`/`false`/`off` → off; an
-    /// explicit number → that many workers.
+    /// [`resolve_threads`]`(0)` workers, or off when that is a single
+    /// worker; `0`/`false`/`off` → off; an explicit number → that many
+    /// workers.
     #[default]
     Auto,
     /// Never shard (the candidate-validation path sets this explicitly:
@@ -88,11 +89,19 @@ impl ShardMode {
             ShardMode::Workers(n) => Some(n.max(1)),
             ShardMode::Auto => match shard_env() {
                 EnvShard::Off => None,
-                EnvShard::Auto => Some(resolve_threads(0)),
+                EnvShard::Auto => auto_workers(resolve_threads(0)),
                 EnvShard::Workers(n) => Some(n),
             },
         }
     }
+}
+
+/// `Auto` shards only when it has parallelism to gain: a single worker
+/// would pay the private-arena replay and the join for nothing (measured
+/// 2.0 → 5.8 s on `wan(200,400)`), so one available worker runs the
+/// unsharded path.
+fn auto_workers(avail: usize) -> Option<usize> {
+    (avail >= 2).then_some(avail)
 }
 
 /// Worker-thread count: `0` = available parallelism; explicit requests
@@ -180,5 +189,21 @@ pub(crate) fn remap_outcome(o: PrefixOutcome, map: &[DerivId]) -> PrefixOutcome 
                 .collect(),
             rejections: remap_rejections(rejections, map),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn auto_with_one_worker_runs_unsharded() {
+        assert_eq!(auto_workers(1), None);
+        assert_eq!(auto_workers(2), Some(2));
+        assert_eq!(auto_workers(8), Some(8));
+        // An explicit request still shards at one worker: the
+        // shard-count sweep in `prop_shard_sim` depends on it.
+        assert_eq!(ShardMode::Workers(1).resolve(), Some(1));
+        assert_eq!(ShardMode::Off.resolve(), None);
     }
 }

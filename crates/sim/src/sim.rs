@@ -3,7 +3,7 @@
 use crate::base::{compile_device, CompiledBase, DeltaInfo, SimBuild};
 use crate::bgp::{
     index_sessions, run_prefix_dense, run_prefix_sparse, warm_probe, ConvergeEngine, ConvergeWork,
-    Origination, PolicyMemo, PrefixOutcome, RouterCtx, SparseScratch,
+    PolicyMemo, PrefixOutcome, RouterCtx, SparseScratch,
 };
 use crate::deriv::{DerivArena, DerivId};
 use crate::fib::{base_fib, bgp_fragment, Fib};
@@ -208,12 +208,6 @@ impl<'a> Simulator<'a> {
     /// simulation universe (precomputed in the origination index).
     pub fn universe(&self) -> BTreeSet<Prefix> {
         self.origin.universe()
-    }
-
-    /// Dense per-router originations of `prefix` — the engine-input view
-    /// the guarded batch validator needs per candidate.
-    pub fn originations_dense(&self, prefix: Prefix) -> Vec<Origination> {
-        self.origin.dense(prefix, self.models.len())
     }
 
     /// Runs every prefix in the universe.

@@ -36,14 +36,6 @@ pub struct Solver {
     vars: Vec<VarDef>,
     cnf: Cnf,
     stats: DpllStats,
-    /// Incremental assumption stack: literals that [`Solver::solve`]
-    /// treats as temporary unit constraints. Pushed formulas are Tseitin-
-    /// compiled once; popping retracts the constraint without touching
-    /// the clause database (the leftover definition clauses are inert
-    /// implications). This is what the batch-guard concretization loop
-    /// in `acr-core::symvalidate` uses: push one candidate-id equality,
-    /// query, pop — one shared grounding, many cheap queries.
-    assumptions: Vec<Lit>,
 }
 
 impl Solver {
@@ -112,30 +104,6 @@ impl Solver {
     pub fn assert(&mut self, f: Formula) {
         let lit = self.compile(&f);
         self.cnf.add(vec![lit]);
-    }
-
-    /// Pushes `f` onto the incremental assumption stack. Assumptions
-    /// constrain every subsequent [`Solver::solve`] like hard asserts,
-    /// but are retractable with [`Solver::pop_assumption`] — with an
-    /// empty stack, `solve` behaves exactly as before.
-    pub fn push_assumption(&mut self, f: Formula) {
-        let lit = self.compile(&f);
-        self.assumptions.push(lit);
-    }
-
-    /// Retracts the most recently pushed assumption.
-    ///
-    /// # Panics
-    /// Panics if the assumption stack is empty.
-    pub fn pop_assumption(&mut self) {
-        self.assumptions
-            .pop()
-            .expect("pop_assumption on an empty assumption stack");
-    }
-
-    /// Current depth of the assumption stack.
-    pub fn assumption_depth(&self) -> usize {
-        self.assumptions.len()
     }
 
     /// Tseitin-compiles a formula, returning a literal equivalent to it.
@@ -214,13 +182,9 @@ impl Solver {
         }
     }
 
-    /// Solves the asserted constraints under the current assumption
-    /// stack; `None` when unsatisfiable.
+    /// Solves the asserted constraints; `None` when unsatisfiable.
     pub fn solve(&mut self) -> Option<Model> {
-        let assumptions = std::mem::take(&mut self.assumptions);
-        let r = self.solve_with(&assumptions);
-        self.assumptions = assumptions;
-        r
+        self.solve_with(&[])
     }
 
     fn solve_with(&mut self, assumptions: &[Lit]) -> Option<Model> {
@@ -402,74 +366,6 @@ mod tests {
         let _ = s.new_bool();
         assert_eq!(s.boolean_var_count(), 2 + 3 + 1);
         assert!(s.stats().clauses >= 4, "exactly-one clauses present");
-    }
-
-    #[test]
-    fn assumptions_constrain_and_retract() {
-        let mut s = Solver::new();
-        let v = s.new_int([1, 2, 3]);
-        assert_eq!(s.assumption_depth(), 0);
-        s.push_assumption(Formula::int_eq(v, 2));
-        assert_eq!(s.assumption_depth(), 1);
-        let m = s.solve().unwrap();
-        assert_eq!(m.ints[&v], 2);
-        // Stack survives a solve; a second query sees the same constraint.
-        assert_eq!(s.assumption_depth(), 1);
-        assert_eq!(s.solve().unwrap().ints[&v], 2);
-        s.pop_assumption();
-        assert_eq!(s.assumption_depth(), 0);
-        // Retracted: all three values satisfiable again.
-        for want in [1, 2, 3] {
-            s.push_assumption(Formula::int_eq(v, want));
-            assert_eq!(s.solve().unwrap().ints[&v], want);
-            s.pop_assumption();
-        }
-    }
-
-    #[test]
-    fn nested_assumptions_pop_lifo() {
-        let mut s = Solver::new();
-        let a = s.new_bool();
-        let b = s.new_bool();
-        s.push_assumption(Formula::bool_true(a));
-        s.push_assumption(Formula::not(Formula::bool_true(b)));
-        let m = s.solve().unwrap();
-        assert!(m.bools[&a] && !m.bools[&b]);
-        // Conflicting third assumption makes it unsat …
-        s.push_assumption(Formula::bool_true(b));
-        assert!(s.solve().is_none());
-        // … and popping exactly it restores satisfiability.
-        s.pop_assumption();
-        let m = s.solve().unwrap();
-        assert!(m.bools[&a] && !m.bools[&b]);
-        s.pop_assumption();
-        s.pop_assumption();
-        assert_eq!(s.assumption_depth(), 0);
-        assert!(s.solve().is_some());
-    }
-
-    #[test]
-    fn assumptions_stack_on_hard_asserts() {
-        let mut s = Solver::new();
-        let v = s.new_int([10, 20, 30]);
-        s.assert(Formula::not(Formula::int_eq(v, 10)));
-        s.push_assumption(Formula::not(Formula::int_eq(v, 30)));
-        assert_eq!(s.solve().unwrap().ints[&v], 20);
-        s.push_assumption(Formula::not(Formula::int_eq(v, 20)));
-        assert!(s.solve().is_none(), "hard + assumptions exhaust the domain");
-        s.pop_assumption();
-        s.pop_assumption();
-        // Hard assert persists after all assumptions are gone.
-        s.push_assumption(Formula::int_eq(v, 10));
-        assert!(s.solve().is_none());
-        s.pop_assumption();
-    }
-
-    #[test]
-    #[should_panic(expected = "empty assumption stack")]
-    fn pop_on_empty_stack_panics() {
-        let mut s = Solver::new();
-        s.pop_assumption();
     }
 
     #[test]

@@ -142,53 +142,6 @@ proptest! {
         }
     }
 
-    /// Batch-guard workload (the `symvalidate` encoding): a guard int var
-    /// over a candidate-id domain, one disjunctive guard formula per
-    /// class. Assumption-based concretization must enumerate **exactly**
-    /// the class members — no spurious assignments, none missing — and
-    /// the assumption stack must leave the solver unchanged after popping.
-    #[test]
-    fn guard_assignments_enumerate_exact_candidate_set(
-        domain_mask in 1u32..(1 << 6),
-        member_mask in 0u32..(1 << 6),
-    ) {
-        let domain: Vec<i64> = (0..6).filter(|i| domain_mask & (1 << i) != 0).map(i64::from).collect();
-        let members: Vec<i64> = domain
-            .iter()
-            .copied()
-            .filter(|&i| member_mask & (1 << i as u32) != 0)
-            .collect();
-        let mut s = Solver::new();
-        let guard = s.new_int(domain.iter().copied());
-        s.assert(Formula::or(
-            members.iter().map(|&i| Formula::int_eq(guard, i)),
-        ));
-        // Per-candidate concretization: assume guard=i, query, retract.
-        for &i in &domain {
-            s.push_assumption(Formula::int_eq(guard, i));
-            let sat = s.solve().is_some();
-            s.pop_assumption();
-            prop_assert_eq!(
-                sat,
-                members.contains(&i),
-                "guard={} sat mismatch (members {:?})",
-                i,
-                &members
-            );
-        }
-        prop_assert_eq!(s.assumption_depth(), 0);
-        // Model enumeration by blocking agrees: solutions are exactly the
-        // member set, each hit once.
-        let mut seen = BTreeSet::new();
-        while let Some(m) = s.solve() {
-            let v = m.ints[&guard];
-            prop_assert!(seen.insert(v), "duplicate solution {}", v);
-            s.assert(Formula::not(Formula::int_eq(guard, v)));
-        }
-        let want: BTreeSet<i64> = members.iter().copied().collect();
-        prop_assert_eq!(seen, want);
-    }
-
     /// The grow-MSS result is sound: hard constraints plus every kept soft
     /// constraint are simultaneously satisfied by the returned model.
     #[test]

@@ -45,8 +45,9 @@ pub type CandidateKey = (u64, u64, u64);
 /// Key of a memoized full verification: `(verifier context, config)`.
 pub type FullKey = (u64, u64);
 
-/// A memoized candidate validation.
-#[derive(Debug, Clone)]
+/// A memoized candidate validation. Deliberately not `Clone`: an entry
+/// is shared by `Arc`, never deep-copied.
+#[derive(Debug)]
 pub struct CandidateEntry {
     /// The verdict; `deriv_roots` resolve in [`CandidateEntry::arena`].
     pub verification: Verification,
@@ -131,8 +132,10 @@ impl SimCache {
     }
 
     /// Inserts a candidate entry (coordinator only, deterministic order).
-    pub fn insert_candidate(&self, key: CandidateKey, entry: CandidateEntry) {
-        self.candidates.insert(key, Arc::new(entry))
+    /// Takes the `Arc` the validate stage already hands the engine, so a
+    /// verdict's pruned arena exists once however many holders it has.
+    pub fn insert_candidate(&self, key: CandidateKey, entry: Arc<CandidateEntry>) {
+        self.candidates.insert(key, entry)
     }
 
     /// Looks up a full verification without touching LRU recency.

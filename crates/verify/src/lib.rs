@@ -30,9 +30,7 @@ pub mod verify;
 pub mod violation;
 
 pub use cache::{make_entry, rebase_verification, CandidateEntry, CandidateKey, FullKey, SimCache};
-pub use incremental::{
-    CandidateValidator, IncrementalStats, IncrementalVerifier, SymScreen, WarmState,
-};
+pub use incremental::{CandidateValidator, IncrementalStats, IncrementalVerifier, WarmState};
 pub use mask::ObsMask;
 pub use spec::{Property, PropertyKind, Spec, TestCase};
 pub use testgen::{coverage_guided_suite, derive_spec, SuiteStats};

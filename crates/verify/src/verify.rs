@@ -276,45 +276,6 @@ impl<'a> Verifier<'a> {
             session_diags: session_diags.to_vec(),
         }
     }
-
-    /// Fitness-only twin of [`Verifier::evaluate`]: the number of failing
-    /// tests, decided by exactly the same rules (a flapping destination
-    /// fails every property; otherwise the forwarding walk is judged),
-    /// with none of the coverage, provenance-closure, or record-building
-    /// work. This is the symbolic validator's per-candidate read-off —
-    /// candidates screened this way only need a fitness to survive or die
-    /// in the population, and the survivors are re-validated concretely
-    /// for their full [`Verification`].
-    ///
-    /// `arena` only absorbs forwarding derivations and may be a scratch
-    /// arena; outcomes whose derivation ids live in a *different* arena
-    /// are fine because no derivation is ever dereferenced here.
-    pub(crate) fn fitness_of<O: Borrow<PrefixOutcome>>(
-        &self,
-        sim: &Simulator<'_>,
-        outcomes: &BTreeMap<Prefix, O>,
-        fibs: &[acr_sim::Fib],
-        arena: &mut DerivArena,
-    ) -> usize {
-        let mut failed = 0usize;
-        for test in &self.tests {
-            let prop = &self.spec.properties[test.property];
-            let flap_hit = outcomes
-                .iter()
-                .any(|(p, o)| p.contains(test.flow.dst) && !o.borrow().is_converged());
-            let passed = if flap_hit {
-                false
-            } else {
-                let res =
-                    forward::walk(self.topo, sim.models(), fibs, test.start, &test.flow, arena);
-                judge(&prop.kind, &res).0
-            };
-            if !passed {
-                failed += 1;
-            }
-        }
-        failed
-    }
 }
 
 /// Candidate origination lines for an unreachable destination: the BGP

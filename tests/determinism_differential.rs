@@ -105,54 +105,6 @@ fn assert_reports_identical(a: &RepairReport, b: &RepairReport, what: &str) {
         "{what}: cached-validation count diverged"
     );
     assert_eq!(
-        a.validations_skipped, b.validations_skipped,
-        "{what}: flow-skip count diverged"
-    );
-    assert_eq!(
-        a.validations_symbolic, b.validations_symbolic,
-        "{what}: symbolic-validation count diverged"
-    );
-    assert_eq!(
-        a.attribution, b.attribution,
-        "{what}: patch attribution diverged"
-    );
-    assert_eq!(a.tags, b.tags, "{what}: tags diverged");
-}
-
-/// Everything a repair *decided* — outcome, trajectory, generation and
-/// keep counts — without the validation-cost split. Toggles that move
-/// work between the `validated`/`cached`/`flow_skipped`/`sym_validated`
-/// buckets (the symbolic screen only exists against a delta-compiled
-/// base) must leave all of this untouched, and must conserve the
-/// attempted-candidate total per iteration.
-fn assert_decisions_identical(a: &RepairReport, b: &RepairReport, what: &str) {
-    assert_eq!(signature(a), signature(b), "{what}: outcome diverged");
-    assert_eq!(
-        a.initial_failed, b.initial_failed,
-        "{what}: initial failures diverged"
-    );
-    assert_eq!(a.iterations.len(), b.iterations.len(), "{what}");
-    for (x, y) in a.iterations.iter().zip(&b.iterations) {
-        assert_eq!(x.iteration, y.iteration, "{what}: iteration id diverged");
-        assert_eq!(x.fitness, y.fitness, "{what}: fitness diverged");
-        assert_eq!(
-            x.best_fitness, y.best_fitness,
-            "{what}: best fitness diverged"
-        );
-        assert_eq!(x.generated, y.generated, "{what}: generated diverged");
-        assert_eq!(x.kept, y.kept, "{what}: kept diverged");
-        assert_eq!(
-            x.lint_rejected, y.lint_rejected,
-            "{what}: lint verdicts diverged"
-        );
-        assert_eq!(x.invalid, y.invalid, "{what}: invalid counts diverged");
-        assert_eq!(
-            x.validated + x.cached + x.flow_skipped + x.sym_validated,
-            y.validated + y.cached + y.flow_skipped + y.sym_validated,
-            "{what}: attempted-candidate total diverged"
-        );
-    }
-    assert_eq!(
         a.attribution, b.attribution,
         "{what}: patch attribution diverged"
     );
@@ -192,11 +144,7 @@ fn thread_count_never_changes_a_repair() {
 /// analysis runs identically whether candidate simulators are built from
 /// scratch or delta-compiled against the committed base, so repairs with
 /// delta on and off must be byte-identical in every observable field, at
-/// every worker-pool size. The symbolic screen only exists against a
-/// delta-compiled base, so it is pinned off here to isolate the delta
-/// axis; decision invariance *with* the screen is covered by
-/// `delta_and_symbolic_only_move_cost_buckets` below and by
-/// `prop_sym_validate.rs`.
+/// every worker-pool size.
 #[test]
 fn delta_compilation_never_changes_a_repair() {
     let net = wan();
@@ -212,7 +160,6 @@ fn delta_compilation_never_changes_a_repair() {
                         threads,
                         cache: Some(Arc::new(SimCache::default())),
                         delta,
-                        symbolic: false,
                         ..RepairConfig::default()
                     },
                 );
@@ -230,57 +177,11 @@ fn delta_compilation_never_changes_a_repair() {
     }
 }
 
-/// With the symbolic screen left at its ambient default, the delta
-/// toggle may move candidates between the `validated` and
-/// `sym_validated` buckets (no base to screen against with delta off) —
-/// but never change a decision.
-#[test]
-fn delta_and_symbolic_only_move_cost_buckets() {
-    let net = wan();
-    let incidents = sample_incidents(&net, 4, 77);
-    for (i, incident) in incidents.iter().enumerate() {
-        let run = |delta: bool, symbolic: bool| {
-            let engine = RepairEngine::new(
-                &net.topo,
-                &net.spec,
-                RepairConfig {
-                    seed: 11,
-                    threads: 1,
-                    cache: Some(Arc::new(SimCache::default())),
-                    delta,
-                    symbolic,
-                    ..RepairConfig::default()
-                },
-            );
-            engine.repair(&incident.broken)
-        };
-        let base = run(true, true);
-        base.check_accounting()
-            .unwrap_or_else(|e| panic!("incident {i}: accounting violated: {e}"));
-        for (delta, symbolic) in [(true, false), (false, true), (false, false)] {
-            let other = run(delta, symbolic);
-            other
-                .check_accounting()
-                .unwrap_or_else(|e| panic!("incident {i}: accounting violated: {e}"));
-            assert_decisions_identical(
-                &base,
-                &other,
-                &format!(
-                    "incident {i} ({}), delta {delta}, symbolic {symbolic}",
-                    incident.fault
-                ),
-            );
-        }
-        // With no delta base the screen must stand down entirely.
-        assert_eq!(run(false, true).validations_symbolic, 0);
-    }
-}
-
 /// Multi-patch beam search must be exactly as deterministic as the
 /// single-fault genetic path: for composed multi-fault scenarios (every
 /// family), repairs under `threads ∈ {1, 4, 8}` × `delta ∈ {on, off}`
 /// must agree on every observable field — outcome, patch, iteration
-/// trace, *per-segment attribution*, tags, and all three validation
+/// trace, *per-segment attribution*, tags, and both validation
 /// counters — and every report must satisfy the candidate-accounting
 /// identity. (`ACR_SPARSE` is process-global, so the sparse axis is
 /// differenced cross-process by `ci.sh`; journal byte-identity for the
@@ -321,27 +222,17 @@ fn beam_multi_patch_repair_is_thread_and_delta_invariant() {
             "{}: tags dropped",
             scenario.label
         );
-        // The delta toggle removes the symbolic screen's base (ambient
-        // `ACR_SYM` stays in effect), so the comparison is full byte
-        // identity across threads *within* a delta setting, and decision
-        // identity across the delta axis.
-        let base_off = run(1, false);
-        base_off
-            .check_accounting()
-            .unwrap_or_else(|e| panic!("{}: accounting violated: {e}", scenario.label));
-        assert_decisions_identical(
-            &base,
-            &base_off,
-            &format!("scenario {}, delta on vs off", scenario.label),
-        );
-        for threads in [4usize, 8] {
+        for threads in [1usize, 4, 8] {
             for delta in [true, false] {
+                if threads == 1 && delta {
+                    continue; // that is `base`
+                }
                 let other = run(threads, delta);
                 other
                     .check_accounting()
                     .unwrap_or_else(|e| panic!("{}: accounting violated: {e}", scenario.label));
                 assert_reports_identical(
-                    if delta { &base } else { &base_off },
+                    &base,
                     &other,
                     &format!(
                         "scenario {} , threads {threads}, delta {delta}",
@@ -349,64 +240,6 @@ fn beam_multi_patch_repair_is_thread_and_delta_invariant() {
                     ),
                 );
             }
-        }
-    }
-}
-
-/// The flow gate replaces simulations with exactly-equal served
-/// verdicts, so it shifts candidates between the `validated`, `cached`
-/// and `flow_skipped` buckets without ever changing the search: with the
-/// gate on vs off, a beam repair must walk the same trajectory (outcome,
-/// patch, attribution, per-iteration generated/kept/fitness) and conserve
-/// the attempted-candidate total per iteration.
-#[test]
-fn flow_gate_never_changes_a_beam_repair() {
-    let net = wan();
-    let scenarios: Vec<Scenario> = corpus(&net, 1, 2024);
-    for scenario in &scenarios {
-        let spec = scenario.visible_spec(&net.spec);
-        let run = |flow: bool| {
-            let engine = RepairEngine::new(
-                &net.topo,
-                &spec,
-                RepairConfig {
-                    seed: 11,
-                    threads: 1,
-                    flow,
-                    strategy: acr::core::Strategy::beam(),
-                    cache: Some(Arc::new(SimCache::default())),
-                    tags: scenario.tags(),
-                    ..RepairConfig::default()
-                },
-            );
-            engine.repair(&scenario.broken)
-        };
-        let on = run(true);
-        let off = run(false);
-        let what = format!("scenario {}, flow on vs off", scenario.label);
-        assert_eq!(signature(&on), signature(&off), "{what}: outcome diverged");
-        assert_eq!(
-            on.attribution, off.attribution,
-            "{what}: attribution diverged"
-        );
-        assert_eq!(on.iterations.len(), off.iterations.len(), "{what}");
-        for (a, b) in on.iterations.iter().zip(&off.iterations) {
-            assert_eq!(a.generated, b.generated, "{what}: generated diverged");
-            assert_eq!(a.kept, b.kept, "{what}: kept diverged");
-            assert_eq!(a.fitness, b.fitness, "{what}: fitness diverged");
-            assert_eq!(
-                a.validated + a.cached + a.flow_skipped + a.sym_validated,
-                b.validated + b.cached + b.flow_skipped + b.sym_validated,
-                "{what}: attempted-candidate total diverged"
-            );
-        }
-        assert_eq!(
-            off.validations_skipped, 0,
-            "{what}: gate off but skips counted"
-        );
-        for r in [&on, &off] {
-            r.check_accounting()
-                .unwrap_or_else(|e| panic!("{what}: accounting violated: {e}"));
         }
     }
 }
@@ -443,14 +276,14 @@ fn cache_never_changes_a_repair() {
             assert_eq!(a.kept, b.kept, "{what}: kept diverged");
             assert_eq!(a.fitness, b.fitness, "{what}: fitness diverged");
             assert_eq!(
-                a.validated + a.cached + a.sym_validated,
-                b.validated + b.cached + b.sym_validated,
+                a.validated + a.cached,
+                b.validated + b.cached,
                 "{what}: candidate accounting diverged"
             );
         }
         assert_eq!(
-            off.validations + off.validations_cached + off.validations_symbolic,
-            on.validations + on.validations_cached + on.validations_symbolic,
+            off.validations + off.validations_cached,
+            on.validations + on.validations_cached,
             "{what}: validation totals diverged"
         );
         assert_eq!(

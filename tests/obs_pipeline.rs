@@ -38,12 +38,6 @@ fn repair_fig2(threads: usize, delta: bool) -> RepairReport {
             threads,
             delta,
             cache: Some(Arc::new(SimCache::default())),
-            // The symbolic screen only exists against a delta-compiled
-            // base, so its journal rows would legitimately differ across
-            // the delta axis; pin it off to keep the cross-delta
-            // byte-identity contract exact. (`ci.sh` differences the
-            // ACR_SYM axis cross-process via report digests.)
-            symbolic: false,
             ..RepairConfig::default()
         },
     );
@@ -215,9 +209,6 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
                 strategy: acr::core::Strategy::beam(),
                 cache: Some(Arc::new(SimCache::default())),
                 tags: scenario.tags(),
-                // Pinned off for the same cross-delta byte-identity
-                // reason as `repair_fig2`.
-                symbolic: false,
                 ..RepairConfig::default()
             },
         );

@@ -13,6 +13,11 @@
 //!    not just Table-1 singletons. Every report must also satisfy the
 //!    candidate-accounting identity.
 //!
+//!    The same oracle check runs over **Table-1 singletons** under each
+//!    search strategy (genetic, brute-force, beam) on random topology
+//!    sizes — the fixed-topology Table-1 sweep lives in
+//!    `repair_incidents.rs`.
+//!
 //! 2. **Observability-mask consistency** — a verifier running the
 //!    masked spec must agree verdict-for-verdict with the full verifier
 //!    on every *visible* property, for random configs (healthy and
@@ -24,7 +29,7 @@
 
 use acr::prelude::*;
 use acr::scenarios::{compose, ScenarioFamily};
-use acr::workloads::GeneratedNetwork;
+use acr::workloads::{try_inject, GeneratedNetwork, TABLE1};
 use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
 use std::collections::BTreeSet;
 
@@ -92,6 +97,41 @@ proptest! {
         }
     }
 
+    /// Accepted single-fault repairs are sound under full simulation,
+    /// whichever strategy searched for them.
+    #[test]
+    fn accepted_table1_repair_clears_all_failing_properties(
+        w in any::<usize>(),
+        h in any::<usize>(),
+        fi in any::<usize>(),
+        strat in 0usize..3,
+        seed in 0u64..24,
+    ) {
+        use acr::core::Strategy;
+        let net = net_for(w, h);
+        let incident = try_inject(TABLE1[fi % TABLE1.len()].0, &net, seed);
+        prop_assume!(incident.is_some());
+        let incident = incident.unwrap();
+        let strategy = [Strategy::default(), Strategy::brute_force(), Strategy::beam()][strat].clone();
+        let config = RepairConfig { seed, strategy, ..RepairConfig::default() };
+        let report = RepairEngine::new(&net.topo, &net.spec, config).repair(&incident.broken);
+        if let Err(e) = report.check_accounting() {
+            prop_assert!(false, "{} (strategy {strat}): accounting violated: {e}", incident.fault);
+        }
+        if let acr::core::RepairOutcome::Fixed { patch, .. } = &report.outcome {
+            let repaired = patch.apply_cloned(&incident.broken).expect("patch applies");
+            let full = Verifier::new(&net.topo, &net.spec).run_full(&repaired).0;
+            prop_assert_eq!(
+                full.failed_count(),
+                0,
+                "{} (strategy {}): accepted repair fails {} tests under full simulation",
+                &incident.fault,
+                strat,
+                full.failed_count()
+            );
+        }
+    }
+
     /// Masked verdicts never contradict full-observability verdicts on
     /// the visible subset.
     #[test]
@@ -103,7 +143,6 @@ proptest! {
         keep in 20u32..90,
         break_it in any::<bool>(),
     ) {
-        use acr::workloads::{try_inject, TABLE1};
         let net = net_for(w, h);
         let cfg = if break_it {
             let inc = try_inject(TABLE1[fi % TABLE1.len()].0, &net, seed);

@@ -3,10 +3,9 @@
 //!
 //! Contract: a **cold** daemon job (fresh session) is *fully*
 //! byte-identical to [`RepairEngine::repair`] — decisions AND the
-//! validated/cached/skipped accounting — at every worker-thread count
-//! and under both the delta-compile and flow-gate toggles (explicit
-//! [`RepairConfig`] fields, so the ambient `ACR_*` env cannot skew the
-//! comparison). A **resident** daemon matches on decisions while
+//! validated/cached accounting — at every worker-thread count and with
+//! the delta-compile toggle on and off (explicit [`RepairConfig`]
+//! fields, so the ambient `ACR_*` env cannot skew the comparison). A **resident** daemon matches on decisions while
 //! strictly reducing simulation work on replays.
 
 use acr::serve::{full_signature, job_label};
@@ -45,12 +44,11 @@ fn req(net: &GeneratedNetwork, inc: &Incident, seed: u64) -> SubmitReq {
     }
 }
 
-fn daemon(net: &GeneratedNetwork, threads: usize, delta: bool, flow: bool, cold: bool) -> Acrd {
+fn daemon(net: &GeneratedNetwork, threads: usize, delta: bool, cold: bool) -> Acrd {
     let mut d = Acrd::new(ServeConfig {
         quota: QuotaConfig::default(),
         threads: Some(threads),
         delta: Some(delta),
-        flow: Some(flow),
         cold,
     });
     d.register(NetworkDef {
@@ -66,7 +64,6 @@ fn batch_full_sigs(
     incidents: &[Incident],
     threads: usize,
     delta: bool,
-    flow: bool,
 ) -> Vec<String> {
     incidents
         .iter()
@@ -79,7 +76,6 @@ fn batch_full_sigs(
                     seed: i as u64,
                     threads,
                     delta,
-                    flow,
                     ..RepairConfig::default()
                 },
             );
@@ -90,28 +86,21 @@ fn batch_full_sigs(
 }
 
 /// Cold daemon == batch, byte-for-byte including accounting, across
-/// thread counts and the delta/flow toggles.
+/// thread counts and the delta toggle.
 #[test]
 fn cold_daemon_is_byte_identical_to_batch_everywhere() {
     let (net, incidents) = network();
-    // (threads, delta, flow): both thread counts at defaults, plus each
-    // toggle exercised off.
-    for (threads, delta, flow) in [
-        (1, true, true),
-        (4, true, true),
-        (1, false, false),
-        (4, false, true),
-    ] {
-        let mut d = daemon(&net, threads, delta, flow, true);
+    for (threads, delta) in [(1, true), (4, true), (1, false), (4, false)] {
+        let mut d = daemon(&net, threads, delta, true);
         for (i, inc) in incidents.iter().enumerate() {
             d.submit(req(&net, inc, i as u64)).unwrap();
         }
         assert_eq!(d.drain(), incidents.len());
         let served: Vec<String> = d.records_in_order().map(|r| r.full_sig.clone()).collect();
-        let batch = batch_full_sigs(&net, &incidents, threads, delta, flow);
+        let batch = batch_full_sigs(&net, &incidents, threads, delta);
         assert_eq!(
             served, batch,
-            "daemon-served reports diverged from batch at threads={threads} delta={delta} flow={flow}"
+            "daemon-served reports diverged from batch at threads={threads} delta={delta}"
         );
     }
 }
@@ -123,7 +112,7 @@ fn digests_are_thread_count_invariant() {
     let (net, incidents) = network();
     let mut digests = Vec::new();
     for threads in [1, 4] {
-        let mut d = daemon(&net, threads, true, true, true);
+        let mut d = daemon(&net, threads, true, true);
         for (i, inc) in incidents.iter().enumerate() {
             d.submit(req(&net, inc, i as u64)).unwrap();
         }
@@ -142,7 +131,7 @@ fn resident_daemon_matches_decisions_and_saves_work() {
     // so the warm verifier slot (keyed to the last committed config)
     // gets a resume opportunity on every replay.
     let run = |cold: bool| {
-        let mut d = daemon(&net, 1, true, true, cold);
+        let mut d = daemon(&net, 1, true, cold);
         for (i, inc) in incidents.iter().enumerate() {
             d.submit(req(&net, inc, i as u64)).unwrap();
             d.submit(req(&net, inc, i as u64)).unwrap();
