@@ -104,4 +104,19 @@ cargo test -q --workspace --features heavy-tests
 echo "==> cargo test (benchmark/: the repair-job benchmark against the current API)"
 cargo test -q --manifest-path benchmark/Cargo.toml
 
+# Decisions, checked mechanically: the smoke suite's decision digest per
+# workload must be the pinned one in both of its runs — end to end and
+# traced; results.json records the pair. A perf PR moves the timings this
+# prints, never these.
+echo "==> benchmark/run.sh --smoke --seed 78 (decision digests, end to end and traced)"
+benchmark/run.sh --smoke --seed 78
+for pin in corpus12:5c9179f0ddc4760b scenarios8:b38b374edf65a19d \
+    serve_stream:523a5a4c6b8a6c3b wan72:623e3a50acef2f77; do
+    runs=$(grep -o "\"decision_digest\":\"${pin##*:}\"" benchmark/out/results.json | wc -l || true)
+    if [ "$runs" != 2 ]; then
+        echo "FAIL: ${pin%%:*} decided differently: $runs of its 2 runs have decision_digest ${pin##*:}" >&2
+        exit 1
+    fi
+done
+
 echo "CI OK"

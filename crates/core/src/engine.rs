@@ -19,16 +19,16 @@ use crate::session::NetworkSession;
 use crate::strategy::{crossover, Strategy};
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
-use crate::validate::{resolve_threads, validate_batch, LintBase, LintMemo, Verdict};
+use crate::validate::{resolve_threads, validate_batch, LintBase, Verdict};
 use acr_cfg::{DeviceModel, LineId, NetworkConfig, Patch};
 use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
-use acr_net_types::SplitMix64;
+use acr_net_types::{RouterId, SplitMix64};
 use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, Stages};
-use acr_sim::ShardedCache;
 use acr_topo::Topology;
 use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,8 +41,6 @@ static CAND_VALIDATED: Counter = Counter::new("engine.candidates.validated");
 static CAND_CACHED: Counter = Counter::new("engine.candidates.cached");
 static CAND_INVALID: Counter = Counter::new("engine.candidates.invalid");
 static CAND_KEPT: Counter = Counter::new("engine.candidates.kept");
-static FLOW_FIXPOINT_ITERATIONS: Counter = Counter::new("flow.fixpoint.iterations");
-static FLOW_FACTS: Counter = Counter::new("flow.facts");
 static RESIDENT_HITS: Counter = Counter::new("engine.resident.hits");
 static RESIDENT_MISSES: Counter = Counter::new("engine.resident.misses");
 
@@ -334,11 +332,28 @@ struct Variant {
     patch: Patch,
     verification: Verification,
     fitness: usize,
-    /// Lint findings on this variant (empty when linting is off) — they
-    /// boost localization when the variant is expanded.
-    diags: Vec<Diagnostic>,
+    /// What ranking and expanding the variant as a parent needs — see
+    /// [`RepairEngine::statics_of`]. Computed on first use, once: most
+    /// kept candidates are never expanded.
+    statics: OnceCell<Statics>,
     /// Provenance of `patch`, one segment per operator application.
     segments: Vec<PatchSegment>,
+}
+
+/// Everything about one variant that is fixed for the job and read each
+/// time it is expanded (once per *mutation* under the genetic strategy).
+struct Statics {
+    /// Semantic models, parallel to `topo.routers()`: what the templates
+    /// instantiate against.
+    models: Arc<Vec<DeviceModel>>,
+    /// Suspiciousness multipliers from the variant's lint findings
+    /// (empty when linting is off).
+    boosts: BTreeMap<LineId, f64>,
+    /// The SBFL ranking the fix stage expands: lint boosts fold in
+    /// multiplicatively (4x primary / 2x related), then the `acr-flow`
+    /// prior rescales lines that sit on a violated property's abstract
+    /// derivation path.
+    ranking: Ranking,
 }
 
 /// The repair engine, bound to a topology and spec.
@@ -441,11 +456,12 @@ impl<'a> RepairEngine<'a> {
         let initial_failed = base_verification.failed_count();
         let fp = original.fingerprint();
 
-        // Static baseline: the broken network's own lint findings. The
-        // gate only rejects candidates that introduce *new* error keys —
-        // pre-existing ones may well be the fault under repair. A
-        // session serves the baseline from its per-fingerprint cache
-        // (lint is a pure function of the configuration).
+        // Static baseline: the broken network's semantic models and its
+        // own lint findings. The gate only rejects candidates that
+        // introduce *new* error keys — pre-existing ones may well be the
+        // fault under repair. A session serves the baseline from its
+        // per-fingerprint cache (lint is a pure function of the
+        // configuration).
         let lint_base: Option<Arc<LintBase>> = self.config.lint.then(|| {
             if let Some(cached) = session.as_mut().and_then(|s| s.lint_for(fp)) {
                 return cached;
@@ -456,10 +472,6 @@ impl<'a> RepairEngine<'a> {
             }
             built
         });
-        let base_diags = lint_base
-            .as_ref()
-            .map(|b| b.diags.clone())
-            .unwrap_or_default();
 
         // Network-wide dataflow facts over the broken base, for the
         // localization prior and the journal's flow summary. Pure in the
@@ -469,8 +481,6 @@ impl<'a> RepairEngine<'a> {
                 Some(cached) => cached,
                 None => {
                     let facts = Arc::new(acr_flow::analyze(self.topo, original));
-                    FLOW_FIXPOINT_ITERATIONS.add(facts.iterations);
-                    FLOW_FACTS.add(facts.fact_count() as u64);
                     if let Some(s) = session.as_mut() {
                         s.park_flow(fp, facts.clone());
                     }
@@ -480,10 +490,9 @@ impl<'a> RepairEngine<'a> {
         let flow_prior = flow_prior(self.spec, &base_verification, &flow_facts);
 
         // Validate-stage plumbing: the memo-cache keys every candidate
-        // under (verifier context, committed base, candidate config),
-        // the lint memo is per-run (its verdicts depend on the base),
-        // and `threads` sizes the scoped worker pool. A session's
-        // cross-job cache takes precedence over the per-run one.
+        // under (verifier context, committed base, candidate config) and
+        // `threads` sizes the scoped worker pool. A session's cross-job
+        // cache takes precedence over the per-run one.
         let ctx_base = (iv.verifier().context_fingerprint(), fp);
         let cache_arc = match session.as_ref() {
             Some(s) => Some(s.cache.clone()),
@@ -491,7 +500,6 @@ impl<'a> RepairEngine<'a> {
         };
         let cache = cache_arc.as_deref();
         let lint_base = lint_base.as_deref();
-        let lint_memo: LintMemo = ShardedCache::with_capacity(4096);
         let threads = resolve_threads(self.config.threads);
         drop(commit_guard);
 
@@ -523,7 +531,7 @@ impl<'a> RepairEngine<'a> {
                 patch: Patch::new(),
                 fitness: initial_failed,
                 verification: base_verification,
-                diags: base_diags,
+                statics: OnceCell::new(),
                 segments: Vec::new(),
             }];
             let mut prev_fitness = initial_failed;
@@ -536,7 +544,7 @@ impl<'a> RepairEngine<'a> {
                 // the current best variant (no RNG draw), computed only when
                 // the journal is on — reports are identical either way.
                 let suspects = if acr_obs::enabled(acr_obs::JOURNAL) {
-                    self.suspects_of(best_of(&population), &flow_prior)
+                    self.suspects_of(best_of(&population), lint_base, &flow_prior)
                 } else {
                     String::new()
                 };
@@ -544,10 +552,17 @@ impl<'a> RepairEngine<'a> {
                 // ---- localize + fix: generate candidate full patches -------
                 let fresh: Vec<(Patch, Vec<PatchSegment>)> = {
                     let _g = stages.time("engine.generate", "engine");
-                    self.generate(&population, &iv, &flow_prior, iteration, &mut rng)
-                        .into_iter()
-                        .filter(|(p, _)| seen.insert(p.clone()))
-                        .collect()
+                    self.generate(
+                        &population,
+                        &iv,
+                        lint_base,
+                        &flow_prior,
+                        iteration,
+                        &mut rng,
+                    )
+                    .into_iter()
+                    .filter(|(p, _)| seen.insert(p.clone()))
+                    .collect()
                 };
                 let generated = fresh.len();
                 CAND_GENERATED.add(generated as u64);
@@ -570,7 +585,6 @@ impl<'a> RepairEngine<'a> {
                     &mut iv,
                     self.topo,
                     lint_base,
-                    &lint_memo,
                     cache,
                     ctx_base,
                     threads,
@@ -604,11 +618,7 @@ impl<'a> RepairEngine<'a> {
                                 cand_rows.push(r.str("outcome", "lint_rejected").build());
                             }
                         }
-                        Verdict::Validated {
-                            entry,
-                            stats,
-                            diags,
-                        } => {
+                        Verdict::Validated { entry, stats } => {
                             if vc.memo_served {
                                 cached_count += 1;
                             } else {
@@ -646,7 +656,7 @@ impl<'a> RepairEngine<'a> {
                                 patch: vc.patch,
                                 verification,
                                 fitness,
-                                diags,
+                                statics: OnceCell::new(),
                                 segments: segs,
                             });
                         }
@@ -773,8 +783,13 @@ impl<'a> RepairEngine<'a> {
 
     /// Top-ranked suspicious lines of a variant, rendered as a JSON array
     /// for the journal. Pure: same localization the fix stage uses, no RNG.
-    fn suspects_of(&self, variant: &Variant, prior: &BTreeMap<LineId, f64>) -> String {
-        let ranking = self.rank(variant, prior);
+    fn suspects_of(
+        &self,
+        variant: &Variant,
+        lint_base: Option<&LintBase>,
+        prior: &BTreeMap<LineId, f64>,
+    ) -> String {
+        let ranking = &self.statics_of(variant, lint_base, prior).ranking;
         json::array(ranking.entries().iter().take(8).map(|(line, score)| {
             json::Obj::new()
                 .str("line", &line.to_string())
@@ -783,18 +798,51 @@ impl<'a> RepairEngine<'a> {
         }))
     }
 
-    /// The SBFL ranking the fix stage expands: lint boosts fold in
-    /// multiplicatively (4x primary / 2x related), then the `acr-flow`
-    /// prior rescales lines that sit on a violated property's abstract
-    /// derivation path.
-    fn rank(&self, variant: &Variant, prior: &BTreeMap<LineId, f64>) -> Ranking {
-        let boosts = boost_map(&variant.diags);
-        let ranking = if boosts.is_empty() {
-            localize(&variant.verification.matrix, self.config.formula)
-        } else {
-            localize_boosted(&variant.verification.matrix, self.config.formula, &boosts)
-        };
-        ranking.with_prior(prior)
+    /// A variant's [`Statics`], computed on first use. With linting on,
+    /// the root — which *is* the broken network — takes its models and
+    /// findings from the job's lint baseline, and any other variant gets
+    /// the baseline's models with the patched devices re-modelled plus
+    /// the whole-network lint of its configuration, dataflow warnings
+    /// included (one fixed point). Only a variant that gets *ranked*
+    /// needs any of it, which is why this runs here and not in the
+    /// validate stage: a job that ends in its first iteration never
+    /// analyses anything but the broken network.
+    fn statics_of<'v>(
+        &self,
+        variant: &'v Variant,
+        lint_base: Option<&LintBase>,
+        prior: &BTreeMap<LineId, f64>,
+    ) -> &'v Statics {
+        variant.statics.get_or_init(|| {
+            let (models, boosts) = match lint_base {
+                None => (
+                    Arc::new(models_of(self.topo, &variant.cfg)),
+                    BTreeMap::new(),
+                ),
+                Some(base) if variant.patch.is_empty() => {
+                    (base.models.clone(), boost_map(&base.diags))
+                }
+                Some(base) => {
+                    let mut models = Vec::clone(&base.models);
+                    for r in variant.patch.routers() {
+                        models[r.index()] = model_of(self.topo, &variant.cfg, r);
+                    }
+                    let report = acr_lint::lint_with_models(self.topo, &variant.cfg, &models);
+                    (Arc::new(models), boost_map(&report.diagnostics))
+                }
+            };
+            let matrix = &variant.verification.matrix;
+            let ranking = if boosts.is_empty() {
+                localize(matrix, self.config.formula)
+            } else {
+                localize_boosted(matrix, self.config.formula, &boosts)
+            };
+            Statics {
+                models,
+                boosts,
+                ranking: ranking.with_prior(prior),
+            }
+        })
     }
 
     /// Generates candidate *full* patches (relative to the original
@@ -804,6 +852,7 @@ impl<'a> RepairEngine<'a> {
         &self,
         population: &[Variant],
         iv: &IncrementalVerifier<'_>,
+        lint_base: Option<&LintBase>,
         prior: &BTreeMap<LineId, f64>,
         iteration: usize,
         rng: &mut SplitMix64,
@@ -820,7 +869,7 @@ impl<'a> RepairEngine<'a> {
                 // Expand every surviving variant: multi-place repairs
                 // accrete one template application per iteration.
                 for parent in population {
-                    let fixes = self.fixes_of(parent, iv, prior, *top_lines, None, rng);
+                    let fixes = self.fixes_of(parent, iv, lint_base, prior, *top_lines, None);
                     out.extend(fixes.iter().map(|f| extend(parent, f)));
                 }
             }
@@ -831,7 +880,8 @@ impl<'a> RepairEngine<'a> {
             } => {
                 for _ in 0..*mutations {
                     let parent = &population[rng.index(population.len())];
-                    let fixes = self.fixes_of(parent, iv, prior, *top_k, Some(rng.next_u64()), rng);
+                    let fixes =
+                        self.fixes_of(parent, iv, lint_base, prior, *top_k, Some(rng.next_u64()));
                     if let Some(fix) = pick(rng, &fixes) {
                         out.push(extend(parent, fix));
                     }
@@ -867,7 +917,7 @@ impl<'a> RepairEngine<'a> {
                 // Once the root is evicted (or its pool is exhausted via
                 // dedup) the search dries up — by design.
                 for parent in population.iter().filter(|v| v.patch.is_empty()) {
-                    let fixes = self.fixes_of(parent, iv, prior, *top_lines, None, rng);
+                    let fixes = self.fixes_of(parent, iv, lint_base, prior, *top_lines, None);
                     out.extend(fixes.iter().map(|f| extend(parent, f)));
                 }
             }
@@ -879,7 +929,7 @@ impl<'a> RepairEngine<'a> {
                 // The population is sorted by (fitness, patch size) at
                 // the end of every iteration, so its prefix is the beam.
                 for parent in population.iter().take(*width) {
-                    let fixes = self.fixes_of(parent, iv, prior, *top_lines, None, rng);
+                    let fixes = self.fixes_of(parent, iv, lint_base, prior, *top_lines, None);
                     out.extend(fixes.iter().map(|f| extend(parent, f)));
                     // Pairwise patch-set combinations at distinct
                     // suspicious lines: a coordinated two-site edit in a
@@ -915,23 +965,25 @@ impl<'a> RepairEngine<'a> {
         &self,
         variant: &Variant,
         iv: &IncrementalVerifier<'_>,
+        lint_base: Option<&LintBase>,
         prior: &BTreeMap<LineId, f64>,
         width: usize,
         pick_line: Option<u64>,
-        _rng: &mut SplitMix64,
     ) -> Vec<CandidateFix> {
-        let boosts = boost_map(&variant.diags);
-        let ranking = self.rank(variant, prior);
+        let Statics {
+            models,
+            boosts,
+            ranking,
+        } = self.statics_of(variant, lint_base, prior);
         if ranking.is_empty() {
             return Vec::new();
         }
-        let models = models_of(self.topo, &variant.cfg);
         let ctx = RepairCtx {
             topo: self.topo,
             cfg: &variant.cfg,
             verification: &variant.verification,
             arena: iv.arena(),
-            models: &models,
+            models,
         };
         let mut pool: Vec<LineId> = ranking.top_tied();
         for (line, score) in ranking.entries().iter().skip(pool.len()).take(width) {
@@ -1183,18 +1235,25 @@ fn best_of(population: &[Variant]) -> &Variant {
         .expect("population never empties")
 }
 
-/// Semantic models of every router in `cfg`.
+/// Semantic models of every router in `cfg`, parallel to
+/// `topo.routers()` (so indexed by `RouterId::index`).
 pub fn models_of(topo: &Topology, cfg: &NetworkConfig) -> Vec<DeviceModel> {
     topo.routers()
         .iter()
-        .map(|r| match cfg.device(r.id) {
-            Some(dc) => DeviceModel::from_config(dc),
-            None => DeviceModel {
-                name: r.name.clone(),
-                ..DeviceModel::default()
-            },
-        })
+        .map(|r| model_of(topo, cfg, r.id))
         .collect()
+}
+
+/// The semantic model of one router (an unconfigured one models as an
+/// empty device carrying its topology name).
+fn model_of(topo: &Topology, cfg: &NetworkConfig, router: RouterId) -> DeviceModel {
+    match cfg.device(router) {
+        Some(dc) => DeviceModel::from_config(dc),
+        None => DeviceModel {
+            name: topo.router(router).name.clone(),
+            ..DeviceModel::default()
+        },
+    }
 }
 
 /// Uniform pick from a slice.

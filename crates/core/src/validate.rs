@@ -9,6 +9,15 @@
 //! validator. With `threads > 1` steps 2–4 run on a
 //! `std::thread::scope` worker pool.
 //!
+//! **Nothing network-wide runs per candidate.** The gate rejects a
+//! candidate that *introduces* a lint error, and every error rule is
+//! per-device (`acr_lint::lint_devices`), so it lints the devices the
+//! patch touched and nothing else: an untouched device's error keys are
+//! the broken network's, already in [`LintBase::keys`]. The full
+//! diagnostics of a kept candidate — dataflow warnings included — only
+//! matter if it is later expanded as a parent, and are computed there
+//! (`engine.rs`), not here.
+//!
 //! **Determinism argument.** A candidate's verdict is a pure function of
 //! (committed base state, candidate config): [`acr_verify::CandidateValidator`]
 //! never mutates the per-prefix memo, lint is stateless, and the
@@ -44,11 +53,10 @@
 //! pruned arena exist once, and every holder shares them.
 
 use acr_cfg::{DeviceModel, NetworkConfig, Patch};
-use acr_lint::{lint_with_models, DiagKey, Diagnostic};
-use acr_net_types::RouterId;
+use acr_lint::{lint_devices, lint_with_models, DiagKey, Diagnostic};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
-use acr_sim::{DerivArena, ShardedCache};
+use acr_sim::DerivArena;
 use acr_topo::Topology;
 use acr_verify::{
     make_entry, CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification,
@@ -57,11 +65,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The lint baseline of the broken network, shared by every candidate's
-/// gate check.
+/// The lint baseline of the broken network: what the gate compares
+/// candidates against, and what a variant's localization is boosted from
+/// when it is ranked as a parent.
 pub(crate) struct LintBase {
-    pub models: Vec<DeviceModel>,
-    pub idx: HashMap<RouterId, usize>,
+    /// Semantic models of the broken network, parallel to
+    /// `topo.routers()`.
+    pub models: Arc<Vec<DeviceModel>>,
     pub keys: HashSet<DiagKey>,
     pub diags: Vec<Diagnostic>,
 }
@@ -73,30 +83,14 @@ impl LintBase {
     pub(crate) fn build(topo: &Topology, cfg: &NetworkConfig) -> LintBase {
         let models = crate::engine::models_of(topo, cfg);
         let report = lint_with_models(topo, cfg, &models);
-        let idx: HashMap<RouterId, usize> = topo
-            .routers()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id, i))
-            .collect();
         LintBase {
-            models,
-            idx,
+            models: Arc::new(models),
             keys: report.keys(),
             diags: report.diagnostics,
         }
     }
 }
 
-/// Per-run lint memo: config fingerprint → (introduces a fresh error,
-/// diagnostics). Lint is a pure function of the candidate config, so
-/// worker threads may insert racily — a dropped insert merely recomputes
-/// the same value later, and nothing in the report depends on whether a
-/// verdict was memoized or recomputed.
-pub(crate) type LintMemo = ShardedCache<u64, Arc<(bool, Vec<Diagnostic>)>>;
-
-static LINT_MEMO_HITS: Counter = Counter::new("lint.memo.hits");
-static LINT_MEMO_MISSES: Counter = Counter::new("lint.memo.misses");
 static LINT_GATE_REJECTED: Counter = Counter::new("lint.gate.rejected");
 
 /// What the validate stage concluded for one candidate patch — the one
@@ -114,7 +108,6 @@ pub(crate) enum Verdict {
         /// the very entry the memo-cache holds.
         entry: Arc<CandidateEntry>,
         stats: IncrementalStats,
-        diags: Vec<Diagnostic>,
     },
 }
 
@@ -166,7 +159,6 @@ pub(crate) fn validate_batch(
     iv: &mut IncrementalVerifier<'_>,
     topo: &Topology,
     lint_base: Option<&LintBase>,
-    lint_memo: &LintMemo,
     cache: Option<&SimCache>,
     ctx_base: (u64, u64),
     threads: usize,
@@ -225,7 +217,7 @@ pub(crate) fn validate_batch(
                 Plan::Dup(_) => None,
                 plan => {
                     let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
-                    Some(resolve(it, plan, topo, lint_base, lint_memo, || {
+                    Some(resolve(it, plan, topo, lint_base, || {
                         let verification = iv.verify_candidate(&it.cfg, &it.patch);
                         (verification, iv.last_stats(), iv.arena())
                     }))
@@ -253,7 +245,7 @@ pub(crate) fn validate_batch(
                         }
                         let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
                         let it = &items[k].1;
-                        let res = resolve(it, &plans[k], topo, lint_base, lint_memo, || {
+                        let res = resolve(it, &plans[k], topo, lint_base, || {
                             let arena = arena.get_or_insert_with(|| base_arena.clone());
                             let (verification, stats) =
                                 validator.verify_candidate(&it.cfg, &it.patch, arena);
@@ -298,33 +290,14 @@ pub(crate) fn validate_batch(
     out
 }
 
-/// Lint verdict for one candidate, memoized by config fingerprint.
-/// Returns `(introduces a fresh error, diagnostics)`.
-fn lint_verdict(
-    it: &Prepared,
-    topo: &Topology,
-    lint_base: Option<&LintBase>,
-    lint_memo: &LintMemo,
-) -> (bool, Vec<Diagnostic>) {
-    let Some(base) = lint_base else {
-        return (false, Vec::new());
-    };
-    if let Some(hit) = lint_memo.peek(&it.fp) {
-        LINT_MEMO_HITS.inc();
-        return (hit.0, hit.1.clone());
-    }
-    LINT_MEMO_MISSES.inc();
-    let mut models = base.models.clone();
-    for r in it.patch.routers() {
-        if let (Some(&i), Some(dc)) = (base.idx.get(&r), it.cfg.device(r)) {
-            models[i] = DeviceModel::from_config(dc);
-        }
-    }
-    let report = lint_with_models(topo, &it.cfg, &models);
-    let fresh_error = report.errors().any(|d| !base.keys.contains(&d.key()));
-    let verdict = (fresh_error, report.diagnostics);
-    lint_memo.insert(it.fp, Arc::new(verdict.clone()));
-    verdict
+/// The lint gate: whether the candidate introduces an error finding the
+/// broken network did not have. Only the patched devices are linted —
+/// error rules are per-device, so every other device's error keys are
+/// in `base.keys` already.
+fn introduces_lint_error(it: &Prepared, topo: &Topology, base: &LintBase) -> bool {
+    lint_devices(topo, &it.cfg, &it.patch.routers())
+        .errors()
+        .any(|d| !base.keys.contains(&d.key()))
 }
 
 /// Resolves one non-dup candidate: the lint gate first, then the planned
@@ -338,11 +311,9 @@ fn resolve<'s>(
     plan: &Plan,
     topo: &Topology,
     lint_base: Option<&LintBase>,
-    lint_memo: &LintMemo,
     simulate: impl FnOnce() -> (Verification, IncrementalStats, &'s DerivArena),
 ) -> Verdict {
-    let (fresh_error, diags) = lint_verdict(it, topo, lint_base, lint_memo);
-    if fresh_error {
+    if lint_base.is_some_and(|base| introduces_lint_error(it, topo, base)) {
         LINT_GATE_REJECTED.inc();
         return Verdict::LintRejected;
     }
@@ -362,11 +333,7 @@ fn resolve<'s>(
         }
         Plan::Dup(_) => unreachable!("dups never reach resolve"),
     };
-    Verdict::Validated {
-        entry,
-        stats,
-        diags,
-    }
+    Verdict::Validated { entry, stats }
 }
 
 /// Safety net: a candidate's touched devices must print to parseable text.
@@ -381,3 +348,73 @@ pub(crate) fn reparses(cfg: &NetworkConfig, patch: &Patch) -> bool {
 // sharded convergence runner and this candidate pool share one budget
 // policy; re-exported here to keep the crate-local import paths.
 pub(crate) use acr_sim::resolve_threads;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::templates::candidates_for_line;
+    use crate::universal::universal_candidates;
+    use crate::RepairCtx;
+    use acr_cfg::LineId;
+    use acr_lint::lint_network;
+    use acr_verify::Verifier;
+    use acr_workloads::{generate, try_inject, TABLE1};
+
+    /// The gate lints the patched devices only; the whole-network linter
+    /// is the reference. Over every Table-1 fault on `wan(4,8)` and every
+    /// candidate both operator vocabularies generate at every line of the
+    /// broken network, the gate's verdict is "`lint_network(candidate)`
+    /// has an error key `lint_network(broken)` lacks".
+    #[test]
+    fn touched_devices_gate_agrees_with_the_whole_network_linter() {
+        let net = generate(&acr_topo::gen::wan(4, 8));
+        let (mut rejected, mut passed) = (0usize, 0usize);
+        for (fault, _) in TABLE1 {
+            let Some(incident) = try_inject(fault, &net, 0) else {
+                continue;
+            };
+            let broken = &incident.broken;
+            let base = LintBase::build(&net.topo, broken);
+            let reference_base = lint_network(&net.topo, broken).keys();
+            assert_eq!(base.keys, reference_base);
+
+            let (verification, out) = Verifier::new(&net.topo, &net.spec).run_full(broken);
+            let ctx = RepairCtx {
+                topo: &net.topo,
+                cfg: broken,
+                verification: &verification,
+                arena: &out.arena,
+                models: &base.models,
+            };
+            let mut patches: HashSet<Patch> = HashSet::new();
+            for (router, device) in broken.devices() {
+                for (line, _) in device.lines() {
+                    let line = LineId::new(router, line);
+                    patches.extend(candidates_for_line(line, &ctx).into_iter().map(|f| f.patch));
+                    patches.extend(universal_candidates(line, &ctx));
+                }
+            }
+            for patch in patches {
+                let Ok(cfg) = patch.apply_cloned(broken) else {
+                    continue;
+                };
+                let reference = lint_network(&net.topo, &cfg)
+                    .errors()
+                    .any(|d| !reference_base.contains(&d.key()));
+                let fp = cfg.fingerprint();
+                let it = Prepared { patch, cfg, fp };
+                let gate = introduces_lint_error(&it, &net.topo, &base);
+                assert_eq!(gate, reference, "{fault:?}: {}", it.patch);
+                if gate {
+                    rejected += 1;
+                } else {
+                    passed += 1;
+                }
+            }
+        }
+        assert!(
+            rejected >= 20 && passed >= 200,
+            "both verdicts must be exercised: {rejected} rejected, {passed} passed"
+        );
+    }
+}

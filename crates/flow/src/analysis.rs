@@ -302,6 +302,46 @@ mod tests {
         assert!(facts.fact_count() >= 3);
     }
 
+    /// A prefix crosses policy-free sessions. A newly created RIB fact is
+    /// enqueued today only because `join_from` sees its `support` grow;
+    /// once support leaves the lattice (ROADMAP) a fresh slot has to be
+    /// enqueued for being new, or the prefix stops one hop from home.
+    #[test]
+    fn policy_free_sessions_still_propagate_a_prefix() {
+        use acr_cfg::parse::parse_device;
+        use acr_topo::{Role, TopologyBuilder};
+        let mut tb = TopologyBuilder::new();
+        let a = tb.router("A", Role::Backbone);
+        let b = tb.router("B", Role::Backbone);
+        let c = tb.router("C", Role::Backbone);
+        tb.link(a, b); // 172.16.0.1 / .2
+        tb.link(b, c); // 172.16.0.5 / .6
+        let topo = tb.build();
+        let mut cfg = NetworkConfig::new();
+        let texts = [
+            "bgp 65001\n peer 172.16.0.2 as-number 65002\n network 10.1.0.0 16\n",
+            "bgp 65002\n peer 172.16.0.1 as-number 65001\n peer 172.16.0.6 as-number 65003\n",
+            "bgp 65003\n peer 172.16.0.5 as-number 65002\n",
+        ];
+        for ((id, name), text) in [(a, "A"), (b, "B"), (c, "C")].into_iter().zip(texts) {
+            cfg.insert(id, parse_device(name, text).unwrap());
+        }
+        let facts = analyze(&topo, &cfg);
+        assert_eq!(facts.sessions.len(), 2);
+        let prefix = p("10.1.0.0/16");
+        // Two routers: B holds the route *and* offers it back to A.
+        assert!(facts.may_have(b, prefix).is_some());
+        let ab = &facts.session_facts[0];
+        assert!(ab.a_to_b.accepted.contains(&prefix) && ab.b_to_a.offered.contains(&prefix));
+        // Three: it crosses B.
+        let at_c = facts.may_have(c, prefix).expect("crosses B");
+        assert_eq!(at_c.path_len.lo, 2);
+        // Support is the origination plus both sessions' lines.
+        let support = facts.support_for(prefix);
+        assert!(support.contains(&LineId::new(a, 3)), "{support:?}");
+        assert!(support.iter().any(|l| l.router == c), "{support:?}");
+    }
+
     #[test]
     fn support_lines_cover_the_overriding_policy() {
         let fig2 = fig2_incident();

@@ -14,19 +14,21 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// `models` is parallel to `topo.routers()` — the same contract as
-    /// `acr_core::models_of`, so the engine can share its model cache.
-    pub fn new(topo: &'a Topology, cfg: &'a NetworkConfig, models: &'a [DeviceModel]) -> Self {
-        let models = topo
-            .routers()
-            .iter()
-            .zip(models)
-            .map(|(r, m)| (r.id, m))
-            .collect();
-        Ctx { topo, cfg, models }
+    /// A context over the devices `models` names — every router for a
+    /// whole-network lint, the patched ones for the candidate gate.
+    pub fn new(
+        topo: &'a Topology,
+        cfg: &'a NetworkConfig,
+        models: impl Iterator<Item = (RouterId, &'a DeviceModel)>,
+    ) -> Self {
+        Ctx {
+            topo,
+            cfg,
+            models: models.collect(),
+        }
     }
 
-    /// Every configured device with its semantic model.
+    /// Every configured device in scope, with its semantic model.
     pub fn devices(
         &self,
     ) -> impl Iterator<Item = (RouterId, &'a DeviceConfig, &'a DeviceModel)> + '_ {

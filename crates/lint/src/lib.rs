@@ -50,42 +50,80 @@ mod session;
 pub use diag::{DiagKey, Diagnostic, LintReport, RelatedNote, Rule, Severity};
 
 use acr_cfg::{DeviceModel, NetworkConfig};
+use acr_net_types::RouterId;
 use acr_topo::Topology;
+
+/// The semantic model of `router` under `cfg` (an unconfigured router
+/// models as an empty device carrying its topology name).
+fn model_of(topo: &Topology, cfg: &NetworkConfig, router: RouterId) -> DeviceModel {
+    match cfg.device(router) {
+        Some(d) => DeviceModel::from_config(d),
+        None => DeviceModel {
+            name: topo.router(router).name.clone(),
+            ..DeviceModel::default()
+        },
+    }
+}
 
 /// Lints a network, building the semantic models itself.
 pub fn lint_network(topo: &Topology, cfg: &NetworkConfig) -> LintReport {
     let models: Vec<DeviceModel> = topo
         .routers()
         .iter()
-        .map(|r| match cfg.device(r.id) {
-            Some(d) => DeviceModel::from_config(d),
-            None => DeviceModel {
-                name: r.name.clone(),
-                ..DeviceModel::default()
-            },
-        })
+        .map(|r| model_of(topo, cfg, r.id))
         .collect();
     lint_with_models(topo, cfg, &models)
 }
 
-/// Lints a network against pre-built semantic models.
+/// Lints a network against pre-built semantic models (runs the
+/// `acr-flow` fixed point over them for the dataflow rules).
 ///
 /// `models` must be parallel to `topo.routers()` (the contract of
 /// `acr_core::models_of`) — the repair engine uses this entry point to
-/// re-model only the devices a candidate patch touched.
+/// re-model only the devices a patch touched.
 pub fn lint_with_models(
     topo: &Topology,
     cfg: &NetworkConfig,
     models: &[DeviceModel],
 ) -> LintReport {
-    let ctx = ctx::Ctx::new(topo, cfg, models);
+    let ctx = ctx::Ctx::new(topo, cfg, topo.routers().iter().map(|r| r.id).zip(models));
     let mut diagnostics = Vec::new();
-    refs::run(&ctx, &mut diagnostics);
-    policy::run(&ctx, &mut diagnostics);
-    pbr::run(&ctx, &mut diagnostics);
+    per_device(&ctx, &mut diagnostics);
     session::run(&ctx, &mut diagnostics);
     let facts = acr_flow::analyze_with_models(topo, models);
     flow::run(&ctx, &facts, &mut diagnostics);
+    report(diagnostics)
+}
+
+/// The per-device rules alone, over `routers` alone: what
+/// [`lint_network`] reports *on those devices* from the `refs`, `policy`
+/// and `pbr` modules. Every [`Severity::Error`] rule lives in one of the
+/// three and reads nothing but its own device, so for a configuration
+/// that differs from a linted baseline only on `routers`, the baseline's
+/// error keys plus this report's are the configuration's error keys —
+/// the repair engine's candidate gate, at a cost proportional to the
+/// patch rather than the network.
+pub fn lint_devices(topo: &Topology, cfg: &NetworkConfig, routers: &[RouterId]) -> LintReport {
+    let models: Vec<(RouterId, DeviceModel)> = routers
+        .iter()
+        .map(|&r| (r, model_of(topo, cfg, r)))
+        .collect();
+    let ctx = ctx::Ctx::new(topo, cfg, models.iter().map(|(r, m)| (*r, m)));
+    let mut diagnostics = Vec::new();
+    per_device(&ctx, &mut diagnostics);
+    report(diagnostics)
+}
+
+/// The rule modules that loop over devices and read only the device at
+/// hand — home of every [`Severity::Error`] rule.
+fn per_device(ctx: &ctx::Ctx<'_>, out: &mut Vec<Diagnostic>) {
+    refs::run(ctx, out);
+    policy::run(ctx, out);
+    pbr::run(ctx, out);
+}
+
+/// Canonical order (device, line, rule, message), duplicates dropped.
+fn report(mut diagnostics: Vec<Diagnostic>) -> LintReport {
     diagnostics.sort_by(|a, b| {
         (a.device, a.span, a.rule)
             .cmp(&(b.device, b.span, b.rule))
@@ -393,5 +431,87 @@ mod tests {
         let a = lint_network(&topo, &cfg);
         let b = lint_with_models(&topo, &cfg, &models);
         assert_eq!(a.keys(), b.keys());
+    }
+
+    /// The contract the repair engine's candidate gate rests on: every
+    /// `Severity::Error` rule is emitted by the per-device modules and by
+    /// nothing else, so (a) linting one device in isolation reproduces
+    /// exactly the error keys the whole-network lint reports on it, and
+    /// (b) the cross-device modules (session symmetry, dataflow) never
+    /// veto. Checked over the healthy and the faulted workload corpus.
+    #[test]
+    fn error_rules_are_emitted_by_the_per_device_modules_only() {
+        use acr_workloads::{generate, try_inject, TABLE1};
+        let net = generate(&acr_topo::gen::wan(4, 8));
+        let fig2 = acr_workloads::fig2::fig2_incident();
+        let mut corpus: Vec<(&Topology, NetworkConfig)> = vec![
+            (&net.topo, net.cfg.clone()),
+            (&fig2.topo, fig2.broken.clone()),
+            (&fig2.topo, fig2.intended.clone()),
+        ];
+        for (fault, _) in TABLE1 {
+            for seed in 0..3 {
+                if let Some(inc) = try_inject(fault, &net, seed) {
+                    corpus.push((&net.topo, inc.broken));
+                }
+            }
+        }
+        // A device that trips an error rule of each per-device module.
+        let (topo, cfg, _, _) = pair(
+            concat!(
+                "bgp 65001\n",
+                " peer 172.16.0.2 as-number 64999\n",
+                " peer 172.16.0.2 route-policy Nope import\n",
+                " peer 172.16.0.2 route-policy P export\n",
+                "route-policy P permit node 10\n",
+                "route-policy P deny node 20\n",
+                " apply local-preference 200\n",
+                "traffic-policy guard\n",
+                " match acl 3801 deny\n",
+                " match acl 3801 permit\n",
+                "apply traffic-policy guard\n",
+            ),
+            "bgp 65002\n",
+        );
+        corpus.push((&topo, cfg));
+
+        let mut errors_seen = 0;
+        for (topo, cfg) in &corpus {
+            let whole = lint_network(topo, cfg);
+            for r in topo.routers() {
+                let alone = lint_devices(topo, cfg, &[r.id]);
+                let of = |rep: &LintReport| -> Vec<DiagKey> {
+                    let mut keys: Vec<DiagKey> = rep
+                        .errors()
+                        .filter(|d| d.device == r.id)
+                        .map(Diagnostic::key)
+                        .collect();
+                    keys.sort();
+                    keys
+                };
+                assert_eq!(of(&whole), of(&alone), "device {}", r.name);
+                assert!(alone.diagnostics.iter().all(|d| d.device == r.id));
+                errors_seen += of(&whole).len();
+            }
+            // (b): the cross-device modules, run on their own.
+            let models: Vec<DeviceModel> = topo
+                .routers()
+                .iter()
+                .map(|r| model_of(topo, cfg, r.id))
+                .collect();
+            let facts = acr_flow::analyze_with_models(topo, &models);
+            let ctx = ctx::Ctx::new(topo, cfg, topo.routers().iter().map(|r| r.id).zip(&models));
+            let mut cross = Vec::new();
+            session::run(&ctx, &mut cross);
+            flow::run(&ctx, &facts, &mut cross);
+            assert!(
+                cross.iter().all(|d| d.severity == Severity::Warning),
+                "a cross-device rule emitted an error"
+            );
+        }
+        assert!(
+            errors_seen >= 4,
+            "the corpus exercised {errors_seen} errors"
+        );
     }
 }

@@ -257,3 +257,103 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
     }
     obs::disable_all();
 }
+
+/// One repair with the metrics facility on: the report, plus what the
+/// `acr-flow` counters recorded for it (facts, worklist pops).
+fn counted_repair(run: impl FnOnce() -> RepairReport) -> (RepairReport, u64, u64) {
+    obs::set_flags(obs::METRICS);
+    obs::metrics::reset();
+    let report = run();
+    let snap = obs::metrics::snapshot();
+    obs::disable_all();
+    let counter = |name: &str| match snap.get(name) {
+        Some(obs::metrics::MetricValue::Counter(n)) => *n,
+        other => panic!("{name}: {other:?}"),
+    };
+    (
+        report,
+        counter("flow.facts"),
+        counter("flow.fixpoint.iterations"),
+    )
+}
+
+/// Static analysis is per job, not per candidate: a repair that lands in
+/// its first iteration analyses the broken network and nothing else,
+/// however many candidates it validates. The commit stage still runs
+/// that fixed point twice — once inside the lint baseline, once for the
+/// localization prior (ROADMAP: merge them) — and the flow counters are
+/// registered in `acr-flow` alone, so each run is counted once.
+#[test]
+fn a_single_iteration_repair_analyses_only_the_broken_network() {
+    let _g = lock();
+    let net = acr::workloads::generate(&acr::topo::gen::wan(4, 8));
+    let incident =
+        acr::workloads::try_inject(acr::workloads::FaultType::MissingRedistribution, &net, 0)
+            .expect("injectable");
+    let (report, facts, pops) = counted_repair(|| {
+        RepairEngine::with_defaults(&net.topo, &net.spec).repair(&incident.broken)
+    });
+    assert!(report.outcome.is_fixed());
+    assert_eq!(report.iteration_count(), 1);
+    assert!(report.validations > 1, "several candidates went the gate");
+    let reference = acr_flow::analyze(&net.topo, &incident.broken);
+    assert_eq!(facts, 2 * reference.fact_count() as u64);
+    assert_eq!(pops, 2 * reference.iterations);
+}
+
+/// A multi-iteration beam repair analyses the broken network (twice, at
+/// commit) plus the non-root parents it actually expands (at most the beam width per
+/// later iteration) — never the candidates — and decides exactly what it
+/// decided when every candidate carried a whole-network lint: the
+/// signature below was taken before the gate stopped computing one.
+#[test]
+fn a_beam_repair_analyses_parents_not_candidates() {
+    let _g = lock();
+    let net = acr::workloads::generate(&acr::topo::gen::wan(4, 8));
+    // A cascading pair: two iterations, 180 candidates.
+    let scenario = acr::scenarios::corpus(&net, 2, 2024)
+        .into_iter()
+        .nth(5)
+        .expect("the corpus has eight scenarios");
+    let spec = scenario.visible_spec(&net.spec);
+    let (report, facts, _) = counted_repair(|| {
+        let engine = RepairEngine::new(
+            &net.topo,
+            &spec,
+            RepairConfig {
+                seed: 11,
+                strategy: acr::core::Strategy::beam(),
+                cache: Some(Arc::new(SimCache::default())),
+                ..RepairConfig::default()
+            },
+        );
+        engine.repair(&scenario.broken)
+    });
+    let digest = signature(&report)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        digest,
+        0x8103ada674044a7a,
+        "{digest:#018x}: {}",
+        signature(&report)
+    );
+
+    let iterations = report.iteration_count();
+    let generated: usize = report.iterations.iter().map(|s| s.generated).sum();
+    assert!(iterations > 1 && report.outcome.is_fixed());
+    // No analysis of a 12-router variant holds twice the broken
+    // network's facts, so this bounds the *number* of analyses.
+    let per_analysis = 2 * acr_flow::analyze(&net.topo, &scenario.broken).fact_count();
+    let analyses = 2 + 4 * (iterations - 1);
+    assert!(
+        facts as usize <= analyses * per_analysis,
+        "{facts} facts over {iterations} iterations"
+    );
+    assert!(
+        2 * analyses < generated,
+        "the bound must tell per-parent from per-candidate ({analyses} vs {generated})"
+    );
+}
