@@ -45,13 +45,6 @@ if [ "$conv_sparse" != "$conv_dense" ]; then
     exit 1
 fi
 
-echo "==> exp_converge --smoke (sharding off, ACR_SHARD=0; digests must agree)"
-conv_noshard=$(ACR_SHARD=0 cargo run --release -q -p acr-bench --bin exp_converge -- --smoke | tee /dev/stderr | grep '^report_digest=')
-if [ "$conv_sparse" != "$conv_noshard" ]; then
-    echo "FAIL: sharded and unsharded runs computed different repairs ($conv_sparse vs $conv_noshard)" >&2
-    exit 1
-fi
-
 echo "==> exp_obs --smoke (journal/trace schema + determinism guard)"
 obs_on=$(cargo run --release -q -p acr-bench --bin exp_obs -- --smoke | tee /dev/stderr | grep '^report_digest=')
 

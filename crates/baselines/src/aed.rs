@@ -16,7 +16,7 @@ use acr_net_types::Prefix;
 use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, span};
 use acr_topo::Topology;
-use acr_verify::{SimCache, Spec, Verifier};
+use acr_verify::{Spec, Verifier};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -55,21 +55,8 @@ pub struct AedReport {
 
 /// Runs the baseline with a validation budget.
 pub fn aed_repair(topo: &Topology, spec: &Spec, cfg: &NetworkConfig, budget: usize) -> AedReport {
-    aed_repair_cached(topo, spec, cfg, budget, None)
-}
-
-/// Runs the baseline, serving repeat verifications from `cache` when one
-/// is provided. The enumeration order, accepted repair, and validation
-/// count are identical to the uncached run; only the wall time changes.
-pub fn aed_repair_cached(
-    topo: &Topology,
-    spec: &Spec,
-    cfg: &NetworkConfig,
-    budget: usize,
-    cache: Option<&SimCache>,
-) -> AedReport {
     let _s = span!("baseline.aed", "baseline");
-    let report = aed_inner(topo, spec, cfg, budget, cache);
+    let report = aed_inner(topo, spec, cfg, budget);
     RUNS.inc();
     VALIDATIONS.add(report.validations as u64);
     if acr_obs::enabled(acr_obs::JOURNAL) {
@@ -93,21 +80,11 @@ pub fn aed_repair_cached(
     report
 }
 
-fn aed_inner(
-    topo: &Topology,
-    spec: &Spec,
-    cfg: &NetworkConfig,
-    budget: usize,
-    cache: Option<&SimCache>,
-) -> AedReport {
+fn aed_inner(topo: &Topology, spec: &Spec, cfg: &NetworkConfig, budget: usize) -> AedReport {
     let start = Instant::now();
     let free_vars = aed_free_variables(cfg);
     let verifier = Verifier::new(topo, spec);
-    let run = |c: &NetworkConfig| match cache {
-        Some(cache) => verifier.run_full_cached(c, cache),
-        None => verifier.run_full(c),
-    };
-    let (v0, _) = run(cfg);
+    let (v0, _) = verifier.run_full(cfg);
     if v0.all_passed() {
         return AedReport {
             outcome: AedOutcome::Fixed {
@@ -186,7 +163,7 @@ fn aed_inner(
             return None;
         };
         *validations += 1;
-        let (v, _) = run(&candidate);
+        let (v, _) = verifier.run_full(&candidate);
         if v.all_passed() {
             Some(AedReport {
                 outcome: AedOutcome::Fixed { patch },

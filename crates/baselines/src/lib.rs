@@ -23,6 +23,6 @@ pub mod aed;
 pub mod metaprov;
 pub mod strategies;
 
-pub use aed::{aed_repair, aed_repair_cached, AedOutcome, AedReport};
-pub use metaprov::{metaprov_repair, metaprov_repair_cached, MetaProvReport};
+pub use aed::{aed_repair, AedOutcome, AedReport};
+pub use metaprov::{metaprov_repair, MetaProvReport};
 pub use strategies::{AedStrategy, MetaProvStrategy};

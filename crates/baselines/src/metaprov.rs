@@ -14,7 +14,7 @@ use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, span};
 use acr_prov::{Provenance, TestId};
 use acr_topo::Topology;
-use acr_verify::{SimCache, Spec, Verifier};
+use acr_verify::{Spec, Verifier};
 use std::collections::BTreeSet;
 
 static RUNS: Counter = Counter::new("baseline.metaprov.runs");
@@ -41,20 +41,8 @@ pub struct MetaProvReport {
 
 /// Runs the baseline.
 pub fn metaprov_repair(topo: &Topology, spec: &Spec, cfg: &NetworkConfig) -> MetaProvReport {
-    metaprov_repair_cached(topo, spec, cfg, None)
-}
-
-/// Runs the baseline, serving repeat verifications from `cache` when one
-/// is provided. Candidate enumeration, acceptance, and the report are
-/// identical to the uncached run; only the wall time changes.
-pub fn metaprov_repair_cached(
-    topo: &Topology,
-    spec: &Spec,
-    cfg: &NetworkConfig,
-    cache: Option<&SimCache>,
-) -> MetaProvReport {
     let _s = span!("baseline.metaprov", "baseline");
-    let report = metaprov_inner(topo, spec, cfg, cache);
+    let report = metaprov_inner(topo, spec, cfg);
     RUNS.inc();
     CANDIDATES.add(report.candidates_tried as u64);
     if acr_obs::enabled(acr_obs::JOURNAL) {
@@ -82,18 +70,9 @@ pub fn metaprov_repair_cached(
     report
 }
 
-fn metaprov_inner(
-    topo: &Topology,
-    spec: &Spec,
-    cfg: &NetworkConfig,
-    cache: Option<&SimCache>,
-) -> MetaProvReport {
+fn metaprov_inner(topo: &Topology, spec: &Spec, cfg: &NetworkConfig) -> MetaProvReport {
     let verifier = Verifier::new(topo, spec);
-    let run = |c: &NetworkConfig| match cache {
-        Some(cache) => verifier.run_full_cached(c, cache),
-        None => verifier.run_full(c),
-    };
-    let (v0, out0) = run(cfg);
+    let (v0, out0) = verifier.run_full(cfg);
     let originally_failing: BTreeSet<TestId> = v0.failures().map(|r| r.id).collect();
     if originally_failing.is_empty() {
         return MetaProvReport {
@@ -135,7 +114,7 @@ fn metaprov_inner(
             let Ok(patched) = candidate.apply_cloned(cfg) else {
                 continue;
             };
-            let (v1, _) = run(&patched);
+            let (v1, _) = verifier.run_full(&patched);
             let target_fixed = v1
                 .records
                 .iter()

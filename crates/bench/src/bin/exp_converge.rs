@@ -317,7 +317,7 @@ fn main() {
             engine: ConvergeEngine::Sparse,
             warm: None,
             // Explicit worker count: the scale comparison must exercise
-            // the sharded runner even under a `ACR_SHARD=0` CI pass.
+            // the sharded runner even where `Auto` would not (one core).
             shard: ShardMode::Workers(workers),
         };
 

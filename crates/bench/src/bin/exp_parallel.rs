@@ -13,8 +13,7 @@
 //! warm walk is the steady state the cache exists for.
 //! Part 2 breaks the hit-rate down per incident. Part 3 re-walks the
 //! corpus against the already-warm cache — the A/B-experiment shape
-//! where memoization approaches a 100% hit-rate. Part 4 shares one
-//! cache between the engine and both baselines on a single incident.
+//! where memoization approaches a 100% hit-rate.
 //!
 //! Thread scaling is honest: requested counts above the host's available
 //! parallelism are clamped by the engine (oversubscription is pure
@@ -35,7 +34,6 @@
 //! cargo run --release -p acr-bench --bin exp_parallel
 //! ```
 
-use acr_baselines::{aed_repair_cached, metaprov_repair_cached};
 use acr_bench::{corpus, json, rule, standard_network, write_bench_mode};
 use acr_core::{OperatorSet, RepairConfig, RepairEngine, RepairReport, SimCache};
 use std::sync::Arc;
@@ -328,48 +326,5 @@ fn main() {
         warm.cached,
         hit_rate(warm.cached, warm.validations),
         cold.wall.as_secs_f64() / warm.wall.as_secs_f64().max(1e-9),
-    );
-    println!();
-
-    // ---- Part 4: one cache across engine + baselines ------------------
-    let shared = Arc::new(SimCache::default());
-    let incident = &incidents[0];
-    let engine = RepairEngine::new(
-        &net.topo,
-        &net.spec,
-        RepairConfig {
-            seed: 0,
-            threads: 4,
-            cache: Some(shared.clone()),
-            operators: OperatorSet::Both,
-            ..RepairConfig::default()
-        },
-    );
-    let t = Instant::now();
-    let _ = engine.repair(&incident.broken);
-    let engine_wall = t.elapsed();
-    let t = Instant::now();
-    let mp = metaprov_repair_cached(&net.topo, &net.spec, &incident.broken, Some(&shared));
-    let mp_wall = t.elapsed();
-    let t = Instant::now();
-    let aed = aed_repair_cached(&net.topo, &net.spec, &incident.broken, 200, Some(&shared));
-    let aed_wall = t.elapsed();
-    let stats = shared.stats();
-    println!(
-        "shared cache across methods on '{}': engine {:.2}s, metaprov {:.2}s ({} tried), aed {:.2}s ({} validated)",
-        incident.fault,
-        engine_wall.as_secs_f64(),
-        mp_wall.as_secs_f64(),
-        mp.candidates_tried,
-        aed_wall.as_secs_f64(),
-        aed.validations,
-    );
-    println!(
-        "  cache totals: {} hits / {} misses ({:.1}% hit-rate), {} insertions, {} evictions",
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0,
-        stats.insertions,
-        stats.evictions,
     );
 }

@@ -15,15 +15,16 @@
 //! candidates can be generated (S = ∅), or the iteration cap (500) is hit.
 
 use crate::ctx::RepairCtx;
-use crate::session::NetworkSession;
+use crate::session::{NetworkSession, Slot};
 use crate::strategy::{crossover, Strategy};
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
-use crate::validate::{resolve_threads, validate_batch, LintBase, Verdict};
+use crate::validate::{resolve_threads, validate_batch, Baseline, Verdict};
 use acr_cfg::{DeviceModel, LineId, NetworkConfig, Patch};
+pub use acr_flow::models_of;
 use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
-use acr_net_types::{RouterId, SplitMix64};
+use acr_net_types::SplitMix64;
 use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, Stages};
 use acr_topo::Topology;
@@ -84,16 +85,16 @@ pub struct RepairConfig {
     /// they reach the simulator.
     pub lint: bool,
     /// Worker threads for the validate stage. `0` = available
-    /// parallelism; `1` = the exact legacy sequential path. Results are
-    /// byte-identical at every setting; the `ACR_THREADS` environment
-    /// variable sets the default.
+    /// parallelism; `1` = the exact legacy sequential path, which a
+    /// batch too small to pay for pool workers takes at every setting.
+    /// Results are byte-identical at every setting; the `ACR_THREADS`
+    /// environment variable sets the default.
     pub threads: usize,
     /// The simulation memo-cache. Candidates whose rendered config was
     /// validated before (against the same base, topology and test
     /// suite) are served from memo and counted in
     /// [`RepairReport::validations_cached`]. Share one `Arc` across
-    /// engines and baselines to pool their work; `None` disables
-    /// memoization entirely.
+    /// engines to pool their work; `None` disables memoization entirely.
     pub cache: Option<Arc<SimCache>>,
     /// Delta-compile candidate simulators against the committed base
     /// (recompiling only patched devices, re-establishing sessions only
@@ -381,12 +382,12 @@ impl<'a> RepairEngine<'a> {
     }
 
     /// [`RepairEngine::repair`] against resident per-network state: the
-    /// daemon entry point. The session's warm verifier state is resumed
-    /// when its fingerprints match `original` (skipping the full base
-    /// verification), its [`SimCache`] replaces
-    /// [`RepairConfig::cache`], lint/flow facts are served from
-    /// per-fingerprint caches, and on return the verifier is suspended
-    /// back into the session for the next incident. Reuse is
+    /// daemon entry point. When the session holds a slot for `original`
+    /// (by fingerprint) its warm verifier state is resumed (skipping the
+    /// full base verification) and its static baseline reused (skipping
+    /// the flow analysis and the lint), its [`SimCache`] replaces
+    /// [`RepairConfig::cache`], and on return verifier and baseline are
+    /// parked back into the session for the next incident. Reuse is
     /// decision-transparent: outcome, patch, fitness trajectory and
     /// generation/keep decisions are identical to a cold
     /// [`RepairEngine::repair`] with the same seed — only the
@@ -410,84 +411,50 @@ impl<'a> RepairEngine<'a> {
         let commit_guard = stages.time("engine.commit", "engine");
         let mut rng = SplitMix64::new(self.config.seed);
         let samples = self.config.samples_per_property;
-        // Resident resume: a warm verifier suspended against this exact
-        // broken configuration replays its caches instead of committing
-        // cold. The session keeps a small LRU of suspended slots keyed
-        // by config fingerprint, so rotating job streams resume warm on
-        // every revisit; when no slot matches, the cold probe verifier
-        // is used as-is.
-        let mut resumed: Option<Verification> = None;
-        let mut iv = {
-            let cold = IncrementalVerifier::with_samples(self.topo, self.spec, samples);
-            if let Some(s) = session.as_mut() {
-                let ctx_fp = cold.verifier().context_fingerprint();
-                match s.take_warm(ctx_fp, original) {
-                    Some(w) => {
-                        match IncrementalVerifier::resume_with(cold, self.config.delta, w, original)
-                        {
-                            Ok((iv, v)) => {
-                                s.resident_hits += 1;
-                                RESIDENT_HITS.inc();
-                                resumed = Some(v);
-                                iv
-                            }
-                            Err(cold) => {
-                                s.resident_misses += 1;
-                                RESIDENT_MISSES.inc();
-                                *cold
-                            }
-                        }
-                    }
-                    None => {
-                        s.resident_misses += 1;
-                        RESIDENT_MISSES.inc();
-                        cold
-                    }
+        // One hash of the broken configuration keys everything resident:
+        // the session slot, the verifier's resume gate and the memo-cache.
+        let fp = original.fingerprint();
+        // Resident resume: a session slot parked under this exact broken
+        // configuration holds its suspended verifier, which replays its
+        // caches instead of committing cold, and its static baseline.
+        // The session keeps a small LRU of slots, so rotating job streams
+        // resume warm on every revisit.
+        let cold = IncrementalVerifier::with_samples(self.topo, self.spec, samples);
+        let (mut iv, resumed, parked_statics) = match session.as_mut().and_then(|s| s.take(fp)) {
+            Some(slot) => {
+                let delta = self.config.delta;
+                match IncrementalVerifier::resume_with(cold, delta, slot.warm, original, fp) {
+                    Ok((iv, v)) => (iv, Some(v), Some(slot.statics)),
+                    Err(cold) => (*cold, None, Some(slot.statics)),
                 }
-            } else {
-                cold
             }
+            None => (cold, None, None),
         };
+        if let Some(s) = session.as_mut() {
+            if resumed.is_some() {
+                s.resident_hits += 1;
+                RESIDENT_HITS.inc();
+            } else {
+                s.resident_misses += 1;
+                RESIDENT_MISSES.inc();
+            }
+        }
         iv.set_delta(self.config.delta);
         let base_verification = match resumed {
             Some(v) => v,
             None => iv.commit(original),
         };
         let initial_failed = base_verification.failed_count();
-        let fp = original.fingerprint();
 
-        // Static baseline: the broken network's semantic models and its
-        // own lint findings. The gate only rejects candidates that
-        // introduce *new* error keys — pre-existing ones may well be the
-        // fault under repair. A session serves the baseline from its
-        // per-fingerprint cache (lint is a pure function of the
-        // configuration).
-        let lint_base: Option<Arc<LintBase>> = self.config.lint.then(|| {
-            if let Some(cached) = session.as_mut().and_then(|s| s.lint_for(fp)) {
-                return cached;
-            }
-            let built = Arc::new(LintBase::build(self.topo, original));
-            if let Some(s) = session.as_mut() {
-                s.park_lint(fp, built.clone());
-            }
-            built
-        });
-
-        // Network-wide dataflow facts over the broken base, for the
-        // localization prior and the journal's flow summary. Pure in the
-        // configuration, so sessions cache them by fingerprint.
-        let flow_facts: Arc<acr_flow::FlowFacts> =
-            match session.as_mut().and_then(|s| s.flow_for(fp)) {
-                Some(cached) => cached,
-                None => {
-                    let facts = Arc::new(acr_flow::analyze(self.topo, original));
-                    if let Some(s) = session.as_mut() {
-                        s.park_flow(fp, facts.clone());
-                    }
-                    facts
-                }
-            };
-        let flow_prior = flow_prior(self.spec, &base_verification, &flow_facts);
+        // Static baseline: the broken network's semantic models, its
+        // dataflow facts (for the localization prior and the journal's
+        // flow summary) and its own lint findings — the gate only rejects
+        // candidates that introduce *new* error keys, pre-existing ones
+        // may well be the fault under repair. Pure in the configuration,
+        // so a revisit takes it from the slot: this is the job's one
+        // fixed point over the broken network, or none.
+        let statics = parked_statics.unwrap_or_else(|| Baseline::build(self.topo, original));
+        let flow_prior = flow_prior(self.spec, &base_verification, &statics.facts);
 
         // Validate-stage plumbing: the memo-cache keys every candidate
         // under (verifier context, committed base, candidate config) and
@@ -499,7 +466,6 @@ impl<'a> RepairEngine<'a> {
             None => self.config.cache.clone(),
         };
         let cache = cache_arc.as_deref();
-        let lint_base = lint_base.as_deref();
         let threads = resolve_threads(self.config.threads);
         drop(commit_guard);
 
@@ -509,8 +475,8 @@ impl<'a> RepairEngine<'a> {
                 &json::Obj::new()
                     .str("event", "flow_summary")
                     .u64("ts_us", journal::now_us())
-                    .u64("fixpoint_iterations", flow_facts.iterations)
-                    .int("facts", flow_facts.fact_count())
+                    .u64("fixpoint_iterations", statics.facts.iterations)
+                    .int("facts", statics.facts.fact_count())
                     .int("prior_lines", flow_prior.len())
                     .build(),
             );
@@ -544,7 +510,7 @@ impl<'a> RepairEngine<'a> {
                 // the current best variant (no RNG draw), computed only when
                 // the journal is on — reports are identical either way.
                 let suspects = if acr_obs::enabled(acr_obs::JOURNAL) {
-                    self.suspects_of(best_of(&population), lint_base, &flow_prior)
+                    self.suspects_of(best_of(&population), &statics, &flow_prior)
                 } else {
                     String::new()
                 };
@@ -552,17 +518,10 @@ impl<'a> RepairEngine<'a> {
                 // ---- localize + fix: generate candidate full patches -------
                 let fresh: Vec<(Patch, Vec<PatchSegment>)> = {
                     let _g = stages.time("engine.generate", "engine");
-                    self.generate(
-                        &population,
-                        &iv,
-                        lint_base,
-                        &flow_prior,
-                        iteration,
-                        &mut rng,
-                    )
-                    .into_iter()
-                    .filter(|(p, _)| seen.insert(p.clone()))
-                    .collect()
+                    self.generate(&population, &iv, &statics, &flow_prior, iteration, &mut rng)
+                        .into_iter()
+                        .filter(|(p, _)| seen.insert(p.clone()))
+                        .collect()
                 };
                 let generated = fresh.len();
                 CAND_GENERATED.add(generated as u64);
@@ -584,7 +543,7 @@ impl<'a> RepairEngine<'a> {
                     original,
                     &mut iv,
                     self.topo,
-                    lint_base,
+                    self.config.lint.then_some(&statics),
                     cache,
                     ctx_base,
                     threads,
@@ -733,13 +692,11 @@ impl<'a> RepairEngine<'a> {
             &self.config.tags,
         );
 
-        // Park the verifier (compiled base, per-prefix caches, memo)
-        // back in the session as the most-recent warm slot for the next
-        // incident against this base.
-        if let Some(s) = session {
-            if let Some(w) = iv.suspend() {
-                s.park_warm(w);
-            }
+        // Park the verifier (compiled base, per-prefix caches, memo) and
+        // the baseline back in the session as the most recent slot, for
+        // the next incident against this configuration.
+        if let (Some(s), Some(warm)) = (session, iv.suspend()) {
+            s.park(Slot { fp, statics, warm });
         }
         report
     }
@@ -786,10 +743,10 @@ impl<'a> RepairEngine<'a> {
     fn suspects_of(
         &self,
         variant: &Variant,
-        lint_base: Option<&LintBase>,
+        base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
     ) -> String {
-        let ranking = &self.statics_of(variant, lint_base, prior).ranking;
+        let ranking = &self.statics_of(variant, base, prior).ranking;
         json::array(ranking.entries().iter().take(8).map(|(line, score)| {
             json::Obj::new()
                 .str("line", &line.to_string())
@@ -798,11 +755,11 @@ impl<'a> RepairEngine<'a> {
         }))
     }
 
-    /// A variant's [`Statics`], computed on first use. With linting on,
-    /// the root — which *is* the broken network — takes its models and
-    /// findings from the job's lint baseline, and any other variant gets
-    /// the baseline's models with the patched devices re-modelled plus
-    /// the whole-network lint of its configuration, dataflow warnings
+    /// A variant's [`Statics`], computed on first use. The root — which
+    /// *is* the broken network — takes its models and findings from the
+    /// job's baseline; any other variant gets the baseline's models with
+    /// the patched devices re-modelled and, with linting on, the
+    /// whole-network lint of its configuration, dataflow warnings
     /// included (one fixed point). Only a variant that gets *ranked*
     /// needs any of it, which is why this runs here and not in the
     /// validate stage: a job that ends in its first iteration never
@@ -810,26 +767,23 @@ impl<'a> RepairEngine<'a> {
     fn statics_of<'v>(
         &self,
         variant: &'v Variant,
-        lint_base: Option<&LintBase>,
+        base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
     ) -> &'v Statics {
         variant.statics.get_or_init(|| {
-            let (models, boosts) = match lint_base {
-                None => (
-                    Arc::new(models_of(self.topo, &variant.cfg)),
-                    BTreeMap::new(),
-                ),
-                Some(base) if variant.patch.is_empty() => {
-                    (base.models.clone(), boost_map(&base.diags))
-                }
-                Some(base) => {
-                    let mut models = Vec::clone(&base.models);
-                    for r in variant.patch.routers() {
-                        models[r.index()] = model_of(self.topo, &variant.cfg, r);
-                    }
-                    let report = acr_lint::lint_with_models(self.topo, &variant.cfg, &models);
-                    (Arc::new(models), boost_map(&report.diagnostics))
-                }
+            let mut models = base.models.clone();
+            for r in variant.patch.routers() {
+                Arc::make_mut(&mut models)[r.index()] =
+                    acr_flow::model_of(self.topo, &variant.cfg, r);
+            }
+            let boosts = if !self.config.lint {
+                BTreeMap::new()
+            } else if variant.patch.is_empty() {
+                boost_map(&base.diags)
+            } else {
+                let facts = acr_flow::analyze_with_models(self.topo, &models);
+                let report = acr_lint::lint_with_models(self.topo, &variant.cfg, &models, &facts);
+                boost_map(&report.diagnostics)
             };
             let matrix = &variant.verification.matrix;
             let ranking = if boosts.is_empty() {
@@ -852,7 +806,7 @@ impl<'a> RepairEngine<'a> {
         &self,
         population: &[Variant],
         iv: &IncrementalVerifier<'_>,
-        lint_base: Option<&LintBase>,
+        base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
         iteration: usize,
         rng: &mut SplitMix64,
@@ -869,7 +823,7 @@ impl<'a> RepairEngine<'a> {
                 // Expand every surviving variant: multi-place repairs
                 // accrete one template application per iteration.
                 for parent in population {
-                    let fixes = self.fixes_of(parent, iv, lint_base, prior, *top_lines, None);
+                    let fixes = self.fixes_of(parent, iv, base, prior, *top_lines, None);
                     out.extend(fixes.iter().map(|f| extend(parent, f)));
                 }
             }
@@ -881,7 +835,7 @@ impl<'a> RepairEngine<'a> {
                 for _ in 0..*mutations {
                     let parent = &population[rng.index(population.len())];
                     let fixes =
-                        self.fixes_of(parent, iv, lint_base, prior, *top_k, Some(rng.next_u64()));
+                        self.fixes_of(parent, iv, base, prior, *top_k, Some(rng.next_u64()));
                     if let Some(fix) = pick(rng, &fixes) {
                         out.push(extend(parent, fix));
                     }
@@ -917,7 +871,7 @@ impl<'a> RepairEngine<'a> {
                 // Once the root is evicted (or its pool is exhausted via
                 // dedup) the search dries up — by design.
                 for parent in population.iter().filter(|v| v.patch.is_empty()) {
-                    let fixes = self.fixes_of(parent, iv, lint_base, prior, *top_lines, None);
+                    let fixes = self.fixes_of(parent, iv, base, prior, *top_lines, None);
                     out.extend(fixes.iter().map(|f| extend(parent, f)));
                 }
             }
@@ -929,7 +883,7 @@ impl<'a> RepairEngine<'a> {
                 // The population is sorted by (fitness, patch size) at
                 // the end of every iteration, so its prefix is the beam.
                 for parent in population.iter().take(*width) {
-                    let fixes = self.fixes_of(parent, iv, lint_base, prior, *top_lines, None);
+                    let fixes = self.fixes_of(parent, iv, base, prior, *top_lines, None);
                     out.extend(fixes.iter().map(|f| extend(parent, f)));
                     // Pairwise patch-set combinations at distinct
                     // suspicious lines: a coordinated two-site edit in a
@@ -965,7 +919,7 @@ impl<'a> RepairEngine<'a> {
         &self,
         variant: &Variant,
         iv: &IncrementalVerifier<'_>,
-        lint_base: Option<&LintBase>,
+        base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
         width: usize,
         pick_line: Option<u64>,
@@ -974,7 +928,7 @@ impl<'a> RepairEngine<'a> {
             models,
             boosts,
             ranking,
-        } = self.statics_of(variant, lint_base, prior);
+        } = self.statics_of(variant, base, prior);
         if ranking.is_empty() {
             return Vec::new();
         }
@@ -1233,27 +1187,6 @@ fn best_of(population: &[Variant]) -> &Variant {
         .iter()
         .min_by_key(|v| (v.fitness, v.patch.len()))
         .expect("population never empties")
-}
-
-/// Semantic models of every router in `cfg`, parallel to
-/// `topo.routers()` (so indexed by `RouterId::index`).
-pub fn models_of(topo: &Topology, cfg: &NetworkConfig) -> Vec<DeviceModel> {
-    topo.routers()
-        .iter()
-        .map(|r| model_of(topo, cfg, r.id))
-        .collect()
-}
-
-/// The semantic model of one router (an unconfigured one models as an
-/// empty device carrying its topology name).
-fn model_of(topo: &Topology, cfg: &NetworkConfig, router: RouterId) -> DeviceModel {
-    match cfg.device(router) {
-        Some(dc) => DeviceModel::from_config(dc),
-        None => DeviceModel {
-            name: topo.router(router).name.clone(),
-            ..DeviceModel::default()
-        },
-    }
 }
 
 /// Uniform pick from a slice.

@@ -30,9 +30,10 @@
 //!   donor-based plastic-surgery copying from same-role devices, an
 //!   operator set that needs no incident history.
 //! - [`session`] — resident per-network state
-//!   ([`NetworkSession`]) for daemon-style serving: warm verifier
-//!   state, cross-job simulation cache and per-fingerprint lint/flow
-//!   baselines, consumed by [`RepairEngine::repair_resident`].
+//!   ([`NetworkSession`]) for daemon-style serving: a cross-job
+//!   simulation cache and per-fingerprint slots of warm verifier state
+//!   plus static baseline, consumed by
+//!   [`RepairEngine::repair_resident`].
 
 pub mod api;
 pub mod ctx;

@@ -3,23 +3,23 @@
 //!
 //! A one-shot [`crate::RepairEngine::repair`] rebuilds everything from
 //! scratch: the compiled base, the per-prefix verification caches, the
-//! policy memo and route interner, the lint baseline and the dataflow
-//! facts. A [`NetworkSession`] parks all of that across runs:
+//! policy memo and route interner, the semantic models, the dataflow
+//! facts and the lint findings. A [`NetworkSession`] parks all of that
+//! across runs:
 //!
 //! - the **simulation memo-cache** ([`SimCache`]) pools candidate
 //!   verdicts across every job served against the same committed base,
-//! - the **warm verifier slots** ([`WarmState`]) re-install the
-//!   compiled base, per-prefix outcome/closure/FIB caches, the
-//!   derivation arena and the policy memo when the next incident's
-//!   broken configuration is byte-identical to a parked slot
-//!   (fingerprint-gated) — zero prefixes re-simulated at commit. The
-//!   session keeps a small LRU of slots keyed by config fingerprint
-//!   ([`NetworkSession::warm_slots`], default [`WARM_SLOTS`]), so a
-//!   *rotating* job stream — incidents alternating between a handful of
-//!   broken configurations of the same network — resumes warm on every
-//!   revisit instead of thrashing a single slot,
-//! - **lint and flow facts** are pure functions of the configuration
-//!   and are served from per-fingerprint LRU caches of the same depth.
+//! - one **slot per recently served broken configuration**, keyed by its
+//!   fingerprint, most recently used first, [`WARM_SLOTS`] deep. A slot
+//!   holds the suspended verifier ([`WarmState`]: compiled base,
+//!   per-prefix outcome/closure/FIB caches, derivation arena, policy
+//!   memo) and the configuration's static baseline (models, `acr-flow`
+//!   facts, lint findings — pure functions of the configuration). A job
+//!   whose broken configuration is byte-identical to a parked slot's
+//!   re-installs the verifier — zero prefixes re-simulated at commit —
+//!   and analyses nothing; so a *rotating* job stream — incidents
+//!   alternating between a handful of broken configurations of the same
+//!   network — resumes warm on every revisit instead of thrashing.
 //!
 //! Reuse never changes a decision: every cached artifact is either
 //! fingerprint-gated to an identical input or byte-exact by
@@ -28,15 +28,20 @@
 //! fitness trajectory and generation/keep decisions are identical to a
 //! cold run's — only the validation *cost* accounting moves.
 
-use crate::validate::LintBase;
-use acr_cfg::NetworkConfig;
-use acr_flow::FlowFacts;
+use crate::validate::Baseline;
 use acr_verify::{SimCache, WarmState};
 use std::sync::Arc;
 
-/// Default number of warm verifier slots (and lint/flow cache entries)
-/// a session retains, most-recently-used first.
+/// Number of per-configuration slots a session retains.
 pub const WARM_SLOTS: usize = 4;
+
+/// Everything a session keeps about one broken configuration.
+pub(crate) struct Slot {
+    /// Fingerprint of the configuration — the slot's key.
+    pub fp: u64,
+    pub statics: Baseline,
+    pub warm: WarmState,
+}
 
 /// Resident per-network state for [`crate::RepairEngine::repair_resident`].
 pub struct NetworkSession {
@@ -45,39 +50,21 @@ pub struct NetworkSession {
     /// [`crate::RepairConfig::cache`]) so every job against the same
     /// network pools its candidate verdicts.
     pub cache: Arc<SimCache>,
-    /// Suspended verifier slots from previous runs, most recent first.
-    pub(crate) warm: Vec<WarmState>,
-    /// Slot capacity for `warm`, `lint` and `flow` (>= 1).
-    warm_slots: usize,
-    /// Lint baselines of recent broken configurations, keyed by
-    /// fingerprint, most recent first.
-    pub(crate) lint: Vec<(u64, Arc<LintBase>)>,
-    /// Dataflow facts of recent broken configurations, keyed by
-    /// fingerprint, most recent first.
-    pub(crate) flow: Vec<(u64, Arc<FlowFacts>)>,
+    /// Recently served configurations, most recent first.
+    slots: Vec<Slot>,
     /// Runs that resumed warm verifier state.
     pub resident_hits: u64,
-    /// Runs that had to commit cold (no warm slot matched the incident's
+    /// Runs that had to commit cold (no slot held the incident's
     /// configuration).
     pub resident_misses: u64,
 }
 
 impl NetworkSession {
-    /// An empty session with a fresh simulation cache and the default
-    /// [`WARM_SLOTS`] slot capacity.
+    /// An empty session with a fresh simulation cache.
     pub fn new() -> Self {
-        Self::with_warm_slots(WARM_SLOTS)
-    }
-
-    /// An empty session retaining up to `slots` warm verifier states
-    /// (clamped to at least 1).
-    pub fn with_warm_slots(slots: usize) -> Self {
         NetworkSession {
             cache: Arc::new(SimCache::default()),
-            warm: Vec::new(),
-            warm_slots: slots.max(1),
-            lint: Vec::new(),
-            flow: Vec::new(),
+            slots: Vec::new(),
             resident_hits: 0,
             resident_misses: 0,
         }
@@ -85,75 +72,35 @@ impl NetworkSession {
 
     /// Whether any suspended verifier is parked here.
     pub fn has_warm(&self) -> bool {
-        !self.warm.is_empty()
+        !self.slots.is_empty()
     }
 
-    /// The number of warm verifier slots currently parked.
+    /// The number of slots (suspended verifiers) currently parked.
     pub fn warm_len(&self) -> usize {
-        self.warm.len()
+        self.slots.len()
     }
 
-    /// The slot capacity this session was built with.
-    pub fn warm_slots(&self) -> usize {
-        self.warm_slots
-    }
-
-    /// Drops every configuration-bound artifact (warm verifier slots,
-    /// lint baselines, flow facts) — the invalidation hook for when a
-    /// committed patch lands on the network. The simulation cache stays:
-    /// its keys carry the committed base's fingerprint, so entries for
-    /// the old base simply stop matching.
+    /// Drops every configuration-bound artifact — the invalidation hook
+    /// for when a committed patch lands on the network. The simulation
+    /// cache stays: its keys carry the committed base's fingerprint, so
+    /// entries for the old base simply stop matching.
     pub fn invalidate(&mut self) {
-        self.warm.clear();
-        self.lint.clear();
-        self.flow.clear();
+        self.slots.clear();
     }
 
-    /// Removes and returns the warm slot that can resume a verifier for
-    /// `cfg` under verifier-context fingerprint `ctx_fp`, if any. The
-    /// caller re-parks the (possibly re-suspended) state afterwards via
-    /// [`NetworkSession::park_warm`], which restores its recency.
-    pub(crate) fn take_warm(&mut self, ctx_fp: u64, cfg: &NetworkConfig) -> Option<WarmState> {
-        let idx = self.warm.iter().position(|w| w.matches(ctx_fp, cfg))?;
-        Some(self.warm.remove(idx))
+    /// Removes and returns the slot of the configuration fingerprinted
+    /// `fp`, if parked. The job re-parks it (with the re-suspended
+    /// verifier) via [`NetworkSession::park`], which restores its recency.
+    pub(crate) fn take(&mut self, fp: u64) -> Option<Slot> {
+        let idx = self.slots.iter().position(|s| s.fp == fp)?;
+        Some(self.slots.remove(idx))
     }
 
-    /// Parks a suspended verifier as the most-recent slot, evicting the
-    /// least-recently-used slot beyond capacity. A slot already keyed to
-    /// the same committed configuration is replaced, not duplicated.
-    pub(crate) fn park_warm(&mut self, w: WarmState) {
-        self.warm
-            .retain(|p| p.base_fingerprint() != w.base_fingerprint());
-        self.warm.insert(0, w);
-        self.warm.truncate(self.warm_slots);
-    }
-
-    pub(crate) fn lint_for(&mut self, fp: u64) -> Option<Arc<LintBase>> {
-        let idx = self.lint.iter().position(|(k, _)| *k == fp)?;
-        let hit = self.lint.remove(idx);
-        let base = hit.1.clone();
-        self.lint.insert(0, hit);
-        Some(base)
-    }
-
-    pub(crate) fn park_lint(&mut self, fp: u64, base: Arc<LintBase>) {
-        self.lint.retain(|(k, _)| *k != fp);
-        self.lint.insert(0, (fp, base));
-        self.lint.truncate(self.warm_slots);
-    }
-
-    pub(crate) fn flow_for(&mut self, fp: u64) -> Option<Arc<FlowFacts>> {
-        let idx = self.flow.iter().position(|(k, _)| *k == fp)?;
-        let hit = self.flow.remove(idx);
-        let facts = hit.1.clone();
-        self.flow.insert(0, hit);
-        Some(facts)
-    }
-
-    pub(crate) fn park_flow(&mut self, fp: u64, facts: Arc<FlowFacts>) {
-        self.flow.retain(|(k, _)| *k != fp);
-        self.flow.insert(0, (fp, facts));
-        self.flow.truncate(self.warm_slots);
+    /// Parks a slot as the most recent, evicting the least recently used
+    /// beyond [`WARM_SLOTS`].
+    pub(crate) fn park(&mut self, slot: Slot) {
+        self.slots.insert(0, slot);
+        self.slots.truncate(WARM_SLOTS);
     }
 }
 

@@ -6,14 +6,15 @@
 //! configuration, (2) runs the static lint gate, (3) serves the verdict
 //! from the simulation memo-cache when the config fingerprint was seen
 //! before, and (4) otherwise simulates it through the incremental
-//! validator. With `threads > 1` steps 2–4 run on a
-//! `std::thread::scope` worker pool.
+//! validator. With `threads > 1` and at least [`MIN_SIMS_PER_WORKER`]
+//! simulations per worker, steps 2–4 run on a `std::thread::scope`
+//! worker pool; smaller batches run in place on the coordinator.
 //!
 //! **Nothing network-wide runs per candidate.** The gate rejects a
 //! candidate that *introduces* a lint error, and every error rule is
 //! per-device (`acr_lint::lint_devices`), so it lints the devices the
 //! patch touched and nothing else: an untouched device's error keys are
-//! the broken network's, already in [`LintBase::keys`]. The full
+//! the broken network's, already in [`Baseline::keys`]. The full
 //! diagnostics of a kept candidate — dataflow warnings included — only
 //! matter if it is later expanded as a parent, and are computed there
 //! (`engine.rs`), not here.
@@ -53,6 +54,7 @@
 //! pruned arena exist once, and every holder shares them.
 
 use acr_cfg::{DeviceModel, NetworkConfig, Patch};
+use acr_flow::FlowFacts;
 use acr_lint::{lint_devices, lint_with_models, DiagKey, Diagnostic};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
@@ -65,26 +67,31 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The lint baseline of the broken network: what the gate compares
-/// candidates against, and what a variant's localization is boosted from
-/// when it is ranked as a parent.
-pub(crate) struct LintBase {
+/// The static baseline of a committed configuration: everything a job
+/// reads about the broken network that is a pure function of (topology,
+/// configuration), computed from **one** `acr-flow` fixed point. The
+/// gate compares candidates against `keys`, a variant ranked as a parent
+/// is boosted from `diags`, and the localization prior reads `facts`.
+/// Built whole whether or not [`crate::RepairConfig::lint`] is set — the
+/// flag decides who reads it — and parked per configuration fingerprint
+/// by resident sessions.
+pub(crate) struct Baseline {
     /// Semantic models of the broken network, parallel to
     /// `topo.routers()`.
     pub models: Arc<Vec<DeviceModel>>,
+    pub facts: FlowFacts,
     pub keys: HashSet<DiagKey>,
     pub diags: Vec<Diagnostic>,
 }
 
-impl LintBase {
-    /// Lints `cfg` and captures the baseline the gate compares
-    /// candidates against. A pure function of (topology, configuration),
-    /// so resident sessions cache it by config fingerprint.
-    pub(crate) fn build(topo: &Topology, cfg: &NetworkConfig) -> LintBase {
-        let models = crate::engine::models_of(topo, cfg);
-        let report = lint_with_models(topo, cfg, &models);
-        LintBase {
+impl Baseline {
+    pub(crate) fn build(topo: &Topology, cfg: &NetworkConfig) -> Baseline {
+        let models = acr_flow::models_of(topo, cfg);
+        let facts = acr_flow::analyze_with_models(topo, &models);
+        let report = lint_with_models(topo, cfg, &models, &facts);
+        Baseline {
             models: Arc::new(models),
+            facts,
             keys: report.keys(),
             diags: report.diagnostics,
         }
@@ -92,6 +99,15 @@ impl LintBase {
 }
 
 static LINT_GATE_REJECTED: Counter = Counter::new("lint.gate.rejected");
+
+/// Simulations a batch must hold per pool worker. A worker starts with a
+/// private clone of the persistent arena and no cross-candidate policy
+/// memo, so on the 2–12-candidate batches of a single-fault repair the
+/// pool is no faster than the in-place path on `wan(4,8)`, 5–10 % slower
+/// on `wan(24,48)`, and its wall time varies from run to run three times
+/// as much; the 30–90-candidate batches of a beam search are where it
+/// pays (13 % on `scenarios8`, two cores).
+const MIN_SIMS_PER_WORKER: usize = 8;
 
 /// What the validate stage concluded for one candidate patch — the one
 /// verdict type between a candidate's plan and the engine loop.
@@ -158,7 +174,7 @@ pub(crate) fn validate_batch(
     original: &NetworkConfig,
     iv: &mut IncrementalVerifier<'_>,
     topo: &Topology,
-    lint_base: Option<&LintBase>,
+    lint_base: Option<&Baseline>,
     cache: Option<&SimCache>,
     ctx_base: (u64, u64),
     threads: usize,
@@ -204,7 +220,8 @@ pub(crate) fn validate_batch(
     }
 
     // ---- resolve: lint + simulate, sequentially or on the pool -------
-    let worker_threads = threads.min(items.len()).max(1);
+    let sims = plans.iter().filter(|p| matches!(p, Plan::Compute)).count();
+    let worker_threads = threads.min(sims / MIN_SIMS_PER_WORKER).max(1);
     let resolved: Vec<Option<Verdict>> = if worker_threads <= 1 {
         // The sequential path: candidates are verified in place through
         // the persistent verifier (same arena, same interning order,
@@ -294,7 +311,7 @@ pub(crate) fn validate_batch(
 /// broken network did not have. Only the patched devices are linted —
 /// error rules are per-device, so every other device's error keys are
 /// in `base.keys` already.
-fn introduces_lint_error(it: &Prepared, topo: &Topology, base: &LintBase) -> bool {
+fn introduces_lint_error(it: &Prepared, topo: &Topology, base: &Baseline) -> bool {
     lint_devices(topo, &it.cfg, &it.patch.routers())
         .errors()
         .any(|d| !base.keys.contains(&d.key()))
@@ -310,7 +327,7 @@ fn resolve<'s>(
     it: &Prepared,
     plan: &Plan,
     topo: &Topology,
-    lint_base: Option<&LintBase>,
+    lint_base: Option<&Baseline>,
     simulate: impl FnOnce() -> (Verification, IncrementalStats, &'s DerivArena),
 ) -> Verdict {
     if lint_base.is_some_and(|base| introduces_lint_error(it, topo, base)) {
@@ -374,7 +391,7 @@ mod tests {
                 continue;
             };
             let broken = &incident.broken;
-            let base = LintBase::build(&net.topo, broken);
+            let base = Baseline::build(&net.topo, broken);
             let reference_base = lint_network(&net.topo, broken).keys();
             assert_eq!(base.keys, reference_base);
 

@@ -4,9 +4,18 @@
 //! generation/keep decisions as a cold [`RepairEngine::repair`] — while
 //! moving validation work from simulation into the cross-job caches.
 
-use acr_core::{NetworkSession, RepairConfig, RepairEngine, RepairReport};
+use acr_core::{NetworkSession, RepairConfig, RepairEngine, RepairReport, WARM_SLOTS};
 use acr_topo::gen;
-use acr_workloads::{generate, sample_incidents, GeneratedNetwork};
+use acr_workloads::{generate, sample_incidents, try_inject, FaultType, GeneratedNetwork};
+use std::sync::Mutex;
+
+/// `a_warm_revisit_analyses_nothing` reads a process-global counter that
+/// every repair in this binary bumps, so the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn engine(net: &GeneratedNetwork, seed: u64) -> RepairEngine<'_> {
     RepairEngine::new(
@@ -58,6 +67,7 @@ fn decision_trace(r: &RepairReport) -> String {
 /// state for the next job.
 #[test]
 fn fresh_session_matches_one_shot_exactly() {
+    let _g = lock();
     let net = generate(&gen::wan(4, 8));
     let incidents = sample_incidents(&net, 3, 77);
     for (i, inc) in incidents.iter().enumerate() {
@@ -79,6 +89,7 @@ fn fresh_session_matches_one_shot_exactly() {
 /// from the memo-cache: identical decisions, zero fresh simulations.
 #[test]
 fn warm_replay_is_all_cache_and_decision_identical() {
+    let _g = lock();
     let net = generate(&gen::wan(4, 8));
     let inc = &sample_incidents(&net, 1, 77)[0];
     let mut session = NetworkSession::new();
@@ -105,6 +116,7 @@ fn warm_replay_is_all_cache_and_decision_identical() {
 /// reaches the same decisions.
 #[test]
 fn invalidate_forces_cold_commit_with_same_decisions() {
+    let _g = lock();
     let net = generate(&gen::wan(4, 8));
     let inc = &sample_incidents(&net, 1, 77)[0];
     let mut session = NetworkSession::new();
@@ -121,34 +133,37 @@ fn invalidate_forces_cold_commit_with_same_decisions() {
     assert_eq!(second.validations, 0);
 }
 
-/// Rotating job streams exercise the multi-slot LRU: alternating
-/// between two incidents, every revisit resumes warm from its own slot
-/// instead of thrashing (hits on runs 3 and 4), answers from cache, and
-/// keeps decisions identical to the one-shot path. A 1-slot session on
-/// the same stream never warm-hits — the LRU is what earns the resumes.
+/// Rotating job streams exercise the slot LRU: a rotation of
+/// [`WARM_SLOTS`] incidents resumes warm from its own slot on every
+/// revisit instead of thrashing, answers from cache, and keeps decisions
+/// identical to the one-shot path. One incident more and every slot is
+/// evicted just before its revisit — the rotation never resumes warm.
 #[test]
 fn rotating_stream_resumes_warm_from_lru_slots() {
+    let _g = lock();
     let net = generate(&gen::wan(4, 8));
-    let incidents = sample_incidents(&net, 2, 77);
-    let stream = [0usize, 1, 0, 1];
+    // Sampling repeats itself; a rotation needs distinct configurations.
+    let mut incidents = sample_incidents(&net, 4 * WARM_SLOTS, 77);
+    let mut seen = std::collections::HashSet::new();
+    incidents.retain(|inc| seen.insert(inc.broken.fingerprint()));
+    assert!(incidents.len() > WARM_SLOTS);
+    let eng = engine(&net, 0);
 
     let mut session = NetworkSession::new();
-    assert!(
-        session.warm_slots() >= 2,
-        "default LRU must hold a rotation"
-    );
-    let eng = engine(&net, 0);
     let mut reports = Vec::new();
-    for &i in &stream {
+    for i in (0..WARM_SLOTS).chain(0..WARM_SLOTS) {
         reports.push((i, eng.repair_resident(&incidents[i].broken, &mut session)));
     }
     assert_eq!(
-        session.resident_misses, 2,
+        session.resident_misses, WARM_SLOTS as u64,
         "first visit per incident is cold"
     );
-    assert_eq!(session.resident_hits, 2, "every revisit must resume warm");
-    assert_eq!(session.warm_len(), 2);
-    for (i, served) in &reports[2..] {
+    assert_eq!(
+        session.resident_hits, WARM_SLOTS as u64,
+        "every revisit must resume warm"
+    );
+    assert_eq!(session.warm_len(), WARM_SLOTS);
+    for (i, served) in &reports[WARM_SLOTS..] {
         let batch = engine(&net, 0).repair(&incidents[*i].broken);
         assert_eq!(decision_trace(&batch), decision_trace(served));
         assert_eq!(
@@ -157,14 +172,49 @@ fn rotating_stream_resumes_warm_from_lru_slots() {
         );
     }
 
-    // Control: a single-slot session thrashes on the same stream.
-    let mut single = NetworkSession::with_warm_slots(1);
-    for &i in &stream {
-        eng.repair_resident(&incidents[i].broken, &mut single);
+    // Control: the same session shape thrashes on a wider rotation.
+    let mut wide = NetworkSession::new();
+    for i in (0..=WARM_SLOTS).chain(0..=WARM_SLOTS) {
+        eng.repair_resident(&incidents[i].broken, &mut wide);
     }
-    assert_eq!(single.resident_hits, 0, "1 slot cannot survive a rotation");
-    assert_eq!(single.resident_misses, 4);
-    assert_eq!(single.warm_len(), 1);
+    assert_eq!(wide.resident_hits, 0, "the LRU cannot hold the rotation");
+    assert_eq!(wide.resident_misses, 2 * (WARM_SLOTS as u64 + 1));
+    assert_eq!(wide.warm_len(), WARM_SLOTS);
+}
+
+/// A revisit takes the configuration's static baseline from its slot:
+/// the second job on the same broken configuration runs no `acr-flow`
+/// fixed point at all — whether or not linting reads the baseline.
+#[test]
+fn a_warm_revisit_analyses_nothing() {
+    let _g = lock();
+    let net = generate(&gen::wan(4, 8));
+    // Repaired in its first iteration, so no patched parent is analysed.
+    let inc = try_inject(FaultType::MissingRedistribution, &net, 0).expect("injectable");
+    let flow_facts = || match acr_obs::metrics::snapshot().get("flow.facts") {
+        Some(acr_obs::metrics::MetricValue::Counter(n)) => *n,
+        other => panic!("flow.facts: {other:?}"),
+    };
+    for lint in [true, false] {
+        let config = RepairConfig {
+            lint,
+            ..RepairConfig::default()
+        };
+        let eng = RepairEngine::new(&net.topo, &net.spec, config);
+        let mut session = NetworkSession::new();
+        acr_obs::set_flags(acr_obs::METRICS);
+        acr_obs::metrics::reset();
+        let first = eng.repair_resident(&inc.broken, &mut session);
+        let cold = flow_facts();
+        let second = eng.repair_resident(&inc.broken, &mut session);
+        let warm = flow_facts() - cold;
+        acr_obs::disable_all();
+        assert_eq!(first.iteration_count(), 1);
+        assert_eq!(decision_trace(&first), decision_trace(&second));
+        let reference = acr_flow::analyze(&net.topo, &inc.broken).fact_count() as u64;
+        assert_eq!(cold, reference, "lint={lint}: one fixed point when cold");
+        assert_eq!(warm, 0, "lint={lint}: none on the revisit");
+    }
 }
 
 /// Warm state is fingerprint-gated: serving a *different* incident on
@@ -172,6 +222,7 @@ fn rotating_stream_resumes_warm_from_lru_slots() {
 /// answer) and decisions still match the one-shot path.
 #[test]
 fn different_incident_misses_warm_state_but_stays_exact() {
+    let _g = lock();
     let net = generate(&gen::wan(4, 8));
     let incidents = sample_incidents(&net, 2, 77);
     let mut session = NetworkSession::new();

@@ -105,21 +105,31 @@ impl FlowFacts {
     }
 }
 
+/// The semantic model of `router` under `cfg` (an unconfigured router
+/// models as an empty device carrying its topology name).
+pub fn model_of(topo: &Topology, cfg: &NetworkConfig, router: RouterId) -> DeviceModel {
+    match cfg.device(router) {
+        Some(d) => DeviceModel::from_config(d),
+        None => DeviceModel {
+            name: topo.router(router).name.clone(),
+            ..DeviceModel::default()
+        },
+    }
+}
+
+/// Semantic models of every router in `cfg`, parallel to
+/// `topo.routers()` (so indexed by `RouterId::index`).
+pub fn models_of(topo: &Topology, cfg: &NetworkConfig) -> Vec<DeviceModel> {
+    topo.routers()
+        .iter()
+        .map(|r| model_of(topo, cfg, r.id))
+        .collect()
+}
+
 /// Analyzes a network, building the semantic models itself (the shape of
 /// `acr_lint::lint_network`).
 pub fn analyze(topo: &Topology, cfg: &NetworkConfig) -> FlowFacts {
-    let models: Vec<DeviceModel> = topo
-        .routers()
-        .iter()
-        .map(|r| match cfg.device(r.id) {
-            Some(d) => DeviceModel::from_config(d),
-            None => DeviceModel {
-                name: r.name.clone(),
-                ..DeviceModel::default()
-            },
-        })
-        .collect();
-    analyze_with_models(topo, &models)
+    analyze_with_models(topo, &models_of(topo, cfg))
 }
 
 /// Analyzes against pre-built semantic models (`models` parallel to

@@ -50,48 +50,37 @@ mod session;
 pub use diag::{DiagKey, Diagnostic, LintReport, RelatedNote, Rule, Severity};
 
 use acr_cfg::{DeviceModel, NetworkConfig};
+use acr_flow::{model_of, models_of, FlowFacts};
 use acr_net_types::RouterId;
 use acr_topo::Topology;
 
-/// The semantic model of `router` under `cfg` (an unconfigured router
-/// models as an empty device carrying its topology name).
-fn model_of(topo: &Topology, cfg: &NetworkConfig, router: RouterId) -> DeviceModel {
-    match cfg.device(router) {
-        Some(d) => DeviceModel::from_config(d),
-        None => DeviceModel {
-            name: topo.router(router).name.clone(),
-            ..DeviceModel::default()
-        },
-    }
-}
-
-/// Lints a network, building the semantic models itself.
+/// Lints a network, building the semantic models and running the
+/// `acr-flow` fixed point itself.
 pub fn lint_network(topo: &Topology, cfg: &NetworkConfig) -> LintReport {
-    let models: Vec<DeviceModel> = topo
-        .routers()
-        .iter()
-        .map(|r| model_of(topo, cfg, r.id))
-        .collect();
-    lint_with_models(topo, cfg, &models)
+    let models = models_of(topo, cfg);
+    let facts = acr_flow::analyze_with_models(topo, &models);
+    lint_with_models(topo, cfg, &models, &facts)
 }
 
-/// Lints a network against pre-built semantic models (runs the
-/// `acr-flow` fixed point over them for the dataflow rules).
+/// Lints a network against pre-built semantic models and the dataflow
+/// facts the caller computed over them — the repair engine runs one
+/// `acr-flow` fixed point per configuration and shares it between the
+/// dataflow rules here and its localization prior.
 ///
 /// `models` must be parallel to `topo.routers()` (the contract of
-/// `acr_core::models_of`) — the repair engine uses this entry point to
-/// re-model only the devices a patch touched.
+/// [`acr_flow::models_of`]) and `facts` must be
+/// `acr_flow::analyze_with_models(topo, models)`.
 pub fn lint_with_models(
     topo: &Topology,
     cfg: &NetworkConfig,
     models: &[DeviceModel],
+    facts: &FlowFacts,
 ) -> LintReport {
     let ctx = ctx::Ctx::new(topo, cfg, topo.routers().iter().map(|r| r.id).zip(models));
     let mut diagnostics = Vec::new();
     per_device(&ctx, &mut diagnostics);
     session::run(&ctx, &mut diagnostics);
-    let facts = acr_flow::analyze_with_models(topo, models);
-    flow::run(&ctx, &facts, &mut diagnostics);
+    flow::run(&ctx, facts, &mut diagnostics);
     report(diagnostics)
 }
 
@@ -423,13 +412,10 @@ mod tests {
             "bgp 65001\n peer 172.16.0.2 as-number 64999\n",
             "bgp 65002\n peer 172.16.0.1 as-number 65001\n",
         );
-        let models: Vec<_> = topo
-            .routers()
-            .iter()
-            .map(|r| acr_cfg::DeviceModel::from_config(cfg.device(r.id).unwrap()))
-            .collect();
+        let models = models_of(&topo, &cfg);
+        let facts = acr_flow::analyze_with_models(&topo, &models);
         let a = lint_network(&topo, &cfg);
-        let b = lint_with_models(&topo, &cfg, &models);
+        let b = lint_with_models(&topo, &cfg, &models, &facts);
         assert_eq!(a.keys(), b.keys());
     }
 
@@ -494,11 +480,7 @@ mod tests {
                 errors_seen += of(&whole).len();
             }
             // (b): the cross-device modules, run on their own.
-            let models: Vec<DeviceModel> = topo
-                .routers()
-                .iter()
-                .map(|r| model_of(topo, cfg, r.id))
-                .collect();
+            let models = models_of(topo, cfg);
             let facts = acr_flow::analyze_with_models(topo, &models);
             let ctx = ctx::Ctx::new(topo, cfg, topo.routers().iter().map(|r| r.id).zip(&models));
             let mut cross = Vec::new();

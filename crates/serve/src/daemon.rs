@@ -13,8 +13,8 @@
 //! Serving modes:
 //!
 //! - **resident** (default): each job runs against its network's
-//!   [`acr_core::NetworkSession`] — warm verifier state, shared
-//!   simulation cache, cached lint/flow baselines. Decisions are
+//!   [`acr_core::NetworkSession`] — shared simulation cache, warm
+//!   verifier state and static baseline per configuration. Decisions are
 //!   byte-identical to a cold run; validation cost drops.
 //! - **cold** (`ServeConfig::resident = false`): every job gets a fresh
 //!   session, making a served job *fully* byte-identical (accounting

@@ -14,6 +14,9 @@
 //! JSONL responses of [`Acrd::handle`]. This is an operator/debug
 //! surface, not a performance path: requests are served sequentially
 //! under the daemon mutex, keeping the scheduler's determinism intact.
+//! Every accepted socket carries read/write timeouts, so a client that
+//! stalls delays the next request by a bounded time instead of forever,
+//! and a body over the size limit is refused (`413`), not truncated.
 
 use crate::daemon::Acrd;
 use acr_obs::json;
@@ -22,6 +25,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// A running listener; drop or [`HttpServer::stop`] to shut down.
 pub struct HttpServer {
@@ -84,7 +88,18 @@ pub fn serve(daemon: Arc<Mutex<Acrd>>, addr: &str) -> std::io::Result<HttpServer
     })
 }
 
+/// Longest a connection may sit in one read or write. Service is
+/// sequential, so this bounds how long a client that connects and then
+/// stalls can keep everyone else (and [`HttpServer::stop`]) waiting.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Largest request body accepted; a longer `Content-Length` is refused
+/// with `413` before any of it is read.
+const MAX_BODY: usize = 1 << 22;
+
 fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
     if reader.read_line(&mut request_line)? == 0 {
@@ -114,7 +129,10 @@ fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<
             content_length = v;
         }
     }
-    let mut body = vec![0u8; content_length.min(1 << 22)];
+    if content_length > MAX_BODY {
+        return respond(stream, 413, "{\"ok\":false,\"error\":\"body_too_large\"}");
+    }
+    let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     let body = String::from_utf8_lossy(&body).into_owned();
 
@@ -157,6 +175,7 @@ fn respond(mut stream: TcpStream, status: u16, body: &str) -> std::io::Result<()
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Error",
     };
     write!(

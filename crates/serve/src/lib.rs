@@ -8,9 +8,10 @@
 //! not once per incident.
 //!
 //! - [`registry`] — per-network resident state: topology + spec
-//!   identity, plus the [`acr_core::NetworkSession`] (warm verifier
-//!   state, cross-job simulation cache, lint/flow baselines) that only
-//!   an explicit *committed-patch* invalidation drops.
+//!   identity, plus the [`acr_core::NetworkSession`] (cross-job
+//!   simulation cache, per-configuration warm verifier state and static
+//!   baseline) that only an explicit *committed-patch* invalidation
+//!   drops.
 //! - [`admission`] — admission control: a bounded daemon-wide queue and
 //!   per-tenant quotas, with structured rejection reasons.
 //! - [`queue`] — per-tenant FIFO lanes served deterministically

@@ -4,8 +4,9 @@
 //! pairs the network's immutable identity (topology + spec, shared via
 //! `Arc` with every job run against it) with the mutable resident state
 //! a [`acr_core::NetworkSession`] accumulates across jobs: the
-//! suspended warm verifier, the cross-job simulation cache and the
-//! per-fingerprint lint/flow baselines.
+//! cross-job simulation cache and one slot per recently served broken
+//! configuration (suspended warm verifier plus static baseline), keyed
+//! by config fingerprint.
 //!
 //! Resident state is invalidated in exactly one place —
 //! [`Registry::invalidate`], the hook for a *committed* patch landing

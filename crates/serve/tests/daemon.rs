@@ -345,15 +345,51 @@ fn http_surface_round_trip() {
     assert_eq!(daemon.lock().unwrap().completed, 1);
 }
 
+/// A client that connects and never sends a byte cannot wedge the
+/// sequential listener: its socket times out, the next request is
+/// answered and `stop` returns. And a body over the limit is refused
+/// outright, not truncated into a parse error.
+#[test]
+fn http_stalled_client_cannot_block_health() {
+    let _g = lock();
+    let (net, _) = small();
+    let daemon = Arc::new(Mutex::new(daemon(&net, false)));
+    let server = acr_serve::serve(daemon, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    let stalled = std::net::TcpStream::connect(addr).expect("connect");
+    let (code, body) = http(addr, "GET", "/health", "");
+    assert_eq!(code, 200, "{body}");
+    drop(stalled);
+
+    let oversized = format!(
+        "POST /submit HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+        (1usize << 22) + 1
+    );
+    let (code, body) = http_raw(addr, &oversized);
+    assert_eq!(code, 413, "{body}");
+    assert!(body.contains("body_too_large"), "{body}");
+
+    server.stop();
+}
+
 /// A one-connection HTTP/1.1 client good enough for the listener.
 fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )
-    .unwrap();
+    );
+    http_raw(addr, &request)
+}
+
+/// Sends `request` verbatim and reads the response to the end (or fails
+/// after ten seconds — a wedged listener must fail the test, not hang it).
+fn http_raw(addr: std::net::SocketAddr, request: &str) -> (u16, String) {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
     let mut resp = String::new();
     stream.read_to_string(&mut resp).unwrap();
     let code: u16 = resp

@@ -39,16 +39,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Component-wise sum, for aggregating over several tables.
-    pub fn merged(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            insertions: self.insertions + other.insertions,
-            evictions: self.evictions + other.evictions,
-        }
-    }
 }
 
 struct Shard<K, V> {
@@ -239,6 +229,5 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(s.merged(&s).hits, 2);
     }
 }

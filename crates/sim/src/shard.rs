@@ -35,7 +35,6 @@ use crate::bgp::PrefixOutcome;
 use crate::deriv::{DerivArena, DerivId};
 use crate::route::Route;
 use acr_obs::metrics::Counter;
-use std::sync::OnceLock;
 
 pub(crate) static SHARD_RUNS: Counter = Counter::new("sim.shard_runs");
 pub(crate) static SHARD_PREFIXES: Counter = Counter::new("sim.shard_prefixes");
@@ -44,41 +43,18 @@ pub(crate) static SHARD_REPLAYED_NODES: Counter = Counter::new("sim.shard_replay
 /// How a multi-prefix run is sharded across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
-    /// Follow the `ACR_SHARD` environment toggle (read once, like the
-    /// other `ACR_*` toggles): unset/anything → sharding on with
-    /// [`resolve_threads`]`(0)` workers, or off when that is a single
-    /// worker; `0`/`false`/`off` → off; an explicit number → that many
-    /// workers.
+    /// Shard over the host's available parallelism
+    /// ([`resolve_threads`]`(0)` workers) when that is enough workers to
+    /// win back the join, else not at all.
     #[default]
     Auto,
     /// Never shard (the candidate-validation path sets this explicitly:
     /// candidates thread a cross-candidate memo and warm starts, which
     /// the sharded runner deliberately does not consult).
     Off,
-    /// Exactly this many workers, environment ignored — what the
-    /// shard-count sweep in `prop_shard_sim` uses (the env toggle is a
-    /// process-global `OnceLock` and cannot vary within a process).
+    /// Exactly this many workers, whatever the host has — what the
+    /// shard-count sweep in `prop_shard_sim` uses.
     Workers(usize),
-}
-
-#[derive(Clone, Copy)]
-enum EnvShard {
-    Auto,
-    Off,
-    Workers(usize),
-}
-
-static SHARD_ENV: OnceLock<EnvShard> = OnceLock::new();
-
-fn shard_env() -> EnvShard {
-    *SHARD_ENV.get_or_init(|| match std::env::var("ACR_SHARD").ok().as_deref() {
-        Some("0") | Some("false") | Some("off") => EnvShard::Off,
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => EnvShard::Workers(n.min(256)),
-            _ => EnvShard::Auto,
-        },
-        None => EnvShard::Auto,
-    })
 }
 
 impl ShardMode {
@@ -87,21 +63,22 @@ impl ShardMode {
         match self {
             ShardMode::Off => None,
             ShardMode::Workers(n) => Some(n.max(1)),
-            ShardMode::Auto => match shard_env() {
-                EnvShard::Off => None,
-                EnvShard::Auto => auto_workers(resolve_threads(0)),
-                EnvShard::Workers(n) => Some(n),
-            },
+            ShardMode::Auto => auto_workers(resolve_threads(0)),
         }
     }
 }
 
-/// `Auto` shards only when it has parallelism to gain: a single worker
-/// would pay the private-arena replay and the join for nothing (measured
-/// 2.0 → 5.8 s on `wan(200,400)`), so one available worker runs the
-/// unsharded path.
+/// Workers `Auto` needs before it shards. The join replays every
+/// worker's arena into the caller's on one thread, and that alone costs
+/// about what the whole unsharded run does: on two cores, unsharded /
+/// one worker / two workers took 6.5 / 13.0 / 14.4 ms on `wan(24,48)`
+/// and 1.56 / 3.38 / 2.41 s on `wan(200,400)`. Fitted to the larger
+/// (1.44 s of join + 1.94 s of convergence to divide), sharding breaks
+/// even at sixteen workers; below that `Auto` runs the unsharded path.
+const AUTO_MIN_WORKERS: usize = 16;
+
 fn auto_workers(avail: usize) -> Option<usize> {
-    (avail >= 2).then_some(avail)
+    (avail >= AUTO_MIN_WORKERS).then_some(avail)
 }
 
 /// Worker-thread count: `0` = available parallelism; explicit requests
@@ -197,10 +174,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_with_one_worker_runs_unsharded() {
+    fn auto_shards_only_with_enough_workers_to_pay_for_the_join() {
         assert_eq!(auto_workers(1), None);
-        assert_eq!(auto_workers(2), Some(2));
-        assert_eq!(auto_workers(8), Some(8));
+        assert_eq!(auto_workers(2), None);
+        assert_eq!(auto_workers(AUTO_MIN_WORKERS), Some(AUTO_MIN_WORKERS));
         // An explicit request still shards at one worker: the
         // shard-count sweep in `prop_shard_sim` depends on it.
         assert_eq!(ShardMode::Workers(1).resolve(), Some(1));

@@ -5,9 +5,8 @@
 //! context fingerprint fully determine a verification, so serving a
 //! memoized result is indistinguishable from re-simulating. These
 //! properties fuzz that claim from below (fingerprint ⇒ identical
-//! `SimOutcome`) and from above (`run_full_cached` ≡ `run_full`,
-//! field for field), plus the `ShardedCache` bound/consistency
-//! invariants the memo is built on.
+//! `SimOutcome`), plus the `ShardedCache` bound/consistency invariants
+//! the memo is built on.
 
 // Gated: run with `cargo test --features heavy-tests` (vendored proptest shim).
 #![cfg(feature = "heavy-tests")]
@@ -15,7 +14,6 @@
 use acr_cfg::{Edit, NetworkConfig, Patch, Stmt};
 use acr_net_types::Prefix;
 use acr_sim::{ShardedCache, Simulator};
-use acr_verify::{SimCache, Verifier};
 use acr_workloads::{generate, GeneratedNetwork};
 use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
@@ -91,29 +89,6 @@ proptest! {
         if render(&a) != render(&net.cfg) {
             prop_assert!(a.fingerprint() != net.cfg.fingerprint());
         }
-    }
-
-    /// `run_full_cached` is observationally `run_full`: the miss that
-    /// populates the cache and the hit that reads it back both equal a
-    /// fresh uncached verification, field for field.
-    #[test]
-    fn cached_run_full_equals_fresh(ri in any::<usize>(), pos in any::<u16>(), kind in any::<u8>()) {
-        let net = wan();
-        let Some(cfg) = patched(&net, ri, pos, kind) else { return };
-        let verifier = Verifier::new(&net.topo, &net.spec);
-        let cache = SimCache::new(8);
-        let (v_fresh, out_fresh) = verifier.run_full(&cfg);
-        let (v_miss, out_miss) = verifier.run_full_cached(&cfg, &cache);
-        let (v_hit, out_hit) = verifier.run_full_cached(&cfg, &cache);
-        prop_assert_eq!(&v_fresh, &v_miss);
-        prop_assert_eq!(&v_fresh, &v_hit);
-        prop_assert_eq!(&out_fresh, &out_miss);
-        prop_assert_eq!(&out_fresh, &out_hit);
-        // One miss, one hit, one entry.
-        let stats = cache.stats();
-        prop_assert_eq!(stats.hits, 1);
-        prop_assert_eq!(stats.misses, 1);
-        prop_assert_eq!(cache.len(), 1);
     }
 
     /// The sharded store the memo rides on never exceeds its bound and

@@ -1,49 +1,40 @@
 //! The simulation memo-cache shared across the repair pipeline.
 //!
 //! Candidate generation revisits configurations constantly — crossover
-//! recombines population members into patches it already tried, baseline
-//! searches re-walk neighbourhoods, and an A/B experiment verifies the
-//! same network twice. Every such revisit pays a full or incremental
-//! control-plane simulation today. [`SimCache`] memoizes verification
-//! results behind a *stable config fingerprint*: the hash of the
+//! recombines population members into patches it already tried, and a
+//! resident daemon or an A/B experiment repairs the same network twice.
+//! Every such revisit would pay an incremental control-plane
+//! simulation. [`SimCache`] memoizes verification results behind a
+//! *stable config fingerprint*: the hash of the
 //! canonical rendered configuration ([`NetworkConfig::fingerprint`])
 //! together with the verifier's context fingerprint (topology identity +
 //! generated test suite). Two lookups agree on a key exactly when the
 //! simulator would be handed bit-identical inputs, so a hit can return
 //! the memoized verdict verbatim.
 //!
-//! Two tables live behind one facade:
+//! One table, keyed `(context, base, candidate)`: the result of
+//! `verify_candidate` against a committed base. The entry carries a
+//! *pruned* private arena holding exactly the derivation closures of the
+//! verification's roots, so consumers can absorb provenance into their
+//! own arena (ids are arena-local and never portable).
 //!
-//! - **candidates** — keyed `(context, base, candidate)`: the result of
-//!   `verify_candidate` against a committed base. The entry carries a
-//!   *pruned* private arena holding exactly the derivation closures of
-//!   the verification's roots, so consumers can absorb provenance into
-//!   their own arena (ids are arena-local and never portable).
-//! - **full** — keyed `(context, config)`: whole `run_full` results, for
-//!   the baselines and standalone verifications.
-//!
-//! Determinism: reads (`peek_*`) never mutate LRU recency — see
-//! [`acr_sim::ShardedCache`]. Writers must call `insert_*`/`touch_*`
-//! from one coordinating thread in a deterministic order; the repair
-//! engine does so in candidate-index order.
+//! Determinism: reads (`peek_candidate`) never mutate LRU recency — see
+//! [`acr_sim::ShardedCache`]. Writers must call `insert_candidate` /
+//! `touch_candidate` from one coordinating thread in a deterministic
+//! order; the repair engine does so in candidate-index order.
 
 use crate::verify::Verification;
 use acr_obs::metrics::Counter;
-use acr_sim::{CacheStats, DerivArena, ShardedCache, SimOutcome};
+use acr_sim::{CacheStats, DerivArena, ShardedCache};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 static CAND_HITS: Counter = Counter::new("cache.candidate.hits");
 static CAND_MISSES: Counter = Counter::new("cache.candidate.misses");
-static FULL_HITS: Counter = Counter::new("cache.full.hits");
-static FULL_MISSES: Counter = Counter::new("cache.full.misses");
 
 /// Key of a memoized candidate validation:
 /// `(verifier context, committed base config, candidate config)`.
 pub type CandidateKey = (u64, u64, u64);
-
-/// Key of a memoized full verification: `(verifier context, config)`.
-pub type FullKey = (u64, u64);
 
 /// A memoized candidate validation. Deliberately not `Clone`: an entry
 /// is shared by `Arc`, never deep-copied.
@@ -95,7 +86,6 @@ pub fn rebase_verification(
 #[derive(Debug)]
 pub struct SimCache {
     candidates: ShardedCache<CandidateKey, Arc<CandidateEntry>>,
-    full: ShardedCache<FullKey, Arc<(Verification, SimOutcome)>>,
 }
 
 impl Default for SimCache {
@@ -105,14 +95,13 @@ impl Default for SimCache {
 }
 
 impl SimCache {
-    /// Default bound on entries per table.
+    /// Default bound on entries.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    /// A cache bounded to `capacity` entries per table.
+    /// A cache bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         SimCache {
             candidates: ShardedCache::with_capacity(capacity),
-            full: ShardedCache::with_capacity(capacity),
         }
     }
 
@@ -138,29 +127,14 @@ impl SimCache {
         self.candidates.insert(key, entry)
     }
 
-    /// Looks up a full verification without touching LRU recency.
-    pub fn peek_full(&self, key: FullKey) -> Option<Arc<(Verification, SimOutcome)>> {
-        let hit = self.full.peek(&key);
-        match hit {
-            Some(_) => FULL_HITS.inc(),
-            None => FULL_MISSES.inc(),
-        }
-        hit
-    }
-
-    /// Inserts a full verification result.
-    pub fn insert_full(&self, key: FullKey, value: (Verification, SimOutcome)) {
-        self.full.insert(key, Arc::new(value))
-    }
-
-    /// Counters aggregated over both tables.
+    /// Hit/miss/insertion/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        self.candidates.stats().merged(&self.full.stats())
+        self.candidates.stats()
     }
 
-    /// Live entries across both tables.
+    /// Live entries.
     pub fn len(&self) -> usize {
-        self.candidates.len() + self.full.len()
+        self.candidates.len()
     }
 
     /// Whether nothing is cached yet.

@@ -474,24 +474,25 @@ impl<'a> IncrementalVerifier<'a> {
         cfg: &NetworkConfig,
     ) -> Result<(Self, Verification), Box<Self>> {
         let iv = Self::with_samples(topo, spec, samples);
-        Self::resume_with(iv, delta, warm, cfg)
+        Self::resume_with(iv, delta, warm, cfg, cfg.fingerprint())
     }
 
     /// [`IncrementalVerifier::resume`] over an already-constructed cold
-    /// verifier — avoids regenerating the test suite when the caller
-    /// probed a warm-slot registry against this verifier's
-    /// [`Verifier::context_fingerprint`] first (the multi-slot session
-    /// LRU path). Same contract: on a fingerprint mismatch the warm
-    /// state is discarded and the (cold) verifier comes back as the
-    /// error.
+    /// verifier and the caller's `cfg_fp = cfg.fingerprint()` — the
+    /// repair engine hashes the broken configuration once per job and
+    /// keys its session slots by the same value. Same contract: on a
+    /// fingerprint mismatch the warm state is discarded and the (cold)
+    /// verifier comes back as the error.
     pub fn resume_with(
         mut iv: Self,
         delta: bool,
         warm: WarmState,
         cfg: &NetworkConfig,
+        cfg_fp: u64,
     ) -> Result<(Self, Verification), Box<Self>> {
+        debug_assert_eq!(cfg_fp, cfg.fingerprint());
         iv.set_delta(delta);
-        if warm.ctx_fp != iv.verifier.context_fingerprint() || warm.base_fp != cfg.fingerprint() {
+        if warm.ctx_fp != iv.verifier.context_fingerprint() || warm.base_fp != cfg_fp {
             RESUME_MISSES.inc();
             return Err(Box::new(iv));
         }
@@ -530,19 +531,6 @@ pub struct WarmState {
     fib_base: Vec<Fib>,
     fib_models: Vec<Arc<DeviceModel>>,
     fib_frags: BTreeMap<Prefix, Vec<(usize, FibEntry)>>,
-}
-
-impl WarmState {
-    /// Fingerprint of the committed configuration this state serves.
-    pub fn base_fingerprint(&self) -> u64 {
-        self.base_fp
-    }
-
-    /// Whether this state can resume a verifier for `cfg` under the
-    /// given verifier context fingerprint.
-    pub fn matches(&self, ctx_fp: u64, cfg: &NetworkConfig) -> bool {
-        self.ctx_fp == ctx_fp && self.base_fp == cfg.fingerprint()
-    }
 }
 
 /// A shareable, read-only candidate validator: the immutable half of an
@@ -1080,7 +1068,6 @@ mod tests {
             stmt: Stmt::Network(p("10.9.0.0/16")),
         });
         let other = patch.apply_cloned(&cfg).unwrap();
-        assert!(!warm.matches(Verifier::new(&topo, &spec).context_fingerprint(), &other));
         let cold = IncrementalVerifier::resume(&topo, &spec, 1, true, warm, &other)
             .err()
             .expect("fingerprint mismatch must refuse to resume");

@@ -161,23 +161,6 @@ impl<'a> Verifier<'a> {
         )
     }
 
-    /// [`Verifier::run_full`] through the memo-cache: an exact fingerprint
-    /// hit returns a clone of the first computation (bit-identical, since
-    /// the simulator is deterministic) without simulating anything.
-    pub fn run_full_cached(
-        &self,
-        cfg: &NetworkConfig,
-        cache: &crate::SimCache,
-    ) -> (Verification, SimOutcome) {
-        let key = (self.context_fingerprint(), cfg.fingerprint());
-        if let Some(hit) = cache.peek_full(key) {
-            return (hit.0.clone(), hit.1.clone());
-        }
-        let (verification, outcome) = self.run_full(cfg);
-        cache.insert_full(key, (verification.clone(), outcome.clone()));
-        (verification, outcome)
-    }
-
     /// Evaluates the test suite against precomputed simulation state.
     /// Shared by the full and incremental paths. Generic over `Borrow` so
     /// the candidate-validation path can pass outcome *references* into

@@ -15,7 +15,7 @@ fn main() {
     let cache = Arc::new(acr::core::SimCache::default());
     let config = RepairConfig {
         threads: 4,                 // 0 = available parallelism, 1 = sequential
-        cache: Some(cache.clone()), // share one Arc across engines & baselines
+        cache: Some(cache.clone()), // share one Arc across engines
         ..RepairConfig::default()
     };
     let engine = acr::core::RepairEngine::new(&fig2.topo, &fig2.spec, config);

@@ -279,10 +279,10 @@ fn counted_repair(run: impl FnOnce() -> RepairReport) -> (RepairReport, u64, u64
 
 /// Static analysis is per job, not per candidate: a repair that lands in
 /// its first iteration analyses the broken network and nothing else,
-/// however many candidates it validates. The commit stage still runs
-/// that fixed point twice — once inside the lint baseline, once for the
-/// localization prior (ROADMAP: merge them) — and the flow counters are
-/// registered in `acr-flow` alone, so each run is counted once.
+/// however many candidates it validates. The commit stage runs that
+/// fixed point once — the lint baseline and the localization prior share
+/// its facts — and the flow counters are registered in `acr-flow` alone,
+/// so each run is counted once.
 #[test]
 fn a_single_iteration_repair_analyses_only_the_broken_network() {
     let _g = lock();
@@ -297,11 +297,11 @@ fn a_single_iteration_repair_analyses_only_the_broken_network() {
     assert_eq!(report.iteration_count(), 1);
     assert!(report.validations > 1, "several candidates went the gate");
     let reference = acr_flow::analyze(&net.topo, &incident.broken);
-    assert_eq!(facts, 2 * reference.fact_count() as u64);
-    assert_eq!(pops, 2 * reference.iterations);
+    assert_eq!(facts, reference.fact_count() as u64);
+    assert_eq!(pops, reference.iterations);
 }
 
-/// A multi-iteration beam repair analyses the broken network (twice, at
+/// A multi-iteration beam repair analyses the broken network (once, at
 /// commit) plus the non-root parents it actually expands (at most the beam width per
 /// later iteration) — never the candidates — and decides exactly what it
 /// decided when every candidate carried a whole-network lint: the
@@ -347,7 +347,7 @@ fn a_beam_repair_analyses_parents_not_candidates() {
     // No analysis of a 12-router variant holds twice the broken
     // network's facts, so this bounds the *number* of analyses.
     let per_analysis = 2 * acr_flow::analyze(&net.topo, &scenario.broken).fact_count();
-    let analyses = 2 + 4 * (iterations - 1);
+    let analyses = 1 + 4 * (iterations - 1);
     assert!(
         facts as usize <= analyses * per_analysis,
         "{facts} facts over {iterations} iterations"
