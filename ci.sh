@@ -26,9 +26,6 @@ cargo test -q
 echo "==> cargo test (forced sequential validate, ACR_THREADS=1)"
 ACR_THREADS=1 cargo test -q
 
-echo "==> cargo test (delta construction off, ACR_DELTA=0)"
-ACR_DELTA=0 cargo test -q --test determinism_differential --test repair_incidents
-
 echo "==> cargo test (dense reference engine, ACR_SPARSE=0; multi-patch determinism)"
 ACR_SPARSE=0 cargo test -q --test determinism_differential
 
@@ -96,6 +93,12 @@ cargo test -q --workspace --features heavy-tests
 # would break it fails here first.
 echo "==> cargo test (benchmark/: the repair-job benchmark against the current API)"
 cargo test -q --manifest-path benchmark/Cargo.toml
+
+# The wrong-`Fixed` defect the benchmark pinned as a known failure is
+# fixed (incremental ≡ full); its test stays ignored there until a
+# `benchmark` PR restores the class to the workloads, so run it here.
+echo "==> cargo test (benchmark/: known_failures, ignored tests included)"
+cargo test -q --manifest-path benchmark/Cargo.toml --test known_failures -- --ignored
 
 # Decisions, checked mechanically: the smoke suite's decision digest per
 # workload must be the pinned one in both of its runs — end to end and

@@ -84,8 +84,8 @@ fn env_override(var: &str) -> String {
 /// writes it to `BENCH_<name>.json` in the working directory.
 ///
 /// The envelope stamps the schema tag, the bench name, the host's
-/// available parallelism, and the `ACR_THREADS` / `ACR_DELTA`
-/// environment overrides in effect, so artifacts from different bench
+/// available parallelism, and the `ACR_THREADS` environment override
+/// in effect, so artifacts from different bench
 /// binaries (and different runs) are comparable without knowing which
 /// binary emitted them. `payload` extends the envelope object with the
 /// bench-specific fields.
@@ -127,7 +127,6 @@ pub fn bench_envelope(name: &str) -> json::Obj {
             std::thread::available_parallelism().map_or(1, |n| n.get()),
         )
         .raw("env_threads", &env_override("ACR_THREADS"))
-        .raw("env_delta", &env_override("ACR_DELTA"))
 }
 
 #[cfg(test)]
@@ -158,7 +157,6 @@ mod tests {
         assert_eq!(v.get("bench").unwrap().as_str(), Some("unit"));
         assert!(v.get("host_parallelism").unwrap().as_num().unwrap() >= 1.0);
         assert!(v.get("env_threads").is_some());
-        assert!(v.get("env_delta").is_some());
         assert_eq!(v.get("extra").unwrap().as_num(), Some(7.0));
     }
 

@@ -49,6 +49,16 @@ impl Edit {
             | Edit::Replace { router, .. } => *router,
         }
     }
+
+    /// The 0-based statement index the edit addresses; no statement before
+    /// it moves.
+    pub fn index(&self) -> usize {
+        match self {
+            Edit::Insert { index, .. }
+            | Edit::Delete { index, .. }
+            | Edit::Replace { index, .. } => *index,
+        }
+    }
 }
 
 impl fmt::Display for Edit {

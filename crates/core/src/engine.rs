@@ -99,9 +99,9 @@ pub struct RepairConfig {
     /// Delta-compile candidate simulators against the committed base
     /// (recompiling only patched devices, re-establishing sessions only
     /// where they can change). Construction-only: invalidation analysis
-    /// and therefore reports are byte-identical with this on or off. The
-    /// `ACR_DELTA` environment variable sets the default (on unless
-    /// `0`/`false`/`off`).
+    /// and therefore reports are byte-identical with this on or off —
+    /// `false` is the full-rebuild oracle the differential tests set, not
+    /// a product mode. Default `true`.
     pub delta: bool,
     /// Free-form labels carried verbatim into [`RepairReport::tags`] and
     /// the run journal — the scenario harness stamps the scenario family
@@ -119,14 +119,6 @@ fn default_threads() -> usize {
         .unwrap_or(0)
 }
 
-/// The `delta` default: on, unless `ACR_DELTA` says `0`/`false`/`off`.
-fn default_delta() -> bool {
-    !matches!(
-        std::env::var("ACR_DELTA").ok().as_deref(),
-        Some("0") | Some("false") | Some("off")
-    )
-}
-
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
@@ -141,7 +133,7 @@ impl Default for RepairConfig {
             lint: true,
             threads: default_threads(),
             cache: Some(Arc::new(SimCache::default())),
-            delta: default_delta(),
+            delta: true,
             tags: Vec::new(),
         }
     }

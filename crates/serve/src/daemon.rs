@@ -50,7 +50,8 @@ pub struct ServeConfig {
     /// Engine worker threads; `None` inherits the ambient default
     /// (`ACR_THREADS`, else auto).
     pub threads: Option<usize>,
-    /// Explicit delta-compile setting; `None` inherits `ACR_DELTA`.
+    /// Explicit delta-compile setting (`Some(false)` is the full-rebuild
+    /// test oracle); `None` keeps [`RepairConfig::default`]'s `true`.
     pub delta: Option<bool>,
     /// Serve from a fresh session per job (the cold A/B baseline)
     /// instead of resident per-network state. Default `false`.

@@ -20,16 +20,17 @@
 //!   the index; the prefixes whose origination set changed are reported
 //!   for invalidation.
 //!
-//! The delta analysis also classifies the patch for the incremental
-//! verifier ([`SessionDelta`]): only *structural* session changes (a
-//! session or diagnostic appearing, disappearing, or changing policy
-//! bindings) force a full per-prefix reset; pure line renumbering is
-//! already covered by the verifier's closure-region rule.
+//! The delta computation holds the old and the new model of every touched
+//! router side by side, so it is also the one place that says *what
+//! changed* for the incremental verifier ([`DeltaInfo`]): the session
+//! class, whether a bound policy or an AS value differs, which
+//! originations and which prefix-list entries do. `acr-verify` turns that
+//! diff — never the patch's statements — into its affected-prefix set.
 
 use crate::origin::{router_origins, OriginIndex};
 use crate::session::{establish_router, Session, SessionDiag};
-use acr_cfg::model::DeviceModel;
-use acr_cfg::{Edit, NetworkConfig, Patch};
+use acr_cfg::model::{DeviceModel, PlEntry, PolicyNode};
+use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
@@ -81,19 +82,30 @@ pub enum SessionDelta {
     Structural,
 }
 
-/// What a delta build learned about the patch — the input to fine-grained
-/// cache invalidation in `acr-verify`.
+/// What a delta build learned by comparing the touched routers' old and
+/// new models — the input to cache invalidation in `acr-verify`.
 #[derive(Debug, Clone)]
 pub struct DeltaInfo {
     pub session_delta: SessionDelta,
+    /// Under [`SessionDelta::LinesOnly`]: the *base's* lines of every
+    /// session whose attribution differs. A restated peer statement adds
+    /// to (or takes from) a session's line set without shifting the lines
+    /// cached closures already hold, so the region rule alone misses it.
+    pub stale_session_lines: Vec<LineId>,
+    /// A touched router's AS value differs, or a route-policy one of its
+    /// peers binds has a different node list once line numbers are set
+    /// aside (defined ↔ undefined included). Such a change leaves no line
+    /// in the closure of a prefix the old policy did not match, so every
+    /// prefix may transfer differently.
+    pub policy_changed: bool,
     /// Prefixes whose origination set changed on a touched router
     /// (origins added, dropped, or re-attributed).
     pub changed_origin_prefixes: BTreeSet<Prefix>,
-    /// Prefix literals of the *base* models of routers with `Delete`
-    /// edits. A delete's statement is gone from the candidate config, so
-    /// the literals it may have mentioned are recovered conservatively
-    /// from the pre-patch model.
-    pub delete_literals: Vec<Prefix>,
+    /// Prefix-list entries a first-match scan can see differently: per
+    /// list, what is left of the old and the new entries — line numbers
+    /// aside — after their common head and tail. A route whose prefix
+    /// none of them [`PlEntry::matches`] evaluates every list as before.
+    pub changed_pl_entries: Vec<PlEntry>,
     /// Whether the patch provably leaves the BGP dynamics unchanged, so
     /// cached converged fixed points may be warm-started (probe + reuse).
     ///
@@ -213,26 +225,6 @@ impl<'a> CompiledBase<'a> {
         self.delta(cfg, patch).info
     }
 
-    /// Advances the base to `cfg` (= this base's configuration plus
-    /// `patch`) — the commit path. Untouched devices and session parts
-    /// are shared with `self`.
-    pub fn advance(&self, cfg: &NetworkConfig, patch: &Patch) -> (CompiledBase<'a>, DeltaInfo) {
-        let d = self.delta(cfg, patch);
-        (
-            CompiledBase {
-                topo: self.topo,
-                cfg_fingerprint: cfg.fingerprint(),
-                models: d.models,
-                parts: d.parts,
-                sessions: d.sessions,
-                session_diags: d.session_diags,
-                origin: d.origin,
-                build: d.info.build,
-            },
-            d.info,
-        )
-    }
-
     /// The shared delta computation: recompile touched devices, re-run
     /// establishment where it can matter, splice the origination index.
     pub(crate) fn delta(&self, cfg: &NetworkConfig, patch: &Patch) -> Delta {
@@ -243,25 +235,19 @@ impl<'a> CompiledBase<'a> {
         let mut origin_repl: BTreeMap<RouterId, BTreeMap<Prefix, Origination>> = BTreeMap::new();
         let mut session_changed: BTreeSet<RouterId> = BTreeSet::new();
         let mut changed_origin_prefixes: BTreeSet<Prefix> = BTreeSet::new();
-        let mut delete_literals: Vec<Prefix> = Vec::new();
-        let deleted_on: BTreeSet<RouterId> = patch
-            .edits
-            .iter()
-            .filter_map(|e| match e {
-                Edit::Delete { router, .. } => Some(*router),
-                _ => None,
-            })
-            .collect();
+        let mut changed_pl_entries: Vec<PlEntry> = Vec::new();
+        let mut policy_changed = false;
         let mut policies_unchanged = true;
         for r in &touched {
             let old = &self.models[r.index()];
             let new = compile_device(cfg, *r, &old.name);
-            if old.peers != new.peers || as_value(old) != as_value(&new) {
+            let as_changed = as_value(old) != as_value(&new);
+            if old.peers != new.peers || as_changed {
                 session_changed.insert(*r);
             }
-            policies_unchanged &= old.route_policies == new.route_policies
-                && old.prefix_lists == new.prefix_lists
-                && as_value(old) == as_value(&new);
+            let same_policies = old.route_policies == new.route_policies;
+            let same_lists = old.prefix_lists == new.prefix_lists;
+            policies_unchanged &= same_policies && same_lists && !as_changed;
             let old_part = router_origins(self.topo, *r, old);
             let new_part = router_origins(self.topo, *r, &new);
             if old_part != new_part {
@@ -272,8 +258,9 @@ impl<'a> CompiledBase<'a> {
                 }
                 origin_repl.insert(*r, new_part);
             }
-            if deleted_on.contains(r) {
-                delete_literals.extend(model_literals(old));
+            policy_changed |= as_changed || (!same_policies && bound_policy_differs(old, &new));
+            if !same_lists {
+                diff_prefix_lists(old, &new, &mut changed_pl_entries);
             }
             models[r.index()] = Arc::new(new);
         }
@@ -290,9 +277,8 @@ impl<'a> CompiledBase<'a> {
         let t = Instant::now();
         let _establish_span = span!("sim.establish.delta", "sim");
         let mut established_routers = 0usize;
-        let (parts, sessions, session_diags, session_delta) = if session_changed.is_empty() {
+        let (sessions, session_diags, session_delta) = if session_changed.is_empty() {
             (
-                self.parts.clone(),
                 self.sessions.clone(),
                 self.session_diags.clone(),
                 SessionDelta::Unchanged,
@@ -319,7 +305,6 @@ impl<'a> CompiledBase<'a> {
             }
             if !any_diff {
                 (
-                    self.parts.clone(),
                     self.sessions.clone(),
                     self.session_diags.clone(),
                     SessionDelta::Unchanged,
@@ -329,7 +314,6 @@ impl<'a> CompiledBase<'a> {
                 let structural =
                     !same_structure(&sessions, &diags, &self.sessions, &self.session_diags);
                 (
-                    parts,
                     Arc::new(sessions),
                     Arc::new(diags),
                     if structural {
@@ -340,23 +324,33 @@ impl<'a> CompiledBase<'a> {
                 )
             }
         };
+        let stale_session_lines = if session_delta == SessionDelta::LinesOnly {
+            let changed = self.sessions.iter().zip(sessions.iter());
+            changed
+                .filter(|(old, new)| old != new)
+                .flat_map(|(old, _)| old.a_lines.iter().chain(&old.b_lines).copied())
+                .collect()
+        } else {
+            Vec::new()
+        };
         let establish = t.elapsed();
         drop(_establish_span);
         DELTA_ESTABLISHED.add(established_routers as u64);
 
         Delta {
             models,
-            parts,
             sessions,
             session_diags,
             origin,
             info: DeltaInfo {
                 session_delta,
+                stale_session_lines,
+                policy_changed,
                 warm_eligible: policies_unchanged
                     && session_delta == SessionDelta::Unchanged
                     && changed_origin_prefixes.is_empty(),
                 changed_origin_prefixes,
-                delete_literals,
+                changed_pl_entries,
                 build: SimBuild {
                     compile,
                     establish,
@@ -434,7 +428,6 @@ impl<'a> CompiledBase<'a> {
 /// [`CompiledBase`] and `Simulator`).
 pub(crate) struct Delta {
     pub models: Vec<Arc<DeviceModel>>,
-    pub parts: Vec<Arc<SessionPart>>,
     pub sessions: Arc<Vec<Session>>,
     pub session_diags: Arc<Vec<SessionDiag>>,
     pub origin: Arc<OriginIndex>,
@@ -459,22 +452,58 @@ fn as_value(m: &DeviceModel) -> Option<acr_net_types::Asn> {
     m.asn.map(|(a, _)| a)
 }
 
-/// Every prefix literal a model's statements mention (networks, statics,
-/// prefix-list entries, ACL endpoints) — the delete-invalidation net.
-fn model_literals(m: &DeviceModel) -> Vec<Prefix> {
-    let mut out: Vec<Prefix> = Vec::new();
-    out.extend(m.networks.iter().map(|(p, _)| *p));
-    out.extend(m.static_routes.iter().map(|s| s.prefix));
-    for entries in m.prefix_lists.values() {
-        out.extend(entries.iter().map(|e| e.prefix));
+/// Whether a route-policy some peer of the old or the new model binds has
+/// a different node list once line numbers are set aside — a policy
+/// appearing or disappearing included (an undefined policy permits).
+fn bound_policy_differs(old: &DeviceModel, new: &DeviceModel) -> bool {
+    fn same_node(a: &PolicyNode, b: &PolicyNode) -> bool {
+        (a.node, a.action) == (b.node, b.action)
+            && a.matches
+                .iter()
+                .map(|m| &m.0)
+                .eq(b.matches.iter().map(|m| &m.0))
+            && a.applies
+                .iter()
+                .map(|x| &x.0)
+                .eq(b.applies.iter().map(|x| &x.0))
     }
-    for entries in m.acls.values() {
-        for e in entries {
-            out.push(e.rule.src);
-            out.push(e.rule.dst);
-        }
+    let peers = old.peers.values().chain(new.peers.values());
+    let mut bound = peers
+        .flat_map(|p| [&p.import_policy, &p.export_policy])
+        .flatten();
+    bound.any(
+        |(name, _)| match (old.route_policies.get(name), new.route_policies.get(name)) {
+            (Some(a), Some(b)) => {
+                a.len() != b.len() || !a.iter().zip(b).all(|(a, b)| same_node(a, b))
+            }
+            (a, b) => a.is_some() != b.is_some(),
+        },
+    )
+}
+
+/// Appends [`DeltaInfo::changed_pl_entries`] of one router. Entries the
+/// two lists share at the head and at the tail are scanned identically by
+/// a first-match walk; an entry in between can only decide a route it
+/// matches.
+fn diff_prefix_lists(old: &DeviceModel, new: &DeviceModel, out: &mut Vec<PlEntry>) {
+    let same = |a: &PlEntry, b: &PlEntry| {
+        (a.index, a.action, a.prefix, a.ge, a.le) == (b.index, b.action, b.prefix, b.ge, b.le)
+    };
+    let names: BTreeSet<&String> = old
+        .prefix_lists
+        .keys()
+        .chain(new.prefix_lists.keys())
+        .collect();
+    for name in names {
+        let a = old.prefix_lists.get(name).map_or(&[][..], Vec::as_slice);
+        let b = new.prefix_lists.get(name).map_or(&[][..], Vec::as_slice);
+        let head = a.iter().zip(b).take_while(|(a, b)| same(a, b)).count();
+        let (a, b) = (&a[head..], &b[head..]);
+        let tail = a.iter().rev().zip(b.iter().rev());
+        let tail = tail.take_while(|(a, b)| same(a, b)).count();
+        out.extend_from_slice(&a[..a.len() - tail]);
+        out.extend_from_slice(&b[..b.len() - tail]);
     }
-    out
 }
 
 fn concat_parts(parts: &[Arc<SessionPart>]) -> (Vec<Session>, Vec<SessionDiag>) {
@@ -524,7 +553,7 @@ mod tests {
     use super::*;
     use crate::Simulator;
     use acr_cfg::parse::parse_device;
-    use acr_cfg::Stmt;
+    use acr_cfg::{Edit, PlAction, Stmt};
     use acr_net_types::Asn;
     use acr_topo::gen;
 
@@ -606,24 +635,49 @@ mod tests {
         assert_eq!(sim.session_diags(), fresh.session_diags());
     }
 
+    /// The model diff sets line numbers aside: a remark that renumbers a
+    /// bound policy and its prefix list changes neither, an unbound policy
+    /// may change freely, and a replaced entry reports both of its forms.
     #[test]
-    fn advance_equals_fresh_base() {
-        let (topo, cfg) = line3();
+    fn model_diff_ignores_line_numbers_and_unbound_policies() {
+        let (topo, mut cfg) = line3();
+        let text = "bgp 65001\n peer 172.16.0.1 as-number 65000\n peer 172.16.0.1 route-policy IN import\n peer 172.16.0.6 as-number 65002\nroute-policy IN permit node 10\n if-match ip-prefix l\nroute-policy UNUSED deny node 10\nip prefix-list l index 10 permit 10.0.0.0 16\nip prefix-list l index 20 permit 10.2.0.0 16\n";
+        cfg.insert(RouterId(1), parse_device("R1", text).unwrap());
         let base = CompiledBase::new(&topo, &cfg);
-        let patch = Patch::single(Edit::Insert {
-            router: RouterId(2),
-            index: 1,
-            stmt: Stmt::Network(p("10.9.0.0/16")),
-        });
-        let cfg2 = patch.apply_cloned(&cfg).unwrap();
-        let (advanced, _) = base.advance(&cfg2, &patch);
-        let fresh = CompiledBase::new(&topo, &cfg2);
-        assert_eq!(advanced.cfg_fingerprint(), fresh.cfg_fingerprint());
-        assert_eq!(advanced.models().len(), fresh.models().len());
-        for (a, b) in advanced.models().iter().zip(fresh.models()) {
-            assert_eq!(a, b);
-        }
-        assert_eq!(&advanced.sessions[..], &fresh.sessions[..]);
-        assert_eq!(advanced.origin.universe(), fresh.origin.universe());
+        let info = |patch: Patch| base.analyze(&patch.apply_cloned(&cfg).unwrap(), &patch);
+        let router = RouterId(1);
+
+        let remark = info(Patch::single(Edit::Insert {
+            router,
+            index: 4,
+            stmt: Stmt::Remark("shift".into()),
+        }));
+        assert!(!remark.policy_changed && remark.changed_pl_entries.is_empty());
+        assert!(!remark.warm_eligible, "the policy's lines did move");
+
+        let unbound = info(Patch::single(Edit::Delete { router, index: 6 }));
+        assert!(!unbound.policy_changed);
+        let bound = info(Patch::single(Edit::Delete { router, index: 5 }));
+        assert!(bound.policy_changed);
+
+        let replaced = info(Patch::single(Edit::Replace {
+            router,
+            index: 7,
+            stmt: Stmt::PrefixListEntry {
+                list: "l".into(),
+                index: 10,
+                action: PlAction::Permit,
+                prefix: p("10.7.0.0/16"),
+                ge: None,
+                le: None,
+            },
+        }));
+        let literals: Vec<Prefix> = replaced
+            .changed_pl_entries
+            .iter()
+            .map(|e| e.prefix)
+            .collect();
+        assert_eq!(literals, [p("10.0.0.0/16"), p("10.7.0.0/16")]);
+        assert!(!replaced.policy_changed);
     }
 }

@@ -6,38 +6,61 @@
 //! affordable. Our incremental verifier exploits the simulator's
 //! per-prefix decomposition:
 //!
-//! 1. per-prefix outcomes from the previous verification are cached, along
-//!    with their configuration-line closures, in a **persistent
+//! 1. [`IncrementalVerifier::commit`] is the one cold path: it compiles
+//!    the configuration into a [`CompiledBase`] (`acr-sim`), simulates the
+//!    whole universe and caches every per-prefix outcome with its
+//!    configuration-line closure and FIB fragment, in a **persistent
 //!    content-addressed arena** (old derivation ids stay valid),
-//! 2. a new configuration plus the patch that produced it yields the set
-//!    of *affected prefixes*: those whose closure touches an edited region,
-//!    those overlapping prefix literals in inserted/replaced statements,
-//!    and those whose origination set changed,
-//! 3. only affected prefixes are re-simulated; FIB assembly and packet
-//!    walks (cheap) run on the merged state.
+//! 2. a candidate (committed configuration + patch) is delta-built from
+//!    the base — only patched devices recompile — and the comparison of
+//!    their old and new models ([`acr_sim::DeltaInfo`]) yields the
+//!    *affected prefixes* under the contract below,
+//! 3. only affected prefixes are re-simulated; one tail merges them over
+//!    the cache, assembles FIBs from the committed base FIBs and
+//!    fragments, and runs the (cheap) packet walks on the merged state. A
+//!    resumed verifier is the empty candidate: nothing affected, nothing
+//!    simulated.
 //!
-//! Simulation state is held in a [`CompiledBase`] (`acr-sim`): candidate
-//! simulators are delta-built from it, recompiling only patched devices
-//! and re-establishing sessions only where establishment can change. The
-//! base's delta analysis ([`acr_sim::DeltaInfo`]) also drives session
-//! invalidation: instead of resetting the per-prefix cache on *every*
-//! `bgp`/`peer`/`group`-shaped edit, only **structural** session changes
-//! (a session or diagnostic appearing, disappearing, or changing its
-//! endpoints or policy bindings) force a full reset; edits that merely
-//! renumber lines are caught by the closure-region rule. Crucially, the
-//! analysis runs whether or not delta *construction* is enabled, so
-//! recompute/reuse decisions — and therefore repair reports — are
-//! byte-identical with the optimisation on or off.
+//! **The affected-set contract** (`affected_prefixes`, the only place a
+//! set is computed): a cached per-prefix outcome is a pure function of
+//! exactly the inputs [`acr_sim::DeltaInfo::warm_eligible`] enumerates —
+//! the session vector, each router's AS value, the prefix's originations,
+//! and `eval_policy` over the touched models' `route_policies` and
+//! `prefix_lists`. Every prefix for which one of them can differ, or whose
+//! closure holds a renumbered line, is in the set. With nothing cached
+//! that is every prefix; otherwise five rules, fed by the model diff and
+//! never by the patch's statements:
+//!
+//! 1. **every prefix** when sessions changed structurally, a touched
+//!    router's AS value changed, or a policy bound by one of its peers has
+//!    a different node list modulo line numbers — such a change leaves no
+//!    line in the closure of a prefix the old policy did not match;
+//!
+//! and otherwise the union of
+//!
+//! 2. prefixes whose originations changed,
+//! 3. prefixes matched by a prefix-list entry the old and new model do not
+//!    share (modulo line numbers),
+//! 4. prefixes whose closure holds a line at or after the first edited
+//!    line of its router (it may have been renumbered or removed), or a
+//!    line of a session whose attribution changed,
+//! 5. prefixes new to the universe.
+//!
+//! Static routes, ACLs and PBR need no rule: base FIBs are rebuilt for
+//! every recompiled device and the data-plane walks always re-run. The
+//! analysis runs whether or not delta *construction* is enabled
+//! ([`IncrementalVerifier::set_delta`], a test oracle), so recompute/reuse
+//! decisions — and therefore repair reports — are byte-identical either
+//! way.
 
 use crate::spec::Spec;
 use crate::verify::{Verification, Verifier};
-use acr_cfg::model::DeviceModel;
-use acr_cfg::{Edit, LineId, NetworkConfig, Patch, Stmt};
+use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_sim::{
-    bgp_fragment, CompiledBase, DeltaInfo, DerivArena, Fib, FibEntry, PolicyMemo, PrefixOutcome,
-    ResidentBase, RunOptions, SessionDelta, ShardMode, Simulator,
+    bgp_fragment, CompiledBase, ConvergeWork, DeltaInfo, DerivArena, Fib, FibEntry, PolicyMemo,
+    PrefixOutcome, ResidentBase, RunOptions, SessionDelta, ShardMode, SimBuild, Simulator,
 };
 use acr_topo::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,14 +69,13 @@ use std::time::{Duration, Instant};
 
 static PREFIXES_RECOMPUTED: Counter = Counter::new("verify.prefixes_recomputed");
 static PREFIXES_REUSED: Counter = Counter::new("verify.prefixes_reused");
-// Invalidation breadth (prefixes re-simulated) by why the cache missed:
-// cold = no memo yet, structural/lines_only/unchanged = the candidate
-// patch's session-delta class, full = full reset without a delta analysis.
+// Prefixes re-simulated, by the rule of `affected_prefixes` that chose
+// them: nothing cached, structural session change, AS value / bound policy
+// change (each: every prefix), or the narrowed union.
 static INV_COLD: Counter = Counter::new("verify.invalidated.cold");
-static INV_FULL: Counter = Counter::new("verify.invalidated.full");
-static INV_STRUCTURAL: Counter = Counter::new("verify.invalidated.structural");
-static INV_LINES_ONLY: Counter = Counter::new("verify.invalidated.lines_only");
-static INV_UNCHANGED: Counter = Counter::new("verify.invalidated.unchanged");
+static INV_SESSIONS: Counter = Counter::new("verify.invalidated.sessions");
+static INV_POLICY: Counter = Counter::new("verify.invalidated.policy");
+static INV_NARROWED: Counter = Counter::new("verify.invalidated.narrowed");
 // FIB-fragment reuse: per-router base FIBs (connected + static) are
 // rebuilt only when the router's device model changed (delta builds share
 // unpatched models by `Arc`), and per-prefix BGP fragments are re-derived
@@ -67,45 +89,6 @@ static FIB_FRAGS_REUSED: Counter = Counter::new("verify.fib_frags_reused");
 // means the fingerprints diverged and the caller must commit cold.
 static RESUME_HITS: Counter = Counter::new("verify.resume.hits");
 static RESUME_MISSES: Counter = Counter::new("verify.resume.misses");
-
-/// Rebuilds, in place, the base FIB of exactly those routers whose device
-/// model is not the `Arc` the cache was computed against; returns
-/// `(rebuilt, reused)` counts. Skipped rebuilds are sound because a base
-/// FIB is a pure function of (topology, device model), and skipped
-/// derivation interns would have been dedup hits in the content-addressed
-/// arena — so the arena stays byte-identical to assembling from scratch.
-fn refresh_base_fibs(
-    fibs: &mut [Fib],
-    cached_models: &[Arc<DeviceModel>],
-    sim: &Simulator,
-    arena: &mut DerivArena,
-) -> (u64, u64) {
-    let (mut rebuilt, mut reused) = (0u64, 0u64);
-    for (i, m) in sim.models().iter().enumerate() {
-        if Arc::ptr_eq(m, &cached_models[i]) {
-            reused += 1;
-        } else {
-            fibs[i] = sim.base_fib_of(RouterId(i as u32), arena);
-            rebuilt += 1;
-        }
-    }
-    (rebuilt, reused)
-}
-
-/// Attributes `n` invalidated prefixes to their session-delta class.
-fn count_invalidated(n: u64, cold: bool, info: Option<&DeltaInfo>) {
-    if !acr_obs::enabled(acr_obs::METRICS) {
-        return;
-    }
-    let c = match (cold, info.map(|i| i.session_delta)) {
-        (true, _) => &INV_COLD,
-        (false, Some(SessionDelta::Structural)) => &INV_STRUCTURAL,
-        (false, Some(SessionDelta::LinesOnly)) => &INV_LINES_ONLY,
-        (false, Some(SessionDelta::Unchanged)) => &INV_UNCHANGED,
-        (false, None) => &INV_FULL,
-    };
-    c.add(n);
-}
 
 /// Statistics of one incremental verification call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -135,16 +118,57 @@ pub struct IncrementalStats {
     pub warm_reused: usize,
 }
 
+/// What is cached about the committed configuration, keyed like the
+/// universe: filled by a commit, read by every candidate.
+#[derive(Default)]
+struct Caches {
+    outcomes: BTreeMap<Prefix, PrefixOutcome>,
+    /// Closure lines per cached prefix, for invalidation tests.
+    closures: BTreeMap<Prefix, BTreeSet<LineId>>,
+    /// Per-router base FIBs (connected + static), computed against the
+    /// committed base's device models — a router's base FIB is reused
+    /// while a simulator holds that very model `Arc`.
+    fib_base: Vec<Fib>,
+    /// Per-prefix BGP FIB fragments: the install list `(router index,
+    /// entry)` derived from each cached prefix's converged best routes.
+    fib_frags: BTreeMap<Prefix, Vec<(usize, FibEntry)>>,
+}
+
+impl Caches {
+    /// The caches of a cold run over `sim`.
+    fn fill(
+        fresh: BTreeMap<Prefix, PrefixOutcome>,
+        sim: &Simulator<'_>,
+        arena: &mut DerivArena,
+    ) -> Caches {
+        let mut caches = Caches::default();
+        for (p, o) in fresh {
+            // Closures include rejection roots: a prefix whose route was
+            // *denied* by a statement depends on that statement too, and
+            // must be invalidated when it is edited or deleted.
+            let roots: Vec<_> = o
+                .deriv_roots()
+                .into_iter()
+                .chain(o.rejection_roots().iter().copied())
+                .collect();
+            let closure = arena.closure_lines(roots).into_iter().collect();
+            caches.closures.insert(p, closure);
+            caches.fib_frags.insert(p, bgp_fragment(&o));
+            caches.outcomes.insert(p, o);
+        }
+        caches.fib_base = sim.base_fibs(arena);
+        caches
+    }
+}
+
 /// A verifier that caches per-prefix results between calls.
 pub struct IncrementalVerifier<'a> {
     verifier: Verifier<'a>,
     arena: DerivArena,
-    cached: BTreeMap<Prefix, PrefixOutcome>,
-    /// Closure lines per cached prefix, for invalidation tests.
-    closures: BTreeMap<Prefix, BTreeSet<LineId>>,
-    /// Compiled state of the most recently verified configuration — the
-    /// base candidates are delta-built against.
+    /// Compiled state of the committed configuration — the base
+    /// candidates are delta-built against.
     base: Option<CompiledBase<'a>>,
+    caches: Caches,
     /// Whether candidate simulators reuse the base (construction only;
     /// invalidation analysis is identical either way).
     delta: bool,
@@ -154,18 +178,9 @@ pub struct IncrementalVerifier<'a> {
     /// staleness is handled by [`PolicyMemo::begin_run`], which drops
     /// entries on sessions adjacent to patched routers.
     memo: PolicyMemo,
-    /// Per-router base FIBs (connected + static) of the committed
-    /// configuration, and the device models they were computed against —
-    /// a router's base FIB is reused while its model `Arc` is unchanged.
-    fib_base: Vec<Fib>,
-    fib_models: Vec<Arc<DeviceModel>>,
-    /// Per-prefix BGP FIB fragments, keyed like the outcome cache: the
-    /// install list `(router index, entry)` derived from each cached
-    /// prefix's converged best routes.
-    fib_frags: BTreeMap<Prefix, Vec<(usize, FibEntry)>>,
-    /// Cumulative sharded-convergence accounting across committed
-    /// verifications (candidate validation always runs unsharded),
-    /// surfaced in the engine's `shard_summary` journal event.
+    /// Cumulative sharded-convergence accounting across commits
+    /// (candidate validation always runs unsharded), surfaced in the
+    /// engine's `shard_summary` journal event.
     sharded_runs: u64,
     sharded_prefixes: u64,
     last_stats: IncrementalStats,
@@ -183,14 +198,10 @@ impl<'a> IncrementalVerifier<'a> {
         IncrementalVerifier {
             verifier: Verifier::with_samples(topo, spec, samples),
             arena: DerivArena::new(),
-            cached: BTreeMap::new(),
-            closures: BTreeMap::new(),
             base: None,
+            caches: Caches::default(),
             delta: true,
             memo: PolicyMemo::new(),
-            fib_base: Vec::new(),
-            fib_models: Vec::new(),
-            fib_frags: BTreeMap::new(),
             sharded_runs: 0,
             sharded_prefixes: 0,
             last_stats: IncrementalStats::default(),
@@ -210,7 +221,7 @@ impl<'a> IncrementalVerifier<'a> {
         self.delta = delta;
     }
 
-    /// The compiled base of the most recently verified configuration.
+    /// The compiled base of the committed configuration.
     pub fn base(&self) -> Option<&CompiledBase<'a>> {
         self.base.as_ref()
     }
@@ -220,8 +231,8 @@ impl<'a> IncrementalVerifier<'a> {
         self.last_stats
     }
 
-    /// Cumulative `(sharded runs, prefixes run sharded)` across committed
-    /// verifications — the engine's `shard_summary` journal event.
+    /// Cumulative `(sharded runs, prefixes run sharded)` across commits —
+    /// the engine's `shard_summary` journal event.
     pub fn shard_totals(&self) -> (u64, u64) {
         (self.sharded_runs, self.sharded_prefixes)
     }
@@ -232,147 +243,41 @@ impl<'a> IncrementalVerifier<'a> {
         &self.arena
     }
 
-    /// Verifies `cfg`. When `patch` describes how `cfg` differs from the
-    /// previously verified configuration, only affected prefixes are
-    /// re-simulated; with `None` (or on the first call) everything runs.
-    pub fn verify(&mut self, cfg: &NetworkConfig, patch: Option<&Patch>) -> Verification {
-        self.verify_impl(cfg, patch, false)
-    }
-
-    /// [`IncrementalVerifier::verify`] with control over the policy
-    /// memo's lifetime. The public path always resets it (the committed
-    /// models changed); the resume path keeps it, which is sound
-    /// because resumption is fingerprint-gated to the *identical*
-    /// configuration — the memoized transfers were computed against the
-    /// very `Arc`'d models being re-installed, and `begin_run` still
-    /// drops entries poisoned by the suspended run's last candidate.
-    fn verify_impl(
-        &mut self,
-        cfg: &NetworkConfig,
-        patch: Option<&Patch>,
-        keep_memo: bool,
-    ) -> Verification {
-        // Establish the compiled base. With a previous base and a patch
-        // relating the two configurations, advance it (sharing untouched
-        // state); otherwise compile from scratch. The delta analysis runs
-        // either way so invalidation is toggle-independent.
-        let (base, info) = match (self.base.take(), patch) {
-            (Some(prev), Some(p)) if !self.cached.is_empty() => {
-                if self.delta {
-                    let (base, info) = prev.advance(cfg, p);
-                    (base, Some(info))
-                } else {
-                    let info = prev.analyze(cfg, p);
-                    (CompiledBase::new(self.verifier.topo(), cfg), Some(info))
-                }
-            }
-            _ => (CompiledBase::new(self.verifier.topo(), cfg), None),
-        };
-        let build = match &info {
-            Some(i) if self.delta => i.build,
-            _ => base.build_stats(),
-        };
+    /// Commits `cfg` as the base configuration — the one cold path:
+    /// compiles it, simulates the whole universe and fills the caches
+    /// every later [`IncrementalVerifier::verify_candidate`] reads.
+    pub fn commit(&mut self, cfg: &NetworkConfig) -> Verification {
+        let base = CompiledBase::new(self.verifier.topo(), cfg);
         let sim = Simulator::from_base(&base);
         let universe = sim.universe();
-
-        let cold = self.cached.is_empty();
-        let affected: BTreeSet<Prefix> = match (&info, patch) {
-            (Some(i), Some(p))
-                if !self.cached.is_empty() && i.session_delta != SessionDelta::Structural =>
-            {
-                narrowed_affected(&self.closures, &self.cached, p, cfg, &universe, i)
-            }
-            _ => universe.clone(),
-        };
-
-        // Drop cache entries for prefixes that left the universe.
-        self.cached.retain(|p, _| universe.contains(p));
-        self.closures.retain(|p, _| universe.contains(p));
-        self.fib_frags.retain(|p, _| universe.contains(p));
-
-        let t = Instant::now();
-        // The committed path never warm-starts: its outcomes seed the
-        // cache (and the persistent arena), so they are always computed
-        // cold against the new configuration. The policy memo is reset
-        // (the committed models changed) and re-seeded by this run, so
-        // the first candidate already finds the base's transfers. A
-        // resumed verifier keeps its memo instead — see `verify_impl`.
-        if !keep_memo {
-            self.memo = PolicyMemo::new();
-        }
+        // Nothing is cached about the new configuration: the cold rule.
+        self.caches = Caches::default();
+        let affected = affected_prefixes(&self.caches, None, &Patch::new(), &universe);
+        // The committed models changed, so the policy memo starts over;
+        // this run re-seeds it and the first candidate already finds the
+        // base's transfers. The committed path never warm-starts and may
+        // shard: its outcomes seed the cache, computed cold.
+        self.memo = PolicyMemo::new();
         self.memo.begin_run(sim.sessions_arc(), &[]);
-        let (fresh, work) = sim.run_prefixes_with(
-            &affected,
-            &mut self.arena,
-            &RunOptions::default(),
-            &mut self.memo,
-        );
-        self.sharded_runs += work.sharded_runs;
-        self.sharded_prefixes += work.sharded_prefixes;
-        let converge = t.elapsed();
-        PREFIXES_RECOMPUTED.add(fresh.len() as u64);
-        PREFIXES_REUSED.add(universe.len().saturating_sub(fresh.len()) as u64);
-        count_invalidated(fresh.len() as u64, cold, info.as_ref());
-        self.last_stats = IncrementalStats {
-            recomputed: fresh.len(),
-            reused: universe.len().saturating_sub(fresh.len()),
-            compiled_devices: build.compiled_devices,
-            established_routers: build.established_routers,
-            compile: build.compile,
-            establish: build.establish,
-            simulate: Duration::ZERO,
-            converge,
-            warm_reused: 0,
-        };
-        for (p, o) in fresh {
-            // Closures include rejection roots: a prefix whose route was
-            // *denied* by a statement depends on that statement too, and
-            // must be invalidated when it is edited or deleted.
-            let roots: Vec<_> = o
-                .deriv_roots()
-                .into_iter()
-                .chain(o.rejection_roots().iter().copied())
-                .collect();
-            let closure: BTreeSet<LineId> = self.arena.closure_lines(roots).into_iter().collect();
-            self.closures.insert(p, closure);
-            self.fib_frags.insert(p, bgp_fragment(&o));
-            self.cached.insert(p, o);
-        }
-
-        // FIB assembly from cached pieces: rebuild base FIBs only for
-        // routers whose model changed, and BGP fragments only for the
-        // prefixes just re-simulated (fragments of reused prefixes are
-        // already cached). Identical output to `sim.fibs_for` — install
-        // order across prefixes is irrelevant (distinct trie keys) and
-        // base entries always precede BGP installs.
-        let models = sim.models();
-        if self.fib_base.len() != models.len() {
-            self.fib_base = sim.base_fibs(&mut self.arena);
-            FIB_ROUTERS_REBUILT.add(models.len() as u64);
-        } else {
-            let (rebuilt, reused) =
-                refresh_base_fibs(&mut self.fib_base, &self.fib_models, &sim, &mut self.arena);
-            FIB_ROUTERS_REBUILT.add(rebuilt);
-            FIB_ROUTERS_REUSED.add(reused);
-        }
-        self.fib_models = models.to_vec();
-        FIB_FRAGS_RECOMPUTED.add(self.last_stats.recomputed as u64);
-        FIB_FRAGS_REUSED.add((self.fib_frags.len() - self.last_stats.recomputed) as u64);
-        let mut fibs = self.fib_base.clone();
-        for (prefix, frag) in &self.fib_frags {
-            for (i, entry) in frag {
-                fibs[*i].install(*prefix, entry.clone());
-            }
-        }
-        self.last_stats.simulate = t.elapsed();
-        self.base = Some(base);
-        self.verifier.evaluate(
+        let (arena, memo) = (&mut self.arena, &mut self.memo);
+        let opts = RunOptions::default();
+        let mut run = simulate(
             &sim,
-            &self.cached,
-            &fibs,
-            &mut self.arena,
-            sim.session_diags(),
-        )
+            base.build_stats(),
+            &universe,
+            affected,
+            &opts,
+            arena,
+            memo,
+        );
+        self.sharded_runs += run.work.sharded_runs;
+        self.sharded_prefixes += run.work.sharded_prefixes;
+        self.caches = Caches::fill(std::mem::take(&mut run.fresh), &sim, arena);
+        self.base = Some(base);
+        let (view, arena, _) = self.split();
+        let (verification, stats) = view.assemble(&sim, &universe, run, arena);
+        self.last_stats = stats;
+        verification
     }
 
     /// Verifies a **candidate** configuration (`cfg` = committed base +
@@ -381,20 +286,22 @@ impl<'a> IncrementalVerifier<'a> {
     /// persistent arena still grows (content-addressed, so cached ids stay
     /// valid), but per-prefix results of the base remain authoritative.
     pub fn verify_candidate(&mut self, cfg: &NetworkConfig, patch: &Patch) -> Verification {
-        let validator = CandidateValidator {
-            verifier: &self.verifier,
-            cached: &self.cached,
-            closures: &self.closures,
-            base: self.base.as_ref(),
-            delta: self.delta,
-            fib_base: &self.fib_base,
-            fib_models: &self.fib_models,
-            fib_frags: &self.fib_frags,
-        };
-        let (verification, stats) =
-            validator.verify_candidate_with(cfg, patch, &mut self.arena, Some(&mut self.memo));
+        let (view, arena, memo) = self.split();
+        let (verification, stats) = view.verify_candidate_with(cfg, patch, arena, Some(memo));
         self.last_stats = stats;
         verification
+    }
+
+    /// The read-only view plus the two pieces a sequential caller threads
+    /// through it mutably.
+    fn split(&mut self) -> (CandidateValidator<'_, 'a>, &mut DerivArena, &mut PolicyMemo) {
+        let view = CandidateValidator {
+            verifier: &self.verifier,
+            base: self.base.as_ref(),
+            caches: &self.caches,
+            delta: self.delta,
+        };
+        (view, &mut self.arena, &mut self.memo)
     }
 
     /// A read-only view for validating candidates against the committed
@@ -405,13 +312,9 @@ impl<'a> IncrementalVerifier<'a> {
     pub fn validator(&self) -> CandidateValidator<'_, 'a> {
         CandidateValidator {
             verifier: &self.verifier,
-            cached: &self.cached,
-            closures: &self.closures,
             base: self.base.as_ref(),
+            caches: &self.caches,
             delta: self.delta,
-            fib_base: &self.fib_base,
-            fib_models: &self.fib_models,
-            fib_frags: &self.fib_frags,
         }
     }
 
@@ -420,14 +323,6 @@ impl<'a> IncrementalVerifier<'a> {
     /// persistent arena, returning a clone whose roots resolve here.
     pub fn absorb_verification(&mut self, v: &Verification, src: &DerivArena) -> Verification {
         crate::cache::rebase_verification(v, src, &mut self.arena)
-    }
-
-    /// Commits a new base configuration (e.g. after an iteration adopted a
-    /// candidate): fully re-verifies and caches it.
-    pub fn commit(&mut self, cfg: &NetworkConfig) -> Verification {
-        self.cached.clear();
-        self.closures.clear();
-        self.verify(cfg, None)
     }
 
     /// Consumes the verifier into an owned, borrow-free [`WarmState`] a
@@ -442,12 +337,8 @@ impl<'a> IncrementalVerifier<'a> {
             base_fp: base.cfg_fingerprint(),
             base: base.detach(),
             arena: self.arena,
-            cached: self.cached,
-            closures: self.closures,
+            caches: self.caches,
             memo: self.memo,
-            fib_base: self.fib_base,
-            fib_models: self.fib_models,
-            fib_frags: self.fib_frags,
         })
     }
 
@@ -497,19 +388,17 @@ impl<'a> IncrementalVerifier<'a> {
             return Err(Box::new(iv));
         }
         iv.arena = warm.arena;
-        iv.cached = warm.cached;
-        iv.closures = warm.closures;
+        iv.caches = warm.caches;
         iv.memo = warm.memo;
-        iv.fib_base = warm.fib_base;
-        iv.fib_models = warm.fib_models;
-        iv.fib_frags = warm.fib_frags;
         iv.base = Some(CompiledBase::attach(iv.verifier.topo(), warm.base));
-        // Re-verify through the ordinary incremental path with an empty
-        // patch: the delta analysis proves nothing changed, the affected
-        // set is empty, and `evaluate` replays the cached outcomes into
-        // a Verification byte-identical to the suspended run's.
-        let empty = Patch::new();
-        let v = iv.verify_impl(cfg, Some(&empty), true);
+        // Replay as the empty candidate: its model diff is empty, so the
+        // affected set is, and the tail turns the cached outcomes into a
+        // Verification byte-identical to the suspended run's. The memo is
+        // kept — its transfers were computed against the very `Arc`'d
+        // models being re-installed — and the empty candidate's
+        // `begin_run` drops what the suspended run's last candidate
+        // poisoned.
+        let v = iv.verify_candidate(cfg, &Patch::new());
         RESUME_HITS.inc();
         Ok((iv, v))
     }
@@ -525,33 +414,23 @@ pub struct WarmState {
     base_fp: u64,
     base: ResidentBase,
     arena: DerivArena,
-    cached: BTreeMap<Prefix, PrefixOutcome>,
-    closures: BTreeMap<Prefix, BTreeSet<LineId>>,
+    caches: Caches,
     memo: PolicyMemo,
-    fib_base: Vec<Fib>,
-    fib_models: Vec<Arc<DeviceModel>>,
-    fib_frags: BTreeMap<Prefix, Vec<(usize, FibEntry)>>,
 }
 
 /// A shareable, read-only candidate validator: the immutable half of an
-/// [`IncrementalVerifier`]. It never mutates the per-prefix memo, so a
+/// [`IncrementalVerifier`]. It never mutates the per-prefix caches, so a
 /// candidate's verdict is a pure function of (committed base state,
 /// candidate config, patch) — which is what lets the repair engine fan a
 /// batch of candidates out over threads without any result depending on
 /// scheduling.
 pub struct CandidateValidator<'v, 'a> {
     verifier: &'v Verifier<'a>,
-    cached: &'v BTreeMap<Prefix, PrefixOutcome>,
-    closures: &'v BTreeMap<Prefix, BTreeSet<LineId>>,
+    /// `None` only while nothing was committed — and then nothing is
+    /// cached either, so a candidate simply runs cold.
     base: Option<&'v CompiledBase<'a>>,
+    caches: &'v Caches,
     delta: bool,
-    /// The committed base FIBs, their models, and per-prefix fragments
-    /// (read-only views of the owning verifier's caches): candidates
-    /// rebuild base FIBs only for routers the patch recompiled and reuse
-    /// fragments of every prefix served from the outcome cache.
-    fib_base: &'v [Fib],
-    fib_models: &'v [Arc<DeviceModel>],
-    fib_frags: &'v BTreeMap<Prefix, Vec<(usize, FibEntry)>>,
 }
 
 impl<'v, 'a> CandidateValidator<'v, 'a> {
@@ -597,279 +476,238 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
         // base when enabled, from scratch otherwise. The delta *analysis*
         // runs in both modes so the affected-prefix set (and with it every
         // verdict and count) is identical.
-        let (sim, info) = match self.base {
-            Some(base) if self.delta => {
-                let sim = Simulator::from_base_with_patch(base, cfg, patch);
-                let info = sim.delta_info().cloned();
-                (sim, info)
-            }
-            Some(base) => {
-                let info = base.analyze(cfg, patch);
-                (Simulator::new(self.verifier.topo(), cfg), Some(info))
-            }
-            None => (Simulator::new(self.verifier.topo(), cfg), None),
+        let sim = match self.base {
+            Some(base) if self.delta => Simulator::from_base_with_patch(base, cfg, patch),
+            _ => Simulator::new(self.verifier.topo(), cfg),
         };
-        let build = sim.build_stats();
+        let analyzed = match self.base {
+            Some(base) if !self.delta => Some(base.analyze(cfg, patch)),
+            _ => None,
+        };
+        let info = sim.delta_info().or(analyzed.as_ref());
         let universe = sim.universe();
-        let full_reset = self.cached.is_empty()
-            || match &info {
-                Some(i) => i.session_delta == SessionDelta::Structural,
-                // No compiled base to analyze against: fall back to the
-                // conservative statement-kind test.
-                None => patch_resets_sessions(patch, cfg),
-            };
-        let affected: BTreeSet<Prefix> = if full_reset {
-            universe.clone()
-        } else {
-            let mut set = affected_by(self.closures, patch, cfg, &universe);
-            for p in &universe {
-                if !self.cached.contains_key(p) {
-                    set.insert(*p);
-                }
-            }
-            if let Some(i) = &info {
-                extend_with_delta_info(&mut set, &universe, i);
-            }
-            set
-        };
-        // Warm-start eligibility: only under delta mode, only when the
-        // analysis proved the patch leaves the BGP dynamics unchanged
-        // (`DeltaInfo::warm_eligible`), and never across a full reset.
-        // Warm reuse is byte-exact (probe-verified fixed-point replay),
-        // so verdicts and recompute/reuse counts are still identical with
-        // delta mode off.
-        let warm_ok = self.delta && !full_reset && info.as_ref().is_some_and(|i| i.warm_eligible);
+        let affected = affected_prefixes(self.caches, info, patch, &universe);
+        // Warm starts only under delta mode and only when the analysis
+        // proved the patch leaves the BGP dynamics unchanged
+        // (`DeltaInfo::warm_eligible`). Warm reuse is byte-exact
+        // (probe-verified fixed-point replay), so verdicts and
+        // recompute/reuse counts are still identical with delta mode off.
+        let warm_ok = self.delta && info.is_some_and(|i| i.warm_eligible);
         // The cross-candidate memo is sound exactly when this candidate
         // was delta-built: unchanged routers then hold the base's own
         // `Arc`'d models, so a memoized transfer between two unpatched
         // endpoints is pure in inputs the patch cannot reach. Structural
         // session changes are fine — `begin_run` re-homes surviving
-        // slots by endpoint pair — so `full_reset` (a prefix-cache
-        // concern) does not disqualify the memo.
-        let memo_ok = self.delta && info.is_some();
+        // slots by endpoint pair.
         let mut local_memo = PolicyMemo::new();
         let memo = match memo {
-            Some(m) if memo_ok => {
-                let mut changed: Vec<RouterId> = patch.edits.iter().map(Edit::router).collect();
-                changed.sort_unstable();
-                changed.dedup();
-                m.begin_run(sim.sessions_arc(), &changed);
+            Some(m) if sim.delta_info().is_some() => {
+                m.begin_run(sim.sessions_arc(), &patch.routers());
                 m
             }
             _ => &mut local_memo,
         };
-        let t = Instant::now();
         // Candidates run unsharded, explicitly: the sharded runner starts
         // each worker from a fresh memo/arena (and skips warm starts), so
         // it would forfeit exactly the cross-candidate reuse this path is
         // built around — affected sets here are small by construction.
         let opts = RunOptions {
-            warm: if warm_ok { Some(self.cached) } else { None },
+            warm: warm_ok.then_some(&self.caches.outcomes),
             shard: ShardMode::Off,
             ..RunOptions::default()
         };
-        let (fresh, work) = sim.run_prefixes_with(&affected, arena, &opts, memo);
-        let converge = t.elapsed();
-        PREFIXES_RECOMPUTED.add(fresh.len() as u64);
-        PREFIXES_REUSED.add(universe.len().saturating_sub(fresh.len()) as u64);
-        count_invalidated(fresh.len() as u64, self.cached.is_empty(), info.as_ref());
-        let mut stats = IncrementalStats {
-            recomputed: fresh.len(),
-            reused: universe.len().saturating_sub(fresh.len()),
-            compiled_devices: build.compiled_devices,
-            established_routers: build.established_routers,
-            compile: build.compile,
-            establish: build.establish,
-            simulate: Duration::ZERO,
-            converge,
-            warm_reused: work.warm_reused as usize,
-        };
+        let run = simulate(
+            &sim,
+            sim.build_stats(),
+            &universe,
+            affected,
+            &opts,
+            arena,
+            memo,
+        );
+        self.assemble(&sim, &universe, run, arena)
+    }
+
+    /// The one tail of commit, resume and candidate: fresh outcomes over
+    /// the cache, FIBs from the committed base FIBs and fragments, then
+    /// the property walks on the merged state.
+    fn assemble(
+        &self,
+        sim: &Simulator<'a>,
+        universe: &BTreeSet<Prefix>,
+        run: Run,
+        arena: &mut DerivArena,
+    ) -> (Verification, IncrementalStats) {
+        let Run {
+            fresh,
+            mut stats,
+            started,
+            ..
+        } = run;
         // Merge: fresh results override the cache; prefixes outside the
-        // candidate's universe are dropped. The map holds *references*
-        // (cache entries are read-only here), so validating a candidate
-        // never deep-clones the committed per-prefix state.
-        let mut merged: BTreeMap<Prefix, &PrefixOutcome> = self
-            .cached
+        // universe are dropped. The map holds *references* (cache entries
+        // are read-only here), so validating a candidate never deep-clones
+        // the committed per-prefix state. Every universe prefix has an
+        // outcome: one new to it is always affected.
+        let merged: BTreeMap<Prefix, &PrefixOutcome> = universe
             .iter()
-            .filter(|(p, _)| universe.contains(*p))
-            .map(|(p, o)| (*p, o))
+            .map(|p| (*p, fresh.get(p).unwrap_or_else(|| &self.caches.outcomes[p])))
             .collect();
-        for (p, o) in &fresh {
-            merged.insert(*p, o);
-        }
-        // Candidate FIB assembly mirrors the committed path: start from
-        // the committed base FIBs (under delta construction, unpatched
-        // routers still hold the committed model `Arc`s, so only patched
-        // routers rebuild), install cached fragments for reused prefixes
-        // and derive fragments only for re-simulated ones. A validator
-        // with no committed FIB state falls back to full assembly.
-        let fibs = if self.fib_base.len() == sim.models().len() {
-            let mut fibs = self.fib_base.to_vec();
-            let (rebuilt, reused) = refresh_base_fibs(&mut fibs, self.fib_models, &sim, arena);
-            FIB_ROUTERS_REBUILT.add(rebuilt);
-            FIB_ROUTERS_REUSED.add(reused);
-            let (mut frags_fresh, mut frags_reused) = (0u64, 0u64);
-            for (p, o) in &merged {
-                match self.fib_frags.get(p) {
-                    Some(frag) if !fresh.contains_key(p) => {
-                        frags_reused += 1;
-                        for (i, entry) in frag {
-                            fibs[*i].install(*p, entry.clone());
-                        }
+        // Base FIBs are a pure function of (topology, device model): a
+        // router still holding the committed model `Arc` (every unpatched
+        // one, under delta construction) reuses the committed FIB, and the
+        // derivation interns a rebuild would have made would have been
+        // dedup hits — the arena stays byte-identical to assembling from
+        // scratch. Fragments come from the cache for reused prefixes and
+        // are derived for re-simulated ones. Identical to `sim.fibs_for`:
+        // install order across prefixes is irrelevant (distinct trie keys)
+        // and base entries always precede BGP installs.
+        let committed = self.base.map_or(&[][..], |b| b.models());
+        let models = sim.models().iter().enumerate();
+        let mut fibs: Vec<Fib> = models
+            .map(|(i, m)| match committed.get(i) {
+                Some(c) if Arc::ptr_eq(m, c) => self.caches.fib_base[i].clone(),
+                _ => sim.base_fib_of(RouterId(i as u32), arena),
+            })
+            .collect();
+        for (p, o) in &merged {
+            match self.caches.fib_frags.get(p) {
+                Some(frag) if !fresh.contains_key(p) => {
+                    for (i, entry) in frag {
+                        fibs[*i].install(*p, entry.clone());
                     }
-                    _ => {
-                        frags_fresh += 1;
-                        for (i, entry) in bgp_fragment(o) {
-                            fibs[i].install(*p, entry);
-                        }
+                }
+                _ => {
+                    for (i, entry) in bgp_fragment(o) {
+                        fibs[i].install(*p, entry);
                     }
                 }
             }
-            FIB_FRAGS_RECOMPUTED.add(frags_fresh);
-            FIB_FRAGS_REUSED.add(frags_reused);
-            fibs
-        } else {
-            sim.fibs_for(&merged, arena)
-        };
-        stats.simulate = t.elapsed();
+        }
+        // Booked from the call's statistics, not from the two loops: a
+        // commit replays what `Caches::fill` has just built, and that is
+        // built, not reused. A router's base FIB is rebuilt exactly when
+        // its device was compiled for this call.
+        FIB_ROUTERS_REBUILT.add(stats.compiled_devices as u64);
+        FIB_ROUTERS_REUSED.add((fibs.len() - stats.compiled_devices) as u64);
+        FIB_FRAGS_RECOMPUTED.add(stats.recomputed as u64);
+        FIB_FRAGS_REUSED.add(stats.reused as u64);
+        stats.simulate = started.elapsed();
         let verification = self
             .verifier
-            .evaluate(&sim, &merged, &fibs, arena, sim.session_diags());
+            .evaluate(sim, &merged, &fibs, arena, sim.session_diags());
         (verification, stats)
     }
 }
 
-/// Folds a delta analysis into an affected-prefix set: prefixes whose
-/// origination changed, plus universe prefixes overlapping literals that a
-/// `Delete` edit may have removed.
-fn extend_with_delta_info(set: &mut BTreeSet<Prefix>, universe: &BTreeSet<Prefix>, i: &DeltaInfo) {
-    for p in &i.changed_origin_prefixes {
-        if universe.contains(p) {
-            set.insert(*p);
-        }
-    }
-    for lit in &i.delete_literals {
-        for p in universe {
-            if p.overlaps(*lit) {
-                set.insert(*p);
-            }
-        }
+/// One simulation of an affected set, on its way to the tail.
+struct Run {
+    fresh: BTreeMap<Prefix, PrefixOutcome>,
+    stats: IncrementalStats,
+    work: ConvergeWork,
+    started: Instant,
+}
+
+/// Simulates `affected` and books the call: the one place prefixes are
+/// run and the recompute/reuse statistics and counters are kept.
+fn simulate(
+    sim: &Simulator<'_>,
+    build: SimBuild,
+    universe: &BTreeSet<Prefix>,
+    (affected, rule): (BTreeSet<Prefix>, &Counter),
+    opts: &RunOptions<'_>,
+    arena: &mut DerivArena,
+    memo: &mut PolicyMemo,
+) -> Run {
+    let started = Instant::now();
+    let (fresh, work) = sim.run_prefixes_with(&affected, arena, opts, memo);
+    let stats = IncrementalStats {
+        recomputed: fresh.len(),
+        reused: universe.len() - fresh.len(),
+        compiled_devices: build.compiled_devices,
+        established_routers: build.established_routers,
+        compile: build.compile,
+        establish: build.establish,
+        simulate: Duration::ZERO,
+        converge: started.elapsed(),
+        warm_reused: work.warm_reused as usize,
+    };
+    PREFIXES_RECOMPUTED.add(stats.recomputed as u64);
+    PREFIXES_REUSED.add(stats.reused as u64);
+    rule.add(stats.recomputed as u64);
+    Run {
+        fresh,
+        stats,
+        work,
+        started,
     }
 }
 
-/// The narrowed affected set for [`IncrementalVerifier::verify`]: region
-/// rule + literal overlap + universe newcomers + delta-analysis findings.
-fn narrowed_affected(
-    closures: &BTreeMap<Prefix, BTreeSet<LineId>>,
-    cached: &BTreeMap<Prefix, PrefixOutcome>,
+/// The prefixes whose cached outcome a candidate may not reuse, and the
+/// `verify.invalidated.*` counter of the rule that chose them — the one
+/// place an affected set is computed.
+///
+/// **Contract.** A cached per-prefix outcome is a pure function of exactly
+/// the inputs [`DeltaInfo::warm_eligible`] enumerates: the session vector,
+/// each router's AS value, the prefix's originations, and `eval_policy`
+/// over the touched models' `route_policies` and `prefix_lists`. Every
+/// universe prefix for which one of them can differ between the committed
+/// configuration and the candidate, or whose closure holds a renumbered
+/// line, is returned. What differs is read off `info`, the old-vs-new
+/// model diff; `patch` only locates the first edited line per router.
+///
+/// With nothing cached (or committed: `info` is `None`) that is every
+/// prefix. Otherwise:
+///
+/// 1. **Every prefix** when sessions changed structurally (routes may
+///    flow along paths no cached closure has a trace of), or when a
+///    touched router's AS value or a policy one of its peers binds
+///    changed — `eval_policy` leaves no line in a prefix's closure for a
+///    node it fell through, names only the first node on an implicit
+///    deny, and nothing at all for an undefined policy, so closures cannot
+///    say which prefixes a changed policy now treats differently.
+///
+/// and otherwise the union of
+///
+/// 2. prefixes whose originations changed on a touched router;
+/// 3. prefixes matched by a changed prefix-list entry (an entry can only
+///    decide a route it matches);
+/// 4. prefixes whose closure holds a line at or after the first edited
+///    line of its router — renumbered, replaced or gone — or a line of a
+///    session whose attribution changed without a structural change;
+/// 5. prefixes new to the universe, which have no cached outcome.
+fn affected_prefixes(
+    caches: &Caches,
+    info: Option<&DeltaInfo>,
     patch: &Patch,
-    cfg: &NetworkConfig,
     universe: &BTreeSet<Prefix>,
-    info: &DeltaInfo,
-) -> BTreeSet<Prefix> {
-    let mut set = affected_by(closures, patch, cfg, universe);
-    // Prefixes new to the universe must be simulated.
-    for p in universe {
-        if !cached.contains_key(p) {
-            set.insert(*p);
-        }
+) -> (BTreeSet<Prefix>, &'static Counter) {
+    let info = match info {
+        Some(info) if !caches.outcomes.is_empty() => info,
+        _ => return (universe.clone(), &INV_COLD),
+    };
+    if info.session_delta == SessionDelta::Structural {
+        return (universe.clone(), &INV_SESSIONS);
     }
-    extend_with_delta_info(&mut set, universe, info);
-    set
-}
-
-/// The prefixes a patch can affect, given the cached per-prefix closures
-/// and the *new* configuration.
-fn affected_by(
-    closures: &BTreeMap<Prefix, BTreeSet<LineId>>,
-    patch: &Patch,
-    cfg: &NetworkConfig,
-    universe: &BTreeSet<Prefix>,
-) -> BTreeSet<Prefix> {
-    // Lowest edited statement index per device: every line at or after
-    // it may have shifted, so any cached closure touching that region
-    // is stale.
-    let mut min_line: BTreeMap<RouterId, u32> = BTreeMap::new();
-    let mut literals: Vec<Prefix> = Vec::new();
+    if info.policy_changed {
+        return (universe.clone(), &INV_POLICY);
+    }
+    let mut first_edit: BTreeMap<RouterId, u32> = BTreeMap::new();
     for edit in &patch.edits {
-        let (router, index, stmt) = match edit {
-            Edit::Insert {
-                router,
-                index,
-                stmt,
-            } => (*router, *index, Some(stmt)),
-            Edit::Replace {
-                router,
-                index,
-                stmt,
-            } => (*router, *index, Some(stmt)),
-            Edit::Delete { router, index } => (*router, *index, None),
-        };
-        let line = index as u32 + 1;
-        min_line
-            .entry(router)
-            .and_modify(|m| *m = (*m).min(line))
-            .or_insert(line);
-        if let Some(stmt) = stmt {
-            literals.extend(prefix_literals(stmt));
-        }
-        // A delete's statement is gone from `cfg`, but whatever it
-        // mentioned is covered by the closure-region rule.
-        let _ = cfg;
+        let line = edit.index() as u32 + 1;
+        let first = first_edit.entry(edit.router()).or_insert(line);
+        *first = line.min(*first);
     }
-
-    let mut out = BTreeSet::new();
-    for (p, closure) in closures {
-        let stale = closure
-            .iter()
-            .any(|l| min_line.get(&l.router).is_some_and(|m| l.line >= *m));
-        if stale {
-            out.insert(*p);
-        }
-    }
-    for lit in &literals {
-        for p in universe {
-            if p.overlaps(*lit) {
-                out.insert(*p);
-            }
-        }
-    }
-    out
-}
-
-/// Whether a patch touches session-shaping statements in the *new* config
-/// or deletes anything (a deleted statement's kind is unknown here, so be
-/// conservative).
-fn patch_resets_sessions(patch: &Patch, _cfg: &NetworkConfig) -> bool {
-    patch.edits.iter().any(|e| match e {
-        Edit::Insert { stmt, .. } | Edit::Replace { stmt, .. } => is_session_shaping(stmt),
-        Edit::Delete { .. } => true,
-    })
-}
-
-fn is_session_shaping(stmt: &Stmt) -> bool {
-    matches!(
-        stmt,
-        Stmt::BgpProcess(_)
-            | Stmt::PeerAs { .. }
-            | Stmt::PeerGroup { .. }
-            | Stmt::PeerPolicy { .. }
-            | Stmt::GroupDef(_)
-            | Stmt::Interface(_)
-            | Stmt::IpAddress { .. }
-    )
-}
-
-/// Prefix literals mentioned by a statement (for overlap-based
-/// invalidation).
-fn prefix_literals(stmt: &Stmt) -> Vec<Prefix> {
-    match stmt {
-        Stmt::Network(p) => vec![*p],
-        Stmt::StaticRoute { prefix, .. } => vec![*prefix],
-        Stmt::PrefixListEntry { prefix, .. } => vec![*prefix],
-        Stmt::AclRule(r) => vec![r.src, r.dst],
-        _ => Vec::new(),
-    }
+    let stale = |l: &LineId| {
+        first_edit.get(&l.router).is_some_and(|m| l.line >= *m)
+            || info.stale_session_lines.contains(l)
+    };
+    let narrowed = universe.iter().filter(|p| {
+        info.changed_origin_prefixes.contains(p)
+            || info.changed_pl_entries.iter().any(|e| e.matches(**p))
+            || caches.closures.get(p).is_none_or(|c| c.iter().any(stale))
+    });
+    (narrowed.copied().collect(), &INV_NARROWED)
 }
 
 #[cfg(test)]
@@ -878,6 +716,8 @@ mod tests {
     use crate::spec::Property;
     use acr_cfg::ast::{NextHop, PlAction};
     use acr_cfg::parse::parse_device;
+    use acr_cfg::{Edit, PeerRef, Stmt};
+    use acr_net_types::{Asn, Ipv4Addr};
     use acr_topo::gen;
 
     fn p(s: &str) -> Prefix {
@@ -885,19 +725,21 @@ mod tests {
     }
 
     /// A 5-router line where each end originates a prefix; edits at one end
-    /// must not invalidate the other end's prefix.
+    /// must not invalidate the other end's prefix. R2 imports from R1
+    /// through policy `IN` (one catch-all node over prefix list `all`) and
+    /// from R3 through `GHOST`, which nothing defines.
     fn scenario() -> (Topology, NetworkConfig, Spec) {
         let topo = gen::line(5);
         // Link i: .1+4i / .2+4i between Ri and Ri+1.
         let cfgs = [
-            "bgp 65000\n network 10.0.0.0 16\n peer 172.16.0.2 as-number 65001\n".to_string(),
-            "bgp 65001\n peer 172.16.0.1 as-number 65000\n peer 172.16.0.6 as-number 65002\n".to_string(),
-            "bgp 65002\n peer 172.16.0.5 as-number 65001\n peer 172.16.0.10 as-number 65003\n".to_string(),
-            "bgp 65003\n peer 172.16.0.9 as-number 65002\n peer 172.16.0.14 as-number 65004\n".to_string(),
-            "bgp 65004\n network 10.4.0.0 16\n peer 172.16.0.13 as-number 65003\nip route-static 30.0.0.0 16 NULL0\n".to_string(),
+            "bgp 65000\n network 10.0.0.0 16\n peer 172.16.0.2 as-number 65001\n",
+            "bgp 65001\n peer 172.16.0.1 as-number 65000\n peer 172.16.0.6 as-number 65002\n",
+            "bgp 65002\n peer 172.16.0.5 as-number 65001\n peer 172.16.0.5 route-policy IN import\n peer 172.16.0.10 as-number 65003\n peer 172.16.0.10 route-policy GHOST import\nroute-policy IN permit node 10\n if-match ip-prefix all\nip prefix-list all index 10 permit 0.0.0.0 0 le 32\n",
+            "bgp 65003\n peer 172.16.0.9 as-number 65002\n peer 172.16.0.14 as-number 65004\n",
+            "bgp 65004\n network 10.4.0.0 16\n peer 172.16.0.13 as-number 65003\nip route-static 30.0.0.0 16 NULL0\n",
         ];
         let mut cfg = NetworkConfig::new();
-        for (r, c) in topo.routers().iter().zip(&cfgs) {
+        for (r, c) in topo.routers().iter().zip(cfgs) {
             cfg.insert(r.id, parse_device(r.name.clone(), c).unwrap());
         }
         let spec = Spec::new()
@@ -916,117 +758,252 @@ mod tests {
         (topo, cfg, spec)
     }
 
+    fn append(cfg: &NetworkConfig, router: u32, stmt: Stmt) -> Patch {
+        Patch::single(Edit::Insert {
+            router: RouterId(router),
+            index: cfg.device(RouterId(router)).unwrap().len(),
+            stmt,
+        })
+    }
+
+    fn peer_as(last_octet: u8, asn: u32) -> Stmt {
+        Stmt::PeerAs {
+            peer: PeerRef::Ip(Ipv4Addr::new(172, 16, 0, last_octet)),
+            asn: Asn(asn),
+        }
+    }
+
+    fn pl_entry(list: &str, index: u32, prefix: &str) -> Stmt {
+        Stmt::PrefixListEntry {
+            list: list.into(),
+            index,
+            action: PlAction::Permit,
+            prefix: p(prefix),
+            ge: None,
+            le: Some(32),
+        }
+    }
+
+    /// Commits `cfg`, validates `patch` against it, checks the verdicts,
+    /// violations, paths and coverage lines against a full verification of
+    /// the patched configuration, and returns the candidate's verification
+    /// and stats.
+    fn candidate(
+        topo: &Topology,
+        spec: &Spec,
+        cfg: &NetworkConfig,
+        patch: &Patch,
+    ) -> (Verification, IncrementalStats) {
+        let mut iv = IncrementalVerifier::new(topo, spec);
+        iv.commit(cfg);
+        let patched = patch.apply_cloned(cfg).unwrap();
+        let v_inc = iv.verify_candidate(&patched, patch);
+        let (v_full, _) = Verifier::new(topo, spec).run_full(&patched);
+        for (a, b) in v_inc.records.iter().zip(&v_full.records) {
+            assert_eq!(
+                (a.passed, &a.violation, &a.path),
+                (b.passed, &b.violation, &b.path)
+            );
+        }
+        for (a, b) in v_inc.matrix.tests().iter().zip(v_full.matrix.tests()) {
+            assert_eq!(a.lines, b.lines, "coverage must match full verification");
+        }
+        (v_inc, iv.last_stats())
+    }
+
     #[test]
     fn cold_call_computes_everything() {
         let (topo, cfg, spec) = scenario();
         let mut iv = IncrementalVerifier::new(&topo, &spec);
-        let v = iv.verify(&cfg, None);
+        let v = iv.commit(&cfg);
         assert!(v.all_passed());
         assert_eq!(iv.last_stats().recomputed, 2);
         assert_eq!(iv.last_stats().reused, 0);
     }
 
+    /// An appended static route or ACL rule changes no input of a cached
+    /// outcome (R4 redistributes nothing): base FIBs and the data-plane
+    /// walks pick it up, no prefix is re-simulated — even one whose
+    /// literal overlaps.
     #[test]
     fn unrelated_edit_reuses_cache() {
         let (topo, cfg, spec) = scenario();
-        let mut iv = IncrementalVerifier::new(&topo, &spec);
-        iv.verify(&cfg, None);
-        // Append an unrelated static route (99.0/16, NULL0) on R4: no
-        // cached prefix closure touches it and it overlaps nothing cached —
-        // but it *does* enter the universe (import-route? no, R4 has no
-        // import-route static). So nothing is recomputed.
-        let patch = Patch::single(Edit::Insert {
-            router: RouterId(4),
-            index: cfg.device(RouterId(4)).unwrap().len(),
-            stmt: Stmt::StaticRoute {
-                prefix: p("99.0.0.0/16"),
+        let static_route = append(
+            &cfg,
+            4,
+            Stmt::StaticRoute {
+                prefix: p("10.0.0.0/8"),
                 next_hop: NextHop::Null0,
             },
-        });
-        let cfg2 = patch.apply_cloned(&cfg).unwrap();
-        let v = iv.verify(&cfg2, Some(&patch));
-        assert!(v.all_passed());
-        assert_eq!(iv.last_stats().recomputed, 0, "{:?}", iv.last_stats());
-        assert_eq!(iv.last_stats().reused, 2);
+        );
+        let acl_text = "acl 3000\n rule 5 permit ip source 10.0.0.0 16 destination 10.4.0.0 16\n";
+        let acl = parse_device("X", acl_text).unwrap();
+        let mut acl_patch = Patch::new();
+        for (i, stmt) in acl.stmts().iter().enumerate() {
+            acl_patch.push(Edit::Insert {
+                router: RouterId(4),
+                index: 4 + i,
+                stmt: stmt.clone(),
+            });
+        }
+        for patch in [static_route, acl_patch] {
+            let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
+            assert!(v.all_passed());
+            assert_eq!((stats.recomputed, stats.reused), (0, 2), "{patch}");
+        }
     }
 
+    /// A new prefix-list entry invalidates exactly the prefixes it matches.
     #[test]
     fn overlapping_literal_invalidates_prefix() {
         let (topo, cfg, spec) = scenario();
-        let mut iv = IncrementalVerifier::new(&topo, &spec);
-        iv.verify(&cfg, None);
-        // A prefix-list entry mentioning 10.4/16 forces recomputation of
-        // that prefix only.
+        let patch = append(&cfg, 2, pl_entry("l", 10, "10.4.0.0/16"));
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
+        assert!(v.all_passed());
+        assert_eq!((stats.recomputed, stats.reused), (1, 1));
+    }
+
+    /// Replacing an entry's prefix re-simulates what the old entry matched
+    /// (10.0/16 loses its permit) and what the new one does — here, with a
+    /// third prefix originated and untouched, exactly those two.
+    #[test]
+    fn replaced_prefix_list_entry_invalidates_the_old_and_the_new_literal() {
+        let (topo, cfg, spec) = scenario();
+        let setup = Patch {
+            edits: vec![
+                Edit::Replace {
+                    router: RouterId(2),
+                    index: 7,
+                    stmt: pl_entry("all", 10, "10.0.0.0/16"),
+                },
+                Edit::Insert {
+                    router: RouterId(0),
+                    index: 2,
+                    stmt: Stmt::Network(p("10.9.0.0/16")),
+                },
+            ],
+        };
+        let cfg = setup.apply_cloned(&cfg).unwrap();
+        let patch = Patch::single(Edit::Replace {
+            router: RouterId(2),
+            index: 7,
+            stmt: pl_entry("all", 10, "10.9.0.0/16"),
+        });
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
+        assert_eq!(v.failed_count(), 1, "10.0/16 is no longer imported at R2");
+        assert_eq!((stats.recomputed, stats.reused), (2, 1));
+    }
+
+    /// A remark above R2's policy renumbers it: only 10.0/16, imported
+    /// through it, holds a line at or after the edit.
+    #[test]
+    fn renumbered_policy_invalidates_the_prefixes_holding_its_lines() {
+        let (topo, cfg, spec) = scenario();
         let patch = Patch::single(Edit::Insert {
             router: RouterId(2),
-            index: cfg.device(RouterId(2)).unwrap().len(),
-            stmt: Stmt::PrefixListEntry {
-                list: "l".into(),
-                index: 10,
-                action: PlAction::Permit,
-                prefix: p("10.4.0.0/16"),
-                ge: None,
-                le: None,
-            },
+            index: 5,
+            stmt: Stmt::Remark("moved".into()),
         });
-        let cfg2 = patch.apply_cloned(&cfg).unwrap();
-        let v = iv.verify(&cfg2, Some(&patch));
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
         assert!(v.all_passed());
-        assert_eq!(iv.last_stats().recomputed, 1);
-        assert_eq!(iv.last_stats().reused, 1);
+        assert_eq!((stats.recomputed, stats.reused), (1, 1));
+    }
+
+    /// Restating a `network` below everything gives its prefix a second
+    /// origination source and moves no line.
+    #[test]
+    fn restated_network_invalidates_its_prefix() {
+        let (topo, cfg, spec) = scenario();
+        let patch = append(&cfg, 4, Stmt::Network(p("10.4.0.0/16")));
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
+        assert!(v.all_passed());
+        assert_eq!((stats.recomputed, stats.reused), (1, 1));
     }
 
     #[test]
     fn session_edit_invalidates_everything() {
         let (topo, cfg, spec) = scenario();
-        let mut iv = IncrementalVerifier::new(&topo, &spec);
-        iv.verify(&cfg, None);
         let patch = Patch::single(Edit::Replace {
             router: RouterId(2),
             index: 1,
-            stmt: Stmt::PeerAs {
-                peer: acr_cfg::PeerRef::Ip(acr_net_types::Ipv4Addr::new(172, 16, 0, 5)),
-                asn: acr_net_types::Asn(64999),
-            },
+            stmt: peer_as(5, 64999),
         });
-        let cfg2 = patch.apply_cloned(&cfg).unwrap();
-        let v = iv.verify(&cfg2, Some(&patch));
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
         assert_eq!(v.failed_count(), 2, "broken transit session fails both");
-        assert_eq!(iv.last_stats().recomputed, 2);
+        assert_eq!(stats.recomputed, 2);
+    }
+
+    /// Defining a bound policy nothing defined: prefixes it now denies
+    /// hold none of its lines (an undefined policy permits without one).
+    #[test]
+    fn defining_an_undefined_bound_policy_invalidates_everything() {
+        let (topo, cfg, spec) = scenario();
+        let patch = append(
+            &cfg,
+            2,
+            Stmt::RoutePolicyDef {
+                name: "GHOST".into(),
+                action: PlAction::Deny,
+                node: 10,
+            },
+        );
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
+        assert_eq!(v.failed_count(), 1, "R2 now denies everything from R3");
+        assert_eq!((stats.recomputed, stats.reused), (2, 0));
+    }
+
+    /// Deleting an `if-match` widens its node to routes that fell through
+    /// it before — and a fall-through leaves no line in a closure.
+    #[test]
+    fn deleted_if_match_invalidates_everything() {
+        let (topo, cfg, spec) = scenario();
+        // `all` → a list matching nothing cached: both prefixes fall
+        // through node 10 into the implicit deny.
+        let narrow = Patch::single(Edit::Replace {
+            router: RouterId(2),
+            index: 7,
+            stmt: pl_entry("all", 10, "99.0.0.0/8"),
+        });
+        let cfg = narrow.apply_cloned(&cfg).unwrap();
+        let patch = Patch::single(Edit::Delete {
+            router: RouterId(2),
+            index: 6,
+        });
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
+        assert!(v.all_passed(), "the bare node permits everything");
+        assert_eq!((stats.recomputed, stats.reused), (2, 0));
+    }
+
+    /// Restating a peer's AS adds a line to its session's attribution
+    /// without moving any line a cached closure holds.
+    #[test]
+    fn restated_peer_statement_invalidates_the_prefixes_crossing_its_session() {
+        let (topo, cfg, spec) = scenario();
+        let patch = append(&cfg, 1, peer_as(1, 65000));
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
+        assert!(v.all_passed());
+        assert_eq!((stats.recomputed, stats.reused), (2, 0));
     }
 
     #[test]
     fn incremental_matches_full_verification() {
         let (topo, cfg, spec) = scenario();
-        let mut iv = IncrementalVerifier::new(&topo, &spec);
-        iv.verify(&cfg, None);
         // Edit that shifts lines on R0 (insert at top region) and touches
-        // 10.0/16's closure.
+        // 10.0/16's closure; 10.4/16 crosses R0's session line too.
         let patch = Patch::single(Edit::Insert {
             router: RouterId(0),
             index: 2,
             stmt: Stmt::Network(p("10.9.0.0/16")),
         });
-        let cfg2 = patch.apply_cloned(&cfg).unwrap();
-        let v_inc = iv.verify(&cfg2, Some(&patch));
-
-        let verifier = Verifier::new(&topo, &spec);
-        let (v_full, _) = verifier.run_full(&cfg2);
-        assert_eq!(v_inc.failed_count(), v_full.failed_count());
-        let inc: Vec<bool> = v_inc.records.iter().map(|r| r.passed).collect();
-        let full: Vec<bool> = v_full.records.iter().map(|r| r.passed).collect();
-        assert_eq!(inc, full);
-        // Coverage matrices agree on the lines of every test.
-        for (a, b) in v_inc.matrix.tests().iter().zip(v_full.matrix.tests()) {
-            assert_eq!(a.lines, b.lines, "coverage must match full verification");
-        }
+        let (_, stats) = candidate(&topo, &spec, &cfg, &patch);
+        assert_eq!((stats.recomputed, stats.reused), (3, 0));
     }
 
     #[test]
     fn suspend_resume_recomputes_nothing_and_matches_cold_commit() {
         let (topo, cfg, spec) = scenario();
         let mut iv = IncrementalVerifier::new(&topo, &spec);
-        let v_cold = iv.verify(&cfg, None);
+        let v_cold = iv.commit(&cfg);
         let warm = iv.suspend().expect("committed verifier suspends");
         let Ok((mut iv2, v_warm)) = IncrementalVerifier::resume(&topo, &spec, 1, true, warm, &cfg)
         else {
@@ -1046,10 +1023,7 @@ mod tests {
         let patch = Patch::single(Edit::Replace {
             router: RouterId(2),
             index: 1,
-            stmt: Stmt::PeerAs {
-                peer: acr_cfg::PeerRef::Ip(acr_net_types::Ipv4Addr::new(172, 16, 0, 5)),
-                asn: acr_net_types::Asn(64999),
-            },
+            stmt: peer_as(5, 64999),
         });
         let cand = patch.apply_cloned(&cfg).unwrap();
         let v = iv2.verify_candidate(&cand, &patch);
@@ -1060,7 +1034,7 @@ mod tests {
     fn resume_rejects_mismatched_config() {
         let (topo, cfg, spec) = scenario();
         let mut iv = IncrementalVerifier::new(&topo, &spec);
-        iv.verify(&cfg, None);
+        iv.commit(&cfg);
         let warm = iv.suspend().unwrap();
         let patch = Patch::single(Edit::Insert {
             router: RouterId(0),
@@ -1085,26 +1059,25 @@ mod tests {
         assert!(iv.suspend().is_none());
     }
 
+    /// Candidates never update the cache: each of three successive
+    /// candidates is judged against the committed base alone.
     #[test]
     fn repeated_incremental_calls_accumulate_correctly() {
         let (topo, cfg, spec) = scenario();
         let mut iv = IncrementalVerifier::new(&topo, &spec);
-        iv.verify(&cfg, None);
-        let mut current = cfg.clone();
-        // Three successive unrelated edits, all cache-friendly.
+        iv.commit(&cfg);
         for i in 0..3u8 {
+            // A network on R4 enters the universe and renumbers nothing
+            // cached; the previous candidate's network is forgotten.
             let patch = Patch::single(Edit::Insert {
                 router: RouterId(4),
-                index: current.device(RouterId(4)).unwrap().len(),
-                stmt: Stmt::StaticRoute {
-                    prefix: Prefix::from_octets(99, i, 0, 0, 16),
-                    next_hop: NextHop::Null0,
-                },
+                index: 3,
+                stmt: Stmt::Network(Prefix::from_octets(99, i, 0, 0, 16)),
             });
-            current = patch.apply_cloned(&current).unwrap();
-            let v = iv.verify(&current, Some(&patch));
+            let v = iv.verify_candidate(&patch.apply_cloned(&cfg).unwrap(), &patch);
             assert!(v.all_passed());
-            assert_eq!(iv.last_stats().recomputed, 0);
+            let stats = iv.last_stats();
+            assert_eq!((stats.recomputed, stats.reused), (1, 2));
         }
     }
 }

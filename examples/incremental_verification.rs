@@ -28,7 +28,7 @@ fn main() {
 
     // Cold run: everything simulates.
     let t = Instant::now();
-    let v = iv.verify(&net.cfg, None);
+    let v = iv.commit(&net.cfg);
     println!(
         "\ncold verification: {:?} — {} prefixes simulated, {} tests pass",
         t.elapsed(),
@@ -81,7 +81,8 @@ fn main() {
         iv.last_stats().reused
     );
 
-    // A session-shaping edit conservatively invalidates everything.
+    // An edit near the top of a transit router: every cached closure
+    // holding a later line of that router may have been renumbered.
     let patch = Patch::single(Edit::Replace {
         router,
         index: 1,
@@ -91,7 +92,7 @@ fn main() {
     let t = Instant::now();
     let _ = iv.verify_candidate(&candidate, &patch);
     println!(
-        "candidate (session-shaping): {:?} — {} prefixes re-simulated, {} reused",
+        "candidate (renumbers a transit router): {:?} — {} prefixes re-simulated, {} reused",
         t.elapsed(),
         iv.last_stats().recomputed,
         iv.last_stats().reused

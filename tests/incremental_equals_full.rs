@@ -1,0 +1,139 @@
+//! `IncrementalVerifier::verify_candidate` ≡ `Verifier::run_full`, over
+//! what the product actually validates.
+//!
+//! A generate-and-validate repairer may not report a `Fixed` that a full
+//! verification rejects, nor hide a correct repair behind a stale cached
+//! outcome. For a Table-1 incident on `wan(4,8)` the broken network is
+//! committed once — as the engine does — and every distinct patch both
+//! operator vocabularies generate at every line of every device is
+//! validated against that commit and against a fresh full verification of
+//! the patched network: verdict, violation and path of every record and
+//! the coverage lines of every test must agree.
+
+use acr::cfg::DeviceModel;
+use acr::core::templates::candidates_for_line;
+use acr::core::{universal_candidates, RepairCtx};
+use acr::prelude::*;
+use acr::workloads::{inject_at, GeneratedNetwork, Incident, TABLE1};
+use std::collections::HashSet;
+
+/// What a sweep saw: candidates compared, how many of them pass every
+/// test, and one line per candidate on which the two verifiers disagree.
+#[derive(Default)]
+struct Sweep {
+    compared: usize,
+    passing: usize,
+    disagreements: Vec<String>,
+}
+
+impl Sweep {
+    fn run(&mut self, net: &GeneratedNetwork, incident: &Incident) {
+        let broken = &incident.broken;
+        let verifier = Verifier::new(&net.topo, &net.spec);
+        let (verification, out) = verifier.run_full(broken);
+        let models: Vec<DeviceModel> = (net.topo.routers().iter())
+            .map(|r| DeviceModel::from_config(broken.device(r.id).expect("generated device")))
+            .collect();
+        let ctx = RepairCtx {
+            topo: &net.topo,
+            cfg: broken,
+            verification: &verification,
+            arena: &out.arena,
+            models: &models,
+        };
+        // First-seen order, so the cross-candidate policy memo sees the
+        // same sequence on every run.
+        let mut seen: HashSet<Patch> = HashSet::new();
+        let mut patches: Vec<Patch> = Vec::new();
+        for (router, device) in broken.devices() {
+            for (line, _) in device.lines() {
+                let line = LineId::new(router, line);
+                let fixes = candidates_for_line(line, &ctx).into_iter().map(|f| f.patch);
+                for patch in fixes.chain(universal_candidates(line, &ctx)) {
+                    if seen.insert(patch.clone()) {
+                        patches.push(patch);
+                    }
+                }
+            }
+        }
+
+        let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
+        iv.commit(broken);
+        for patch in patches {
+            let Ok(candidate) = patch.apply_cloned(broken) else {
+                continue;
+            };
+            let inc = iv.verify_candidate(&candidate, &patch);
+            let (full, _) = verifier.run_full(&candidate);
+            let records = inc.records.len() == full.records.len()
+                && inc.records.iter().zip(&full.records).all(|(a, b)| {
+                    (a.passed, &a.violation, &a.path) == (b.passed, &b.violation, &b.path)
+                });
+            let coverage = (inc.matrix.tests().iter())
+                .zip(full.matrix.tests())
+                .all(|(a, b)| a.lines == b.lines);
+            if !(records && coverage) {
+                self.disagreements.push(format!(
+                    "{:?}: {patch}: incremental {} failed, full {} failed{}",
+                    incident.fault,
+                    inc.failed_count(),
+                    full.failed_count(),
+                    if records { " (coverage only)" } else { "" },
+                ));
+            }
+            self.compared += 1;
+            self.passing += full.all_passed() as usize;
+        }
+    }
+
+    fn assert_sound(&self, at_least: usize) {
+        assert!(
+            self.disagreements.is_empty(),
+            "{} of {} candidates disagree:\n{}",
+            self.disagreements.len(),
+            self.compared,
+            self.disagreements.join("\n")
+        );
+        let failing = self.compared - self.passing;
+        assert!(
+            self.compared >= at_least && self.passing >= 5 && failing >= 5,
+            "both verdicts must be exercised: {} pass, {failing} fail",
+            self.passing
+        );
+    }
+}
+
+fn sites(net: &GeneratedNetwork, fault: FaultType) -> impl Iterator<Item = Incident> + '_ {
+    let routers = net.cfg.routers().into_iter();
+    routers.filter_map(move |r| inject_at(fault, net, &net.cfg, r))
+}
+
+/// Tier-1 slice: the first injectable site of every class, plus **every**
+/// site of `MissingRoutePolicy` — the class whose repair at the last
+/// backbone router used to end `Fixed` on a patch `run_full` rejects.
+#[test]
+fn verify_candidate_agrees_with_run_full_on_every_generated_candidate() {
+    let net = generate(&acr::topo::gen::wan(4, 8));
+    let mut sweep = Sweep::default();
+    for (fault, _) in TABLE1 {
+        let all = fault == FaultType::MissingRoutePolicy;
+        for incident in sites(&net, fault).take(if all { usize::MAX } else { 1 }) {
+            sweep.run(&net, &incident);
+        }
+    }
+    sweep.assert_sound(1000);
+}
+
+/// Every class × every injectable site of `wan(4,8)`.
+#[cfg(feature = "heavy-tests")]
+#[test]
+fn verify_candidate_agrees_with_run_full_at_every_site_of_every_class() {
+    let net = generate(&acr::topo::gen::wan(4, 8));
+    let mut sweep = Sweep::default();
+    for (fault, _) in TABLE1 {
+        for incident in sites(&net, fault) {
+            sweep.run(&net, &incident);
+        }
+    }
+    sweep.assert_sound(3000);
+}

@@ -23,11 +23,26 @@ fn wan() -> GeneratedNetwork {
 }
 
 /// Materializes a single edit on the generated WAN from raw fuzz inputs.
-fn edit_from(net: &GeneratedNetwork, ri: usize, pos: u16, kind: u8) -> Patch {
+/// Kinds 0–2 land anywhere; kinds 3–6 are policy-shaped and land on a
+/// backbone router, whose customer sessions bind `Override_Cust` — the
+/// edits whose effect reaches prefixes that hold none of the edited
+/// lines. Kind 5 needs a bound policy nothing defines, so it first takes
+/// the definition out of `net.cfg` itself.
+fn edit_from(net: &mut GeneratedNetwork, ri: usize, pos: u16, kind: u8) -> Patch {
     let routers = net.cfg.routers();
+    if kind % 7 >= 3 {
+        let with_policy = |r: &RouterId| {
+            let stmts = net.cfg.device(*r).unwrap().stmts();
+            stmts
+                .iter()
+                .any(|s| matches!(s, Stmt::RoutePolicyDef { .. }))
+        };
+        let backbone: Vec<RouterId> = routers.iter().copied().filter(with_policy).collect();
+        return policy_edit(net, backbone[ri % backbone.len()], pos, kind % 7);
+    }
     let router = routers[ri % routers.len()];
     let len = net.cfg.device(router).unwrap().len();
-    match kind % 3 {
+    match kind % 7 {
         0 => Patch::single(Edit::Delete {
             router,
             index: pos as usize % len,
@@ -48,16 +63,73 @@ fn edit_from(net: &GeneratedNetwork, ri: usize, pos: u16, kind: u8) -> Patch {
     }
 }
 
+fn policy_edit(net: &mut GeneratedNetwork, router: RouterId, pos: u16, kind: u8) -> Patch {
+    let stmts = net.cfg.device(router).unwrap().stmts().to_vec();
+    let at = |pred: fn(&Stmt) -> bool| stmts.iter().position(pred).unwrap();
+    let header = at(|s| matches!(s, Stmt::RoutePolicyDef { .. }));
+    let Stmt::RoutePolicyDef { name, .. } = &stmts[header] else {
+        unreachable!()
+    };
+    let block_end = header
+        + 1
+        + (stmts[header + 1..].iter())
+            .position(|s| s.required_block().is_none())
+            .unwrap();
+    let node = |action| Stmt::RoutePolicyDef {
+        name: name.clone(),
+        action,
+        node: 20,
+    };
+    match kind {
+        // A catch-all node behind the bound policy's only node: what fell
+        // through to the implicit deny is now permitted.
+        3 => Patch::single(Edit::Insert {
+            router,
+            index: block_end,
+            stmt: node(acr::cfg::PlAction::Permit),
+        }),
+        // The node loses its `if-match` and matches everything.
+        4 => Patch::single(Edit::Delete {
+            router,
+            index: at(|s| matches!(s, Stmt::IfMatchPrefixList(_))),
+        }),
+        // Undefined (permits everything) → defined as deny-all.
+        5 => {
+            let block = (header..block_end).rev();
+            let undefine: Vec<Edit> = block.map(|index| Edit::Delete { router, index }).collect();
+            Patch { edits: undefine }.apply(&mut net.cfg).unwrap();
+            Patch::single(Edit::Insert {
+                router,
+                index: stmts.len() - (block_end - header),
+                stmt: node(acr::cfg::PlAction::Deny),
+            })
+        }
+        // A prefix-list entry moves to another customer's /16.
+        _ => {
+            let index = at(|s| matches!(s, Stmt::PrefixListEntry { .. }));
+            let mut stmt = stmts[index].clone();
+            if let Stmt::PrefixListEntry { prefix, .. } = &mut stmt {
+                *prefix = Prefix::from_octets(10, (pos % 8) as u8, 0, 0, 16);
+            }
+            Patch::single(Edit::Replace {
+                router,
+                index,
+                stmt,
+            })
+        }
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(56))]
 
     /// Incremental candidate validation agrees with full verification on
     /// verdicts, violations and coverage — for arbitrary single edits,
     /// including ones that break parsing-level invariants semantically.
     #[test]
     fn incremental_equals_full(ri in any::<usize>(), pos in any::<u16>(), kind in any::<u8>()) {
-        let net = wan();
-        let patch = edit_from(&net, ri, pos, kind);
+        let mut net = wan();
+        let patch = edit_from(&mut net, ri, pos, kind);
         prop_assume!(patch.apply_cloned(&net.cfg).is_ok());
         let candidate = patch.apply_cloned(&net.cfg).unwrap();
 

@@ -8,34 +8,57 @@
 //! incidents", so a small template vocabulary covers them.
 
 use acr::prelude::*;
-use acr_verify::Verifier;
-use acr_workloads::GeneratedNetwork;
+use acr_workloads::{inject_at, GeneratedNetwork, TABLE1};
 
 fn wan() -> GeneratedNetwork {
     generate(&acr::topo::gen::wan(4, 8))
 }
 
+/// Runs one repair and holds it to what every job owes, whatever its
+/// outcome: the candidate-accounting identity (generated = invalid +
+/// lint-rejected + simulated + cached + flow-skipped, and attempted =
+/// simulated + cached + flow-skipped), and — the one failure mode a
+/// generate-and-validate repairer may not have — that a `Fixed` passes an
+/// independent full verification of the repaired network with nothing
+/// flapping, not merely the engine's own incremental verdict.
+fn checked_repair(
+    topo: &Topology,
+    spec: &Spec,
+    broken: &NetworkConfig,
+    config: RepairConfig,
+    what: &str,
+) -> acr::core::RepairReport {
+    let report = RepairEngine::new(topo, spec, config).repair(broken);
+    report
+        .check_accounting()
+        .unwrap_or_else(|e| panic!("{what}: accounting violated: {e}"));
+    if let RepairOutcome::Fixed { repaired, .. } = &report.outcome {
+        let (v, out) = Verifier::new(topo, spec).run_full(repaired);
+        assert!(
+            v.all_passed(),
+            "{what}: Fixed, yet {} properties fail a full verification",
+            v.failed_count()
+        );
+        assert!(out.flapping().is_empty(), "{what}: repair left instability");
+    }
+    report
+}
+
 fn repair_and_check(net: &GeneratedNetwork, fault: FaultType, seed: u64) {
     let inc = try_inject(fault, net, seed)
         .unwrap_or_else(|| panic!("{fault} must be injectable into the WAN"));
-    let engine = RepairEngine::new(
+    let config = RepairConfig {
+        seed: 11,
+        ..RepairConfig::default()
+    };
+    let report = checked_repair(
         &net.topo,
         &net.spec,
-        RepairConfig {
-            seed: 11,
-            ..RepairConfig::default()
-        },
+        &inc.broken,
+        config,
+        &fault.to_string(),
     );
-    let report = engine.repair(&inc.broken);
-    // The candidate-accounting identity (generated = invalid +
-    // lint-rejected + simulated + cached + flow-skipped, and attempted =
-    // simulated + cached + flow-skipped) holds for every run; the
-    // multi-patch search reuses the same bookkeeping, so the single-fault
-    // suite pins it too.
-    report
-        .check_accounting()
-        .unwrap_or_else(|e| panic!("{fault}: accounting violated: {e}"));
-    let RepairOutcome::Fixed { patch, repaired } = &report.outcome else {
+    let RepairOutcome::Fixed { patch, .. } = &report.outcome else {
         panic!(
             "{fault}: not fixed after {} iterations / {} validations: {:?} ({})",
             report.iteration_count(),
@@ -44,18 +67,70 @@ fn repair_and_check(net: &GeneratedNetwork, fault: FaultType, seed: u64) {
             inc.description,
         );
     };
-    // Independent re-verification of the repaired network.
-    let verifier = Verifier::new(&net.topo, &net.spec);
-    let (v, out) = verifier.run_full(repaired);
-    assert!(v.all_passed(), "{fault}: repair did not hold up");
-    assert!(
-        out.flapping().is_empty(),
-        "{fault}: repair left instability"
-    );
     assert!(
         !patch.is_empty(),
         "{fault}: the incident had violations, so a fix must edit"
     );
+}
+
+/// Every Table-1 class at every injectable site of the WAN under
+/// `config`; returns `(jobs, fixed)`.
+fn sweep_every_site(net: &GeneratedNetwork, config: &RepairConfig) -> (usize, usize) {
+    let (mut jobs, mut fixed) = (0, 0);
+    for (fault, _) in TABLE1 {
+        for router in net.cfg.routers() {
+            let Some(inc) = inject_at(fault, net, &net.cfg, router) else {
+                continue;
+            };
+            let what = format!("{fault} at {router}");
+            let report = checked_repair(&net.topo, &net.spec, &inc.broken, config.clone(), &what);
+            jobs += 1;
+            fixed += report.outcome.is_fixed() as usize;
+        }
+    }
+    (jobs, fixed)
+}
+
+/// A `Fixed` is always fixed — the product-side twin of
+/// `benchmark/tests/known_failures.rs`: every class × every injectable
+/// site under the default configuration. `MissingRoutePolicy` on the last
+/// backbone router used to end `Fixed` on a patch `run_full` rejects.
+#[test]
+fn every_fixed_passes_full_verification_at_every_site() {
+    let (jobs, fixed) = sweep_every_site(&wan(), &RepairConfig::default());
+    assert!(
+        jobs >= 25 && fixed * 10 >= jobs * 9,
+        "{fixed} of {jobs} fixed"
+    );
+}
+
+/// The same sweep under brute force, and every scenario of the two-fault
+/// corpus (judged on the spec its verifier sees) under beam search and
+/// the default strategy.
+#[cfg(feature = "heavy-tests")]
+#[test]
+fn every_fixed_passes_full_verification_under_every_strategy() {
+    let net = wan();
+    let brute = RepairConfig {
+        strategy: Strategy::brute_force(),
+        ..RepairConfig::default()
+    };
+    let (jobs, fixed) = sweep_every_site(&net, &brute);
+    assert!(
+        jobs >= 25 && fixed * 10 >= jobs * 9,
+        "{fixed} of {jobs} fixed"
+    );
+    for scenario in corpus(&net, 2, 2024) {
+        let spec = scenario.visible_spec(&net.spec);
+        for strategy in [Strategy::beam(), Strategy::default()] {
+            let what = format!("{} under {strategy:?}", scenario.label);
+            let config = RepairConfig {
+                strategy,
+                ..RepairConfig::default()
+            };
+            checked_repair(&net.topo, &spec, &scenario.broken, config, &what);
+        }
+    }
 }
 
 #[test]
@@ -114,25 +189,23 @@ fn universal_operators_repair_omission_faults() {
     let net = wan();
     for fault in [FaultType::MissingRoutePolicy, FaultType::MissingPeerGroup] {
         let inc = try_inject(fault, &net, 0).unwrap();
-        let engine = RepairEngine::new(
+        let config = RepairConfig {
+            operators: acr::core::OperatorSet::Universal,
+            seed: 5,
+            ..RepairConfig::default()
+        };
+        let report = checked_repair(
             &net.topo,
             &net.spec,
-            RepairConfig {
-                operators: acr::core::OperatorSet::Universal,
-                seed: 5,
-                ..RepairConfig::default()
-            },
+            &inc.broken,
+            config,
+            &fault.to_string(),
         );
-        let report = engine.repair(&inc.broken);
-        report
-            .check_accounting()
-            .unwrap_or_else(|e| panic!("{fault}: accounting violated: {e}"));
-        let RepairOutcome::Fixed { repaired, .. } = &report.outcome else {
-            panic!("{fault}: universal operators failed: {:?}", report.outcome);
-        };
-        let verifier = Verifier::new(&net.topo, &net.spec);
-        let (v, _) = verifier.run_full(repaired);
-        assert!(v.all_passed(), "{fault}");
+        assert!(
+            report.outcome.is_fixed(),
+            "{fault}: universal operators failed: {:?}",
+            report.outcome
+        );
     }
 }
 
