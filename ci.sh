@@ -26,21 +26,8 @@ cargo test -q
 echo "==> cargo test (forced sequential validate, ACR_THREADS=1)"
 ACR_THREADS=1 cargo test -q
 
-echo "==> cargo test (dense reference engine, ACR_SPARSE=0; multi-patch determinism)"
-ACR_SPARSE=0 cargo test -q --test determinism_differential
-
 echo "==> exp_delta --smoke (delta/full equivalence regression guard)"
 cargo run --release -q -p acr-bench --bin exp_delta -- --smoke
-
-echo "==> exp_converge --smoke (sparse engine + smoke-sized scale-frontier loads)"
-conv_sparse=$(cargo run --release -q -p acr-bench --bin exp_converge -- --smoke | tee /dev/stderr | grep '^report_digest=')
-
-echo "==> exp_converge --smoke (dense engine, ACR_SPARSE=0; digests must agree)"
-conv_dense=$(ACR_SPARSE=0 cargo run --release -q -p acr-bench --bin exp_converge -- --smoke | tee /dev/stderr | grep '^report_digest=')
-if [ "$conv_sparse" != "$conv_dense" ]; then
-    echo "FAIL: sparse and dense engines computed different repairs ($conv_sparse vs $conv_dense)" >&2
-    exit 1
-fi
 
 echo "==> exp_obs --smoke (journal/trace schema + determinism guard)"
 obs_on=$(cargo run --release -q -p acr-bench --bin exp_obs -- --smoke | tee /dev/stderr | grep '^report_digest=')
@@ -66,7 +53,7 @@ obs_tmp=$(mktemp -d)
 ACR_TRACE="$obs_tmp/trace.json" ACR_JOURNAL="$obs_tmp/journal.jsonl" \
     cargo run --release -q --example trace_repair >/dev/null
 grep -q '"traceEvents"' "$obs_tmp/trace.json"
-grep -q '"schema":"acr-journal/v5"' "$obs_tmp/journal.jsonl"
+grep -q '"schema":"acr-journal/v6"' "$obs_tmp/journal.jsonl"
 rm -rf "$obs_tmp"
 
 echo "==> exp_serve --smoke (daemon cold/resident A/B: identical decisions, fewer sims)"

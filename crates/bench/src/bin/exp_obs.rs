@@ -5,7 +5,7 @@
 //! matrix:
 //!
 //! 1. **Schema** — every journal line parses as JSON and carries the
-//!    fields its `event` kind promises (`acr-journal/v5`, including the
+//!    fields its `event` kind promises (`acr-journal/v6`, including the
 //!    daemon serving events `job_start`/`job_end`/`admission_rejected`),
 //!    and the exported trace is loadable Chrome trace-event JSON.
 //! 2. **Determinism** — two identical runs produce byte-identical
@@ -164,7 +164,7 @@ fn repair_all(loads: &[Workload], threads: usize, delta: bool) -> Vec<RepairRepo
         .collect()
 }
 
-/// Asserts one journal line satisfies the `acr-journal/v5` schema.
+/// Asserts one journal line satisfies the `acr-journal/v6` schema.
 fn check_journal_line(line: &str) {
     let v = json::parse(line).unwrap_or_else(|e| panic!("journal line is not JSON ({e}): {line}"));
     let event = v
@@ -233,7 +233,6 @@ fn check_journal_line(line: &str) {
                 }
             }
         }
-        "shard_summary" => need(&["ts_us", "sharded_runs", "sharded_prefixes"]),
         "baseline_run" => need(&["ts_us", "baseline"]),
         // v3 serving events: a daemon job brackets the engine's
         // run_start..run_end records.
@@ -554,8 +553,6 @@ fn main() {
         )
         .u64("flow_facts", counter("flow.facts"))
         .u64("dpll_solves", counter("smt.dpll.solves"))
-        .u64("sim_shard_runs", counter("sim.shard_runs"))
-        .u64("sim_shard_prefixes", counter("sim.shard_prefixes"))
         .build();
     let path = write_bench_mode("obs", smoke, |env| {
         env.bool("smoke", smoke)

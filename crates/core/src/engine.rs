@@ -678,7 +678,6 @@ impl<'a> RepairEngine<'a> {
             outcome,
             iterations,
             initial_failed,
-            iv.shard_totals(),
             &stages,
             attribution,
             &self.config.tags,
@@ -1077,7 +1076,6 @@ fn finish(
     outcome: RepairOutcome,
     iterations: Vec<IterationStats>,
     initial_failed: usize,
-    shard_totals: (u64, u64),
     stages: &Stages,
     attribution: Vec<PatchSegment>,
     tags: &[String],
@@ -1105,19 +1103,6 @@ fn finish(
                 best_fitness,
             } => ("iteration_limit", best_patch.to_string(), *best_fitness),
         };
-        // Sharded-convergence accounting for the run: how many committed
-        // verifications dispatched the sharded runner and how many
-        // prefixes they covered. Both are worker-count independent (the
-        // dispatch decision is on/off, not a count), so journals stay
-        // byte-identical across thread counts and shard widths.
-        journal::emit(
-            &json::Obj::new()
-                .str("event", "shard_summary")
-                .u64("ts_us", journal::now_us())
-                .u64("sharded_runs", shard_totals.0)
-                .u64("sharded_prefixes", shard_totals.1)
-                .build(),
-        );
         journal::emit(
             &json::Obj::new()
                 .str("event", "run_end")

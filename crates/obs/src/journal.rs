@@ -4,7 +4,7 @@
 //! iteration / candidate-index order, so a journal is byte-identical
 //! across runs (and across worker-thread counts) once `"ts_us"` fields
 //! are scrubbed — see [`scrub_timestamps`]. The schema
-//! (`acr-journal/v5`) is what `exp_obs` validates in CI:
+//! (`acr-journal/v6`) is what `exp_obs` validates in CI:
 //!
 //! - `run_start` — network shape, initial failures, the engine
 //!   configuration under a `config` key (the only run-parameter-bearing
@@ -33,7 +33,10 @@
 //!   candidate is `invalid`, `lint_rejected`, `validated` or `cached`;
 //!   `run_start`'s config has no `flow` / `symbolic` flag and
 //!   `flow_summary` no `gate`. A reader that defaults absent counters
-//!   to 0 reads v4 and v5 alike.
+//!   to 0 reads v4 and v5 alike;
+//! - (v6) v5 minus the per-run sharded-convergence summary event (the
+//!   mechanism is deleted; DESIGN.md names the event). A reader that
+//!   ignores absent events reads v5 and v6 alike.
 //!
 //! Sinks: a file (`ACR_JOURNAL=path`, append within one process) or an
 //! in-memory capture buffer for tests ([`capture_to_memory`] /
@@ -44,7 +47,7 @@ use std::io::Write;
 use std::sync::Mutex;
 
 /// The journal schema version stamped into `run_start` records.
-pub const SCHEMA: &str = "acr-journal/v5";
+pub const SCHEMA: &str = "acr-journal/v6";
 
 enum Sink {
     File(File),

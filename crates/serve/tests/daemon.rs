@@ -265,7 +265,7 @@ fn journal_v5_daemon_events() {
         run_start.get("schema").and_then(json::Value::as_str),
         Some(journal::SCHEMA)
     );
-    assert_eq!(journal::SCHEMA, "acr-journal/v5");
+    assert_eq!(journal::SCHEMA, "acr-journal/v6");
     // Bracketing: job_start before run_start before run_end before job_end.
     let pos = |e: &str| {
         lines

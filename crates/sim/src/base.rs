@@ -106,22 +106,6 @@ pub struct DeltaInfo {
     /// aside — after their common head and tail. A route whose prefix
     /// none of them [`PlEntry::matches`] evaluates every list as before.
     pub changed_pl_entries: Vec<PlEntry>,
-    /// Whether the patch provably leaves the BGP dynamics unchanged, so
-    /// cached converged fixed points may be warm-started (probe + reuse).
-    ///
-    /// The per-prefix run reads exactly: the session vector (views, base
-    /// lines, policy bindings), each router's AS value, the origination
-    /// index, and — through `eval_policy` — the touched models'
-    /// `route_policies` and `prefix_lists`. If sessions are byte-identical
-    /// ([`SessionDelta::Unchanged`]), no origination changed, and every
-    /// touched router kept those three model inputs equal, then every
-    /// input of every `run_prefix` call is identical to the base's, the
-    /// candidate's convergence trajectory replays the base's round for
-    /// round, and the cached outcome (rounds, bests, rejections, interned
-    /// derivations) is byte-for-byte reusable. Typical eligible patches:
-    /// ACL, PBR, static-route and remark edits — which the conservative
-    /// region/literal-overlap rules still invalidate prefixes for.
-    pub warm_eligible: bool,
     /// Construction cost of the delta build.
     pub build: SimBuild,
 }
@@ -237,7 +221,6 @@ impl<'a> CompiledBase<'a> {
         let mut changed_origin_prefixes: BTreeSet<Prefix> = BTreeSet::new();
         let mut changed_pl_entries: Vec<PlEntry> = Vec::new();
         let mut policy_changed = false;
-        let mut policies_unchanged = true;
         for r in &touched {
             let old = &self.models[r.index()];
             let new = compile_device(cfg, *r, &old.name);
@@ -247,7 +230,6 @@ impl<'a> CompiledBase<'a> {
             }
             let same_policies = old.route_policies == new.route_policies;
             let same_lists = old.prefix_lists == new.prefix_lists;
-            policies_unchanged &= same_policies && same_lists && !as_changed;
             let old_part = router_origins(self.topo, *r, old);
             let new_part = router_origins(self.topo, *r, &new);
             if old_part != new_part {
@@ -346,9 +328,6 @@ impl<'a> CompiledBase<'a> {
                 session_delta,
                 stale_session_lines,
                 policy_changed,
-                warm_eligible: policies_unchanged
-                    && session_delta == SessionDelta::Unchanged
-                    && changed_origin_prefixes.is_empty(),
                 changed_origin_prefixes,
                 changed_pl_entries,
                 build: SimBuild {
@@ -653,7 +632,6 @@ mod tests {
             stmt: Stmt::Remark("shift".into()),
         }));
         assert!(!remark.policy_changed && remark.changed_pl_entries.is_empty());
-        assert!(!remark.warm_eligible, "the policy's lines did move");
 
         let unbound = info(Patch::single(Edit::Delete { router, index: 6 }));
         assert!(!unbound.policy_changed);

@@ -39,13 +39,6 @@
 //! the derivation id are not protocol-key state but *do* influence the
 //! transfer result (community matches; provenance of the output).
 //!
-//! [`warm_probe`] layers fixed-point reuse on top: given a previously
-//! converged outcome for the same dynamics, one synchronous round checks
-//! whether that state is still a fixed point, and if so the outcome is
-//! reused wholesale. The incremental verifier gates this on a
-//! patch-eligibility guard (see `acr-sim`'s `base` module) so provenance
-//! is never silently altered.
-//!
 //! [`RouteKey`]: crate::route::RouteKey
 
 use crate::deriv::{DerivArena, DerivId, DerivKind};
@@ -58,7 +51,7 @@ use acr_cfg::LineId;
 use acr_net_types::{Asn, Prefix, RouterId};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Base number of extra rounds beyond the network diameter bound before
 /// declaring non-convergence without a detected cycle (defensive cap; the
@@ -144,31 +137,11 @@ pub struct RouterCtx<'a> {
 /// Which convergence engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvergeEngine {
-    /// The reference engine: full recomputation every round.
+    /// The reference engine tests compare against: full recomputation
+    /// every round.
     Dense,
-    /// The worklist engine: recompute only routers whose inputs changed.
+    /// The product engine: recompute only routers whose inputs changed.
     Sparse,
-}
-
-static SPARSE_DEFAULT: OnceLock<bool> = OnceLock::new();
-
-impl ConvergeEngine {
-    /// The process-wide default: [`ConvergeEngine::Sparse`], unless the
-    /// `ACR_SPARSE` environment variable says `0`/`false`/`off`. Read
-    /// once (first call wins), like the other `ACR_*` toggles.
-    pub fn from_env() -> ConvergeEngine {
-        let sparse = *SPARSE_DEFAULT.get_or_init(|| {
-            !matches!(
-                std::env::var("ACR_SPARSE").ok().as_deref(),
-                Some("0") | Some("false") | Some("off")
-            )
-        });
-        if sparse {
-            ConvergeEngine::Sparse
-        } else {
-            ConvergeEngine::Dense
-        }
-    }
 }
 
 /// Work accounting across one or more convergence runs. One "policy
@@ -176,10 +149,10 @@ impl ConvergeEngine {
 /// sparse engine serves from its memo are counted in `memo_hits` instead.
 /// The dense engine never skips and never memoizes, so on identical
 /// dynamics `recomputed_routers` and `policy_evals` bound the sparse
-/// engine's from above — `exp_converge` records both sides.
+/// engine's from above — `prop_sparse_sim` asserts both sides.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvergeWork {
-    /// Prefixes run to an outcome (warm reuses included).
+    /// Prefixes run to an outcome.
     pub prefixes: u64,
     /// Synchronous rounds computed (cycle-check-only iterations excluded).
     pub rounds: u64,
@@ -191,34 +164,6 @@ pub struct ConvergeWork {
     pub policy_evals: u64,
     /// Evaluations served from the per-run [`PolicyMemo`].
     pub memo_hits: u64,
-    /// Warm-start probes attempted ([`warm_probe`]).
-    pub warm_probes: u64,
-    /// Probes that confirmed the cached fixed point and reused it.
-    pub warm_reused: u64,
-    /// Probes that failed and fell back to a cold sparse run.
-    pub warm_fallbacks: u64,
-    /// Sharded multi-prefix runs performed (see `acr-sim`'s `shard`
-    /// module). Zero when sharding is disabled.
-    pub sharded_runs: u64,
-    /// Prefixes routed through sharded workers.
-    pub sharded_prefixes: u64,
-}
-
-impl ConvergeWork {
-    /// Field-wise accumulation.
-    pub fn absorb(&mut self, other: &ConvergeWork) {
-        self.prefixes += other.prefixes;
-        self.rounds += other.rounds;
-        self.recomputed_routers += other.recomputed_routers;
-        self.skipped_routers += other.skipped_routers;
-        self.policy_evals += other.policy_evals;
-        self.memo_hits += other.memo_hits;
-        self.warm_probes += other.warm_probes;
-        self.warm_reused += other.warm_reused;
-        self.warm_fallbacks += other.warm_fallbacks;
-        self.sharded_runs += other.sharded_runs;
-        self.sharded_prefixes += other.sharded_prefixes;
-    }
 }
 
 /// Result of one policy transfer (export by the sender, then import by
@@ -426,86 +371,6 @@ impl PolicyMemo {
         self.slots[idx].insert(best, MemoEntry { t, gen });
         (true, t)
     }
-
-    /// A transfer lookup for the warm probe: reuses (and fills) the memo
-    /// **without** stamping the current generation. Probe evaluations do
-    /// not record rejections, so an entry the probe touches must still
-    /// read as unattempted to a subsequent cold run of the same run
-    /// generation — otherwise that run's first-evaluation denial
-    /// bookkeeping would be suppressed.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_transfer(
-        &mut self,
-        si: u32,
-        receiver: &RouterCtx<'_>,
-        sender: &RouterCtx<'_>,
-        session: &Session,
-        best: RouteId,
-        arena: &mut DerivArena,
-        work: &mut ConvergeWork,
-    ) -> Transfer {
-        let idx = self.slot_index(si, session.a == sender.id);
-        if let Some(e) = self.slots[idx].get(&best) {
-            work.memo_hits += 1;
-            return e.t;
-        }
-        work.policy_evals += 1;
-        let t = match transfer(
-            receiver,
-            sender,
-            session,
-            self.routes.get(best),
-            arena,
-            &mut self.eval,
-        ) {
-            Evaluated::Accepted(r) => Transfer::Accepted(self.routes.intern_owned(r)),
-            Evaluated::Denied(d) => Transfer::Denied(d),
-            Evaluated::Silent => Transfer::Silent,
-        };
-        let gen = self.gen.wrapping_sub(1);
-        self.slots[idx].insert(best, MemoEntry { t, gen });
-        t
-    }
-
-    /// Merges a shard worker's memo into this one. `deriv_map` translates
-    /// the worker arena's derivation ids (worker arenas start empty, so
-    /// the map is total) into the caller's arena. Slots are visited in
-    /// index order and entries in worker-route-id order, so given
-    /// deterministic workers the merged interner contents are
-    /// deterministic too. Existing entries win: the memo is semantically
-    /// transparent, so which copy survives only affects wall time.
-    pub(crate) fn absorb_worker(&mut self, worker: &PolicyMemo, deriv_map: &[DerivId]) {
-        let gen = self.gen;
-        for (idx, slot) in worker.slots.iter().enumerate() {
-            if slot.is_empty() {
-                continue;
-            }
-            if self.slots.len() <= idx {
-                self.slots.resize_with(idx + 1, FxHashMap::default);
-            }
-            let mut keys: Vec<RouteId> = slot.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                let entry = slot[&k];
-                let mut key_route = worker.routes.get(k).clone();
-                key_route.deriv = deriv_map[key_route.deriv.0 as usize];
-                let key_id = self.routes.intern_owned(key_route);
-                if self.slots[idx].contains_key(&key_id) {
-                    continue;
-                }
-                let t = match entry.t {
-                    Transfer::Accepted(rid) => {
-                        let mut r = worker.routes.get(rid).clone();
-                        r.deriv = deriv_map[r.deriv.0 as usize];
-                        Transfer::Accepted(self.routes.intern_owned(r))
-                    }
-                    Transfer::Denied(d) => Transfer::Denied(deriv_map[d.0 as usize]),
-                    Transfer::Silent => Transfer::Silent,
-                };
-                self.slots[idx].insert(key_id, MemoEntry { t, gen });
-            }
-        }
-    }
 }
 
 /// One unmemoized transfer: `sender` exports `best` over `session`,
@@ -526,48 +391,6 @@ fn transfer(
         },
         Err(Some(denied)) => Evaluated::Denied(denied),
         Err(None) => Evaluated::Silent,
-    }
-}
-
-/// Simulates one prefix to fixed point or cycle with the process-default
-/// engine (see [`ConvergeEngine::from_env`]).
-///
-/// `originations[i]` lists why router `i` originates `prefix` (empty for
-/// non-originators). `sessions` are the established sessions.
-pub fn run_prefix(
-    prefix: Prefix,
-    routers: &[RouterCtx<'_>],
-    sessions: &[Session],
-    originations: &[Origination],
-    arena: &mut DerivArena,
-) -> PrefixOutcome {
-    let mut work = ConvergeWork::default();
-    let sessions_of = index_sessions(sessions, routers.len());
-    match ConvergeEngine::from_env() {
-        ConvergeEngine::Dense => run_prefix_dense(
-            prefix,
-            routers,
-            sessions,
-            &sessions_of,
-            originations,
-            arena,
-            &mut work,
-        ),
-        ConvergeEngine::Sparse => {
-            let mut memo = PolicyMemo::new();
-            let mut scratch = SparseScratch::new();
-            run_prefix_sparse(
-                prefix,
-                routers,
-                sessions,
-                &sessions_of,
-                originations,
-                arena,
-                &mut memo,
-                &mut scratch,
-                &mut work,
-            )
-        }
     }
 }
 
@@ -1037,75 +860,6 @@ pub fn run_prefix_sparse(
     }
 }
 
-/// Probes a previously converged outcome with one synchronous round: if
-/// the cached per-router bests are a full fixed point of the *current*
-/// dynamics (every recomputation reproduces the cached route
-/// bit-for-bit), the cached outcome — rounds, bests, rejections — is
-/// returned for wholesale reuse; otherwise `None`, and the caller falls
-/// back to a cold run, so provenance is never silently altered.
-///
-/// The caller is responsible for only probing when the dynamics are
-/// *expected* to be unchanged (the incremental verifier's
-/// `warm_eligible` guard); the probe is the runtime defense-in-depth
-/// behind that guard. Under the guard every intern below is a
-/// content-addressed dedup hit; a failed probe may leave unreferenced
-/// (and therefore harmless) derivations behind. Probe evaluations go
-/// through [`PolicyMemo::probe_transfer`], which never stamps the current
-/// run generation: probes do not record rejections, so an entry the probe
-/// touches must still read as unattempted to a subsequent cold run.
-#[allow(clippy::too_many_arguments)]
-pub fn warm_probe(
-    prefix: Prefix,
-    routers: &[RouterCtx<'_>],
-    sessions: &[Session],
-    sessions_of: &[Vec<u32>],
-    originations: &[Origination],
-    arena: &mut DerivArena,
-    memo: &mut PolicyMemo,
-    base: &PrefixOutcome,
-    work: &mut ConvergeWork,
-) -> Option<PrefixOutcome> {
-    let PrefixOutcome::Converged { best, .. } = base else {
-        return None;
-    };
-    let n = routers.len();
-    if best.len() != n {
-        return None;
-    }
-    work.warm_probes += 1;
-    // Intern the cached bests so every per-router comparison below is an
-    // id compare (id equality ⟺ full-route equality within the interner).
-    let best_ids: Vec<Option<RouteId>> = best
-        .iter()
-        .map(|r| r.as_ref().map(|r| memo.routes.intern(r)))
-        .collect();
-    let mut candidates: Vec<RouteId> = Vec::new();
-    for i in 0..n {
-        let me = &routers[i];
-        for (kind, lines) in &originations[i].sources {
-            let deriv = arena.intern(*kind, lines.clone(), vec![]);
-            candidates.push(memo.routes.intern_owned(Route::local(prefix, deriv)));
-        }
-        for &si in &sessions_of[i] {
-            let session = &sessions[si as usize];
-            let view = session.view_of(me.id).expect("indexed by member");
-            let Some(neighbor_best) = best_ids[view.peer.index()] else {
-                continue;
-            };
-            let neighbor = &routers[view.peer.index()];
-            let t = memo.probe_transfer(si, me, neighbor, session, neighbor_best, arena, work);
-            if let Transfer::Accepted(id) = t {
-                candidates.push(id);
-            }
-        }
-        if select_best_id(&memo.routes, candidates.drain(..)) != best_ids[i] {
-            return None;
-        }
-    }
-    work.warm_reused += 1;
-    Some(base.clone())
-}
-
 /// The export half: `sender` announces its best to `receiver` over
 /// `session`. Returns `None` when suppressed (policy deny).
 ///
@@ -1257,6 +1011,29 @@ mod tests {
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
+    }
+
+    /// Simulates one prefix to fixed point or cycle with the product
+    /// (sparse) engine. `originations[i]` lists why router `i` originates
+    /// `prefix` (empty for non-originators).
+    fn run_prefix(
+        prefix: Prefix,
+        routers: &[RouterCtx<'_>],
+        sessions: &[Session],
+        originations: &[Origination],
+        arena: &mut DerivArena,
+    ) -> PrefixOutcome {
+        run_prefix_sparse(
+            prefix,
+            routers,
+            sessions,
+            &index_sessions(sessions, routers.len()),
+            originations,
+            arena,
+            &mut PolicyMemo::new(),
+            &mut SparseScratch::new(),
+            &mut ConvergeWork::default(),
+        )
     }
 
     /// Three routers in a line: R0 — R1 — R2, R0 originates.
@@ -1677,88 +1454,5 @@ mod tests {
         // Single-round prefixes do equal work in both engines.
         assert_eq!(rounds, 1);
         assert_eq!(sparse.recomputed_routers, dense.recomputed_routers);
-    }
-
-    #[test]
-    fn warm_probe_reuses_a_fixed_point_and_rejects_a_changed_one() {
-        let (topo, models) = line3();
-        let (sessions, _) = establish(&topo, &models);
-        let routers = ctxs(&topo, &models);
-        let orig = origin_at_r0(3);
-        let sessions_of = index_sessions(&sessions, routers.len());
-        let mut arena = DerivArena::new();
-        let base = run_prefix(p("10.0.0.0/16"), &routers, &sessions, &orig, &mut arena);
-        let mut work = ConvergeWork::default();
-        let mut memo = PolicyMemo::new();
-        let probed = warm_probe(
-            p("10.0.0.0/16"),
-            &routers,
-            &sessions,
-            &sessions_of,
-            &orig,
-            &mut arena,
-            &mut memo,
-            &base,
-            &mut work,
-        )
-        .expect("unchanged dynamics must re-confirm the fixed point");
-        assert_eq!(probed, base);
-        assert_eq!(work.warm_reused, 1);
-
-        // Change R1's import policy to deny: the cached state is no longer
-        // a fixed point — the probe must refuse it.
-        let mut changed = models.clone();
-        changed[1] = DeviceModel::from_config(
-            &parse_device(
-                "R1",
-                "bgp 65001\n peer 172.16.0.1 as-number 65000\n peer 172.16.0.1 route-policy Block import\n peer 172.16.0.6 as-number 65002\nroute-policy Block deny node 10\n",
-            )
-            .unwrap(),
-        );
-        let (sessions2, _) = establish(&topo, &changed);
-        let routers2 = ctxs(&topo, &changed);
-        let sessions_of2 = index_sessions(&sessions2, routers2.len());
-        let mut work2 = ConvergeWork::default();
-        let mut memo2 = PolicyMemo::new();
-        assert!(warm_probe(
-            p("10.0.0.0/16"),
-            &routers2,
-            &sessions2,
-            &sessions_of2,
-            &orig,
-            &mut arena,
-            &mut memo2,
-            &base,
-            &mut work2,
-        )
-        .is_none());
-        assert_eq!(work2.warm_fallbacks, 0, "fallback is counted by the caller");
-        assert_eq!(work2.warm_reused, 0);
-    }
-
-    #[test]
-    fn flapping_outcome_is_never_warm_probed() {
-        let (topo, models) = bad_gadget();
-        let (sessions, _) = establish(&topo, &models);
-        let routers = ctxs(&topo, &models);
-        let orig = origin_at_r0(4);
-        let sessions_of = index_sessions(&sessions, routers.len());
-        let mut arena = DerivArena::new();
-        let base = run_prefix(p("10.0.0.0/16"), &routers, &sessions, &orig, &mut arena);
-        let mut work = ConvergeWork::default();
-        let mut memo = PolicyMemo::new();
-        assert!(warm_probe(
-            p("10.0.0.0/16"),
-            &routers,
-            &sessions,
-            &sessions_of,
-            &orig,
-            &mut arena,
-            &mut memo,
-            &base,
-            &mut work,
-        )
-        .is_none());
-        assert_eq!(work.warm_probes, 0);
     }
 }

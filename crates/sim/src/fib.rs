@@ -109,32 +109,26 @@ impl Fib {
 /// which entry for the outcome's prefix. Flapping prefixes install
 /// nothing (their forwarding state is unstable by definition); locally
 /// originated bests install nothing (the base FIB already handles local
-/// delivery or statics). Pure in the outcome, so the incremental
-/// verifier caches fragments per prefix alongside the outcome cache and
-/// re-derives only those whose best routes changed.
-pub fn bgp_fragment(outcome: &crate::bgp::PrefixOutcome) -> Vec<(usize, FibEntry)> {
-    let crate::bgp::PrefixOutcome::Converged { best, .. } = outcome else {
-        return Vec::new();
+/// delivery or statics).
+pub fn bgp_fragment(
+    outcome: &crate::bgp::PrefixOutcome,
+) -> impl Iterator<Item = (usize, FibEntry)> + '_ {
+    let best = match outcome {
+        crate::bgp::PrefixOutcome::Converged { best, .. } => best.as_slice(),
+        crate::bgp::PrefixOutcome::Flapping { .. } => &[],
     };
-    let mut frag = Vec::new();
-    for (i, route) in best.iter().enumerate() {
-        let Some(route) = route else { continue };
-        let Some(from) = route.learned_from else {
-            continue;
-        };
-        frag.push((
-            i,
-            FibEntry {
-                action: FibAction::Forward {
-                    router: from,
-                    addr: route.next_hop,
-                },
-                source: FibSource::Bgp,
-                deriv: route.deriv,
+    best.iter().enumerate().filter_map(|(i, route)| {
+        let route = route.as_ref()?;
+        let entry = FibEntry {
+            action: FibAction::Forward {
+                router: route.learned_from?,
+                addr: route.next_hop,
             },
-        ));
-    }
-    frag
+            source: FibSource::Bgp,
+            deriv: route.deriv,
+        };
+        Some((i, entry))
+    })
 }
 
 /// Builds the connected + static part of a router's FIB (the BGP part is

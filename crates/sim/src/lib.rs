@@ -32,7 +32,6 @@ pub mod origin;
 pub mod policy;
 pub mod route;
 pub mod session;
-pub mod shard;
 pub mod sim;
 
 pub use base::{CompiledBase, DeltaInfo, ResidentBase, SessionDelta, SessionPart, SimBuild};
@@ -44,5 +43,4 @@ pub use forward::{ForwardOutcome, ForwardResult};
 pub use origin::OriginIndex;
 pub use route::{select_best_id, Route, RouteId, RouteInterner, RouteKey};
 pub use session::{Session, SessionDiag, SessionFailure};
-pub use shard::{resolve_threads, ShardMode};
-pub use sim::{RunOptions, SimOutcome, Simulator};
+pub use sim::{SimOutcome, Simulator};

@@ -118,7 +118,7 @@ impl OriginIndex {
 
     /// Dense per-router originations for `prefix` (indexed by
     /// `RouterId::index()`, defaults for non-originators) — the layout
-    /// [`crate::bgp::run_prefix`] consumes.
+    /// the per-prefix engines consume.
     pub fn dense(&self, prefix: Prefix, routers: usize) -> Vec<Origination> {
         let mut out = vec![Origination::default(); routers];
         if let Some(v) = self.by_prefix.get(&prefix) {

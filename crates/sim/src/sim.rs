@@ -2,17 +2,14 @@
 
 use crate::base::{compile_device, CompiledBase, DeltaInfo, SimBuild};
 use crate::bgp::{
-    index_sessions, run_prefix_dense, run_prefix_sparse, warm_probe, ConvergeEngine, ConvergeWork,
-    PolicyMemo, PrefixOutcome, RouterCtx, SparseScratch,
+    index_sessions, run_prefix_dense, run_prefix_sparse, ConvergeEngine, ConvergeWork, PolicyMemo,
+    PrefixOutcome, RouterCtx, SparseScratch,
 };
 use crate::deriv::{DerivArena, DerivId};
 use crate::fib::{base_fib, bgp_fragment, Fib};
 use crate::forward::{walk, ForwardResult};
 use crate::origin::OriginIndex;
 use crate::session::{establish, Session, SessionDiag};
-use crate::shard::{
-    remap_outcome, replay_range, ShardMode, SHARD_PREFIXES, SHARD_REPLAYED_NODES, SHARD_RUNS,
-};
 use acr_cfg::model::DeviceModel;
 use acr_cfg::{NetworkConfig, Patch};
 use acr_net_types::{Flow, Prefix, RouterId};
@@ -38,37 +35,6 @@ static SIM_ROUTERS_RECOMPUTED: Counter = Counter::new("sim.routers_recomputed");
 static SIM_ROUTERS_SKIPPED: Counter = Counter::new("sim.routers_skipped");
 static SIM_POLICY_EVALS: Counter = Counter::new("sim.policy_evals");
 static SIM_POLICY_MEMO_HITS: Counter = Counter::new("sim.policy_memo_hits");
-static SIM_WARM_PROBES: Counter = Counter::new("sim.warm_probes");
-static SIM_WARM_REUSED: Counter = Counter::new("sim.warm_reused");
-static SIM_WARM_FALLBACKS: Counter = Counter::new("sim.warm_fallbacks");
-
-/// Options for a per-prefix simulation run.
-pub struct RunOptions<'w> {
-    /// Which convergence engine to use. Defaults to the process default
-    /// ([`ConvergeEngine::from_env`]): sparse unless `ACR_SPARSE=0`.
-    pub engine: ConvergeEngine,
-    /// Warm-start source: previously computed outcomes whose converged
-    /// fixed points may be probed and reused ([`warm_probe`]). The caller
-    /// must only supply this when the patch provably leaves the BGP
-    /// dynamics unchanged (the incremental verifier's `warm_eligible`
-    /// guard) — the probe is the runtime check behind that guard, and a
-    /// failed probe falls back to a cold run.
-    pub warm: Option<&'w BTreeMap<Prefix, PrefixOutcome>>,
-    /// Per-prefix sharding. Only engaged for sparse, warm-less,
-    /// multi-prefix runs; outcomes and arena are byte-identical to the
-    /// unsharded run at every worker count (see the `shard` module).
-    pub shard: ShardMode,
-}
-
-impl Default for RunOptions<'_> {
-    fn default() -> Self {
-        RunOptions {
-            engine: ConvergeEngine::from_env(),
-            warm: None,
-            shard: ShardMode::default(),
-        }
-    }
-}
 
 /// A compiled simulation context: semantic models, established sessions
 /// and the origination index for one (topology, configuration) pair.
@@ -238,43 +204,28 @@ impl<'a> Simulator<'a> {
         prefixes: &BTreeSet<Prefix>,
         arena: &mut DerivArena,
     ) -> BTreeMap<Prefix, PrefixOutcome> {
-        self.run_prefixes_opts(prefixes, arena, &RunOptions::default())
+        let mut memo = PolicyMemo::new();
+        self.run_prefixes_with(prefixes, arena, ConvergeEngine::Sparse, &mut memo)
             .0
     }
 
-    /// [`Simulator::run_prefixes_into`] with an explicit engine choice and
-    /// optional warm-start source, returning the work performed. The
-    /// explicit engine keeps differential tests and `exp_converge` free of
-    /// process-global environment races.
-    pub fn run_prefixes_opts(
-        &self,
-        prefixes: &BTreeSet<Prefix>,
-        arena: &mut DerivArena,
-        opts: &RunOptions<'_>,
-    ) -> (BTreeMap<Prefix, PrefixOutcome>, ConvergeWork) {
-        let mut memo = PolicyMemo::new();
-        self.run_prefixes_with(prefixes, arena, opts, &mut memo)
-    }
-
-    /// [`Simulator::run_prefixes_opts`] with a caller-owned policy memo.
-    /// Keeping one memo alive across runs (the incremental verifier's
-    /// candidate loop) lets transfers on sessions a patch cannot reach
-    /// come back as hash hits instead of re-evaluations; the caller is
-    /// responsible for [`PolicyMemo::begin_run`] between runs and for
-    /// only reusing a memo across runs that share `arena` and a
-    /// positionally identical session list.
+    /// [`Simulator::run_prefixes_into`] with an explicit engine (the
+    /// product always runs [`ConvergeEngine::Sparse`]; tests name
+    /// [`ConvergeEngine::Dense`] as the reference) and a caller-owned
+    /// policy memo, returning the work performed. Keeping one memo alive
+    /// across runs (the incremental verifier's candidate loop) lets
+    /// transfers on sessions a patch cannot reach come back as hash hits
+    /// instead of re-evaluations; the caller is responsible for
+    /// [`PolicyMemo::begin_run`] between runs and for only reusing a memo
+    /// across runs that share `arena` and a positionally identical
+    /// session list.
     pub fn run_prefixes_with(
         &self,
         prefixes: &BTreeSet<Prefix>,
         arena: &mut DerivArena,
-        opts: &RunOptions<'_>,
+        engine: ConvergeEngine,
         memo: &mut PolicyMemo,
     ) -> (BTreeMap<Prefix, PrefixOutcome>, ConvergeWork) {
-        if opts.warm.is_none() && opts.engine == ConvergeEngine::Sparse && prefixes.len() > 1 {
-            if let Some(workers) = opts.shard.resolve() {
-                return self.run_prefixes_sharded(prefixes, arena, memo, workers);
-            }
-        }
         let routers: Vec<RouterCtx<'_>> = self
             .topo
             .routers()
@@ -296,28 +247,7 @@ impl<'a> Simulator<'a> {
         let mut scratch = SparseScratch::new();
         for prefix in prefixes {
             let orig = self.origin.dense(*prefix, self.models.len());
-            let mut outcome = None;
-            if let Some(warm) = opts.warm {
-                if let Some(base) = warm.get(prefix).filter(|o| o.is_converged()) {
-                    outcome = warm_probe(
-                        *prefix,
-                        &routers,
-                        &self.sessions,
-                        &sessions_of,
-                        &orig,
-                        arena,
-                        memo,
-                        base,
-                        &mut work,
-                    );
-                    if outcome.is_some() {
-                        work.prefixes += 1;
-                    } else {
-                        work.warm_fallbacks += 1;
-                    }
-                }
-            }
-            let outcome = outcome.unwrap_or_else(|| match opts.engine {
+            let outcome = match engine {
                 ConvergeEngine::Dense => run_prefix_dense(
                     *prefix,
                     &routers,
@@ -338,136 +268,7 @@ impl<'a> Simulator<'a> {
                     &mut scratch,
                     &mut work,
                 ),
-            });
-            match &outcome {
-                PrefixOutcome::Converged { rounds, .. } => {
-                    CONVERGENCE_ROUNDS.observe(*rounds as u64);
-                }
-                PrefixOutcome::Flapping {
-                    first_seen_round,
-                    cycle_len,
-                    ..
-                } => {
-                    SIM_FLAPPING.inc();
-                    CONVERGENCE_ROUNDS.observe((first_seen_round + cycle_len) as u64);
-                }
-            }
-            outcomes.insert(*prefix, outcome);
-        }
-        SIM_ROUTERS_RECOMPUTED.add(work.recomputed_routers);
-        SIM_ROUTERS_SKIPPED.add(work.skipped_routers);
-        SIM_POLICY_EVALS.add(work.policy_evals);
-        SIM_POLICY_MEMO_HITS.add(work.memo_hits);
-        SIM_WARM_PROBES.add(work.warm_probes);
-        SIM_WARM_REUSED.add(work.warm_reused);
-        SIM_WARM_FALLBACKS.add(work.warm_fallbacks);
-        (outcomes, work)
-    }
-
-    /// The sharded multi-prefix runner (see the `shard` module for the
-    /// byte-identity argument). Workers get a round-robin partition of
-    /// the sorted prefix list and run the sparse engine against private
-    /// arenas and memos; the join replays each prefix's created
-    /// derivation range into `arena` in global prefix order, remaps the
-    /// outcomes, and merges worker memos into `memo` so a cross-run
-    /// caller still benefits from the transfers evaluated here.
-    ///
-    /// The passed-in memo's existing entries are *not* consulted by the
-    /// workers (they start fresh) — the memo is semantically transparent,
-    /// so this only costs re-evaluations, never changes an outcome. Work
-    /// totals therefore equal the unsharded fresh-memo run's exactly:
-    /// per-prefix work is partition-invariant (memo hits cannot cross
-    /// prefixes) and the totals are sums over prefixes.
-    fn run_prefixes_sharded(
-        &self,
-        prefixes: &BTreeSet<Prefix>,
-        arena: &mut DerivArena,
-        memo: &mut PolicyMemo,
-        workers: usize,
-    ) -> (BTreeMap<Prefix, PrefixOutcome>, ConvergeWork) {
-        struct WorkerOut {
-            arena: DerivArena,
-            memo: PolicyMemo,
-            work: ConvergeWork,
-            outcomes: Vec<Option<PrefixOutcome>>,
-            /// Created-node range in `arena` per outcome, in run order.
-            ranges: Vec<(usize, usize)>,
-        }
-        let routers: Vec<RouterCtx<'_>> = self
-            .topo
-            .routers()
-            .iter()
-            .map(|r| RouterCtx {
-                id: r.id,
-                model: self.models[r.id.index()].as_ref(),
-                asn: self.models[r.id.index()].asn.map(|(a, _)| a),
-            })
-            .collect();
-        let _s = span!("sim.simulate", "sim").arg("prefixes", prefixes.len() as u64);
-        SIM_RUNS.inc();
-        SIM_PREFIXES.add(prefixes.len() as u64);
-        let sessions_of = index_sessions(&self.sessions, routers.len());
-        let sorted: Vec<Prefix> = prefixes.iter().copied().collect();
-        let w = workers.clamp(1, sorted.len());
-        let parts: Vec<Vec<Prefix>> = (0..w)
-            .map(|k| sorted.iter().copied().skip(k).step_by(w).collect())
-            .collect();
-        let run_worker = |part: &[Prefix]| -> WorkerOut {
-            let mut out = WorkerOut {
-                arena: DerivArena::new(),
-                memo: PolicyMemo::new(),
-                work: ConvergeWork::default(),
-                outcomes: Vec::with_capacity(part.len()),
-                ranges: Vec::with_capacity(part.len()),
             };
-            let mut scratch = SparseScratch::new();
-            for prefix in part {
-                let orig = self.origin.dense(*prefix, self.models.len());
-                let start = out.arena.len();
-                let outcome = run_prefix_sparse(
-                    *prefix,
-                    &routers,
-                    &self.sessions,
-                    &sessions_of,
-                    &orig,
-                    &mut out.arena,
-                    &mut out.memo,
-                    &mut scratch,
-                    &mut out.work,
-                );
-                out.ranges.push((start, out.arena.len()));
-                out.outcomes.push(Some(outcome));
-            }
-            out
-        };
-        let mut outs: Vec<WorkerOut> = if w == 1 {
-            vec![run_worker(&parts[0])]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = parts
-                    .iter()
-                    .map(|part| s.spawn(|| run_worker(part)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Deterministic join: global sorted prefix order, one created
-        // range replayed per prefix, cumulative per-worker id maps.
-        let mut maps: Vec<Vec<DerivId>> = (0..w).map(|_| Vec::new()).collect();
-        let mut cursors: Vec<usize> = vec![0; w];
-        let mut outcomes = BTreeMap::new();
-        let mut replayed = 0u64;
-        for (gi, prefix) in sorted.iter().enumerate() {
-            let wi = gi % w;
-            let k = cursors[wi];
-            cursors[wi] += 1;
-            replayed += replay_range(arena, &outs[wi].arena, outs[wi].ranges[k], &mut maps[wi]);
-            let outcome = outs[wi].outcomes[k].take().expect("joined once");
-            let outcome = remap_outcome(outcome, &maps[wi]);
             match &outcome {
                 PrefixOutcome::Converged { rounds, .. } => {
                     CONVERGENCE_ROUNDS.observe(*rounds as u64);
@@ -483,23 +284,10 @@ impl<'a> Simulator<'a> {
             }
             outcomes.insert(*prefix, outcome);
         }
-        let mut work = ConvergeWork::default();
-        for (wi, o) in outs.iter().enumerate() {
-            memo.absorb_worker(&o.memo, &maps[wi]);
-            work.absorb(&o.work);
-        }
-        work.sharded_runs += 1;
-        work.sharded_prefixes += sorted.len() as u64;
-        SHARD_RUNS.inc();
-        SHARD_PREFIXES.add(sorted.len() as u64);
-        SHARD_REPLAYED_NODES.add(replayed);
         SIM_ROUTERS_RECOMPUTED.add(work.recomputed_routers);
         SIM_ROUTERS_SKIPPED.add(work.skipped_routers);
         SIM_POLICY_EVALS.add(work.policy_evals);
         SIM_POLICY_MEMO_HITS.add(work.memo_hits);
-        SIM_WARM_PROBES.add(work.warm_probes);
-        SIM_WARM_REUSED.add(work.warm_reused);
-        SIM_WARM_FALLBACKS.add(work.warm_fallbacks);
         (outcomes, work)
     }
 

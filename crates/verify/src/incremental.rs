@@ -9,27 +9,29 @@
 //! 1. [`IncrementalVerifier::commit`] is the one cold path: it compiles
 //!    the configuration into a [`CompiledBase`] (`acr-sim`), simulates the
 //!    whole universe and caches every per-prefix outcome with its
-//!    configuration-line closure and FIB fragment, in a **persistent
-//!    content-addressed arena** (old derivation ids stay valid),
+//!    configuration-line closure, plus every router's base FIB, in a
+//!    **persistent content-addressed arena** (old derivation ids stay
+//!    valid),
 //! 2. a candidate (committed configuration + patch) is delta-built from
 //!    the base — only patched devices recompile — and the comparison of
 //!    their old and new models ([`acr_sim::DeltaInfo`]) yields the
 //!    *affected prefixes* under the contract below,
-//! 3. only affected prefixes are re-simulated; one tail merges them over
-//!    the cache, assembles FIBs from the committed base FIBs and
-//!    fragments, and runs the (cheap) packet walks on the merged state. A
-//!    resumed verifier is the empty candidate: nothing affected, nothing
-//!    simulated.
+//! 3. only affected prefixes are re-simulated, by the same
+//!    [`Simulator::run_prefixes_with`] call the commit makes; one tail
+//!    merges them over the cache, assembles FIBs from the committed base
+//!    FIBs plus the BGP fragment of every merged outcome, and runs the
+//!    (cheap) packet walks on the merged state. A resumed verifier is the
+//!    empty candidate: nothing affected, nothing simulated.
 //!
 //! **The affected-set contract** (`affected_prefixes`, the only place a
-//! set is computed): a cached per-prefix outcome is a pure function of
-//! exactly the inputs [`acr_sim::DeltaInfo::warm_eligible`] enumerates —
-//! the session vector, each router's AS value, the prefix's originations,
-//! and `eval_policy` over the touched models' `route_policies` and
-//! `prefix_lists`. Every prefix for which one of them can differ, or whose
-//! closure holds a renumbered line, is in the set. With nothing cached
-//! that is every prefix; otherwise five rules, fed by the model diff and
-//! never by the patch's statements:
+//! set is computed): a per-prefix run reads exactly the session vector
+//! (views, base lines, policy bindings), each router's AS value, the
+//! prefix's originations, and — through `eval_policy` — the touched
+//! models' `route_policies` and `prefix_lists`; a cached outcome is a pure
+//! function of those. Every prefix for which one of them can differ, or
+//! whose closure holds a renumbered line, is in the set. With nothing
+//! cached that is every prefix; otherwise five rules, fed by the model
+//! diff and never by the patch's statements:
 //!
 //! 1. **every prefix** when sessions changed structurally, a touched
 //!    router's AS value changed, or a policy bound by one of its peers has
@@ -59,8 +61,8 @@ use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_sim::{
-    bgp_fragment, CompiledBase, ConvergeWork, DeltaInfo, DerivArena, Fib, FibEntry, PolicyMemo,
-    PrefixOutcome, ResidentBase, RunOptions, SessionDelta, ShardMode, SimBuild, Simulator,
+    bgp_fragment, CompiledBase, ConvergeEngine, DeltaInfo, DerivArena, Fib, PolicyMemo,
+    PrefixOutcome, ResidentBase, SessionDelta, SimBuild, Simulator,
 };
 use acr_topo::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,14 +78,11 @@ static INV_COLD: Counter = Counter::new("verify.invalidated.cold");
 static INV_SESSIONS: Counter = Counter::new("verify.invalidated.sessions");
 static INV_POLICY: Counter = Counter::new("verify.invalidated.policy");
 static INV_NARROWED: Counter = Counter::new("verify.invalidated.narrowed");
-// FIB-fragment reuse: per-router base FIBs (connected + static) are
-// rebuilt only when the router's device model changed (delta builds share
-// unpatched models by `Arc`), and per-prefix BGP fragments are re-derived
-// only for freshly simulated prefixes.
+// Base-FIB reuse: per-router base FIBs (connected + static) are rebuilt
+// only when the router's device model changed (delta builds share
+// unpatched models by `Arc`).
 static FIB_ROUTERS_REBUILT: Counter = Counter::new("verify.fib_routers_rebuilt");
 static FIB_ROUTERS_REUSED: Counter = Counter::new("verify.fib_routers_reused");
-static FIB_FRAGS_RECOMPUTED: Counter = Counter::new("verify.fib_frags_recomputed");
-static FIB_FRAGS_REUSED: Counter = Counter::new("verify.fib_frags_reused");
 // Warm-state suspend/resume (the resident daemon path): a resume hit
 // re-installs every cache for a byte-identical configuration; a miss
 // means the fingerprints diverged and the caller must commit cold.
@@ -109,13 +108,8 @@ pub struct IncrementalStats {
     /// Wall-clock simulating affected prefixes and assembling FIBs.
     pub simulate: Duration,
     /// Within `simulate`: wall-clock of per-prefix convergence alone
-    /// (worklist iteration, warm probes) — excludes merging and FIBs.
+    /// (worklist iteration) — excludes merging and FIBs.
     pub converge: Duration,
-    /// Affected prefixes whose converged fixed point was warm-started
-    /// from the committed base instead of re-iterated (still counted in
-    /// `recomputed`, so recompute/reuse accounting is identical whether
-    /// or not delta mode allows warm starts).
-    pub warm_reused: usize,
 }
 
 /// What is cached about the committed configuration, keyed like the
@@ -129,9 +123,6 @@ struct Caches {
     /// committed base's device models — a router's base FIB is reused
     /// while a simulator holds that very model `Arc`.
     fib_base: Vec<Fib>,
-    /// Per-prefix BGP FIB fragments: the install list `(router index,
-    /// entry)` derived from each cached prefix's converged best routes.
-    fib_frags: BTreeMap<Prefix, Vec<(usize, FibEntry)>>,
 }
 
 impl Caches {
@@ -153,7 +144,6 @@ impl Caches {
                 .collect();
             let closure = arena.closure_lines(roots).into_iter().collect();
             caches.closures.insert(p, closure);
-            caches.fib_frags.insert(p, bgp_fragment(&o));
             caches.outcomes.insert(p, o);
         }
         caches.fib_base = sim.base_fibs(arena);
@@ -178,11 +168,6 @@ pub struct IncrementalVerifier<'a> {
     /// staleness is handled by [`PolicyMemo::begin_run`], which drops
     /// entries on sessions adjacent to patched routers.
     memo: PolicyMemo,
-    /// Cumulative sharded-convergence accounting across commits
-    /// (candidate validation always runs unsharded), surfaced in the
-    /// engine's `shard_summary` journal event.
-    sharded_runs: u64,
-    sharded_prefixes: u64,
     last_stats: IncrementalStats,
 }
 
@@ -202,8 +187,6 @@ impl<'a> IncrementalVerifier<'a> {
             caches: Caches::default(),
             delta: true,
             memo: PolicyMemo::new(),
-            sharded_runs: 0,
-            sharded_prefixes: 0,
             last_stats: IncrementalStats::default(),
         }
     }
@@ -231,12 +214,6 @@ impl<'a> IncrementalVerifier<'a> {
         self.last_stats
     }
 
-    /// Cumulative `(sharded runs, prefixes run sharded)` across commits —
-    /// the engine's `shard_summary` journal event.
-    pub fn shard_totals(&self) -> (u64, u64) {
-        (self.sharded_runs, self.sharded_prefixes)
-    }
-
     /// The persistent arena (derivation roots in returned records resolve
     /// here).
     pub fn arena(&self) -> &DerivArena {
@@ -255,23 +232,11 @@ impl<'a> IncrementalVerifier<'a> {
         let affected = affected_prefixes(&self.caches, None, &Patch::new(), &universe);
         // The committed models changed, so the policy memo starts over;
         // this run re-seeds it and the first candidate already finds the
-        // base's transfers. The committed path never warm-starts and may
-        // shard: its outcomes seed the cache, computed cold.
+        // base's transfers.
         self.memo = PolicyMemo::new();
         self.memo.begin_run(sim.sessions_arc(), &[]);
         let (arena, memo) = (&mut self.arena, &mut self.memo);
-        let opts = RunOptions::default();
-        let mut run = simulate(
-            &sim,
-            base.build_stats(),
-            &universe,
-            affected,
-            &opts,
-            arena,
-            memo,
-        );
-        self.sharded_runs += run.work.sharded_runs;
-        self.sharded_prefixes += run.work.sharded_prefixes;
+        let mut run = simulate(&sim, base.build_stats(), &universe, affected, arena, memo);
         self.caches = Caches::fill(std::mem::take(&mut run.fresh), &sim, arena);
         self.base = Some(base);
         let (view, arena, _) = self.split();
@@ -327,7 +292,7 @@ impl<'a> IncrementalVerifier<'a> {
 
     /// Consumes the verifier into an owned, borrow-free [`WarmState`] a
     /// resident daemon can park between incidents: the detached compiled
-    /// base, the per-prefix outcome/closure/FIB-fragment caches, the
+    /// base, the per-prefix outcome/closure caches and base FIBs, the
     /// persistent arena, and the policy memo (which carries the route
     /// interner). Returns `None` when nothing was ever committed.
     pub fn suspend(self) -> Option<WarmState> {
@@ -487,12 +452,6 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
         let info = sim.delta_info().or(analyzed.as_ref());
         let universe = sim.universe();
         let affected = affected_prefixes(self.caches, info, patch, &universe);
-        // Warm starts only under delta mode and only when the analysis
-        // proved the patch leaves the BGP dynamics unchanged
-        // (`DeltaInfo::warm_eligible`). Warm reuse is byte-exact
-        // (probe-verified fixed-point replay), so verdicts and
-        // recompute/reuse counts are still identical with delta mode off.
-        let warm_ok = self.delta && info.is_some_and(|i| i.warm_eligible);
         // The cross-candidate memo is sound exactly when this candidate
         // was delta-built: unchanged routers then hold the base's own
         // `Arc`'d models, so a memoized transfer between two unpatched
@@ -507,30 +466,13 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
             }
             _ => &mut local_memo,
         };
-        // Candidates run unsharded, explicitly: the sharded runner starts
-        // each worker from a fresh memo/arena (and skips warm starts), so
-        // it would forfeit exactly the cross-candidate reuse this path is
-        // built around — affected sets here are small by construction.
-        let opts = RunOptions {
-            warm: warm_ok.then_some(&self.caches.outcomes),
-            shard: ShardMode::Off,
-            ..RunOptions::default()
-        };
-        let run = simulate(
-            &sim,
-            sim.build_stats(),
-            &universe,
-            affected,
-            &opts,
-            arena,
-            memo,
-        );
+        let run = simulate(&sim, sim.build_stats(), &universe, affected, arena, memo);
         self.assemble(&sim, &universe, run, arena)
     }
 
     /// The one tail of commit, resume and candidate: fresh outcomes over
-    /// the cache, FIBs from the committed base FIBs and fragments, then
-    /// the property walks on the merged state.
+    /// the cache, FIBs from the committed base FIBs plus every merged
+    /// outcome's BGP fragment, then the property walks on the merged state.
     fn assemble(
         &self,
         sim: &Simulator<'a>,
@@ -542,7 +484,6 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
             fresh,
             mut stats,
             started,
-            ..
         } = run;
         // Merge: fresh results override the cache; prefixes outside the
         // universe are dropped. The map holds *references* (cache entries
@@ -558,10 +499,7 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
         // one, under delta construction) reuses the committed FIB, and the
         // derivation interns a rebuild would have made would have been
         // dedup hits — the arena stays byte-identical to assembling from
-        // scratch. Fragments come from the cache for reused prefixes and
-        // are derived for re-simulated ones. Identical to `sim.fibs_for`:
-        // install order across prefixes is irrelevant (distinct trie keys)
-        // and base entries always precede BGP installs.
+        // scratch. The BGP installs are `sim.fibs_for`'s.
         let committed = self.base.map_or(&[][..], |b| b.models());
         let models = sim.models().iter().enumerate();
         let mut fibs: Vec<Fib> = models
@@ -571,27 +509,16 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
             })
             .collect();
         for (p, o) in &merged {
-            match self.caches.fib_frags.get(p) {
-                Some(frag) if !fresh.contains_key(p) => {
-                    for (i, entry) in frag {
-                        fibs[*i].install(*p, entry.clone());
-                    }
-                }
-                _ => {
-                    for (i, entry) in bgp_fragment(o) {
-                        fibs[i].install(*p, entry);
-                    }
-                }
+            for (i, entry) in bgp_fragment(o) {
+                fibs[i].install(*p, entry);
             }
         }
-        // Booked from the call's statistics, not from the two loops: a
-        // commit replays what `Caches::fill` has just built, and that is
-        // built, not reused. A router's base FIB is rebuilt exactly when
-        // its device was compiled for this call.
+        // Booked from the call's statistics, not from the base-FIB pass
+        // above: a commit replays what `Caches::fill` has just built, and
+        // that is built, not reused. A router's base FIB is rebuilt exactly
+        // when its device was compiled for this call.
         FIB_ROUTERS_REBUILT.add(stats.compiled_devices as u64);
         FIB_ROUTERS_REUSED.add((fibs.len() - stats.compiled_devices) as u64);
-        FIB_FRAGS_RECOMPUTED.add(stats.recomputed as u64);
-        FIB_FRAGS_REUSED.add(stats.reused as u64);
         stats.simulate = started.elapsed();
         let verification = self
             .verifier
@@ -604,7 +531,6 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
 struct Run {
     fresh: BTreeMap<Prefix, PrefixOutcome>,
     stats: IncrementalStats,
-    work: ConvergeWork,
     started: Instant,
 }
 
@@ -615,12 +541,11 @@ fn simulate(
     build: SimBuild,
     universe: &BTreeSet<Prefix>,
     (affected, rule): (BTreeSet<Prefix>, &Counter),
-    opts: &RunOptions<'_>,
     arena: &mut DerivArena,
     memo: &mut PolicyMemo,
 ) -> Run {
     let started = Instant::now();
-    let (fresh, work) = sim.run_prefixes_with(&affected, arena, opts, memo);
+    let (fresh, _) = sim.run_prefixes_with(&affected, arena, ConvergeEngine::Sparse, memo);
     let stats = IncrementalStats {
         recomputed: fresh.len(),
         reused: universe.len() - fresh.len(),
@@ -630,7 +555,6 @@ fn simulate(
         establish: build.establish,
         simulate: Duration::ZERO,
         converge: started.elapsed(),
-        warm_reused: work.warm_reused as usize,
     };
     PREFIXES_RECOMPUTED.add(stats.recomputed as u64);
     PREFIXES_REUSED.add(stats.reused as u64);
@@ -638,7 +562,6 @@ fn simulate(
     Run {
         fresh,
         stats,
-        work,
         started,
     }
 }
@@ -648,9 +571,10 @@ fn simulate(
 /// place an affected set is computed.
 ///
 /// **Contract.** A cached per-prefix outcome is a pure function of exactly
-/// the inputs [`DeltaInfo::warm_eligible`] enumerates: the session vector,
-/// each router's AS value, the prefix's originations, and `eval_policy`
-/// over the touched models' `route_policies` and `prefix_lists`. Every
+/// what a per-prefix run reads: the session vector (views, base lines,
+/// policy bindings), each router's AS value, the prefix's originations,
+/// and `eval_policy` over the touched models' `route_policies` and
+/// `prefix_lists`. Every
 /// universe prefix for which one of them can differ between the committed
 /// configuration and the candidate, or whose closure holds a renumbered
 /// line, is returned. What differs is read off `info`, the old-vs-new

@@ -183,9 +183,8 @@ fn delta_compilation_never_changes_a_repair() {
 /// must agree on every observable field — outcome, patch, iteration
 /// trace, *per-segment attribution*, tags, and both validation
 /// counters — and every report must satisfy the candidate-accounting
-/// identity. (`ACR_SPARSE` is process-global, so the sparse axis is
-/// differenced cross-process by `ci.sh`; journal byte-identity for the
-/// beam path lives in `obs_pipeline.rs`, which owns the global sink.)
+/// identity. (Journal byte-identity for the beam path lives in
+/// `obs_pipeline.rs`, which owns the global sink.)
 #[test]
 fn beam_multi_patch_repair_is_thread_and_delta_invariant() {
     let net = wan();

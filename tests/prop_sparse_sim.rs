@@ -12,26 +12,30 @@
 //! The property is exercised over random Table-1 fault injections (all
 //! nine fault classes) crossed with random follow-up patches that include
 //! session-shaping edits — the same adversarial surface `prop_delta_sim`
-//! drives the delta compiler with. A dedicated case pins the Figure 2
-//! flapping incident: the oscillation fingerprint (`first_seen_round`,
-//! `cycle_len`, observed routes) must be identical under both engines.
-
-// Gated: run with `cargo test --features heavy-tests` (vendored proptest shim).
-#![cfg(feature = "heavy-tests")]
+//! drives the delta compiler with — behind `heavy-tests` (vendored
+//! proptest shim). Two fixed cases run in the default feature set: every
+//! Table-1 class at its first injectable site of `wan(4,8)`, and the
+//! Figure 2 flapping incident, whose oscillation fingerprint
+//! (`first_seen_round`, `cycle_len`, observed routes) must be identical
+//! under both engines. The product always runs the sparse engine, so
+//! field-for-field equal simulator output is what makes the dense engine a
+//! reference for it: equal outcomes and arenas imply equal repairs.
 
 use acr::prelude::*;
-use acr::workloads::{fig2_incident, try_inject, GeneratedNetwork, TABLE1};
-use acr_sim::{ConvergeEngine, DerivArena, PrefixOutcome, RunOptions, ShardMode};
-use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
+use acr::workloads::{fig2_incident, inject_at, TABLE1};
+use acr_sim::{ConvergeEngine, ConvergeWork, DerivArena, PolicyMemo, PrefixOutcome};
+use std::collections::BTreeMap;
 
-fn wan() -> GeneratedNetwork {
-    generate(&acr::topo::gen::wan(3, 4))
-}
+#[cfg(feature = "heavy-tests")]
+use acr::workloads::try_inject;
+#[cfg(feature = "heavy-tests")]
+use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
 
 /// Materializes one edit against `cfg` from raw fuzz inputs — the same
 /// shapes `prop_delta_sim` uses, session-shaping edits included, so the
 /// sparse engine is tested on exactly the configurations the repair loop
 /// simulates.
+#[cfg(feature = "heavy-tests")]
 fn edit_from(cfg: &NetworkConfig, ri: usize, pos: u16, kind: u8) -> Edit {
     let routers = cfg.routers();
     let router = routers[ri % routers.len()];
@@ -80,21 +84,14 @@ fn edit_from(cfg: &NetworkConfig, ri: usize, pos: u16, kind: u8) -> Edit {
 fn run_engine(
     sim: &Simulator,
     engine: ConvergeEngine,
-) -> (
-    std::collections::BTreeMap<Prefix, acr_sim::PrefixOutcome>,
-    DerivArena,
-    acr_sim::ConvergeWork,
-) {
+) -> (BTreeMap<Prefix, PrefixOutcome>, DerivArena, ConvergeWork) {
     let mut arena = DerivArena::new();
-    let opts = RunOptions {
-        engine,
-        warm: None,
-        shard: ShardMode::Off,
-    };
-    let (outcomes, work) = sim.run_prefixes_opts(&sim.universe(), &mut arena, &opts);
+    let mut memo = PolicyMemo::new();
+    let (outcomes, work) = sim.run_prefixes_with(&sim.universe(), &mut arena, engine, &mut memo);
     (outcomes, arena, work)
 }
 
+#[cfg(feature = "heavy-tests")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -114,7 +111,7 @@ proptest! {
         kind2 in any::<u8>(),
         two_edits in any::<bool>(),
     ) {
-        let net = wan();
+        let net = generate(&acr::topo::gen::wan(3, 4));
         // Base: a Table-1 incident (any of the nine fault classes), so
         // equivalence is checked on the configurations repair actually
         // simulates — broken ones — not just healthy networks.
@@ -147,6 +144,32 @@ proptest! {
         prop_assert_eq!(
             sparse_work.recomputed_routers + sparse_work.skipped_routers,
             dense_work.recomputed_routers
+        );
+    }
+}
+
+/// Every Table-1 class at its first injectable site of `wan(4,8)` — the
+/// configurations the benchmark's workloads repair: outcomes and arenas
+/// equal, trajectories equal round for round, and the sparse engine's
+/// recomputed + skipped routers are exactly the dense engine's recomputed.
+#[test]
+fn sparse_equals_dense_on_every_table1_class() {
+    let net = generate(&acr::topo::gen::wan(4, 8));
+    for (fault, _) in TABLE1 {
+        let routers = net.cfg.routers().into_iter();
+        let incident = (routers.filter_map(|r| inject_at(fault, &net, &net.cfg, r)))
+            .next()
+            .unwrap_or_else(|| panic!("{fault:?} has an injectable site"));
+        let sim = Simulator::new(&net.topo, &incident.broken);
+        let (dense, dense_arena, dense_work) = run_engine(&sim, ConvergeEngine::Dense);
+        let (sparse, sparse_arena, sparse_work) = run_engine(&sim, ConvergeEngine::Sparse);
+        assert_eq!(dense, sparse, "{fault:?}: outcomes");
+        assert_eq!(dense_arena, sparse_arena, "{fault:?}: arenas");
+        assert_eq!(dense_work.rounds, sparse_work.rounds, "{fault:?}: rounds");
+        assert_eq!(
+            sparse_work.recomputed_routers + sparse_work.skipped_routers,
+            dense_work.recomputed_routers,
+            "{fault:?}: router work"
         );
     }
 }
