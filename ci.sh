@@ -23,22 +23,6 @@ cargo build --release
 echo "==> cargo test (default features)"
 cargo test -q
 
-echo "==> cargo test (forced sequential validate, ACR_THREADS=1)"
-ACR_THREADS=1 cargo test -q
-
-echo "==> exp_delta --smoke (delta/full equivalence regression guard)"
-cargo run --release -q -p acr-bench --bin exp_delta -- --smoke
-
-echo "==> exp_obs --smoke (journal/trace schema + determinism guard)"
-obs_on=$(cargo run --release -q -p acr-bench --bin exp_obs -- --smoke | tee /dev/stderr | grep '^report_digest=')
-
-echo "==> exp_obs --smoke --disabled (obs fully off; digests must agree)"
-obs_off=$(ACR_OBS=0 cargo run --release -q -p acr-bench --bin exp_obs -- --smoke --disabled | tee /dev/stderr | grep '^report_digest=')
-if [ "$obs_on" != "$obs_off" ]; then
-    echo "FAIL: instrumented and disabled passes computed different repairs ($obs_on vs $obs_off)" >&2
-    exit 1
-fi
-
 echo "==> exp_scenarios --smoke (scenario corpus + strategy A/B + golden digest)"
 scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep '^corpus_digest=')
 # The corpus content itself is regression-pinned (golden_corpus.rs); the
@@ -55,9 +39,6 @@ ACR_TRACE="$obs_tmp/trace.json" ACR_JOURNAL="$obs_tmp/journal.jsonl" \
 grep -q '"traceEvents"' "$obs_tmp/trace.json"
 grep -q '"schema":"acr-journal/v6"' "$obs_tmp/journal.jsonl"
 rm -rf "$obs_tmp"
-
-echo "==> exp_serve --smoke (daemon cold/resident A/B: identical decisions, fewer sims)"
-cargo run --release -q -p acr-bench --bin exp_serve -- --smoke
 
 echo "==> acrd smoke (daemon-served repair == one-shot batch, JSONL over stdin)"
 acrd_daemon=$(./target/release/acrd --emit-corpus | ./target/release/acrd | tee /dev/stderr | grep -E '^(report_digest=|jobs=)')

@@ -19,7 +19,7 @@
 //! observability — what the mask hid is exactly what the `hidden_ok`
 //! column measures. Per `(family, strategy)` the harness emits a
 //! Figure-1-style resolve-time CDF (p50/p90/max over resolved
-//! incidents) into `BENCH_scenarios.json`.
+//! incidents).
 //!
 //! **A/B acceptance**: at least one *interacting* scenario is resolved
 //! by `acr-beam` and not by `acr-single` — the multi-patch search pays
@@ -38,7 +38,7 @@
 //! ```
 
 use acr_baselines::{AedStrategy, MetaProvStrategy};
-use acr_bench::{fmt_duration, json, percentile, rule, standard_network, write_bench_mode};
+use acr_bench::{fmt_duration, percentile, rule, standard_network};
 use acr_cfg::NetworkConfig;
 use acr_core::{AcrStrategy, RepairConfig, RepairStrategy, Strategy, StrategyVerdict};
 use acr_scenarios::{corpus, corpus_digest, Scenario, ScenarioFamily};
@@ -140,7 +140,6 @@ fn judge_full(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     // The 2-per-family corpus is already CI-sized (seconds); `--smoke`
     // is accepted but must not truncate it — dropping scenarios would
     // dodge the interacting incident the A/B acceptance hinges on.
@@ -162,7 +161,6 @@ fn main() {
 
     let mut scored: Vec<(usize, Scored)> = Vec::new();
     let mut beam_signatures: Vec<String> = Vec::new();
-    let mut rows: Vec<String> = Vec::new();
     for (si, scenario) in scenarios.iter().enumerate() {
         let spec = scenario.visible_spec(&net.spec);
         let mut attempts: Vec<Scored> = Vec::new();
@@ -209,25 +207,12 @@ fn main() {
                 s.verdict.validations,
                 fmt_duration(s.verdict.wall),
             );
-            rows.push(
-                json::Obj::new()
-                    .str("scenario", &scenario.label)
-                    .str("family", scenario.family.tag())
-                    .str("strategy", &s.strategy)
-                    .bool("resolved", s.verdict.resolved)
-                    .bool("full_observability_resolved", s.full_ok)
-                    .int("residual_failures", s.verdict.residual_failures)
-                    .int("validations", s.verdict.validations)
-                    .num("wall_s", s.verdict.wall.as_secs_f64())
-                    .build(),
-            );
             scored.push((si, s));
         }
     }
     rule(header.len());
 
     // Per-(family, strategy) Figure-1-style resolve-time CDFs.
-    let mut cdfs: Vec<String> = Vec::new();
     let mut by_key: BTreeMap<(String, String), Vec<(bool, f64)>> = BTreeMap::new();
     for (si, s) in &scored {
         by_key
@@ -261,34 +246,6 @@ fn main() {
             frac(50.0),
             frac(90.0),
             frac(100.0),
-        );
-        cdfs.push(
-            json::Obj::new()
-                .str("family", family)
-                .str("strategy", strategy)
-                .int("scenarios", runs.len())
-                .int("resolved", times.len())
-                .raw(
-                    "resolve_times_s",
-                    &json::array(times.iter().map(|t| format!("{t:.6}"))),
-                )
-                .num(
-                    "p50_s",
-                    if times.is_empty() {
-                        -1.0
-                    } else {
-                        percentile(&times, 50.0)
-                    },
-                )
-                .num(
-                    "p90_s",
-                    if times.is_empty() {
-                        -1.0
-                    } else {
-                        percentile(&times, 90.0)
-                    },
-                )
-                .build(),
         );
     }
     rule(h2.len());
@@ -324,26 +281,4 @@ fn main() {
     assert!(families_covered >= 4, "corpus must cover all four families");
 
     println!("report_digest={:016x}", digest(&beam_signatures));
-
-    let path = write_bench_mode("scenarios", smoke, |env| {
-        env.bool("smoke", smoke)
-            .int("scenarios", scenarios.len())
-            .int("per_family", per_family)
-            .int("strategies", 4)
-            .str(
-                "corpus_digest",
-                &format!("{:016x}", corpus_digest(&scenarios)),
-            )
-            .str(
-                "report_digest",
-                &format!("{:016x}", digest(&beam_signatures)),
-            )
-            .raw(
-                "beam_only_interacting",
-                &json::array(beam_only.iter().map(|l| format!("\"{}\"", json::escape(l)))),
-            )
-            .raw("cdfs", &json::array(cdfs))
-            .raw("runs", &json::array(rows))
-    });
-    println!("wrote {path}");
 }

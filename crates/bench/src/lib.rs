@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries and criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! Every `exp_*` binary regenerates one artifact of the paper (see
 //! `EXPERIMENTS.md` at the workspace root for the index); this library
@@ -66,69 +66,6 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// The workspace's single hand-rolled JSON implementation (emitter +
-/// validating parser), re-exported from `acr-obs` for the
-/// `BENCH_*.json` artifacts.
-pub use acr_obs::json;
-
-/// Schema tag every `BENCH_*.json` artifact carries.
-pub const BENCH_SCHEMA: &str = "acr-bench/v1";
-
-/// Renders an environment override as a JSON string, or `null` when the
-/// variable is unset.
-fn env_override(var: &str) -> String {
-    std::env::var(var).map_or("null".into(), |v| format!("\"{}\"", json::escape(&v)))
-}
-
-/// Wraps a bench binary's payload in the shared artifact envelope and
-/// writes it to `BENCH_<name>.json` in the working directory.
-///
-/// The envelope stamps the schema tag, the bench name, the host's
-/// available parallelism, and the `ACR_THREADS` environment override
-/// in effect, so artifacts from different bench
-/// binaries (and different runs) are comparable without knowing which
-/// binary emitted them. `payload` extends the envelope object with the
-/// bench-specific fields.
-pub fn write_bench(name: &str, payload: impl FnOnce(json::Obj) -> json::Obj) -> String {
-    write_bench_mode(name, false, payload)
-}
-
-/// [`write_bench`] with smoke-mode routing: a `--smoke` run lands in
-/// `BENCH_<name>.smoke.json` instead of the canonical artifact, so
-/// `BENCH_<name>.json` only ever carries full-run numbers and a CI
-/// smoke pass cannot overwrite the trajectory data with truncated
-/// corpora. The envelope additionally records the mode as
-/// `"mode": "smoke" | "full"`.
-pub fn write_bench_mode(
-    name: &str,
-    smoke: bool,
-    payload: impl FnOnce(json::Obj) -> json::Obj,
-) -> String {
-    let env = bench_envelope(name).str("mode", if smoke { "smoke" } else { "full" });
-    let doc = payload(env).build();
-    json::parse(&doc)
-        .unwrap_or_else(|e| panic!("BENCH_{name}.json payload is not valid JSON: {e}"));
-    let path = if smoke {
-        format!("BENCH_{name}.smoke.json")
-    } else {
-        format!("BENCH_{name}.json")
-    };
-    std::fs::write(&path, doc + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-    path
-}
-
-/// The shared envelope fields alone — see [`write_bench`].
-pub fn bench_envelope(name: &str) -> json::Obj {
-    json::Obj::new()
-        .str("schema", BENCH_SCHEMA)
-        .str("bench", name)
-        .int(
-            "host_parallelism",
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        )
-        .raw("env_threads", &env_override("ACR_THREADS"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,17 +84,6 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_micros(50)), "50us");
         assert_eq!(fmt_duration(Duration::from_millis(12)), "12.0ms");
         assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
-    }
-
-    #[test]
-    fn bench_envelope_carries_shared_schema() {
-        let doc = bench_envelope("unit").int("extra", 7).build();
-        let v = json::parse(&doc).expect("envelope is valid JSON");
-        assert_eq!(v.get("schema").unwrap().as_str(), Some(BENCH_SCHEMA));
-        assert_eq!(v.get("bench").unwrap().as_str(), Some("unit"));
-        assert!(v.get("host_parallelism").unwrap().as_num().unwrap() >= 1.0);
-        assert!(v.get("env_threads").is_some());
-        assert_eq!(v.get("extra").unwrap().as_num(), Some(7.0));
     }
 
     #[test]

@@ -87,8 +87,7 @@ pub struct RepairConfig {
     /// Worker threads for the validate stage. `0` = available
     /// parallelism; `1` = the exact legacy sequential path, which a
     /// batch too small to pay for pool workers takes at every setting.
-    /// Results are byte-identical at every setting; the `ACR_THREADS`
-    /// environment variable sets the default.
+    /// Results are byte-identical at every setting. Default `0`.
     pub threads: usize,
     /// The simulation memo-cache. Candidates whose rendered config was
     /// validated before (against the same base, topology and test
@@ -111,14 +110,6 @@ pub struct RepairConfig {
     pub tags: Vec<String>,
 }
 
-/// The `threads` default: the `ACR_THREADS` env var, else `0` (= auto).
-fn default_threads() -> usize {
-    std::env::var("ACR_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
@@ -131,7 +122,7 @@ impl Default for RepairConfig {
             allowed_templates: None,
             operators: OperatorSet::Curated,
             lint: true,
-            threads: default_threads(),
+            threads: 0,
             cache: Some(Arc::new(SimCache::default())),
             delta: true,
             tags: Vec::new(),
@@ -241,7 +232,7 @@ pub struct StageTimes {
     /// Within validation: per-prefix simulation and FIB assembly.
     pub sim_simulate: Duration,
     /// Within `sim_simulate`: per-prefix convergence alone (worklist
-    /// iteration and warm-start probes, excluding merge/FIB assembly).
+    /// iteration, excluding merge/FIB assembly).
     pub sim_converge: Duration,
 }
 
@@ -1174,6 +1165,3 @@ fn pick<'t, T>(rng: &mut SplitMix64, xs: &'t [T]) -> Option<&'t T> {
         Some(&xs[rng.index(xs.len())])
     }
 }
-
-// A tiny usage of TemplateKind keeps the import honest for rustdoc links.
-const _: fn(&CandidateFix) -> TemplateKind = |f| f.template;

@@ -103,12 +103,3 @@ pub fn failing_dsts(ctx: &RepairCtx<'_>, anchor_lines: &[LineId]) -> BTreeSet<Pr
     }
     out
 }
-
-#[cfg(test)]
-mod tests {
-    // Exercised end-to-end through the template and engine tests (the
-    // worked-example assertions live in `tests/fig2_incident.rs` at the
-    // workspace root); unit coverage here focuses on the conflict case via
-    // a synthetic context, which requires a full verification fixture —
-    // see `crate::templates::tests`.
-}

@@ -4,7 +4,7 @@
 //! iteration / candidate-index order, so a journal is byte-identical
 //! across runs (and across worker-thread counts) once `"ts_us"` fields
 //! are scrubbed — see [`scrub_timestamps`]. The schema
-//! (`acr-journal/v6`) is what `exp_obs` validates in CI:
+//! (`acr-journal/v6`) is what `tests/obs_pipeline.rs` validates:
 //!
 //! - `run_start` — network shape, initial failures, the engine
 //!   configuration under a `config` key (the only run-parameter-bearing

@@ -1,9 +1,9 @@
-//! Hand-rolled JSON: an emitter for the trace/journal/bench artifacts
-//! and a minimal recursive-descent parser for validating them.
+//! Hand-rolled JSON: an emitter for the trace/journal artifacts and the
+//! daemon protocol, and a minimal recursive-descent parser for
+//! validating them.
 //!
 //! The hermetic workspace has no serde; this module is the single JSON
-//! implementation every layer shares (`acr-bench` re-exports it for the
-//! `BENCH_*.json` artifacts). The emitter covers objects of
+//! implementation every layer shares. The emitter covers objects of
 //! string/number/bool/raw fields plus arrays; the parser covers the full
 //! JSON grammar minus exotic number forms, enough to round-trip
 //! everything the emitter produces and to schema-check journal lines and

@@ -39,9 +39,6 @@
 //! spans to whichever worker ran them, so their *canonical* form
 //! ([`trace::canonical`], timestamps and thread ids scrubbed) is the
 //! deterministic artifact.
-//!
-//! `ACR_OBS=0` force-disables every facility regardless of the other
-//! variables.
 
 pub mod journal;
 pub mod json;
@@ -93,7 +90,7 @@ pub fn flags() -> u8 {
 }
 
 /// One-time environment scan: `ACR_TRACE`/`ACR_JOURNAL`/`ACR_METRICS`
-/// configure sinks, `ACR_OBS=0|false|off` vetoes everything.
+/// configure sinks.
 fn init_from_env() -> u8 {
     let _guard = INIT_LOCK.lock().unwrap();
     init_locked()
@@ -106,33 +103,27 @@ fn init_locked() -> u8 {
     if f != UNINIT {
         return f;
     }
-    let vetoed = matches!(
-        std::env::var("ACR_OBS").ok().as_deref(),
-        Some("0") | Some("false") | Some("off")
-    );
     let mut flags = 0u8;
-    if !vetoed {
-        if let Ok(path) = std::env::var("ACR_TRACE") {
-            if !path.is_empty() {
-                trace::set_path(&path);
-                flags |= TRACE;
+    if let Ok(path) = std::env::var("ACR_TRACE") {
+        if !path.is_empty() {
+            trace::set_path(&path);
+            flags |= TRACE;
+        }
+    }
+    if let Ok(path) = std::env::var("ACR_JOURNAL") {
+        if !path.is_empty() {
+            match journal::set_file(&path) {
+                Ok(()) => flags |= JOURNAL,
+                Err(e) => eprintln!("acr-obs: cannot open ACR_JOURNAL={path}: {e}"),
             }
         }
-        if let Ok(path) = std::env::var("ACR_JOURNAL") {
-            if !path.is_empty() {
-                match journal::set_file(&path) {
-                    Ok(()) => flags |= JOURNAL,
-                    Err(e) => eprintln!("acr-obs: cannot open ACR_JOURNAL={path}: {e}"),
-                }
-            }
-        }
-        match std::env::var("ACR_METRICS").ok().as_deref() {
-            None | Some("") | Some("0") => {}
-            Some("1") | Some("true") | Some("on") => flags |= METRICS,
-            Some(path) => {
-                metrics::set_path(path);
-                flags |= METRICS;
-            }
+    }
+    match std::env::var("ACR_METRICS").ok().as_deref() {
+        None | Some("") | Some("0") => {}
+        Some("1") | Some("true") | Some("on") => flags |= METRICS,
+        Some(path) => {
+            metrics::set_path(path);
+            flags |= METRICS;
         }
     }
     FLAGS.store(flags, Ordering::Relaxed);

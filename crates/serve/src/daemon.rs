@@ -16,7 +16,7 @@
 //!   [`acr_core::NetworkSession`] — shared simulation cache, warm
 //!   verifier state and static baseline per configuration. Decisions are
 //!   byte-identical to a cold run; validation cost drops.
-//! - **cold** (`ServeConfig::resident = false`): every job gets a fresh
+//! - **cold** (`ServeConfig::cold = true`): every job gets a fresh
 //!   session, making a served job *fully* byte-identical (accounting
 //!   included) to `RepairEngine::repair` — the A/B baseline and the
 //!   differential-testing anchor.
@@ -47,8 +47,8 @@ static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeConfig {
     pub quota: QuotaConfig,
-    /// Engine worker threads; `None` inherits the ambient default
-    /// (`ACR_THREADS`, else auto).
+    /// Engine worker threads; `None` keeps [`RepairConfig::default`]'s
+    /// `0` (= available parallelism).
     pub threads: Option<usize>,
     /// Explicit delta-compile setting (`Some(false)` is the full-rebuild
     /// test oracle); `None` keeps [`RepairConfig::default`]'s `true`.

@@ -16,7 +16,8 @@
 //! under the daemon mutex, keeping the scheduler's determinism intact.
 //! Every accepted socket carries read/write timeouts, so a client that
 //! stalls delays the next request by a bounded time instead of forever,
-//! and a body over the size limit is refused (`413`), not truncated.
+//! and a body over the size limit is refused (`413`), not truncated; a
+//! request head over its limit is refused (`431`), not buffered.
 
 use crate::daemon::Acrd;
 use acr_obs::json;
@@ -97,12 +98,18 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// with `413` before any of it is read.
 const MAX_BODY: usize = 1 << 22;
 
+/// Most bytes read as request line and headers; a head that fills this
+/// is refused with `431`, so a client that never sends a newline cannot
+/// grow a line buffer without bound.
+const MAX_HEAD: u64 = 16 << 10;
+
 fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
+    let mut head = reader.by_ref().take(MAX_HEAD);
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
+    if head.read_line(&mut request_line)? == 0 {
         return Ok(()); // the shutdown poke
     }
     let mut parts = request_line.split_whitespace();
@@ -113,7 +120,7 @@ fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<
     let mut content_length = 0usize;
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        if head.read_line(&mut line)? == 0 {
             break;
         }
         let line = line.trim_end();
@@ -128,6 +135,9 @@ fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<
         {
             content_length = v;
         }
+    }
+    if head.limit() == 0 {
+        return respond(stream, 431, "{\"ok\":false,\"error\":\"head_too_large\"}");
     }
     if content_length > MAX_BODY {
         return respond(stream, 413, "{\"ok\":false,\"error\":\"body_too_large\"}");
@@ -176,6 +186,7 @@ fn respond(mut stream: TcpStream, status: u16, body: &str) -> std::io::Result<()
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     write!(

@@ -29,7 +29,7 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64 over signature lines, newline-folded — the same digest
-/// shape `exp_obs`/`exp_scenarios` print as `report_digest=<hex>` for ci.sh
+/// shape `exp_scenarios` prints as `report_digest=<hex>` for ci.sh
 /// cross-process comparison.
 pub fn digest(signatures: impl IntoIterator<Item = impl AsRef<str>>) -> u64 {
     let mut h = FNV_OFFSET;

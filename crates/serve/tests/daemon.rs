@@ -11,8 +11,12 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 
+#[path = "../../../tests/support/journal_schema.rs"]
+mod journal_schema;
+use journal_schema::check_journal_line;
+
 /// The obs flags and the journal sink are process-global: while
-/// `journal_v5_daemon_events` captures, a daemon running in any other
+/// `journal_daemon_events` captures, a daemon running in any other
 /// test of this binary would write into its buffer. Every test that
 /// runs a job holds this lock.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -199,7 +203,7 @@ fn finish_drains_the_queue_completely() {
 /// carry tenant/network/job ids, and the engine stamps the current
 /// schema.
 #[test]
-fn journal_v5_daemon_events() {
+fn journal_daemon_events() {
     let _g = lock();
     acr_obs::set_flags(acr_obs::JOURNAL);
     journal::capture_to_memory();
@@ -215,10 +219,7 @@ fn journal_v5_daemon_events() {
     let captured = journal::take_captured();
     acr_obs::disable_all();
 
-    let lines: Vec<json::Value> = captured
-        .lines()
-        .map(|l| json::parse(l).expect("every journal line is valid JSON"))
-        .collect();
+    let lines: Vec<json::Value> = captured.lines().map(check_journal_line).collect();
     let event = |v: &json::Value| {
         v.get("event")
             .and_then(json::Value::as_str)
@@ -373,6 +374,26 @@ fn http_stalled_client_cannot_block_health() {
     server.stop();
 }
 
+/// A header line that never ends is refused once the head limit is read,
+/// not buffered; the listener then serves the next client.
+#[test]
+fn http_oversized_head_is_refused() {
+    let _g = lock();
+    let (net, _) = small();
+    let daemon = Arc::new(Mutex::new(daemon(&net, false)));
+    let server = acr_serve::serve(daemon, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    let endless = format!("GET /health HTTP/1.1\r\nX-Pad: {}", "a".repeat(64 << 10));
+    let (code, body) = http_raw(addr, &endless);
+    assert_eq!(code, 431, "{body}");
+    assert!(body.contains("head_too_large"), "{body}");
+    let (code, body) = http(addr, "GET", "/health", "");
+    assert_eq!(code, 200, "{body}");
+
+    server.stop();
+}
+
 /// A one-connection HTTP/1.1 client good enough for the listener.
 fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let request = format!(
@@ -384,14 +405,17 @@ fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u1
 
 /// Sends `request` verbatim and reads the response to the end (or fails
 /// after ten seconds — a wedged listener must fail the test, not hang it).
+/// A listener that refuses a request it has not read to the end resets
+/// the connection when it closes, so send and receive errors are left to
+/// show as a missing status code.
 fn http_raw(addr: std::net::SocketAddr, request: &str) -> (u16, String) {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .unwrap();
-    stream.write_all(request.as_bytes()).unwrap();
+    let _ = stream.write_all(request.as_bytes());
     let mut resp = String::new();
-    stream.read_to_string(&mut resp).unwrap();
+    let _ = stream.read_to_string(&mut resp);
     let code: u16 = resp
         .split_whitespace()
         .nth(1)

@@ -152,8 +152,6 @@ pub enum ConvergeEngine {
 /// engine's from above — `prop_sparse_sim` asserts both sides.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvergeWork {
-    /// Prefixes run to an outcome.
-    pub prefixes: u64,
     /// Synchronous rounds computed (cycle-check-only iterations excluded).
     pub rounds: u64,
     /// Router recomputations performed.
@@ -487,7 +485,6 @@ pub fn run_prefix_dense(
     work: &mut ConvergeWork,
 ) -> PrefixOutcome {
     let n = routers.len();
-    work.prefixes += 1;
     // Local candidate routes never change across rounds.
     let locals = intern_locals(prefix, originations, arena);
 
@@ -680,7 +677,6 @@ pub fn run_prefix_sparse(
     work: &mut ConvergeWork,
 ) -> PrefixOutcome {
     let n = routers.len();
-    work.prefixes += 1;
     let locals = intern_locals_ids(prefix, originations, arena, &mut memo.routes);
 
     let mut best: Vec<Option<RouteId>> = (0..n)

@@ -137,49 +137,6 @@ pub fn wan(n_bb: usize, customers: usize) -> Topology {
     b.build()
 }
 
-/// A leaf–spine fabric where each leaf carries `prefixes_per_leaf` rack
-/// /24s — the 100k-prefix scale-frontier shape. Leaf *l*'s *k*-th prefix
-/// is `10+hi.mid.lo.0/24` for global index `n = l*prefixes_per_leaf + k`
-/// (carved upward from `10.0.0.0/8`, disjoint across leaves; capped at
-/// 2²⁰ total prefixes, far beyond what memory allows anyway). Router
-/// count stays modest on purpose: the point is many *prefixes*, not many
-/// devices.
-pub fn leaf_spine_multi(spines: usize, leaves: usize, prefixes_per_leaf: usize) -> Topology {
-    assert!(spines >= 1 && (1..=256).contains(&leaves) && prefixes_per_leaf >= 1);
-    assert!(
-        leaves * prefixes_per_leaf <= 1 << 20,
-        "prefix space exhausted"
-    );
-    let mut b = TopologyBuilder::new();
-    let spine_ids: Vec<RouterId> = (0..spines)
-        .map(|i| b.router(&format!("S{i}"), Role::Spine))
-        .collect();
-    let leaf_ids: Vec<RouterId> = (0..leaves)
-        .map(|i| b.router(&format!("L{i}"), Role::Leaf))
-        .collect();
-    for l in &leaf_ids {
-        for s in &spine_ids {
-            b.link(*l, *s);
-        }
-    }
-    for (i, l) in leaf_ids.iter().enumerate() {
-        for k in 0..prefixes_per_leaf {
-            let n = i * prefixes_per_leaf + k;
-            b.attach(
-                *l,
-                Prefix::from_octets(
-                    10 + (n >> 16) as u8,
-                    ((n >> 8) & 255) as u8,
-                    (n & 255) as u8,
-                    0,
-                    24,
-                ),
-            );
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,22 +263,5 @@ mod tests {
         assert!(small
             .attachments()
             .any(|(_, p)| p == Prefix::from_octets(10, 11, 0, 0, 16)));
-    }
-
-    #[test]
-    fn leaf_spine_multi_carries_many_prefixes() {
-        let t = leaf_spine_multi(2, 4, 300);
-        assert_eq!(t.len(), 6);
-        assert_eq!(t.attachments().count(), 1200);
-        // Global prefix index 300 (leaf 1, k = 0) crosses the mid octet.
-        let l1 = t.by_name("L1").unwrap();
-        assert_eq!(
-            t.router(l1).attached[0],
-            Prefix::from_octets(10, 1, 44, 0, 24)
-        );
-        let mut seen: Vec<Prefix> = t.attachments().map(|(_, p)| p).collect();
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen.len(), 1200);
     }
 }

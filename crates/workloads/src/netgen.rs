@@ -75,43 +75,6 @@ pub fn generate(topo: &Topology) -> GeneratedNetwork {
     }
 }
 
-/// Configuration-only generation for scale-frontier workloads (100k
-/// synthetic prefixes): every router runs its own AS (`65000 + id`, no
-/// shared customer AS), originates its attachments with `network`
-/// statements, and peers plainly with every neighbor — no `Override_Cust`
-/// policy and no `cust_space` prefix list, both of which enumerate
-/// adjacent customer prefixes and are infeasible to parse and evaluate at
-/// 100k prefixes per spine. No [`Spec`] either: [`spec_for`] is quadratic
-/// in attachments, and scale experiments drive the simulator directly.
-pub fn generate_plain_cfg(topo: &Topology) -> NetworkConfig {
-    let mut cfg = NetworkConfig::new();
-    for info in topo.routers() {
-        let mut out = String::new();
-        let _ = writeln!(out, "bgp {}", BACKBONE_AS_BASE + info.id.0);
-        let _ = writeln!(out, " router-id {}", info.loopback);
-        for p in &info.attached {
-            let _ = writeln!(out, " network {} {}", p.addr(), p.len());
-        }
-        for (neighbor, link) in topo.neighbors(info.id) {
-            let peer_addr = link
-                .peer_of(info.id)
-                .expect("neighbor implies endpoint")
-                .addr;
-            let _ = writeln!(
-                out,
-                " peer {} as-number {}",
-                peer_addr,
-                BACKBONE_AS_BASE + neighbor.0
-            );
-        }
-        append_interfaces(topo, info.id, &mut out);
-        let device = parse_device(info.name.clone(), &out)
-            .unwrap_or_else(|e| panic!("plain config for {} must parse: {e}\n{out}", info.name));
-        cfg.insert(info.id, device);
-    }
-    cfg
-}
-
 /// Customer routers: originate attachments, peer with each neighbor.
 fn customer_config(topo: &Topology, id: RouterId) -> String {
     let info = topo.router(id);
@@ -373,23 +336,6 @@ mod tests {
                 net.spec.properties.iter().any(|p| p.hs.dst == prefix),
                 "no property for {prefix}"
             );
-        }
-    }
-
-    #[test]
-    fn plain_cfg_converges_everywhere() {
-        use acr_sim::{PrefixOutcome, Simulator};
-        let topo = gen::leaf_spine_multi(2, 3, 5);
-        let cfg = generate_plain_cfg(&topo);
-        let sim = Simulator::new(&topo, &cfg);
-        let out = sim.run();
-        assert_eq!(out.outcomes.len(), 15);
-        for (p, o) in &out.outcomes {
-            let PrefixOutcome::Converged { best, .. } = o else {
-                panic!("{p} did not converge");
-            };
-            // Plain distinct-AS eBGP: every router holds a best route.
-            assert!(best.iter().all(|b| b.is_some()), "{p} has holes");
         }
     }
 

@@ -22,6 +22,10 @@ use acr::prelude::*;
 use acr_core::{RepairReport, SimCache};
 use std::sync::{Arc, Mutex};
 
+#[path = "support/journal_schema.rs"]
+mod journal_schema;
+use journal_schema::check_journal_line;
+
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -101,17 +105,8 @@ fn journal_is_deterministic_across_threads_and_delta() {
                 signature(&b),
                 "{label}: repeat runs diverged"
             );
-            // Every line is valid JSON with an event; run_start stamps
-            // the schema version.
-            for line in raw_a.lines() {
-                let v = json::parse(line).expect("journal line must parse");
-                let event = v.get("event").and_then(|e| e.as_str()).unwrap();
-                if event == "run_start" {
-                    assert_eq!(
-                        v.get("schema").and_then(|s| s.as_str()),
-                        Some(journal::SCHEMA)
-                    );
-                }
+            for line in scrubbed.lines() {
+                check_journal_line(line);
             }
             bodies.push((label, body(&scrubbed)));
         }
@@ -225,27 +220,27 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
             let b = run(threads, delta);
             let raw_b = journal::take_captured();
             assert!(!raw_a.is_empty(), "{label}: journal must not be empty");
+            let scrubbed = journal::scrub_timestamps(&raw_a);
             assert_eq!(
-                journal::scrub_timestamps(&raw_a),
+                scrubbed,
                 journal::scrub_timestamps(&raw_b),
                 "{label}: identical beam runs must journal byte-identically"
             );
             assert_eq!(signature(&a), signature(&b), "{label}: repeat diverged");
-            // The run_end line carries the attribution array and the
-            // scenario tags.
-            let run_end = raw_a
-                .lines()
-                .find(|l| l.contains("\"event\":\"run_end\""))
+            // Every line is schema-valid (so `run_end` carries its
+            // attribution array), and `run_end` carries the scenario tags.
+            let lines: Vec<json::Value> = scrubbed.lines().map(check_journal_line).collect();
+            let v = lines
+                .iter()
+                .find(|v| v.get("event").and_then(|e| e.as_str()) == Some("run_end"))
                 .expect("journal has a run_end");
-            let v = json::parse(run_end).expect("run_end parses");
-            assert!(v.get("attribution").and_then(|a| a.as_arr()).is_some());
             let tags = v.get("tags").and_then(|t| t.as_arr()).unwrap();
             assert!(
                 tags.iter()
                     .any(|t| t.as_str() == Some(&format!("family:{}", scenario.family.tag()))),
                 "{label}: family tag missing from journal"
             );
-            bodies.push((label, body(&journal::scrub_timestamps(&raw_a))));
+            bodies.push((label, body(&scrubbed)));
         }
     }
     for (label, b) in &bodies[1..] {

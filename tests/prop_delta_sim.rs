@@ -11,24 +11,27 @@
 //! nine fault classes supply the base configurations) crossed with random
 //! follow-up patches that deliberately include session-shaping edits
 //! (peer AS rewrites, `network` originations, deletes at arbitrary
-//! positions) — the delta classifier's hardest cases.
-
-// Gated: run with `cargo test --features heavy-tests` (vendored proptest shim).
-#![cfg(feature = "heavy-tests")]
+//! positions) — the delta classifier's hardest cases — behind
+//! `heavy-tests` (vendored proptest shim). One fixed case runs in the
+//! default feature set: every Table-1 class at its first injectable site
+//! of `wan(4,8)`, delta-built from the clean network's base with the
+//! injection patch itself — the candidate shape the repair loop
+//! validates, a small edit against a committed base.
 
 use acr::prelude::*;
-use acr::workloads::{try_inject, GeneratedNetwork, TABLE1};
+use acr::workloads::{inject_at, TABLE1};
 use acr_sim::CompiledBase;
-use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
 
-fn wan() -> GeneratedNetwork {
-    generate(&acr::topo::gen::wan(3, 4))
-}
+#[cfg(feature = "heavy-tests")]
+use acr::workloads::try_inject;
+#[cfg(feature = "heavy-tests")]
+use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
 
 /// Materializes one edit against `cfg` from raw fuzz inputs. Beyond the
 /// benign inserts the incremental-verification proptests use, this
 /// includes the session-shaping shapes (peer AS rewrites) and deletes at
 /// arbitrary positions that drive the delta classifier's Structural path.
+#[cfg(feature = "heavy-tests")]
 fn edit_from(cfg: &NetworkConfig, ri: usize, pos: u16, kind: u8) -> Edit {
     let routers = cfg.routers();
     let router = routers[ri % routers.len()];
@@ -72,6 +75,7 @@ fn edit_from(cfg: &NetworkConfig, ri: usize, pos: u16, kind: u8) -> Edit {
     }
 }
 
+#[cfg(feature = "heavy-tests")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -90,7 +94,7 @@ proptest! {
         kind2 in any::<u8>(),
         two_edits in any::<bool>(),
     ) {
-        let net = wan();
+        let net = generate(&acr::topo::gen::wan(3, 4));
         // Base: a Table-1 incident (any of the nine fault classes), so the
         // delta path is tested from the configurations repair actually
         // starts from — not just healthy ones.
@@ -120,5 +124,24 @@ proptest! {
         prop_assert_eq!(fresh.session_diags(), delta.session_diags());
         prop_assert_eq!(fresh.run(), delta.run());
         prop_assert!(delta.build_stats().delta);
+    }
+}
+
+/// Every Table-1 class at its first injectable site of `wan(4,8)` — the
+/// configurations the benchmark's workloads repair: the simulator
+/// delta-built from the clean network's base equals the fresh build,
+/// field for field.
+#[test]
+fn delta_equals_fresh_on_every_table1_class() {
+    let net = generate(&acr::topo::gen::wan(4, 8));
+    let base = CompiledBase::new(&net.topo, &net.cfg);
+    for (fault, _) in TABLE1 {
+        let routers = net.cfg.routers().into_iter();
+        let incident = (routers.filter_map(|r| inject_at(fault, &net, &net.cfg, r)))
+            .next()
+            .unwrap_or_else(|| panic!("{fault:?} has an injectable site"));
+        let fresh = Simulator::new(&net.topo, &incident.broken);
+        let delta = Simulator::from_base_with_patch(&base, &incident.broken, &incident.patch);
+        assert_eq!(fresh.run(), delta.run(), "{fault:?}: outcomes");
     }
 }
