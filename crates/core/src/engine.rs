@@ -26,7 +26,7 @@ use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
 use acr_net_types::SplitMix64;
 use acr_obs::metrics::Counter;
-use acr_obs::{journal, json, Stages};
+use acr_obs::{journal, json, span, Stages};
 use acr_topo::Topology;
 use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
 use std::cell::OnceCell;
@@ -425,7 +425,10 @@ impl<'a> RepairEngine<'a> {
         iv.set_delta(self.config.delta);
         let base_verification = match resumed {
             Some(v) => v,
-            None => iv.commit(original),
+            None => {
+                let _s = span!("verify.commit", "verify");
+                iv.commit(original)
+            }
         };
         let initial_failed = base_verification.failed_count();
 

@@ -87,8 +87,12 @@ pub(crate) struct Baseline {
 impl Baseline {
     pub(crate) fn build(topo: &Topology, cfg: &NetworkConfig) -> Baseline {
         let models = acr_flow::models_of(topo, cfg);
+        let analyze_span = span!("flow.analyze", "flow");
         let facts = acr_flow::analyze_with_models(topo, &models);
+        drop(analyze_span.arg("pops", facts.iterations));
+        let lint_span = span!("lint.baseline", "lint").arg("facts", facts.fact_count() as u64);
         let report = lint_with_models(topo, cfg, &models, &facts);
+        drop(lint_span);
         Baseline {
             models: Arc::new(models),
             facts,

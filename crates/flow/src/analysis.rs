@@ -16,8 +16,19 @@
 //! `as-path overwrite` defeats in the paper's incident. Path-length
 //! intervals are widened to `[lo, inf)` once their upper bound passes
 //! `routers + 8`, which bounds the lattice height; everything else
-//! (LOCAL_PREF constants, community sets, support lines) is finite, so
-//! the fixed point terminates.
+//! (LOCAL_PREF constants, community sets) is finite, so the fixed point
+//! terminates.
+//!
+//! The configuration lines behind a route are not part of the lattice:
+//! no transfer function reads them and their one reader
+//! ([`FlowFacts::support_for`]) unions over all routers, so there is one
+//! line set per *prefix* beside the RIB. Origination lines go in at
+//! seeding and every export∘import evaluation that permits adds its
+//! session, policy-application and permitting-node lines. That is exact:
+//! every fact is reachable from an origination, and the lines an
+//! evaluation reports are monotone in its input, so the last evaluation
+//! of a fact — at its final value — reports a superset of every earlier
+//! one.
 //!
 //! The worklist is a `BTreeSet` popped in order, so iteration counts,
 //! fact contents and the transfer log are deterministic — the run
@@ -32,6 +43,7 @@ use acr_obs::metrics::Counter;
 use acr_sim::session::establish;
 use acr_sim::Session;
 use acr_topo::Topology;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 static FIXPOINT_ITERS: Counter = Counter::new("flow.fixpoint.iterations");
@@ -75,6 +87,10 @@ pub struct FlowFacts {
     pub log: TransferLog,
     /// Originated prefixes per router with their defining lines.
     pub origins: BTreeMap<(RouterId, Prefix), Vec<LineId>>,
+    /// Per prefix, the configuration lines that may have contributed to
+    /// a route for it at any router — the abstract derivation path,
+    /// read through [`FlowFacts::support_for`].
+    support: BTreeMap<Prefix, BTreeSet<LineId>>,
     /// Worklist pops until the fixed point settled.
     pub iterations: u64,
 }
@@ -90,18 +106,92 @@ impl FlowFacts {
         self.rib.len()
     }
 
-    /// Union of the abstract derivation support of every fact whose
-    /// prefix is comparable with `cone` — the lines that may influence
-    /// routing for destinations under `cone`. This is the localization
-    /// prior's line set for a violated property.
+    /// Union of the abstract derivation support of every prefix
+    /// comparable with `cone` — the lines that may influence routing for
+    /// destinations under `cone`. This is the localization prior's line
+    /// set for a violated property.
     pub fn support_for(&self, cone: Prefix) -> BTreeSet<LineId> {
         let mut out = BTreeSet::new();
-        for ((_, p), route) in &self.rib {
+        for (p, lines) in &self.support {
             if p.overlaps(cone) {
-                out.extend(route.support.iter().copied());
+                out.extend(lines.iter().copied());
             }
         }
         out
+    }
+
+    /// One worklist step: pushes the fact at `(r, p)` through the
+    /// export → import transfer of every session `r` is on, joins the
+    /// result into the receiving fact and enqueues that fact when it is
+    /// new or grew. The lines of an evaluation (collected in the scratch
+    /// `lines`) reach `support` only when both policies permit.
+    fn propagate(
+        &mut self,
+        models: &[DeviceModel],
+        by_router: &BTreeMap<RouterId, Vec<usize>>,
+        (r, p): (RouterId, Prefix),
+        lines: &mut Vec<LineId>,
+        worklist: &mut BTreeSet<(RouterId, Prefix)>,
+    ) {
+        let fact = self.rib[&(r, p)].clone();
+        let widen_cap = models.len() as u32 + 8;
+        for &si in by_router.get(&r).into_iter().flatten() {
+            let session = &self.sessions[si];
+            let Some(out_view) = session.view_of(r) else {
+                continue;
+            };
+            let peer = out_view.peer;
+            lines.clear();
+            let Some(exported) = abstract_policy(
+                &models[r.index()],
+                r,
+                out_view.export.map(|(n, _)| n),
+                p,
+                &fact,
+                true,
+                Some(&mut self.log),
+                lines,
+            ) else {
+                continue; // definitely denied on export
+            };
+            let dir = dir_facts(&mut self.session_facts[si], session, r);
+            dir.offered.insert(p);
+
+            let in_view = session.view_of(peer).expect("peer_of implies a peer view");
+            let Some(mut imported) = abstract_policy(
+                &models[peer.index()],
+                peer,
+                in_view.import.map(|(n, _)| n),
+                p,
+                &exported,
+                false,
+                Some(&mut self.log),
+                lines,
+            ) else {
+                continue; // definitely denied on import
+            };
+            imported.path_len = imported.path_len.widen(widen_cap);
+            dir.accepted.insert(p);
+
+            let support = self.support.entry(p).or_default();
+            support.extend(lines.drain(..));
+            support.extend(out_view.base_lines.iter().chain(in_view.base_lines));
+            let applications = [out_view.export, in_view.import];
+            support.extend(applications.iter().flatten().map(|(_, l)| l));
+            let dirty = match self.rib.entry((peer, p)) {
+                // A new fact is dirty for being new: its value can equal
+                // what a later join would bring, and it still has to
+                // cross its own sessions once.
+                Entry::Vacant(slot) => {
+                    slot.insert(imported);
+                    true
+                }
+                Entry::Occupied(mut slot) => slot.get_mut().join_from(&imported),
+            };
+            if dirty {
+                worklist.insert((peer, p));
+            }
+        }
     }
 }
 
@@ -132,18 +222,23 @@ pub fn analyze(topo: &Topology, cfg: &NetworkConfig) -> FlowFacts {
     analyze_with_models(topo, &models_of(topo, cfg))
 }
 
+/// Which sessions each router participates in (indices into `sessions`).
+fn sessions_by_router(sessions: &[Session]) -> BTreeMap<RouterId, Vec<usize>> {
+    let mut by_router: BTreeMap<RouterId, Vec<usize>> = BTreeMap::new();
+    for (si, s) in sessions.iter().enumerate() {
+        by_router.entry(s.a).or_default().push(si);
+        by_router.entry(s.b).or_default().push(si);
+    }
+    by_router
+}
+
 /// Analyzes against pre-built semantic models (`models` parallel to
 /// `topo.routers()`).
 pub fn analyze_with_models(topo: &Topology, models: &[DeviceModel]) -> FlowFacts {
     let (sessions, _diags) = establish(topo, models);
-    let mut session_facts = vec![SessionFacts::default(); sessions.len()];
-
-    // Which sessions each router participates in.
-    let mut by_router: BTreeMap<RouterId, Vec<usize>> = BTreeMap::new();
+    let by_router = sessions_by_router(&sessions);
     let mut applied_policies: BTreeMap<(RouterId, String), LineId> = BTreeMap::new();
-    for (si, s) in sessions.iter().enumerate() {
-        by_router.entry(s.a).or_default().push(si);
-        by_router.entry(s.b).or_default().push(si);
+    for s in &sessions {
         for (r, policy) in [
             (s.a, &s.a_import),
             (s.a, &s.a_export),
@@ -155,10 +250,18 @@ pub fn analyze_with_models(topo: &Topology, models: &[DeviceModel]) -> FlowFacts
             }
         }
     }
+    let mut facts = FlowFacts {
+        rib: BTreeMap::new(),
+        session_facts: vec![SessionFacts::default(); sessions.len()],
+        sessions,
+        applied_policies,
+        log: TransferLog::default(),
+        origins: BTreeMap::new(),
+        support: BTreeMap::new(),
+        iterations: 0,
+    };
 
     // Seed: originations, exactly the simulator's universe.
-    let mut rib: BTreeMap<(RouterId, Prefix), AbstractRoute> = BTreeMap::new();
-    let mut origins: BTreeMap<(RouterId, Prefix), Vec<LineId>> = BTreeMap::new();
     let mut worklist: BTreeSet<(RouterId, Prefix)> = BTreeSet::new();
     for (i, model) in models.iter().enumerate() {
         let r = RouterId(i as u32);
@@ -168,100 +271,22 @@ pub fn analyze_with_models(topo: &Topology, models: &[DeviceModel]) -> FlowFacts
                 .iter()
                 .flat_map(|(_, ls)| ls.iter().copied())
                 .collect();
-            rib.entry((r, p))
-                .or_insert_with(|| AbstractRoute::origin(lines.iter().copied()))
-                .join_from(&AbstractRoute::origin(lines.iter().copied()));
-            origins.insert((r, p), lines);
+            facts.rib.insert((r, p), AbstractRoute::origin());
+            facts.support.entry(p).or_default().extend(&lines);
+            facts.origins.insert((r, p), lines);
             worklist.insert((r, p));
         }
     }
 
-    let widen_cap = topo.routers().len() as u32 + 8;
-    let mut log = TransferLog::default();
-    let mut iterations = 0u64;
-
-    while let Some(&(r, p)) = worklist.iter().next() {
-        worklist.remove(&(r, p));
-        iterations += 1;
-        let fact = rib
-            .get(&(r, p))
-            .expect("worklist entries always have a fact")
-            .clone();
-        let Some(sids) = by_router.get(&r) else {
-            continue;
-        };
-        for &si in sids {
-            let session = &sessions[si];
-            let Some(out_view) = session.view_of(r) else {
-                continue;
-            };
-            let peer = out_view.peer;
-            let model = &models[r.index()];
-            let exported = abstract_policy(
-                model,
-                r,
-                out_view.export.map(|(n, _)| n),
-                p,
-                &fact,
-                true,
-                Some(&mut log),
-            );
-            let Some(mut exported) = exported else {
-                continue; // definitely denied on export
-            };
-            exported.support.extend(out_view.base_lines.iter().copied());
-            if let Some((_, line)) = out_view.export {
-                exported.support.insert(line);
-            }
-            let dir = dir_facts(&mut session_facts[si], session, r);
-            dir.offered.insert(p);
-
-            let in_view = session.view_of(peer).expect("peer_of implies a peer view");
-            let peer_model = &models[peer.index()];
-            let imported = abstract_policy(
-                peer_model,
-                peer,
-                in_view.import.map(|(n, _)| n),
-                p,
-                &exported,
-                false,
-                Some(&mut log),
-            );
-            let Some(mut imported) = imported else {
-                continue; // definitely denied on import
-            };
-            imported.support.extend(in_view.base_lines.iter().copied());
-            if let Some((_, line)) = in_view.import {
-                imported.support.insert(line);
-            }
-            imported.path_len = imported.path_len.widen(widen_cap);
-            let dir = dir_facts(&mut session_facts[si], session, r);
-            dir.accepted.insert(p);
-
-            let slot = rib.entry((peer, p)).or_insert_with(|| AbstractRoute {
-                path_len: imported.path_len,
-                local_pref: imported.local_pref,
-                communities: BTreeSet::new(),
-                support: BTreeSet::new(),
-            });
-            if slot.join_from(&imported) {
-                worklist.insert((peer, p));
-            }
-        }
+    let mut lines = Vec::new();
+    while let Some(key) = worklist.pop_first() {
+        facts.iterations += 1;
+        facts.propagate(models, &by_router, key, &mut lines, &mut worklist);
     }
 
-    FIXPOINT_ITERS.add(iterations);
-    FACTS.add(rib.len() as u64);
-
-    FlowFacts {
-        rib,
-        sessions,
-        session_facts,
-        applied_policies,
-        log,
-        origins,
-        iterations,
-    }
+    FIXPOINT_ITERS.add(facts.iterations);
+    FACTS.add(facts.rib.len() as u64);
+    facts
 }
 
 /// The direction record for `sender` on `session`.
@@ -312,10 +337,9 @@ mod tests {
         assert!(facts.fact_count() >= 3);
     }
 
-    /// A prefix crosses policy-free sessions. A newly created RIB fact is
-    /// enqueued today only because `join_from` sees its `support` grow;
-    /// once support leaves the lattice (ROADMAP) a fresh slot has to be
-    /// enqueued for being new, or the prefix stops one hop from home.
+    /// A prefix crosses policy-free sessions. The fact it creates at the
+    /// next router carries nothing a later join could grow, so it is
+    /// enqueued for being new — or the prefix stops one hop from home.
     #[test]
     fn policy_free_sessions_still_propagate_a_prefix() {
         use acr_cfg::parse::parse_device;
@@ -350,6 +374,50 @@ mod tests {
         let support = facts.support_for(prefix);
         assert!(support.contains(&LineId::new(a, 3)), "{support:?}");
         assert!(support.iter().any(|l| l.router == c), "{support:?}");
+    }
+
+    /// `analyze` returns a fixed point, not a prefix of one: one more
+    /// sweep of every fact through every session at the returned RIB
+    /// dirties nothing and changes nothing — no fact, no offered /
+    /// accepted prefix, no live node, no support line. On real networks
+    /// this is what catches a new slot that was never enqueued, or lines
+    /// taken from an evaluation below the fact's final value.
+    #[test]
+    fn analyze_returns_a_closed_fixed_point() {
+        use acr_topo::gen;
+        use acr_workloads::{generate, try_inject, TABLE1};
+        let fig2 = fig2_incident();
+        let net = generate(&gen::wan(4, 8));
+        let mut cases = vec![
+            (&fig2.topo, fig2.broken.clone()),
+            (&fig2.topo, fig2.intended.clone()),
+        ];
+        // Every Table-1 class at seeds 0..3: a superset of the twelve
+        // incidents `tests/facts_pin.rs` pins (`CORPUS12`).
+        for (fault, _) in TABLE1 {
+            let incidents = (0..3).filter_map(|seed| try_inject(fault, &net, seed));
+            cases.extend(incidents.map(|inc| (&net.topo, inc.broken)));
+        }
+        assert!(cases.len() >= 14, "{} cases", cases.len());
+        for (i, (topo, cfg)) in cases.iter().enumerate() {
+            let models = models_of(topo, cfg);
+            let facts = analyze_with_models(topo, &models);
+            let by_router = sessions_by_router(&facts.sessions);
+            let mut again = facts.clone();
+            let mut dirty = BTreeSet::new();
+            for &key in facts.rib.keys() {
+                again.propagate(&models, &by_router, key, &mut Vec::new(), &mut dirty);
+            }
+            assert!(dirty.is_empty(), "case {i}: sweep dirtied {dirty:?}");
+            assert_eq!(again.rib, facts.rib, "case {i}");
+            assert_eq!(again.session_facts, facts.session_facts, "case {i}");
+            assert_eq!(again.log.live_nodes, facts.log.live_nodes, "case {i}");
+            assert_eq!(
+                again.log.live_community_clauses, facts.log.live_community_clauses,
+                "case {i}"
+            );
+            assert_eq!(again.support, facts.support, "case {i}");
+        }
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! An [`AbstractRoute`] over-approximates *every* concrete [`acr_sim`]
 //! route a given (router, prefix) pair may ever hold: AS-path length and
-//! LOCAL_PREF as intervals, communities as a *may*-set (a community
-//! outside the set is definitely absent), plus the set of configuration
-//! lines that may have contributed to the route — the abstract
-//! derivation path the localization prior boosts.
+//! LOCAL_PREF as intervals and communities as a *may*-set (a community
+//! outside the set is definitely absent). MED is not tracked, and the
+//! configuration lines that may have contributed to a route — the
+//! abstract derivation path the localization prior boosts — are not part
+//! of the value: no transfer function reads them, so they live in one
+//! set per prefix beside the RIB (`FlowFacts::support`).
 //!
 //! The domain is a join-semilattice. Path-length intervals are the only
 //! unbounded component (`as-path prepend` in a policy cycle grows them
@@ -13,7 +15,6 @@
 //! crosses the cap it jumps to [`Interval::INF`], which guarantees the
 //! fixed point terminates (see `analysis.rs` for the cap choice).
 
-use acr_cfg::LineId;
 use acr_net_types::Community;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -98,20 +99,16 @@ pub struct AbstractRoute {
     /// definitely absent — the complement drives the definite-negative
     /// lints.
     pub communities: BTreeSet<Community>,
-    /// Configuration lines that may have contributed to the route — the
-    /// abstract derivation path.
-    pub support: BTreeSet<LineId>,
 }
 
 impl AbstractRoute {
     /// A locally originated route: empty AS path, default LOCAL_PREF,
     /// no communities (matches `acr_sim::Route::local`).
-    pub fn origin(support: impl IntoIterator<Item = LineId>) -> AbstractRoute {
+    pub fn origin() -> AbstractRoute {
         AbstractRoute {
             path_len: Interval::point(0),
             local_pref: Interval::point(acr_sim::route::DEFAULT_LOCAL_PREF),
             communities: BTreeSet::new(),
-            support: support.into_iter().collect(),
         }
     }
 
@@ -132,15 +129,12 @@ impl AbstractRoute {
         for c in &other.communities {
             changed |= self.communities.insert(*c);
         }
-        for l in &other.support {
-            changed |= self.support.insert(*l);
-        }
         changed
     }
 
     /// Whether this abstract value covers a concrete simulator route —
-    /// the soundness relation the proptest suite checks. (`support` and
-    /// MED are metadata, not part of the ordering.)
+    /// the soundness relation `tests/prop_flow.rs` checks. (MED is not
+    /// tracked, so it is not part of the ordering.)
     pub fn covers(&self, route: &acr_sim::Route) -> bool {
         self.path_len.contains(route.as_path.len() as u32)
             && self.local_pref.contains(route.local_pref)
@@ -175,10 +169,10 @@ mod tests {
 
     #[test]
     fn join_from_reports_change() {
-        let mut a = AbstractRoute::origin([]);
+        let mut a = AbstractRoute::origin();
         let b = AbstractRoute {
             path_len: Interval::point(3),
-            ..AbstractRoute::origin([])
+            ..AbstractRoute::origin()
         };
         assert!(a.join_from(&b));
         assert!(!a.join_from(&b));

@@ -7,8 +7,8 @@
 //! simulation round — an over-approximate **may-propagation** relation:
 //! for each (origin prefix, router, session, direction), which abstract
 //! route attributes (AS-path length interval, LOCAL_PREF interval,
-//! community may-set, supporting config lines) may arrive and may be
-//! exported.
+//! community may-set) may arrive and may be exported, and per prefix
+//! the configuration lines that may have contributed.
 //!
 //! Because the relation over-approximates every concrete behaviour, its
 //! *negatives* are definite: a prefix that **cannot** be accepted

@@ -64,6 +64,13 @@ pub struct TransferLog {
 ///
 /// Returns `None` iff the route is definitely denied. An absent or
 /// undefined policy permits unchanged, like the simulator.
+///
+/// `lines` receives the node, clause and apply lines of every permitting
+/// world — the derivation lines of this application (none when the
+/// result is `None`). They are monotone in `input`: a community joining
+/// the may-set can only turn a node from definitely skipped into may
+/// match, so an evaluation at a larger input reports a superset.
+#[allow(clippy::too_many_arguments)]
 pub fn abstract_policy(
     model: &DeviceModel,
     router: RouterId,
@@ -72,6 +79,7 @@ pub fn abstract_policy(
     input: &AbstractRoute,
     export_hop: bool,
     log: Option<&mut TransferLog>,
+    lines: &mut Vec<LineId>,
 ) -> Option<AbstractRoute> {
     let hop = |mut r: AbstractRoute, overwrote: bool| {
         if export_hop {
@@ -102,7 +110,7 @@ pub fn abstract_policy(
             }
         }
         if node.action == acr_cfg::PlAction::Permit {
-            let (route, overwrote) = apply_node(node, p, input, router);
+            let (route, overwrote) = apply_node(node, input, router, lines);
             let world = hop(route, overwrote);
             match &mut acc {
                 Some(a) => {
@@ -156,21 +164,19 @@ fn node_match_state(
 
 /// Applies a permit node's actions abstractly (in statement order, like
 /// the simulator). Returns the transformed route and whether the node
-/// overwrote the AS path.
+/// overwrote the AS path; the node, clause and apply lines go to `lines`.
 fn apply_node(
     node: &PolicyNode,
-    _p: Prefix,
     input: &AbstractRoute,
     router: RouterId,
+    lines: &mut Vec<LineId>,
 ) -> (AbstractRoute, bool) {
     let mut out = input.clone();
-    out.support.insert(LineId::new(router, node.line));
-    for cond_line in node.matches.iter().map(|(_, l)| *l) {
-        out.support.insert(LineId::new(router, cond_line));
-    }
+    lines.push(LineId::new(router, node.line));
+    lines.extend(node.matches.iter().map(|(_, l)| LineId::new(router, *l)));
     let mut overwrote = false;
     for (action, line) in &node.applies {
-        out.support.insert(LineId::new(router, *line));
+        lines.push(LineId::new(router, *line));
         match action {
             ApplyAction::AsPathOverwrite(_) => {
                 out.path_len = Interval::point(1);
@@ -212,7 +218,7 @@ mod tests {
              route-policy P permit node 20\n apply local-preference 300\n\
              ip prefix-list L index 10 permit 10.0.0.0 16\n",
         );
-        let input = AbstractRoute::origin([]);
+        let input = AbstractRoute::origin();
         // 10.0/16 definitely matches node 10 — node 20 is unreachable.
         let out = abstract_policy(
             &m,
@@ -222,6 +228,7 @@ mod tests {
             &input,
             false,
             None,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(out.local_pref, Interval::point(200));
@@ -234,6 +241,7 @@ mod tests {
             &input,
             false,
             None,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(out.local_pref, Interval::point(300));
@@ -246,7 +254,7 @@ mod tests {
              route-policy P permit node 10\n if-match community 65000:1\n apply local-preference 200\n\
              route-policy P permit node 20\n apply local-preference 50\n",
         );
-        let mut input = AbstractRoute::origin([]);
+        let mut input = AbstractRoute::origin();
         input.communities.insert("65000:1".parse().unwrap());
         let out = abstract_policy(
             &m,
@@ -256,6 +264,7 @@ mod tests {
             &input,
             false,
             None,
+            &mut Vec::new(),
         )
         .unwrap();
         // Node 10 may match (community maybe present), node 20 must:
@@ -263,7 +272,7 @@ mod tests {
         assert_eq!(out.local_pref, Interval::new(50, 200));
         // Without the community in the may-set, node 10 is definitely
         // skipped.
-        let input = AbstractRoute::origin([]);
+        let input = AbstractRoute::origin();
         let out = abstract_policy(
             &m,
             RouterId(0),
@@ -272,6 +281,7 @@ mod tests {
             &input,
             false,
             None,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(out.local_pref, Interval::point(50));
@@ -284,7 +294,7 @@ mod tests {
              route-policy D deny node 10\n\
              route-policy O permit node 10\n apply as-path overwrite\n",
         );
-        let input = AbstractRoute::origin([]);
+        let input = AbstractRoute::origin();
         assert!(abstract_policy(
             &m,
             RouterId(0),
@@ -292,7 +302,8 @@ mod tests {
             p("10.0.0.0/16"),
             &input,
             true,
-            None
+            None,
+            &mut Vec::new()
         )
         .is_none());
         // Overwrite pins the exported length to 1 (no prepend applied).
@@ -304,12 +315,22 @@ mod tests {
             &input,
             true,
             None,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(out.path_len, Interval::point(1));
         // No policy: the export hop prepends one hop.
-        let out =
-            abstract_policy(&m, RouterId(0), None, p("10.0.0.0/16"), &input, true, None).unwrap();
+        let out = abstract_policy(
+            &m,
+            RouterId(0),
+            None,
+            p("10.0.0.0/16"),
+            &input,
+            true,
+            None,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert_eq!(out.path_len, Interval::point(1));
         assert_eq!(
             out.local_pref,

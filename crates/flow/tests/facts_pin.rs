@@ -1,18 +1,19 @@
 //! Content pins for [`acr_flow::analyze`].
 //!
-//! The analysis carries a `support` line set inside every abstract
-//! route; cloning and merging it at every worklist pop is 94 % of a
-//! fixed point, and ROADMAP plans to move it out of the lattice into a
-//! per-prefix side table. These digests pin what that rewrite must
-//! reproduce. Everything a consumer can read is covered — the RIB's
-//! intervals and community may-sets, the per-session offered/accepted
-//! sets, the liveness log, the origins, and `support_for(dst)` of every
-//! spec property — and only `iterations` (worklist pops) is left out:
-//! fewer pops for the same facts is the point of the rewrite.
+//! These digests were taken while every abstract route still carried a
+//! `support` line set (cloned and merged at every worklist pop: 94 % of
+//! a fixed point) and are what moving it into the per-prefix table
+//! beside the RIB had to reproduce, unedited. Everything a consumer can
+//! read is covered — the RIB's intervals and community may-sets, the
+//! per-session offered/accepted sets, the liveness log, the origins, and
+//! `support_for(dst)` of every spec property — and only `iterations`
+//! (worklist pops) is left out: fewer pops for the same facts was the
+//! point. The 72-router case bounds the pops per fact instead, so a
+//! change that re-enqueues a fact for anything but a grown value shows
+//! up as a count, not as a timing.
 
-use acr_cfg::NetworkConfig;
-use acr_flow::analyze;
-use acr_topo::{gen, Topology};
+use acr_flow::{analyze, FlowFacts};
+use acr_topo::gen;
 use acr_verify::Spec;
 use acr_workloads::fig2::fig2_incident;
 use acr_workloads::{generate, try_inject, FaultType};
@@ -25,8 +26,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a over a canonical rendering of the facts minus `iterations`.
-fn content_digest(topo: &Topology, cfg: &NetworkConfig, spec: &Spec) -> u64 {
-    let facts = analyze(topo, cfg);
+fn content_digest(facts: &FlowFacts, spec: &Spec) -> u64 {
     let mut s = String::new();
     for ((r, p), route) in &facts.rib {
         writeln!(
@@ -87,8 +87,8 @@ const CORPUS12: [(FaultType, u64); 12] = [
 fn fig2_facts_are_pinned() {
     let fig2 = fig2_incident();
     let got = [
-        content_digest(&fig2.topo, &fig2.broken, &fig2.spec),
-        content_digest(&fig2.topo, &fig2.intended, &fig2.spec),
+        content_digest(&analyze(&fig2.topo, &fig2.broken), &fig2.spec),
+        content_digest(&analyze(&fig2.topo, &fig2.intended), &fig2.spec),
     ];
     assert_eq!(
         got,
@@ -118,7 +118,7 @@ fn wan_4_8_table1_incident_facts_are_pinned() {
         .iter()
         .map(|&(fault, seed)| {
             let inc = try_inject(fault, &net, seed).expect("injectable on wan(4,8)");
-            content_digest(&net.topo, &inc.broken, &net.spec)
+            content_digest(&analyze(&net.topo, &inc.broken), &net.spec)
         })
         .collect();
     assert_eq!(got, PINS, "{got:#018x?}");
@@ -128,6 +128,10 @@ fn wan_4_8_table1_incident_facts_are_pinned() {
 fn wan_24_48_incident_facts_are_pinned() {
     let net = generate(&gen::wan(24, 48));
     let inc = try_inject(FaultType::MissingPrefixListItems, &net, 0).expect("injectable");
-    let got = content_digest(&net.topo, &inc.broken, &net.spec);
+    let facts = analyze(&net.topo, &inc.broken);
+    let got = content_digest(&facts, &net.spec);
     assert_eq!(got, 0x4af40217abab30c3, "{got:#018x}");
+    // 2.14 pops per fact; 5.07 while a support-only change re-enqueued.
+    let (pops, count) = (facts.iterations, facts.fact_count() as u64);
+    assert!(2 * pops <= 5 * count, "{pops} pops for {count} facts");
 }

@@ -5,29 +5,97 @@
 //!    flapping cycle alike — is covered by an abstract may-fact:
 //!    `may_have(router, prefix)` exists and its intervals/may-sets
 //!    contain the concrete attributes. Fuzzed over topology families ×
-//!    Table-1 fault injections.
+//!    Table-1 fault injections behind `heavy-tests`; one fixed slice —
+//!    every Table-1 class at its first injectable site of `wan(4,8)` and
+//!    the Figure 2 flap — runs in the default feature set through the
+//!    same checker.
 //! 2. **Gate exactness.** Whenever [`patch_invisible`] proves a patch
 //!    invisible to the spec's destination cones, a *full* simulation of
 //!    the patched network produces the same verification the base got:
 //!    record-for-record verdicts, violations, walk paths, and the same
 //!    coverage matrix. This is the property that lets the repair engine
 //!    serve gate-skipped candidates from the base verification with
-//!    byte-identical reports.
+//!    byte-identical reports. Behind `heavy-tests` (vendored proptest
+//!    shim).
 
-// Gated: run with `cargo test --features heavy-tests` (vendored proptest shim).
-#![cfg(feature = "heavy-tests")]
-
-use acr_cfg::{Edit, NetworkConfig, Patch, PlAction, Stmt};
-use acr_flow::{analyze, patch_invisible};
-use acr_net_types::{Prefix, RouterId};
+use acr_cfg::NetworkConfig;
+use acr_flow::analyze;
+use acr_net_types::RouterId;
 use acr_sim::{PrefixOutcome, Simulator};
-use acr_topo::gen;
-use acr_verify::{Verification, Verifier};
-use acr_workloads::{generate, try_inject, GeneratedNetwork, TABLE1};
-use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
+use acr_topo::{gen, Topology};
+use acr_workloads::{fig2_incident, generate, inject_at, TABLE1};
+
+#[cfg(feature = "heavy-tests")]
+use {
+    acr_cfg::{Edit, Patch, PlAction, Stmt},
+    acr_flow::patch_invisible,
+    acr_net_types::Prefix,
+    acr_verify::{Verification, Verifier},
+    acr_workloads::{try_inject, GeneratedNetwork},
+    proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig},
+};
+
+/// Claim 1 on one network: every route a full simulation materializes —
+/// converged bests and flapping-cycle observations are both concrete
+/// reachability witnesses — has an abstract fact that `covers` it.
+/// `Err` names the first route that does not.
+fn abstract_covers_concrete(topo: &Topology, cfg: &NetworkConfig) -> Result<(), String> {
+    let facts = analyze(topo, cfg);
+    let out = Simulator::new(topo, cfg).run();
+    for (prefix, outcome) in &out.outcomes {
+        let held: Vec<(RouterId, &acr_sim::Route)> = match outcome {
+            PrefixOutcome::Converged { best, .. } => best
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| r.as_ref().map(|r| (RouterId(i as u32), r)))
+                .collect(),
+            PrefixOutcome::Flapping { observed, .. } => observed
+                .iter()
+                .enumerate()
+                .flat_map(|(i, rs)| rs.iter().map(move |r| (RouterId(i as u32), r)))
+                .collect(),
+        };
+        for (router, route) in held {
+            match facts.may_have(router, *prefix) {
+                None => {
+                    return Err(format!(
+                        "concrete route for {prefix} at {router} has no abstract fact"
+                    ))
+                }
+                Some(fact) if !fact.covers(route) => {
+                    return Err(format!(
+                        "abstract fact {fact:?} does not cover concrete {route:?} at {router}"
+                    ))
+                }
+                Some(_) => {}
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The tier-1 slice of claim 1: every Table-1 class at its first
+/// injectable site of `wan(4,8)` — the configurations the benchmark's
+/// workloads repair — and the Figure 2 incident, whose flapping prefix
+/// contributes every route observed inside the cycle.
+#[test]
+fn abstract_covers_concrete_on_every_table1_class() {
+    let net = generate(&gen::wan(4, 8));
+    for (fault, _) in TABLE1 {
+        let routers = net.cfg.routers().into_iter();
+        let incident = (routers.filter_map(|r| inject_at(fault, &net, &net.cfg, r)))
+            .next()
+            .unwrap_or_else(|| panic!("{fault:?} has an injectable site"));
+        abstract_covers_concrete(&net.topo, &incident.broken)
+            .unwrap_or_else(|e| panic!("{fault:?}: {e}"));
+    }
+    let fig2 = fig2_incident();
+    abstract_covers_concrete(&fig2.topo, &fig2.broken).unwrap_or_else(|e| panic!("fig2: {e}"));
+}
 
 /// A Table-1 incident on a fuzz-chosen topology (the healthy network
 /// when the chosen fault has no injection site on it).
+#[cfg(feature = "heavy-tests")]
 fn incident(shape: u8, a: u8, b: u8, fi: usize, seed: u64) -> (GeneratedNetwork, NetworkConfig) {
     let topo = match shape % 4 {
         0 => gen::wan(2 + (a % 2) as usize, 4 + (b % 4) as usize),
@@ -50,6 +118,7 @@ fn incident(shape: u8, a: u8, b: u8, fi: usize, seed: u64) -> (GeneratedNetwork,
 /// persistent arena) and `flapping`/`session_diags` bookkeeping the
 /// repair loop never reads per-candidate. The coverage matrix is
 /// compared separately (it drives localization, so it must match too).
+#[cfg(feature = "heavy-tests")]
 #[allow(clippy::type_complexity)]
 fn semantic_records(
     v: &Verification,
@@ -64,6 +133,7 @@ fn semantic_records(
 /// actually emits (in-class replacements, identity edits, cancelling
 /// insert/delete pairs). `None` when the chosen family has no site in
 /// `cfg`.
+#[cfg(feature = "heavy-tests")]
 fn fuzz_patch(cfg: &NetworkConfig, kind: u8, ri: usize, si: usize, oct: u8) -> Option<Patch> {
     let routers = cfg.routers();
     let router = *routers.get(ri % routers.len())?;
@@ -157,6 +227,7 @@ fn fuzz_patch(cfg: &NetworkConfig, kind: u8, ri: usize, si: usize, oct: u8) -> O
     }
 }
 
+#[cfg(feature = "heavy-tests")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -168,37 +239,8 @@ proptest! {
         fi in any::<usize>(), seed in any::<u64>(),
     ) {
         let (net, cfg) = incident(shape, a, b, fi, seed);
-        let facts = analyze(&net.topo, &cfg);
-        let out = Simulator::new(&net.topo, &cfg).run();
-        for (prefix, outcome) in &out.outcomes {
-            // Converged bests and flapping-cycle observations are both
-            // concrete reachability witnesses.
-            let held: Vec<(RouterId, &acr_sim::Route)> = match outcome {
-                PrefixOutcome::Converged { best, .. } => best
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.as_ref().map(|r| (RouterId(i as u32), r)))
-                    .collect(),
-                PrefixOutcome::Flapping { observed, .. } => observed
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(i, rs)| rs.iter().map(move |r| (RouterId(i as u32), r)))
-                    .collect(),
-            };
-            for (router, route) in held {
-                let fact = facts.may_have(router, *prefix);
-                prop_assert!(
-                    fact.is_some(),
-                    "concrete route for {prefix} at {router} has no abstract fact"
-                );
-                prop_assert!(
-                    fact.unwrap().covers(route),
-                    "abstract fact {:?} does not cover concrete {:?} at {router}",
-                    fact.unwrap(),
-                    route
-                );
-            }
-        }
+        let covered = abstract_covers_concrete(&net.topo, &cfg);
+        prop_assert!(covered.is_ok(), "{}", covered.unwrap_err());
     }
 
     /// Claim 2: a gate-proved-invisible patch full-simulates to the base
@@ -243,6 +285,7 @@ proptest! {
 /// change the rendered configuration (cone reasoning, not just the
 /// identity fast path) — and each proof must full-simulate to the base
 /// verification.
+#[cfg(feature = "heavy-tests")]
 #[test]
 fn gate_fires_on_the_fuzzed_families() {
     let net = generate(&gen::wan(3, 4));
