@@ -4,25 +4,87 @@
 //! statement list and re-parsing it yields the same list. Patches are
 //! additionally checked for length accounting and for preserving
 //! parseability when inserts respect block context.
+//!
+//! The proptests run behind `heavy-tests` (vendored proptest shim). One
+//! fixed slice runs in the default feature set through the same checkers:
+//! the round trip and the differ on every device of `wan(4,8)` and on the
+//! Figure 2 broken/intended pair.
 
-// Gated: run with `cargo test --features heavy-tests` (vendored proptest shim).
-#![cfg(feature = "heavy-tests")]
-
-use acr_cfg::ast::{NextHop, PlAction, Proto, Stmt};
 use acr_cfg::diff::diff;
 use acr_cfg::parse::parse_device;
-use acr_cfg::{DeviceConfig, Edit, NetworkConfig, Patch};
-use acr_net_types::{Asn, Ipv4Addr, Prefix, RouterId};
-use proptest::prelude::*;
+use acr_cfg::{DeviceConfig, NetworkConfig};
+use acr_net_types::RouterId;
+use acr_topo::gen;
+use acr_workloads::{fig2_incident, generate};
 
+#[cfg(feature = "heavy-tests")]
+use {
+    acr_cfg::ast::{NextHop, PlAction, Proto, Stmt},
+    acr_cfg::{Edit, Patch},
+    acr_net_types::{Asn, Ipv4Addr, Prefix},
+    proptest::prelude::*,
+};
+
+/// Printing `cfg` and re-parsing the text yields the same statements.
+fn print_parse_roundtrips(cfg: &DeviceConfig) -> Result<(), String> {
+    let text = cfg.to_text();
+    let parsed = parse_device(cfg.name(), &text).map_err(|e| format!("{e}\n{text}"))?;
+    if cfg.stmts() != parsed.stmts() {
+        return Err(format!("{} does not round-trip:\n{text}", cfg.name()));
+    }
+    Ok(())
+}
+
+/// Applying `diff(a, b)` to `a` yields `b`'s statements.
+fn diff_then_apply_reaches(a: &DeviceConfig, b: &DeviceConfig) -> Result<(), String> {
+    let mut from = NetworkConfig::new();
+    from.insert(RouterId(0), a.clone());
+    let mut to = NetworkConfig::new();
+    to.insert(RouterId(0), DeviceConfig::new(a.name(), b.stmts().to_vec()));
+    let patch = diff(&from, &to);
+    let reached = patch.apply_cloned(&from).map_err(|e| format!("{e:?}"))?;
+    if reached.device(RouterId(0)).unwrap().stmts() != b.stmts() {
+        return Err(format!(
+            "{} -> {}: {patch} misses the target",
+            a.name(),
+            b.name()
+        ));
+    }
+    Ok(())
+}
+
+/// The tier-1 slice: every device of `wan(4,8)` round-trips and diffs to
+/// its successor, and every Figure 2 device diffs from its broken to its
+/// intended configuration.
+#[test]
+fn roundtrip_and_diff_hold_on_generated_and_fig2_devices() {
+    let net = generate(&gen::wan(4, 8));
+    let devices: Vec<&DeviceConfig> = net.cfg.devices().map(|(_, d)| d).collect();
+    for (i, dev) in devices.iter().enumerate() {
+        let next = devices[(i + 1) % devices.len()];
+        print_parse_roundtrips(dev).unwrap();
+        diff_then_apply_reaches(dev, next).unwrap();
+    }
+    let fig2 = fig2_incident();
+    for (router, broken) in fig2.broken.devices() {
+        let intended = fig2.intended.device(router).unwrap();
+        print_parse_roundtrips(broken).unwrap();
+        print_parse_roundtrips(intended).unwrap();
+        diff_then_apply_reaches(broken, intended).unwrap();
+    }
+}
+
+#[cfg(feature = "heavy-tests")]
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Prefix::new(Ipv4Addr(a), l))
 }
 
+#[cfg(feature = "heavy-tests")]
 fn arb_name() -> impl Strategy<Value = String> {
     "[A-Za-z][A-Za-z0-9_]{0,10}".prop_map(|s| s)
 }
 
+#[cfg(feature = "heavy-tests")]
 /// Strategy over *top-level* statements (always parseable standalone).
 fn arb_top_stmt() -> impl Strategy<Value = Stmt> {
     prop_oneof![
@@ -55,6 +117,7 @@ fn arb_top_stmt() -> impl Strategy<Value = Stmt> {
     ]
 }
 
+#[cfg(feature = "heavy-tests")]
 /// Strategy over a bgp block: header + valid sub-statements.
 fn arb_bgp_block() -> impl Strategy<Value = Vec<Stmt>> {
     (
@@ -85,6 +148,7 @@ fn arb_bgp_block() -> impl Strategy<Value = Vec<Stmt>> {
         })
 }
 
+#[cfg(feature = "heavy-tests")]
 fn arb_config() -> impl Strategy<Value = DeviceConfig> {
     (
         proptest::collection::vec(arb_top_stmt(), 0..6),
@@ -99,12 +163,11 @@ fn arb_config() -> impl Strategy<Value = DeviceConfig> {
         })
 }
 
+#[cfg(feature = "heavy-tests")]
 proptest! {
     #[test]
     fn print_parse_roundtrip(cfg in arb_config()) {
-        let text = cfg.to_text();
-        let parsed = parse_device("P", &text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-        prop_assert_eq!(cfg.stmts(), parsed.stmts());
+        prop_assert_eq!(print_parse_roundtrips(&cfg), Ok(()));
     }
 
     #[test]
@@ -157,21 +220,13 @@ proptest! {
     }
 }
 
+#[cfg(feature = "heavy-tests")]
 proptest! {
     /// The differ's defining property: applying `diff(a, b)` to `a`
     /// yields `b`, for arbitrary statement lists on both sides.
     #[test]
     fn diff_then_apply_reaches_target(a in arb_config(), b in arb_config()) {
-        let mut from = NetworkConfig::new();
-        from.insert(RouterId(0), a);
-        let mut to = NetworkConfig::new();
-        to.insert(RouterId(0), DeviceConfig::new("P", b.stmts().to_vec()));
-        let patch = diff(&from, &to);
-        let reached = patch.apply_cloned(&from).unwrap();
-        prop_assert_eq!(
-            reached.device(RouterId(0)).unwrap().stmts(),
-            to.device(RouterId(0)).unwrap().stmts()
-        );
+        prop_assert_eq!(diff_then_apply_reaches(&a, &b), Ok(()));
     }
 
     /// Diffing a configuration against itself is a no-op.

@@ -33,18 +33,6 @@ impl<'a> RepairCtx<'a> {
         &self.models[router.index()]
     }
 
-    /// All destination prefixes the test suite exercises (the candidate
-    /// universe for symbolic prefix-set holes).
-    pub fn test_dst_prefixes(&self) -> Vec<Prefix> {
-        let mut out: BTreeSet<Prefix> = BTreeSet::new();
-        for rec in &self.verification.records {
-            if let Some(p) = self.dst_prefix_of(rec) {
-                out.insert(p);
-            }
-        }
-        out.into_iter().collect()
-    }
-
     /// The routed destination prefix of a test: the most specific prefix
     /// among attachments and originations that contains the test's
     /// destination address.

@@ -95,13 +95,6 @@ pub struct RepairConfig {
     /// [`RepairReport::validations_cached`]. Share one `Arc` across
     /// engines to pool their work; `None` disables memoization entirely.
     pub cache: Option<Arc<SimCache>>,
-    /// Delta-compile candidate simulators against the committed base
-    /// (recompiling only patched devices, re-establishing sessions only
-    /// where they can change). Construction-only: invalidation analysis
-    /// and therefore reports are byte-identical with this on or off —
-    /// `false` is the full-rebuild oracle the differential tests set, not
-    /// a product mode. Default `true`.
-    pub delta: bool,
     /// Free-form labels carried verbatim into [`RepairReport::tags`] and
     /// the run journal — the scenario harness stamps the scenario family
     /// (e.g. `family:interacting`) here so every report and journal line
@@ -124,7 +117,6 @@ impl Default for RepairConfig {
             lint: true,
             threads: 0,
             cache: Some(Arc::new(SimCache::default())),
-            delta: true,
             tags: Vec::new(),
         }
     }
@@ -404,13 +396,10 @@ impl<'a> RepairEngine<'a> {
         // resume warm on every revisit.
         let cold = IncrementalVerifier::with_samples(self.topo, self.spec, samples);
         let (mut iv, resumed, parked_statics) = match session.as_mut().and_then(|s| s.take(fp)) {
-            Some(slot) => {
-                let delta = self.config.delta;
-                match IncrementalVerifier::resume_with(cold, delta, slot.warm, original, fp) {
-                    Ok((iv, v)) => (iv, Some(v), Some(slot.statics)),
-                    Err(cold) => (*cold, None, Some(slot.statics)),
-                }
-            }
+            Some(slot) => match IncrementalVerifier::resume_with(cold, slot.warm, original, fp) {
+                Ok((iv, v)) => (iv, Some(v), Some(slot.statics)),
+                Err(cold) => (*cold, None, Some(slot.statics)),
+            },
             None => (cold, None, None),
         };
         if let Some(s) = session.as_mut() {
@@ -422,7 +411,6 @@ impl<'a> RepairEngine<'a> {
                 RESIDENT_MISSES.inc();
             }
         }
-        iv.set_delta(self.config.delta);
         let base_verification = match resumed {
             Some(v) => v,
             None => {
@@ -707,7 +695,9 @@ impl<'a> RepairEngine<'a> {
             .bool("lint", self.config.lint)
             .int("threads", threads)
             .bool("cache", self.config.cache.is_some())
-            .bool("delta", self.config.delta)
+            // Candidates are always delta-built; the field stays so the
+            // journal schema (additive-only) keeps its v6 shape.
+            .bool("delta", true)
             .raw("tags", &tags_json(&self.config.tags))
             .build();
         journal::emit(

@@ -16,7 +16,8 @@
 //! - [`symbolize`] — local symbolization: a template leaves symbolic
 //!   holes; constraints `P` (passing tests keep passing) and `F` (failing
 //!   tests stop failing) are collected from test coverage and solved as
-//!   `P ∧ ¬F` with `acr-smt`, reproducing the worked example's
+//!   `P ∧ ¬F` — unit membership literals over one prefix-set variable,
+//!   so set algebra — reproducing the worked example's
 //!   `var = {10.70/16, 20.0/16}`.
 //! - [`strategy`] — fix-generation strategies (§4.2): brute force
 //!   (suspicious lines × applicable templates) and a genetic strategy

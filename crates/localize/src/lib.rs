@@ -9,15 +9,9 @@
 //!   D*) — implemented here so the ablation benches can compare them.
 //! - [`ranking`] — deterministic suspiciousness rankings with EXAM-score
 //!   evaluation.
-//! - [`cel`] — a CEL-style MaxSAT localizer: every failed test asserts
-//!   "some covered line is faulty", every line softly asserts "I am
-//!   correct"; a maximal satisfiable subset's complement is a minimal
-//!   correction-set candidate.
 
-pub mod cel;
 pub mod ranking;
 pub mod sbfl;
 
-pub use cel::cel_localize;
 pub use ranking::Ranking;
 pub use sbfl::{localize, localize_boosted, suspiciousness, SbflFormula};

@@ -13,8 +13,8 @@
 //!   (`chrome://tracing`, Perfetto). Enabled by `ACR_TRACE=path`.
 //! - [`metrics`] — a registry of counters, gauges and fixed-bucket
 //!   histograms: simulator convergence rounds, memo-cache and lint-gate
-//!   hits, invalidation breadth per session-delta class, DPLL
-//!   propagations/backtracks, candidates generated/gated/validated.
+//!   hits, invalidation breadth per session-delta class, candidates
+//!   generated/gated/validated.
 //!   Enabled by `ACR_METRICS=1` or `ACR_METRICS=path` (snapshot file).
 //! - [`journal`] — a JSONL run journal of repair iterations (ranked
 //!   suspects, candidate patches, verdicts, fitness) that makes a repair

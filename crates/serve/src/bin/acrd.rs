@@ -120,7 +120,6 @@ fn main() {
                 quota,
                 threads,
                 cold,
-                ..ServeConfig::default()
             };
             let mut d = Acrd::new(cfg);
             d.register(NetworkDef {

@@ -50,9 +50,6 @@ pub struct ServeConfig {
     /// Engine worker threads; `None` keeps [`RepairConfig::default`]'s
     /// `0` (= available parallelism).
     pub threads: Option<usize>,
-    /// Explicit delta-compile setting (`Some(false)` is the full-rebuild
-    /// test oracle); `None` keeps [`RepairConfig::default`]'s `true`.
-    pub delta: Option<bool>,
     /// Serve from a fresh session per job (the cold A/B baseline)
     /// instead of resident per-network state. Default `false`.
     pub cold: bool,
@@ -259,9 +256,6 @@ impl Acrd {
         };
         if let Some(t) = self.cfg.threads {
             rc.threads = t;
-        }
-        if let Some(d) = self.cfg.delta {
-            rc.delta = d;
         }
         rc
     }

@@ -197,9 +197,10 @@ impl<'a> IncrementalVerifier<'a> {
     }
 
     /// Enables or disables delta construction of candidate simulators.
-    /// Off, every candidate compiles from scratch; the invalidation
-    /// analysis (and thus every verdict and statistic except wall-clock)
-    /// is unaffected.
+    /// Off, every candidate compiles from scratch: the full-rebuild
+    /// reference that tests compare against, never selected by the
+    /// product. The invalidation analysis (and thus every verdict and
+    /// statistic except wall-clock) is unaffected.
     pub fn set_delta(&mut self, delta: bool) {
         self.delta = delta;
     }
@@ -325,12 +326,11 @@ impl<'a> IncrementalVerifier<'a> {
         topo: &'a Topology,
         spec: &'a Spec,
         samples: u32,
-        delta: bool,
         warm: WarmState,
         cfg: &NetworkConfig,
     ) -> Result<(Self, Verification), Box<Self>> {
         let iv = Self::with_samples(topo, spec, samples);
-        Self::resume_with(iv, delta, warm, cfg, cfg.fingerprint())
+        Self::resume_with(iv, warm, cfg, cfg.fingerprint())
     }
 
     /// [`IncrementalVerifier::resume`] over an already-constructed cold
@@ -341,13 +341,11 @@ impl<'a> IncrementalVerifier<'a> {
     /// verifier comes back as the error.
     pub fn resume_with(
         mut iv: Self,
-        delta: bool,
         warm: WarmState,
         cfg: &NetworkConfig,
         cfg_fp: u64,
     ) -> Result<(Self, Verification), Box<Self>> {
         debug_assert_eq!(cfg_fp, cfg.fingerprint());
-        iv.set_delta(delta);
         if warm.ctx_fp != iv.verifier.context_fingerprint() || warm.base_fp != cfg_fp {
             RESUME_MISSES.inc();
             return Err(Box::new(iv));
@@ -929,8 +927,7 @@ mod tests {
         let mut iv = IncrementalVerifier::new(&topo, &spec);
         let v_cold = iv.commit(&cfg);
         let warm = iv.suspend().expect("committed verifier suspends");
-        let Ok((mut iv2, v_warm)) = IncrementalVerifier::resume(&topo, &spec, 1, true, warm, &cfg)
-        else {
+        let Ok((mut iv2, v_warm)) = IncrementalVerifier::resume(&topo, &spec, 1, warm, &cfg) else {
             panic!("resume must hit on an identical configuration");
         };
         assert_eq!(iv2.last_stats().recomputed, 0, "resume must replay caches");
@@ -966,7 +963,7 @@ mod tests {
             stmt: Stmt::Network(p("10.9.0.0/16")),
         });
         let other = patch.apply_cloned(&cfg).unwrap();
-        let cold = IncrementalVerifier::resume(&topo, &spec, 1, true, warm, &other)
+        let cold = IncrementalVerifier::resume(&topo, &spec, 1, warm, &other)
             .err()
             .expect("fingerprint mismatch must refuse to resume");
         let mut cold = *cold;

@@ -1,8 +1,7 @@
 //! Localization deep-dive: compare SBFL formulas and walk provenance.
 //!
 //! Injects a "stale route map" incident, scores it with four SBFL
-//! formulas plus the CEL-style MaxSAT localizer, and prints the
-//! provenance explanation of a surviving route.
+//! formulas, and prints the provenance explanation of a surviving route.
 //!
 //! ```sh
 //! cargo run --example localize_and_explain
@@ -10,7 +9,6 @@
 
 use acr::prelude::*;
 use acr::prov::Provenance;
-use acr_localize::cel_localize;
 use acr_verify::Verifier;
 
 fn main() {
@@ -45,18 +43,6 @@ fn main() {
                 .unwrap_or_default();
             println!("  {score:.3}  {line}  {}", stmt.trim());
         }
-    }
-
-    // ---- CEL-style minimal-correction-set localization ----
-    let blamed = cel_localize(&v.matrix);
-    println!("\nCEL-style correction set ({} lines):", blamed.len());
-    for line in blamed.iter().take(5) {
-        let stmt = incident
-            .broken
-            .stmt(*line)
-            .map(|s| s.to_string())
-            .unwrap_or_default();
-        println!("  {line}  {}", stmt.trim());
     }
 
     // ---- provenance explanation of a passing route ----

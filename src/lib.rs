@@ -5,8 +5,8 @@
 //! router configurations, together with every substrate it needs — a
 //! BGP control-plane simulator with oscillation detection, a DNA-style
 //! incremental verifier, provenance-based coverage, spectrum-based fault
-//! localization, a finite-domain constraint solver for local
-//! symbolization, the MetaProv/AED baselines it is compared against,
+//! localization, set-algebra local symbolization, the MetaProv/AED
+//! baselines it is compared against,
 //! workload generators reproducing the paper's Figure 2 incident and
 //! Table 1 misconfiguration taxonomy, a zero-dependency
 //! observability layer (tracing, metrics, run journal — see [`obs`]),
@@ -43,7 +43,6 @@ pub use acr_prov as prov;
 pub use acr_scenarios as scenarios;
 pub use acr_serve as serve;
 pub use acr_sim as sim;
-pub use acr_smt as smt;
 pub use acr_topo as topo;
 pub use acr_verify as verify;
 pub use acr_workloads as workloads;

@@ -140,53 +140,16 @@ fn thread_count_never_changes_a_repair() {
     }
 }
 
-/// The delta-compilation toggle is construction-only: the invalidation
-/// analysis runs identically whether candidate simulators are built from
-/// scratch or delta-compiled against the committed base, so repairs with
-/// delta on and off must be byte-identical in every observable field, at
-/// every worker-pool size.
-#[test]
-fn delta_compilation_never_changes_a_repair() {
-    let net = wan();
-    let incidents = sample_incidents(&net, 6, 77);
-    for (i, incident) in incidents.iter().enumerate() {
-        for threads in [1usize, 4, 8] {
-            let run = |delta: bool| {
-                let engine = RepairEngine::new(
-                    &net.topo,
-                    &net.spec,
-                    RepairConfig {
-                        seed: 11,
-                        threads,
-                        cache: Some(Arc::new(SimCache::default())),
-                        delta,
-                        ..RepairConfig::default()
-                    },
-                );
-                engine.repair(&incident.broken)
-            };
-            assert_reports_identical(
-                &run(true),
-                &run(false),
-                &format!(
-                    "incident {i} ({}), threads {threads}, delta on vs off",
-                    incident.fault
-                ),
-            );
-        }
-    }
-}
-
 /// Multi-patch beam search must be exactly as deterministic as the
 /// single-fault genetic path: for composed multi-fault scenarios (every
-/// family), repairs under `threads ∈ {1, 4, 8}` × `delta ∈ {on, off}`
-/// must agree on every observable field — outcome, patch, iteration
-/// trace, *per-segment attribution*, tags, and both validation
+/// family), repairs under `threads ∈ {1, 4, 8}` must agree on every
+/// observable field — outcome, patch, iteration trace, *per-segment
+/// attribution*, tags, and both validation
 /// counters — and every report must satisfy the candidate-accounting
 /// identity. (Journal byte-identity for the beam path lives in
 /// `obs_pipeline.rs`, which owns the global sink.)
 #[test]
-fn beam_multi_patch_repair_is_thread_and_delta_invariant() {
+fn beam_multi_patch_repair_is_thread_invariant() {
     let net = wan();
     let scenarios: Vec<Scenario> = corpus(&net, 1, 2024);
     assert!(
@@ -196,14 +159,13 @@ fn beam_multi_patch_repair_is_thread_and_delta_invariant() {
     );
     for scenario in &scenarios {
         let spec = scenario.visible_spec(&net.spec);
-        let run = |threads: usize, delta: bool| {
+        let run = |threads: usize| {
             let engine = RepairEngine::new(
                 &net.topo,
                 &spec,
                 RepairConfig {
                     seed: 11,
                     threads,
-                    delta,
                     strategy: acr::core::Strategy::beam(),
                     cache: Some(Arc::new(SimCache::default())),
                     tags: scenario.tags(),
@@ -212,7 +174,7 @@ fn beam_multi_patch_repair_is_thread_and_delta_invariant() {
             );
             engine.repair(&scenario.broken)
         };
-        let base = run(1, true);
+        let base = run(1);
         base.check_accounting()
             .unwrap_or_else(|e| panic!("{}: accounting violated: {e}", scenario.label));
         assert_eq!(
@@ -221,24 +183,16 @@ fn beam_multi_patch_repair_is_thread_and_delta_invariant() {
             "{}: tags dropped",
             scenario.label
         );
-        for threads in [1usize, 4, 8] {
-            for delta in [true, false] {
-                if threads == 1 && delta {
-                    continue; // that is `base`
-                }
-                let other = run(threads, delta);
-                other
-                    .check_accounting()
-                    .unwrap_or_else(|e| panic!("{}: accounting violated: {e}", scenario.label));
-                assert_reports_identical(
-                    &base,
-                    &other,
-                    &format!(
-                        "scenario {} , threads {threads}, delta {delta}",
-                        scenario.label
-                    ),
-                );
-            }
+        for threads in [4usize, 8] {
+            let other = run(threads);
+            other
+                .check_accounting()
+                .unwrap_or_else(|e| panic!("{}: accounting violated: {e}", scenario.label));
+            assert_reports_identical(
+                &base,
+                &other,
+                &format!("scenario {} , threads {threads}", scenario.label),
+            );
         }
     }
 }

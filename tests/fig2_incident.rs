@@ -58,7 +58,8 @@ fn tarantula_scores_a_peer_policy_line_067() {
 }
 
 /// Step 2 (Fix): the prefix-list template on the suspicious line solves
-/// `P ∧ ¬F` to exactly `{10.70/16, 20.0/16}` — the paper's `var`.
+/// `P ∧ ¬F` to exactly `{10.70/16, 20.0/16}` with `10.0/16 ∉ var` — the
+/// paper's `var`.
 #[test]
 fn symbolization_solves_the_papers_var() {
     let fig2 = fig2_incident();
@@ -91,6 +92,8 @@ fn symbolization_solves_the_papers_var() {
         "{text}"
     );
     assert!(!text.contains("permit 0.0.0.0 0"), "{text}");
+    // The flapping PoP's prefix is indicted, so `10.0/16 ∉ var`.
+    assert!(!text.contains("permit 10.0.0.0 16"), "{text}");
 }
 
 /// Step 3 (Validate): fixing A alone does not clear the violation — the

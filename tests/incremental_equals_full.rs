@@ -8,7 +8,9 @@
 //! operator vocabularies generate at every line of every device is
 //! validated against that commit and against a fresh full verification of
 //! the patched network: verdict, violation and path of every record and
-//! the coverage lines of every test must agree.
+//! the coverage lines of every test must agree. The same slice also pins
+//! the verifier's full-rebuild oracle: candidates compiled from scratch
+//! must verify exactly as the delta-built ones do.
 
 use acr::cfg::DeviceModel;
 use acr::core::templates::candidates_for_line;
@@ -26,40 +28,45 @@ struct Sweep {
     disagreements: Vec<String>,
 }
 
+/// Every distinct patch both operator vocabularies generate at every line
+/// of every device of the incident's broken network, in first-seen order
+/// so the cross-candidate policy memo sees the same sequence on every run.
+fn candidates(net: &GeneratedNetwork, incident: &Incident) -> Vec<Patch> {
+    let broken = &incident.broken;
+    let (verification, out) = Verifier::new(&net.topo, &net.spec).run_full(broken);
+    let models: Vec<DeviceModel> = (net.topo.routers().iter())
+        .map(|r| DeviceModel::from_config(broken.device(r.id).expect("generated device")))
+        .collect();
+    let ctx = RepairCtx {
+        topo: &net.topo,
+        cfg: broken,
+        verification: &verification,
+        arena: &out.arena,
+        models: &models,
+    };
+    let mut seen: HashSet<Patch> = HashSet::new();
+    let mut patches: Vec<Patch> = Vec::new();
+    for (router, device) in broken.devices() {
+        for (line, _) in device.lines() {
+            let line = LineId::new(router, line);
+            let fixes = candidates_for_line(line, &ctx).into_iter().map(|f| f.patch);
+            for patch in fixes.chain(universal_candidates(line, &ctx)) {
+                if seen.insert(patch.clone()) {
+                    patches.push(patch);
+                }
+            }
+        }
+    }
+    patches
+}
+
 impl Sweep {
     fn run(&mut self, net: &GeneratedNetwork, incident: &Incident) {
         let broken = &incident.broken;
         let verifier = Verifier::new(&net.topo, &net.spec);
-        let (verification, out) = verifier.run_full(broken);
-        let models: Vec<DeviceModel> = (net.topo.routers().iter())
-            .map(|r| DeviceModel::from_config(broken.device(r.id).expect("generated device")))
-            .collect();
-        let ctx = RepairCtx {
-            topo: &net.topo,
-            cfg: broken,
-            verification: &verification,
-            arena: &out.arena,
-            models: &models,
-        };
-        // First-seen order, so the cross-candidate policy memo sees the
-        // same sequence on every run.
-        let mut seen: HashSet<Patch> = HashSet::new();
-        let mut patches: Vec<Patch> = Vec::new();
-        for (router, device) in broken.devices() {
-            for (line, _) in device.lines() {
-                let line = LineId::new(router, line);
-                let fixes = candidates_for_line(line, &ctx).into_iter().map(|f| f.patch);
-                for patch in fixes.chain(universal_candidates(line, &ctx)) {
-                    if seen.insert(patch.clone()) {
-                        patches.push(patch);
-                    }
-                }
-            }
-        }
-
         let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
         iv.commit(broken);
-        for patch in patches {
+        for patch in candidates(net, incident) {
             let Ok(candidate) = patch.apply_cloned(broken) else {
                 continue;
             };
@@ -108,20 +115,62 @@ fn sites(net: &GeneratedNetwork, fault: FaultType) -> impl Iterator<Item = Incid
     routers.filter_map(move |r| inject_at(fault, net, &net.cfg, r))
 }
 
-/// Tier-1 slice: the first injectable site of every class, plus **every**
-/// site of `MissingRoutePolicy` — the class whose repair at the last
-/// backbone router used to end `Fixed` on a patch `run_full` rejects.
+/// The tier-1 slice: the first injectable site of every class, plus
+/// **every** site of `MissingRoutePolicy` — the class whose repair at the
+/// last backbone router used to end `Fixed` on a patch `run_full` rejects.
+fn tier1_slice(net: &GeneratedNetwork) -> impl Iterator<Item = Incident> + '_ {
+    TABLE1.iter().flat_map(move |&(fault, _)| {
+        let all = fault == FaultType::MissingRoutePolicy;
+        sites(net, fault).take(if all { usize::MAX } else { 1 })
+    })
+}
+
 #[test]
 fn verify_candidate_agrees_with_run_full_on_every_generated_candidate() {
     let net = generate(&acr::topo::gen::wan(4, 8));
     let mut sweep = Sweep::default();
-    for (fault, _) in TABLE1 {
-        let all = fault == FaultType::MissingRoutePolicy;
-        for incident in sites(&net, fault).take(if all { usize::MAX } else { 1 }) {
-            sweep.run(&net, &incident);
-        }
+    for incident in tier1_slice(&net) {
+        sweep.run(&net, &incident);
     }
     sweep.assert_sound(1000);
+}
+
+/// Delta construction is construction only: a verifier that compiles every
+/// candidate from scratch (`set_delta(false)`, the full-rebuild oracle)
+/// must re-simulate exactly the same prefixes and return the same
+/// `Verification` — records, coverage, flapping set and session
+/// diagnostics — with a derivation arena interned identically, so every
+/// `deriv_roots` id (which symbolization walks) names the same node in
+/// both. Only the build counters differ: the oracle compiles every device.
+#[test]
+fn delta_built_candidates_verify_exactly_as_full_rebuilds() {
+    let net = generate(&acr::topo::gen::wan(4, 8));
+    let mut compared = 0;
+    for incident in tier1_slice(&net) {
+        let broken = &incident.broken;
+        let mut delta = IncrementalVerifier::new(&net.topo, &net.spec);
+        let mut full = IncrementalVerifier::new(&net.topo, &net.spec);
+        full.set_delta(false);
+        assert_eq!(delta.commit(broken), full.commit(broken));
+        for patch in candidates(&net, &incident) {
+            let Ok(candidate) = patch.apply_cloned(broken) else {
+                continue;
+            };
+            let a = delta.verify_candidate(&candidate, &patch);
+            let b = full.verify_candidate(&candidate, &patch);
+            let what = format!("{:?}: {patch}", incident.fault);
+            let (sa, sb) = (delta.last_stats(), full.last_stats());
+            assert_eq!(
+                (sa.recomputed, sa.reused),
+                (sb.recomputed, sb.reused),
+                "{what}"
+            );
+            assert_eq!(a, b, "{what}");
+            assert!(delta.arena() == full.arena(), "{what}: arenas diverged");
+            compared += 1;
+        }
+    }
+    assert!(compared >= 1000, "only {compared} candidates compared");
 }
 
 /// Every class × every injectable site of `wan(4,8)`.

@@ -4,9 +4,8 @@
 //!
 //! - **journal determinism** — journals are byte-identical across
 //!   identical runs after timestamp scrubbing, and identical outside the
-//!   `run_start` config line across worker-thread counts and the delta
-//!   toggle (emission is coordinator-side, in iteration/candidate-index
-//!   order);
+//!   `run_start` config line across worker-thread counts (emission is
+//!   coordinator-side, in iteration/candidate-index order);
 //! - **trace canonicality** — the canonical (timestamp/tid-scrubbed,
 //!   sorted) span list is stable across repeat runs, and the full export
 //!   is loadable Chrome trace-event JSON;
@@ -32,7 +31,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn repair_fig2(threads: usize, delta: bool) -> RepairReport {
+fn repair_fig2(threads: usize) -> RepairReport {
     let fig2 = acr::workloads::fig2::fig2_incident();
     let engine = RepairEngine::new(
         &fig2.topo,
@@ -40,7 +39,6 @@ fn repair_fig2(threads: usize, delta: bool) -> RepairReport {
         RepairConfig {
             seed: 7,
             threads,
-            delta,
             cache: Some(Arc::new(SimCache::default())),
             ..RepairConfig::default()
         },
@@ -80,39 +78,37 @@ fn body(scrubbed: &str) -> String {
 }
 
 #[test]
-fn journal_is_deterministic_across_threads_and_delta() {
+fn journal_is_deterministic_across_threads() {
     let _g = lock();
     obs::set_flags(obs::JOURNAL);
     let mut bodies: Vec<(String, String)> = Vec::new();
     for threads in [1usize, 4, 8] {
-        for delta in [true, false] {
-            let label = format!("threads={threads}, delta={delta}");
-            journal::capture_to_memory();
-            let a = repair_fig2(threads, delta);
-            let raw_a = journal::take_captured();
-            journal::capture_to_memory();
-            let b = repair_fig2(threads, delta);
-            let raw_b = journal::take_captured();
-            assert!(!raw_a.is_empty(), "{label}: journal must not be empty");
-            let scrubbed = journal::scrub_timestamps(&raw_a);
-            assert_eq!(
-                scrubbed,
-                journal::scrub_timestamps(&raw_b),
-                "{label}: identical runs must journal byte-identically"
-            );
-            assert_eq!(
-                signature(&a),
-                signature(&b),
-                "{label}: repeat runs diverged"
-            );
-            for line in scrubbed.lines() {
-                check_journal_line(line);
-            }
-            bodies.push((label, body(&scrubbed)));
+        let label = format!("threads={threads}");
+        journal::capture_to_memory();
+        let a = repair_fig2(threads);
+        let raw_a = journal::take_captured();
+        journal::capture_to_memory();
+        let b = repair_fig2(threads);
+        let raw_b = journal::take_captured();
+        assert!(!raw_a.is_empty(), "{label}: journal must not be empty");
+        let scrubbed = journal::scrub_timestamps(&raw_a);
+        assert_eq!(
+            scrubbed,
+            journal::scrub_timestamps(&raw_b),
+            "{label}: identical runs must journal byte-identically"
+        );
+        assert_eq!(
+            signature(&a),
+            signature(&b),
+            "{label}: repeat runs diverged"
+        );
+        for line in scrubbed.lines() {
+            check_journal_line(line);
         }
+        bodies.push((label, body(&scrubbed)));
     }
     // Outside run_start, the journal does not depend on the thread count
-    // or the delta toggle.
+    // (`run_start` records it).
     for (label, b) in &bodies[1..] {
         assert_eq!(
             b, &bodies[0].1,
@@ -128,7 +124,7 @@ fn trace_is_canonical_and_loadable() {
     let _g = lock();
     obs::set_flags(obs::TRACE);
     let _ = trace::take();
-    let a = repair_fig2(4, true);
+    let a = repair_fig2(4);
     let canon_a = trace::canonical();
     assert!(
         !canon_a.is_empty(),
@@ -146,7 +142,7 @@ fn trace_is_canonical_and_loadable() {
         assert!(e.get("tid").unwrap().as_num().unwrap() >= 1.0);
     }
     let _ = trace::take();
-    let b = repair_fig2(4, true);
+    let b = repair_fig2(4);
     let canon_b = trace::canonical();
     assert_eq!(
         canon_a, canon_b,
@@ -163,11 +159,11 @@ fn instrumentation_never_changes_a_repair() {
     for threads in [1usize, 4] {
         obs::set_flags(obs::ALL);
         journal::capture_to_memory();
-        let on = repair_fig2(threads, true);
+        let on = repair_fig2(threads);
         let _ = journal::take_captured();
         let _ = trace::take();
         obs::disable_all();
-        let off = repair_fig2(threads, true);
+        let off = repair_fig2(threads);
         assert_eq!(
             signature(&on),
             signature(&off),
@@ -180,8 +176,8 @@ fn instrumentation_never_changes_a_repair() {
 /// Journal byte-identity for the *multi-patch beam* path: a composed
 /// multi-fault scenario repaired with `Strategy::beam` must journal
 /// byte-identically (after timestamp scrubbing) across repeat runs, and
-/// identically outside `run_start` across worker-thread counts and the
-/// delta toggle — including the v2 fields this path exercises hardest
+/// identically outside `run_start` across worker-thread counts —
+/// including the v2 fields this path exercises hardest
 /// (per-candidate `segments` counts, `run_end` attribution and tags).
 #[test]
 fn beam_journal_is_deterministic_and_carries_attribution() {
@@ -193,14 +189,13 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
         .next()
         .expect("corpus is non-empty");
     let spec = scenario.visible_spec(&net.spec);
-    let run = |threads: usize, delta: bool| {
+    let run = |threads: usize| {
         let engine = RepairEngine::new(
             &net.topo,
             &spec,
             RepairConfig {
                 seed: 11,
                 threads,
-                delta,
                 strategy: acr::core::Strategy::beam(),
                 cache: Some(Arc::new(SimCache::default())),
                 tags: scenario.tags(),
@@ -211,37 +206,35 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
     };
     let mut bodies: Vec<(String, String)> = Vec::new();
     for threads in [1usize, 4, 8] {
-        for delta in [true, false] {
-            let label = format!("threads={threads}, delta={delta}");
-            journal::capture_to_memory();
-            let a = run(threads, delta);
-            let raw_a = journal::take_captured();
-            journal::capture_to_memory();
-            let b = run(threads, delta);
-            let raw_b = journal::take_captured();
-            assert!(!raw_a.is_empty(), "{label}: journal must not be empty");
-            let scrubbed = journal::scrub_timestamps(&raw_a);
-            assert_eq!(
-                scrubbed,
-                journal::scrub_timestamps(&raw_b),
-                "{label}: identical beam runs must journal byte-identically"
-            );
-            assert_eq!(signature(&a), signature(&b), "{label}: repeat diverged");
-            // Every line is schema-valid (so `run_end` carries its
-            // attribution array), and `run_end` carries the scenario tags.
-            let lines: Vec<json::Value> = scrubbed.lines().map(check_journal_line).collect();
-            let v = lines
-                .iter()
-                .find(|v| v.get("event").and_then(|e| e.as_str()) == Some("run_end"))
-                .expect("journal has a run_end");
-            let tags = v.get("tags").and_then(|t| t.as_arr()).unwrap();
-            assert!(
-                tags.iter()
-                    .any(|t| t.as_str() == Some(&format!("family:{}", scenario.family.tag()))),
-                "{label}: family tag missing from journal"
-            );
-            bodies.push((label, body(&scrubbed)));
-        }
+        let label = format!("threads={threads}");
+        journal::capture_to_memory();
+        let a = run(threads);
+        let raw_a = journal::take_captured();
+        journal::capture_to_memory();
+        let b = run(threads);
+        let raw_b = journal::take_captured();
+        assert!(!raw_a.is_empty(), "{label}: journal must not be empty");
+        let scrubbed = journal::scrub_timestamps(&raw_a);
+        assert_eq!(
+            scrubbed,
+            journal::scrub_timestamps(&raw_b),
+            "{label}: identical beam runs must journal byte-identically"
+        );
+        assert_eq!(signature(&a), signature(&b), "{label}: repeat diverged");
+        // Every line is schema-valid (so `run_end` carries its
+        // attribution array), and `run_end` carries the scenario tags.
+        let lines: Vec<json::Value> = scrubbed.lines().map(check_journal_line).collect();
+        let v = lines
+            .iter()
+            .find(|v| v.get("event").and_then(|e| e.as_str()) == Some("run_end"))
+            .expect("journal has a run_end");
+        let tags = v.get("tags").and_then(|t| t.as_arr()).unwrap();
+        assert!(
+            tags.iter()
+                .any(|t| t.as_str() == Some(&format!("family:{}", scenario.family.tag()))),
+            "{label}: family tag missing from journal"
+        );
+        bodies.push((label, body(&scrubbed)));
     }
     for (label, b) in &bodies[1..] {
         assert_eq!(

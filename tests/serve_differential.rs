@@ -3,10 +3,9 @@
 //!
 //! Contract: a **cold** daemon job (fresh session) is *fully*
 //! byte-identical to [`RepairEngine::repair`] — decisions AND the
-//! validated/cached accounting — at every worker-thread count and with
-//! the delta-compile toggle on and off (explicit [`RepairConfig`]
-//! fields, so the ambient `ACR_*` env cannot skew the comparison). A **resident** daemon matches on decisions while
-//! strictly reducing simulation work on replays.
+//! validated/cached accounting — at every worker-thread count. A
+//! **resident** daemon matches on decisions while strictly reducing
+//! simulation work on replays.
 
 use acr::serve::{full_signature, job_label};
 use acr::serve::{Acrd, NetworkDef, QuotaConfig, ServeConfig, SubmitReq};
@@ -44,11 +43,10 @@ fn req(net: &GeneratedNetwork, inc: &Incident, seed: u64) -> SubmitReq {
     }
 }
 
-fn daemon(net: &GeneratedNetwork, threads: usize, delta: bool, cold: bool) -> Acrd {
+fn daemon(net: &GeneratedNetwork, threads: usize, cold: bool) -> Acrd {
     let mut d = Acrd::new(ServeConfig {
         quota: QuotaConfig::default(),
         threads: Some(threads),
-        delta: Some(delta),
         cold,
     });
     d.register(NetworkDef {
@@ -59,12 +57,7 @@ fn daemon(net: &GeneratedNetwork, threads: usize, delta: bool, cold: bool) -> Ac
     d
 }
 
-fn batch_full_sigs(
-    net: &GeneratedNetwork,
-    incidents: &[Incident],
-    threads: usize,
-    delta: bool,
-) -> Vec<String> {
+fn batch_full_sigs(net: &GeneratedNetwork, incidents: &[Incident], threads: usize) -> Vec<String> {
     incidents
         .iter()
         .enumerate()
@@ -75,7 +68,6 @@ fn batch_full_sigs(
                 RepairConfig {
                     seed: i as u64,
                     threads,
-                    delta,
                     ..RepairConfig::default()
                 },
             );
@@ -86,21 +78,21 @@ fn batch_full_sigs(
 }
 
 /// Cold daemon == batch, byte-for-byte including accounting, across
-/// thread counts and the delta toggle.
+/// thread counts.
 #[test]
 fn cold_daemon_is_byte_identical_to_batch_everywhere() {
     let (net, incidents) = network();
-    for (threads, delta) in [(1, true), (4, true), (1, false), (4, false)] {
-        let mut d = daemon(&net, threads, delta, true);
+    for threads in [1, 4] {
+        let mut d = daemon(&net, threads, true);
         for (i, inc) in incidents.iter().enumerate() {
             d.submit(req(&net, inc, i as u64)).unwrap();
         }
         assert_eq!(d.drain(), incidents.len());
         let served: Vec<String> = d.records_in_order().map(|r| r.full_sig.clone()).collect();
-        let batch = batch_full_sigs(&net, &incidents, threads, delta);
+        let batch = batch_full_sigs(&net, &incidents, threads);
         assert_eq!(
             served, batch,
-            "daemon-served reports diverged from batch at threads={threads} delta={delta}"
+            "daemon-served reports diverged from batch at threads={threads}"
         );
     }
 }
@@ -112,7 +104,7 @@ fn digests_are_thread_count_invariant() {
     let (net, incidents) = network();
     let mut digests = Vec::new();
     for threads in [1, 4] {
-        let mut d = daemon(&net, threads, true, true);
+        let mut d = daemon(&net, threads, true);
         for (i, inc) in incidents.iter().enumerate() {
             d.submit(req(&net, inc, i as u64)).unwrap();
         }
@@ -131,7 +123,7 @@ fn resident_daemon_matches_decisions_and_saves_work() {
     // so the warm verifier slot (keyed to the last committed config)
     // gets a resume opportunity on every replay.
     let run = |cold: bool| {
-        let mut d = daemon(&net, 1, true, cold);
+        let mut d = daemon(&net, 1, cold);
         for (i, inc) in incidents.iter().enumerate() {
             d.submit(req(&net, inc, i as u64)).unwrap();
             d.submit(req(&net, inc, i as u64)).unwrap();
