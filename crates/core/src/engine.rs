@@ -48,6 +48,9 @@ static RESIDENT_MISSES: Counter = Counter::new("engine.resident.misses");
 /// The paper's iteration cap.
 pub const DEFAULT_MAX_ITERATIONS: usize = 500;
 
+/// Population cap across iterations.
+const MAX_POPULATION: usize = 8;
+
 /// Which change-operator vocabulary the engine draws candidates from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperatorSet {
@@ -67,10 +70,6 @@ pub struct RepairConfig {
     pub formula: SbflFormula,
     /// RNG seed — repairs are fully reproducible.
     pub seed: u64,
-    /// Population cap across iterations.
-    pub max_population: usize,
-    /// Test packets sampled per property.
-    pub samples_per_property: u32,
     /// Restrict fix generation to these templates (`None` = all). Useful
     /// to reproduce a specific repair style, e.g. the paper's prefix-list
     /// adjustments on the Figure 2 incident. Only filters the curated
@@ -89,12 +88,6 @@ pub struct RepairConfig {
     /// batch too small to pay for pool workers takes at every setting.
     /// Results are byte-identical at every setting. Default `0`.
     pub threads: usize,
-    /// The simulation memo-cache. Candidates whose rendered config was
-    /// validated before (against the same base, topology and test
-    /// suite) are served from memo and counted in
-    /// [`RepairReport::validations_cached`]. Share one `Arc` across
-    /// engines to pool their work; `None` disables memoization entirely.
-    pub cache: Option<Arc<SimCache>>,
     /// Free-form labels carried verbatim into [`RepairReport::tags`] and
     /// the run journal — the scenario harness stamps the scenario family
     /// (e.g. `family:interacting`) here so every report and journal line
@@ -110,13 +103,10 @@ impl Default for RepairConfig {
             strategy: Strategy::default(),
             formula: SbflFormula::Tarantula,
             seed: 7,
-            max_population: 8,
-            samples_per_property: 1,
             allowed_templates: None,
             operators: OperatorSet::Curated,
             lint: true,
             threads: 0,
-            cache: Some(Arc::new(SimCache::default())),
             tags: Vec::new(),
         }
     }
@@ -360,11 +350,11 @@ impl<'a> RepairEngine<'a> {
     /// daemon entry point. When the session holds a slot for `original`
     /// (by fingerprint) its warm verifier state is resumed (skipping the
     /// full base verification) and its static baseline reused (skipping
-    /// the flow analysis and the lint), its [`SimCache`] replaces
-    /// [`RepairConfig::cache`], and on return verifier and baseline are
-    /// parked back into the session for the next incident. Reuse is
-    /// decision-transparent: outcome, patch, fitness trajectory and
-    /// generation/keep decisions are identical to a cold
+    /// the flow analysis and the lint), the run validates through the
+    /// session's memo-cache instead of a fresh one, and on return verifier
+    /// and baseline are parked back into the session for the next
+    /// incident. Reuse is decision-transparent: outcome, patch, fitness
+    /// trajectory and generation/keep decisions are identical to a cold
     /// [`RepairEngine::repair`] with the same seed — only the
     /// validation-cost accounting (`validations` vs
     /// `validations_cached`, prefixes recomputed) moves.
@@ -385,7 +375,6 @@ impl<'a> RepairEngine<'a> {
         RUNS.inc();
         let commit_guard = stages.time("engine.commit", "engine");
         let mut rng = SplitMix64::new(self.config.seed);
-        let samples = self.config.samples_per_property;
         // One hash of the broken configuration keys everything resident:
         // the session slot, the verifier's resume gate and the memo-cache.
         let fp = original.fingerprint();
@@ -394,7 +383,7 @@ impl<'a> RepairEngine<'a> {
         // caches instead of committing cold, and its static baseline.
         // The session keeps a small LRU of slots, so rotating job streams
         // resume warm on every revisit.
-        let cold = IncrementalVerifier::with_samples(self.topo, self.spec, samples);
+        let cold = IncrementalVerifier::new(self.topo, self.spec);
         let (mut iv, resumed, parked_statics) = match session.as_mut().and_then(|s| s.take(fp)) {
             Some(slot) => match IncrementalVerifier::resume_with(cold, slot.warm, original, fp) {
                 Ok((iv, v)) => (iv, Some(v), Some(slot.statics)),
@@ -432,14 +421,14 @@ impl<'a> RepairEngine<'a> {
 
         // Validate-stage plumbing: the memo-cache keys every candidate
         // under (verifier context, committed base, candidate config) and
-        // `threads` sizes the scoped worker pool. A session's cross-job
-        // cache takes precedence over the per-run one.
+        // `threads` sizes the scoped worker pool. The cache is the
+        // session's, pooled across its jobs, or one this run owns.
         let ctx_base = (iv.verifier().context_fingerprint(), fp);
-        let cache_arc = match session.as_ref() {
-            Some(s) => Some(s.cache.clone()),
-            None => self.config.cache.clone(),
+        let mut own_cache = None;
+        let cache = match session.as_deref_mut() {
+            Some(s) => &mut s.cache,
+            None => own_cache.insert(SimCache::default()),
         };
-        let cache = cache_arc.as_deref();
         let threads = resolve_threads(self.config.threads);
         drop(commit_guard);
 
@@ -518,7 +507,7 @@ impl<'a> RepairEngine<'a> {
                     &mut iv,
                     self.topo,
                     self.config.lint.then_some(&statics),
-                    cache,
+                    &mut *cache,
                     ctx_base,
                     threads,
                 );
@@ -609,7 +598,7 @@ impl<'a> RepairEngine<'a> {
 
                 population.extend(kept);
                 population.sort_by_key(|v| (v.fitness, v.patch.len()));
-                population.truncate(self.config.max_population);
+                population.truncate(MAX_POPULATION);
                 let best_fitness = population
                     .first()
                     .map(|v| v.fitness)
@@ -686,17 +675,16 @@ impl<'a> RepairEngine<'a> {
             .str("formula", &format!("{:?}", self.config.formula))
             .u64("seed", self.config.seed)
             .int("max_iterations", self.config.max_iterations)
-            .int("max_population", self.config.max_population)
-            .u64(
-                "samples_per_property",
-                self.config.samples_per_property as u64,
-            )
+            .int("max_population", MAX_POPULATION)
+            // `IncrementalVerifier::new` samples one packet per property.
+            .u64("samples_per_property", 1)
             .str("operators", &format!("{:?}", self.config.operators))
             .bool("lint", self.config.lint)
             .int("threads", threads)
-            .bool("cache", self.config.cache.is_some())
-            // Candidates are always delta-built; the field stays so the
-            // journal schema (additive-only) keeps its v6 shape.
+            // Every run validates through a memo-cache and every candidate
+            // is delta-built; the two fields stay so the journal schema
+            // (additive-only) keeps its v6 shape.
+            .bool("cache", true)
             .bool("delta", true)
             .raw("tags", &tags_json(&self.config.tags))
             .build();

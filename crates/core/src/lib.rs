@@ -47,7 +47,6 @@ pub mod templates;
 pub mod universal;
 mod validate;
 
-pub use acr_verify::SimCache;
 pub use api::{AcrStrategy, RepairStrategy, StrategyVerdict};
 pub use ctx::RepairCtx;
 pub use engine::{

@@ -8,7 +8,8 @@
 //! across runs:
 //!
 //! - the **simulation memo-cache** ([`SimCache`]) pools candidate
-//!   verdicts across every job served against the same committed base,
+//!   verdicts across every job served against the same committed base
+//!   (a one-shot run owns a fresh one instead),
 //! - one **slot per recently served broken configuration**, keyed by its
 //!   fingerprint, most recently used first, [`WARM_SLOTS`] deep. A slot
 //!   holds the suspended verifier ([`WarmState`]: compiled base,
@@ -30,7 +31,6 @@
 
 use crate::validate::Baseline;
 use acr_verify::{SimCache, WarmState};
-use std::sync::Arc;
 
 /// Number of per-configuration slots a session retains.
 pub const WARM_SLOTS: usize = 4;
@@ -45,11 +45,10 @@ pub(crate) struct Slot {
 
 /// Resident per-network state for [`crate::RepairEngine::repair_resident`].
 pub struct NetworkSession {
-    /// The cross-job simulation memo-cache. When a session is supplied,
-    /// the engine uses this cache (ignoring
-    /// [`crate::RepairConfig::cache`]) so every job against the same
-    /// network pools its candidate verdicts.
-    pub cache: Arc<SimCache>,
+    /// The cross-job simulation memo-cache: every job against the same
+    /// network pools its candidate verdicts here. A job borrows it for
+    /// the length of its run.
+    pub(crate) cache: SimCache,
     /// Recently served configurations, most recent first.
     slots: Vec<Slot>,
     /// Runs that resumed warm verifier state.
@@ -63,7 +62,7 @@ impl NetworkSession {
     /// An empty session with a fresh simulation cache.
     pub fn new() -> Self {
         NetworkSession {
-            cache: Arc::new(SimCache::default()),
+            cache: SimCache::default(),
             slots: Vec::new(),
             resident_hits: 0,
             resident_misses: 0,

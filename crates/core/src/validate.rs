@@ -21,17 +21,18 @@
 //!
 //! **Determinism argument.** A candidate's verdict is a pure function of
 //! (committed base state, candidate config): [`acr_verify::CandidateValidator`]
-//! never mutates the per-prefix memo, lint is stateless, and the
-//! memo-cache is only *read* while workers run. Everything order
-//! sensitive is pinned to candidate index order on the coordinating
-//! thread:
+//! never mutates the per-prefix memo, lint is stateless, and workers
+//! never see the memo-cache — the coordinator peeks it for the whole
+//! batch before any worker starts and hands them a hit's `Arc`.
+//! Everything order sensitive is pinned to candidate index order on the
+//! coordinating thread:
 //!
 //! - results are collected into an index-addressed table, so selection
 //!   order and tie-breaks never depend on scheduling;
 //! - cache insertions and LRU promotions happen in a post-pass in index
-//!   order (reads never touch recency — see [`acr_sim::ShardedCache`]),
-//!   so the cache's contents, and therefore every *future* hit or miss,
-//!   are identical whether the batch ran on 1 thread or 8;
+//!   order (a peek does not promote), so the cache's contents, and
+//!   therefore every *future* hit or miss, are identical whether the
+//!   batch ran on 1 thread or 8;
 //! - candidates of one batch that render to the *same* configuration
 //!   are deduplicated by fingerprint up front (the lowest index
 //!   computes, the rest reuse), which reproduces what the sequential
@@ -161,7 +162,7 @@ struct Prepared {
 /// How one prepared candidate gets its verdict.
 enum Plan {
     /// Reuse the verdict of an earlier item index (same rendered
-    /// config; only planned when the cache is enabled).
+    /// config).
     Dup(usize),
     /// The memo-cache held this fingerprint at batch start.
     Hit(Arc<CandidateEntry>),
@@ -179,7 +180,7 @@ pub(crate) fn validate_batch(
     iv: &mut IncrementalVerifier<'_>,
     topo: &Topology,
     lint_base: Option<&Baseline>,
-    cache: Option<&SimCache>,
+    cache: &mut SimCache,
     ctx_base: (u64, u64),
     threads: usize,
 ) -> Vec<ValidatedCandidate> {
@@ -206,18 +207,13 @@ pub(crate) fn validate_batch(
             }
         };
         let fp = cfg.fingerprint();
-        plans.push(match cache {
-            None => Plan::Compute,
-            Some(c) => {
-                let first = *by_fp.entry(fp).or_insert(items.len());
-                if first != items.len() {
-                    Plan::Dup(first)
-                } else if let Some(entry) = c.peek_candidate((ctx_fp, base_fp, fp)) {
-                    Plan::Hit(entry)
-                } else {
-                    Plan::Compute
-                }
-            }
+        let first = *by_fp.entry(fp).or_insert(items.len());
+        plans.push(if first != items.len() {
+            Plan::Dup(first)
+        } else if let Some(entry) = cache.peek_candidate((ctx_fp, base_fp, fp)) {
+            Plan::Hit(entry)
+        } else {
+            Plan::Compute
         });
         items.push((out.len(), Prepared { patch, cfg, fp }));
         out.push(invalid(Patch::new())); // placeholder, replaced below
@@ -290,11 +286,11 @@ pub(crate) fn validate_batch(
         };
         // A fresh simulation enters the cache; a hit is promoted — and so
         // is a dup, which sequentially would be an insert-then-hit.
-        if let (Some(c), Some(entry)) = (cache, verdict.entry()) {
+        if let Some(entry) = verdict.entry() {
             let key = (ctx_fp, base_fp, items[k].1.fp);
             match plans[k] {
-                Plan::Compute => c.insert_candidate(key, entry.clone()),
-                Plan::Hit(_) | Plan::Dup(_) => c.touch_candidate(key),
+                Plan::Compute => cache.insert_candidate(key, entry.clone()),
+                Plan::Hit(_) | Plan::Dup(_) => cache.touch_candidate(key),
             }
         }
         verdicts.push(verdict);

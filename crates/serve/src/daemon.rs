@@ -13,7 +13,7 @@
 //! Serving modes:
 //!
 //! - **resident** (default): each job runs against its network's
-//!   [`acr_core::NetworkSession`] — shared simulation cache, warm
+//!   [`acr_core::NetworkSession`] — cross-job simulation cache, warm
 //!   verifier state and static baseline per configuration. Decisions are
 //!   byte-identical to a cold run; validation cost drops.
 //! - **cold** (`ServeConfig::cold = true`): every job gets a fresh

@@ -23,7 +23,6 @@
 
 pub mod base;
 pub mod bgp;
-pub mod cache;
 pub mod deriv;
 pub mod fib;
 pub mod forward;
@@ -36,7 +35,6 @@ pub mod sim;
 
 pub use base::{CompiledBase, DeltaInfo, ResidentBase, SessionDelta, SessionPart, SimBuild};
 pub use bgp::{ConvergeEngine, ConvergeWork, PolicyMemo, PrefixOutcome, MAX_ROUNDS_BASE};
-pub use cache::{CacheStats, ShardedCache};
 pub use deriv::{DerivArena, DerivId, DerivKind, DerivNode};
 pub use fib::{bgp_fragment, Fib, FibAction, FibEntry};
 pub use forward::{ForwardOutcome, ForwardResult};

@@ -172,16 +172,11 @@ pub struct IncrementalVerifier<'a> {
 }
 
 impl<'a> IncrementalVerifier<'a> {
-    /// Creates an empty (cold) incremental verifier.
+    /// Creates an empty (cold) incremental verifier, one sampled packet
+    /// per property.
     pub fn new(topo: &'a Topology, spec: &'a Spec) -> Self {
-        Self::with_samples(topo, spec, 1)
-    }
-
-    /// Like [`IncrementalVerifier::new`] with `samples` packets per
-    /// property.
-    pub fn with_samples(topo: &'a Topology, spec: &'a Spec, samples: u32) -> Self {
         IncrementalVerifier {
-            verifier: Verifier::with_samples(topo, spec, samples),
+            verifier: Verifier::new(topo, spec),
             arena: DerivArena::new(),
             base: None,
             caches: Caches::default(),
@@ -309,8 +304,8 @@ impl<'a> IncrementalVerifier<'a> {
     }
 
     /// Rehydrates a suspended verifier for `cfg`. When `warm` was
-    /// suspended under the same verifier context (topology, spec, sample
-    /// count) *and* the byte-identical configuration, every cache is
+    /// suspended under the same verifier context (topology, spec)
+    /// *and* the byte-identical configuration, every cache is
     /// re-installed and the returned [`Verification`] is recomputed from
     /// cached per-prefix outcomes — **zero prefixes re-simulated, zero
     /// devices recompiled**. On any fingerprint mismatch the warm state
@@ -318,19 +313,17 @@ impl<'a> IncrementalVerifier<'a> {
     /// it yourself).
     ///
     /// The fingerprint gate is what makes re-installing sound: an equal
-    /// `context_fingerprint` pins (topology, spec, samples), an equal
+    /// `context_fingerprint` pins (topology, spec), an equal
     /// config fingerprint pins every statement of every device, and all
     /// cached state — outcomes, closures, memoized transfers, FIBs — is
     /// a pure function of those inputs.
     pub fn resume(
         topo: &'a Topology,
         spec: &'a Spec,
-        samples: u32,
         warm: WarmState,
         cfg: &NetworkConfig,
     ) -> Result<(Self, Verification), Box<Self>> {
-        let iv = Self::with_samples(topo, spec, samples);
-        Self::resume_with(iv, warm, cfg, cfg.fingerprint())
+        Self::resume_with(Self::new(topo, spec), warm, cfg, cfg.fingerprint())
     }
 
     /// [`IncrementalVerifier::resume`] over an already-constructed cold
@@ -927,7 +920,7 @@ mod tests {
         let mut iv = IncrementalVerifier::new(&topo, &spec);
         let v_cold = iv.commit(&cfg);
         let warm = iv.suspend().expect("committed verifier suspends");
-        let Ok((mut iv2, v_warm)) = IncrementalVerifier::resume(&topo, &spec, 1, warm, &cfg) else {
+        let Ok((mut iv2, v_warm)) = IncrementalVerifier::resume(&topo, &spec, warm, &cfg) else {
             panic!("resume must hit on an identical configuration");
         };
         assert_eq!(iv2.last_stats().recomputed, 0, "resume must replay caches");
@@ -963,7 +956,7 @@ mod tests {
             stmt: Stmt::Network(p("10.9.0.0/16")),
         });
         let other = patch.apply_cloned(&cfg).unwrap();
-        let cold = IncrementalVerifier::resume(&topo, &spec, 1, warm, &other)
+        let cold = IncrementalVerifier::resume(&topo, &spec, warm, &other)
             .err()
             .expect("fingerprint mismatch must refuse to resume");
         let mut cold = *cold;

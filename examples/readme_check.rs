@@ -2,7 +2,6 @@
 //! surface.
 
 use acr::prelude::*;
-use std::sync::Arc;
 
 fn main() {
     let fig2 = acr::workloads::fig2::fig2_incident();
@@ -11,18 +10,16 @@ fn main() {
     assert!(report.outcome.is_fixed());
     println!("fig2 repaired: {} validations", report.validations);
 
-    // The parallel-validation sample: threads/cache knobs on RepairConfig.
-    let cache = Arc::new(acr::core::SimCache::default());
+    // The parallel-validation sample: the threads knob on RepairConfig.
     let config = RepairConfig {
-        threads: 4,                 // 0 = available parallelism, 1 = sequential
-        cache: Some(cache.clone()), // share one Arc across engines
+        threads: 4, // 0 = available parallelism, 1 = sequential
         ..RepairConfig::default()
     };
     let engine = acr::core::RepairEngine::new(&fig2.topo, &fig2.spec, config);
     let report = engine.repair(&fig2.broken);
     assert!(report.outcome.is_fixed());
     println!(
-        "fig2 (threads=4, cached): {} simulated, {} from memo",
+        "fig2 (threads=4): {} simulated, {} from memo",
         report.validations, report.validations_cached
     );
 

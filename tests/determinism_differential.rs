@@ -15,9 +15,7 @@
 use acr::prelude::*;
 use acr::scenarios::{corpus, Scenario};
 use acr_core::RepairReport;
-use acr_core::SimCache;
 use acr_workloads::GeneratedNetwork;
-use std::sync::Arc;
 
 fn wan() -> GeneratedNetwork {
     generate(&acr::topo::gen::wan(4, 8))
@@ -77,9 +75,6 @@ fn repair_with_threads(
         RepairConfig {
             seed,
             threads,
-            // Fresh cache per run: differential equality must not lean
-            // on shared state between the compared runs.
-            cache: Some(Arc::new(SimCache::default())),
             ..RepairConfig::default()
         },
     );
@@ -167,7 +162,6 @@ fn beam_multi_patch_repair_is_thread_invariant() {
                     seed: 11,
                     threads,
                     strategy: acr::core::Strategy::beam(),
-                    cache: Some(Arc::new(SimCache::default())),
                     tags: scenario.tags(),
                     ..RepairConfig::default()
                 },
@@ -194,54 +188,5 @@ fn beam_multi_patch_repair_is_thread_invariant() {
                 &format!("scenario {} , threads {threads}", scenario.label),
             );
         }
-    }
-}
-
-/// `threads=1` with the cache disabled is the exact legacy sequential
-/// path; with a (cold, private) cache it must still produce the same
-/// outcome and simulate-or-memoize the same total number of candidates.
-#[test]
-fn cache_never_changes_a_repair() {
-    let net = wan();
-    let incidents = sample_incidents(&net, 6, 77);
-    for (i, incident) in incidents.iter().enumerate() {
-        let engine_off = RepairEngine::new(
-            &net.topo,
-            &net.spec,
-            RepairConfig {
-                seed: 11,
-                threads: 1,
-                cache: None,
-                ..RepairConfig::default()
-            },
-        );
-        let off = engine_off.repair(&incident.broken);
-        let on = repair_with_threads(&net, &incident.broken, 11, 1);
-        let what = format!("incident {i} ({})", incident.fault);
-        assert_eq!(signature(&off), signature(&on), "{what}: outcome diverged");
-        assert_eq!(off.initial_failed, on.initial_failed, "{what}");
-        // A memo hit replaces a simulation but never skips a candidate:
-        // the per-iteration generated/kept trace and the simulated+cached
-        // total are conserved.
-        assert_eq!(off.iterations.len(), on.iterations.len(), "{what}");
-        for (a, b) in off.iterations.iter().zip(&on.iterations) {
-            assert_eq!(a.generated, b.generated, "{what}: generated diverged");
-            assert_eq!(a.kept, b.kept, "{what}: kept diverged");
-            assert_eq!(a.fitness, b.fitness, "{what}: fitness diverged");
-            assert_eq!(
-                a.validated + a.cached,
-                b.validated + b.cached,
-                "{what}: candidate accounting diverged"
-            );
-        }
-        assert_eq!(
-            off.validations + off.validations_cached,
-            on.validations + on.validations_cached,
-            "{what}: validation totals diverged"
-        );
-        assert_eq!(
-            off.validations_cached, 0,
-            "{what}: cache off but hits counted"
-        );
     }
 }

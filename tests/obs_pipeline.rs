@@ -18,8 +18,8 @@
 
 use acr::obs::{self, journal, json, trace};
 use acr::prelude::*;
-use acr_core::{RepairReport, SimCache};
-use std::sync::{Arc, Mutex};
+use acr_core::RepairReport;
+use std::sync::Mutex;
 
 #[path = "support/journal_schema.rs"]
 mod journal_schema;
@@ -39,7 +39,6 @@ fn repair_fig2(threads: usize) -> RepairReport {
         RepairConfig {
             seed: 7,
             threads,
-            cache: Some(Arc::new(SimCache::default())),
             ..RepairConfig::default()
         },
     );
@@ -197,7 +196,6 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
                 seed: 11,
                 threads,
                 strategy: acr::core::Strategy::beam(),
-                cache: Some(Arc::new(SimCache::default())),
                 tags: scenario.tags(),
                 ..RepairConfig::default()
             },
@@ -311,7 +309,6 @@ fn a_beam_repair_analyses_parents_not_candidates() {
             RepairConfig {
                 seed: 11,
                 strategy: acr::core::Strategy::beam(),
-                cache: Some(Arc::new(SimCache::default())),
                 ..RepairConfig::default()
             },
         );
