@@ -23,12 +23,17 @@ cargo build --release
 echo "==> cargo test (default features)"
 cargo test -q
 
-echo "==> exp_scenarios --smoke (scenario corpus + strategy A/B + golden digest)"
-scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep '^corpus_digest=')
+echo "==> exp_scenarios --smoke (scenario corpus + strategy A/B + golden digests)"
+scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep -E '^(corpus|report)_digest=')
 # The corpus content itself is regression-pinned (golden_corpus.rs); the
-# bench must be running on exactly that corpus.
-if ! grep -q 'b1380ed19022fbaf' <<<"$scen"; then
+# bench must be running on exactly that corpus, and the beam repairs it
+# reports must decide as pinned.
+if ! grep -qx 'corpus_digest=b1380ed19022fbaf' <<<"$scen"; then
     echo "FAIL: exp_scenarios ran on a corpus that does not match the golden pin" >&2
+    exit 1
+fi
+if ! grep -qx 'report_digest=54719dd0d7a7c600' <<<"$scen"; then
+    echo "FAIL: exp_scenarios' beam repairs decided differently ($scen)" >&2
     exit 1
 fi
 

@@ -15,10 +15,10 @@
 
 use acr_bench::{rule, scaled_network};
 use acr_core::ctx::RepairCtx;
-use acr_core::engine::models_of;
 use acr_core::space::{acr_space, aed_free_variables, metaprov_space};
 use acr_localize::{localize, SbflFormula};
 use acr_prov::Provenance;
+use acr_sim::CompiledBase;
 use acr_verify::Verifier;
 use acr_workloads::{try_inject, FaultType};
 
@@ -48,13 +48,13 @@ fn main() {
             prov.node_count(roots)
         };
         let aed_vars = aed_free_variables(&incident.broken);
-        let models = models_of(&net.topo, &incident.broken);
+        let compiled = CompiledBase::new(&net.topo, &incident.broken);
         let ctx = RepairCtx {
             topo: &net.topo,
             cfg: &incident.broken,
             verification: &v,
             arena: &out.arena,
-            models: &models,
+            models: compiled.models(),
         };
         // ACR's pool: the suspicious lines a repair iteration expands
         // (tied top + runners-up, as the engine does).

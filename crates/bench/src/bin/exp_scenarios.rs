@@ -41,6 +41,7 @@ use acr_baselines::{AedStrategy, MetaProvStrategy};
 use acr_bench::{fmt_duration, percentile, rule, standard_network};
 use acr_cfg::NetworkConfig;
 use acr_core::{AcrStrategy, RepairConfig, RepairStrategy, Strategy, StrategyVerdict};
+use acr_net_types::{fnv1a, FNV_OFFSET};
 use acr_scenarios::{corpus, corpus_digest, Scenario, ScenarioFamily};
 use acr_topo::Topology;
 use acr_verify::{Spec, Verifier};
@@ -84,16 +85,10 @@ fn signature(label: &str, r: &acr_core::RepairReport) -> String {
     )
 }
 
-/// FNV-1a 64 over signature lines.
+/// FNV-1a 64 over signature lines, newline-folded.
 fn digest(signatures: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for s in signatures {
-        for b in s.bytes().chain([b'\n']) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let line = |h, s: &String| fnv1a(fnv1a(h, s.as_bytes()), b"\n");
+    signatures.iter().fold(FNV_OFFSET, line)
 }
 
 /// The ACR strategies, rebuilt per scenario so reports carry its tags.

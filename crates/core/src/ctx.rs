@@ -6,6 +6,7 @@ use acr_sim::DerivArena;
 use acr_topo::Topology;
 use acr_verify::{TestRecord, Verification};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Everything templates and symbolization may consult when turning a
 /// suspicious line into candidate patches.
@@ -18,8 +19,9 @@ pub struct RepairCtx<'a> {
     pub verification: &'a Verification,
     /// Arena resolving the verification's derivation roots.
     pub arena: &'a DerivArena,
-    /// Semantic models of `cfg`, indexed by router.
-    pub models: &'a [DeviceModel],
+    /// Semantic models of `cfg`, indexed by router — the compiled form's
+    /// ([`acr_sim::CompiledBase::models`]).
+    pub models: &'a [Arc<DeviceModel>],
 }
 
 impl<'a> RepairCtx<'a> {
@@ -48,22 +50,6 @@ impl<'a> RepairCtx<'a> {
             .filter(|(_, p)| p.contains(addr))
             .max_by_key(|(_, p)| p.len())
             .map(|(r, p)| (p, r))
-    }
-
-    /// Every AS number configured anywhere in the network.
-    pub fn all_asns(&self) -> Vec<Asn> {
-        let mut out: BTreeSet<Asn> = BTreeSet::new();
-        for m in self.models {
-            if let Some((a, _)) = m.asn {
-                out.insert(a);
-            }
-            for peer in m.peers.values() {
-                if let Some((a, _)) = peer.asn {
-                    out.insert(a);
-                }
-            }
-        }
-        out.into_iter().collect()
     }
 
     /// The AS the router at the far end of `addr` actually runs, if any —

@@ -20,18 +20,17 @@ use crate::strategy::{crossover, Strategy};
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
 use crate::validate::{resolve_threads, validate_batch, Baseline, Verdict};
-use acr_cfg::{DeviceModel, LineId, NetworkConfig, Patch};
-pub use acr_flow::models_of;
+use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
 use acr_net_types::SplitMix64;
 use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, span, Stages};
+use acr_sim::CompiledBase;
 use acr_topo::Topology;
 use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 use std::time::Duration;
 
 static RUNS: Counter = Counter::new("engine.runs");
@@ -309,9 +308,9 @@ struct Variant {
 /// Everything about one variant that is fixed for the job and read each
 /// time it is expanded (once per *mutation* under the genetic strategy).
 struct Statics {
-    /// Semantic models, parallel to `topo.routers()`: what the templates
+    /// The variant's compiled form: its models are what the templates
     /// instantiate against.
-    models: Arc<Vec<DeviceModel>>,
+    compiled: CompiledBase,
     /// Suspiciousness multipliers from the variant's lint findings
     /// (empty when linting is off).
     boosts: BTreeMap<LineId, f64>,
@@ -383,13 +382,10 @@ impl<'a> RepairEngine<'a> {
         // caches instead of committing cold, and its static baseline.
         // The session keeps a small LRU of slots, so rotating job streams
         // resume warm on every revisit.
-        let cold = IncrementalVerifier::new(self.topo, self.spec);
-        let (mut iv, resumed, parked_statics) = match session.as_mut().and_then(|s| s.take(fp)) {
-            Some(slot) => match IncrementalVerifier::resume_with(cold, slot.warm, original, fp) {
-                Ok((iv, v)) => (iv, Some(v), Some(slot.statics)),
-                Err(cold) => (*cold, None, Some(slot.statics)),
-            },
-            None => (cold, None, None),
+        let mut iv = IncrementalVerifier::new(self.topo, self.spec);
+        let (resumed, parked_statics) = match session.as_mut().and_then(|s| s.take(fp)) {
+            Some(slot) => (iv.resume(slot.warm, original, fp), Some(slot.statics)),
+            None => (None, None),
         };
         if let Some(s) = session.as_mut() {
             if resumed.is_some() {
@@ -409,14 +405,16 @@ impl<'a> RepairEngine<'a> {
         };
         let initial_failed = base_verification.failed_count();
 
-        // Static baseline: the broken network's semantic models, its
-        // dataflow facts (for the localization prior and the journal's
-        // flow summary) and its own lint findings — the gate only rejects
-        // candidates that introduce *new* error keys, pre-existing ones
-        // may well be the fault under repair. Pure in the configuration,
-        // so a revisit takes it from the slot: this is the job's one
-        // fixed point over the broken network, or none.
-        let statics = parked_statics.unwrap_or_else(|| Baseline::build(self.topo, original));
+        // Static baseline: the broken network's dataflow facts (for the
+        // localization prior and the journal's flow summary) and its own
+        // lint findings — the gate only rejects candidates that introduce
+        // *new* error keys, pre-existing ones may well be the fault under
+        // repair. Read off the verifier's committed compiled form, and
+        // pure in the configuration, so a revisit takes it from the slot:
+        // this is the job's one fixed point over the broken network, or
+        // none.
+        let statics = parked_statics
+            .unwrap_or_else(|| Baseline::build(self.topo, original, committed_base(&iv)));
         let flow_prior = flow_prior(self.spec, &base_verification, &statics.facts);
 
         // Validate-stage plumbing: the memo-cache keys every candidate
@@ -473,7 +471,7 @@ impl<'a> RepairEngine<'a> {
                 // the current best variant (no RNG draw), computed only when
                 // the journal is on — reports are identical either way.
                 let suspects = if acr_obs::enabled(acr_obs::JOURNAL) {
-                    self.suspects_of(best_of(&population), &statics, &flow_prior)
+                    self.suspects_of(best_of(&population), &iv, &statics, &flow_prior)
                 } else {
                     String::new()
                 };
@@ -706,10 +704,11 @@ impl<'a> RepairEngine<'a> {
     fn suspects_of(
         &self,
         variant: &Variant,
+        iv: &IncrementalVerifier<'_>,
         base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
     ) -> String {
-        let ranking = &self.statics_of(variant, base, prior).ranking;
+        let ranking = &self.statics_of(variant, iv, base, prior).ranking;
         json::array(ranking.entries().iter().take(8).map(|(line, score)| {
             json::Obj::new()
                 .str("line", &line.to_string())
@@ -719,33 +718,35 @@ impl<'a> RepairEngine<'a> {
     }
 
     /// A variant's [`Statics`], computed on first use. The root — which
-    /// *is* the broken network — takes its models and findings from the
-    /// job's baseline; any other variant gets the baseline's models with
-    /// the patched devices re-modelled and, with linting on, the
-    /// whole-network lint of its configuration, dataflow warnings
-    /// included (one fixed point). Only a variant that gets *ranked*
-    /// needs any of it, which is why this runs here and not in the
-    /// validate stage: a job that ends in its first iteration never
-    /// analyses anything but the broken network.
+    /// *is* the broken network — takes the verifier's committed compiled
+    /// form and the job's baseline findings; any other variant is compiled
+    /// as a delta of the committed form (only its patched devices
+    /// recompile) and, with linting on, gets the whole-network lint of its
+    /// configuration, dataflow warnings included (one fixed point). Only a
+    /// variant that gets *ranked* needs any of it, which is why this runs
+    /// here and not in the validate stage: a job that ends in its first
+    /// iteration never analyses anything but the broken network.
     fn statics_of<'v>(
         &self,
         variant: &'v Variant,
+        iv: &IncrementalVerifier<'_>,
         base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
     ) -> &'v Statics {
         variant.statics.get_or_init(|| {
-            let mut models = base.models.clone();
-            for r in variant.patch.routers() {
-                Arc::make_mut(&mut models)[r.index()] =
-                    acr_flow::model_of(self.topo, &variant.cfg, r);
-            }
+            let committed = committed_base(iv);
+            let compiled = if variant.patch.is_empty() {
+                committed.clone()
+            } else {
+                committed.delta(self.topo, &variant.cfg, &variant.patch).0
+            };
             let boosts = if !self.config.lint {
                 BTreeMap::new()
             } else if variant.patch.is_empty() {
                 boost_map(&base.diags)
             } else {
-                let facts = acr_flow::analyze_with_models(self.topo, &models);
-                let report = acr_lint::lint_with_models(self.topo, &variant.cfg, &models, &facts);
+                let facts = acr_flow::analyze_with_models(self.topo, &compiled);
+                let report = acr_lint::lint_with_models(self.topo, &variant.cfg, &compiled, &facts);
                 boost_map(&report.diagnostics)
             };
             let matrix = &variant.verification.matrix;
@@ -755,7 +756,7 @@ impl<'a> RepairEngine<'a> {
                 localize_boosted(matrix, self.config.formula, &boosts)
             };
             Statics {
-                models,
+                compiled,
                 boosts,
                 ranking: ranking.with_prior(prior),
             }
@@ -888,10 +889,10 @@ impl<'a> RepairEngine<'a> {
         pick_line: Option<u64>,
     ) -> Vec<CandidateFix> {
         let Statics {
-            models,
+            compiled,
             boosts,
             ranking,
-        } = self.statics_of(variant, base, prior);
+        } = self.statics_of(variant, iv, base, prior);
         if ranking.is_empty() {
             return Vec::new();
         }
@@ -900,7 +901,7 @@ impl<'a> RepairEngine<'a> {
             cfg: &variant.cfg,
             verification: &variant.verification,
             arena: iv.arena(),
-            models,
+            models: compiled.models(),
         };
         let mut pool: Vec<LineId> = ranking.top_tied();
         for (line, score) in ranking.entries().iter().skip(pool.len()).take(width) {
@@ -958,6 +959,13 @@ impl<'a> RepairEngine<'a> {
             }
         }
     }
+}
+
+/// The committed compiled form of a verifier the job has committed or
+/// resumed.
+fn committed_base<'i>(iv: &'i IncrementalVerifier<'_>) -> &'i CompiledBase {
+    iv.base()
+        .expect("a committed or resumed verifier holds its base")
 }
 
 /// The `acr-flow` localization prior: every line the abstract

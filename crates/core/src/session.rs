@@ -2,25 +2,26 @@
 //! between incidents.
 //!
 //! A one-shot [`crate::RepairEngine::repair`] rebuilds everything from
-//! scratch: the compiled base, the per-prefix verification caches, the
-//! policy memo and route interner, the semantic models, the dataflow
-//! facts and the lint findings. A [`NetworkSession`] parks all of that
-//! across runs:
+//! scratch: the compiled base (the configuration's models and sessions,
+//! built once per job), the per-prefix verification caches, the policy
+//! memo and route interner, the dataflow facts and the lint findings. A
+//! [`NetworkSession`] parks all of that across runs:
 //!
 //! - the **simulation memo-cache** ([`SimCache`]) pools candidate
 //!   verdicts across every job served against the same committed base
 //!   (a one-shot run owns a fresh one instead),
 //! - one **slot per recently served broken configuration**, keyed by its
 //!   fingerprint, most recently used first, [`WARM_SLOTS`] deep. A slot
-//!   holds the suspended verifier ([`WarmState`]: compiled base,
-//!   per-prefix outcome/closure/FIB caches, derivation arena, policy
-//!   memo) and the configuration's static baseline (models, `acr-flow`
-//!   facts, lint findings — pure functions of the configuration). A job
-//!   whose broken configuration is byte-identical to a parked slot's
-//!   re-installs the verifier — zero prefixes re-simulated at commit —
-//!   and analyses nothing; so a *rotating* job stream — incidents
-//!   alternating between a handful of broken configurations of the same
-//!   network — resumes warm on every revisit instead of thrashing.
+//!   holds the suspended verifier ([`WarmState`]: the configuration's one
+//!   compiled base, per-prefix outcome/closure/FIB caches, derivation
+//!   arena, policy memo) and the configuration's static baseline
+//!   (`acr-flow` facts and lint findings read off that base — pure
+//!   functions of the configuration). A job whose broken configuration
+//!   is byte-identical to a parked slot's re-installs the verifier —
+//!   zero prefixes re-simulated at commit — and analyses nothing; so a
+//!   *rotating* job stream — incidents alternating between a handful of
+//!   broken configurations of the same network — resumes warm on every
+//!   revisit instead of thrashing.
 //!
 //! Reuse never changes a decision: every cached artifact is either
 //! fingerprint-gated to an identical input or byte-exact by

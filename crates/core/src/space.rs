@@ -13,7 +13,7 @@
 //!   per (suspicious line, applicable template, instantiation) triple.
 
 use crate::ctx::RepairCtx;
-use crate::templates::{candidates_for_line, templates_for};
+use crate::templates::candidates_for_line;
 use acr_cfg::{NetworkConfig, Stmt};
 use acr_prov::Provenance;
 use acr_sim::DerivArena;
@@ -26,19 +26,6 @@ use acr_verify::Verification;
 pub fn acr_space(ctx: &RepairCtx<'_>, pool: &[acr_cfg::LineId]) -> usize {
     pool.iter()
         .map(|l| candidates_for_line(*l, ctx).len())
-        .sum()
-}
-
-/// An upper bound on ACR's *static* search space: every failure-covered
-/// line times its template count (no instantiation/solving), useful when
-/// comparing scaling trends without running the solver.
-pub fn acr_space_static(ctx: &RepairCtx<'_>, verification: &Verification) -> usize {
-    verification
-        .matrix
-        .failure_covered_lines()
-        .iter()
-        .filter_map(|l| ctx.stmt(*l))
-        .map(|s| templates_for(s).len())
         .sum()
 }
 

@@ -105,7 +105,7 @@ pub fn failing_dsts(ctx: &RepairCtx<'_>, anchor_lines: &[LineId]) -> BTreeSet<Pr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::models_of;
+    use acr_sim::CompiledBase;
     use acr_verify::{Verification, Verifier};
     use acr_workloads::fig2::{fig2_incident, Fig2};
 
@@ -115,13 +115,13 @@ mod tests {
         let fig2 = fig2_incident();
         let (mut v, out) = Verifier::new(&fig2.topo, &fig2.spec).run_full(&fig2.broken);
         edit(&fig2, &mut v);
-        let models = models_of(&fig2.topo, &fig2.broken);
+        let compiled = CompiledBase::new(&fig2.topo, &fig2.broken);
         let ctx = RepairCtx {
             topo: &fig2.topo,
             cfg: &fig2.broken,
             verification: &v,
             arena: &out.arena,
-            models: &models,
+            models: compiled.models(),
         };
         f(&fig2, &ctx);
     }

@@ -232,7 +232,7 @@ fn copy_neutral_statement(line: LineId, ctx: &RepairCtx<'_>) -> Vec<Patch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::models_of;
+    use acr_sim::CompiledBase;
     use acr_verify::{Spec, Verifier};
     use acr_workloads::{generate, try_inject, FaultType};
 
@@ -241,14 +241,14 @@ mod tests {
         broken: &'a acr_cfg::NetworkConfig,
         v: &'a acr_verify::Verification,
         out: &'a acr_sim::SimOutcome,
-        models: &'a [acr_cfg::DeviceModel],
+        compiled: &'a CompiledBase,
     ) -> RepairCtx<'a> {
         RepairCtx {
             topo: &net.topo,
             cfg: broken,
             verification: v,
             arena: &out.arena,
-            models,
+            models: compiled.models(),
         }
     }
 
@@ -260,8 +260,8 @@ mod tests {
         let inc = try_inject(FaultType::MissingRoutePolicy, &net, 2).expect("injectable");
         let verifier = Verifier::new(&net.topo, &net.spec);
         let (v, out) = verifier.run_full(&inc.broken);
-        let models = models_of(&net.topo, &inc.broken);
-        let ctx = ctx_for(&net, &inc.broken, &v, &out, &models);
+        let compiled = CompiledBase::new(&net.topo, &inc.broken);
+        let ctx = ctx_for(&net, &inc.broken, &v, &out, &compiled);
         // Fire from the dangling application line.
         let line = inc
             .broken
@@ -304,8 +304,8 @@ mod tests {
         let inc = try_inject(FaultType::MissingPeerGroup, &net, 0).expect("injectable");
         let verifier = Verifier::new(&net.topo, &net.spec);
         let (v, out) = verifier.run_full(&inc.broken);
-        let models = models_of(&net.topo, &inc.broken);
-        let ctx = ctx_for(&net, &inc.broken, &v, &out, &models);
+        let compiled = CompiledBase::new(&net.topo, &inc.broken);
+        let ctx = ctx_for(&net, &inc.broken, &v, &out, &compiled);
         let line = inc
             .broken
             .all_lines()
@@ -344,8 +344,8 @@ mod tests {
         let inc = try_inject(FaultType::MissingRedistribution, &net, 1).expect("injectable");
         let verifier = Verifier::new(&net.topo, &net.spec);
         let (v, out) = verifier.run_full(&inc.broken);
-        let models = models_of(&net.topo, &inc.broken);
-        let ctx = ctx_for(&net, &inc.broken, &v, &out, &models);
+        let compiled = CompiledBase::new(&net.topo, &inc.broken);
+        let ctx = ctx_for(&net, &inc.broken, &v, &out, &compiled);
         let sick = inc.patch.routers()[0];
         let line = LineId::new(sick, 1); // the bgp header
         let candidates = universal_candidates(line, &ctx);
@@ -373,13 +373,13 @@ mod tests {
         let empty_spec = Spec::new();
         let verifier = Verifier::new(&net.topo, &empty_spec);
         let (v, out) = verifier.run_full(&net.cfg);
-        let models = models_of(&net.topo, &net.cfg);
+        let compiled = CompiledBase::new(&net.topo, &net.cfg);
         let ctx = RepairCtx {
             topo: &net.topo,
             cfg: &net.cfg,
             verification: &v,
             arena: &out.arena,
-            models: &models,
+            models: compiled.models(),
         };
         let line = LineId::new(a, 1);
         // Only the delete fallback may be absent too (bgp is a header);

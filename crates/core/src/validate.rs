@@ -10,6 +10,11 @@
 //! simulations per worker, steps 2–4 run on a `std::thread::scope`
 //! worker pool; smaller batches run in place on the coordinator.
 //!
+//! The broken network's static [`Baseline`] is read off the verifier's
+//! committed `CompiledBase`: a job compiles the broken network once, for
+//! the verifier, and the lint and flow baselines reuse that compiled
+//! form.
+//!
 //! **Nothing network-wide runs per candidate.** The gate rejects a
 //! candidate that *introduces* a lint error, and every error rule is
 //! per-device (`acr_lint::lint_devices`), so it lints the devices the
@@ -54,12 +59,12 @@
 //! `Arc<CandidateEntry>` the memo-cache stores: the verification and its
 //! pruned arena exist once, and every holder shares them.
 
-use acr_cfg::{DeviceModel, NetworkConfig, Patch};
+use acr_cfg::{NetworkConfig, Patch};
 use acr_flow::FlowFacts;
 use acr_lint::{lint_devices, lint_with_models, DiagKey, Diagnostic};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
-use acr_sim::DerivArena;
+use acr_sim::{CompiledBase, DerivArena};
 use acr_topo::Topology;
 use acr_verify::{
     make_entry, CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification,
@@ -70,32 +75,29 @@ use std::sync::{Arc, Mutex};
 
 /// The static baseline of a committed configuration: everything a job
 /// reads about the broken network that is a pure function of (topology,
-/// configuration), computed from **one** `acr-flow` fixed point. The
-/// gate compares candidates against `keys`, a variant ranked as a parent
-/// is boosted from `diags`, and the localization prior reads `facts`.
-/// Built whole whether or not [`crate::RepairConfig::lint`] is set — the
-/// flag decides who reads it — and parked per configuration fingerprint
-/// by resident sessions.
+/// configuration), computed from **one** `acr-flow` fixed point over the
+/// verifier's committed [`CompiledBase`] — the job compiles the broken
+/// network once. The gate compares candidates against `keys`, a variant
+/// ranked as a parent is boosted from `diags`, and the localization prior
+/// reads `facts`. Built whole whether or not [`crate::RepairConfig::lint`]
+/// is set — the flag decides who reads it — and parked per configuration
+/// fingerprint by resident sessions.
 pub(crate) struct Baseline {
-    /// Semantic models of the broken network, parallel to
-    /// `topo.routers()`.
-    pub models: Arc<Vec<DeviceModel>>,
     pub facts: FlowFacts,
     pub keys: HashSet<DiagKey>,
     pub diags: Vec<Diagnostic>,
 }
 
 impl Baseline {
-    pub(crate) fn build(topo: &Topology, cfg: &NetworkConfig) -> Baseline {
-        let models = acr_flow::models_of(topo, cfg);
+    /// `base` is the compiled form of `cfg`.
+    pub(crate) fn build(topo: &Topology, cfg: &NetworkConfig, base: &CompiledBase) -> Baseline {
         let analyze_span = span!("flow.analyze", "flow");
-        let facts = acr_flow::analyze_with_models(topo, &models);
+        let facts = acr_flow::analyze_with_models(topo, base);
         drop(analyze_span.arg("pops", facts.iterations));
         let lint_span = span!("lint.baseline", "lint").arg("facts", facts.fact_count() as u64);
-        let report = lint_with_models(topo, cfg, &models, &facts);
+        let report = lint_with_models(topo, cfg, base, &facts);
         drop(lint_span);
         Baseline {
-            models: Arc::new(models),
             facts,
             keys: report.keys(),
             diags: report.diagnostics,
@@ -401,7 +403,8 @@ mod tests {
                 continue;
             };
             let broken = &incident.broken;
-            let base = Baseline::build(&net.topo, broken);
+            let compiled = CompiledBase::new(&net.topo, broken);
+            let base = Baseline::build(&net.topo, broken, &compiled);
             let reference_base = lint_network(&net.topo, broken).keys();
             assert_eq!(base.keys, reference_base);
 
@@ -411,7 +414,7 @@ mod tests {
                 cfg: broken,
                 verification: &verification,
                 arena: &out.arena,
-                models: &base.models,
+                models: compiled.models(),
             };
             let mut patches: HashSet<Patch> = HashSet::new();
             for (router, device) in broken.devices() {

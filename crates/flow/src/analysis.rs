@@ -40,11 +40,11 @@ use crate::transfer::{abstract_policy, TransferLog};
 use acr_cfg::{DeviceModel, LineId, NetworkConfig};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
-use acr_sim::session::establish;
-use acr_sim::Session;
+use acr_sim::{CompiledBase, Session};
 use acr_topo::Topology;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 static FIXPOINT_ITERS: Counter = Counter::new("flow.fixpoint.iterations");
 static FACTS: Counter = Counter::new("flow.facts");
@@ -74,8 +74,9 @@ pub struct SessionFacts {
 pub struct FlowFacts {
     /// Join of every route (router, prefix) may ever hold.
     pub rib: BTreeMap<(RouterId, Prefix), AbstractRoute>,
-    /// Established BGP sessions (the propagation graph's edges).
-    pub sessions: Vec<Session>,
+    /// Established BGP sessions (the propagation graph's edges), shared
+    /// with the compiled form the analysis read.
+    pub sessions: Arc<Vec<Session>>,
     /// May-offered / may-accepted prefixes per session, index-parallel
     /// to [`FlowFacts::sessions`].
     pub session_facts: Vec<SessionFacts>,
@@ -127,7 +128,7 @@ impl FlowFacts {
     /// `lines`) reach `support` only when both policies permit.
     fn propagate(
         &mut self,
-        models: &[DeviceModel],
+        models: &[Arc<DeviceModel>],
         by_router: &BTreeMap<RouterId, Vec<usize>>,
         (r, p): (RouterId, Prefix),
         lines: &mut Vec<LineId>,
@@ -195,31 +196,10 @@ impl FlowFacts {
     }
 }
 
-/// The semantic model of `router` under `cfg` (an unconfigured router
-/// models as an empty device carrying its topology name).
-pub fn model_of(topo: &Topology, cfg: &NetworkConfig, router: RouterId) -> DeviceModel {
-    match cfg.device(router) {
-        Some(d) => DeviceModel::from_config(d),
-        None => DeviceModel {
-            name: topo.router(router).name.clone(),
-            ..DeviceModel::default()
-        },
-    }
-}
-
-/// Semantic models of every router in `cfg`, parallel to
-/// `topo.routers()` (so indexed by `RouterId::index`).
-pub fn models_of(topo: &Topology, cfg: &NetworkConfig) -> Vec<DeviceModel> {
-    topo.routers()
-        .iter()
-        .map(|r| model_of(topo, cfg, r.id))
-        .collect()
-}
-
-/// Analyzes a network, building the semantic models itself (the shape of
+/// Analyzes a network, compiling it first (the shape of
 /// `acr_lint::lint_network`).
 pub fn analyze(topo: &Topology, cfg: &NetworkConfig) -> FlowFacts {
-    analyze_with_models(topo, &models_of(topo, cfg))
+    analyze_with_models(topo, &CompiledBase::new(topo, cfg))
 }
 
 /// Which sessions each router participates in (indices into `sessions`).
@@ -232,13 +212,14 @@ fn sessions_by_router(sessions: &[Session]) -> BTreeMap<RouterId, Vec<usize>> {
     by_router
 }
 
-/// Analyzes against pre-built semantic models (`models` parallel to
-/// `topo.routers()`).
-pub fn analyze_with_models(topo: &Topology, models: &[DeviceModel]) -> FlowFacts {
-    let (sessions, _diags) = establish(topo, models);
+/// Analyzes a compiled configuration: its models and its established
+/// sessions, as `acr-sim` built them for `topo`.
+pub fn analyze_with_models(topo: &Topology, base: &CompiledBase) -> FlowFacts {
+    let models = base.models();
+    let sessions = base.sessions().clone();
     let by_router = sessions_by_router(&sessions);
     let mut applied_policies: BTreeMap<(RouterId, String), LineId> = BTreeMap::new();
-    for s in &sessions {
+    for s in sessions.iter() {
         for (r, policy) in [
             (s.a, &s.a_import),
             (s.a, &s.a_export),
@@ -400,13 +381,13 @@ mod tests {
         }
         assert!(cases.len() >= 14, "{} cases", cases.len());
         for (i, (topo, cfg)) in cases.iter().enumerate() {
-            let models = models_of(topo, cfg);
-            let facts = analyze_with_models(topo, &models);
+            let base = CompiledBase::new(topo, cfg);
+            let facts = analyze_with_models(topo, &base);
             let by_router = sessions_by_router(&facts.sessions);
             let mut again = facts.clone();
             let mut dirty = BTreeSet::new();
             for &key in facts.rib.keys() {
-                again.propagate(&models, &by_router, key, &mut Vec::new(), &mut dirty);
+                again.propagate(base.models(), &by_router, key, &mut Vec::new(), &mut dirty);
             }
             assert!(dirty.is_empty(), "case {i}: sweep dirtied {dirty:?}");
             assert_eq!(again.rib, facts.rib, "case {i}");

@@ -35,9 +35,7 @@ pub mod domain;
 pub mod gate;
 pub mod transfer;
 
-pub use analysis::{
-    analyze, analyze_with_models, model_of, models_of, DirFacts, FlowFacts, SessionFacts,
-};
+pub use analysis::{analyze, analyze_with_models, DirFacts, FlowFacts, SessionFacts};
 pub use domain::{AbstractRoute, Interval};
 pub use gate::patch_invisible;
 pub use transfer::{abstract_policy, TransferLog};

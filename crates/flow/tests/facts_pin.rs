@@ -13,17 +13,12 @@
 //! up as a count, not as a timing.
 
 use acr_flow::{analyze, FlowFacts};
+use acr_net_types::{fnv1a, FNV_OFFSET};
 use acr_topo::gen;
 use acr_verify::Spec;
 use acr_workloads::fig2::fig2_incident;
 use acr_workloads::{generate, try_inject, FaultType};
 use std::fmt::Write;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// FNV-1a over a canonical rendering of the facts minus `iterations`.
 fn content_digest(facts: &FlowFacts, spec: &Spec) -> u64 {
@@ -62,7 +57,7 @@ fn content_digest(facts: &FlowFacts, spec: &Spec) -> u64 {
         )
         .unwrap();
     }
-    fnv1a(s.as_bytes())
+    fnv1a(FNV_OFFSET, s.as_bytes())
 }
 
 /// The single-fault mix of the benchmark's `corpus12` workload (Table 1's

@@ -50,32 +50,34 @@ mod session;
 pub use diag::{DiagKey, Diagnostic, LintReport, RelatedNote, Rule, Severity};
 
 use acr_cfg::{DeviceModel, NetworkConfig};
-use acr_flow::{model_of, models_of, FlowFacts};
+use acr_flow::FlowFacts;
 use acr_net_types::RouterId;
+use acr_sim::{compile_device, CompiledBase};
 use acr_topo::Topology;
+use std::sync::Arc;
 
-/// Lints a network, building the semantic models and running the
-/// `acr-flow` fixed point itself.
+/// Lints a network, compiling it and running the `acr-flow` fixed point
+/// itself.
 pub fn lint_network(topo: &Topology, cfg: &NetworkConfig) -> LintReport {
-    let models = models_of(topo, cfg);
-    let facts = acr_flow::analyze_with_models(topo, &models);
-    lint_with_models(topo, cfg, &models, &facts)
+    let base = CompiledBase::new(topo, cfg);
+    let facts = acr_flow::analyze_with_models(topo, &base);
+    lint_with_models(topo, cfg, &base, &facts)
 }
 
-/// Lints a network against pre-built semantic models and the dataflow
-/// facts the caller computed over them — the repair engine runs one
-/// `acr-flow` fixed point per configuration and shares it between the
-/// dataflow rules here and its localization prior.
+/// Lints a network against its compiled form and the dataflow facts the
+/// caller computed over it — the repair engine runs one `acr-flow` fixed
+/// point per configuration and shares it between the dataflow rules here
+/// and its localization prior.
 ///
-/// `models` must be parallel to `topo.routers()` (the contract of
-/// [`acr_flow::models_of`]) and `facts` must be
-/// `acr_flow::analyze_with_models(topo, models)`.
+/// `base` must be the compiled form of `cfg` and `facts` must be
+/// `acr_flow::analyze_with_models(topo, base)`.
 pub fn lint_with_models(
     topo: &Topology,
     cfg: &NetworkConfig,
-    models: &[DeviceModel],
+    base: &CompiledBase,
     facts: &FlowFacts,
 ) -> LintReport {
+    let models = base.models().iter().map(Arc::as_ref);
     let ctx = ctx::Ctx::new(topo, cfg, topo.routers().iter().map(|r| r.id).zip(models));
     let mut diagnostics = Vec::new();
     per_device(&ctx, &mut diagnostics);
@@ -95,7 +97,7 @@ pub fn lint_with_models(
 pub fn lint_devices(topo: &Topology, cfg: &NetworkConfig, routers: &[RouterId]) -> LintReport {
     let models: Vec<(RouterId, DeviceModel)> = routers
         .iter()
-        .map(|&r| (r, model_of(topo, cfg, r)))
+        .map(|&r| (r, compile_device(topo, cfg, r)))
         .collect();
     let ctx = ctx::Ctx::new(topo, cfg, models.iter().map(|(r, m)| (*r, m)));
     let mut diagnostics = Vec::new();
@@ -412,10 +414,10 @@ mod tests {
             "bgp 65001\n peer 172.16.0.2 as-number 64999\n",
             "bgp 65002\n peer 172.16.0.1 as-number 65001\n",
         );
-        let models = models_of(&topo, &cfg);
-        let facts = acr_flow::analyze_with_models(&topo, &models);
+        let base = CompiledBase::new(&topo, &cfg);
+        let facts = acr_flow::analyze_with_models(&topo, &base);
         let a = lint_network(&topo, &cfg);
-        let b = lint_with_models(&topo, &cfg, &models, &facts);
+        let b = lint_with_models(&topo, &cfg, &base, &facts);
         assert_eq!(a.keys(), b.keys());
     }
 
@@ -480,9 +482,10 @@ mod tests {
                 errors_seen += of(&whole).len();
             }
             // (b): the cross-device modules, run on their own.
-            let models = models_of(topo, cfg);
-            let facts = acr_flow::analyze_with_models(topo, &models);
-            let ctx = ctx::Ctx::new(topo, cfg, topo.routers().iter().map(|r| r.id).zip(&models));
+            let base = CompiledBase::new(topo, cfg);
+            let facts = acr_flow::analyze_with_models(topo, &base);
+            let models = base.models().iter().map(Arc::as_ref);
+            let ctx = ctx::Ctx::new(topo, cfg, topo.routers().iter().map(|r| r.id).zip(models));
             let mut cross = Vec::new();
             session::run(&ctx, &mut cross);
             flow::run(&ctx, &facts, &mut cross);

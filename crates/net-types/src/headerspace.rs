@@ -81,11 +81,6 @@ impl HeaderSpace {
         }
     }
 
-    /// The space of all packets destined to `dst`.
-    pub fn to_dst(dst: Prefix) -> Self {
-        HeaderSpace::between(Prefix::DEFAULT, dst)
-    }
-
     /// Whether a concrete flow lies inside this space.
     pub fn contains(&self, flow: &Flow) -> bool {
         self.src.contains(flow.src)

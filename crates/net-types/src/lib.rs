@@ -10,7 +10,9 @@
 //! - [`Flow`] and [`HeaderSpace`] — 5-tuple test packets and the header
 //!   spaces that intents quantify over (§4.1 of the paper samples one
 //!   packet per property's header space),
-//! - [`RouterId`] / [`Community`] — miscellaneous identifiers.
+//! - [`RouterId`] / [`Community`] — miscellaneous identifiers,
+//! - [`SplitMix64`] and [`fnv1a`] — the deterministic PRNG and the content
+//!   hash every printed digest is folded with.
 //!
 //! The crate is dependency-free and fully deterministic; all sampling takes
 //! an explicit deterministic position rather than an RNG so that upper
@@ -20,6 +22,7 @@ pub mod addr;
 pub mod aspath;
 pub mod community;
 pub mod flow;
+pub mod fnv;
 pub mod headerspace;
 pub mod prefix;
 pub mod rng;
@@ -29,6 +32,7 @@ pub use addr::Ipv4Addr;
 pub use aspath::{AsPath, Asn};
 pub use community::Community;
 pub use flow::{Flow, Protocol};
+pub use fnv::{fnv1a, FNV_OFFSET};
 pub use headerspace::HeaderSpace;
 pub use prefix::{ParsePrefixError, Prefix};
 pub use rng::SplitMix64;

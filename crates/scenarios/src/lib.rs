@@ -31,7 +31,7 @@
 //! corpus test so silent drift becomes an explicit diff.
 
 use acr_cfg::NetworkConfig;
-use acr_net_types::{RouterId, SplitMix64};
+use acr_net_types::{fnv1a, RouterId, SplitMix64, FNV_OFFSET};
 use acr_verify::{ObsMask, Spec, Verification, Verifier};
 use acr_workloads::{
     inject_at, try_inject, try_inject_into, FaultType, GeneratedNetwork, Incident, TABLE1,
@@ -143,18 +143,6 @@ impl Scenario {
         tags.push(format!("scenario:{}", self.label));
         tags
     }
-}
-
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Folds `bytes` into an FNV-1a 64 accumulator.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// The stable digest of a scenario's content: family, seed, fault

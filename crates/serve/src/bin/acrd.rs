@@ -27,7 +27,7 @@ use acr_serve::{
 use acr_topo::gen;
 use acr_workloads::{generate, sample_incidents};
 use std::io::BufRead;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 const NETWORK: &str = "wan12";
 const TENANT: &str = "cli";
@@ -140,7 +140,7 @@ fn main() {
                     continue;
                 }
                 let resp = {
-                    let mut d = daemon.lock().unwrap();
+                    let mut d = daemon.lock().unwrap_or_else(PoisonError::into_inner);
                     let resp = d.handle(&line);
                     // Serve between requests: the queue absorbs bursts
                     // (admission bounds apply within one), but work
@@ -152,7 +152,7 @@ fn main() {
             }
             // EOF: graceful shutdown — drain, flush, report, exit 0.
             {
-                let mut d = daemon.lock().unwrap();
+                let mut d = daemon.lock().unwrap_or_else(PoisonError::into_inner);
                 let drained = d.finish();
                 println!("report_digest={:016x}", d.decision_digest());
                 println!("full_digest={:016x}", d.full_digest());

@@ -21,6 +21,13 @@
 //!   included) to `RepairEngine::repair` — the A/B baseline and the
 //!   differential-testing anchor.
 //!
+//! A job that panics ends [`JobState::Failed`] with a `job_failed`
+//! journal event and takes nothing else down: [`Acrd::step`] runs the
+//! engine under `catch_unwind`. The job loses only what it held — its
+//! network's session slot for the broken configuration was taken by
+//! value for the run, so the next job on it commits cold — and the jobs
+//! around it decide exactly as in a daemon that never saw it.
+//!
 //! Graceful shutdown is [`Acrd::finish`]: drain the queue, flush the
 //! journal, persist nothing.
 
@@ -28,13 +35,14 @@ use crate::admission::{Admission, QuotaConfig, RejectReason};
 use crate::proto::{parse_request, resolve_config, Request, SubmitReq};
 use crate::queue::{Job, JobQueue};
 use crate::registry::{NetworkDef, Registry};
-use crate::report::{
-    decision_signature, digest, fnv1a, full_signature, outcome_kind, report_json, FNV_OFFSET,
-};
+use crate::report::{decision_signature, digest, full_signature, outcome_kind, report_json};
 use acr_core::{NetworkSession, RepairConfig, RepairEngine};
+use acr_net_types::{fnv1a, FNV_OFFSET};
 use acr_obs::metrics::{Counter, Gauge};
 use acr_obs::{journal, json};
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 static SUBMITTED: Counter = Counter::new("serve.jobs.submitted");
@@ -73,6 +81,8 @@ impl ServeConfig {
 pub enum JobState {
     Queued,
     Done,
+    /// The engine panicked on this job; [`JobRecord::error`] says why.
+    Failed,
 }
 
 impl JobState {
@@ -80,6 +90,7 @@ impl JobState {
         match self {
             JobState::Queued => "queued",
             JobState::Done => "done",
+            JobState::Failed => "failed",
         }
     }
 }
@@ -103,6 +114,8 @@ pub struct JobRecord {
     pub validations: usize,
     pub validations_cached: usize,
     pub wall: Duration,
+    /// The panic message of a failed job.
+    pub error: String,
 }
 
 /// The daemon.
@@ -145,10 +158,6 @@ impl Acrd {
 
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
     }
 
     pub fn queue_depth(&self) -> usize {
@@ -230,6 +239,7 @@ impl Acrd {
                 validations: 0,
                 validations_cached: 0,
                 wall: Duration::ZERO,
+                error: String::new(),
             },
         );
         self.order.push(id.clone());
@@ -261,7 +271,8 @@ impl Acrd {
     }
 
     /// Runs the next queued job (round-robin across tenants). Returns
-    /// its id, or `None` when the queue is empty.
+    /// its id, or `None` when the queue is empty. A panic inside the
+    /// engine fails this job alone (see the module docs).
     pub fn step(&mut self) -> Option<String> {
         let job = self.queue.pop()?;
         QUEUE_DEPTH.set(self.queue.len() as u64);
@@ -286,16 +297,26 @@ impl Acrd {
         let topo = entry.def.topo.clone();
         let spec = entry.def.spec.clone();
         let engine = RepairEngine::new(&topo, &spec, rc);
+        let resident_mode = self.cfg.resident();
         let t = Instant::now();
-        let (report, resident) = if self.cfg.resident() {
-            let hits_before = entry.session.resident_hits;
-            let report = engine.repair_resident(&job.broken, &mut entry.session);
-            (report, entry.session.resident_hits > hits_before)
-        } else {
-            let mut fresh = NetworkSession::new();
-            (engine.repair_resident(&job.broken, &mut fresh), false)
-        };
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if resident_mode {
+                let hits_before = entry.session.resident_hits;
+                let report = engine.repair_resident(&job.broken, &mut entry.session);
+                (report, entry.session.resident_hits > hits_before)
+            } else {
+                let mut fresh = NetworkSession::new();
+                (engine.repair_resident(&job.broken, &mut fresh), false)
+            }
+        }));
         let wall = t.elapsed();
+        let (report, resident) = match run {
+            Ok(run) => run,
+            Err(panic) => {
+                self.fail(&job, panic_message(panic.as_ref()), wall);
+                return Some(job.id);
+            }
+        };
         entry.jobs_served += 1;
         let label = crate::report::job_label(&job.network, job.seed);
         let rec = self.records.get_mut(&job.id).expect("record exists");
@@ -329,6 +350,26 @@ impl Acrd {
             );
         }
         Some(job.id)
+    }
+
+    /// Records a job whose engine run panicked.
+    fn fail(&mut self, job: &Job, error: String, wall: Duration) {
+        if acr_obs::enabled(acr_obs::JOURNAL) {
+            journal::emit(
+                &json::Obj::new()
+                    .str("event", "job_failed")
+                    .u64("ts_us", journal::now_us())
+                    .str("job", &job.id)
+                    .str("tenant", &job.tenant)
+                    .str("network", &job.network)
+                    .str("error", &error)
+                    .build(),
+            );
+        }
+        let rec = self.records.get_mut(&job.id).expect("record exists");
+        rec.state = JobState::Failed;
+        rec.error = error;
+        rec.wall = wall;
     }
 
     /// Runs every queued job to completion; returns how many ran.
@@ -413,6 +454,9 @@ impl Acrd {
                 None => error_json("status", "unknown_job", &job),
             },
             Request::Result { job } => match self.records.get(&job) {
+                Some(rec) if rec.state == JobState::Failed => {
+                    error_json("result", "job_failed", &rec.error)
+                }
                 Some(rec) if rec.state == JobState::Done => json::Obj::new()
                     .bool("ok", true)
                     .str("op", "result")
@@ -446,6 +490,15 @@ impl Acrd {
                 }
             }
         }
+    }
+}
+
+/// The message a panic carried (`panic!` with a literal or a format).
+fn panic_message(panic: &(dyn Any + Send)) -> String {
+    match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "panic".to_string(),
     }
 }
 

@@ -17,14 +17,19 @@
 //! Every accepted socket carries read/write timeouts, so a client that
 //! stalls delays the next request by a bounded time instead of forever,
 //! and a body over the size limit is refused (`413`), not truncated; a
-//! request head over its limit is refused (`431`), not buffered.
+//! request head over its limit is refused (`431`), not buffered — and a
+//! refusal is read to the end of what the client sends before the socket
+//! closes, so the client sees it instead of a reset. A poisoned daemon
+//! mutex is recovered rather than unwrapped: the daemon fails a panicking
+//! job on its own ([`Acrd::step`]), so its state stays consistent and the
+//! listener keeps answering.
 
 use crate::daemon::Acrd;
 use acr_obs::json;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -115,7 +120,7 @@ fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<
     let mut parts = request_line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_string(), t.to_string()),
-        _ => return respond(stream, 400, "{\"ok\":false,\"error\":\"bad_request\"}"),
+        _ => return respond(&stream, 400, "{\"ok\":false,\"error\":\"bad_request\"}"),
     };
     let mut content_length = 0usize;
     loop {
@@ -137,10 +142,10 @@ fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<
         }
     }
     if head.limit() == 0 {
-        return respond(stream, 431, "{\"ok\":false,\"error\":\"head_too_large\"}");
+        return refuse(stream, 431, "{\"ok\":false,\"error\":\"head_too_large\"}");
     }
     if content_length > MAX_BODY {
-        return respond(stream, 413, "{\"ok\":false,\"error\":\"body_too_large\"}");
+        return refuse(stream, 413, "{\"ok\":false,\"error\":\"body_too_large\"}");
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -169,18 +174,31 @@ fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<
                 body
             }
         }
-        _ => return respond(stream, 404, "{\"ok\":false,\"error\":\"not_found\"}"),
+        _ => return respond(&stream, 404, "{\"ok\":false,\"error\":\"not_found\"}"),
     };
-    let payload = daemon.lock().unwrap().handle(&line);
+    let payload = (daemon.lock())
+        .unwrap_or_else(PoisonError::into_inner)
+        .handle(&line);
     let status = if payload.contains("\"ok\":false") {
         400
     } else {
         200
     };
-    respond(stream, status, &payload)
+    respond(&stream, status, &payload)
 }
 
-fn respond(mut stream: TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+/// Answers a request the client may still be sending, then reads and
+/// drops the rest (bounded by [`MAX_BODY`] and the read timeout) before
+/// closing: closing with unread input resets the connection, and a reset
+/// can discard the refusal before the client has read it.
+fn refuse(stream: TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+    respond(&stream, status, body)?;
+    stream.shutdown(Shutdown::Write)?;
+    let _ = std::io::copy(&mut (&stream).take(MAX_BODY as u64), &mut std::io::sink());
+    Ok(())
+}
+
+fn respond(mut stream: &TcpStream, status: u16, body: &str) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",

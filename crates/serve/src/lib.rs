@@ -28,8 +28,9 @@
 //!   signatures and FNV digests CI compares across processes.
 //!
 //! Journal events (`acr-journal/v6`): `job_start`, `job_end` (with a
-//! `resident` flag), `admission_rejected` — emitted by the daemon
-//! around the engine's own `run_start`..`run_end` records.
+//! `resident` flag) or `job_failed` (the engine panicked; the daemon
+//! carries on), `admission_rejected` — emitted by the daemon around the
+//! engine's own `run_start`..`run_end` records.
 
 pub mod admission;
 pub mod daemon;

@@ -14,19 +14,8 @@
 //!   on this too.
 
 use acr_core::{RepairOutcome, RepairReport};
+use acr_net_types::{fnv1a, FNV_OFFSET};
 use acr_obs::json;
-
-/// FNV-1a 64 offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Folds `bytes` into an FNV-1a 64 accumulator.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// FNV-1a 64 over signature lines, newline-folded — the same digest
 /// shape `exp_scenarios` prints as `report_digest=<hex>` for ci.sh

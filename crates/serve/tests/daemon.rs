@@ -1,8 +1,9 @@
 //! End-to-end daemon behavior: job lifecycle over the JSONL surface,
-//! resident-vs-cold serving, registry invalidation, journal v3 events,
-//! graceful shutdown, and the HTTP listener.
+//! resident-vs-cold serving, registry invalidation, journal events,
+//! graceful shutdown, a panicking job's isolation, and the HTTP listener.
 
 use acr_cfg::NetworkConfig;
+use acr_net_types::RouterId;
 use acr_obs::{journal, json};
 use acr_serve::{Acrd, NetworkDef, QuotaConfig, ServeConfig, SubmitReq};
 use acr_topo::gen;
@@ -276,6 +277,72 @@ fn journal_daemon_events() {
     };
     assert!(pos("job_start") < pos("run_start"));
     assert!(pos("run_end") < pos("job_end"));
+}
+
+/// A job whose engine run panics — its network's spec starts a property
+/// at a router the topology lacks, so the forwarding walk indexes past
+/// the router table — fails alone. Drained over HTTP between two good
+/// jobs, it ends `failed` with a `job_failed` journal event and a
+/// `job_failed` result; the listener keeps answering `/health`; and both
+/// good jobs decide exactly as in a daemon that never saw it.
+#[test]
+fn a_panicking_job_fails_alone() {
+    let _g = lock();
+    let (net, broken) = small();
+    let reference: Vec<String> = {
+        let mut d = daemon(&net, false);
+        d.submit(req(&net, &broken, 0)).unwrap();
+        d.submit(req(&net, &broken, 0)).unwrap();
+        d.drain();
+        d.records_in_order()
+            .map(|r| r.decision_sig.clone())
+            .collect()
+    };
+
+    acr_obs::set_flags(acr_obs::JOURNAL);
+    journal::capture_to_memory();
+    let mut d = daemon(&net, false);
+    let mut bad_spec = net.spec.clone();
+    bad_spec.properties[0].start = RouterId(net.topo.len() as u32 + 7);
+    d.register(NetworkDef {
+        name: "bad".to_string(),
+        topo: Arc::new(net.topo.clone()),
+        spec: Arc::new(bad_spec),
+    });
+    let mut bad = req(&net, &broken, 0);
+    bad.network = "bad".to_string();
+    let ids: Vec<String> = [req(&net, &broken, 0), bad, req(&net, &broken, 0)]
+        .into_iter()
+        .map(|r| d.submit(r).unwrap())
+        .collect();
+    let daemon = Arc::new(Mutex::new(d));
+    let server = acr_serve::serve(daemon.clone(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    let (code, body) = http(addr, "POST", "/drain", "");
+    assert_eq!(code, 200, "{body}");
+    let (code, body) = http(addr, "GET", "/health", "");
+    assert_eq!(code, 200, "{body}");
+    let (_, body) = http(addr, "GET", &format!("/status?job={}", ids[1]), "");
+    assert!(body.contains("\"state\":\"failed\""), "{body}");
+    let (code, body) = http(addr, "GET", &format!("/result?job={}", ids[1]), "");
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("\"error\":\"job_failed\""), "{body}");
+    server.stop();
+
+    let captured = journal::take_captured();
+    acr_obs::disable_all();
+    let failed = (captured.lines().map(check_journal_line))
+        .filter(|v| v.get("event").and_then(json::Value::as_str) == Some("job_failed"))
+        .count();
+    assert_eq!(failed, 1, "{captured}");
+
+    let d = daemon.lock().unwrap();
+    let good: Vec<String> = [&ids[0], &ids[2]]
+        .iter()
+        .map(|id| d.record(id).unwrap().decision_sig.clone())
+        .collect();
+    assert_eq!(good, reference);
 }
 
 /// The HTTP listener serves health/submit/status/drain/result against

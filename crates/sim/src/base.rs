@@ -1,11 +1,14 @@
-//! Delta-compiled simulation state.
+//! The compiled form of a configuration.
 //!
-//! A [`CompiledBase`] owns everything `Simulator` construction used to
-//! recompute from scratch for every candidate patch: the per-device
-//! semantic models, the established sessions (kept per-router so a patch
-//! re-runs establishment only where it can matter), and the
-//! [`OriginIndex`]. Candidate validation builds a simulator from the base
-//! plus a [`Patch`] via [`crate::Simulator::from_base_with_patch`]:
+//! A [`CompiledBase`] is the one place device models and BGP sessions are
+//! built: the per-device semantic models ([`compile_device`]), the
+//! established sessions (kept per router so a patch re-runs establishment
+//! only where it can matter) and the [`OriginIndex`]. It owns all of it
+//! and borrows no topology, so a verifier can park it between incidents
+//! as it is. [`crate::Simulator`] wraps one, the incremental verifier
+//! commits one, and the `acr-flow` analysis and the `acr-lint` rules read
+//! its models and sessions. [`CompiledBase::delta`] derives a candidate's
+//! compiled form from a base plus a [`Patch`]:
 //!
 //! - **models** — only devices the patch touches are recompiled; every
 //!   other router shares the base's `Arc<DeviceModel>`.
@@ -15,7 +18,8 @@
 //!   reruns only for touched routers whose peer stanza or AS value
 //!   actually changed, plus their neighbors (who re-pair against the
 //!   patched half); everything else reuses the base parts. Concatenating
-//!   parts in router order reproduces a full [`establish`] byte for byte.
+//!   parts in router order reproduces a full [`crate::session::establish`]
+//!   byte for byte.
 //! - **originations** — touched routers swap their per-router slice in
 //!   the index; the prefixes whose origination set changed are reported
 //!   for invalidation.
@@ -27,6 +31,7 @@
 //! originations and which prefix-list entries do. `acr-verify` turns that
 //! diff — never the patch's statements — into its affected-prefix set.
 
+use crate::bgp::Origination;
 use crate::origin::{router_origins, OriginIndex};
 use crate::session::{establish_router, Session, SessionDiag};
 use acr_cfg::model::{DeviceModel, PlEntry, PolicyNode};
@@ -39,6 +44,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+static COMPILED_DEVICES: Counter = Counter::new("sim.compiled_devices");
+static ESTABLISHED_ROUTERS: Counter = Counter::new("sim.established_routers");
 static DELTA_BUILDS: Counter = Counter::new("sim.delta.builds");
 static DELTA_COMPILED: Counter = Counter::new("sim.delta.compiled_devices");
 static DELTA_ESTABLISHED: Counter = Counter::new("sim.delta.established_routers");
@@ -50,7 +57,7 @@ pub struct SessionPart {
     pub diags: Vec<SessionDiag>,
 }
 
-/// Construction cost accounting for one simulator build.
+/// Construction cost accounting for one compiled form.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimBuild {
     /// Wall-clock spent compiling device models (plus origination-index
@@ -62,7 +69,7 @@ pub struct SimBuild {
     pub compiled_devices: usize,
     /// Routers whose establishment part was recomputed.
     pub established_routers: usize,
-    /// Whether this build reused a [`CompiledBase`].
+    /// Whether this form was derived from a base ([`CompiledBase::delta`]).
     pub delta: bool,
 }
 
@@ -106,51 +113,54 @@ pub struct DeltaInfo {
     /// aside — after their common head and tail. A route whose prefix
     /// none of them [`PlEntry::matches`] evaluates every list as before.
     pub changed_pl_entries: Vec<PlEntry>,
-    /// Construction cost of the delta build.
-    pub build: SimBuild,
 }
 
-/// Compiled, shareable simulation state for one (topology, configuration)
-/// pair: the committed base the repair loop validates candidates against.
+/// The compiled form of one configuration over a topology: models,
+/// sessions and originations, indexed by `RouterId::index()`. Cheap to
+/// clone — every part sits behind an `Arc`.
 #[derive(Debug, Clone)]
-pub struct CompiledBase<'a> {
-    topo: &'a Topology,
-    cfg_fingerprint: u64,
+pub struct CompiledBase {
     models: Vec<Arc<DeviceModel>>,
-    parts: Vec<Arc<SessionPart>>,
+    parts: Arc<Vec<Arc<SessionPart>>>,
     sessions: Arc<Vec<Session>>,
     session_diags: Arc<Vec<SessionDiag>>,
     origin: Arc<OriginIndex>,
     build: SimBuild,
 }
 
-impl<'a> CompiledBase<'a> {
-    /// Compiles `cfg` from scratch.
-    pub fn new(topo: &'a Topology, cfg: &NetworkConfig) -> Self {
+impl CompiledBase {
+    /// Compiles `cfg` against `topo` from scratch. Routers present in the
+    /// topology but absent from the configuration get an empty model
+    /// (they forward nothing and peer with nobody).
+    pub fn new(topo: &Topology, cfg: &NetworkConfig) -> Self {
+        let n = topo.routers().len();
         let t = Instant::now();
-        let models: Vec<Arc<DeviceModel>> = topo
-            .routers()
-            .iter()
-            .map(|r| Arc::new(compile_device(cfg, r.id, &r.name)))
-            .collect();
+        let models: Vec<Arc<DeviceModel>> = {
+            let _s = span!("sim.compile", "sim").arg("devices", n as u64);
+            let routers = topo.routers().iter();
+            routers
+                .map(|r| Arc::new(compile_device(topo, cfg, r.id)))
+                .collect()
+        };
         let origin = Arc::new(OriginIndex::build(topo, &models));
         let compile = t.elapsed();
         let t = Instant::now();
-        let parts: Vec<Arc<SessionPart>> = topo
-            .routers()
-            .iter()
-            .map(|r| {
-                let (sessions, diags) = establish_router(topo, &models, r.id);
-                Arc::new(SessionPart { sessions, diags })
-            })
-            .collect();
+        let parts: Vec<Arc<SessionPart>> = {
+            let _s = span!("sim.establish", "sim");
+            let routers = topo.routers().iter();
+            routers
+                .map(|r| {
+                    let (sessions, diags) = establish_router(topo, &models, r.id);
+                    Arc::new(SessionPart { sessions, diags })
+                })
+                .collect()
+        };
         let (sessions, session_diags) = concat_parts(&parts);
-        let n = models.len();
+        COMPILED_DEVICES.add(n as u64);
+        ESTABLISHED_ROUTERS.add(n as u64);
         CompiledBase {
-            topo,
-            cfg_fingerprint: cfg.fingerprint(),
             models,
-            parts,
+            parts: Arc::new(parts),
             sessions: Arc::new(sessions),
             session_diags: Arc::new(session_diags),
             origin,
@@ -164,20 +174,9 @@ impl<'a> CompiledBase<'a> {
         }
     }
 
-    /// Construction cost of this base.
+    /// Construction cost of this form.
     pub fn build_stats(&self) -> SimBuild {
         self.build
-    }
-
-    /// The topology this base is compiled against.
-    pub fn topo(&self) -> &'a Topology {
-        self.topo
-    }
-
-    /// Fingerprint of the configuration this base was compiled from —
-    /// the base half of every delta key.
-    pub fn cfg_fingerprint(&self) -> u64 {
-        self.cfg_fingerprint
     }
 
     /// The compiled models, indexed by `RouterId::index()`.
@@ -185,33 +184,34 @@ impl<'a> CompiledBase<'a> {
         &self.models
     }
 
-    /// Established sessions of the base configuration.
+    /// Established sessions, behind the handle a cross-run
+    /// [`crate::PolicyMemo`] keys its slot layout against.
     pub fn sessions(&self) -> &Arc<Vec<Session>> {
         &self.sessions
     }
 
-    /// Session diagnostics of the base configuration.
+    /// Why configured peers are down.
     pub fn session_diags(&self) -> &Arc<Vec<SessionDiag>> {
         &self.session_diags
     }
 
-    /// The origination index of the base configuration.
+    /// The origination index.
     pub fn origin(&self) -> &Arc<OriginIndex> {
         &self.origin
     }
 
-    /// Classifies `patch` (which turns this base's configuration into
-    /// `cfg`) without keeping the rebuilt state — the invalidation
-    /// analysis alone. Identical to the [`DeltaInfo`] a delta build
-    /// returns, which is what keeps verdicts byte-identical whether
-    /// delta construction is on or off.
-    pub fn analyze(&self, cfg: &NetworkConfig, patch: &Patch) -> DeltaInfo {
-        self.delta(cfg, patch).info
-    }
-
-    /// The shared delta computation: recompile touched devices, re-run
-    /// establishment where it can matter, splice the origination index.
-    pub(crate) fn delta(&self, cfg: &NetworkConfig, patch: &Patch) -> Delta {
+    /// The compiled form of `cfg`, which must equal this base's
+    /// configuration with `patch` applied, and what changed: recompiles
+    /// the touched devices, re-runs establishment where it can matter and
+    /// splices the origination index. The result is field-for-field
+    /// identical to `CompiledBase::new(topo, cfg)` except for its build
+    /// stats — see the module docs for the argument.
+    pub fn delta(
+        &self,
+        topo: &Topology,
+        cfg: &NetworkConfig,
+        patch: &Patch,
+    ) -> (CompiledBase, DeltaInfo) {
         let t = Instant::now();
         let touched = patch.routers();
         let _compile_span = span!("sim.compile.delta", "sim").arg("devices", touched.len() as u64);
@@ -223,15 +223,15 @@ impl<'a> CompiledBase<'a> {
         let mut policy_changed = false;
         for r in &touched {
             let old = &self.models[r.index()];
-            let new = compile_device(cfg, *r, &old.name);
+            let new = compile_device(topo, cfg, *r);
             let as_changed = as_value(old) != as_value(&new);
             if old.peers != new.peers || as_changed {
                 session_changed.insert(*r);
             }
             let same_policies = old.route_policies == new.route_policies;
             let same_lists = old.prefix_lists == new.prefix_lists;
-            let old_part = router_origins(self.topo, *r, old);
-            let new_part = router_origins(self.topo, *r, &new);
+            let old_part = router_origins(topo, *r, old);
+            let new_part = router_origins(topo, *r, &new);
             if old_part != new_part {
                 for p in old_part.keys().chain(new_part.keys()) {
                     if old_part.get(p) != new_part.get(p) {
@@ -259,6 +259,7 @@ impl<'a> CompiledBase<'a> {
         let t = Instant::now();
         let _establish_span = span!("sim.establish.delta", "sim");
         let mut established_routers = 0usize;
+        let mut parts = self.parts.clone();
         let (sessions, session_diags, session_delta) = if session_changed.is_empty() {
             (
                 self.sessions.clone(),
@@ -270,22 +271,19 @@ impl<'a> CompiledBase<'a> {
             // parts read the changed `peers` maps / AS values).
             let mut affected = session_changed.clone();
             for r in &session_changed {
-                for (n, _) in self.topo.neighbors(*r) {
+                for (n, _) in topo.neighbors(*r) {
                     affected.insert(n);
                 }
             }
             established_routers = affected.len();
-            let mut parts = self.parts.clone();
-            let mut any_diff = false;
             for r in &affected {
-                let (sessions, diags) = establish_router(self.topo, &models, *r);
+                let (sessions, diags) = establish_router(topo, &models, *r);
                 let part = SessionPart { sessions, diags };
                 if *self.parts[r.index()] != part {
-                    any_diff = true;
-                    parts[r.index()] = Arc::new(part);
+                    Arc::make_mut(&mut parts)[r.index()] = Arc::new(part);
                 }
             }
-            if !any_diff {
+            if Arc::ptr_eq(&parts, &self.parts) {
                 (
                     self.sessions.clone(),
                     self.session_diags.clone(),
@@ -319,109 +317,39 @@ impl<'a> CompiledBase<'a> {
         drop(_establish_span);
         DELTA_ESTABLISHED.add(established_routers as u64);
 
-        Delta {
+        let base = CompiledBase {
             models,
+            parts,
             sessions,
             session_diags,
             origin,
-            info: DeltaInfo {
-                session_delta,
-                stale_session_lines,
-                policy_changed,
-                changed_origin_prefixes,
-                changed_pl_entries,
-                build: SimBuild {
-                    compile,
-                    establish,
-                    compiled_devices: touched.len(),
-                    established_routers,
-                    delta: true,
-                },
-            },
-        }
-    }
-}
-
-/// Owned, topology-detached compiled state: everything a
-/// [`CompiledBase`] holds except the `&Topology` borrow. A resident
-/// daemon keeps one of these per network between incidents (the
-/// registry owns the topology behind an `Arc`, so the borrow cannot be
-/// stored) and re-borrows it with [`CompiledBase::attach`] for the next
-/// run — zero devices recompiled, zero sessions re-established.
-#[derive(Debug, Clone)]
-pub struct ResidentBase {
-    cfg_fingerprint: u64,
-    models: Vec<Arc<DeviceModel>>,
-    parts: Vec<Arc<SessionPart>>,
-    sessions: Arc<Vec<Session>>,
-    session_diags: Arc<Vec<SessionDiag>>,
-    origin: Arc<OriginIndex>,
-}
-
-impl ResidentBase {
-    /// Fingerprint of the configuration this state was compiled from.
-    pub fn cfg_fingerprint(&self) -> u64 {
-        self.cfg_fingerprint
-    }
-}
-
-impl<'a> CompiledBase<'a> {
-    /// Strips the topology borrow, leaving owned state that can outlive
-    /// the borrow (stored in a registry, sent across threads).
-    pub fn detach(self) -> ResidentBase {
-        ResidentBase {
-            cfg_fingerprint: self.cfg_fingerprint,
-            models: self.models,
-            parts: self.parts,
-            sessions: self.sessions,
-            session_diags: self.session_diags,
-            origin: self.origin,
-        }
-    }
-
-    /// Re-borrows detached state against `topo` — which must be the
-    /// topology the state was compiled against (the caller guards this
-    /// with the configuration fingerprint plus the verifier's context
-    /// fingerprint, which covers the topology). The resulting base is
-    /// byte-identical to the one [`CompiledBase::detach`] consumed,
-    /// except `build_stats`, which reports the zero cost this attach
-    /// actually incurred.
-    pub fn attach(topo: &'a Topology, resident: ResidentBase) -> CompiledBase<'a> {
-        CompiledBase {
-            topo,
-            cfg_fingerprint: resident.cfg_fingerprint,
-            models: resident.models,
-            parts: resident.parts,
-            sessions: resident.sessions,
-            session_diags: resident.session_diags,
-            origin: resident.origin,
             build: SimBuild {
+                compile,
+                establish,
+                compiled_devices: touched.len(),
+                established_routers,
                 delta: true,
-                ..SimBuild::default()
             },
-        }
+        };
+        let info = DeltaInfo {
+            session_delta,
+            stale_session_lines,
+            policy_changed,
+            changed_origin_prefixes,
+            changed_pl_entries,
+        };
+        (base, info)
     }
 }
 
-/// The output of one delta computation (crate-internal plumbing between
-/// [`CompiledBase`] and `Simulator`).
-pub(crate) struct Delta {
-    pub models: Vec<Arc<DeviceModel>>,
-    pub sessions: Arc<Vec<Session>>,
-    pub session_diags: Arc<Vec<SessionDiag>>,
-    pub origin: Arc<OriginIndex>,
-    pub info: DeltaInfo,
-}
-
-use crate::bgp::Origination;
-
-/// Compiles one device's model (empty model for unconfigured routers —
-/// same fallback as `Simulator::new` always used).
-pub(crate) fn compile_device(cfg: &NetworkConfig, id: RouterId, name: &str) -> DeviceModel {
+/// The semantic model of router `id` under `cfg` — the one model builder:
+/// an unconfigured router models as an empty device carrying its
+/// topology name.
+pub fn compile_device(topo: &Topology, cfg: &NetworkConfig, id: RouterId) -> DeviceModel {
     match cfg.device(id) {
         Some(dc) => DeviceModel::from_config(dc),
         None => DeviceModel {
-            name: name.to_string(),
+            name: topo.router(id).name.clone(),
             ..DeviceModel::default()
         },
     }
@@ -530,7 +458,6 @@ fn same_structure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
     use acr_cfg::parse::parse_device;
     use acr_cfg::{Edit, PlAction, Stmt};
     use acr_net_types::Asn;
@@ -564,11 +491,12 @@ mod tests {
             stmt: Stmt::Network(p("10.7.0.0/16")),
         });
         let cfg2 = patch.apply_cloned(&cfg).unwrap();
-        let d = base.delta(&cfg2, &patch);
-        assert_eq!(d.info.session_delta, SessionDelta::Unchanged);
+        let (d, info) = base.delta(&topo, &cfg2, &patch);
+        assert_eq!(info.session_delta, SessionDelta::Unchanged);
         assert!(Arc::ptr_eq(&d.sessions, &base.sessions));
+        assert!(Arc::ptr_eq(&d.parts, &base.parts));
         assert_eq!(
-            d.info.changed_origin_prefixes,
+            info.changed_origin_prefixes,
             [p("10.7.0.0/16")].into_iter().collect()
         );
         // Untouched models are shared, the touched one is rebuilt.
@@ -589,29 +517,13 @@ mod tests {
             },
         });
         let cfg2 = patch.apply_cloned(&cfg).unwrap();
-        let d = base.delta(&cfg2, &patch);
-        assert_eq!(d.info.session_delta, SessionDelta::Structural);
+        let (d, info) = base.delta(&topo, &cfg2, &patch);
+        assert_eq!(info.session_delta, SessionDelta::Structural);
         // The delta state still matches a fresh compile exactly.
-        let fresh = Simulator::new(&topo, &cfg2);
-        assert_eq!(&d.sessions[..], fresh.sessions());
-        assert_eq!(&d.session_diags[..], fresh.session_diags());
-    }
-
-    #[test]
-    fn detach_attach_round_trips() {
-        let (topo, cfg) = line3();
-        let base = CompiledBase::new(&topo, &cfg);
-        let fp = base.cfg_fingerprint();
-        let models_before = base.models().to_vec();
-        let reattached = CompiledBase::attach(&topo, base.detach());
-        assert_eq!(reattached.cfg_fingerprint(), fp);
-        for (a, b) in reattached.models().iter().zip(&models_before) {
-            assert!(Arc::ptr_eq(a, b), "attach must not recompile any device");
-        }
-        let sim = Simulator::from_base(&reattached);
-        let fresh = Simulator::new(&topo, &cfg);
-        assert_eq!(sim.sessions(), fresh.sessions());
-        assert_eq!(sim.session_diags(), fresh.session_diags());
+        let fresh = CompiledBase::new(&topo, &cfg2);
+        assert_eq!(d.parts, fresh.parts);
+        assert_eq!(d.sessions, fresh.sessions);
+        assert_eq!(d.session_diags, fresh.session_diags);
     }
 
     /// The model diff sets line numbers aside: a remark that renumbers a
@@ -623,7 +535,10 @@ mod tests {
         let text = "bgp 65001\n peer 172.16.0.1 as-number 65000\n peer 172.16.0.1 route-policy IN import\n peer 172.16.0.6 as-number 65002\nroute-policy IN permit node 10\n if-match ip-prefix l\nroute-policy UNUSED deny node 10\nip prefix-list l index 10 permit 10.0.0.0 16\nip prefix-list l index 20 permit 10.2.0.0 16\n";
         cfg.insert(RouterId(1), parse_device("R1", text).unwrap());
         let base = CompiledBase::new(&topo, &cfg);
-        let info = |patch: Patch| base.analyze(&patch.apply_cloned(&cfg).unwrap(), &patch);
+        let info = |patch: Patch| {
+            base.delta(&topo, &patch.apply_cloned(&cfg).unwrap(), &patch)
+                .1
+        };
         let router = RouterId(1);
 
         let remark = info(Patch::single(Edit::Insert {

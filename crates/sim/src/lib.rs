@@ -17,6 +17,10 @@
 //!   derivation recording the configuration lines it depends on, which the
 //!   provenance layer turns into per-test line coverage for SBFL.
 //!
+//! Device models and sessions are built in one place, [`CompiledBase`]
+//! (`base`): the simulator, the incremental verifier, the `acr-flow`
+//! analysis and the `acr-lint` rules all read that one compiled form.
+//!
 //! Per-prefix decomposition is sound here because no modelled feature
 //! couples routes of different prefixes; it is what makes the DNA-style
 //! incremental verification in `acr-verify` exact.
@@ -33,7 +37,7 @@ pub mod route;
 pub mod session;
 pub mod sim;
 
-pub use base::{CompiledBase, DeltaInfo, ResidentBase, SessionDelta, SessionPart, SimBuild};
+pub use base::{compile_device, CompiledBase, DeltaInfo, SessionDelta, SessionPart, SimBuild};
 pub use bgp::{ConvergeEngine, ConvergeWork, PolicyMemo, PrefixOutcome, MAX_ROUNDS_BASE};
 pub use deriv::{DerivArena, DerivId, DerivKind, DerivNode};
 pub use fib::{bgp_fragment, Fib, FibAction, FibEntry};

@@ -1,15 +1,20 @@
 //! The top-level simulator: configs + topology → routes, FIBs, forwarding.
+//!
+//! A [`Simulator`] runs over one [`CompiledBase`] — the compiled form of a
+//! configuration, built from scratch ([`Simulator::new`]) or derived
+//! from a committed base plus a patch ([`Simulator::from_base_with_patch`],
+//! the repair loop's hot path). Either way the compiled form is built by
+//! `acr-sim::base` and nowhere else.
 
-use crate::base::{compile_device, CompiledBase, DeltaInfo, SimBuild};
+use crate::base::{CompiledBase, DeltaInfo, SimBuild};
 use crate::bgp::{
     index_sessions, run_prefix_dense, run_prefix_sparse, ConvergeEngine, ConvergeWork, PolicyMemo,
     PrefixOutcome, RouterCtx, SparseScratch,
 };
-use crate::deriv::{DerivArena, DerivId};
+use crate::deriv::DerivArena;
 use crate::fib::{base_fib, bgp_fragment, Fib};
 use crate::forward::{walk, ForwardResult};
-use crate::origin::OriginIndex;
-use crate::session::{establish, Session, SessionDiag};
+use crate::session::{Session, SessionDiag};
 use acr_cfg::model::DeviceModel;
 use acr_cfg::{NetworkConfig, Patch};
 use acr_net_types::{Flow, Prefix, RouterId};
@@ -19,10 +24,7 @@ use acr_topo::Topology;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
 
-static COMPILED_DEVICES: Counter = Counter::new("sim.compiled_devices");
-static ESTABLISHED_ROUTERS: Counter = Counter::new("sim.established_routers");
 static SIM_RUNS: Counter = Counter::new("sim.runs");
 static SIM_PREFIXES: Counter = Counter::new("sim.prefixes_run");
 static SIM_FLAPPING: Counter = Counter::new("sim.prefixes_flapping");
@@ -36,122 +38,64 @@ static SIM_ROUTERS_SKIPPED: Counter = Counter::new("sim.routers_skipped");
 static SIM_POLICY_EVALS: Counter = Counter::new("sim.policy_evals");
 static SIM_POLICY_MEMO_HITS: Counter = Counter::new("sim.policy_memo_hits");
 
-/// A compiled simulation context: semantic models, established sessions
-/// and the origination index for one (topology, configuration) pair.
-/// Cheap to query. Built from scratch ([`Simulator::new`]) or — the
-/// repair loop's hot path — as a delta against a [`CompiledBase`]
-/// ([`Simulator::from_base_with_patch`]), where only the devices a patch
-/// touches are recompiled and everything else is shared by `Arc`.
+/// A compiled simulation context for one (topology, configuration) pair:
+/// the topology plus the configuration's [`CompiledBase`]. Cheap to query.
 pub struct Simulator<'a> {
     topo: &'a Topology,
-    models: Vec<Arc<DeviceModel>>,
-    sessions: Arc<Vec<Session>>,
-    session_diags: Arc<Vec<SessionDiag>>,
-    origin: Arc<OriginIndex>,
-    build: SimBuild,
+    base: CompiledBase,
     delta: Option<DeltaInfo>,
 }
 
 impl<'a> Simulator<'a> {
-    /// Compiles `cfg` against `topo`. Routers present in the topology but
-    /// absent from the configuration get an empty model (they forward
-    /// nothing and peer with nobody).
+    /// Compiles `cfg` against `topo` ([`CompiledBase::new`]).
     pub fn new(topo: &'a Topology, cfg: &NetworkConfig) -> Self {
-        let t = Instant::now();
-        let models: Vec<Arc<DeviceModel>> = {
-            let _s = span!("sim.compile", "sim").arg("devices", topo.routers().len() as u64);
-            topo.routers()
-                .iter()
-                .map(|r| Arc::new(compile_device(cfg, r.id, &r.name)))
-                .collect()
-        };
-        let origin = Arc::new(OriginIndex::build(topo, &models));
-        let compile = t.elapsed();
-        let t = Instant::now();
-        let (sessions, session_diags) = {
-            let _s = span!("sim.establish", "sim");
-            establish(topo, &models)
-        };
-        let n = models.len();
-        COMPILED_DEVICES.add(n as u64);
-        ESTABLISHED_ROUTERS.add(n as u64);
         Simulator {
             topo,
-            models,
-            sessions: Arc::new(sessions),
-            session_diags: Arc::new(session_diags),
-            origin,
-            build: SimBuild {
-                compile,
-                establish: t.elapsed(),
-                compiled_devices: n,
-                established_routers: n,
-                delta: false,
-            },
-            delta: None,
-        }
-    }
-
-    /// A simulator over the base configuration itself: every structure is
-    /// shared with `base`, nothing is recompiled.
-    pub fn from_base(base: &CompiledBase<'a>) -> Self {
-        Simulator {
-            topo: base.topo(),
-            models: base.models().to_vec(),
-            sessions: base.sessions().clone(),
-            session_diags: base.session_diags().clone(),
-            origin: base.origin().clone(),
-            build: SimBuild {
-                delta: true,
-                ..SimBuild::default()
-            },
+            base: CompiledBase::new(topo, cfg),
             delta: None,
         }
     }
 
     /// The delta constructor: `cfg` must equal `base`'s configuration
-    /// with `patch` applied. Only devices the patch touches are
-    /// recompiled; session establishment re-runs only for routers whose
-    /// peer stanzas or AS values changed (plus their neighbors). The
-    /// result is field-for-field identical to `Simulator::new(topo, cfg)`
-    /// — see [`crate::base`] for the argument and the proptest suite for
+    /// with `patch` applied, and `base` must be compiled against `topo`.
+    /// Only devices the patch touches are recompiled; session
+    /// establishment re-runs only for routers whose peer stanzas or AS
+    /// values changed (plus their neighbors). The result is
+    /// field-for-field identical to `Simulator::new(topo, cfg)` — see
+    /// [`crate::base`] for the argument and `tests/prop_delta_sim.rs` for
     /// the evidence.
     pub fn from_base_with_patch(
-        base: &CompiledBase<'a>,
+        topo: &'a Topology,
+        base: &CompiledBase,
         cfg: &NetworkConfig,
         patch: &Patch,
     ) -> Self {
-        let d = base.delta(cfg, patch);
+        let (base, info) = base.delta(topo, cfg, patch);
         Simulator {
-            topo: base.topo(),
-            models: d.models,
-            sessions: d.sessions,
-            session_diags: d.session_diags,
-            origin: d.origin,
-            build: d.info.build,
-            delta: Some(d.info),
+            topo,
+            base,
+            delta: Some(info),
         }
+    }
+
+    /// The compiled form this simulator runs.
+    pub fn base(&self) -> &CompiledBase {
+        &self.base
     }
 
     /// The semantic models, indexed by `RouterId::index()`.
     pub fn models(&self) -> &[Arc<DeviceModel>] {
-        &self.models
+        self.base.models()
     }
 
     /// Established sessions.
     pub fn sessions(&self) -> &[Session] {
-        &self.sessions
-    }
-
-    /// Established sessions behind their shared handle (what a
-    /// cross-run [`PolicyMemo`] keys its slot layout against).
-    pub fn sessions_arc(&self) -> &Arc<Vec<Session>> {
-        &self.sessions
+        self.base.sessions()
     }
 
     /// Why configured peers are down.
     pub fn session_diags(&self) -> &[SessionDiag] {
-        &self.session_diags
+        self.base.session_diags()
     }
 
     /// The topology this simulator runs over.
@@ -161,11 +105,11 @@ impl<'a> Simulator<'a> {
 
     /// Construction cost accounting for this simulator.
     pub fn build_stats(&self) -> SimBuild {
-        self.build
+        self.base.build_stats()
     }
 
     /// What the delta build learned about the patch (`None` for full
-    /// builds and patchless base shares).
+    /// builds).
     pub fn delta_info(&self) -> Option<&DeltaInfo> {
         self.delta.as_ref()
     }
@@ -173,7 +117,7 @@ impl<'a> Simulator<'a> {
     /// All prefixes any router originates into BGP — the per-prefix
     /// simulation universe (precomputed in the origination index).
     pub fn universe(&self) -> BTreeSet<Prefix> {
-        self.origin.universe()
+        self.base.origin().universe()
     }
 
     /// Runs every prefix in the universe.
@@ -191,7 +135,7 @@ impl<'a> Simulator<'a> {
             outcomes,
             fibs,
             arena,
-            session_diags: self.session_diags.clone(),
+            session_diags: self.base.session_diags().clone(),
         }
     }
 
@@ -226,14 +170,15 @@ impl<'a> Simulator<'a> {
         engine: ConvergeEngine,
         memo: &mut PolicyMemo,
     ) -> (BTreeMap<Prefix, PrefixOutcome>, ConvergeWork) {
+        let models = self.base.models();
         let routers: Vec<RouterCtx<'_>> = self
             .topo
             .routers()
             .iter()
             .map(|r| RouterCtx {
                 id: r.id,
-                model: self.models[r.id.index()].as_ref(),
-                asn: self.models[r.id.index()].asn.map(|(a, _)| a),
+                model: models[r.id.index()].as_ref(),
+                asn: models[r.id.index()].asn.map(|(a, _)| a),
             })
             .collect();
         let _s = span!("sim.simulate", "sim").arg("prefixes", prefixes.len() as u64);
@@ -243,15 +188,16 @@ impl<'a> Simulator<'a> {
         let mut work = ConvergeWork::default();
         // Hoisted across prefixes: the session index is prefix-independent
         // and the sparse scratch is cleared (not reallocated) per prefix.
-        let sessions_of = index_sessions(&self.sessions, routers.len());
+        let sessions = self.base.sessions();
+        let sessions_of = index_sessions(sessions, routers.len());
         let mut scratch = SparseScratch::new();
         for prefix in prefixes {
-            let orig = self.origin.dense(*prefix, self.models.len());
+            let orig = self.base.origin().dense(*prefix, models.len());
             let outcome = match engine {
                 ConvergeEngine::Dense => run_prefix_dense(
                     *prefix,
                     &routers,
-                    &self.sessions,
+                    sessions,
                     &sessions_of,
                     &orig,
                     arena,
@@ -260,7 +206,7 @@ impl<'a> Simulator<'a> {
                 ConvergeEngine::Sparse => run_prefix_sparse(
                     *prefix,
                     &routers,
-                    &self.sessions,
+                    sessions,
                     &sessions_of,
                     &orig,
                     arena,
@@ -330,7 +276,7 @@ impl<'a> Simulator<'a> {
         base_fib(
             self.topo,
             router,
-            self.models[router.index()].as_ref(),
+            self.models()[router.index()].as_ref(),
             arena,
         )
     }
@@ -339,7 +285,7 @@ impl<'a> Simulator<'a> {
     pub fn forward(&self, outcome: &mut SimOutcome, start: RouterId, flow: &Flow) -> ForwardResult {
         walk(
             self.topo,
-            &self.models,
+            self.models(),
             &outcome.fibs,
             start,
             flow,
@@ -358,8 +304,7 @@ pub struct SimOutcome {
     /// Provenance arena for every derivation in this run.
     pub arena: DerivArena,
     /// Session diagnostics (configured peers that are down). Shared with
-    /// the simulator (and, on the delta path, with the compiled base)
-    /// rather than deep-cloned per run.
+    /// the simulator's compiled form rather than deep-cloned per run.
     pub session_diags: Arc<Vec<SessionDiag>>,
 }
 
@@ -371,14 +316,6 @@ impl SimOutcome {
             .filter(|(_, o)| !o.is_converged())
             .map(|(p, _)| *p)
             .collect()
-    }
-
-    /// Derivation roots (for coverage) of one prefix's outcome.
-    pub fn prefix_deriv_roots(&self, prefix: Prefix) -> Vec<DerivId> {
-        self.outcomes
-            .get(&prefix)
-            .map(|o| o.deriv_roots())
-            .unwrap_or_default()
     }
 }
 

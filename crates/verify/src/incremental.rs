@@ -7,21 +7,29 @@
 //! per-prefix decomposition:
 //!
 //! 1. [`IncrementalVerifier::commit`] is the one cold path: it compiles
-//!    the configuration into a [`CompiledBase`] (`acr-sim`), simulates the
-//!    whole universe and caches every per-prefix outcome with its
-//!    configuration-line closure, plus every router's base FIB, in a
-//!    **persistent content-addressed arena** (old derivation ids stay
-//!    valid),
+//!    the configuration into a [`CompiledBase`] (`acr-sim`) — the one
+//!    compiled form of the configuration, which the verifier keeps with
+//!    the configuration's fingerprint and lends out through
+//!    [`IncrementalVerifier::base`] — simulates the whole universe and
+//!    caches every per-prefix outcome with its configuration-line closure,
+//!    plus every router's base FIB, in a **persistent content-addressed
+//!    arena** (old derivation ids stay valid),
 //! 2. a candidate (committed configuration + patch) is delta-built from
-//!    the base — only patched devices recompile — and the comparison of
-//!    their old and new models ([`acr_sim::DeltaInfo`]) yields the
-//!    *affected prefixes* under the contract below,
+//!    the base ([`CompiledBase::delta`]: only patched devices recompile)
+//!    and the comparison of their old and new models
+//!    ([`acr_sim::DeltaInfo`]) yields the *affected prefixes* under the
+//!    contract below,
 //! 3. only affected prefixes are re-simulated, by the same
 //!    [`Simulator::run_prefixes_with`] call the commit makes; one tail
 //!    merges them over the cache, assembles FIBs from the committed base
 //!    FIBs plus the BGP fragment of every merged outcome, and runs the
-//!    (cheap) packet walks on the merged state. A resumed verifier is the
-//!    empty candidate: nothing affected, nothing simulated.
+//!    (cheap) packet walks on the merged state.
+//!
+//! [`IncrementalVerifier::suspend`] parks all of it — the compiled base
+//! included, as it is — in an owned [`WarmState`], and
+//! [`IncrementalVerifier::resume`] re-installs it behind a fingerprint
+//! gate and replays it as the empty candidate: nothing affected, nothing
+//! simulated, nothing compiled.
 //!
 //! **The affected-set contract** (`affected_prefixes`, the only place a
 //! set is computed): a per-prefix run reads exactly the session vector
@@ -62,7 +70,7 @@ use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_sim::{
     bgp_fragment, CompiledBase, ConvergeEngine, DeltaInfo, DerivArena, Fib, PolicyMemo,
-    PrefixOutcome, ResidentBase, SessionDelta, SimBuild, Simulator,
+    PrefixOutcome, SessionDelta, SimBuild, Simulator,
 };
 use acr_topo::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -155,9 +163,12 @@ impl Caches {
 pub struct IncrementalVerifier<'a> {
     verifier: Verifier<'a>,
     arena: DerivArena,
-    /// Compiled state of the committed configuration — the base
+    /// Compiled form of the committed configuration — the base
     /// candidates are delta-built against.
-    base: Option<CompiledBase<'a>>,
+    base: Option<CompiledBase>,
+    /// Fingerprint of the committed configuration: the config half of
+    /// the resume gate.
+    base_fp: u64,
     caches: Caches,
     /// Whether candidate simulators reuse the base (construction only;
     /// invalidation analysis is identical either way).
@@ -179,6 +190,7 @@ impl<'a> IncrementalVerifier<'a> {
             verifier: Verifier::new(topo, spec),
             arena: DerivArena::new(),
             base: None,
+            base_fp: 0,
             caches: Caches::default(),
             delta: true,
             memo: PolicyMemo::new(),
@@ -201,7 +213,7 @@ impl<'a> IncrementalVerifier<'a> {
     }
 
     /// The compiled base of the committed configuration.
-    pub fn base(&self) -> Option<&CompiledBase<'a>> {
+    pub fn base(&self) -> Option<&CompiledBase> {
         self.base.as_ref()
     }
 
@@ -220,8 +232,7 @@ impl<'a> IncrementalVerifier<'a> {
     /// compiles it, simulates the whole universe and fills the caches
     /// every later [`IncrementalVerifier::verify_candidate`] reads.
     pub fn commit(&mut self, cfg: &NetworkConfig) -> Verification {
-        let base = CompiledBase::new(self.verifier.topo(), cfg);
-        let sim = Simulator::from_base(&base);
+        let sim = Simulator::new(self.verifier.topo(), cfg);
         let universe = sim.universe();
         // Nothing is cached about the new configuration: the cold rule.
         self.caches = Caches::default();
@@ -230,11 +241,12 @@ impl<'a> IncrementalVerifier<'a> {
         // this run re-seeds it and the first candidate already finds the
         // base's transfers.
         self.memo = PolicyMemo::new();
-        self.memo.begin_run(sim.sessions_arc(), &[]);
+        self.memo.begin_run(sim.base().sessions(), &[]);
         let (arena, memo) = (&mut self.arena, &mut self.memo);
-        let mut run = simulate(&sim, base.build_stats(), &universe, affected, arena, memo);
+        let mut run = simulate(&sim, &universe, affected, arena, memo);
         self.caches = Caches::fill(std::mem::take(&mut run.fresh), &sim, arena);
-        self.base = Some(base);
+        self.base = Some(sim.base().clone());
+        self.base_fp = cfg.fingerprint();
         let (view, arena, _) = self.split();
         let (verification, stats) = view.assemble(&sim, &universe, run, arena);
         self.last_stats = stats;
@@ -287,66 +299,55 @@ impl<'a> IncrementalVerifier<'a> {
     }
 
     /// Consumes the verifier into an owned, borrow-free [`WarmState`] a
-    /// resident daemon can park between incidents: the detached compiled
-    /// base, the per-prefix outcome/closure caches and base FIBs, the
-    /// persistent arena, and the policy memo (which carries the route
-    /// interner). Returns `None` when nothing was ever committed.
+    /// resident daemon can park between incidents: the committed
+    /// [`CompiledBase`] and its fingerprint, the per-prefix
+    /// outcome/closure caches and base FIBs, the persistent arena, and the
+    /// policy memo (which carries the route interner). Returns `None` when
+    /// nothing was ever committed.
     pub fn suspend(self) -> Option<WarmState> {
         let base = self.base?;
         Some(WarmState {
             ctx_fp: self.verifier.context_fingerprint(),
-            base_fp: base.cfg_fingerprint(),
-            base: base.detach(),
+            base_fp: self.base_fp,
+            base,
             arena: self.arena,
             caches: self.caches,
             memo: self.memo,
         })
     }
 
-    /// Rehydrates a suspended verifier for `cfg`. When `warm` was
-    /// suspended under the same verifier context (topology, spec)
-    /// *and* the byte-identical configuration, every cache is
-    /// re-installed and the returned [`Verification`] is recomputed from
-    /// cached per-prefix outcomes — **zero prefixes re-simulated, zero
-    /// devices recompiled**. On any fingerprint mismatch the warm state
-    /// is discarded and a cold verifier comes back as the error (commit
-    /// it yourself).
+    /// Re-installs `warm` into this verifier for `cfg`, whose fingerprint
+    /// the caller passes as `cfg_fp` (the repair engine hashes the broken
+    /// configuration once per job and keys its session slots by the same
+    /// value). When `warm` was suspended under the same verifier context
+    /// (topology, spec) *and* the byte-identical configuration, every
+    /// cache is re-installed and the returned [`Verification`] is
+    /// recomputed from cached per-prefix outcomes — **zero prefixes
+    /// re-simulated, zero devices recompiled**. On any fingerprint
+    /// mismatch the warm state is discarded, the verifier is left as it
+    /// was, and `None` comes back (commit it yourself).
     ///
     /// The fingerprint gate is what makes re-installing sound: an equal
     /// `context_fingerprint` pins (topology, spec), an equal
     /// config fingerprint pins every statement of every device, and all
-    /// cached state — outcomes, closures, memoized transfers, FIBs — is
-    /// a pure function of those inputs.
+    /// cached state — outcomes, closures, memoized transfers, FIBs, the
+    /// compiled base — is a pure function of those inputs.
     pub fn resume(
-        topo: &'a Topology,
-        spec: &'a Spec,
-        warm: WarmState,
-        cfg: &NetworkConfig,
-    ) -> Result<(Self, Verification), Box<Self>> {
-        Self::resume_with(Self::new(topo, spec), warm, cfg, cfg.fingerprint())
-    }
-
-    /// [`IncrementalVerifier::resume`] over an already-constructed cold
-    /// verifier and the caller's `cfg_fp = cfg.fingerprint()` — the
-    /// repair engine hashes the broken configuration once per job and
-    /// keys its session slots by the same value. Same contract: on a
-    /// fingerprint mismatch the warm state is discarded and the (cold)
-    /// verifier comes back as the error.
-    pub fn resume_with(
-        mut iv: Self,
+        &mut self,
         warm: WarmState,
         cfg: &NetworkConfig,
         cfg_fp: u64,
-    ) -> Result<(Self, Verification), Box<Self>> {
+    ) -> Option<Verification> {
         debug_assert_eq!(cfg_fp, cfg.fingerprint());
-        if warm.ctx_fp != iv.verifier.context_fingerprint() || warm.base_fp != cfg_fp {
+        if warm.ctx_fp != self.verifier.context_fingerprint() || warm.base_fp != cfg_fp {
             RESUME_MISSES.inc();
-            return Err(Box::new(iv));
+            return None;
         }
-        iv.arena = warm.arena;
-        iv.caches = warm.caches;
-        iv.memo = warm.memo;
-        iv.base = Some(CompiledBase::attach(iv.verifier.topo(), warm.base));
+        self.arena = warm.arena;
+        self.caches = warm.caches;
+        self.memo = warm.memo;
+        self.base = Some(warm.base);
+        self.base_fp = cfg_fp;
         // Replay as the empty candidate: its model diff is empty, so the
         // affected set is, and the tail turns the cached outcomes into a
         // Verification byte-identical to the suspended run's. The memo is
@@ -354,9 +355,9 @@ impl<'a> IncrementalVerifier<'a> {
         // models being re-installed — and the empty candidate's
         // `begin_run` drops what the suspended run's last candidate
         // poisoned.
-        let v = iv.verify_candidate(cfg, &Patch::new());
+        let v = self.verify_candidate(cfg, &Patch::new());
         RESUME_HITS.inc();
-        Ok((iv, v))
+        Some(v)
     }
 }
 
@@ -368,7 +369,7 @@ impl<'a> IncrementalVerifier<'a> {
 pub struct WarmState {
     ctx_fp: u64,
     base_fp: u64,
-    base: ResidentBase,
+    base: CompiledBase,
     arena: DerivArena,
     caches: Caches,
     memo: PolicyMemo,
@@ -384,7 +385,7 @@ pub struct CandidateValidator<'v, 'a> {
     verifier: &'v Verifier<'a>,
     /// `None` only while nothing was committed — and then nothing is
     /// cached either, so a candidate simply runs cold.
-    base: Option<&'v CompiledBase<'a>>,
+    base: Option<&'v CompiledBase>,
     caches: &'v Caches,
     delta: bool,
 }
@@ -432,12 +433,13 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
         // base when enabled, from scratch otherwise. The delta *analysis*
         // runs in both modes so the affected-prefix set (and with it every
         // verdict and count) is identical.
+        let topo = self.verifier.topo();
         let sim = match self.base {
-            Some(base) if self.delta => Simulator::from_base_with_patch(base, cfg, patch),
-            _ => Simulator::new(self.verifier.topo(), cfg),
+            Some(base) if self.delta => Simulator::from_base_with_patch(topo, base, cfg, patch),
+            _ => Simulator::new(topo, cfg),
         };
         let analyzed = match self.base {
-            Some(base) if !self.delta => Some(base.analyze(cfg, patch)),
+            Some(base) if !self.delta => Some(base.delta(topo, cfg, patch).1),
             _ => None,
         };
         let info = sim.delta_info().or(analyzed.as_ref());
@@ -452,12 +454,12 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
         let mut local_memo = PolicyMemo::new();
         let memo = match memo {
             Some(m) if sim.delta_info().is_some() => {
-                m.begin_run(sim.sessions_arc(), &patch.routers());
+                m.begin_run(sim.base().sessions(), &patch.routers());
                 m
             }
             _ => &mut local_memo,
         };
-        let run = simulate(&sim, sim.build_stats(), &universe, affected, arena, memo);
+        let run = simulate(&sim, &universe, affected, arena, memo);
         self.assemble(&sim, &universe, run, arena)
     }
 
@@ -529,12 +531,12 @@ struct Run {
 /// run and the recompute/reuse statistics and counters are kept.
 fn simulate(
     sim: &Simulator<'_>,
-    build: SimBuild,
     universe: &BTreeSet<Prefix>,
     (affected, rule): (BTreeSet<Prefix>, &Counter),
     arena: &mut DerivArena,
     memo: &mut PolicyMemo,
 ) -> Run {
+    let build: SimBuild = sim.build_stats();
     let started = Instant::now();
     let (fresh, _) = sim.run_prefixes_with(&affected, arena, ConvergeEngine::Sparse, memo);
     let stats = IncrementalStats {
@@ -920,9 +922,9 @@ mod tests {
         let mut iv = IncrementalVerifier::new(&topo, &spec);
         let v_cold = iv.commit(&cfg);
         let warm = iv.suspend().expect("committed verifier suspends");
-        let Ok((mut iv2, v_warm)) = IncrementalVerifier::resume(&topo, &spec, warm, &cfg) else {
-            panic!("resume must hit on an identical configuration");
-        };
+        let mut iv2 = IncrementalVerifier::new(&topo, &spec);
+        let v_warm = (iv2.resume(warm, &cfg, cfg.fingerprint()))
+            .expect("resume must hit on an identical configuration");
         assert_eq!(iv2.last_stats().recomputed, 0, "resume must replay caches");
         assert_eq!(iv2.last_stats().reused, 2);
         assert_eq!(iv2.last_stats().compiled_devices, 0);
@@ -956,10 +958,16 @@ mod tests {
             stmt: Stmt::Network(p("10.9.0.0/16")),
         });
         let other = patch.apply_cloned(&cfg).unwrap();
-        let cold = IncrementalVerifier::resume(&topo, &spec, warm, &other)
-            .err()
-            .expect("fingerprint mismatch must refuse to resume");
-        let mut cold = *cold;
+        let mut cold = IncrementalVerifier::new(&topo, &spec);
+        let refused = cold.resume(warm, &other, other.fingerprint());
+        assert!(
+            refused.is_none(),
+            "fingerprint mismatch must refuse to resume"
+        );
+        assert!(
+            cold.base().is_none(),
+            "a refused resume leaves the verifier cold"
+        );
         let v = cold.commit(&other);
         assert!(v.all_passed());
         // Full universe: the two spec prefixes plus the inserted network.

@@ -19,8 +19,7 @@ use acr_cfg::NetworkConfig;
 use acr_net_types::{Prefix, RouterId};
 use acr_prov::{CoverageMatrix, TestCoverage, TestId};
 use acr_sim::{
-    forward, CompiledBase, DerivArena, DerivId, ForwardOutcome, PrefixOutcome, SessionDiag,
-    SimOutcome, Simulator,
+    forward, DerivArena, DerivId, ForwardOutcome, PrefixOutcome, SessionDiag, SimOutcome, Simulator,
 };
 use acr_topo::Topology;
 use std::borrow::Borrow;
@@ -128,18 +127,6 @@ impl<'a> Verifier<'a> {
     /// Full verification: simulate everything, evaluate every test.
     pub fn run_full(&self, cfg: &NetworkConfig) -> (Verification, SimOutcome) {
         let sim = Simulator::new(self.topo, cfg);
-        self.run_with(&sim)
-    }
-
-    /// [`Verifier::run_full`] over a precompiled base: nothing is
-    /// recompiled or re-established, only the per-prefix simulation runs.
-    pub fn run_full_from(&self, base: &CompiledBase<'_>) -> (Verification, SimOutcome) {
-        let sim = Simulator::from_base(base);
-        self.run_with(&sim)
-    }
-
-    /// Shared tail of the full-verification entry points.
-    fn run_with(&self, sim: &Simulator<'_>) -> (Verification, SimOutcome) {
         // Destructure instead of cloning: `evaluate` needs the outcome
         // maps by shared reference alongside the arena by mutable
         // reference, which field-level borrows provide for free.
@@ -149,7 +136,7 @@ impl<'a> Verifier<'a> {
             mut arena,
             session_diags,
         } = sim.run();
-        let verification = self.evaluate(sim, &outcomes, &fibs, &mut arena, &session_diags[..]);
+        let verification = self.evaluate(&sim, &outcomes, &fibs, &mut arena, &session_diags[..]);
         (
             verification,
             SimOutcome {

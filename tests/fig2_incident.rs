@@ -9,8 +9,9 @@
 
 use acr::prelude::*;
 use acr::workloads::fig2::{fig2_incident, DCN_PREFIX, POP_A_PREFIX, POP_B_PREFIX};
+use acr_core::ctx::RepairCtx;
 use acr_core::templates::{candidates_for_line, TemplateKind};
-use acr_core::{ctx::RepairCtx, engine};
+use acr_sim::CompiledBase;
 use acr_verify::Verifier;
 
 fn p(s: &str) -> Prefix {
@@ -65,13 +66,13 @@ fn symbolization_solves_the_papers_var() {
     let fig2 = fig2_incident();
     let verifier = Verifier::new(&fig2.topo, &fig2.spec);
     let (v, out) = verifier.run_full(&fig2.broken);
-    let models = engine::models_of(&fig2.topo, &fig2.broken);
+    let compiled = CompiledBase::new(&fig2.topo, &fig2.broken);
     let ctx = RepairCtx {
         topo: &fig2.topo,
         cfg: &fig2.broken,
         verification: &v,
         arena: &out.arena,
-        models: &models,
+        models: compiled.models(),
     };
     let a_line = LineId::new(fig2.a, 5);
     let fixes = candidates_for_line(a_line, &ctx);
@@ -148,13 +149,13 @@ fn second_iteration_localizes_c_at_05() {
     assert!((score - 0.5).abs() < 1e-9, "paper reports 0.5, got {score}");
 
     // Its template repairs C; the whole network then verifies clean.
-    let models = engine::models_of(&fig2.topo, &half);
+    let compiled = CompiledBase::new(&fig2.topo, &half);
     let ctx = RepairCtx {
         topo: &fig2.topo,
         cfg: &half,
         verification: &v,
         arena: &out.arena,
-        models: &models,
+        models: compiled.models(),
     };
     let fixes = candidates_for_line(c_line, &ctx);
     let pl_fix = fixes

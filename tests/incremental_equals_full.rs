@@ -18,6 +18,7 @@ use acr::core::{universal_candidates, RepairCtx};
 use acr::prelude::*;
 use acr::workloads::{inject_at, GeneratedNetwork, Incident, TABLE1};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// What a sweep saw: candidates compared, how many of them pass every
 /// test, and one line per candidate on which the two verifiers disagree.
@@ -34,8 +35,12 @@ struct Sweep {
 fn candidates(net: &GeneratedNetwork, incident: &Incident) -> Vec<Patch> {
     let broken = &incident.broken;
     let (verification, out) = Verifier::new(&net.topo, &net.spec).run_full(broken);
-    let models: Vec<DeviceModel> = (net.topo.routers().iter())
-        .map(|r| DeviceModel::from_config(broken.device(r.id).expect("generated device")))
+    let models: Vec<Arc<DeviceModel>> = (net.topo.routers().iter())
+        .map(|r| {
+            Arc::new(DeviceModel::from_config(
+                broken.device(r.id).expect("generated device"),
+            ))
+        })
         .collect();
     let ctx = RepairCtx {
         topo: &net.topo,

@@ -16,6 +16,7 @@
 //! Obs state is process-global, so every test serializes on one lock and
 //! leaves the facilities disabled on exit.
 
+use acr::net_types::{fnv1a, FNV_OFFSET};
 use acr::obs::{self, journal, json, trace};
 use acr::prelude::*;
 use acr_core::RepairReport;
@@ -321,11 +322,7 @@ fn a_beam_repair_analyses_parents_not_candidates() {
     for stats in &mut decisions.iterations {
         (stats.recomputed_prefixes, stats.reused_prefixes) = (0, 0);
     }
-    let digest = signature(&decisions)
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    let digest = fnv1a(FNV_OFFSET, signature(&decisions).as_bytes());
     assert_eq!(
         digest,
         0x6e54c05ca320bfa5,

@@ -117,7 +117,7 @@ proptest! {
 
         let base = CompiledBase::new(&net.topo, &base_cfg);
         let fresh = Simulator::new(&net.topo, &patched);
-        let delta = Simulator::from_base_with_patch(&base, &patched, &patch);
+        let delta = Simulator::from_base_with_patch(&net.topo, &base, &patched, &patch);
 
         prop_assert_eq!(fresh.universe(), delta.universe());
         prop_assert_eq!(fresh.sessions(), delta.sessions());
@@ -141,7 +141,8 @@ fn delta_equals_fresh_on_every_table1_class() {
             .next()
             .unwrap_or_else(|| panic!("{fault:?} has an injectable site"));
         let fresh = Simulator::new(&net.topo, &incident.broken);
-        let delta = Simulator::from_base_with_patch(&base, &incident.broken, &incident.patch);
+        let delta =
+            Simulator::from_base_with_patch(&net.topo, &base, &incident.broken, &incident.patch);
         assert_eq!(fresh.run(), delta.run(), "{fault:?}: outcomes");
     }
 }

@@ -23,15 +23,22 @@
 //!    on every *visible* property, for random configs (healthy and
 //!    broken) × random masks. Partial observability may hide failures;
 //!    it must never invent or flip one.
+//!
+//! The proptests run behind `heavy-tests` (vendored proptest shim). Their
+//! three checkers also run in the default feature set on a fixed slice of
+//! `wan(3,4)`: every scenario family at its first composable seed, every
+//! Table-1 class at its first injectable seed under the three strategies
+//! in turn, and every class's broken network and the healthy one under
+//! two masks.
 
-// Gated: run with `cargo test --features heavy-tests` (vendored proptest shim).
-#![cfg(feature = "heavy-tests")]
-
+use acr::core::{RepairOutcome, Strategy};
 use acr::prelude::*;
-use acr::scenarios::{compose, ScenarioFamily};
-use acr::workloads::{try_inject, GeneratedNetwork, TABLE1};
-use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
+use acr::scenarios::{compose, Scenario, ScenarioFamily};
+use acr::workloads::{try_inject, GeneratedNetwork, Incident, TABLE1};
 use std::collections::BTreeSet;
+
+#[cfg(feature = "heavy-tests")]
+use proptest::prelude::{any, prop_assert_eq, prop_assume, proptest, ProptestConfig};
 
 fn net_for(w: usize, h: usize) -> GeneratedNetwork {
     generate(&acr::topo::gen::wan(3 + w % 2, 4 + h % 5))
@@ -50,6 +57,121 @@ fn verdicts(topo: &Topology, spec: &Spec, cfg: &NetworkConfig) -> Vec<(String, b
     out
 }
 
+/// The strategies the Table-1 property searches under, by index.
+fn strategy(i: usize) -> Strategy {
+    [
+        Strategy::default(),
+        Strategy::brute_force(),
+        Strategy::beam(),
+    ][i % 3]
+        .clone()
+}
+
+/// A report satisfies the accounting identity, and a `Fixed` patch
+/// passes every test of `spec` under a fresh full simulation of `broken`
+/// patched — with an attribution covering the whole patch.
+fn report_is_sound(
+    net: &GeneratedNetwork,
+    spec: &Spec,
+    broken: &NetworkConfig,
+    report: &acr::core::RepairReport,
+) -> Result<(), String> {
+    report
+        .check_accounting()
+        .map_err(|e| format!("accounting violated: {e}"))?;
+    if let RepairOutcome::Fixed { patch, .. } = &report.outcome {
+        let repaired = patch.apply_cloned(broken).expect("patch applies");
+        let failed = Verifier::new(&net.topo, spec)
+            .run_full(&repaired)
+            .0
+            .failed_count();
+        if failed != 0 {
+            return Err(format!(
+                "accepted repair fails {failed} tests under full simulation"
+            ));
+        }
+        let attributed: usize = report.attribution.iter().map(|s| s.edits).sum();
+        if attributed != patch.len() {
+            return Err(format!(
+                "attribution covers {attributed} of {} edits",
+                patch.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Contract 1 on a composed scenario: a beam repair against what the
+/// scenario lets the engine observe.
+fn composed_repair_is_sound(net: &GeneratedNetwork, scenario: &Scenario) -> Result<(), String> {
+    let spec = scenario.visible_spec(&net.spec);
+    let config = RepairConfig {
+        strategy: Strategy::beam(),
+        tags: scenario.tags(),
+        ..RepairConfig::default()
+    };
+    let report = RepairEngine::new(&net.topo, &spec, config).repair(&scenario.broken);
+    report_is_sound(net, &spec, &scenario.broken, &report)
+        .map_err(|e| format!("{}: {e}", scenario.label))
+}
+
+/// Contract 1 on a Table-1 singleton, under strategy `strat`.
+fn table1_repair_is_sound(
+    net: &GeneratedNetwork,
+    incident: &Incident,
+    strat: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let config = RepairConfig {
+        seed,
+        strategy: strategy(strat),
+        ..RepairConfig::default()
+    };
+    let report = RepairEngine::new(&net.topo, &net.spec, config).repair(&incident.broken);
+    report_is_sound(net, &net.spec, &incident.broken, &report)
+        .map_err(|e| format!("{} (strategy {strat}): {e}", incident.fault))
+}
+
+/// Contract 2: every masked verdict is about a visible property and
+/// matches the full verifier's, and the mask hides exactly the invisible
+/// properties.
+fn masked_verdicts_agree(
+    net: &GeneratedNetwork,
+    cfg: &NetworkConfig,
+    mask: &ObsMask,
+) -> Result<(), String> {
+    let masked_spec = mask.restrict(&net.spec);
+    let full = verdicts(&net.topo, &net.spec, cfg);
+    let masked = verdicts(&net.topo, &masked_spec, cfg);
+    let visible: BTreeSet<&str> = mask
+        .visible()
+        .filter_map(|i| net.spec.properties.get(i))
+        .map(|p| p.name.as_str())
+        .collect();
+    for (prop, ok) in &masked {
+        if !visible.contains(prop.as_str()) {
+            return Err(format!("{prop}: not visible"));
+        }
+        let full_ok = full
+            .iter()
+            .find(|(p, _)| p == prop)
+            .map(|(_, ok)| *ok)
+            .expect("property exists under full observability");
+        if *ok != full_ok {
+            return Err(format!("{prop}: masked verdict flipped"));
+        }
+    }
+    if masked.len() != visible.len() {
+        return Err(format!(
+            "{} masked verdicts, {} visible properties",
+            masked.len(),
+            visible.len()
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(feature = "heavy-tests")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -65,36 +187,7 @@ proptest! {
         let family = ScenarioFamily::ALL[fam % ScenarioFamily::ALL.len()];
         let scenario = compose(family, &net, seed);
         prop_assume!(scenario.is_some());
-        let scenario = scenario.unwrap();
-        // The engine repairs against what the scenario lets it observe.
-        let spec = scenario.visible_spec(&net.spec);
-        let mut config = RepairConfig {
-            strategy: acr::core::Strategy::beam(),
-            ..RepairConfig::default()
-        };
-        config.tags = scenario.tags();
-        let report = RepairEngine::new(&net.topo, &spec, config).repair(&scenario.broken);
-
-        // Satellite invariant: the accounting identity holds on every
-        // multi-patch report, fixed or not.
-        if let Err(e) = report.check_accounting() {
-            prop_assert!(false, "{}: accounting violated: {e}", scenario.label);
-        }
-
-        if let acr::core::RepairOutcome::Fixed { patch, .. } = &report.outcome {
-            let repaired = patch.apply_cloned(&scenario.broken).expect("patch applies");
-            let full = Verifier::new(&net.topo, &spec).run_full(&repaired).0;
-            prop_assert_eq!(
-                full.failed_count(),
-                0,
-                "{}: accepted repair fails {} tests under full simulation",
-                &scenario.label,
-                full.failed_count()
-            );
-            // Attribution covers the whole accepted patch.
-            let attributed: usize = report.attribution.iter().map(|s| s.edits).sum();
-            prop_assert_eq!(attributed, patch.len());
-        }
+        prop_assert_eq!(composed_repair_is_sound(&net, &scenario.unwrap()), Ok(()));
     }
 
     /// Accepted single-fault repairs are sound under full simulation,
@@ -107,29 +200,10 @@ proptest! {
         strat in 0usize..3,
         seed in 0u64..24,
     ) {
-        use acr::core::Strategy;
         let net = net_for(w, h);
         let incident = try_inject(TABLE1[fi % TABLE1.len()].0, &net, seed);
         prop_assume!(incident.is_some());
-        let incident = incident.unwrap();
-        let strategy = [Strategy::default(), Strategy::brute_force(), Strategy::beam()][strat].clone();
-        let config = RepairConfig { seed, strategy, ..RepairConfig::default() };
-        let report = RepairEngine::new(&net.topo, &net.spec, config).repair(&incident.broken);
-        if let Err(e) = report.check_accounting() {
-            prop_assert!(false, "{} (strategy {strat}): accounting violated: {e}", incident.fault);
-        }
-        if let acr::core::RepairOutcome::Fixed { patch, .. } = &report.outcome {
-            let repaired = patch.apply_cloned(&incident.broken).expect("patch applies");
-            let full = Verifier::new(&net.topo, &net.spec).run_full(&repaired).0;
-            prop_assert_eq!(
-                full.failed_count(),
-                0,
-                "{} (strategy {}): accepted repair fails {} tests under full simulation",
-                &incident.fault,
-                strat,
-                full.failed_count()
-            );
-        }
+        prop_assert_eq!(table1_repair_is_sound(&net, &incident.unwrap(), strat, seed), Ok(()));
     }
 
     /// Masked verdicts never contradict full-observability verdicts on
@@ -152,29 +226,52 @@ proptest! {
             net.cfg.clone()
         };
         let mask = ObsMask::sample(&net.spec, keep, seed.wrapping_mul(0x9e37));
-        let masked_spec = mask.restrict(&net.spec);
-        prop_assume!(!masked_spec.properties.is_empty());
+        prop_assume!(!mask.restrict(&net.spec).properties.is_empty());
+        prop_assert_eq!(masked_verdicts_agree(&net, &cfg, &mask), Ok(()));
+    }
+}
 
-        let full = verdicts(&net.topo, &net.spec, &cfg);
-        let masked = verdicts(&net.topo, &masked_spec, &cfg);
+/// The first seed below 24 at which `make` yields something.
+fn first<T>(make: impl Fn(u64) -> Option<T>) -> Option<(u64, T)> {
+    (0..24).find_map(|seed| make(seed).map(|t| (seed, t)))
+}
 
-        let visible: BTreeSet<&str> = mask
-            .visible()
-            .filter_map(|i| net.spec.properties.get(i))
-            .map(|p| p.name.as_str())
-            .collect();
-        // Every masked verdict is about a visible property, and matches
-        // the full verifier's verdict for it exactly.
-        for (prop, ok) in &masked {
-            prop_assert!(visible.contains(prop.as_str()), "{prop}: not visible");
-            let full_ok = full
-                .iter()
-                .find(|(p, _)| p == prop)
-                .map(|(_, ok)| *ok)
-                .expect("property exists under full observability");
-            prop_assert_eq!(*ok, full_ok, "{}: masked verdict flipped", prop);
+/// Contract 1's fixed tier-1 slice: every scenario family at its first
+/// composable seed, and every Table-1 class at its first injectable seed
+/// with the three strategies taking turns.
+#[test]
+fn accepted_repairs_are_sound_on_every_family_and_class() {
+    let net = net_for(0, 0);
+    for family in ScenarioFamily::ALL {
+        let (_, scenario) = first(|seed| compose(family, &net, seed))
+            .unwrap_or_else(|| panic!("{family:?} composes on wan(3,4)"));
+        assert_eq!(composed_repair_is_sound(&net, &scenario), Ok(()));
+    }
+    for (i, (fault, _)) in TABLE1.iter().enumerate() {
+        let (seed, incident) = first(|seed| try_inject(*fault, &net, seed))
+            .unwrap_or_else(|| panic!("{fault:?} injects on wan(3,4)"));
+        assert_eq!(table1_repair_is_sound(&net, &incident, i, seed), Ok(()));
+    }
+}
+
+/// Contract 2's fixed tier-1 slice: the healthy network and every Table-1
+/// class's first broken network, each under a sparse and a dense mask.
+#[test]
+fn masked_verdicts_agree_on_every_class() {
+    let net = net_for(0, 0);
+    let broken = TABLE1.iter().map(|(fault, _)| {
+        let (_, incident) = first(|seed| try_inject(*fault, &net, seed)).expect("injects");
+        incident.broken
+    });
+    let cfgs: Vec<NetworkConfig> = std::iter::once(net.cfg.clone()).chain(broken).collect();
+    for (i, cfg) in cfgs.iter().enumerate() {
+        for keep in [30, 80] {
+            let mask = ObsMask::sample(&net.spec, keep, i as u64);
+            assert_eq!(
+                masked_verdicts_agree(&net, cfg, &mask),
+                Ok(()),
+                "config {i}, keep {keep}"
+            );
         }
-        // And the mask hides exactly the invisible properties: counts line up.
-        prop_assert_eq!(masked.len(), visible.len());
     }
 }

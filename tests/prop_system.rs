@@ -8,14 +8,17 @@
 //! 2. **Simulator determinism and sanity**: repeated runs are identical;
 //!    no converged best route ever carries its holder's own AS in the
 //!    path unless a policy overwrote it.
-
-// Gated: run with `cargo test --features heavy-tests` (vendored proptest shim).
-#![cfg(feature = "heavy-tests")]
+//!
+//! The proptest runs behind `heavy-tests` (vendored proptest shim). Its
+//! checker also runs in the default feature set on a fixed slice: every
+//! edit kind at every router it can land on, at two positions.
 
 use acr::prelude::*;
 use acr::workloads::GeneratedNetwork;
 use acr_sim::PrefixOutcome;
 use acr_verify::Verifier;
+
+#[cfg(feature = "heavy-tests")]
 use proptest::prelude::{any, prop_assert_eq, prop_assume, proptest, ProptestConfig};
 
 fn wan() -> GeneratedNetwork {
@@ -120,6 +123,40 @@ fn policy_edit(net: &mut GeneratedNetwork, router: RouterId, pos: u16, kind: u8)
     }
 }
 
+/// Commits `net.cfg`, validates `patch` (which turns it into `candidate`)
+/// against the commit, and compares with a full verification of
+/// `candidate`: the failed count, every record's verdict, violation and
+/// path, and every test's coverage.
+fn incremental_agrees_with_full(
+    net: &GeneratedNetwork,
+    patch: &Patch,
+    candidate: &NetworkConfig,
+) -> Result<(), String> {
+    let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
+    iv.commit(&net.cfg);
+    let v_inc = iv.verify_candidate(candidate, patch);
+    let (v_full, _) = Verifier::new(&net.topo, &net.spec).run_full(candidate);
+    if v_inc.failed_count() != v_full.failed_count() {
+        let (a, b) = (v_inc.failed_count(), v_full.failed_count());
+        return Err(format!("{a} failed incrementally, {b} in full"));
+    }
+    for (a, b) in v_inc.records.iter().zip(&v_full.records) {
+        if (a.passed, &a.violation, &a.path) != (b.passed, &b.violation, &b.path) {
+            return Err(format!("test {}: {a:?} vs {b:?}", a.id));
+        }
+    }
+    for (a, b) in v_inc.matrix.tests().iter().zip(v_full.matrix.tests()) {
+        if a.lines != b.lines {
+            return Err(format!(
+                "coverage of {}: {:?} vs {:?}",
+                a.test, a.lines, b.lines
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(feature = "heavy-tests")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(56))]
 
@@ -132,24 +169,36 @@ proptest! {
         let patch = edit_from(&mut net, ri, pos, kind);
         prop_assume!(patch.apply_cloned(&net.cfg).is_ok());
         let candidate = patch.apply_cloned(&net.cfg).unwrap();
+        prop_assert_eq!(incremental_agrees_with_full(&net, &patch, &candidate), Ok(()));
+    }
+}
 
-        let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
-        iv.commit(&net.cfg);
-        let v_inc = iv.verify_candidate(&candidate, &patch);
-
-        let verifier = Verifier::new(&net.topo, &net.spec);
-        let (v_full, _) = verifier.run_full(&candidate);
-
-        prop_assert_eq!(v_inc.failed_count(), v_full.failed_count());
-        for (a, b) in v_inc.records.iter().zip(&v_full.records) {
-            prop_assert_eq!(a.passed, b.passed, "test {}", a.id);
-            prop_assert_eq!(&a.violation, &b.violation, "test {}", a.id);
-            prop_assert_eq!(&a.path, &b.path, "test {}", a.id);
-        }
-        for (a, b) in v_inc.matrix.tests().iter().zip(v_full.matrix.tests()) {
-            prop_assert_eq!(&a.lines, &b.lines, "coverage of {}", a.test);
+/// The proptest's fixed tier-1 slice: each of the seven edit kinds at
+/// every router it can land on (the policy-shaped kinds land on the
+/// backbone routers) and at each of the first 16 positions.
+#[test]
+fn incremental_equals_full_on_every_edit_kind_and_router() {
+    let routers = wan().cfg.routers().len();
+    let mut checked = 0usize;
+    for kind in 0..7u8 {
+        for ri in 0..routers {
+            for pos in 0..16u16 {
+                let mut net = wan();
+                let patch = edit_from(&mut net, ri, pos, kind);
+                let Ok(candidate) = patch.apply_cloned(&net.cfg) else {
+                    continue;
+                };
+                let what = format!("kind {kind}, router {ri}, pos {pos}: {patch}");
+                assert_eq!(
+                    incremental_agrees_with_full(&net, &patch, &candidate),
+                    Ok(()),
+                    "{what}"
+                );
+                checked += 1;
+            }
         }
     }
+    assert_eq!(checked, 7 * routers * 16, "every edit applies");
 }
 
 /// The strategy above only varies through the deterministic runner; cover

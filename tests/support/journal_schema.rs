@@ -80,6 +80,8 @@ pub fn check_journal_line(line: &str) -> json::Value {
         // run_start..run_end records.
         "job_start" => need(&["ts_us", "job", "tenant", "network", "seq"]),
         "job_end" => need(&["ts_us", "job", "tenant", "network", "outcome", "resident"]),
+        // Ends a job whose engine run panicked, in place of `job_end`.
+        "job_failed" => need(&["ts_us", "job", "tenant", "network", "error"]),
         "admission_rejected" => need(&["ts_us", "tenant", "network", "reason"]),
         other => panic!("unknown journal event '{other}': {line}"),
     }
