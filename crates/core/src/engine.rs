@@ -19,7 +19,9 @@ use crate::session::{NetworkSession, Slot};
 use crate::strategy::{crossover, Strategy};
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
-use crate::validate::{resolve_threads, validate_batch, Baseline, Verdict};
+use crate::validate::{
+    persistent_verification, resolve_threads, validate_batch, Baseline, Verdict,
+};
 use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
@@ -538,7 +540,11 @@ impl<'a> RepairEngine<'a> {
                                 cand_rows.push(r.str("outcome", "lint_rejected").build());
                             }
                         }
-                        Verdict::Validated { entry, stats } => {
+                        Verdict::Validated {
+                            entry,
+                            stats,
+                            persistent_ids,
+                        } => {
                             if vc.memo_served {
                                 cached_count += 1;
                             } else {
@@ -565,12 +571,8 @@ impl<'a> RepairEngine<'a> {
                             if discard {
                                 continue;
                             }
-                            // A verdict carries its own pruned arena;
-                            // re-intern the closures into the persistent
-                            // one (index order, so the arena grows
-                            // deterministically).
                             let verification =
-                                iv.absorb_verification(&entry.verification, &entry.arena);
+                                persistent_verification(&mut iv, &entry, persistent_ids.as_deref());
                             kept.push(Variant {
                                 cfg: vc.cfg.expect("validated candidates carry a config"),
                                 patch: vc.patch,

@@ -44,13 +44,23 @@
 //!   path's insert-then-hit would do, at any thread count.
 //!
 //! Worker threads intern fresh derivations into private clones of the
-//! persistent arena (derivation ids are arena-local and never portable),
-//! and every computed verdict is re-interned into a pruned private arena
-//! before it leaves the worker. The engine absorbs kept verdicts into
-//! the persistent arena in index order. Arena *id numbering* may differ
-//! from the sequential path's, but every consumer is content-driven
-//! (closures are sorted and deduplicated, anchor checks return booleans),
-//! so repair outcomes are byte-identical.
+//! persistent arena (derivation ids are arena-local and never portable).
+//! Every computed verdict — on a worker or in place — leaves the arena it
+//! was simulated in as a pruned copy of its own closures
+//! ([`make_entry`], one ascending pass). The engine turns a kept verdict
+//! back into persistent-arena roots in index order, one of two ways
+//! ([`persistent_verification`]):
+//!
+//! - simulated **in place**, its closures are already in the persistent
+//!   arena at the ids the prune copied from, so the verdict carries that
+//!   pruned→persistent map and the roots are mapped through it —
+//!   re-interning would return the same ids and intern nothing;
+//! - a **memo hit** or a **pool worker's** verdict is re-interned
+//!   (absorbed) into the persistent arena.
+//!
+//! Arena *id numbering* may differ from the sequential path's, but every
+//! consumer is content-driven (closures are sorted and deduplicated,
+//! anchor checks return booleans), so repair outcomes are byte-identical.
 //!
 //! **One verdict type.** However a candidate was resolved — simulated on
 //! a worker, simulated in place on the coordinator, served from the
@@ -64,7 +74,7 @@ use acr_flow::FlowFacts;
 use acr_lint::{lint_devices, lint_with_models, DiagKey, Diagnostic};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
-use acr_sim::{CompiledBase, DerivArena};
+use acr_sim::{CompiledBase, DerivArena, DerivId};
 use acr_topo::Topology;
 use acr_verify::{
     make_entry, CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification,
@@ -131,7 +141,29 @@ pub(crate) enum Verdict {
         /// the very entry the memo-cache holds.
         entry: Arc<CandidateEntry>,
         stats: IncrementalStats,
+        /// Simulated in place: entry id → persistent-arena id, the map
+        /// [`make_entry`] returned. Re-interning the entry into the
+        /// persistent arena would return exactly these ids and intern
+        /// nothing, so the engine maps the roots instead. `None` for a
+        /// memo hit or a pool worker's verdict, which the engine absorbs.
+        persistent_ids: Option<Arc<[DerivId]>>,
     },
+}
+
+/// A kept verdict's verification with roots in the persistent arena:
+/// mapped back when it was simulated in place, re-interned otherwise (the
+/// engine calls this in candidate-index order, so the arena grows
+/// deterministically).
+pub(crate) fn persistent_verification(
+    iv: &mut IncrementalVerifier<'_>,
+    entry: &CandidateEntry,
+    persistent_ids: Option<&[DerivId]>,
+) -> Verification {
+    let _s = span!("engine.absorb", "engine");
+    match persistent_ids {
+        Some(ids) => entry.verification_in(ids),
+        None => iv.absorb_verification(&entry.verification, &entry.arena),
+    }
 }
 
 impl Verdict {
@@ -236,7 +268,7 @@ pub(crate) fn validate_batch(
                 Plan::Dup(_) => None,
                 plan => {
                     let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
-                    Some(resolve(it, plan, topo, lint_base, || {
+                    Some(resolve(it, plan, topo, lint_base, true, || {
                         let verification = iv.verify_candidate(&it.cfg, &it.patch);
                         (verification, iv.last_stats(), iv.arena())
                     }))
@@ -264,7 +296,7 @@ pub(crate) fn validate_batch(
                         }
                         let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
                         let it = &items[k].1;
-                        let res = resolve(it, &plans[k], topo, lint_base, || {
+                        let res = resolve(it, &plans[k], topo, lint_base, false, || {
                             let arena = arena.get_or_insert_with(|| base_arena.clone());
                             let (verification, stats) =
                                 validator.verify_candidate(&it.cfg, &it.patch, arena);
@@ -322,37 +354,44 @@ fn introduces_lint_error(it: &Prepared, topo: &Topology, base: &Baseline) -> boo
 /// Resolves one non-dup candidate: the lint gate first, then the planned
 /// memo hit or a simulation. `simulate` returns the verification, its
 /// stats and the arena its roots resolve in — the persistent arena on the
-/// sequential path, the worker's private clone on the pool — and the
-/// verdict leaves pruned to exactly its own closure, so it outlives
-/// either.
+/// sequential path (`in_place`), the worker's private clone on the pool —
+/// and the verdict leaves pruned to exactly its own closure, so it
+/// outlives either. In place, it also keeps the pruned→persistent map.
 fn resolve<'s>(
     it: &Prepared,
     plan: &Plan,
     topo: &Topology,
     lint_base: Option<&Baseline>,
+    in_place: bool,
     simulate: impl FnOnce() -> (Verification, IncrementalStats, &'s DerivArena),
 ) -> Verdict {
     if lint_base.is_some_and(|base| introduces_lint_error(it, topo, base)) {
         LINT_GATE_REJECTED.inc();
         return Verdict::LintRejected;
     }
-    let (entry, stats) = match plan {
-        Plan::Hit(entry) => {
-            let stats = IncrementalStats {
+    match plan {
+        Plan::Hit(entry) => Verdict::Validated {
+            entry: entry.clone(),
+            stats: IncrementalStats {
                 recomputed: 0,
                 reused: entry.universe,
                 ..IncrementalStats::default()
-            };
-            (entry.clone(), stats)
-        }
+            },
+            persistent_ids: None,
+        },
         Plan::Compute => {
             let (verification, stats, arena) = simulate();
-            let entry = make_entry(&verification, arena, stats.recomputed + stats.reused);
-            (Arc::new(entry), stats)
+            let _s = span!("verify.prune", "verify");
+            let universe = stats.recomputed + stats.reused;
+            let (entry, ids) = make_entry(verification, arena, universe);
+            Verdict::Validated {
+                entry: Arc::new(entry),
+                stats,
+                persistent_ids: in_place.then(|| ids.into()),
+            }
         }
         Plan::Dup(_) => unreachable!("dups never reach resolve"),
-    };
-    Verdict::Validated { entry, stats }
+    }
 }
 
 /// Safety net: a candidate's touched devices must print to parseable text.
@@ -446,5 +485,81 @@ mod tests {
             rejected >= 20 && passed >= 200,
             "both verdicts must be exercised: {rejected} rejected, {passed} passed"
         );
+    }
+
+    /// Validates, in place, the candidates the templates generate at the
+    /// broken network's top suspicious lines, and checks every validated
+    /// verdict against re-interning. Returns how many were checked.
+    fn check_in_place(topo: &Topology, spec: &acr_verify::Spec, broken: &NetworkConfig) -> usize {
+        let mut iv = IncrementalVerifier::new(topo, spec);
+        let base = iv.commit(broken);
+        let ranking = acr_localize::localize(&base.matrix, acr_localize::SbflFormula::Tarantula);
+        let mut patches: Vec<Patch> = Vec::new();
+        {
+            let ctx = RepairCtx {
+                topo,
+                cfg: broken,
+                verification: &base,
+                arena: iv.arena(),
+                models: iv.base().expect("committed").models(),
+            };
+            for (line, _) in ranking.entries().iter().take(4) {
+                for fix in candidates_for_line(*line, &ctx) {
+                    if !patches.contains(&fix.patch) {
+                        patches.push(fix.patch);
+                    }
+                }
+            }
+        }
+        let ctx_base = (iv.verifier().context_fingerprint(), broken.fingerprint());
+        let mut cache = SimCache::default();
+        let batch = validate_batch(
+            patches, broken, &mut iv, topo, None, &mut cache, ctx_base, 1,
+        );
+        let len = iv.arena().len();
+        let mut checked = 0;
+        for vc in batch {
+            let Verdict::Validated {
+                entry,
+                persistent_ids,
+                ..
+            } = vc.verdict
+            else {
+                continue;
+            };
+            let ids = persistent_ids.expect("a fresh batch of one thread runs in place");
+            let absorbed = iv.absorb_verification(&entry.verification, &entry.arena);
+            assert_eq!(
+                persistent_verification(&mut iv, &entry, Some(&ids)),
+                absorbed
+            );
+            assert_eq!(iv.arena().len(), len, "absorbing interned nothing");
+            checked += 1;
+        }
+        for (id, n) in iv.arena().iter() {
+            assert!(n.parents.iter().all(|p| *p < id), "parents precede");
+        }
+        checked
+    }
+
+    /// The in-place shortcut is exact: over every Table-1 class at seeds
+    /// 0–2 on `wan(4,8)` and the Figure 2 incident, a verdict's roots
+    /// mapped through its pruned→persistent list equal what re-interning
+    /// it into the persistent arena returns, and re-interning adds no
+    /// node.
+    #[test]
+    fn in_place_verdicts_map_back_as_absorb_would() {
+        let net = generate(&acr_topo::gen::wan(4, 8));
+        let mut checked = 0;
+        for (fault, _) in TABLE1 {
+            for seed in 0..3 {
+                if let Some(incident) = try_inject(fault, &net, seed) {
+                    checked += check_in_place(&net.topo, &net.spec, &incident.broken);
+                }
+            }
+        }
+        let fig2 = acr_workloads::fig2::fig2_incident();
+        checked += check_in_place(&fig2.topo, &fig2.spec, &fig2.broken);
+        assert!(checked >= 100, "only {checked} in-place verdicts checked");
     }
 }

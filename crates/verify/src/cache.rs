@@ -15,8 +15,14 @@
 //! One table, keyed `(context, base, candidate)`: the result of
 //! `verify_candidate` against a committed base. The entry carries a
 //! *pruned* private arena holding exactly the derivation closures of the
-//! verification's roots, so consumers can absorb provenance into their
-//! own arena (ids are arena-local and never portable).
+//! verification's roots (ids are arena-local and never portable).
+//! [`make_entry`] copies those closures out of the arena the candidate
+//! was simulated in with one ascending pass ([`DerivArena::prune`]) and
+//! also returns the pruned→source id map. A consumer whose arena *is*
+//! that source maps the roots back through it
+//! ([`CandidateEntry::verification_in`]); any other consumer — a memo
+//! hit, a pool worker's verdict — re-interns them into its own arena
+//! ([`crate::IncrementalVerifier::absorb_verification`]).
 //!
 //! One LRU, and no lock: the repair engine's coordinating thread is the
 //! only one that ever holds the cache. It peeks every candidate before a
@@ -30,7 +36,7 @@
 
 use crate::verify::Verification;
 use acr_obs::metrics::Counter;
-use acr_sim::DerivArena;
+use acr_sim::{DerivArena, DerivId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,33 +62,32 @@ pub struct CandidateEntry {
     pub universe: usize,
 }
 
-/// Builds a pruned [`CandidateEntry`] from a verification whose roots
-/// live in `src`.
-pub fn make_entry(v: &Verification, src: &DerivArena, universe: usize) -> CandidateEntry {
-    let mut arena = DerivArena::new();
-    let verification = rebase_verification(v, src, &mut arena);
-    CandidateEntry {
-        verification,
-        arena,
-        universe,
+impl CandidateEntry {
+    /// The verdict with every root mapped through `ids`, the entry's
+    /// pruned→source map from [`make_entry`]: its roots resolve in the
+    /// arena the verdict was simulated in.
+    pub fn verification_in(&self, ids: &[DerivId]) -> Verification {
+        self.verification.clone().map_roots(|r| ids[r.0 as usize])
     }
 }
 
-/// Rebases `v` onto `dst`: every record's derivation closure is
-/// re-interned from `src`, and the returned clone's roots resolve in
-/// `dst`. Content-addressed interning makes this observationally
-/// lossless — closures, coverage and verdicts are unchanged.
-pub fn rebase_verification(
-    v: &Verification,
+/// Builds a pruned [`CandidateEntry`] from a verification whose roots
+/// live in `src`, with the pruned→`src` id map
+/// ([`DerivArena::prune`]): entry id `i` is `src` id `map[i]`.
+pub fn make_entry(
+    v: Verification,
     src: &DerivArena,
-    dst: &mut DerivArena,
-) -> Verification {
-    let mut out = v.clone();
-    let mut memo = HashMap::new();
-    for rec in &mut out.records {
-        rec.deriv_roots = dst.absorb(src, &rec.deriv_roots, &mut memo);
-    }
-    out
+    universe: usize,
+) -> (CandidateEntry, Vec<DerivId>) {
+    let (arena, kept) = src.prune(v.all_roots());
+    let verification =
+        v.map_roots(|r| DerivId(kept.binary_search(&r).expect("every root is kept") as u32));
+    let entry = CandidateEntry {
+        verification,
+        arena,
+        universe,
+    };
+    (entry, kept)
 }
 
 /// The simulation memo-cache: a bounded LRU of candidate verdicts. See

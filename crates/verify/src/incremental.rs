@@ -294,8 +294,12 @@ impl<'a> IncrementalVerifier<'a> {
     /// Re-interns `v`'s derivation closures from `src` (a worker's
     /// private arena or a cache entry's pruned arena) into the
     /// persistent arena, returning a clone whose roots resolve here.
+    /// Content-addressed interning makes this observationally lossless —
+    /// closures, coverage and verdicts are unchanged.
     pub fn absorb_verification(&mut self, v: &Verification, src: &DerivArena) -> Verification {
-        crate::cache::rebase_verification(v, src, &mut self.arena)
+        let mut absorbed = self.arena.absorb(src, &v.all_roots()).into_iter();
+        v.clone()
+            .map_roots(|_| absorbed.next().expect("one id per root"))
     }
 
     /// Consumes the verifier into an owned, borrow-free [`WarmState`] a

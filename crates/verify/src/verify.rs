@@ -17,6 +17,7 @@ use crate::spec::{PropertyKind, Spec, TestCase};
 use crate::violation::Violation;
 use acr_cfg::NetworkConfig;
 use acr_net_types::{Prefix, RouterId};
+use acr_obs::span;
 use acr_prov::{CoverageMatrix, TestCoverage, TestId};
 use acr_sim::{
     forward, DerivArena, DerivId, ForwardOutcome, PrefixOutcome, SessionDiag, SimOutcome, Simulator,
@@ -67,6 +68,23 @@ impl Verification {
     /// The failed records.
     pub fn failures(&self) -> impl Iterator<Item = &TestRecord> {
         self.records.iter().filter(|r| !r.passed)
+    }
+
+    /// Every record's derivation roots, in record order.
+    pub(crate) fn all_roots(&self) -> Vec<DerivId> {
+        self.records
+            .iter()
+            .flat_map(|rec| rec.deriv_roots.iter().copied())
+            .collect()
+    }
+
+    /// This verification with every derivation root, in record order,
+    /// replaced by `f(root)`.
+    pub(crate) fn map_roots(mut self, mut f: impl FnMut(DerivId) -> DerivId) -> Self {
+        for r in self.records.iter_mut().flat_map(|rec| &mut rec.deriv_roots) {
+            *r = f(*r);
+        }
+        self
     }
 }
 
@@ -160,6 +178,7 @@ impl<'a> Verifier<'a> {
         arena: &mut DerivArena,
         session_diags: &[SessionDiag],
     ) -> Verification {
+        let _s = span!("verify.evaluate", "verify");
         let mut records = Vec::with_capacity(self.tests.len());
         let mut matrix = CoverageMatrix::new();
         let flapping: Vec<Prefix> = outcomes
