@@ -19,9 +19,7 @@ use crate::session::{NetworkSession, Slot};
 use crate::strategy::{crossover, Strategy};
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
-use crate::validate::{
-    persistent_verification, resolve_threads, validate_batch, Baseline, Verdict,
-};
+use crate::validate::{persistent_verification, validate_batch, Baseline, Verdict};
 use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
@@ -84,10 +82,10 @@ pub struct RepairConfig {
     /// lint error (relative to the broken baseline) are rejected before
     /// they reach the simulator.
     pub lint: bool,
-    /// Worker threads for the validate stage. `0` = available
-    /// parallelism; `1` = the exact legacy sequential path, which a
-    /// batch too small to pay for pool workers takes at every setting.
-    /// Results are byte-identical at every setting. Default `0`.
+    /// Has no effect: every candidate is verified in place on the job's
+    /// persistent verifier, and nothing reads this field. It stays only
+    /// because the `benchmark/` harness reads its default, and is removed
+    /// after the next change to that harness.
     pub threads: usize,
     /// Free-form labels carried verbatim into [`RepairReport::tags`] and
     /// the run journal — the scenario harness stamps the scenario family
@@ -420,19 +418,18 @@ impl<'a> RepairEngine<'a> {
         let flow_prior = flow_prior(self.spec, &base_verification, &statics.facts);
 
         // Validate-stage plumbing: the memo-cache keys every candidate
-        // under (verifier context, committed base, candidate config) and
-        // `threads` sizes the scoped worker pool. The cache is the
-        // session's, pooled across its jobs, or one this run owns.
+        // under (verifier context, committed base, candidate config). The
+        // cache is the session's, pooled across its jobs, or one this run
+        // owns.
         let ctx_base = (iv.verifier().context_fingerprint(), fp);
         let mut own_cache = None;
         let cache = match session.as_deref_mut() {
             Some(s) => &mut s.cache,
             None => own_cache.insert(SimCache::default()),
         };
-        let threads = resolve_threads(self.config.threads);
         drop(commit_guard);
 
-        self.journal_run_start(original, initial_failed, threads);
+        self.journal_run_start(original, initial_failed);
         if acr_obs::enabled(acr_obs::JOURNAL) {
             journal::emit(
                 &json::Obj::new()
@@ -499,7 +496,7 @@ impl<'a> RepairEngine<'a> {
                 let (fresh_patches, fresh_segments): (Vec<Patch>, Vec<Vec<PatchSegment>>) =
                     fresh.into_iter().unzip();
 
-                // ---- validate: lint gate + memo-cache + worker pool --------
+                // ---- validate: lint gate + memo-cache + in-place verify ----
                 let validate_guard = stages.time("engine.validate", "engine");
                 let batch = validate_batch(
                     fresh_patches,
@@ -509,7 +506,6 @@ impl<'a> RepairEngine<'a> {
                     self.config.lint.then_some(&statics),
                     &mut *cache,
                     ctx_base,
-                    threads,
                 );
                 let mut kept: Vec<Variant> = Vec::new();
                 let (mut recomputed, mut reused) = (0, 0);
@@ -666,7 +662,7 @@ impl<'a> RepairEngine<'a> {
     /// The journal's `run_start` record: network shape, initial failures
     /// and the full engine configuration (the one record run parameters
     /// appear in, so cross-configuration journal diffs scrub one line).
-    fn journal_run_start(&self, original: &NetworkConfig, initial_failed: usize, threads: usize) {
+    fn journal_run_start(&self, original: &NetworkConfig, initial_failed: usize) {
         if !acr_obs::enabled(acr_obs::JOURNAL) {
             return;
         }
@@ -680,10 +676,10 @@ impl<'a> RepairEngine<'a> {
             .u64("samples_per_property", 1)
             .str("operators", &format!("{:?}", self.config.operators))
             .bool("lint", self.config.lint)
-            .int("threads", threads)
-            // Every run validates through a memo-cache and every candidate
-            // is delta-built; the two fields stay so the journal schema
-            // (additive-only) keeps its v6 shape.
+            // Every run validates in place through a memo-cache and every
+            // candidate is delta-built; the three fields stay so the
+            // journal schema (additive-only) keeps its v6 shape.
+            .int("threads", 1)
             .bool("cache", true)
             .bool("delta", true)
             .raw("tags", &tags_json(&self.config.tags))

@@ -1,14 +1,13 @@
-//! The engine's validate stage: lint gate, memo-cache and the
-//! deterministic worker pool.
+//! The engine's validate stage: lint gate and memo-cache in front of
+//! the persistent incremental verifier.
 //!
 //! Each iteration hands this module the batch of fresh candidate
 //! patches. Per candidate the stage (1) materializes and re-parses the
 //! configuration, (2) runs the static lint gate, (3) serves the verdict
 //! from the simulation memo-cache when the config fingerprint was seen
-//! before, and (4) otherwise simulates it through the incremental
-//! validator. With `threads > 1` and at least [`MIN_SIMS_PER_WORKER`]
-//! simulations per worker, steps 2–4 run on a `std::thread::scope`
-//! worker pool; smaller batches run in place on the coordinator.
+//! before, and (4) otherwise verifies it in place on the job's
+//! [`IncrementalVerifier`] — its persistent arena, its cross-candidate
+//! policy memo — in candidate-index order.
 //!
 //! The broken network's static [`Baseline`] is read off the verifier's
 //! committed `CompiledBase`: a job compiles the broken network once, for
@@ -25,63 +24,48 @@
 //! (`engine.rs`), not here.
 //!
 //! **Determinism argument.** A candidate's verdict is a pure function of
-//! (committed base state, candidate config): [`acr_verify::CandidateValidator`]
-//! never mutates the per-prefix memo, lint is stateless, and workers
-//! never see the memo-cache — the coordinator peeks it for the whole
-//! batch before any worker starts and hands them a hit's `Arc`.
-//! Everything order sensitive is pinned to candidate index order on the
-//! coordinating thread:
+//! (committed base state, candidate config): verifying a candidate never
+//! updates the verifier's per-prefix caches, the policy memo is
+//! byte-exact to recomputing, and lint is stateless. The batch runs in
+//! three passes, all in candidate-index order:
 //!
-//! - results are collected into an index-addressed table, so selection
-//!   order and tie-breaks never depend on scheduling;
-//! - cache insertions and LRU promotions happen in a post-pass in index
-//!   order (a peek does not promote), so the cache's contents, and
-//!   therefore every *future* hit or miss, are identical whether the
-//!   batch ran on 1 thread or 8;
-//! - candidates of one batch that render to the *same* configuration
-//!   are deduplicated by fingerprint up front (the lowest index
-//!   computes, the rest reuse), which reproduces what the sequential
-//!   path's insert-then-hit would do, at any thread count.
+//! - **plan** peeks the memo-cache for every candidate at batch start (a
+//!   peek does not promote), so which candidates are hits never depends
+//!   on an insertion or LRU eviction made inside the same batch;
+//!   candidates that render to the *same* configuration are
+//!   deduplicated by fingerprint (the lowest index resolves, the rest
+//!   reuse its verdict);
+//! - **resolve** lints and verifies the rest in place;
+//! - the **post-pass** inserts fresh verdicts and promotes hits and dups.
 //!
-//! Worker threads intern fresh derivations into private clones of the
-//! persistent arena (derivation ids are arena-local and never portable).
-//! Every computed verdict — on a worker or in place — leaves the arena it
-//! was simulated in as a pruned copy of its own closures
-//! ([`make_entry`], one ascending pass). The engine turns a kept verdict
-//! back into persistent-arena roots in index order, one of two ways
-//! ([`persistent_verification`]):
+//! A computed verdict leaves the persistent arena as a pruned copy of its
+//! own closures ([`make_entry`], one ascending pass) together with the
+//! pruned→persistent id list, which an in-batch dup shares. The engine
+//! turns a kept verdict back into persistent-arena roots in index order
+//! ([`persistent_verification`]): a computed verdict's roots are mapped
+//! through that list — re-interning would return the same ids and intern
+//! nothing — and a **memo hit**, whose entry was pruned from another
+//! batch's (or another job's) arena, is re-interned (absorbed).
 //!
-//! - simulated **in place**, its closures are already in the persistent
-//!   arena at the ids the prune copied from, so the verdict carries that
-//!   pruned→persistent map and the roots are mapped through it —
-//!   re-interning would return the same ids and intern nothing;
-//! - a **memo hit** or a **pool worker's** verdict is re-interned
-//!   (absorbed) into the persistent arena.
-//!
-//! Arena *id numbering* may differ from the sequential path's, but every
-//! consumer is content-driven (closures are sorted and deduplicated,
-//! anchor checks return booleans), so repair outcomes are byte-identical.
-//!
-//! **One verdict type.** However a candidate was resolved — simulated on
-//! a worker, simulated in place on the coordinator, served from the
-//! memo-cache, or deduplicated against an earlier candidate of the same
-//! batch — its verdict is the same [`Verdict`] value holding the same
-//! `Arc<CandidateEntry>` the memo-cache stores: the verification and its
-//! pruned arena exist once, and every holder shares them.
+//! **One verdict type.** However a candidate was resolved — simulated,
+//! served from the memo-cache, or deduplicated against an earlier
+//! candidate of the same batch — its verdict is the same [`Verdict`]
+//! value holding the same `Arc<CandidateEntry>` the memo-cache stores:
+//! the verification and its pruned arena exist once, and every holder
+//! shares them.
 
 use acr_cfg::{NetworkConfig, Patch};
 use acr_flow::FlowFacts;
 use acr_lint::{lint_devices, lint_with_models, DiagKey, Diagnostic};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
-use acr_sim::{CompiledBase, DerivArena, DerivId};
+use acr_sim::{CompiledBase, DerivId};
 use acr_topo::Topology;
 use acr_verify::{
     make_entry, CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The static baseline of a committed configuration: everything a job
 /// reads about the broken network that is a pure function of (topology,
@@ -117,15 +101,6 @@ impl Baseline {
 
 static LINT_GATE_REJECTED: Counter = Counter::new("lint.gate.rejected");
 
-/// Simulations a batch must hold per pool worker. A worker starts with a
-/// private clone of the persistent arena and no cross-candidate policy
-/// memo, so on the 2–12-candidate batches of a single-fault repair the
-/// pool is no faster than the in-place path on `wan(4,8)`, 5–10 % slower
-/// on `wan(24,48)`, and its wall time varies from run to run three times
-/// as much; the 30–90-candidate batches of a beam search are where it
-/// pays (13 % on `scenarios8`, two cores).
-const MIN_SIMS_PER_WORKER: usize = 8;
-
 /// What the validate stage concluded for one candidate patch — the one
 /// verdict type between a candidate's plan and the engine loop.
 #[derive(Clone)]
@@ -141,19 +116,19 @@ pub(crate) enum Verdict {
         /// the very entry the memo-cache holds.
         entry: Arc<CandidateEntry>,
         stats: IncrementalStats,
-        /// Simulated in place: entry id → persistent-arena id, the map
+        /// Simulated in this run: entry id → persistent-arena id, the map
         /// [`make_entry`] returned. Re-interning the entry into the
         /// persistent arena would return exactly these ids and intern
         /// nothing, so the engine maps the roots instead. `None` for a
-        /// memo hit or a pool worker's verdict, which the engine absorbs.
+        /// memo hit, which the engine absorbs.
         persistent_ids: Option<Arc<[DerivId]>>,
     },
 }
 
 /// A kept verdict's verification with roots in the persistent arena:
-/// mapped back when it was simulated in place, re-interned otherwise (the
-/// engine calls this in candidate-index order, so the arena grows
-/// deterministically).
+/// mapped back when it was simulated in this run, re-interned for a memo
+/// hit (the engine calls this in candidate-index order, so the arena
+/// grows deterministically).
 pub(crate) fn persistent_verification(
     iv: &mut IncrementalVerifier<'_>,
     entry: &CandidateEntry,
@@ -207,7 +182,6 @@ enum Plan {
 /// Validates a batch of candidate patches against the committed base.
 /// Results come back index-aligned with `fresh`; all cache mutations
 /// happen here, in candidate-index order.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn validate_batch(
     fresh: Vec<Patch>,
     original: &NetworkConfig,
@@ -216,11 +190,11 @@ pub(crate) fn validate_batch(
     lint_base: Option<&Baseline>,
     cache: &mut SimCache,
     ctx_base: (u64, u64),
-    threads: usize,
 ) -> Vec<ValidatedCandidate> {
-    // ---- prepare + plan: materialize configs, fingerprint, dedup, and
-    // peek the memo-cache (not mutated until the post-pass, so every peek
-    // sees batch-start state) -------------------------------------------
+    // ---- plan: materialize configs, fingerprint, dedup, and peek the
+    // memo-cache (not mutated until the post-pass, so every peek sees
+    // batch-start state) ------------------------------------------------
+    let prepare = span!("engine.validate.prepare", "engine").arg("candidates", fresh.len() as u64);
     let (ctx_fp, base_fp) = ctx_base;
     let mut out: Vec<ValidatedCandidate> = Vec::with_capacity(fresh.len());
     let mut items: Vec<(usize, Prepared)> = Vec::new();
@@ -252,63 +226,18 @@ pub(crate) fn validate_batch(
         items.push((out.len(), Prepared { patch, cfg, fp }));
         out.push(invalid(Patch::new())); // placeholder, replaced below
     }
+    drop(prepare);
 
-    // ---- resolve: lint + simulate, sequentially or on the pool -------
-    let sims = plans.iter().filter(|p| matches!(p, Plan::Compute)).count();
-    let worker_threads = threads.min(sims / MIN_SIMS_PER_WORKER).max(1);
-    let resolved: Vec<Option<Verdict>> = if worker_threads <= 1 {
-        // The sequential path: candidates are verified in place through
-        // the persistent verifier (same arena, same interning order,
-        // cross-candidate policy memo), in index order.
-        items
-            .iter()
-            .zip(&plans)
-            .enumerate()
-            .map(|(k, ((_, it), plan))| match plan {
-                Plan::Dup(_) => None,
-                plan => {
-                    let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
-                    Some(resolve(it, plan, topo, lint_base, true, || {
-                        let verification = iv.verify_candidate(&it.cfg, &it.patch);
-                        (verification, iv.last_stats(), iv.arena())
-                    }))
-                }
-            })
-            .collect()
-    } else {
-        let validator = iv.validator();
-        let base_arena = iv.arena().clone();
-        let queue = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Verdict>>> =
-            (0..items.len()).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..worker_threads {
-                s.spawn(|| {
-                    // Lazily cloned so lint-only workers allocate nothing.
-                    let mut arena: Option<DerivArena> = None;
-                    loop {
-                        let k = queue.fetch_add(1, Ordering::Relaxed);
-                        if k >= items.len() {
-                            break;
-                        }
-                        if matches!(plans[k], Plan::Dup(_)) {
-                            continue;
-                        }
-                        let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
-                        let it = &items[k].1;
-                        let res = resolve(it, &plans[k], topo, lint_base, false, || {
-                            let arena = arena.get_or_insert_with(|| base_arena.clone());
-                            let (verification, stats) =
-                                validator.verify_candidate(&it.cfg, &it.patch, arena);
-                            (verification, stats, &*arena)
-                        });
-                        *slots[k].lock().unwrap() = Some(res);
-                    }
-                });
+    // ---- resolve: lint + simulate in place, in index order -----------
+    let resolved: Vec<Option<Verdict>> = (items.iter().zip(&plans).enumerate())
+        .map(|(k, ((_, it), plan))| match plan {
+            Plan::Dup(_) => None,
+            plan => {
+                let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
+                Some(resolve(it, plan, topo, lint_base, iv))
             }
-        });
-        slots.into_iter().map(|m| m.into_inner().unwrap()).collect()
-    };
+        })
+        .collect();
 
     // ---- post-pass: dup resolution + cache maintenance, index order --
     let mut verdicts: Vec<Verdict> = Vec::with_capacity(items.len());
@@ -319,7 +248,7 @@ pub(crate) fn validate_batch(
             (_, None) => unreachable!("only dup plans are left unresolved"),
         };
         // A fresh simulation enters the cache; a hit is promoted — and so
-        // is a dup, which sequentially would be an insert-then-hit.
+        // is a dup, which is an insert-then-hit.
         if let Some(entry) = verdict.entry() {
             let key = (ctx_fp, base_fp, items[k].1.fp);
             match plans[k] {
@@ -346,24 +275,22 @@ pub(crate) fn validate_batch(
 /// error rules are per-device, so every other device's error keys are
 /// in `base.keys` already.
 fn introduces_lint_error(it: &Prepared, topo: &Topology, base: &Baseline) -> bool {
+    let _s = span!("lint.gate", "lint");
     lint_devices(topo, &it.cfg, &it.patch.routers())
         .errors()
         .any(|d| !base.keys.contains(&d.key()))
 }
 
 /// Resolves one non-dup candidate: the lint gate first, then the planned
-/// memo hit or a simulation. `simulate` returns the verification, its
-/// stats and the arena its roots resolve in — the persistent arena on the
-/// sequential path (`in_place`), the worker's private clone on the pool —
-/// and the verdict leaves pruned to exactly its own closure, so it
-/// outlives either. In place, it also keeps the pruned→persistent map.
-fn resolve<'s>(
+/// memo hit or a simulation on the persistent verifier. A simulated
+/// verdict leaves pruned to exactly its own closure, with the
+/// pruned→persistent id list [`make_entry`] returns.
+fn resolve(
     it: &Prepared,
     plan: &Plan,
     topo: &Topology,
     lint_base: Option<&Baseline>,
-    in_place: bool,
-    simulate: impl FnOnce() -> (Verification, IncrementalStats, &'s DerivArena),
+    iv: &mut IncrementalVerifier<'_>,
 ) -> Verdict {
     if lint_base.is_some_and(|base| introduces_lint_error(it, topo, base)) {
         LINT_GATE_REJECTED.inc();
@@ -380,14 +307,15 @@ fn resolve<'s>(
             persistent_ids: None,
         },
         Plan::Compute => {
-            let (verification, stats, arena) = simulate();
+            let verification = iv.verify_candidate(&it.cfg, &it.patch);
+            let stats = iv.last_stats();
             let _s = span!("verify.prune", "verify");
             let universe = stats.recomputed + stats.reused;
-            let (entry, ids) = make_entry(verification, arena, universe);
+            let (entry, ids) = make_entry(verification, iv.arena(), universe);
             Verdict::Validated {
                 entry: Arc::new(entry),
                 stats,
-                persistent_ids: in_place.then(|| ids.into()),
+                persistent_ids: Some(ids.into()),
             }
         }
         Plan::Dup(_) => unreachable!("dups never reach resolve"),
@@ -400,21 +328,6 @@ pub(crate) fn reparses(cfg: &NetworkConfig, patch: &Patch) -> bool {
         Some(d) => acr_cfg::parse::parse_device(d.name(), &d.to_text()).is_ok(),
         None => false,
     })
-}
-
-/// Worker-thread count: `0` = available parallelism; explicit requests
-/// are clamped to the host's available parallelism. Candidate validation
-/// is CPU-bound with no blocking I/O, so oversubscription only adds
-/// contention (measured 1.7× slower at threads=4 on a 1-core host) — there
-/// is no workload where more workers than cores helps.
-pub(crate) fn resolve_threads(configured: usize) -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if configured != 0 {
-        return configured.min(avail);
-    }
-    avail
 }
 
 #[cfg(test)]
@@ -487,9 +400,12 @@ mod tests {
         );
     }
 
-    /// Validates, in place, the candidates the templates generate at the
-    /// broken network's top suspicious lines, and checks every validated
-    /// verdict against re-interning. Returns how many were checked.
+    /// Validates the candidates the templates generate at the broken
+    /// network's top suspicious lines twice against one memo-cache. In the
+    /// first batch every validated verdict is simulated, and its mapped
+    /// roots are checked against re-interning. In the second every one is a
+    /// memo hit, absorbed with the first batch's failing set and per-test
+    /// closure lines. Returns how many verdicts were checked.
     fn check_in_place(topo: &Topology, spec: &acr_verify::Spec, broken: &NetworkConfig) -> usize {
         let mut iv = IncrementalVerifier::new(topo, spec);
         let base = iv.commit(broken);
@@ -513,27 +429,70 @@ mod tests {
         }
         let ctx_base = (iv.verifier().context_fingerprint(), broken.fingerprint());
         let mut cache = SimCache::default();
-        let batch = validate_batch(
-            patches, broken, &mut iv, topo, None, &mut cache, ctx_base, 1,
+        let first = validate_batch(
+            patches.clone(),
+            broken,
+            &mut iv,
+            topo,
+            None,
+            &mut cache,
+            ctx_base,
         );
         let len = iv.arena().len();
-        let mut checked = 0;
-        for vc in batch {
+        let mut mapped: Vec<Option<Verification>> = Vec::new();
+        for vc in first {
             let Verdict::Validated {
                 entry,
                 persistent_ids,
                 ..
             } = vc.verdict
             else {
+                mapped.push(None);
                 continue;
             };
-            let ids = persistent_ids.expect("a fresh batch of one thread runs in place");
+            let ids = persistent_ids.expect("a verdict simulated in this run carries its ids");
             let absorbed = iv.absorb_verification(&entry.verification, &entry.arena);
-            assert_eq!(
-                persistent_verification(&mut iv, &entry, Some(&ids)),
-                absorbed
-            );
+            let verification = persistent_verification(&mut iv, &entry, Some(&ids));
+            assert_eq!(verification, absorbed);
             assert_eq!(iv.arena().len(), len, "absorbing interned nothing");
+            mapped.push(Some(verification));
+        }
+
+        let failing = |v: &Verification| -> Vec<_> {
+            v.records
+                .iter()
+                .filter(|r| !r.passed)
+                .map(|r| r.id)
+                .collect()
+        };
+        let closures = |iv: &IncrementalVerifier<'_>, v: &Verification| -> Vec<_> {
+            (v.records.iter())
+                .map(|r| iv.arena().closure_lines(r.deriv_roots.iter().copied()))
+                .collect()
+        };
+        let second = validate_batch(patches, broken, &mut iv, topo, None, &mut cache, ctx_base);
+        let mut checked = 0;
+        for (vc, first) in second.into_iter().zip(mapped) {
+            let Verdict::Validated {
+                entry,
+                persistent_ids,
+                ..
+            } = vc.verdict
+            else {
+                assert!(first.is_none(), "{}: validated only once", vc.patch);
+                continue;
+            };
+            let first = first.expect("validated in both batches");
+            assert!(vc.memo_served, "{}: a repeat is memo-served", vc.patch);
+            assert!(persistent_ids.is_none(), "a memo hit is absorbed");
+            let absorbed = persistent_verification(&mut iv, &entry, None);
+            assert_eq!(failing(&absorbed), failing(&first), "{}", vc.patch);
+            assert_eq!(
+                closures(&iv, &absorbed),
+                closures(&iv, &first),
+                "{}",
+                vc.patch
+            );
             checked += 1;
         }
         for (id, n) in iv.arena().iter() {
@@ -546,7 +505,9 @@ mod tests {
     /// 0–2 on `wan(4,8)` and the Figure 2 incident, a verdict's roots
     /// mapped through its pruned→persistent list equal what re-interning
     /// it into the persistent arena returns, and re-interning adds no
-    /// node.
+    /// node. The absorb path that remains — a memo hit of the same batch
+    /// validated again — yields the same failing tests and per-test
+    /// closure lines.
     #[test]
     fn in_place_verdicts_map_back_as_absorb_would() {
         let net = generate(&acr_topo::gen::wan(4, 8));

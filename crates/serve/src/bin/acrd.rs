@@ -15,9 +15,9 @@
 //! ```
 //!
 //! Flags: `--cold` (fresh session per job — the A/B baseline),
-//! `--threads N` (engine validate pool), `--http ADDR` (serve the HTTP
-//! surface alongside stdin), `--quota-queue N` / `--quota-tenant N`
-//! (admission bounds), `--emit-corpus [ROUNDS]`, `--batch [ROUNDS]`.
+//! `--http ADDR` (serve the HTTP surface alongside stdin),
+//! `--quota-queue N` / `--quota-tenant N` (admission bounds),
+//! `--emit-corpus [ROUNDS]`, `--batch [ROUNDS]`.
 
 use acr_core::{RepairConfig, RepairEngine};
 use acr_serve::{
@@ -37,7 +37,6 @@ fn main() {
     let mut rounds = 1usize;
     let mut mode = "daemon";
     let mut cold = false;
-    let mut threads: Option<usize> = None;
     let mut http_addr: Option<String> = None;
     let mut quota = QuotaConfig::default();
     let mut it = args.iter().peekable();
@@ -59,7 +58,6 @@ fn main() {
                 rounds = num(&mut it).unwrap_or(1);
             }
             "--cold" => cold = true,
-            "--threads" => threads = num(&mut it),
             "--http" => http_addr = it.next().cloned(),
             "--quota-queue" => quota.max_queued = num(&mut it).unwrap_or(quota.max_queued),
             "--quota-tenant" => quota.max_per_tenant = num(&mut it).unwrap_or(quota.max_per_tenant),
@@ -94,13 +92,10 @@ fn main() {
             let mut full = Vec::new();
             for _ in 0..rounds {
                 for (i, inc) in incidents.iter().enumerate() {
-                    let mut rc = RepairConfig {
+                    let rc = RepairConfig {
                         seed: i as u64,
                         ..RepairConfig::default()
                     };
-                    if let Some(t) = threads {
-                        rc.threads = t;
-                    }
                     let engine = RepairEngine::new(&net.topo, &net.spec, rc);
                     let report = engine.repair(&inc.broken);
                     let label = job_label(NETWORK, i as u64);
@@ -116,11 +111,7 @@ fn main() {
             );
         }
         _ => {
-            let cfg = ServeConfig {
-                quota,
-                threads,
-                cold,
-            };
+            let cfg = ServeConfig { quota, cold };
             let mut d = Acrd::new(cfg);
             d.register(NetworkDef {
                 name: NETWORK.to_string(),

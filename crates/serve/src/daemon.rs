@@ -4,11 +4,9 @@
 //!
 //! One `Acrd` owns a [`Registry`] of networks, a round-robin
 //! [`JobQueue`], and the completed-job record table. Jobs execute
-//! *sequentially* on the daemon thread — intra-job parallelism comes
-//! from the engine's deterministic validate worker pool
-//! ([`acr_core::RepairConfig::threads`]), which is exactly what keeps a
-//! daemon-served report byte-identical to a one-shot batch run at every
-//! thread count.
+//! *sequentially* on the daemon thread, each on the same deterministic
+//! engine a one-shot batch run uses, which is what keeps a daemon-served
+//! report byte-identical to it.
 //!
 //! Serving modes:
 //!
@@ -55,9 +53,6 @@ static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeConfig {
     pub quota: QuotaConfig,
-    /// Engine worker threads; `None` keeps [`RepairConfig::default`]'s
-    /// `0` (= available parallelism).
-    pub threads: Option<usize>,
     /// Serve from a fresh session per job (the cold A/B baseline)
     /// instead of resident per-network state. Default `false`.
     pub cold: bool,
@@ -258,18 +253,6 @@ impl Acrd {
         Ok(id)
     }
 
-    fn job_config(&self, job: &Job) -> RepairConfig {
-        let mut rc = RepairConfig {
-            seed: job.seed,
-            tags: job.tags.clone(),
-            ..RepairConfig::default()
-        };
-        if let Some(t) = self.cfg.threads {
-            rc.threads = t;
-        }
-        rc
-    }
-
     /// Runs the next queued job (round-robin across tenants). Returns
     /// its id, or `None` when the queue is empty. A panic inside the
     /// engine fails this job alone (see the module docs).
@@ -289,7 +272,11 @@ impl Acrd {
                     .build(),
             );
         }
-        let rc = self.job_config(&job);
+        let rc = RepairConfig {
+            seed: job.seed,
+            tags: job.tags.clone(),
+            ..RepairConfig::default()
+        };
         let entry = self
             .registry
             .get_mut(&job.network)

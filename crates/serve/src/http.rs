@@ -14,8 +14,9 @@
 //! JSONL responses of [`Acrd::handle`]. This is an operator/debug
 //! surface, not a performance path: requests are served sequentially
 //! under the daemon mutex, keeping the scheduler's determinism intact.
-//! Every accepted socket carries read/write timeouts, so a client that
-//! stalls delays the next request by a bounded time instead of forever,
+//! A request must arrive whole within one deadline and every write is
+//! bounded by a timeout, so a client that stalls — or drips one byte at a
+//! time — delays the next request by a bounded time instead of forever,
 //! and a body over the size limit is refused (`413`), not truncated; a
 //! request head over its limit is refused (`431`), not buffered — and a
 //! refusal is read to the end of what the client sends before the socket
@@ -31,7 +32,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A running listener; drop or [`HttpServer::stop`] to shut down.
 pub struct HttpServer {
@@ -94,9 +95,10 @@ pub fn serve(daemon: Arc<Mutex<Acrd>>, addr: &str) -> std::io::Result<HttpServer
     })
 }
 
-/// Longest a connection may sit in one read or write. Service is
-/// sequential, so this bounds how long a client that connects and then
-/// stalls can keep everyone else (and [`HttpServer::stop`]) waiting.
+/// Longest a whole request may take to arrive, and longest one response
+/// write may block. Service is sequential, so this bounds how long a
+/// client that stalls or drips bytes can keep everyone else (and
+/// [`HttpServer::stop`]) waiting.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Largest request body accepted; a longer `Content-Length` is refused
@@ -108,10 +110,32 @@ const MAX_BODY: usize = 1 << 22;
 /// grow a line buffer without bound.
 const MAX_HEAD: u64 = 16 << 10;
 
+/// Reads from a socket under one deadline for the whole request: before
+/// each read the socket's timeout is set to the time left, and once it is
+/// spent every read fails with `TimedOut`.
+struct Deadline<'s> {
+    stream: &'s TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(Deadline {
+        stream: &stream,
+        until: Instant::now() + IO_TIMEOUT,
+    });
     let mut head = reader.by_ref().take(MAX_HEAD);
     let mut request_line = String::new();
     if head.read_line(&mut request_line)? == 0 {
@@ -142,10 +166,20 @@ fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<
         }
     }
     if head.limit() == 0 {
-        return refuse(stream, 431, "{\"ok\":false,\"error\":\"head_too_large\"}");
+        return refuse(
+            &stream,
+            reader,
+            431,
+            "{\"ok\":false,\"error\":\"head_too_large\"}",
+        );
     }
     if content_length > MAX_BODY {
-        return refuse(stream, 413, "{\"ok\":false,\"error\":\"body_too_large\"}");
+        return refuse(
+            &stream,
+            reader,
+            413,
+            "{\"ok\":false,\"error\":\"body_too_large\"}",
+        );
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -188,13 +222,14 @@ fn handle_conn(stream: TcpStream, daemon: &Arc<Mutex<Acrd>>) -> std::io::Result<
 }
 
 /// Answers a request the client may still be sending, then reads and
-/// drops the rest (bounded by [`MAX_BODY`] and the read timeout) before
-/// closing: closing with unread input resets the connection, and a reset
-/// can discard the refusal before the client has read it.
-fn refuse(stream: TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    respond(&stream, status, body)?;
+/// drops the rest from `rest` (bounded by [`MAX_BODY`] and the request's
+/// deadline) before closing: closing with unread input resets the
+/// connection, and a reset can discard the refusal before the client has
+/// read it.
+fn refuse(stream: &TcpStream, rest: impl Read, status: u16, body: &str) -> std::io::Result<()> {
+    respond(stream, status, body)?;
     stream.shutdown(Shutdown::Write)?;
-    let _ = std::io::copy(&mut (&stream).take(MAX_BODY as u64), &mut std::io::sink());
+    let _ = std::io::copy(&mut rest.take(MAX_BODY as u64), &mut std::io::sink());
     Ok(())
 }
 

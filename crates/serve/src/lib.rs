@@ -17,7 +17,7 @@
 //! - [`queue`] — per-tenant FIFO lanes served deterministically
 //!   round-robin.
 //! - [`daemon`] — [`Acrd`] itself: submit → schedule → repair → record,
-//!   multiplexing jobs over the engine's deterministic validate pool.
+//!   multiplexing jobs over the deterministic repair engine.
 //!   Daemon-served reports are byte-identical to one-shot batch runs
 //!   (decisions always; full accounting in cold mode) — the
 //!   `serve_differential` test and the ci.sh smoke assert it.

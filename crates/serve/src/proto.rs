@@ -17,7 +17,9 @@
 //! A submit's `config` is the misconfigured network as an object of
 //! router-name → device configuration text — the textual form
 //! round-trips through `acr-cfg`'s parser, and router names resolve
-//! against the registered network's topology.
+//! against the registered network's topology, every router of which
+//! must be present (an empty text is an empty device). `seed` is an
+//! integer in `[0, 2^53]`, the range a JSON number holds exactly.
 
 use acr_cfg::NetworkConfig;
 use acr_obs::json::{self, Value};
@@ -46,6 +48,9 @@ pub struct SubmitReq {
     pub config: BTreeMap<String, String>,
 }
 
+/// The largest integer every JSON number (an `f64`) holds exactly.
+const MAX_SEED: f64 = (1u64 << 53) as f64;
+
 fn str_field(v: &Value, key: &str) -> Result<String, String> {
     v.get(key)
         .and_then(Value::as_str)
@@ -65,7 +70,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let seed = v
                 .get("seed")
                 .and_then(Value::as_num)
-                .ok_or("missing or non-numeric 'seed'")? as u64;
+                .ok_or("missing or non-numeric 'seed'")?;
+            if seed.fract() != 0.0 || !(0.0..=MAX_SEED).contains(&seed) {
+                return Err(format!(
+                    "'seed' must be an integer in [0, 2^53], not {seed}"
+                ));
+            }
+            let seed = seed as u64;
             let tags = match v.get("tags") {
                 None => Vec::new(),
                 Some(t) => t
@@ -110,8 +121,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 /// Resolves a submit's textual `config` against `topo` into a
-/// [`NetworkConfig`]. Unknown router names and parse failures are
-/// `bad_request` material.
+/// [`NetworkConfig`]. Unknown or missing router names and parse failures
+/// are `bad_request` material.
 pub fn resolve_config(
     topo: &Topology,
     config: &BTreeMap<String, String>,
@@ -124,6 +135,9 @@ pub fn resolve_config(
         let dev = acr_cfg::parse::parse_device(name.clone(), text)
             .map_err(|e| format!("config['{name}']: {e}"))?;
         net.insert(id, dev);
+    }
+    if let Some(r) = topo.routers().iter().find(|r| net.device(r.id).is_none()) {
+        return Err(format!("missing router '{}'", r.name));
     }
     if net.is_empty() {
         return Err("empty config".into());
@@ -209,5 +223,43 @@ mod tests {
         assert!(resolve_config(&net.topo, &cfgmap)
             .unwrap_err()
             .contains("NOSUCH"));
+    }
+
+    /// A seed that a cast would silently clamp, truncate or wrap is
+    /// refused, and the error names the field.
+    #[test]
+    fn a_seed_outside_the_exact_integers_is_refused() {
+        let submit = |seed: &str| {
+            parse_request(&format!(
+                "{{\"op\":\"submit\",\"tenant\":\"t\",\"network\":\"n\",\"seed\":{seed},\"config\":{{}}}}"
+            ))
+        };
+        for bad in ["-1", "3.7", "1e30", "9007199254740994", "-0.5"] {
+            let err = submit(bad).expect_err(bad);
+            assert!(err.contains("seed"), "{bad}: {err}");
+        }
+        for (ok, want) in [("0", 0), ("7", 7), ("9007199254740992", 1u64 << 53)] {
+            let Ok(Request::Submit(req)) = submit(ok) else {
+                panic!("{ok} must parse");
+            };
+            assert_eq!(req.seed, want);
+        }
+    }
+
+    /// A submit must carry every router of the topology; an empty text
+    /// is a valid, empty device.
+    #[test]
+    fn a_config_missing_a_router_is_refused() {
+        let net = generate(&gen::wan(2, 3));
+        let mut cfgmap: BTreeMap<String, String> = (net.topo.routers().iter())
+            .map(|r| (r.name.clone(), net.cfg.device(r.id).unwrap().to_text()))
+            .collect();
+        let last = net.topo.routers().last().unwrap().name.clone();
+        cfgmap.insert(last.clone(), String::new());
+        let resolved = resolve_config(&net.topo, &cfgmap).expect("an empty device is valid");
+        assert_eq!(resolved.len(), net.topo.routers().len());
+        cfgmap.remove(&last);
+        let err = resolve_config(&net.topo, &cfgmap).unwrap_err();
+        assert!(err.contains(&format!("missing router '{last}'")), "{err}");
     }
 }

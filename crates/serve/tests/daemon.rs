@@ -36,7 +36,6 @@ fn daemon(net: &GeneratedNetwork, cold: bool) -> Acrd {
     let mut d = Acrd::new(ServeConfig {
         quota: QuotaConfig::default(),
         cold,
-        ..ServeConfig::default()
     });
     d.register(NetworkDef {
         name: "net".to_string(),
@@ -438,6 +437,42 @@ fn http_stalled_client_cannot_block_health() {
     assert_eq!(code, 413, "{body}");
     assert!(body.contains("body_too_large"), "{body}");
 
+    server.stop();
+}
+
+/// A client that drips one header byte every 300 ms never trips a
+/// per-read timeout, but the whole request must arrive within the
+/// listener's deadline: a second client's `/health` is answered within
+/// 3 s while the drip goes on for 6 s.
+#[test]
+fn http_dripping_client_cannot_hold_the_listener() {
+    let _g = lock();
+    let (net, _) = small();
+    let daemon = Arc::new(Mutex::new(daemon(&net, false)));
+    let server = acr_serve::serve(daemon, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    let mut dripper = std::net::TcpStream::connect(addr).expect("connect");
+    let drip = std::thread::spawn(move || {
+        let head = format!("GET /health HTTP/1.1\r\nX-Pad: {}", "a".repeat(64));
+        for b in head.bytes().take(20) {
+            if dripper.write_all(&[b]).is_err() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(300));
+        }
+    });
+    // Connected second, so accepted second: the sequential listener
+    // serves the dripper first.
+    let t = std::time::Instant::now();
+    let (code, body) = http(addr, "GET", "/health", "");
+    let waited = t.elapsed();
+    assert_eq!(code, 200, "{body}");
+    assert!(
+        waited < std::time::Duration::from_secs(3),
+        "/health waited {waited:?} behind a dripping client"
+    );
+    drip.join().unwrap();
     server.stop();
 }
 

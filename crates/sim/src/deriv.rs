@@ -237,7 +237,7 @@ impl DerivArena {
     /// `src`) into this arena, returning the remapped roots.
     ///
     /// Ids are arena-local, so derivations computed in one arena (a
-    /// worker's private copy, a cache entry) cannot be referenced from
+    /// cache entry's pruned copy) cannot be referenced from
     /// another directly; `absorb` rebuilds the closure bottom-up via
     /// [`DerivArena::intern_ref`], so shared content dedups against what
     /// is already present and absorbing is idempotent. The src→dst map is

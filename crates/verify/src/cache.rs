@@ -20,14 +20,14 @@
 //! was simulated in with one ascending pass ([`DerivArena::prune`]) and
 //! also returns the pruned→source id map. A consumer whose arena *is*
 //! that source maps the roots back through it
-//! ([`CandidateEntry::verification_in`]); any other consumer — a memo
-//! hit, a pool worker's verdict — re-interns them into its own arena
+//! ([`CandidateEntry::verification_in`]); a memo hit, whose source was
+//! another batch's arena, re-interns them into its consumer's arena
 //! ([`crate::IncrementalVerifier::absorb_verification`]).
 //!
-//! One LRU, and no lock: the repair engine's coordinating thread is the
-//! only one that ever holds the cache. It peeks every candidate before a
-//! batch is resolved, hands pool workers the `Arc` of a hit, and inserts
-//! or touches in candidate-index order after the batch — so the table's
+//! One LRU, and no lock: the repair engine's thread is the only one that
+//! ever holds the cache. It peeks every candidate before a batch is
+//! resolved and inserts or touches in candidate-index order after the
+//! batch — so the table's
 //! contents, and every later hit or miss, are a function of the repair
 //! trajectory alone. `peek_candidate` does not promote; recency moves
 //! only through `touch_candidate` and `insert_candidate`.
@@ -91,7 +91,7 @@ pub fn make_entry(
 }
 
 /// The simulation memo-cache: a bounded LRU of candidate verdicts. See
-/// the module docs for keying and why one thread owns it.
+/// the module docs for keying and why no lock guards it.
 pub struct SimCache {
     /// Each entry with its recency stamp; larger = more recently used.
     entries: HashMap<CandidateKey, (u64, Arc<CandidateEntry>)>,

@@ -68,6 +68,7 @@ use crate::verify::{Verification, Verifier};
 use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
+use acr_obs::span;
 use acr_sim::{
     bgp_fragment, CompiledBase, ConvergeEngine, DeltaInfo, DerivArena, Fib, PolicyMemo,
     PrefixOutcome, SessionDelta, SimBuild, Simulator,
@@ -173,8 +174,8 @@ pub struct IncrementalVerifier<'a> {
     /// Whether candidate simulators reuse the base (construction only;
     /// invalidation analysis is identical either way).
     delta: bool,
-    /// Policy-transfer memo kept alive across the committed run and the
-    /// sequential candidate loop. Entries reference the persistent
+    /// Policy-transfer memo kept alive across the committed run and every
+    /// candidate verified against it. Entries reference the persistent
     /// `arena` (content-addressed, ids never invalidated); per-candidate
     /// staleness is handled by [`PolicyMemo::begin_run`], which drops
     /// entries on sessions adjacent to patched routers.
@@ -260,15 +261,15 @@ impl<'a> IncrementalVerifier<'a> {
     /// valid), but per-prefix results of the base remain authoritative.
     pub fn verify_candidate(&mut self, cfg: &NetworkConfig, patch: &Patch) -> Verification {
         let (view, arena, memo) = self.split();
-        let (verification, stats) = view.verify_candidate_with(cfg, patch, arena, Some(memo));
+        let (verification, stats) = view.verify_candidate(cfg, patch, arena, memo);
         self.last_stats = stats;
         verification
     }
 
-    /// The read-only view plus the two pieces a sequential caller threads
-    /// through it mutably.
-    fn split(&mut self) -> (CandidateValidator<'_, 'a>, &mut DerivArena, &mut PolicyMemo) {
-        let view = CandidateValidator {
+    /// The read-only view of the committed state plus the two pieces a
+    /// call threads through it mutably.
+    fn split(&mut self) -> (BaseView<'_, 'a>, &mut DerivArena, &mut PolicyMemo) {
+        let view = BaseView {
             verifier: &self.verifier,
             base: self.base.as_ref(),
             caches: &self.caches,
@@ -277,23 +278,9 @@ impl<'a> IncrementalVerifier<'a> {
         (view, &mut self.arena, &mut self.memo)
     }
 
-    /// A read-only view for validating candidates against the committed
-    /// base. Because it borrows the verifier's state immutably, any
-    /// number of worker threads can share one validator; each supplies
-    /// its own arena (seed it with a clone of
-    /// [`IncrementalVerifier::arena`] so cached derivation ids resolve).
-    pub fn validator(&self) -> CandidateValidator<'_, 'a> {
-        CandidateValidator {
-            verifier: &self.verifier,
-            base: self.base.as_ref(),
-            caches: &self.caches,
-            delta: self.delta,
-        }
-    }
-
-    /// Re-interns `v`'s derivation closures from `src` (a worker's
-    /// private arena or a cache entry's pruned arena) into the
-    /// persistent arena, returning a clone whose roots resolve here.
+    /// Re-interns `v`'s derivation closures from `src` (a cache entry's
+    /// pruned arena) into the persistent arena, returning a clone whose
+    /// roots resolve here.
     /// Content-addressed interning makes this observationally lossless —
     /// closures, coverage and verdicts are unchanged.
     pub fn absorb_verification(&mut self, v: &Verification, src: &DerivArena) -> Verification {
@@ -379,13 +366,11 @@ pub struct WarmState {
     memo: PolicyMemo,
 }
 
-/// A shareable, read-only candidate validator: the immutable half of an
-/// [`IncrementalVerifier`]. It never mutates the per-prefix caches, so a
+/// The read-only half of an [`IncrementalVerifier`]: what a candidate is
+/// verified against. It never mutates the per-prefix caches, so a
 /// candidate's verdict is a pure function of (committed base state,
-/// candidate config, patch) — which is what lets the repair engine fan a
-/// batch of candidates out over threads without any result depending on
-/// scheduling.
-pub struct CandidateValidator<'v, 'a> {
+/// candidate config, patch).
+struct BaseView<'v, 'a> {
     verifier: &'v Verifier<'a>,
     /// `None` only while nothing was committed — and then nothing is
     /// cached either, so a candidate simply runs cold.
@@ -394,44 +379,25 @@ pub struct CandidateValidator<'v, 'a> {
     delta: bool,
 }
 
-impl<'v, 'a> CandidateValidator<'v, 'a> {
-    /// The underlying (stateless) verifier.
-    pub fn verifier(&self) -> &'v Verifier<'a> {
-        self.verifier
-    }
-
+impl<'v, 'a> BaseView<'v, 'a> {
     /// Verifies a candidate configuration against the committed base;
-    /// see [`IncrementalVerifier::verify_candidate`]. Derivation roots of
-    /// the returned records resolve in `arena`, which must contain the
-    /// committed base's derivations (clone of the persistent arena).
-    pub fn verify_candidate(
-        &self,
-        cfg: &NetworkConfig,
-        patch: &Patch,
-        arena: &mut DerivArena,
-    ) -> (Verification, IncrementalStats) {
-        self.verify_candidate_with(cfg, patch, arena, None)
-    }
-
-    /// [`CandidateValidator::verify_candidate`] with an optional
-    /// **cross-candidate policy memo**. The memo's entries reference
-    /// `arena` ids, so the same `(arena, memo)` pair must be threaded
-    /// through every call (the sequential repair loop owns exactly one of
-    /// each). Reuse is sound only while candidate simulators share the
-    /// committed base's device models for unpatched routers — i.e. under
-    /// delta construction — and [`PolicyMemo::begin_run`] drops entries
-    /// on sessions adjacent to routers the patch (or the previous
+    /// see [`IncrementalVerifier::verify_candidate`]. `memo` is the
+    /// verifier's **cross-candidate policy memo**, whose entries reference
+    /// `arena` ids. Reuse is sound only while candidate simulators share
+    /// the committed base's device models for unpatched routers — i.e.
+    /// under delta construction — and [`PolicyMemo::begin_run`] drops
+    /// entries on sessions adjacent to routers the patch (or the previous
     /// candidate's patch) touched, re-homing the rest by endpoint pair
     /// when the session list changed shape. What survives — unchanged
-    /// `Arc`-shared device models evaluating pure transfer functions
-    /// over content-identical sessions — is byte-exact to recomputing,
-    /// so verdicts, derivations, and rejection records are unchanged.
-    pub fn verify_candidate_with(
+    /// `Arc`-shared device models evaluating pure transfer functions over
+    /// content-identical sessions — is byte-exact to recomputing, so
+    /// verdicts, derivations, and rejection records are unchanged.
+    fn verify_candidate(
         &self,
         cfg: &NetworkConfig,
         patch: &Patch,
         arena: &mut DerivArena,
-        memo: Option<&mut PolicyMemo>,
+        memo: &mut PolicyMemo,
     ) -> (Verification, IncrementalStats) {
         // Build the candidate simulator: delta-compiled from the shared
         // base when enabled, from scratch otherwise. The delta *analysis*
@@ -448,20 +414,23 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
         };
         let info = sim.delta_info().or(analyzed.as_ref());
         let universe = sim.universe();
-        let affected = affected_prefixes(self.caches, info, patch, &universe);
+        let affected = {
+            let _s = span!("verify.affected", "verify");
+            affected_prefixes(self.caches, info, patch, &universe)
+        };
         // The cross-candidate memo is sound exactly when this candidate
         // was delta-built: unchanged routers then hold the base's own
         // `Arc`'d models, so a memoized transfer between two unpatched
         // endpoints is pure in inputs the patch cannot reach. Structural
         // session changes are fine — `begin_run` re-homes surviving
-        // slots by endpoint pair.
+        // slots by endpoint pair. A cold verifier and the full-rebuild
+        // reference run on a fresh memo.
         let mut local_memo = PolicyMemo::new();
-        let memo = match memo {
-            Some(m) if sim.delta_info().is_some() => {
-                m.begin_run(sim.base().sessions(), &patch.routers());
-                m
-            }
-            _ => &mut local_memo,
+        let memo = if sim.delta_info().is_some() {
+            memo.begin_run(sim.base().sessions(), &patch.routers());
+            memo
+        } else {
+            &mut local_memo
         };
         let run = simulate(&sim, &universe, affected, arena, memo);
         self.assemble(&sim, &universe, run, arena)
@@ -497,6 +466,7 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
         // derivation interns a rebuild would have made would have been
         // dedup hits — the arena stays byte-identical to assembling from
         // scratch. The BGP installs are `sim.fibs_for`'s.
+        let fibs_span = span!("verify.fibs", "verify");
         let committed = self.base.map_or(&[][..], |b| b.models());
         let models = sim.models().iter().enumerate();
         let mut fibs: Vec<Fib> = models
@@ -510,6 +480,7 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
                 fibs[i].install(*p, entry);
             }
         }
+        drop(fibs_span);
         // Booked from the call's statistics, not from the base-FIB pass
         // above: a commit replays what `Caches::fill` has just built, and
         // that is built, not reused. A router's base FIB is rebuilt exactly

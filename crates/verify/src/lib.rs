@@ -30,7 +30,7 @@ pub mod verify;
 pub mod violation;
 
 pub use cache::{make_entry, CandidateEntry, CandidateKey, SimCache};
-pub use incremental::{CandidateValidator, IncrementalStats, IncrementalVerifier, WarmState};
+pub use incremental::{IncrementalStats, IncrementalVerifier, WarmState};
 pub use mask::ObsMask;
 pub use spec::{Property, PropertyKind, Spec, TestCase};
 pub use testgen::{coverage_guided_suite, derive_spec, SuiteStats};

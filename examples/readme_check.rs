@@ -10,17 +10,14 @@ fn main() {
     assert!(report.outcome.is_fixed());
     println!("fig2 repaired: {} validations", report.validations);
 
-    // The parallel-validation sample: the threads knob on RepairConfig.
-    let config = RepairConfig {
-        threads: 4, // 0 = available parallelism, 1 = sequential
-        ..RepairConfig::default()
-    };
-    let engine = acr::core::RepairEngine::new(&fig2.topo, &fig2.spec, config);
-    let report = engine.repair(&fig2.broken);
-    assert!(report.outcome.is_fixed());
+    // The memo-cache sample: a resident revisit simulates nothing.
+    let mut session = acr::core::NetworkSession::new();
+    let first = engine.repair_resident(&fig2.broken, &mut session);
+    let again = engine.repair_resident(&fig2.broken, &mut session);
+    assert_eq!(again.validations, 0);
     println!(
-        "fig2 (threads=4): {} simulated, {} from memo",
-        report.validations, report.validations_cached
+        "fig2 revisit: {} simulated, {} from memo (first run: {} simulated)",
+        again.validations, again.validations_cached, first.validations
     );
 
     let net = acr::workloads::generate(&acr::topo::gen::wan(4, 8));

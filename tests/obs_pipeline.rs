@@ -3,9 +3,8 @@
 //! Three contracts (see `acr-obs`'s crate docs):
 //!
 //! - **journal determinism** — journals are byte-identical across
-//!   identical runs after timestamp scrubbing, and identical outside the
-//!   `run_start` config line across worker-thread counts (emission is
-//!   coordinator-side, in iteration/candidate-index order);
+//!   identical runs after timestamp scrubbing (emission is in
+//!   iteration/candidate-index order);
 //! - **trace canonicality** — the canonical (timestamp/tid-scrubbed,
 //!   sorted) span list is stable across repeat runs, and the full export
 //!   is loadable Chrome trace-event JSON;
@@ -32,14 +31,13 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn repair_fig2(threads: usize) -> RepairReport {
+fn repair_fig2() -> RepairReport {
     let fig2 = acr::workloads::fig2::fig2_incident();
     let engine = RepairEngine::new(
         &fig2.topo,
         &fig2.spec,
         RepairConfig {
             seed: 7,
-            threads,
             ..RepairConfig::default()
         },
     );
@@ -67,54 +65,26 @@ fn signature(r: &RepairReport) -> String {
     )
 }
 
-/// A scrubbed journal with the config-bearing `run_start` line dropped —
-/// the portion that must agree across configurations.
-fn body(scrubbed: &str) -> String {
-    scrubbed
-        .lines()
-        .filter(|l| !l.contains("\"event\":\"run_start\""))
-        .map(|l| format!("{l}\n"))
-        .collect()
-}
-
 #[test]
-fn journal_is_deterministic_across_threads() {
+fn journal_is_deterministic() {
     let _g = lock();
     obs::set_flags(obs::JOURNAL);
-    let mut bodies: Vec<(String, String)> = Vec::new();
-    for threads in [1usize, 4, 8] {
-        let label = format!("threads={threads}");
-        journal::capture_to_memory();
-        let a = repair_fig2(threads);
-        let raw_a = journal::take_captured();
-        journal::capture_to_memory();
-        let b = repair_fig2(threads);
-        let raw_b = journal::take_captured();
-        assert!(!raw_a.is_empty(), "{label}: journal must not be empty");
-        let scrubbed = journal::scrub_timestamps(&raw_a);
-        assert_eq!(
-            scrubbed,
-            journal::scrub_timestamps(&raw_b),
-            "{label}: identical runs must journal byte-identically"
-        );
-        assert_eq!(
-            signature(&a),
-            signature(&b),
-            "{label}: repeat runs diverged"
-        );
-        for line in scrubbed.lines() {
-            check_journal_line(line);
-        }
-        bodies.push((label, body(&scrubbed)));
-    }
-    // Outside run_start, the journal does not depend on the thread count
-    // (`run_start` records it).
-    for (label, b) in &bodies[1..] {
-        assert_eq!(
-            b, &bodies[0].1,
-            "journal body diverged between {} and {label}",
-            bodies[0].0
-        );
+    journal::capture_to_memory();
+    let a = repair_fig2();
+    let raw_a = journal::take_captured();
+    journal::capture_to_memory();
+    let b = repair_fig2();
+    let raw_b = journal::take_captured();
+    assert!(!raw_a.is_empty(), "journal must not be empty");
+    let scrubbed = journal::scrub_timestamps(&raw_a);
+    assert_eq!(
+        scrubbed,
+        journal::scrub_timestamps(&raw_b),
+        "identical runs must journal byte-identically"
+    );
+    assert_eq!(signature(&a), signature(&b), "repeat runs diverged");
+    for line in scrubbed.lines() {
+        check_journal_line(line);
     }
     obs::disable_all();
 }
@@ -124,7 +94,7 @@ fn trace_is_canonical_and_loadable() {
     let _g = lock();
     obs::set_flags(obs::TRACE);
     let _ = trace::take();
-    let a = repair_fig2(4);
+    let a = repair_fig2();
     let canon_a = trace::canonical();
     assert!(
         !canon_a.is_empty(),
@@ -142,7 +112,7 @@ fn trace_is_canonical_and_loadable() {
         assert!(e.get("tid").unwrap().as_num().unwrap() >= 1.0);
     }
     let _ = trace::take();
-    let b = repair_fig2(4);
+    let b = repair_fig2();
     let canon_b = trace::canonical();
     assert_eq!(
         canon_a, canon_b,
@@ -156,27 +126,24 @@ fn trace_is_canonical_and_loadable() {
 #[test]
 fn instrumentation_never_changes_a_repair() {
     let _g = lock();
-    for threads in [1usize, 4] {
-        obs::set_flags(obs::ALL);
-        journal::capture_to_memory();
-        let on = repair_fig2(threads);
-        let _ = journal::take_captured();
-        let _ = trace::take();
-        obs::disable_all();
-        let off = repair_fig2(threads);
-        assert_eq!(
-            signature(&on),
-            signature(&off),
-            "threads={threads}: obs on vs off changed the repair"
-        );
-        assert!(on.outcome.is_fixed(), "fig2 must be repairable");
-    }
+    obs::set_flags(obs::ALL);
+    journal::capture_to_memory();
+    let on = repair_fig2();
+    let _ = journal::take_captured();
+    let _ = trace::take();
+    obs::disable_all();
+    let off = repair_fig2();
+    assert_eq!(
+        signature(&on),
+        signature(&off),
+        "obs on vs off changed the repair"
+    );
+    assert!(on.outcome.is_fixed(), "fig2 must be repairable");
 }
 
 /// Journal byte-identity for the *multi-patch beam* path: a composed
 /// multi-fault scenario repaired with `Strategy::beam` must journal
-/// byte-identically (after timestamp scrubbing) across repeat runs, and
-/// identically outside `run_start` across worker-thread counts —
+/// byte-identically (after timestamp scrubbing) across repeat runs —
 /// including the v2 fields this path exercises hardest
 /// (per-candidate `segments` counts, `run_end` attribution and tags).
 #[test]
@@ -189,13 +156,12 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
         .next()
         .expect("corpus is non-empty");
     let spec = scenario.visible_spec(&net.spec);
-    let run = |threads: usize| {
+    let run = || {
         let engine = RepairEngine::new(
             &net.topo,
             &spec,
             RepairConfig {
                 seed: 11,
-                threads,
                 strategy: acr::core::Strategy::beam(),
                 tags: scenario.tags(),
                 ..RepairConfig::default()
@@ -203,45 +169,33 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
         );
         engine.repair(&scenario.broken)
     };
-    let mut bodies: Vec<(String, String)> = Vec::new();
-    for threads in [1usize, 4, 8] {
-        let label = format!("threads={threads}");
-        journal::capture_to_memory();
-        let a = run(threads);
-        let raw_a = journal::take_captured();
-        journal::capture_to_memory();
-        let b = run(threads);
-        let raw_b = journal::take_captured();
-        assert!(!raw_a.is_empty(), "{label}: journal must not be empty");
-        let scrubbed = journal::scrub_timestamps(&raw_a);
-        assert_eq!(
-            scrubbed,
-            journal::scrub_timestamps(&raw_b),
-            "{label}: identical beam runs must journal byte-identically"
-        );
-        assert_eq!(signature(&a), signature(&b), "{label}: repeat diverged");
-        // Every line is schema-valid (so `run_end` carries its
-        // attribution array), and `run_end` carries the scenario tags.
-        let lines: Vec<json::Value> = scrubbed.lines().map(check_journal_line).collect();
-        let v = lines
-            .iter()
-            .find(|v| v.get("event").and_then(|e| e.as_str()) == Some("run_end"))
-            .expect("journal has a run_end");
-        let tags = v.get("tags").and_then(|t| t.as_arr()).unwrap();
-        assert!(
-            tags.iter()
-                .any(|t| t.as_str() == Some(&format!("family:{}", scenario.family.tag()))),
-            "{label}: family tag missing from journal"
-        );
-        bodies.push((label, body(&scrubbed)));
-    }
-    for (label, b) in &bodies[1..] {
-        assert_eq!(
-            b, &bodies[0].1,
-            "beam journal body diverged between {} and {label}",
-            bodies[0].0
-        );
-    }
+    journal::capture_to_memory();
+    let a = run();
+    let raw_a = journal::take_captured();
+    journal::capture_to_memory();
+    let b = run();
+    let raw_b = journal::take_captured();
+    assert!(!raw_a.is_empty(), "journal must not be empty");
+    let scrubbed = journal::scrub_timestamps(&raw_a);
+    assert_eq!(
+        scrubbed,
+        journal::scrub_timestamps(&raw_b),
+        "identical beam runs must journal byte-identically"
+    );
+    assert_eq!(signature(&a), signature(&b), "repeat diverged");
+    // Every line is schema-valid (so `run_end` carries its attribution
+    // array), and `run_end` carries the scenario tags.
+    let lines: Vec<json::Value> = scrubbed.lines().map(check_journal_line).collect();
+    let v = lines
+        .iter()
+        .find(|v| v.get("event").and_then(|e| e.as_str()) == Some("run_end"))
+        .expect("journal has a run_end");
+    let tags = v.get("tags").and_then(|t| t.as_arr()).unwrap();
+    assert!(
+        tags.iter()
+            .any(|t| t.as_str() == Some(&format!("family:{}", scenario.family.tag()))),
+        "family tag missing from journal"
+    );
     obs::disable_all();
 }
 

@@ -3,11 +3,10 @@
 //!
 //! Contract: a **cold** daemon job (fresh session) is *fully*
 //! byte-identical to [`RepairEngine::repair`] — decisions AND the
-//! validated/cached accounting — at every worker-thread count. A
-//! **resident** daemon matches on decisions while strictly reducing
-//! simulation work on replays.
+//! validated/cached accounting. A **resident** daemon matches on
+//! decisions while strictly reducing simulation work on replays.
 
-use acr::serve::{full_signature, job_label};
+use acr::serve::{decision_signature, digest, full_signature, job_label};
 use acr::serve::{Acrd, NetworkDef, QuotaConfig, ServeConfig, SubmitReq};
 use acr_core::{RepairConfig, RepairEngine};
 use acr_topo::gen;
@@ -43,10 +42,9 @@ fn req(net: &GeneratedNetwork, inc: &Incident, seed: u64) -> SubmitReq {
     }
 }
 
-fn daemon(net: &GeneratedNetwork, threads: usize, cold: bool) -> Acrd {
+fn daemon(net: &GeneratedNetwork, cold: bool) -> Acrd {
     let mut d = Acrd::new(ServeConfig {
         quota: QuotaConfig::default(),
-        threads: Some(threads),
         cold,
     });
     d.register(NetworkDef {
@@ -57,7 +55,8 @@ fn daemon(net: &GeneratedNetwork, threads: usize, cold: bool) -> Acrd {
     d
 }
 
-fn batch_full_sigs(net: &GeneratedNetwork, incidents: &[Incident], threads: usize) -> Vec<String> {
+/// The batch run of every incident: (decision, full) signatures.
+fn batch_sigs(net: &GeneratedNetwork, incidents: &[Incident]) -> Vec<(String, String)> {
     incidents
         .iter()
         .enumerate()
@@ -67,51 +66,38 @@ fn batch_full_sigs(net: &GeneratedNetwork, incidents: &[Incident], threads: usiz
                 &net.spec,
                 RepairConfig {
                     seed: i as u64,
-                    threads,
                     ..RepairConfig::default()
                 },
             );
             let report = engine.repair(&inc.broken);
-            full_signature(&job_label("net", i as u64), &report)
+            let label = job_label("net", i as u64);
+            (
+                decision_signature(&label, &report),
+                full_signature(&label, &report),
+            )
         })
         .collect()
 }
 
-/// Cold daemon == batch, byte-for-byte including accounting, across
-/// thread counts.
+/// Cold daemon == batch, byte-for-byte including accounting, per job and
+/// by the two digests ci.sh compares cross-process.
 #[test]
 fn cold_daemon_is_byte_identical_to_batch_everywhere() {
     let (net, incidents) = network();
-    for threads in [1, 4] {
-        let mut d = daemon(&net, threads, true);
-        for (i, inc) in incidents.iter().enumerate() {
-            d.submit(req(&net, inc, i as u64)).unwrap();
-        }
-        assert_eq!(d.drain(), incidents.len());
-        let served: Vec<String> = d.records_in_order().map(|r| r.full_sig.clone()).collect();
-        let batch = batch_full_sigs(&net, &incidents, threads);
-        assert_eq!(
-            served, batch,
-            "daemon-served reports diverged from batch at threads={threads}"
-        );
+    let mut d = daemon(&net, true);
+    for (i, inc) in incidents.iter().enumerate() {
+        d.submit(req(&net, inc, i as u64)).unwrap();
     }
-}
-
-/// The full digest — what ci.sh compares cross-process — is identical
-/// between a cold daemon and batch, and invariant across thread counts.
-#[test]
-fn digests_are_thread_count_invariant() {
-    let (net, incidents) = network();
-    let mut digests = Vec::new();
-    for threads in [1, 4] {
-        let mut d = daemon(&net, threads, true);
-        for (i, inc) in incidents.iter().enumerate() {
-            d.submit(req(&net, inc, i as u64)).unwrap();
-        }
-        d.drain();
-        digests.push((d.decision_digest(), d.full_digest()));
-    }
-    assert_eq!(digests[0], digests[1]);
+    assert_eq!(d.drain(), incidents.len());
+    let served: Vec<String> = d.records_in_order().map(|r| r.full_sig.clone()).collect();
+    let (decision, full): (Vec<String>, Vec<String>) =
+        batch_sigs(&net, &incidents).into_iter().unzip();
+    assert_eq!(served, full, "daemon-served reports diverged from batch");
+    assert_eq!(
+        (d.decision_digest(), d.full_digest()),
+        (digest(&decision), digest(&full)),
+        "daemon digests diverged from batch"
+    );
 }
 
 /// Resident daemon: decisions equal to cold on every job; replays cut
@@ -123,7 +109,7 @@ fn resident_daemon_matches_decisions_and_saves_work() {
     // so the warm verifier slot (keyed to the last committed config)
     // gets a resume opportunity on every replay.
     let run = |cold: bool| {
-        let mut d = daemon(&net, 1, cold);
+        let mut d = daemon(&net, cold);
         for (i, inc) in incidents.iter().enumerate() {
             d.submit(req(&net, inc, i as u64)).unwrap();
             d.submit(req(&net, inc, i as u64)).unwrap();
