@@ -37,6 +37,18 @@ if ! grep -qx 'report_digest=54719dd0d7a7c600' <<<"$scen"; then
     exit 1
 fi
 
+# The paper's Table 1 and Figure 3, checked mechanically: both binaries
+# are deterministic and run in about a second, so a change that is not
+# meant to alter what they reproduce must print them byte-identically.
+echo "==> exp_table1 / exp_fig3 (stdout digests against pins)"
+for pin in exp_table1:c03296aa50a1f4bc exp_fig3:b6b10fbb080cbfe2; do
+    got=$(cargo run --release -q -p acr-bench --bin "${pin%%:*}" | sha256sum | cut -c1-16)
+    if [ "$got" != "${pin##*:}" ]; then
+        echo "FAIL: ${pin%%:*} printed different output (sha256 prefix $got, pinned ${pin##*:})" >&2
+        exit 1
+    fi
+done
+
 echo "==> trace_repair example (ACR_TRACE/ACR_JOURNAL env path)"
 obs_tmp=$(mktemp -d)
 ACR_TRACE="$obs_tmp/trace.json" ACR_JOURNAL="$obs_tmp/journal.jsonl" \

@@ -53,6 +53,7 @@ fn main() {
             topo: &net.topo,
             cfg: &incident.broken,
             verification: &v,
+            coverage: &v.matrix,
             arena: &out.arena,
             models: compiled.models(),
         };

@@ -2,6 +2,7 @@
 
 use acr_cfg::{DeviceModel, LineId, NetworkConfig, Stmt};
 use acr_net_types::{Asn, Ipv4Addr, Prefix, RouterId};
+use acr_prov::CoverageMatrix;
 use acr_sim::DerivArena;
 use acr_topo::Topology;
 use acr_verify::{TestRecord, Verification};
@@ -15,8 +16,10 @@ pub struct RepairCtx<'a> {
     /// The configuration the suspicious line indexes into (the current
     /// repair variant, not necessarily the original network).
     pub cfg: &'a NetworkConfig,
-    /// Verification of `cfg` (records + coverage matrix).
+    /// Verification of `cfg`: its records and session diagnostics.
     pub verification: &'a Verification,
+    /// Per-test coverage of `cfg` ([`acr_verify::Verifier::coverage`]).
+    pub coverage: &'a CoverageMatrix,
     /// Arena resolving the verification's derivation roots.
     pub arena: &'a DerivArena,
     /// Semantic models of `cfg`, indexed by router — the compiled form's
@@ -64,10 +67,9 @@ impl<'a> RepairCtx<'a> {
         self.verification.failures()
     }
 
-    /// Coverage lines of a test, from the verification matrix.
+    /// Coverage lines of a test.
     pub fn coverage_of(&self, test: acr_prov::TestId) -> Option<&BTreeSet<LineId>> {
-        self.verification
-            .matrix
+        self.coverage
             .tests()
             .iter()
             .find(|t| t.test == test)

@@ -19,18 +19,20 @@ use crate::session::{NetworkSession, Slot};
 use crate::strategy::{crossover, Strategy};
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
-use crate::validate::{persistent_verification, validate_batch, Baseline, Verdict};
+use crate::validate::{reverify, validate_batch, Baseline, Verdict};
 use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
 use acr_net_types::SplitMix64;
 use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, span, Stages};
+use acr_prov::CoverageMatrix;
 use acr_sim::CompiledBase;
 use acr_topo::Topology;
 use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 static RUNS: Counter = Counter::new("engine.runs");
@@ -295,7 +297,10 @@ struct Variant {
     cfg: NetworkConfig,
     /// Patch from the *original* configuration (edits apply sequentially).
     patch: Patch,
-    verification: Verification,
+    /// The variant's verdicts, roots in the job's persistent arena: set
+    /// when it was simulated in place (shared with an in-batch dup), or
+    /// by [`reverify`] the first time a memo-served variant is ranked.
+    verification: OnceCell<Arc<Verification>>,
     fitness: usize,
     /// What ranking and expanding the variant as a parent needs — see
     /// [`RepairEngine::statics_of`]. Computed on first use, once: most
@@ -311,6 +316,8 @@ struct Statics {
     /// The variant's compiled form: its models are what the templates
     /// instantiate against.
     compiled: CompiledBase,
+    /// The variant's per-test coverage, SBFL's input.
+    coverage: CoverageMatrix,
     /// Suspiciousness multipliers from the variant's lint findings
     /// (empty when linting is off).
     boosts: BTreeMap<LineId, f64>,
@@ -456,7 +463,7 @@ impl<'a> RepairEngine<'a> {
                 cfg: original.clone(),
                 patch: Patch::new(),
                 fitness: initial_failed,
-                verification: base_verification,
+                verification: OnceCell::from(Arc::new(base_verification)),
                 statics: OnceCell::new(),
                 segments: Vec::new(),
             }];
@@ -470,7 +477,7 @@ impl<'a> RepairEngine<'a> {
                 // the current best variant (no RNG draw), computed only when
                 // the journal is on — reports are identical either way.
                 let suspects = if acr_obs::enabled(acr_obs::JOURNAL) {
-                    self.suspects_of(best_of(&population), &iv, &statics, &flow_prior)
+                    self.suspects_of(best_of(&population), &mut iv, &statics, &flow_prior)
                 } else {
                     String::new()
                 };
@@ -478,10 +485,17 @@ impl<'a> RepairEngine<'a> {
                 // ---- localize + fix: generate candidate full patches -------
                 let fresh: Vec<(Patch, Vec<PatchSegment>)> = {
                     let _g = stages.time("engine.generate", "engine");
-                    self.generate(&population, &iv, &statics, &flow_prior, iteration, &mut rng)
-                        .into_iter()
-                        .filter(|(p, _)| seen.insert(p.clone()))
-                        .collect()
+                    self.generate(
+                        &population,
+                        &mut iv,
+                        &statics,
+                        &flow_prior,
+                        iteration,
+                        &mut rng,
+                    )
+                    .into_iter()
+                    .filter(|(p, _)| seen.insert(p.clone()))
+                    .collect()
                 };
                 let generated = fresh.len();
                 CAND_GENERATED.add(generated as u64);
@@ -539,7 +553,7 @@ impl<'a> RepairEngine<'a> {
                         Verdict::Validated {
                             entry,
                             stats,
-                            persistent_ids,
+                            verification,
                         } => {
                             if vc.memo_served {
                                 cached_count += 1;
@@ -552,7 +566,7 @@ impl<'a> RepairEngine<'a> {
                             stages.add("sim.establish", stats.establish);
                             stages.add("sim.simulate", stats.simulate);
                             stages.add("sim.converge", stats.converge);
-                            let fitness = entry.verification.failed_count();
+                            let fitness = entry.failed;
                             // §5: discard candidates whose fitness exceeds
                             // the previous iteration's fitness.
                             let discard = fitness > prev_fitness;
@@ -567,12 +581,11 @@ impl<'a> RepairEngine<'a> {
                             if discard {
                                 continue;
                             }
-                            let verification =
-                                persistent_verification(&mut iv, &entry, persistent_ids.as_deref());
                             kept.push(Variant {
                                 cfg: vc.cfg.expect("validated candidates carry a config"),
                                 patch: vc.patch,
-                                verification,
+                                verification: verification
+                                    .map_or_else(OnceCell::new, OnceCell::from),
                                 fitness,
                                 statics: OnceCell::new(),
                                 segments: segs,
@@ -702,7 +715,7 @@ impl<'a> RepairEngine<'a> {
     fn suspects_of(
         &self,
         variant: &Variant,
-        iv: &IncrementalVerifier<'_>,
+        iv: &mut IncrementalVerifier<'_>,
         base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
     ) -> String {
@@ -715,29 +728,39 @@ impl<'a> RepairEngine<'a> {
         }))
     }
 
-    /// A variant's [`Statics`], computed on first use. The root — which
-    /// *is* the broken network — takes the verifier's committed compiled
-    /// form and the job's baseline findings; any other variant is compiled
-    /// as a delta of the committed form (only its patched devices
-    /// recompile) and, with linting on, gets the whole-network lint of its
-    /// configuration, dataflow warnings included (one fixed point). Only a
+    /// A variant's [`Statics`], computed on first use. A memo-served
+    /// variant is re-verified first, against the committed base it was
+    /// validated against. The root — which *is* the broken network — takes
+    /// the verifier's committed compiled form and the job's baseline
+    /// findings; any other variant is compiled as a delta of the committed
+    /// form (only its patched devices recompile) and, with linting on,
+    /// gets the whole-network lint of its configuration, dataflow warnings
+    /// included (one fixed point). Coverage is built from the verdict's
+    /// roots in the persistent arena and the compiled models. Only a
     /// variant that gets *ranked* needs any of it, which is why this runs
     /// here and not in the validate stage: a job that ends in its first
-    /// iteration never analyses anything but the broken network.
+    /// iteration builds the coverage of the broken network and nothing
+    /// else.
     fn statics_of<'v>(
         &self,
         variant: &'v Variant,
-        iv: &IncrementalVerifier<'_>,
+        iv: &mut IncrementalVerifier<'_>,
         base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
     ) -> &'v Statics {
         variant.statics.get_or_init(|| {
+            let verification = variant
+                .verification
+                .get_or_init(|| Arc::new(reverify(iv, &variant.cfg, &variant.patch)));
             let committed = committed_base(iv);
             let compiled = if variant.patch.is_empty() {
                 committed.clone()
             } else {
                 committed.delta(self.topo, &variant.cfg, &variant.patch).0
             };
+            let coverage = iv
+                .verifier()
+                .coverage(verification, iv.arena(), compiled.models());
             let boosts = if !self.config.lint {
                 BTreeMap::new()
             } else if variant.patch.is_empty() {
@@ -747,14 +770,14 @@ impl<'a> RepairEngine<'a> {
                 let report = acr_lint::lint_with_models(self.topo, &variant.cfg, &compiled, &facts);
                 boost_map(&report.diagnostics)
             };
-            let matrix = &variant.verification.matrix;
             let ranking = if boosts.is_empty() {
-                localize(matrix, self.config.formula)
+                localize(&coverage, self.config.formula)
             } else {
-                localize_boosted(matrix, self.config.formula, &boosts)
+                localize_boosted(&coverage, self.config.formula, &boosts)
             };
             Statics {
                 compiled,
+                coverage,
                 boosts,
                 ranking: ranking.with_prior(prior),
             }
@@ -767,7 +790,7 @@ impl<'a> RepairEngine<'a> {
     fn generate(
         &self,
         population: &[Variant],
-        iv: &IncrementalVerifier<'_>,
+        iv: &mut IncrementalVerifier<'_>,
         base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
         iteration: usize,
@@ -880,7 +903,7 @@ impl<'a> RepairEngine<'a> {
     fn fixes_of(
         &self,
         variant: &Variant,
-        iv: &IncrementalVerifier<'_>,
+        iv: &mut IncrementalVerifier<'_>,
         base: &Baseline,
         prior: &BTreeMap<LineId, f64>,
         width: usize,
@@ -888,6 +911,7 @@ impl<'a> RepairEngine<'a> {
     ) -> Vec<CandidateFix> {
         let Statics {
             compiled,
+            coverage,
             boosts,
             ranking,
         } = self.statics_of(variant, iv, base, prior);
@@ -897,7 +921,11 @@ impl<'a> RepairEngine<'a> {
         let ctx = RepairCtx {
             topo: self.topo,
             cfg: &variant.cfg,
-            verification: &variant.verification,
+            verification: variant
+                .verification
+                .get()
+                .expect("a ranked variant is verified"),
+            coverage,
             arena: iv.arena(),
             models: compiled.models(),
         };

@@ -120,6 +120,7 @@ mod tests {
             topo: &fig2.topo,
             cfg: &fig2.broken,
             verification: &v,
+            coverage: &v.matrix,
             arena: &out.arena,
             models: compiled.models(),
         };

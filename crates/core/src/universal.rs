@@ -247,6 +247,7 @@ mod tests {
             topo: &net.topo,
             cfg: broken,
             verification: v,
+            coverage: &v.matrix,
             arena: &out.arena,
             models: compiled.models(),
         }
@@ -378,6 +379,7 @@ mod tests {
             topo: &net.topo,
             cfg: &net.cfg,
             verification: &v,
+            coverage: &v.matrix,
             arena: &out.arena,
             models: compiled.models(),
         };

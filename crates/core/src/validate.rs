@@ -38,32 +38,25 @@
 //! - **resolve** lints and verifies the rest in place;
 //! - the **post-pass** inserts fresh verdicts and promotes hits and dups.
 //!
-//! A computed verdict leaves the persistent arena as a pruned copy of its
-//! own closures ([`make_entry`], one ascending pass) together with the
-//! pruned→persistent id list, which an in-batch dup shares. The engine
-//! turns a kept verdict back into persistent-arena roots in index order
-//! ([`persistent_verification`]): a computed verdict's roots are mapped
-//! through that list — re-interning would return the same ids and intern
-//! nothing — and a **memo hit**, whose entry was pruned from another
-//! batch's (or another job's) arena, is re-interned (absorbed).
-//!
-//! **One verdict type.** However a candidate was resolved — simulated,
-//! served from the memo-cache, or deduplicated against an earlier
-//! candidate of the same batch — its verdict is the same [`Verdict`]
-//! value holding the same `Arc<CandidateEntry>` the memo-cache stores:
-//! the verification and its pruned arena exist once, and every holder
-//! shares them.
+//! **Verdicts, not provenance.** A computed verdict's [`Verification`]
+//! — records whose derivation roots resolve in the verifier's persistent
+//! arena, no coverage — stays where it was simulated and moves into the
+//! kept variant; an in-batch dup shares it. The memo-cache keeps only
+//! what a hit's consumer reads ([`CandidateEntry`]: the failed count and
+//! the universe size), so a memo-served verdict carries no verification.
+//! The engine builds a variant's coverage the first time it ranks it,
+//! and a memo-served variant is re-verified then ([`reverify`]) against
+//! the same committed base — most kept candidates are never ranked, so
+//! most verdicts never pay for provenance.
 
 use acr_cfg::{NetworkConfig, Patch};
 use acr_flow::FlowFacts;
 use acr_lint::{lint_devices, lint_with_models, DiagKey, Diagnostic};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
-use acr_sim::{CompiledBase, DerivId};
+use acr_sim::CompiledBase;
 use acr_topo::Topology;
-use acr_verify::{
-    make_entry, CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification,
-};
+use acr_verify::{CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -100,6 +93,7 @@ impl Baseline {
 }
 
 static LINT_GATE_REJECTED: Counter = Counter::new("lint.gate.rejected");
+static REVERIFIED: Counter = Counter::new("engine.reverified");
 
 /// What the validate stage concluded for one candidate patch — the one
 /// verdict type between a candidate's plan and the engine loop.
@@ -112,39 +106,34 @@ pub(crate) enum Verdict {
     LintRejected,
     /// Verified: freshly simulated, or served from memo.
     Validated {
-        /// The verification and the pruned arena its roots resolve in —
-        /// the very entry the memo-cache holds.
-        entry: Arc<CandidateEntry>,
+        /// The verdict as the memo-cache holds it.
+        entry: CandidateEntry,
         stats: IncrementalStats,
-        /// Simulated in this run: entry id → persistent-arena id, the map
-        /// [`make_entry`] returned. Re-interning the entry into the
-        /// persistent arena would return exactly these ids and intern
-        /// nothing, so the engine maps the roots instead. `None` for a
-        /// memo hit, which the engine absorbs.
-        persistent_ids: Option<Arc<[DerivId]>>,
+        /// The verification, roots in the verifier's persistent arena;
+        /// `None` when memo-served (see [`reverify`]).
+        verification: Option<Arc<Verification>>,
     },
 }
 
-/// A kept verdict's verification with roots in the persistent arena:
-/// mapped back when it was simulated in this run, re-interned for a memo
-/// hit (the engine calls this in candidate-index order, so the arena
-/// grows deterministically).
-pub(crate) fn persistent_verification(
+/// The verification of a memo-served candidate, recomputed against the
+/// committed base the memo entry was validated against. The engine calls
+/// this when it first ranks such a candidate. It is not a validation —
+/// no funnel count moves — and its verdict is the memo entry's, because a
+/// verdict is a pure function of (committed base, candidate).
+pub(crate) fn reverify(
     iv: &mut IncrementalVerifier<'_>,
-    entry: &CandidateEntry,
-    persistent_ids: Option<&[DerivId]>,
+    cfg: &NetworkConfig,
+    patch: &Patch,
 ) -> Verification {
-    let _s = span!("engine.absorb", "engine");
-    match persistent_ids {
-        Some(ids) => entry.verification_in(ids),
-        None => iv.absorb_verification(&entry.verification, &entry.arena),
-    }
+    let _s = span!("engine.reverify", "engine");
+    REVERIFIED.inc();
+    iv.verify_candidate(cfg, patch)
 }
 
 impl Verdict {
-    fn entry(&self) -> Option<&Arc<CandidateEntry>> {
+    fn entry(&self) -> Option<CandidateEntry> {
         match self {
-            Verdict::Validated { entry, .. } => Some(entry),
+            Verdict::Validated { entry, .. } => Some(*entry),
             _ => None,
         }
     }
@@ -174,7 +163,7 @@ enum Plan {
     /// config).
     Dup(usize),
     /// The memo-cache held this fingerprint at batch start.
-    Hit(Arc<CandidateEntry>),
+    Hit(CandidateEntry),
     /// Simulate.
     Compute,
 }
@@ -252,7 +241,7 @@ pub(crate) fn validate_batch(
         if let Some(entry) = verdict.entry() {
             let key = (ctx_fp, base_fp, items[k].1.fp);
             match plans[k] {
-                Plan::Compute => cache.insert_candidate(key, entry.clone()),
+                Plan::Compute => cache.insert_candidate(key, entry),
                 Plan::Hit(_) | Plan::Dup(_) => cache.touch_candidate(key),
             }
         }
@@ -282,9 +271,7 @@ fn introduces_lint_error(it: &Prepared, topo: &Topology, base: &Baseline) -> boo
 }
 
 /// Resolves one non-dup candidate: the lint gate first, then the planned
-/// memo hit or a simulation on the persistent verifier. A simulated
-/// verdict leaves pruned to exactly its own closure, with the
-/// pruned→persistent id list [`make_entry`] returns.
+/// memo hit or a simulation on the persistent verifier.
 fn resolve(
     it: &Prepared,
     plan: &Plan,
@@ -298,24 +285,25 @@ fn resolve(
     }
     match plan {
         Plan::Hit(entry) => Verdict::Validated {
-            entry: entry.clone(),
+            entry: *entry,
             stats: IncrementalStats {
                 recomputed: 0,
                 reused: entry.universe,
                 ..IncrementalStats::default()
             },
-            persistent_ids: None,
+            verification: None,
         },
         Plan::Compute => {
             let verification = iv.verify_candidate(&it.cfg, &it.patch);
             let stats = iv.last_stats();
-            let _s = span!("verify.prune", "verify");
-            let universe = stats.recomputed + stats.reused;
-            let (entry, ids) = make_entry(verification, iv.arena(), universe);
+            let entry = CandidateEntry {
+                failed: verification.failed_count(),
+                universe: stats.recomputed + stats.reused,
+            };
             Verdict::Validated {
-                entry: Arc::new(entry),
+                entry,
                 stats,
-                persistent_ids: Some(ids.into()),
+                verification: Some(Arc::new(verification)),
             }
         }
         Plan::Dup(_) => unreachable!("dups never reach resolve"),
@@ -365,6 +353,7 @@ mod tests {
                 topo: &net.topo,
                 cfg: broken,
                 verification: &verification,
+                coverage: &verification.matrix,
                 arena: &out.arena,
                 models: compiled.models(),
             };
@@ -401,23 +390,34 @@ mod tests {
     }
 
     /// Validates the candidates the templates generate at the broken
-    /// network's top suspicious lines twice against one memo-cache. In the
-    /// first batch every validated verdict is simulated, and its mapped
-    /// roots are checked against re-interning. In the second every one is a
-    /// memo hit, absorbed with the first batch's failing set and per-test
-    /// closure lines. Returns how many verdicts were checked.
-    fn check_in_place(topo: &Topology, spec: &acr_verify::Spec, broken: &NetworkConfig) -> usize {
+    /// network's top-4 suspicious lines twice against one memo-cache: the
+    /// first batch verifies in place, the second is all memo-served. Each
+    /// memo-served candidate is re-verified as the engine does when it
+    /// first ranks one, and must match the first batch's in-place verdict
+    /// (records, the memo entry's failed count, per-test coverage) and
+    /// `run_full`'s coverage; a failed test must cover its destination
+    /// owner's origination lines. Returns how many verdicts were checked.
+    fn check_memo_served(
+        topo: &Topology,
+        spec: &acr_verify::Spec,
+        broken: &NetworkConfig,
+    ) -> usize {
         let mut iv = IncrementalVerifier::new(topo, spec);
         let base = iv.commit(broken);
-        let ranking = acr_localize::localize(&base.matrix, acr_localize::SbflFormula::Tarantula);
+        let committed = iv.base().expect("committed").clone();
+        let base_coverage = iv
+            .verifier()
+            .coverage(&base, iv.arena(), committed.models());
+        let ranking = acr_localize::localize(&base_coverage, acr_localize::SbflFormula::Tarantula);
         let mut patches: Vec<Patch> = Vec::new();
         {
             let ctx = RepairCtx {
                 topo,
                 cfg: broken,
                 verification: &base,
+                coverage: &base_coverage,
                 arena: iv.arena(),
-                models: iv.base().expect("committed").models(),
+                models: committed.models(),
             };
             for (line, _) in ranking.entries().iter().take(4) {
                 for fix in candidates_for_line(*line, &ctx) {
@@ -438,89 +438,97 @@ mod tests {
             &mut cache,
             ctx_base,
         );
-        let len = iv.arena().len();
-        let mut mapped: Vec<Option<Verification>> = Vec::new();
-        for vc in first {
-            let Verdict::Validated {
-                entry,
-                persistent_ids,
-                ..
-            } = vc.verdict
-            else {
-                mapped.push(None);
-                continue;
-            };
-            let ids = persistent_ids.expect("a verdict simulated in this run carries its ids");
-            let absorbed = iv.absorb_verification(&entry.verification, &entry.arena);
-            let verification = persistent_verification(&mut iv, &entry, Some(&ids));
-            assert_eq!(verification, absorbed);
-            assert_eq!(iv.arena().len(), len, "absorbing interned nothing");
-            mapped.push(Some(verification));
-        }
-
-        let failing = |v: &Verification| -> Vec<_> {
-            v.records
-                .iter()
-                .filter(|r| !r.passed)
-                .map(|r| r.id)
-                .collect()
-        };
-        let closures = |iv: &IncrementalVerifier<'_>, v: &Verification| -> Vec<_> {
-            (v.records.iter())
-                .map(|r| iv.arena().closure_lines(r.deriv_roots.iter().copied()))
-                .collect()
-        };
         let second = validate_batch(patches, broken, &mut iv, topo, None, &mut cache, ctx_base);
+
+        let records = |v: &Verification| -> Vec<_> {
+            (v.records.iter())
+                .map(|r| (r.passed, r.violation.clone(), r.path.clone()))
+                .collect()
+        };
+        let full = Verifier::new(topo, spec);
         let mut checked = 0;
-        for (vc, first) in second.into_iter().zip(mapped) {
+        for (a, b) in first.into_iter().zip(second) {
             let Verdict::Validated {
                 entry,
-                persistent_ids,
+                verification,
                 ..
-            } = vc.verdict
+            } = a.verdict
             else {
-                assert!(first.is_none(), "{}: validated only once", vc.patch);
+                assert!(b.verdict.entry().is_none(), "{}: validated once", b.patch);
                 continue;
             };
-            let first = first.expect("validated in both batches");
-            assert!(vc.memo_served, "{}: a repeat is memo-served", vc.patch);
-            assert!(persistent_ids.is_none(), "a memo hit is absorbed");
-            let absorbed = persistent_verification(&mut iv, &entry, None);
-            assert_eq!(failing(&absorbed), failing(&first), "{}", vc.patch);
-            assert_eq!(
-                closures(&iv, &absorbed),
-                closures(&iv, &first),
-                "{}",
-                vc.patch
-            );
+            let in_place = verification.expect("the first batch simulates in place");
+            let Verdict::Validated {
+                entry: hit,
+                verification: served,
+                ..
+            } = b.verdict
+            else {
+                panic!("{}: validated in the first batch only", b.patch);
+            };
+            assert!(b.memo_served && served.is_none(), "{}: a memo hit", b.patch);
+            let cfg = b.cfg.expect("validated candidates carry a config");
+            let again = reverify(&mut iv, &cfg, &b.patch);
+            assert_eq!(records(&again), records(&in_place), "{}", b.patch);
+            assert_eq!(hit, entry, "{}", b.patch);
+            assert_eq!(hit.failed, again.failed_count(), "{}", b.patch);
+
+            let compiled = committed.delta(topo, &cfg, &b.patch).0;
+            let models = compiled.models();
+            let coverage = iv.verifier().coverage(&again, iv.arena(), models);
+            let reference = iv.verifier().coverage(&in_place, iv.arena(), models);
+            for (x, y) in coverage.tests().iter().zip(reference.tests()) {
+                assert_eq!(x, y, "{}: test {}", b.patch, x.test);
+            }
+            assert_eq!(coverage, full.run_full(&cfg).0.matrix, "{}", b.patch);
+            for (rec, cov) in again.records.iter().zip(coverage.tests()) {
+                let Some(owner) = topo.delivery_router(rec.flow.dst).filter(|_| !rec.passed) else {
+                    continue;
+                };
+                let m = &models[owner.index()];
+                let origins = (m.asn.map(|(_, l)| l).into_iter())
+                    .chain(
+                        m.networks
+                            .iter()
+                            .filter(|(p, _)| p.contains(rec.flow.dst))
+                            .map(|(_, l)| *l),
+                    )
+                    .chain(
+                        m.static_routes
+                            .iter()
+                            .filter(|r| r.prefix.contains(rec.flow.dst))
+                            .map(|r| r.line),
+                    )
+                    .chain(m.redistribute.iter().map(|(_, l)| *l));
+                for line in origins {
+                    let line = LineId::new(owner, line);
+                    assert!(cov.lines.contains(&line), "{}: {line}", b.patch);
+                }
+            }
             checked += 1;
-        }
-        for (id, n) in iv.arena().iter() {
-            assert!(n.parents.iter().all(|p| *p < id), "parents precede");
         }
         checked
     }
 
-    /// The in-place shortcut is exact: over every Table-1 class at seeds
-    /// 0–2 on `wan(4,8)` and the Figure 2 incident, a verdict's roots
-    /// mapped through its pruned→persistent list equal what re-interning
-    /// it into the persistent arena returns, and re-interning adds no
-    /// node. The absorb path that remains — a memo hit of the same batch
-    /// validated again — yields the same failing tests and per-test
-    /// closure lines.
+    /// A memo-served verdict carries no provenance, and re-verifying it
+    /// restores exactly what the in-place verdict had: over every Table-1
+    /// class at seeds 0–2 on `wan(4,8)` and the Figure 2 incident.
     #[test]
-    fn in_place_verdicts_map_back_as_absorb_would() {
+    fn memo_served_candidates_reverify_to_their_in_place_verdicts() {
         let net = generate(&acr_topo::gen::wan(4, 8));
         let mut checked = 0;
         for (fault, _) in TABLE1 {
             for seed in 0..3 {
                 if let Some(incident) = try_inject(fault, &net, seed) {
-                    checked += check_in_place(&net.topo, &net.spec, &incident.broken);
+                    checked += check_memo_served(&net.topo, &net.spec, &incident.broken);
                 }
             }
         }
         let fig2 = acr_workloads::fig2::fig2_incident();
-        checked += check_in_place(&fig2.topo, &fig2.spec, &fig2.broken);
-        assert!(checked >= 100, "only {checked} in-place verdicts checked");
+        checked += check_memo_served(&fig2.topo, &fig2.spec, &fig2.broken);
+        assert!(
+            checked >= 100,
+            "only {checked} memo-served verdicts checked"
+        );
     }
 }

@@ -12,17 +12,15 @@
 //! bit-identical inputs, so a hit can return the memoized verdict
 //! verbatim.
 //!
-//! One table, keyed `(context, base, candidate)`: the result of
-//! `verify_candidate` against a committed base. The entry carries a
-//! *pruned* private arena holding exactly the derivation closures of the
-//! verification's roots (ids are arena-local and never portable).
-//! [`make_entry`] copies those closures out of the arena the candidate
-//! was simulated in with one ascending pass ([`DerivArena::prune`]) and
-//! also returns the pruned→source id map. A consumer whose arena *is*
-//! that source maps the roots back through it
-//! ([`CandidateEntry::verification_in`]); a memo hit, whose source was
-//! another batch's arena, re-interns them into its consumer's arena
-//! ([`crate::IncrementalVerifier::absorb_verification`]).
+//! One table, keyed `(context, base, candidate)`: the verdict of
+//! `verify_candidate` against a committed base, reduced to what a hit's
+//! consumer reads — the failed-test count (the fitness) and the size of
+//! the prefix universe (the hit's statistics). A hit carries no
+//! provenance: the engine re-verifies a memo-served candidate against the
+//! same committed base the first time it ranks it, which is rare (most
+//! kept candidates are never expanded) and yields the verdict the entry
+//! summarizes, because a verdict is a pure function of (committed base,
+//! candidate).
 //!
 //! One LRU, and no lock: the repair engine's thread is the only one that
 //! ever holds the cache. It peeks every candidate before a batch is
@@ -34,11 +32,8 @@
 //!
 //! [`NetworkConfig::fingerprint`]: acr_cfg::NetworkConfig::fingerprint
 
-use crate::verify::Verification;
 use acr_obs::metrics::Counter;
-use acr_sim::{DerivArena, DerivId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 static CAND_HITS: Counter = Counter::new("cache.candidate.hits");
 static CAND_MISSES: Counter = Counter::new("cache.candidate.misses");
@@ -47,54 +42,22 @@ static CAND_MISSES: Counter = Counter::new("cache.candidate.misses");
 /// `(verifier context, committed base config, candidate config)`.
 pub type CandidateKey = (u64, u64, u64);
 
-/// A memoized candidate validation. Deliberately not `Clone`: an entry
-/// is shared by `Arc`, never deep-copied.
-#[derive(Debug)]
+/// A memoized candidate validation: the verdict, without provenance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidateEntry {
-    /// The verdict; `deriv_roots` resolve in [`CandidateEntry::arena`].
-    pub verification: Verification,
-    /// Pruned arena holding exactly the closures of the verification's
-    /// derivation roots.
-    pub arena: DerivArena,
+    /// Failed tests — the candidate's fitness.
+    pub failed: usize,
     /// Size of the candidate's prefix universe. A hit reports
     /// `recomputed: 0, reused: universe` — nothing was simulated and
     /// every per-prefix outcome was served from memo.
     pub universe: usize,
 }
 
-impl CandidateEntry {
-    /// The verdict with every root mapped through `ids`, the entry's
-    /// pruned→source map from [`make_entry`]: its roots resolve in the
-    /// arena the verdict was simulated in.
-    pub fn verification_in(&self, ids: &[DerivId]) -> Verification {
-        self.verification.clone().map_roots(|r| ids[r.0 as usize])
-    }
-}
-
-/// Builds a pruned [`CandidateEntry`] from a verification whose roots
-/// live in `src`, with the pruned→`src` id map
-/// ([`DerivArena::prune`]): entry id `i` is `src` id `map[i]`.
-pub fn make_entry(
-    v: Verification,
-    src: &DerivArena,
-    universe: usize,
-) -> (CandidateEntry, Vec<DerivId>) {
-    let (arena, kept) = src.prune(v.all_roots());
-    let verification =
-        v.map_roots(|r| DerivId(kept.binary_search(&r).expect("every root is kept") as u32));
-    let entry = CandidateEntry {
-        verification,
-        arena,
-        universe,
-    };
-    (entry, kept)
-}
-
 /// The simulation memo-cache: a bounded LRU of candidate verdicts. See
 /// the module docs for keying and why no lock guards it.
 pub struct SimCache {
     /// Each entry with its recency stamp; larger = more recently used.
-    entries: HashMap<CandidateKey, (u64, Arc<CandidateEntry>)>,
+    entries: HashMap<CandidateKey, (u64, CandidateEntry)>,
     /// The last stamp handed out.
     tick: u64,
     capacity: usize,
@@ -120,8 +83,8 @@ impl SimCache {
     }
 
     /// Looks up a candidate validation without touching LRU recency.
-    pub fn peek_candidate(&self, key: CandidateKey) -> Option<Arc<CandidateEntry>> {
-        let hit = self.entries.get(&key).map(|(_, entry)| entry.clone());
+    pub fn peek_candidate(&self, key: CandidateKey) -> Option<CandidateEntry> {
+        let hit = self.entries.get(&key).map(|(_, entry)| *entry);
         match hit {
             Some(_) => CAND_HITS.inc(),
             None => CAND_MISSES.inc(),
@@ -139,10 +102,8 @@ impl SimCache {
 
     /// Inserts (or refreshes) a candidate entry as the most recently
     /// used, evicting the least recently used one when the table is
-    /// full. Takes the `Arc` the validate stage already hands the engine,
-    /// so a verdict's pruned arena exists once however many holders it
-    /// has.
-    pub fn insert_candidate(&mut self, key: CandidateKey, entry: Arc<CandidateEntry>) {
+    /// full.
+    pub fn insert_candidate(&mut self, key: CandidateKey, entry: CandidateEntry) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             // Stamps are unique, so the victim does not depend on the
@@ -169,18 +130,11 @@ mod tests {
     /// it take turns, so `stats_count_hits_and_misses` reads exact deltas.
     static PEEKS: Mutex<()> = Mutex::new(());
 
-    fn entry(universe: usize) -> Arc<CandidateEntry> {
-        let verification = Verification {
-            records: Vec::new(),
-            matrix: acr_prov::CoverageMatrix::new(),
-            flapping: Vec::new(),
-            session_diags: Vec::new(),
-        };
-        Arc::new(CandidateEntry {
-            verification,
-            arena: DerivArena::new(),
+    fn entry(universe: usize) -> CandidateEntry {
+        CandidateEntry {
+            failed: 0,
             universe,
-        })
+        }
     }
 
     fn key(k: u64) -> CandidateKey {

@@ -25,6 +25,12 @@
 //!    FIBs plus the BGP fragment of every merged outcome, and runs the
 //!    (cheap) packet walks on the merged state.
 //!
+//! Every call returns verdicts only: the records with their derivation
+//! roots in the persistent arena, and an empty coverage matrix. A reader
+//! that needs coverage builds it with [`Verifier::coverage`] over
+//! [`IncrementalVerifier::arena`]; the arena only grows, so a verdict's
+//! roots keep resolving there for the life of the verifier.
+//!
 //! [`IncrementalVerifier::suspend`] parks all of it — the compiled base
 //! included, as it is — in an owned [`WarmState`], and
 //! [`IncrementalVerifier::resume`] re-installs it behind a fingerprint
@@ -232,6 +238,7 @@ impl<'a> IncrementalVerifier<'a> {
     /// Commits `cfg` as the base configuration — the one cold path:
     /// compiles it, simulates the whole universe and fills the caches
     /// every later [`IncrementalVerifier::verify_candidate`] reads.
+    /// Returns the configuration's verdicts, without coverage.
     pub fn commit(&mut self, cfg: &NetworkConfig) -> Verification {
         let sim = Simulator::new(self.verifier.topo(), cfg);
         let universe = sim.universe();
@@ -245,7 +252,9 @@ impl<'a> IncrementalVerifier<'a> {
         self.memo.begin_run(sim.base().sessions(), &[]);
         let (arena, memo) = (&mut self.arena, &mut self.memo);
         let mut run = simulate(&sim, &universe, affected, arena, memo);
+        let fill = span!("verify.fill", "verify");
         self.caches = Caches::fill(std::mem::take(&mut run.fresh), &sim, arena);
+        drop(fill);
         self.base = Some(sim.base().clone());
         self.base_fp = cfg.fingerprint();
         let (view, arena, _) = self.split();
@@ -259,6 +268,7 @@ impl<'a> IncrementalVerifier<'a> {
     /// *without* updating the cache — the repair engine's inner loop. The
     /// persistent arena still grows (content-addressed, so cached ids stay
     /// valid), but per-prefix results of the base remain authoritative.
+    /// Returns the candidate's verdicts, without coverage.
     pub fn verify_candidate(&mut self, cfg: &NetworkConfig, patch: &Patch) -> Verification {
         let (view, arena, memo) = self.split();
         let (verification, stats) = view.verify_candidate(cfg, patch, arena, memo);
@@ -276,17 +286,6 @@ impl<'a> IncrementalVerifier<'a> {
             delta: self.delta,
         };
         (view, &mut self.arena, &mut self.memo)
-    }
-
-    /// Re-interns `v`'s derivation closures from `src` (a cache entry's
-    /// pruned arena) into the persistent arena, returning a clone whose
-    /// roots resolve here.
-    /// Content-addressed interning makes this observationally lossless —
-    /// closures, coverage and verdicts are unchanged.
-    pub fn absorb_verification(&mut self, v: &Verification, src: &DerivArena) -> Verification {
-        let mut absorbed = self.arena.absorb(src, &v.all_roots()).into_iter();
-        v.clone()
-            .map_roots(|_| absorbed.next().expect("one id per root"))
     }
 
     /// Consumes the verifier into an owned, borrow-free [`WarmState`] a
@@ -697,7 +696,9 @@ mod tests {
                 (b.passed, &b.violation, &b.path)
             );
         }
-        for (a, b) in v_inc.matrix.tests().iter().zip(v_full.matrix.tests()) {
+        let models = CompiledBase::new(topo, &patched);
+        let coverage = iv.verifier().coverage(&v_inc, iv.arena(), models.models());
+        for (a, b) in coverage.tests().iter().zip(v_full.matrix.tests()) {
             assert_eq!(a.lines, b.lines, "coverage must match full verification");
         }
         (v_inc, iv.last_stats())
@@ -896,6 +897,8 @@ mod tests {
         let (topo, cfg, spec) = scenario();
         let mut iv = IncrementalVerifier::new(&topo, &spec);
         let v_cold = iv.commit(&cfg);
+        let models = iv.base().expect("committed").clone();
+        let cov_cold = iv.verifier().coverage(&v_cold, iv.arena(), models.models());
         let warm = iv.suspend().expect("committed verifier suspends");
         let mut iv2 = IncrementalVerifier::new(&topo, &spec);
         let v_warm = (iv2.resume(warm, &cfg, cfg.fingerprint()))
@@ -907,7 +910,10 @@ mod tests {
         let cold: Vec<bool> = v_cold.records.iter().map(|r| r.passed).collect();
         let warm: Vec<bool> = v_warm.records.iter().map(|r| r.passed).collect();
         assert_eq!(cold, warm);
-        for (a, b) in v_cold.matrix.tests().iter().zip(v_warm.matrix.tests()) {
+        let cov_warm = iv2
+            .verifier()
+            .coverage(&v_warm, iv2.arena(), models.models());
+        for (a, b) in cov_cold.tests().iter().zip(cov_warm.tests()) {
             assert_eq!(a.lines, b.lines, "coverage must survive suspend/resume");
         }
         // The resumed verifier keeps validating candidates correctly.

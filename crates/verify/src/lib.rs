@@ -29,7 +29,7 @@ pub mod testgen;
 pub mod verify;
 pub mod violation;
 
-pub use cache::{make_entry, CandidateEntry, CandidateKey, SimCache};
+pub use cache::{CandidateEntry, CandidateKey, SimCache};
 pub use incremental::{IncrementalStats, IncrementalVerifier, WarmState};
 pub use mask::ObsMask;
 pub use spec::{Property, PropertyKind, Spec, TestCase};

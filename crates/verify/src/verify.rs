@@ -2,6 +2,9 @@
 //!
 //! [`Verifier::run_full`] simulates every originated prefix, walks every
 //! test packet, classifies violations and assembles the coverage matrix.
+//! Verdicts (the per-test records) and coverage ([`Verifier::coverage`])
+//! are separate steps: validating a candidate needs only its verdict,
+//! and coverage is built only for a configuration that gets localized.
 //! The per-test coverage is the provenance closure of:
 //!
 //! - the derivations consulted by the forwarding walk (FIB entries, PBR
@@ -15,7 +18,7 @@
 
 use crate::spec::{PropertyKind, Spec, TestCase};
 use crate::violation::Violation;
-use acr_cfg::NetworkConfig;
+use acr_cfg::{DeviceModel, NetworkConfig};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::span;
 use acr_prov::{CoverageMatrix, TestCoverage, TestId};
@@ -47,6 +50,9 @@ pub struct TestRecord {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verification {
     pub records: Vec<TestRecord>,
+    /// Per-test coverage. Only [`Verifier::run_full`] fills it; the
+    /// incremental verifier leaves it empty, and a reader builds it with
+    /// [`Verifier::coverage`] over the arena the roots resolve in.
     pub matrix: CoverageMatrix,
     /// Prefixes that failed to converge in this run.
     pub flapping: Vec<Prefix>,
@@ -68,23 +74,6 @@ impl Verification {
     /// The failed records.
     pub fn failures(&self) -> impl Iterator<Item = &TestRecord> {
         self.records.iter().filter(|r| !r.passed)
-    }
-
-    /// Every record's derivation roots, in record order.
-    pub(crate) fn all_roots(&self) -> Vec<DerivId> {
-        self.records
-            .iter()
-            .flat_map(|rec| rec.deriv_roots.iter().copied())
-            .collect()
-    }
-
-    /// This verification with every derivation root, in record order,
-    /// replaced by `f(root)`.
-    pub(crate) fn map_roots(mut self, mut f: impl FnMut(DerivId) -> DerivId) -> Self {
-        for r in self.records.iter_mut().flat_map(|rec| &mut rec.deriv_roots) {
-            *r = f(*r);
-        }
-        self
     }
 }
 
@@ -154,7 +143,9 @@ impl<'a> Verifier<'a> {
             mut arena,
             session_diags,
         } = sim.run();
-        let verification = self.evaluate(&sim, &outcomes, &fibs, &mut arena, &session_diags[..]);
+        let mut verification =
+            self.evaluate(&sim, &outcomes, &fibs, &mut arena, &session_diags[..]);
+        verification.matrix = self.coverage(&verification, &arena, sim.models());
         (
             verification,
             SimOutcome {
@@ -166,8 +157,9 @@ impl<'a> Verifier<'a> {
         )
     }
 
-    /// Evaluates the test suite against precomputed simulation state.
-    /// Shared by the full and incremental paths. Generic over `Borrow` so
+    /// Evaluates the test suite against precomputed simulation state:
+    /// the records, with an empty coverage matrix. Shared by the full and
+    /// incremental paths. Generic over `Borrow` so
     /// the candidate-validation path can pass outcome *references* into
     /// the committed cache instead of cloning them.
     pub(crate) fn evaluate<O: Borrow<PrefixOutcome>>(
@@ -180,7 +172,6 @@ impl<'a> Verifier<'a> {
     ) -> Verification {
         let _s = span!("verify.evaluate", "verify");
         let mut records = Vec::with_capacity(self.tests.len());
-        let mut matrix = CoverageMatrix::new();
         let flapping: Vec<Prefix> = outcomes
             .iter()
             .filter(|(_, o)| !Borrow::<PrefixOutcome>::borrow(*o).is_converged())
@@ -222,30 +213,6 @@ impl<'a> Verifier<'a> {
                 // failure (a deny-type fault leaves no positive trace).
                 roots.extend(reject_roots);
             }
-            let mut lines = arena.closure_lines(roots.iter().copied());
-            if !passed {
-                // Negative provenance (Y!-style): a failed test also
-                // "covers" the candidate explanations for the missing
-                // behaviour — down-session lines and the origination
-                // statements of the destination's owner. Without this,
-                // omission faults (e.g. a missing `import-route static`)
-                // leave the failure covering nothing and SBFL blind.
-                for d in session_diags {
-                    lines.extend(d.lines.iter().copied());
-                }
-                lines.extend(negative_origin_lines(
-                    self.topo,
-                    sim.models(),
-                    test.flow.dst,
-                ));
-                lines.sort_unstable();
-                lines.dedup();
-            }
-            matrix.push(TestCoverage {
-                test: test.id,
-                passed,
-                lines: lines.into_iter().collect(),
-            });
             records.push(TestRecord {
                 id: test.id,
                 property: prop.name.clone(),
@@ -260,10 +227,45 @@ impl<'a> Verifier<'a> {
         }
         Verification {
             records,
-            matrix,
+            matrix: CoverageMatrix::new(),
             flapping,
             session_diags: session_diags.to_vec(),
         }
+    }
+
+    /// The coverage matrix of `v`, whose derivation roots resolve in
+    /// `arena`; `models` are the verified configuration's device models.
+    /// A test covers the configuration lines in the closure of its roots;
+    /// a failed test also covers every session diagnostic's lines and the
+    /// origination lines of its destination's owner (negative
+    /// provenance, Y!-style). Without the latter, omission faults (e.g. a
+    /// missing `import-route static`) leave the failure covering nothing
+    /// and SBFL blind.
+    pub fn coverage<M: Borrow<DeviceModel>>(
+        &self,
+        v: &Verification,
+        arena: &DerivArena,
+        models: &[M],
+    ) -> CoverageMatrix {
+        let _s = span!("verify.coverage", "verify").arg("tests", v.records.len() as u64);
+        let mut matrix = CoverageMatrix::new();
+        for rec in &v.records {
+            let mut lines = arena.closure_lines(rec.deriv_roots.iter().copied());
+            if !rec.passed {
+                for d in &v.session_diags {
+                    lines.extend(d.lines.iter().copied());
+                }
+                lines.extend(negative_origin_lines(self.topo, models, rec.flow.dst));
+                lines.sort_unstable();
+                lines.dedup();
+            }
+            matrix.push(TestCoverage {
+                test: rec.id,
+                passed: rec.passed,
+                lines: lines.into_iter().collect(),
+            });
+        }
+        matrix
     }
 }
 

@@ -71,6 +71,7 @@ fn symbolization_solves_the_papers_var() {
         topo: &fig2.topo,
         cfg: &fig2.broken,
         verification: &v,
+        coverage: &v.matrix,
         arena: &out.arena,
         models: compiled.models(),
     };
@@ -154,6 +155,7 @@ fn second_iteration_localizes_c_at_05() {
         topo: &fig2.topo,
         cfg: &half,
         verification: &v,
+        coverage: &v.matrix,
         arena: &out.arena,
         models: compiled.models(),
     };

@@ -46,6 +46,7 @@ fn candidates(net: &GeneratedNetwork, incident: &Incident) -> Vec<Patch> {
         topo: &net.topo,
         cfg: broken,
         verification: &verification,
+        coverage: &verification.matrix,
         arena: &out.arena,
         models: &models,
     };
@@ -77,11 +78,15 @@ impl Sweep {
             };
             let inc = iv.verify_candidate(&candidate, &patch);
             let (full, _) = verifier.run_full(&candidate);
+            // The incremental verifier returns verdicts only: coverage is
+            // built over its arena, with the candidate's compiled models.
+            let compiled = (iv.base().expect("committed")).delta(&net.topo, &candidate, &patch);
+            let inc_coverage = verifier.coverage(&inc, iv.arena(), compiled.0.models());
             let records = inc.records.len() == full.records.len()
                 && inc.records.iter().zip(&full.records).all(|(a, b)| {
                     (a.passed, &a.violation, &a.path) == (b.passed, &b.violation, &b.path)
                 });
-            let coverage = (inc.matrix.tests().iter())
+            let coverage = (inc_coverage.tests().iter())
                 .zip(full.matrix.tests())
                 .all(|(a, b)| a.lines == b.lines);
             if !(records && coverage) {
@@ -143,10 +148,9 @@ fn verify_candidate_agrees_with_run_full_on_every_generated_candidate() {
 /// Delta construction is construction only: a verifier that compiles every
 /// candidate from scratch (`set_delta(false)`, the full-rebuild oracle)
 /// must re-simulate exactly the same prefixes and return the same
-/// `Verification` — records, coverage, flapping set and session
-/// diagnostics — with a derivation arena interned identically, so every
-/// `deriv_roots` id (which symbolization walks) names the same node in
-/// both. Only the build counters differ: the oracle compiles every device.
+/// `Verification` — records, flapping set and session diagnostics — with
+/// a derivation arena interned identically, so every `deriv_roots` id
+/// (which symbolization and coverage walk) names the same node in both. Only the build counters differ: the oracle compiles every device.
 #[test]
 fn delta_built_candidates_verify_exactly_as_full_rebuilds() {
     let net = generate(&acr::topo::gen::wan(4, 8));

@@ -242,6 +242,37 @@ fn a_single_iteration_repair_analyses_only_the_broken_network() {
     assert_eq!(pops, reference.iterations);
 }
 
+/// Provenance is paid per ranked variant, not per candidate: a traced
+/// repair that lands in its first iteration builds exactly one coverage
+/// matrix — the broken network's, when the root is ranked — however many
+/// candidates it validates, and re-verifies nothing.
+#[test]
+fn a_single_iteration_repair_builds_one_coverage() {
+    let _g = lock();
+    let net = acr::workloads::generate(&acr::topo::gen::wan(4, 8));
+    let incident =
+        acr::workloads::try_inject(acr::workloads::FaultType::MissingRedistribution, &net, 0)
+            .expect("injectable");
+    obs::set_flags(obs::TRACE);
+    let _ = trace::take();
+    let report = RepairEngine::with_defaults(&net.topo, &net.spec).repair(&incident.broken);
+    let spans = trace::canonical();
+    let _ = trace::take();
+    obs::disable_all();
+    assert!(report.outcome.is_fixed());
+    assert_eq!(report.iteration_count(), 1);
+    assert!(report.validations > 1, "several candidates were validated");
+    let count = |name: &str| {
+        spans
+            .iter()
+            .filter(|s| s.split(' ').next() == Some(name))
+            .count()
+    };
+    assert_eq!(count("verify/verify.coverage"), 1, "{spans:?}");
+    assert_eq!(count("engine/engine.reverify"), 0, "{spans:?}");
+    assert!(count("engine/engine.validate.candidate") >= report.validations);
+}
+
 /// A multi-iteration beam repair analyses the broken network (once, at
 /// commit) plus the non-root parents it actually expands (at most the beam width per
 /// later iteration) — never the candidates — and decides exactly what it

@@ -135,7 +135,8 @@ fn incremental_agrees_with_full(
     let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
     iv.commit(&net.cfg);
     let v_inc = iv.verify_candidate(candidate, patch);
-    let (v_full, _) = Verifier::new(&net.topo, &net.spec).run_full(candidate);
+    let verifier = Verifier::new(&net.topo, &net.spec);
+    let (v_full, _) = verifier.run_full(candidate);
     if v_inc.failed_count() != v_full.failed_count() {
         let (a, b) = (v_inc.failed_count(), v_full.failed_count());
         return Err(format!("{a} failed incrementally, {b} in full"));
@@ -145,7 +146,9 @@ fn incremental_agrees_with_full(
             return Err(format!("test {}: {a:?} vs {b:?}", a.id));
         }
     }
-    for (a, b) in v_inc.matrix.tests().iter().zip(v_full.matrix.tests()) {
+    let compiled = acr_sim::CompiledBase::new(&net.topo, candidate);
+    let inc_coverage = verifier.coverage(&v_inc, iv.arena(), compiled.models());
+    for (a, b) in inc_coverage.tests().iter().zip(v_full.matrix.tests()) {
         if a.lines != b.lines {
             return Err(format!(
                 "coverage of {}: {:?} vs {:?}",
