@@ -57,6 +57,9 @@ grep -q '"traceEvents"' "$obs_tmp/trace.json"
 grep -q '"schema":"acr-journal/v6"' "$obs_tmp/journal.jsonl"
 rm -rf "$obs_tmp"
 
+echo "==> span_profile example (one traced pass over the wan(24,48) incidents)"
+cargo run --release -q --example span_profile -- 1 | grep -q '^engine.teardown '
+
 echo "==> acrd smoke (daemon-served repair == one-shot batch, JSONL over stdin)"
 acrd_daemon=$(./target/release/acrd --emit-corpus | ./target/release/acrd | tee /dev/stderr | grep -E '^(report_digest=|jobs=)')
 acrd_batch=$(./target/release/acrd --batch | tee /dev/stderr | grep '^report_digest=')

@@ -665,9 +665,18 @@ impl<'a> RepairEngine<'a> {
 
         // Park the verifier (compiled base, per-prefix caches, memo) and
         // the baseline back in the session as the most recent slot, for
-        // the next incident against this configuration.
-        if let (Some(s), Some(warm)) = (session, iv.suspend()) {
-            s.park(Slot { fp, statics, warm });
+        // the next incident against this configuration. A one-shot run
+        // frees them here instead, under a span of its own.
+        match session {
+            Some(s) => {
+                if let Some(warm) = iv.suspend() {
+                    s.park(Slot { fp, statics, warm });
+                }
+            }
+            None => {
+                let _s = span!("engine.teardown", "engine");
+                drop((iv, statics, own_cache));
+            }
         }
         report
     }

@@ -79,7 +79,7 @@ fn denied_at_anchor(
         {
             return true;
         }
-        stack.extend_from_slice(&node.parents);
+        stack.extend_from_slice(node.parents);
     }
     false
 }

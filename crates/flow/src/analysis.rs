@@ -7,8 +7,11 @@
 //! that may be offered (survive the sender's export policy) and
 //! accepted (also survive the receiver's import policy).
 //!
-//! The driver is a standard worklist over (router, prefix) facts:
-//! originations seed the RIB (mirroring `acr_sim::origin`), each dirty
+//! Prefixes never interact — a fact for `p` only ever produces facts
+//! for `p` at session peers — so the analysis runs one fixed point per
+//! originated prefix, in ascending prefix order, on dense state: one RIB
+//! slot per router and a dirty bitset popped lowest router id first.
+//! Originations seed the slots (mirroring `acr_sim::origin`), each popped
 //! fact is pushed through every established session's export → import
 //! transfer ([`crate::transfer`]), and the receiving fact joins the
 //! result. AS-path loop suppression is deliberately ignored — dropping
@@ -23,17 +26,22 @@
 //! no transfer function reads them and their one reader
 //! ([`FlowFacts::support_for`]) unions over all routers, so there is one
 //! line set per *prefix* beside the RIB. Origination lines go in at
-//! seeding and every export∘import evaluation that permits adds its
-//! session, policy-application and permitting-node lines. That is exact:
-//! every fact is reachable from an origination, and the lines an
-//! evaluation reports are monotone in its input, so the last evaluation
-//! of a fact — at its final value — reports a superset of every earlier
-//! one.
+//! seeding; a session direction's session and policy-application lines
+//! go in when it first accepts the prefix (they do not depend on the
+//! route), and every export∘import evaluation that permits adds its
+//! permitting-node lines. That is exact: every fact is reachable from an
+//! origination, and the lines an evaluation reports are monotone in its
+//! input, so the last evaluation of a fact — at its final value —
+//! reports a superset of every earlier one.
 //!
-//! The worklist is a `BTreeSet` popped in order, so iteration counts,
-//! fact contents and the transfer log are deterministic — the run
-//! journal can assert byte-identical flow summaries at any thread
-//! count.
+//! The visit order is part of the contract. Restricted to one prefix,
+//! lowest-id-first is exactly the order a single ordered worklist of
+//! `(router, prefix)` pairs pops that prefix's facts in, so iteration
+//! counts, fact contents and the transfer log are deterministic and
+//! pinned (`tests/facts_pin.rs`). Ordering the worklist by distance from
+//! the originators instead makes more pops, not fewer: path-length upper
+//! bounds climb until widened, and an ascending-id sweep climbs a whole
+//! chain in one pass where rank order ping-pongs between neighbours.
 
 use crate::domain::AbstractRoute;
 use crate::transfer::{abstract_policy, TransferLog};
@@ -42,7 +50,6 @@ use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_sim::{CompiledBase, Session};
 use acr_topo::Topology;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -120,28 +127,109 @@ impl FlowFacts {
         }
         out
     }
+}
 
-    /// One worklist step: pushes the fact at `(r, p)` through the
-    /// export → import transfer of every session `r` is on, joins the
-    /// result into the receiving fact and enqueues that fact when it is
-    /// new or grew. The lines of an evaluation (collected in the scratch
+/// The fixed point's working state: the network it reads, the dense
+/// state of the one prefix under analysis, and the network-wide results
+/// collected as prefixes settle.
+struct Propagation<'n> {
+    models: &'n [Arc<DeviceModel>],
+    sessions: &'n [Session],
+    /// The sessions each router is on (indices into `sessions`).
+    adjacency: Vec<Vec<usize>>,
+    widen_cap: u32,
+    /// The prefix's abstract RIB, indexed by router.
+    slots: Vec<Option<AbstractRoute>>,
+    /// Routers whose slot is new or grew since it last crossed its
+    /// sessions, one bit each.
+    dirty: Vec<u64>,
+    /// The prefix's support lines, with repeats until it settles.
+    support: Vec<LineId>,
+    /// A reused buffer for one export∘import evaluation's lines.
+    lines: Vec<LineId>,
+    /// Per session, per direction (`[a → b, b → a]`), the prefixes
+    /// offered and accepted so far — ascending, since prefixes are.
+    offered: Vec<[Vec<Prefix>; 2]>,
+    accepted: Vec<[Vec<Prefix>; 2]>,
+    log: TransferLog,
+    /// Settled facts of every prefix so far.
+    rib: Vec<((RouterId, Prefix), AbstractRoute)>,
+    /// Settled support of every prefix so far, ascending.
+    support_by_prefix: Vec<(Prefix, BTreeSet<LineId>)>,
+    iterations: u64,
+}
+
+impl<'n> Propagation<'n> {
+    fn new(models: &'n [Arc<DeviceModel>], sessions: &'n [Session]) -> Self {
+        let n = models.len();
+        let mut adjacency = vec![Vec::new(); n];
+        for (si, s) in sessions.iter().enumerate() {
+            adjacency[s.a.index()].push(si);
+            adjacency[s.b.index()].push(si);
+        }
+        Propagation {
+            models,
+            sessions,
+            adjacency,
+            widen_cap: n as u32 + 8,
+            slots: vec![None; n],
+            dirty: vec![0; n.div_ceil(64)],
+            support: Vec::new(),
+            lines: Vec::new(),
+            offered: vec![Default::default(); sessions.len()],
+            accepted: vec![Default::default(); sessions.len()],
+            log: TransferLog::default(),
+            rib: Vec::new(),
+            support_by_prefix: Vec::new(),
+            iterations: 0,
+        }
+    }
+
+    /// The lowest dirty router, cleared.
+    fn pop(&mut self) -> Option<RouterId> {
+        let (w, word) = self.dirty.iter_mut().enumerate().find(|(_, w)| **w != 0)?;
+        let bit = word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        Some(RouterId((w * 64 + bit) as u32))
+    }
+
+    /// Seeds an origination of the prefix under analysis at `r`.
+    fn seed(&mut self, r: RouterId, lines: &[LineId]) {
+        self.slots[r.index()] = Some(AbstractRoute::origin());
+        self.support.extend_from_slice(lines);
+        mark(&mut self.dirty, r);
+    }
+
+    /// One worklist step: pushes `r`'s fact for `p` through the export →
+    /// import transfer of every session `r` is on, joins the result into
+    /// the peer's slot and marks the peer dirty when its fact is new or
+    /// grew. The lines of an evaluation (collected in the buffer
     /// `lines`) reach `support` only when both policies permit.
-    fn propagate(
-        &mut self,
-        models: &[Arc<DeviceModel>],
-        by_router: &BTreeMap<RouterId, Vec<usize>>,
-        (r, p): (RouterId, Prefix),
-        lines: &mut Vec<LineId>,
-        worklist: &mut BTreeSet<(RouterId, Prefix)>,
-    ) {
-        let fact = self.rib[&(r, p)].clone();
-        let widen_cap = models.len() as u32 + 8;
-        for &si in by_router.get(&r).into_iter().flatten() {
-            let session = &self.sessions[si];
+    fn propagate(&mut self, r: RouterId, p: Prefix) {
+        let Propagation {
+            models,
+            sessions,
+            adjacency,
+            widen_cap,
+            slots,
+            dirty,
+            support,
+            lines,
+            offered,
+            accepted,
+            log,
+            ..
+        } = self;
+        let fact = slots[r.index()]
+            .clone()
+            .expect("a dirty router holds a fact");
+        for &si in &adjacency[r.index()] {
+            let session = &sessions[si];
             let Some(out_view) = session.view_of(r) else {
                 continue;
             };
             let peer = out_view.peer;
+            let dir = usize::from(session.a != r);
             lines.clear();
             let Some(exported) = abstract_policy(
                 &models[r.index()],
@@ -150,13 +238,12 @@ impl FlowFacts {
                 p,
                 &fact,
                 true,
-                Some(&mut self.log),
+                Some(&mut *log),
                 lines,
             ) else {
                 continue; // definitely denied on export
             };
-            let dir = dir_facts(&mut self.session_facts[si], session, r);
-            dir.offered.insert(p);
+            push_once(&mut offered[si][dir], p);
 
             let in_view = session.view_of(peer).expect("peer_of implies a peer view");
             let Some(mut imported) = abstract_policy(
@@ -166,34 +253,116 @@ impl FlowFacts {
                 p,
                 &exported,
                 false,
-                Some(&mut self.log),
+                Some(&mut *log),
                 lines,
             ) else {
                 continue; // definitely denied on import
             };
-            imported.path_len = imported.path_len.widen(widen_cap);
-            dir.accepted.insert(p);
-
-            let support = self.support.entry(p).or_default();
-            support.extend(lines.drain(..));
-            support.extend(out_view.base_lines.iter().chain(in_view.base_lines));
-            let applications = [out_view.export, in_view.import];
-            support.extend(applications.iter().flatten().map(|(_, l)| l));
-            let dirty = match self.rib.entry((peer, p)) {
+            imported.path_len = imported.path_len.widen(*widen_cap);
+            // Session and policy-application lines do not depend on the
+            // route: they go in once per direction and prefix.
+            if push_once(&mut accepted[si][dir], p) {
+                support.extend(out_view.base_lines.iter().chain(in_view.base_lines));
+                let applications = [out_view.export, in_view.import];
+                support.extend(applications.iter().flatten().map(|(_, l)| l));
+            }
+            support.append(lines);
+            let slot = &mut slots[peer.index()];
+            let grew = match slot {
                 // A new fact is dirty for being new: its value can equal
                 // what a later join would bring, and it still has to
                 // cross its own sessions once.
-                Entry::Vacant(slot) => {
-                    slot.insert(imported);
+                None => {
+                    *slot = Some(imported);
                     true
                 }
-                Entry::Occupied(mut slot) => slot.get_mut().join_from(&imported),
+                Some(held) => held.join_from(&imported),
             };
-            if dirty {
-                worklist.insert((peer, p));
+            if grew {
+                mark(dirty, peer);
             }
         }
     }
+
+    /// Ends the prefix under analysis: its facts and support move into
+    /// the network-wide results, leaving the dense state empty.
+    fn settle(&mut self, p: Prefix) {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(route) = slot.take() {
+                self.rib.push(((RouterId(i as u32), p), route));
+            }
+        }
+        self.support.sort_unstable();
+        self.support.dedup();
+        let lines = self.support.drain(..).collect();
+        self.support_by_prefix.push((p, lines));
+    }
+
+    /// The settled results as [`FlowFacts`].
+    fn finish(
+        self,
+        sessions: Arc<Vec<Session>>,
+        origins: BTreeMap<(RouterId, Prefix), Vec<LineId>>,
+    ) -> FlowFacts {
+        let dir = |offered: Vec<Prefix>, accepted: Vec<Prefix>| DirFacts {
+            offered: offered.into_iter().collect(),
+            accepted: accepted.into_iter().collect(),
+        };
+        let session_facts = self
+            .offered
+            .into_iter()
+            .zip(self.accepted)
+            .map(
+                |([ab_offered, ba_offered], [ab_accepted, ba_accepted])| SessionFacts {
+                    a_to_b: dir(ab_offered, ab_accepted),
+                    b_to_a: dir(ba_offered, ba_accepted),
+                },
+            )
+            .collect();
+        FlowFacts {
+            rib: self.rib.into_iter().collect(),
+            applied_policies: applied_policies(&sessions),
+            sessions,
+            session_facts,
+            log: self.log,
+            origins,
+            support: self.support_by_prefix.into_iter().collect(),
+            iterations: self.iterations,
+        }
+    }
+}
+
+fn mark(dirty: &mut [u64], r: RouterId) {
+    dirty[r.index() / 64] |= 1 << (r.index() % 64);
+}
+
+/// Appends `p` to an ascending list unless it is already its last
+/// element; returns whether it was appended.
+fn push_once(list: &mut Vec<Prefix>, p: Prefix) -> bool {
+    let new = list.last() != Some(&p);
+    if new {
+        list.push(p);
+    }
+    new
+}
+
+/// Route-policies applied on `sessions`, each with its first applying
+/// line.
+fn applied_policies(sessions: &[Session]) -> BTreeMap<(RouterId, String), LineId> {
+    let mut applied = BTreeMap::new();
+    for s in sessions {
+        for (r, policy) in [
+            (s.a, &s.a_import),
+            (s.a, &s.a_export),
+            (s.b, &s.b_import),
+            (s.b, &s.b_export),
+        ] {
+            if let Some((name, line)) = policy {
+                applied.entry((r, name.clone())).or_insert(*line);
+            }
+        }
+    }
+    applied
 }
 
 /// Analyzes a network, compiling it first (the shape of
@@ -202,48 +371,15 @@ pub fn analyze(topo: &Topology, cfg: &NetworkConfig) -> FlowFacts {
     analyze_with_models(topo, &CompiledBase::new(topo, cfg))
 }
 
-/// Which sessions each router participates in (indices into `sessions`).
-fn sessions_by_router(sessions: &[Session]) -> BTreeMap<RouterId, Vec<usize>> {
-    let mut by_router: BTreeMap<RouterId, Vec<usize>> = BTreeMap::new();
-    for (si, s) in sessions.iter().enumerate() {
-        by_router.entry(s.a).or_default().push(si);
-        by_router.entry(s.b).or_default().push(si);
-    }
-    by_router
-}
-
 /// Analyzes a compiled configuration: its models and its established
 /// sessions, as `acr-sim` built them for `topo`.
 pub fn analyze_with_models(topo: &Topology, base: &CompiledBase) -> FlowFacts {
     let models = base.models();
     let sessions = base.sessions().clone();
-    let by_router = sessions_by_router(&sessions);
-    let mut applied_policies: BTreeMap<(RouterId, String), LineId> = BTreeMap::new();
-    for s in sessions.iter() {
-        for (r, policy) in [
-            (s.a, &s.a_import),
-            (s.a, &s.a_export),
-            (s.b, &s.b_import),
-            (s.b, &s.b_export),
-        ] {
-            if let Some((name, line)) = policy {
-                applied_policies.entry((r, name.clone())).or_insert(*line);
-            }
-        }
-    }
-    let mut facts = FlowFacts {
-        rib: BTreeMap::new(),
-        session_facts: vec![SessionFacts::default(); sessions.len()],
-        sessions,
-        applied_policies,
-        log: TransferLog::default(),
-        origins: BTreeMap::new(),
-        support: BTreeMap::new(),
-        iterations: 0,
-    };
 
-    // Seed: originations, exactly the simulator's universe.
-    let mut worklist: BTreeSet<(RouterId, Prefix)> = BTreeSet::new();
+    // Seeds: originations, exactly the simulator's universe.
+    let mut origins = BTreeMap::new();
+    let mut originators: BTreeMap<Prefix, Vec<RouterId>> = BTreeMap::new();
     for (i, model) in models.iter().enumerate() {
         let r = RouterId(i as u32);
         for (p, origination) in acr_sim::origin::router_origins(topo, r, model) {
@@ -252,35 +388,27 @@ pub fn analyze_with_models(topo: &Topology, base: &CompiledBase) -> FlowFacts {
                 .iter()
                 .flat_map(|(_, ls)| ls.iter().copied())
                 .collect();
-            facts.rib.insert((r, p), AbstractRoute::origin());
-            facts.support.entry(p).or_default().extend(&lines);
-            facts.origins.insert((r, p), lines);
-            worklist.insert((r, p));
+            originators.entry(p).or_default().push(r);
+            origins.insert((r, p), lines);
         }
     }
 
-    let mut lines = Vec::new();
-    while let Some(key) = worklist.pop_first() {
-        facts.iterations += 1;
-        facts.propagate(models, &by_router, key, &mut lines, &mut worklist);
+    let mut flow = Propagation::new(models, &sessions);
+    for (&p, routers) in &originators {
+        for &r in routers {
+            flow.seed(r, &origins[&(r, p)]);
+        }
+        while let Some(r) = flow.pop() {
+            flow.iterations += 1;
+            flow.propagate(r, p);
+        }
+        flow.settle(p);
     }
+    let facts = flow.finish(sessions.clone(), origins);
 
     FIXPOINT_ITERS.add(facts.iterations);
     FACTS.add(facts.rib.len() as u64);
     facts
-}
-
-/// The direction record for `sender` on `session`.
-fn dir_facts<'f>(
-    facts: &'f mut SessionFacts,
-    session: &Session,
-    sender: RouterId,
-) -> &'f mut DirFacts {
-    if session.a == sender {
-        &mut facts.a_to_b
-    } else {
-        &mut facts.b_to_a
-    }
 }
 
 #[cfg(test)]
@@ -357,16 +485,18 @@ mod tests {
         assert!(support.iter().any(|l| l.router == c), "{support:?}");
     }
 
-    /// `analyze` returns a fixed point, not a prefix of one: one more
-    /// sweep of every fact through every session at the returned RIB
-    /// dirties nothing and changes nothing — no fact, no offered /
-    /// accepted prefix, no live node, no support line. On real networks
-    /// this is what catches a new slot that was never enqueued, or lines
-    /// taken from an evaluation below the fact's final value.
+    /// `analyze` returns a fixed point, not a prefix of one: one sweep of
+    /// every fact, at its returned value, through the per-prefix step the
+    /// analysis uses dirties nothing and reproduces everything — every
+    /// fact, offered / accepted prefix, live node and support line. On
+    /// real networks this is what catches a new slot that was never
+    /// marked dirty, or lines taken from an evaluation below the fact's
+    /// final value (the last pop of a fact evaluates its final value, so
+    /// the sweep's results are exactly the analysis's).
     #[test]
     fn analyze_returns_a_closed_fixed_point() {
         use acr_topo::gen;
-        use acr_workloads::{generate, try_inject, TABLE1};
+        use acr_workloads::{generate, try_inject, FaultType, TABLE1};
         let fig2 = fig2_incident();
         let net = generate(&gen::wan(4, 8));
         let mut cases = vec![
@@ -380,16 +510,35 @@ mod tests {
             cases.extend(incidents.map(|inc| (&net.topo, inc.broken)));
         }
         assert!(cases.len() >= 14, "{} cases", cases.len());
+        // 72 routers: the dirty bitset's second word.
+        let wan72 = generate(&gen::wan(24, 48));
+        let inc = try_inject(FaultType::MissingPrefixListItems, &wan72, 0).expect("injectable");
+        assert!(wan72.topo.routers().len() > 64);
+        cases.push((&wan72.topo, inc.broken));
         for (i, (topo, cfg)) in cases.iter().enumerate() {
             let base = CompiledBase::new(topo, cfg);
             let facts = analyze_with_models(topo, &base);
-            let by_router = sessions_by_router(&facts.sessions);
-            let mut again = facts.clone();
-            let mut dirty = BTreeSet::new();
-            for &key in facts.rib.keys() {
-                again.propagate(base.models(), &by_router, key, &mut Vec::new(), &mut dirty);
+            let mut by_prefix: BTreeMap<Prefix, Vec<(RouterId, &AbstractRoute)>> = BTreeMap::new();
+            for (&(r, p), route) in &facts.rib {
+                by_prefix.entry(p).or_default().push((r, route));
             }
-            assert!(dirty.is_empty(), "case {i}: sweep dirtied {dirty:?}");
+            let mut sweep = Propagation::new(base.models(), &facts.sessions);
+            for (&p, held) in &by_prefix {
+                for (&(_, q), lines) in &facts.origins {
+                    if q == p {
+                        sweep.support.extend_from_slice(lines);
+                    }
+                }
+                for &(r, route) in held {
+                    sweep.slots[r.index()] = Some(route.clone());
+                }
+                for &(r, _) in held {
+                    sweep.propagate(r, p);
+                }
+                assert_eq!(sweep.pop(), None, "case {i}: sweep dirtied a fact for {p}");
+                sweep.settle(p);
+            }
+            let again = sweep.finish(facts.sessions.clone(), facts.origins.clone());
             assert_eq!(again.rib, facts.rib, "case {i}");
             assert_eq!(again.session_facts, facts.session_facts, "case {i}");
             assert_eq!(again.log.live_nodes, facts.log.live_nodes, "case {i}");

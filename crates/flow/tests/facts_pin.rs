@@ -7,10 +7,12 @@
 //! read is covered — the RIB's intervals and community may-sets, the
 //! per-session offered/accepted sets, the liveness log, the origins, and
 //! `support_for(dst)` of every spec property — and only `iterations`
-//! (worklist pops) is left out: fewer pops for the same facts was the
-//! point. The 72-router case bounds the pops per fact instead, so a
-//! change that re-enqueues a fact for anything but a grown value shows
-//! up as a count, not as a timing.
+//! (worklist pops) is left out of the digests: fewer pops for the same
+//! facts was the point. The 72-router case bounds the pops per fact, so
+//! a change that re-enqueues a fact for anything but a grown value shows
+//! up as a count, not as a timing, and pins the exact pop count: the
+//! visit order (lowest router id first within a prefix) is part of the
+//! contract.
 
 use acr_flow::{analyze, FlowFacts};
 use acr_net_types::{fnv1a, FNV_OFFSET};
@@ -129,4 +131,5 @@ fn wan_24_48_incident_facts_are_pinned() {
     // 2.14 pops per fact; 5.07 while a support-only change re-enqueued.
     let (pops, count) = (facts.iterations, facts.fact_count() as u64);
     assert!(2 * pops <= 5 * count, "{pops} pops for {count} facts");
+    assert_eq!(pops, 10_864, "the pop sequence moved");
 }

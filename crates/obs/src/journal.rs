@@ -1,9 +1,9 @@
 //! The run journal: a JSONL audit trail of repair runs.
 //!
-//! One line per event, emitted by the *coordinating* thread in
+//! One line per event, emitted by the thread running the repair in
 //! iteration / candidate-index order, so a journal is byte-identical
-//! across runs (and across worker-thread counts) once `"ts_us"` fields
-//! are scrubbed — see [`scrub_timestamps`]. The schema
+//! across runs once `"ts_us"` fields are scrubbed — see
+//! [`scrub_timestamps`]. The schema
 //! (`acr-journal/v6`) is what `tests/obs_pipeline.rs` validates:
 //!
 //! - `run_start` — network shape, initial failures, the engine

@@ -8,8 +8,8 @@
 //! Three facilities behind one on/off switch:
 //!
 //! - [`trace`] — span-based tracing with a guard API ([`span!`]),
-//!   thread-aware so the deterministic worker pool produces correct
-//!   per-thread timelines, exportable as Chrome trace-event JSON
+//!   with one timeline per thread (a repair job runs on one thread, so
+//!   its spans nest), exportable as Chrome trace-event JSON
 //!   (`chrome://tracing`, Perfetto). Enabled by `ACR_TRACE=path`.
 //! - [`metrics`] — a registry of counters, gauges and fixed-bucket
 //!   histograms: simulator convergence rounds, memo-cache and lint-gate
@@ -32,13 +32,11 @@
 //!
 //! Instrumentation only ever *records*: no engine decision reads an obs
 //! value, so repair reports are byte-identical with every facility on or
-//! off, at every worker-thread count (asserted by the determinism
-//! harness). Journal lines are emitted from the coordinating thread in
-//! iteration/candidate-index order, so journals are byte-identical
-//! modulo timestamps at every thread count; trace timelines attribute
-//! spans to whichever worker ran them, so their *canonical* form
-//! ([`trace::canonical`], timestamps and thread ids scrubbed) is the
-//! deterministic artifact.
+//! off (asserted by the determinism harness). Journal lines are emitted
+//! by the thread running the repair in iteration/candidate-index order,
+//! so journals are byte-identical modulo timestamps; a trace's
+//! *canonical* form ([`trace::canonical`], timestamps and thread ids
+//! scrubbed) is its deterministic artifact.
 
 pub mod journal;
 pub mod json;

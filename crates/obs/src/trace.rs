@@ -3,17 +3,16 @@
 //! A span is opened with [`span`] (or the [`crate::span!`] macro) and
 //! closed when its guard drops; the completed event records wall-clock
 //! start/duration relative to the process trace epoch plus the logical
-//! id of the thread that ran it (ids are assigned in first-span order,
-//! so the engine's coordinator is `tid 1` and the scoped worker pool's
-//! threads follow). [`export_chrome`] renders the buffer in the Chrome
-//! trace-event format (`{"traceEvents":[{"ph":"X",...}]}`), loadable in
-//! `chrome://tracing` or Perfetto.
+//! id of the thread that ran it (ids are assigned in first-span order; a
+//! repair job runs on one thread, so its spans nest on one id).
+//! [`export_chrome`] renders the buffer in the Chrome trace-event format
+//! (`{"traceEvents":[{"ph":"X",...}]}`), loadable in `chrome://tracing`
+//! or Perfetto.
 //!
-//! Scheduling is the only nondeterminism: *which* worker runs a span
-//! varies run to run, but the multiset of spans does not (the validate
-//! stage processes a deterministic batch). [`canonical`] is that
-//! invariant artifact — events with timestamps and thread ids scrubbed,
-//! sorted — and is what the determinism harness asserts on.
+//! Timing is the only nondeterminism: the multiset of spans a
+//! deterministic workload opens does not vary run to run. [`canonical`]
+//! is that invariant artifact — events with timestamps and thread ids
+//! scrubbed, sorted — and is what the determinism harness asserts on.
 
 use crate::json;
 use std::cell::Cell;
@@ -169,10 +168,10 @@ pub fn flush_to_path() {
     }
 }
 
-/// The canonical (scheduling-invariant) form of the buffered events:
+/// The canonical (timing-invariant) form of the buffered events:
 /// timestamps, durations and thread ids scrubbed, one line per span,
 /// sorted. Two runs of a deterministic workload produce equal canonical
-/// traces at any worker-thread count.
+/// traces.
 pub fn canonical() -> Vec<String> {
     let events = EVENTS.lock().unwrap();
     let mut out: Vec<String> = events

@@ -37,7 +37,7 @@ impl<'a> Provenance<'a> {
             if node.parents.is_empty() {
                 out.push(id);
             } else {
-                stack.extend_from_slice(&node.parents);
+                stack.extend_from_slice(node.parents);
             }
         }
         out.sort_unstable();
@@ -59,7 +59,7 @@ impl<'a> Provenance<'a> {
         let mut stack: Vec<DerivId> = roots.into_iter().collect();
         while let Some(id) = stack.pop() {
             if seen.insert(id) {
-                stack.extend_from_slice(&self.arena.node(id).parents);
+                stack.extend_from_slice(self.arena.node(id).parents);
             }
         }
         seen.len()
@@ -115,7 +115,7 @@ impl<'a> Provenance<'a> {
             out.push_str("(shared subtree elided)\n");
             return;
         }
-        for parent in &node.parents {
+        for parent in node.parents {
             self.explain_into(*parent, depth + 1, out, seen);
         }
     }

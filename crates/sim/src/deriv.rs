@@ -14,6 +14,14 @@
 //! Ids are arena-local: a verdict's derivation roots are read in the
 //! arena it was simulated in (the incremental verifier's persistent
 //! arena, for every candidate of a repair job).
+//!
+//! Storage is flat: one `kinds` entry per node, every node's lines and
+//! parents back to back in two shared vectors, and per node the end
+//! offsets of its runs, so a node costs no heap block of its own. The
+//! content index maps a content hash to the newest id with that hash;
+//! older ids with the same hash chain through `next`. A lookup confirms
+//! by full content compare, so the hash only routes: which id a content
+//! interns to depends on the interning order alone.
 
 use crate::fxhash::{FxHashMap, FxHasher};
 use acr_cfg::LineId;
@@ -49,33 +57,48 @@ pub enum DerivKind {
     ExportDenied,
 }
 
-/// One derivation step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DerivNode {
+/// One derivation step, viewed in its arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DerivNode<'a> {
     pub kind: DerivKind,
-    /// Configuration lines this step directly depends on.
-    pub lines: Vec<LineId>,
-    /// Upstream derivations (e.g. the route that was imported).
-    pub parents: Vec<DerivId>,
+    /// Configuration lines this step directly depends on (sorted,
+    /// deduplicated).
+    pub lines: &'a [LineId],
+    /// Upstream derivations (e.g. the route that was imported; sorted,
+    /// deduplicated).
+    pub parents: &'a [DerivId],
 }
+
+/// No older id shares the hash.
+const END: u32 = u32::MAX;
 
 /// A deduplicating arena of derivation nodes.
 #[derive(Debug, Default, Clone)]
 pub struct DerivArena {
-    nodes: Vec<DerivNode>,
-    // Hash -> candidate ids, confirmed by full content compare below, so
-    // the hash function only routes lookups — it can never change which
-    // id a given content interns to. `FxHasher` keeps this off the
-    // convergence hot path's profile (interning happens per transfer).
-    index: FxHashMap<u64, Vec<DerivId>>,
+    kinds: Vec<DerivKind>,
+    lines: Vec<LineId>,
+    parents: Vec<DerivId>,
+    /// Per node, the end of its run in `lines` and in `parents`; a run
+    /// starts where the previous node's ends.
+    ends: Vec<(u32, u32)>,
+    /// Content hash -> the newest id with that hash. `FxHasher` keeps
+    /// this off the convergence hot path's profile (interning happens
+    /// per transfer).
+    index: FxHashMap<u64, u32>,
+    /// Per node, the next older id with the same hash, or [`END`].
+    next: Vec<u32>,
 }
 
-// The index is derived from `nodes`, so equality is node-list equality.
-// Two arenas are equal only when they interned the same content in the
-// same order — exactly what a deterministic simulation reproduces.
+// The index is derived from the nodes, so equality is node-list
+// equality. Two arenas are equal only when they interned the same
+// content in the same order — exactly what a deterministic simulation
+// reproduces.
 impl PartialEq for DerivArena {
     fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
+        self.kinds == other.kinds
+            && self.ends == other.ends
+            && self.lines == other.lines
+            && self.parents == other.parents
     }
 }
 impl Eq for DerivArena {}
@@ -88,12 +111,12 @@ impl DerivArena {
 
     /// Number of distinct derivation nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// Whether the arena is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Interns a node, returning the existing id when an identical node is
@@ -124,32 +147,44 @@ impl DerivArena {
         parents.sort_unstable();
         parents.dedup();
         let h = content_hash(kind, lines, parents);
-        if let Some(bucket) = self.index.get(&h) {
-            for id in bucket {
-                let n = &self.nodes[id.0 as usize];
-                if n.kind == kind && &n.lines == lines && &n.parents == parents {
-                    return *id;
-                }
+        let newest = self.index.get(&h).copied().unwrap_or(END);
+        let mut at = newest;
+        while at != END {
+            let n = self.node(DerivId(at));
+            if n.kind == kind && n.lines == &lines[..] && n.parents == &parents[..] {
+                return DerivId(at);
             }
+            at = self.next[at as usize];
         }
-        let id = DerivId(self.nodes.len() as u32);
-        self.nodes.push(DerivNode {
-            kind,
-            lines: lines.clone(),
-            parents: parents.clone(),
-        });
-        self.index.entry(h).or_default().push(id);
-        id
+        let id = self.kinds.len() as u32;
+        self.kinds.push(kind);
+        self.lines.extend_from_slice(lines);
+        self.parents.extend_from_slice(parents);
+        self.ends
+            .push((self.lines.len() as u32, self.parents.len() as u32));
+        self.next.push(newest);
+        self.index.insert(h, id);
+        DerivId(id)
     }
 
     /// The node behind an id.
-    pub fn node(&self, id: DerivId) -> &DerivNode {
-        &self.nodes[id.0 as usize]
+    pub fn node(&self, id: DerivId) -> DerivNode<'_> {
+        let i = id.0 as usize;
+        let (lines_start, parents_start) = match i {
+            0 => (0, 0),
+            _ => self.ends[i - 1],
+        };
+        let (lines_end, parents_end) = self.ends[i];
+        DerivNode {
+            kind: self.kinds[i],
+            lines: &self.lines[lines_start as usize..lines_end as usize],
+            parents: &self.parents[parents_start as usize..parents_end as usize],
+        }
     }
 
     /// All configuration lines in the transitive closure of `roots`.
     pub fn closure_lines(&self, roots: impl IntoIterator<Item = DerivId>) -> Vec<LineId> {
-        let mut seen = vec![false; self.nodes.len()];
+        let mut seen = vec![false; self.len()];
         let mut stack: Vec<DerivId> = roots.into_iter().collect();
         let mut out = Vec::new();
         while let Some(id) = stack.pop() {
@@ -158,21 +193,13 @@ impl DerivArena {
                 continue;
             }
             seen[i] = true;
-            let n = &self.nodes[i];
-            out.extend_from_slice(&n.lines);
-            stack.extend_from_slice(&n.parents);
+            let n = self.node(id);
+            out.extend_from_slice(n.lines);
+            stack.extend_from_slice(n.parents);
         }
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Iterates all nodes with their ids.
-    pub fn iter(&self) -> impl Iterator<Item = (DerivId, &DerivNode)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (DerivId(i as u32), n))
     }
 }
 
@@ -230,6 +257,92 @@ mod tests {
         let m = a.intern(DerivKind::Import, vec![], vec![e1, e2]);
         let lines = a.closure_lines([m]);
         assert_eq!(lines, vec![l(0, 1), l(0, 2), l(0, 3)]);
+    }
+
+    /// The flat storage against a naive reference: a list of sorted,
+    /// deduplicated nodes searched linearly. About half of the ≈ 5 000
+    /// interns hit (a small content space), and lines and parents arrive
+    /// unsorted and with repeats.
+    #[test]
+    fn flat_arena_matches_a_naive_reference() {
+        use acr_net_types::SplitMix64;
+        use std::collections::BTreeSet;
+        type Content = (DerivKind, Vec<LineId>, Vec<DerivId>);
+        const KINDS: [DerivKind; 3] = [
+            DerivKind::Export,
+            DerivKind::Import,
+            DerivKind::ImportDenied,
+        ];
+        let mut rng = SplitMix64::new(5);
+        let mut arena = DerivArena::new();
+        let mut reference: Vec<Content> = Vec::new();
+        let mut calls: Vec<Content> = Vec::new();
+        let mut hits = 0;
+        for _ in 0..5_000 {
+            let kind = KINDS[rng.index(KINDS.len())];
+            let lines: Vec<LineId> = (0..rng.index(4))
+                .map(|_| l(rng.index(2) as u32, 1 + rng.index(4) as u32))
+                .collect();
+            let window = reference.len().min(8);
+            let parents: Vec<DerivId> = (0..rng.index(3))
+                .filter(|_| window > 0)
+                .map(|_| DerivId(rng.index(window) as u32))
+                .collect();
+            calls.push((kind, lines.clone(), parents.clone()));
+
+            let id = arena.intern(kind, lines.clone(), parents.clone());
+            let mut key = (kind, lines, parents);
+            key.1.sort_unstable();
+            key.1.dedup();
+            key.2.sort_unstable();
+            key.2.dedup();
+            let want = match reference.iter().position(|c| *c == key) {
+                Some(i) => {
+                    hits += 1;
+                    i
+                }
+                None => {
+                    reference.push(key);
+                    reference.len() - 1
+                }
+            };
+            assert_eq!(id, DerivId(want as u32));
+            assert_eq!(arena.len(), reference.len());
+        }
+        assert!((1_500..3_500).contains(&hits), "{hits} hits of 5000");
+
+        for (i, (kind, lines, parents)) in reference.iter().enumerate() {
+            let node = arena.node(DerivId(i as u32));
+            assert_eq!(
+                (node.kind, node.lines, node.parents),
+                (*kind, &lines[..], &parents[..])
+            );
+        }
+
+        for _ in 0..200 {
+            let roots: Vec<DerivId> = (0..1 + rng.index(3))
+                .map(|_| DerivId(rng.index(reference.len()) as u32))
+                .collect();
+            let (mut seen, mut want) = (BTreeSet::new(), BTreeSet::new());
+            let mut stack = roots.clone();
+            while let Some(id) = stack.pop() {
+                if seen.insert(id) {
+                    let (_, lines, parents) = &reference[id.0 as usize];
+                    want.extend(lines.iter().copied());
+                    stack.extend(parents.iter().copied());
+                }
+            }
+            let want: Vec<LineId> = want.into_iter().collect();
+            assert_eq!(arena.closure_lines(roots), want);
+        }
+
+        let mut replay = DerivArena::new();
+        for (kind, lines, parents) in calls {
+            replay.intern(kind, lines, parents);
+        }
+        assert!(replay == arena, "same interns in the same order");
+        replay.intern(DerivKind::Pbr, vec![l(9, 9)], vec![]);
+        assert!(replay != arena, "one more node");
     }
 
     #[test]
