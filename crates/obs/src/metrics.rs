@@ -60,7 +60,9 @@ impl Counter {
         }
     }
 
-    #[inline]
+    // Force-inlined so that a disabled site is the flag load and a
+    // branch in unoptimized builds too.
+    #[inline(always)]
     pub fn add(&self, n: u64) {
         if !crate::enabled(crate::METRICS) {
             return;
@@ -68,7 +70,7 @@ impl Counter {
         self.resolve().fetch_add(n, Ordering::Relaxed);
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn inc(&self) {
         self.add(1);
     }

@@ -77,9 +77,21 @@ impl Span {
     }
 }
 
+// `span` and `Span::drop` are force-inlined so that a disabled site is
+// the flag load and a branch in unoptimized builds too; the enabled
+// paths stay out of line.
 impl Drop for Span {
+    #[inline(always)]
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
+        if let Some(start) = self.start {
+            self.record(start);
+        }
+    }
+}
+
+impl Span {
+    /// Buffers the event of a span opened at `start`.
+    fn record(&self, start: Instant) {
         let ep = epoch();
         let ts_us = start.duration_since(ep).as_micros() as u64;
         let dur_us = start.elapsed().as_micros() as u64;
@@ -96,25 +108,30 @@ impl Drop for Span {
 }
 
 /// Opens a span. One atomic load when tracing is disabled.
-#[inline]
+#[inline(always)]
 pub fn span(name: &'static str, cat: &'static str) -> Span {
-    if !crate::enabled(crate::TRACE) {
-        return Span {
-            start: None,
-            name,
-            cat,
-            arg: None,
-        };
-    }
-    // Pin the epoch before the first span starts so ts is never negative.
-    let ep = epoch();
-    let now = Instant::now();
-    let start = if now < ep { ep } else { now };
+    let start = if crate::enabled(crate::TRACE) {
+        Some(start_now())
+    } else {
+        None
+    };
     Span {
-        start: Some(start),
+        start,
         name,
         cat,
         arg: None,
+    }
+}
+
+/// A span's start time, never before the epoch: pinning the epoch first
+/// keeps every `ts` non-negative.
+fn start_now() -> Instant {
+    let ep = epoch();
+    let now = Instant::now();
+    if now < ep {
+        ep
+    } else {
+        now
     }
 }
 

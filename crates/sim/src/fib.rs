@@ -1,7 +1,7 @@
-//! FIB construction.
+//! FIB construction and lookup.
 //!
-//! Each router's FIB merges three sources with standard administrative
-//! preference (connected > static > BGP):
+//! Each router's forwarding decision merges three sources with standard
+//! administrative preference (connected > static > BGP):
 //!
 //! - **connected**: link subnets and attached customer prefixes deliver
 //!   locally,
@@ -9,13 +9,24 @@
 //!   entry (aggregate origination) and an address next hop resolving to an
 //!   adjacent router or to a locally attached subnet,
 //! - **BGP**: the converged best route per prefix; flapping prefixes
-//!   install nothing (their forwarding state is unstable by definition).
+//!   contribute nothing (their forwarding state is unstable by definition).
+//!
+//! Only the first two are materialized: [`base_fib`] builds a router's
+//! connected + static table. BGP is never installed into a table.
+//! [`FibView`] answers a lookup from the base FIB and the per-prefix
+//! outcomes covering the destination, exactly as a table holding both
+//! would (a BGP entry at a prefix loses to a base entry at the same
+//! prefix, and the longest match wins).
 
+use crate::bgp::PrefixOutcome;
 use crate::deriv::{DerivArena, DerivId, DerivKind};
+use crate::route::Route;
 use acr_cfg::model::DeviceModel;
 use acr_cfg::{LineId, NextHop};
 use acr_net_types::{Ipv4Addr, Prefix, PrefixTrie, RouterId};
 use acr_topo::Topology;
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
 
 /// What a FIB entry does with a matching packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +48,7 @@ pub enum FibSource {
 }
 
 /// One FIB entry with provenance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FibEntry {
     pub action: FibAction,
     pub source: FibSource,
@@ -105,34 +116,81 @@ impl Fib {
     }
 }
 
-/// The per-prefix BGP FIB fragment of one outcome: which routers install
-/// which entry for the outcome's prefix. Flapping prefixes install
-/// nothing (their forwarding state is unstable by definition); locally
-/// originated bests install nothing (the base FIB already handles local
-/// delivery or statics).
-pub fn bgp_fragment(
-    outcome: &crate::bgp::PrefixOutcome,
-) -> impl Iterator<Item = (usize, FibEntry)> + '_ {
-    let best = match outcome {
-        crate::bgp::PrefixOutcome::Converged { best, .. } => best.as_slice(),
-        crate::bgp::PrefixOutcome::Flapping { .. } => &[],
-    };
-    best.iter().enumerate().filter_map(|(i, route)| {
-        let route = route.as_ref()?;
-        let entry = FibEntry {
-            action: FibAction::Forward {
-                router: route.learned_from?,
-                addr: route.next_hop,
-            },
-            source: FibSource::Bgp,
-            deriv: route.deriv,
-        };
-        Some((i, entry))
+/// The FIB entry a router's converged best route yields: forward to the
+/// neighbor it was learned from. A locally originated best yields none
+/// (the base FIB already handles local delivery or statics).
+pub fn bgp_entry(route: &Route) -> Option<FibEntry> {
+    Some(FibEntry {
+        action: FibAction::Forward {
+            router: route.learned_from?,
+            addr: route.next_hop,
+        },
+        source: FibSource::Bgp,
+        deriv: route.deriv,
     })
 }
 
+/// The forwarding state toward one destination, as a lookup view: every
+/// router's base FIB plus the outcomes of the universe prefixes covering
+/// the destination. Nothing is installed; a lookup answers what a FIB
+/// holding the base entries and every converged best's [`bgp_entry`]
+/// would.
+#[derive(Clone, Copy)]
+pub struct FibView<'a> {
+    base: &'a [&'a Fib],
+    covering: &'a [(Prefix, &'a PrefixOutcome)],
+}
+
+impl<'a> FibView<'a> {
+    /// `base` is indexed by `RouterId::index()`; `covering` holds the
+    /// simulated prefixes containing the destination, longest first (see
+    /// [`covering`]).
+    pub fn new(base: &'a [&'a Fib], covering: &'a [(Prefix, &'a PrefixOutcome)]) -> Self {
+        debug_assert!(covering.windows(2).all(|w| w[0].0.len() > w[1].0.len()));
+        FibView { base, covering }
+    }
+
+    /// Longest-prefix match at `router` for `dst`, which every covering
+    /// prefix contains. A BGP entry at a covering prefix `p` answers when
+    /// `p` is longer than the base FIB's match: then the base FIB has no
+    /// entry at `p`, which would have blocked the install.
+    pub fn lookup(&self, router: RouterId, dst: Ipv4Addr) -> Option<(Prefix, FibEntry)> {
+        let base = self.base[router.index()].lookup(dst);
+        let floor = base.map_or(0, |(p, _)| p.len() + 1);
+        for (p, outcome) in self.covering {
+            if p.len() < floor {
+                break;
+            }
+            debug_assert!(p.contains(dst));
+            if let Some(entry) = outcome.best_of(router).and_then(bgp_entry) {
+                return Some((*p, entry));
+            }
+        }
+        base.map(|(p, e)| (p, *e))
+    }
+}
+
+/// Fills `out` with the outcomes of the prefixes in `outcomes` that
+/// contain `dst`, longest first: the `covering` argument of
+/// [`FibView::new`].
+pub fn covering<'o, O: Borrow<PrefixOutcome>>(
+    outcomes: &'o BTreeMap<Prefix, O>,
+    dst: Ipv4Addr,
+    out: &mut Vec<(Prefix, &'o PrefixOutcome)>,
+) {
+    out.clear();
+    out.extend(
+        (outcomes.iter())
+            .filter(|(p, _)| p.contains(dst))
+            .map(|(p, o)| (*p, o.borrow())),
+    );
+    // Prefixes order by (address, length), so the ones containing one
+    // address come shortest first.
+    out.reverse();
+}
+
 /// Builds the connected + static part of a router's FIB (the BGP part is
-/// layered on by the simulator from per-prefix outcomes).
+/// answered by a [`FibView`] from per-prefix outcomes).
 pub fn base_fib(
     topo: &Topology,
     router: RouterId,

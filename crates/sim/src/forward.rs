@@ -1,12 +1,15 @@
 //! Data-plane forwarding walk.
 //!
 //! Injects a concrete [`Flow`] at a router and follows FIB decisions hop
-//! by hop, applying PBR where a traffic policy is active. The walk records
-//! every derivation it consulted, so a verification test's *coverage* is
-//! exactly the configuration lines its packet's fate depended on.
+//! by hop, applying PBR where a traffic policy is active. FIB decisions
+//! come from a [`FibView`] toward the flow's destination: base FIBs plus
+//! the covering prefixes' converged bests, never a materialized BGP
+//! table. The walk records every derivation it consulted, so a
+//! verification test's *coverage* is exactly the configuration lines its
+//! packet's fate depended on.
 
 use crate::deriv::{DerivArena, DerivId, DerivKind};
-use crate::fib::{resolve_next_hop, Fib, FibAction};
+use crate::fib::{resolve_next_hop, FibAction, FibView};
 use acr_cfg::model::DeviceModel;
 use acr_cfg::{LineId, PbrAction};
 use acr_net_types::{Flow, RouterId};
@@ -72,13 +75,16 @@ pub struct ForwardResult {
 
 /// Walks `flow` from `start` across the network.
 ///
-/// `fibs` and `models` are indexed by `RouterId::index()`. PBR lookups
-/// intern their derivations into `arena` on the fly (they depend on the
-/// concrete flow, so they cannot be precomputed with the FIB).
+/// `models` are indexed by `RouterId::index()`; `fibs` is the view toward
+/// `flow.dst`, and `deliver_at` is `topo.delivery_router(flow.dst)`,
+/// which the caller computes once per destination. PBR lookups intern
+/// their derivations into `arena` on the fly (they depend on the concrete
+/// flow, so they cannot be precomputed with the FIB).
 pub fn walk<M: Borrow<DeviceModel>>(
     topo: &Topology,
     models: &[M],
-    fibs: &[Fib],
+    fibs: FibView<'_>,
+    deliver_at: Option<RouterId>,
     start: RouterId,
     flow: &Flow,
     arena: &mut DerivArena,
@@ -86,6 +92,8 @@ pub fn walk<M: Borrow<DeviceModel>>(
     let mut path = Vec::new();
     let mut derivs = Vec::new();
     let mut current = start;
+    // The router owning `flow.dst` as an interface address, if any.
+    let owner = topo.owner_of(flow.dst);
     loop {
         if path.contains(&current) || path.len() >= MAX_HOPS {
             path.push(current);
@@ -100,11 +108,7 @@ pub fn walk<M: Borrow<DeviceModel>>(
 
         // Delivery check: the destination is attached here (or is one of
         // our own interface addresses).
-        if topo.delivery_router(flow.dst) == Some(current)
-            || topo
-                .links_of(current)
-                .any(|l| l.endpoint_of(current).map(|e| e.addr) == Some(flow.dst))
-        {
+        if deliver_at == Some(current) || owner == Some(current) {
             return ForwardResult {
                 path,
                 outcome: ForwardOutcome::Delivered(current),
@@ -178,8 +182,7 @@ pub fn walk<M: Borrow<DeviceModel>>(
         }
 
         // FIB lookup.
-        let fib = &fibs[current.index()];
-        match fib.lookup(flow.dst) {
+        match fibs.lookup(current, flow.dst) {
             None => {
                 return ForwardResult {
                     path,
@@ -216,7 +219,7 @@ pub fn walk<M: Borrow<DeviceModel>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fib::base_fib;
+    use crate::fib::{base_fib, Fib};
     use acr_cfg::parse::parse_device;
     use acr_net_types::{Ipv4Addr, Prefix};
     use acr_topo::{Role, Topology, TopologyBuilder};
@@ -225,15 +228,24 @@ mod tests {
         s.parse().unwrap()
     }
 
+    type Net = (Topology, Vec<DeviceModel>, Vec<Fib>, DerivArena);
+
     /// R0 — R1 — R2, destination 10.2/16 attached at R2.
-    fn line3(cfgs: [&str; 3]) -> (Topology, Vec<DeviceModel>, Vec<Fib>, DerivArena) {
+    fn line3(cfgs: [&str; 3]) -> Net {
+        line3_attached(&[(2, "10.2.0.0/16")], cfgs)
+    }
+
+    /// R0 — R1 — R2 with the given `(router, prefix)` attachments.
+    fn line3_attached(attached: &[(usize, &str)], cfgs: [&str; 3]) -> Net {
         let mut b = TopologyBuilder::new();
-        let r0 = b.router("R0", Role::Backbone);
-        let r1 = b.router("R1", Role::Backbone);
-        let r2 = b.router("R2", Role::Backbone);
-        b.link(r0, r1); // .1/.2
-        b.link(r1, r2); // .5/.6
-        b.attach(r2, p("10.2.0.0/16"));
+        let r: Vec<RouterId> = (0..3)
+            .map(|i| b.router(&format!("R{i}"), Role::Backbone))
+            .collect();
+        b.link(r[0], r[1]); // .1/.2
+        b.link(r[1], r[2]); // .5/.6
+        for (i, prefix) in attached {
+            b.attach(r[*i], p(prefix));
+        }
         let topo = b.build();
         let models: Vec<DeviceModel> = topo
             .routers()
@@ -255,6 +267,21 @@ mod tests {
         Flow::ip(Ipv4Addr::new(10, 0, 0, 1), dst)
     }
 
+    /// Walks a flow to `dst` from `start` over the base FIBs alone.
+    fn go(
+        topo: &Topology,
+        models: &[DeviceModel],
+        fibs: &[Fib],
+        start: RouterId,
+        dst: Ipv4Addr,
+        arena: &mut DerivArena,
+    ) -> ForwardResult {
+        let base: Vec<&Fib> = fibs.iter().collect();
+        let view = FibView::new(&base, &[]);
+        let deliver_at = topo.delivery_router(dst);
+        walk(topo, models, view, deliver_at, start, &flow_to(dst), arena)
+    }
+
     #[test]
     fn statics_chain_to_delivery() {
         let (topo, models, fibs, mut arena) = line3([
@@ -262,12 +289,12 @@ mod tests {
             "ip route-static 10.2.0.0 16 172.16.0.6\n",
             "",
         ]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(2)));
@@ -282,12 +309,12 @@ mod tests {
     fn missing_route_is_blackhole() {
         let (topo, models, fibs, mut arena) =
             line3(["ip route-static 10.2.0.0 16 172.16.0.2\n", "", ""]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::NoRoute(RouterId(1)));
@@ -297,12 +324,12 @@ mod tests {
     fn null0_drops() {
         let (topo, models, fibs, mut arena) =
             line3(["ip route-static 10.2.0.0 16 NULL0\n", "", ""]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::DroppedNull0(RouterId(0)));
@@ -315,12 +342,12 @@ mod tests {
             "ip route-static 10.2.0.0 16 172.16.0.1\n", // points back at R0
             "",
         ]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         match &r.outcome {
@@ -334,16 +361,79 @@ mod tests {
     #[test]
     fn delivery_at_injection_point() {
         let (topo, models, fibs, mut arena) = line3(["", "", ""]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(2),
-            &flow_to(Ipv4Addr::new(10, 2, 0, 9)),
+            Ipv4Addr::new(10, 2, 0, 9),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(2)));
         assert_eq!(r.path.len(), 1);
+    }
+
+    /// A packet for one of the current router's own interface addresses
+    /// is delivered before any FIB lookup; one for a neighbor's address
+    /// is delivered by the connected subnet's FIB entry instead.
+    #[test]
+    fn delivery_at_an_own_interface_address() {
+        let (topo, models, fibs, mut arena) = line3(["", "", ""]);
+        for (start, dst) in [
+            (1, Ipv4Addr::new(172, 16, 0, 2)),
+            (2, Ipv4Addr::new(172, 16, 0, 6)),
+        ] {
+            let r = go(&topo, &models, &fibs, RouterId(start), dst, &mut arena);
+            assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(start)));
+            assert_eq!(r.path, vec![RouterId(start)]);
+            assert!(r.derivs.is_empty(), "{dst}: no FIB entry consulted");
+        }
+        let r = go(
+            &topo,
+            &models,
+            &fibs,
+            RouterId(1),
+            Ipv4Addr::new(172, 16, 0, 1),
+            &mut arena,
+        );
+        assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(1)));
+        assert_eq!(r.derivs.len(), 1, "the connected entry delivers");
+    }
+
+    /// Delivery happens at the most specific attachment only: R1's 10/8
+    /// does not swallow R2's 10.2/16, and R2 delivers before its FIB
+    /// (whose NULL0 10.2.0/24 would drop the packet).
+    #[test]
+    fn delivery_at_the_most_specific_attached_prefix() {
+        let (topo, models, fibs, mut arena) = line3_attached(
+            &[(1, "10.0.0.0/8"), (2, "10.2.0.0/16")],
+            [
+                "ip route-static 10.0.0.0 8 172.16.0.2\n",
+                "ip route-static 10.2.0.0 16 172.16.0.6\n",
+                "ip route-static 10.2.0.0 24 NULL0\n",
+            ],
+        );
+        let r = go(
+            &topo,
+            &models,
+            &fibs,
+            RouterId(0),
+            Ipv4Addr::new(10, 2, 0, 1),
+            &mut arena,
+        );
+        assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(2)));
+        assert_eq!(r.path, vec![RouterId(0), RouterId(1), RouterId(2)]);
+        assert_eq!(r.derivs.len(), 2, "R0's and R1's statics, not R2's FIB");
+        let r = go(
+            &topo,
+            &models,
+            &fibs,
+            RouterId(0),
+            Ipv4Addr::new(10, 1, 0, 1),
+            &mut arena,
+        );
+        assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(1)));
+        assert_eq!(r.derivs.len(), 1, "R0's static only");
     }
 
     #[test]
@@ -353,12 +443,12 @@ mod tests {
             "ip route-static 10.2.0.0 16 172.16.0.6\n",
             "",
         ]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::DroppedPbr(RouterId(0)));
@@ -377,12 +467,12 @@ mod tests {
             "ip route-static 10.2.0.0 16 172.16.0.6\n",
             "",
         ]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(2)));
@@ -396,12 +486,12 @@ mod tests {
             "ip route-static 10.2.0.0 16 172.16.0.6\n",
             "",
         ]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(2)));
@@ -414,12 +504,12 @@ mod tests {
             "ip route-static 10.2.0.0 16 172.16.0.6\n",
             "",
         ]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(2)));
@@ -432,12 +522,12 @@ mod tests {
             "",
             "",
         ]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::DroppedBadRedirect(RouterId(0)));
@@ -452,12 +542,12 @@ mod tests {
             "ip route-static 10.2.0.0 16 172.16.0.6\n",
             "",
         ]);
-        let r = walk(
+        let r = go(
             &topo,
             &models,
             &fibs,
             RouterId(0),
-            &flow_to(Ipv4Addr::new(10, 2, 3, 4)),
+            Ipv4Addr::new(10, 2, 3, 4),
             &mut arena,
         );
         assert_eq!(r.outcome, ForwardOutcome::Delivered(RouterId(2)));

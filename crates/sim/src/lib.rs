@@ -11,8 +11,9 @@
 //! - **convergence or oscillation**: the synchronous dynamics either reach
 //!   a fixed point or revisit a state, in which case the prefix is
 //!   *flapping* — exactly the failure mode of the example incident,
-//! - FIBs (connected + static + BGP) and a packet-forwarding walk with
-//!   loop/blackhole detection and PBR,
+//! - forwarding (connected + static base FIBs, with BGP answered from the
+//!   per-prefix outcomes by a lookup view) and a packet-forwarding walk
+//!   with loop/blackhole detection and PBR,
 //! - a **derivation arena**: every route carries a content-addressed
 //!   derivation recording the configuration lines it depends on, which the
 //!   provenance layer turns into per-test line coverage for SBFL.
@@ -40,7 +41,7 @@ pub mod sim;
 pub use base::{compile_device, CompiledBase, DeltaInfo, SessionDelta, SessionPart, SimBuild};
 pub use bgp::{ConvergeEngine, ConvergeWork, PolicyMemo, PrefixOutcome, MAX_ROUNDS_BASE};
 pub use deriv::{DerivArena, DerivId, DerivKind, DerivNode};
-pub use fib::{bgp_fragment, Fib, FibAction, FibEntry};
+pub use fib::{bgp_entry, covering, Fib, FibAction, FibEntry, FibView};
 pub use forward::{ForwardOutcome, ForwardResult};
 pub use origin::OriginIndex;
 pub use route::{select_best_id, Route, RouteId, RouteInterner, RouteKey};

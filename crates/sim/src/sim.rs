@@ -1,4 +1,5 @@
-//! The top-level simulator: configs + topology → routes, FIBs, forwarding.
+//! The top-level simulator: configs + topology → routes, base FIBs,
+//! forwarding.
 //!
 //! A [`Simulator`] runs over one [`CompiledBase`] — the compiled form of a
 //! configuration, built from scratch ([`Simulator::new`]) or derived
@@ -12,7 +13,7 @@ use crate::bgp::{
     PrefixOutcome, RouterCtx, SparseScratch,
 };
 use crate::deriv::DerivArena;
-use crate::fib::{base_fib, bgp_fragment, Fib};
+use crate::fib::{base_fib, covering, Fib, FibView};
 use crate::forward::{walk, ForwardResult};
 use crate::session::{Session, SessionDiag};
 use acr_cfg::model::DeviceModel;
@@ -21,7 +22,6 @@ use acr_net_types::{Flow, Prefix, RouterId};
 use acr_obs::metrics::{Counter, Histogram};
 use acr_obs::span;
 use acr_topo::Topology;
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -130,10 +130,10 @@ impl<'a> Simulator<'a> {
     pub fn run_prefixes(&self, prefixes: &BTreeSet<Prefix>) -> SimOutcome {
         let mut arena = DerivArena::new();
         let outcomes = self.run_prefixes_into(prefixes, &mut arena);
-        let fibs = self.fibs_for(&outcomes, &mut arena);
+        let base_fibs = self.base_fibs(&mut arena);
         SimOutcome {
             outcomes,
-            fibs,
+            base_fibs,
             arena,
             session_diags: self.base.session_diags().clone(),
         }
@@ -237,32 +237,14 @@ impl<'a> Simulator<'a> {
         (outcomes, work)
     }
 
-    /// Assembles per-router FIBs from connected/static state plus the
-    /// given per-prefix outcomes (flapping prefixes install nothing).
-    /// Generic over `Borrow` so the incremental verifier can pass a
-    /// merged map of *references* into its cache instead of deep-cloning
-    /// every cached outcome per candidate.
-    pub fn fibs_for<O: Borrow<PrefixOutcome>>(
-        &self,
-        outcomes: &BTreeMap<Prefix, O>,
-        arena: &mut DerivArena,
-    ) -> Vec<Fib> {
-        let mut fibs = self.base_fibs(arena);
-        for (prefix, outcome) in outcomes {
-            for (i, entry) in bgp_fragment(outcome.borrow()) {
-                fibs[i].install(*prefix, entry);
-            }
-        }
-        fibs
-    }
-
-    /// The connected/static part of every router's FIB — everything
-    /// [`Simulator::fibs_for`] installs before the per-prefix BGP
-    /// fragments. Depends only on the topology and the device models, so
-    /// the incremental verifier caches the result and rebuilds a single
-    /// router's base FIB only when that router's model was swapped
-    /// (re-interning an unchanged router's derivations would be pure
-    /// dedup hits — skipping them leaves the arena byte-identical).
+    /// The connected/static FIB of every router: everything a router
+    /// forwards by except BGP, which a [`FibView`] answers from the
+    /// per-prefix outcomes without installing it. Depends only on the
+    /// topology and the device models, so the incremental verifier caches
+    /// the result and rebuilds a single router's base FIB only when that
+    /// router's model was swapped (re-interning an unchanged router's
+    /// derivations would be pure dedup hits — skipping them leaves the
+    /// arena byte-identical).
     pub fn base_fibs(&self, arena: &mut DerivArena) -> Vec<Fib> {
         self.topo
             .routers()
@@ -281,12 +263,18 @@ impl<'a> Simulator<'a> {
         )
     }
 
-    /// Convenience: run everything and walk one flow.
+    /// Convenience: walk one flow over a run's outcome.
     pub fn forward(&self, outcome: &mut SimOutcome, start: RouterId, flow: &Flow) -> ForwardResult {
+        let base: Vec<&Fib> = outcome.base_fibs.iter().collect();
+        let mut cover = Vec::new();
+        covering(&outcome.outcomes, flow.dst, &mut cover);
+        let deliver_at = self.topo.delivery_router(flow.dst);
+        let view = FibView::new(&base, &cover);
         walk(
             self.topo,
             self.models(),
-            &outcome.fibs,
+            view,
+            deliver_at,
             start,
             flow,
             &mut outcome.arena,
@@ -299,8 +287,9 @@ impl<'a> Simulator<'a> {
 pub struct SimOutcome {
     /// Per-prefix control-plane outcome.
     pub outcomes: BTreeMap<Prefix, PrefixOutcome>,
-    /// Per-router FIBs (indexed by `RouterId::index()`).
-    pub fibs: Vec<Fib>,
+    /// Per-router connected/static FIBs (indexed by `RouterId::index()`);
+    /// BGP forwarding is read from `outcomes` through a [`FibView`].
+    pub base_fibs: Vec<Fib>,
     /// Provenance arena for every derivation in this run.
     pub arena: DerivArena,
     /// Session diagnostics (configured peers that are down). Shared with

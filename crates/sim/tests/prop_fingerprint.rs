@@ -76,7 +76,7 @@ fn fingerprint_determines_outcome(
     let out_a = Simulator::new(&net.topo, a).run();
     let out_b = Simulator::new(&net.topo, b).run();
     if out_a.outcomes != out_b.outcomes
-        || out_a.fibs != out_b.fibs
+        || out_a.base_fibs != out_b.base_fibs
         || out_a.arena != out_b.arena
         || out_a.session_diags != out_b.session_diags
     {

@@ -21,9 +21,11 @@
 //!    contract below,
 //! 3. only affected prefixes are re-simulated, by the same
 //!    [`Simulator::run_prefixes_with`] call the commit makes; one tail
-//!    merges them over the cache, assembles FIBs from the committed base
-//!    FIBs plus the BGP fragment of every merged outcome, and runs the
-//!    (cheap) packet walks on the merged state.
+//!    merges them over the cache, borrows the committed base FIBs
+//!    (rebuilding only recompiled routers'), and runs the (cheap) packet
+//!    walks on the merged state. Each walk reads BGP forwarding from the
+//!    merged outcomes through an [`acr_sim::FibView`]; no BGP entry is
+//!    ever installed into a table.
 //!
 //! Every call returns verdicts only: the records with their derivation
 //! roots in the persistent arena, and an empty coverage matrix. A reader
@@ -63,11 +65,7 @@
 //! 5. prefixes new to the universe.
 //!
 //! Static routes, ACLs and PBR need no rule: base FIBs are rebuilt for
-//! every recompiled device and the data-plane walks always re-run. The
-//! analysis runs whether or not delta *construction* is enabled
-//! ([`IncrementalVerifier::set_delta`], a test oracle), so recompute/reuse
-//! decisions — and therefore repair reports — are byte-identical either
-//! way.
+//! every recompiled device and the data-plane walks always re-run.
 
 use crate::spec::Spec;
 use crate::verify::{Verification, Verifier};
@@ -76,8 +74,8 @@ use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
 use acr_sim::{
-    bgp_fragment, CompiledBase, ConvergeEngine, DeltaInfo, DerivArena, Fib, PolicyMemo,
-    PrefixOutcome, SessionDelta, SimBuild, Simulator,
+    CompiledBase, ConvergeEngine, DeltaInfo, DerivArena, Fib, PolicyMemo, PrefixOutcome,
+    SessionDelta, SimBuild, Simulator,
 };
 use acr_topo::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -120,10 +118,10 @@ pub struct IncrementalStats {
     pub compile: Duration,
     /// Wall-clock establishing BGP sessions.
     pub establish: Duration,
-    /// Wall-clock simulating affected prefixes and assembling FIBs.
+    /// Wall-clock simulating affected prefixes and rebuilding base FIBs.
     pub simulate: Duration,
     /// Within `simulate`: wall-clock of per-prefix convergence alone
-    /// (worklist iteration) — excludes merging and FIBs.
+    /// (worklist iteration) — excludes merging and base FIBs.
     pub converge: Duration,
 }
 
@@ -135,8 +133,10 @@ struct Caches {
     /// Closure lines per cached prefix, for invalidation tests.
     closures: BTreeMap<Prefix, BTreeSet<LineId>>,
     /// Per-router base FIBs (connected + static), computed against the
-    /// committed base's device models — a router's base FIB is reused
-    /// while a simulator holds that very model `Arc`.
+    /// committed base's device models — a candidate borrows a router's
+    /// base FIB while its simulator holds that very model `Arc`. These
+    /// and the outcomes are all a walk forwards by: BGP is looked up in
+    /// the outcomes, never installed here.
     fib_base: Vec<Fib>,
 }
 
@@ -177,9 +177,6 @@ pub struct IncrementalVerifier<'a> {
     /// the resume gate.
     base_fp: u64,
     caches: Caches,
-    /// Whether candidate simulators reuse the base (construction only;
-    /// invalidation analysis is identical either way).
-    delta: bool,
     /// Policy-transfer memo kept alive across the committed run and every
     /// candidate verified against it. Entries reference the persistent
     /// `arena` (content-addressed, ids never invalidated); per-candidate
@@ -199,7 +196,6 @@ impl<'a> IncrementalVerifier<'a> {
             base: None,
             base_fp: 0,
             caches: Caches::default(),
-            delta: true,
             memo: PolicyMemo::new(),
             last_stats: IncrementalStats::default(),
         }
@@ -208,15 +204,6 @@ impl<'a> IncrementalVerifier<'a> {
     /// The underlying (stateless) verifier.
     pub fn verifier(&self) -> &Verifier<'a> {
         &self.verifier
-    }
-
-    /// Enables or disables delta construction of candidate simulators.
-    /// Off, every candidate compiles from scratch: the full-rebuild
-    /// reference that tests compare against, never selected by the
-    /// product. The invalidation analysis (and thus every verdict and
-    /// statistic except wall-clock) is unaffected.
-    pub fn set_delta(&mut self, delta: bool) {
-        self.delta = delta;
     }
 
     /// The compiled base of the committed configuration.
@@ -283,7 +270,6 @@ impl<'a> IncrementalVerifier<'a> {
             verifier: &self.verifier,
             base: self.base.as_ref(),
             caches: &self.caches,
-            delta: self.delta,
         };
         (view, &mut self.arena, &mut self.memo)
     }
@@ -375,16 +361,15 @@ struct BaseView<'v, 'a> {
     /// cached either, so a candidate simply runs cold.
     base: Option<&'v CompiledBase>,
     caches: &'v Caches,
-    delta: bool,
 }
 
 impl<'v, 'a> BaseView<'v, 'a> {
     /// Verifies a candidate configuration against the committed base;
     /// see [`IncrementalVerifier::verify_candidate`]. `memo` is the
     /// verifier's **cross-candidate policy memo**, whose entries reference
-    /// `arena` ids. Reuse is sound only while candidate simulators share
-    /// the committed base's device models for unpatched routers — i.e.
-    /// under delta construction — and [`PolicyMemo::begin_run`] drops
+    /// `arena` ids. Reuse is sound because candidate simulators share the
+    /// committed base's device models for unpatched routers (delta
+    /// construction), and [`PolicyMemo::begin_run`] drops
     /// entries on sessions adjacent to routers the patch (or the previous
     /// candidate's patch) touched, re-homing the rest by endpoint pair
     /// when the session list changed shape. What survives — unchanged
@@ -398,32 +383,24 @@ impl<'v, 'a> BaseView<'v, 'a> {
         arena: &mut DerivArena,
         memo: &mut PolicyMemo,
     ) -> (Verification, IncrementalStats) {
-        // Build the candidate simulator: delta-compiled from the shared
-        // base when enabled, from scratch otherwise. The delta *analysis*
-        // runs in both modes so the affected-prefix set (and with it every
-        // verdict and count) is identical.
+        // Build the candidate simulator: delta-compiled from the committed
+        // base, whose model diff feeds the affected-prefix analysis.
         let topo = self.verifier.topo();
         let sim = match self.base {
-            Some(base) if self.delta => Simulator::from_base_with_patch(topo, base, cfg, patch),
-            _ => Simulator::new(topo, cfg),
+            Some(base) => Simulator::from_base_with_patch(topo, base, cfg, patch),
+            None => Simulator::new(topo, cfg),
         };
-        let analyzed = match self.base {
-            Some(base) if !self.delta => Some(base.delta(topo, cfg, patch).1),
-            _ => None,
-        };
-        let info = sim.delta_info().or(analyzed.as_ref());
         let universe = sim.universe();
         let affected = {
             let _s = span!("verify.affected", "verify");
-            affected_prefixes(self.caches, info, patch, &universe)
+            affected_prefixes(self.caches, sim.delta_info(), patch, &universe)
         };
         // The cross-candidate memo is sound exactly when this candidate
         // was delta-built: unchanged routers then hold the base's own
         // `Arc`'d models, so a memoized transfer between two unpatched
         // endpoints is pure in inputs the patch cannot reach. Structural
         // session changes are fine — `begin_run` re-homes surviving
-        // slots by endpoint pair. A cold verifier and the full-rebuild
-        // reference run on a fresh memo.
+        // slots by endpoint pair. A cold verifier runs on a fresh memo.
         let mut local_memo = PolicyMemo::new();
         let memo = if sim.delta_info().is_some() {
             memo.begin_run(sim.base().sessions(), &patch.routers());
@@ -436,8 +413,9 @@ impl<'v, 'a> BaseView<'v, 'a> {
     }
 
     /// The one tail of commit, resume and candidate: fresh outcomes over
-    /// the cache, FIBs from the committed base FIBs plus every merged
-    /// outcome's BGP fragment, then the property walks on the merged state.
+    /// the cache, the base FIBs (the committed ones, rebuilt only for
+    /// recompiled routers), then the property walks on the merged state,
+    /// each reading BGP forwarding from the merged outcomes.
     fn assemble(
         &self,
         sim: &Simulator<'a>,
@@ -461,35 +439,35 @@ impl<'v, 'a> BaseView<'v, 'a> {
             .collect();
         // Base FIBs are a pure function of (topology, device model): a
         // router still holding the committed model `Arc` (every unpatched
-        // one, under delta construction) reuses the committed FIB, and the
-        // derivation interns a rebuild would have made would have been
-        // dedup hits — the arena stays byte-identical to assembling from
-        // scratch. The BGP installs are `sim.fibs_for`'s.
+        // one) borrows the committed FIB, and the derivation interns a
+        // rebuild would have made would have been dedup hits — the arena
+        // stays byte-identical to assembling from scratch. BGP forwarding
+        // is read from `merged` by each walk's `FibView`; nothing is
+        // installed.
         let fibs_span = span!("verify.fibs", "verify");
         let committed = self.base.map_or(&[][..], |b| b.models());
         let models = sim.models().iter().enumerate();
-        let mut fibs: Vec<Fib> = models
+        let rebuilt: Vec<Option<Fib>> = models
             .map(|(i, m)| match committed.get(i) {
-                Some(c) if Arc::ptr_eq(m, c) => self.caches.fib_base[i].clone(),
-                _ => sim.base_fib_of(RouterId(i as u32), arena),
+                Some(c) if Arc::ptr_eq(m, c) => None,
+                _ => Some(sim.base_fib_of(RouterId(i as u32), arena)),
             })
             .collect();
-        for (p, o) in &merged {
-            for (i, entry) in bgp_fragment(o) {
-                fibs[i].install(*p, entry);
-            }
-        }
+        let base_fibs: Vec<&Fib> = (rebuilt.iter().enumerate())
+            .map(|(i, fib)| fib.as_ref().unwrap_or_else(|| &self.caches.fib_base[i]))
+            .collect();
         drop(fibs_span);
         // Booked from the call's statistics, not from the base-FIB pass
         // above: a commit replays what `Caches::fill` has just built, and
         // that is built, not reused. A router's base FIB is rebuilt exactly
         // when its device was compiled for this call.
         FIB_ROUTERS_REBUILT.add(stats.compiled_devices as u64);
-        FIB_ROUTERS_REUSED.add((fibs.len() - stats.compiled_devices) as u64);
+        FIB_ROUTERS_REUSED.add((base_fibs.len() - stats.compiled_devices) as u64);
         stats.simulate = started.elapsed();
+        let diags = sim.session_diags();
         let verification = self
             .verifier
-            .evaluate(sim, &merged, &fibs, arena, sim.session_diags());
+            .evaluate(sim, &merged, &base_fibs, arena, diags);
         (verification, stats)
     }
 }

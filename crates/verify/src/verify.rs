@@ -1,7 +1,10 @@
 //! Full-network verification.
 //!
-//! [`Verifier::run_full`] simulates every originated prefix, walks every
-//! test packet, classifies violations and assembles the coverage matrix.
+//! [`Verifier::run_full`] simulates every originated prefix, builds every
+//! router's connected/static base FIB, walks every test packet through a
+//! [`FibView`] (the base FIBs plus the converged bests of the prefixes
+//! covering the packet's destination; no BGP entry is installed),
+//! classifies violations and assembles the coverage matrix.
 //! Verdicts (the per-test records) and coverage ([`Verifier::coverage`])
 //! are separate steps: validating a candidate needs only its verdict,
 //! and coverage is built only for a configuration that gets localized.
@@ -23,7 +26,8 @@ use acr_net_types::{Prefix, RouterId};
 use acr_obs::span;
 use acr_prov::{CoverageMatrix, TestCoverage, TestId};
 use acr_sim::{
-    forward, DerivArena, DerivId, ForwardOutcome, PrefixOutcome, SessionDiag, SimOutcome, Simulator,
+    covering, forward, DerivArena, DerivId, Fib, FibView, ForwardOutcome, PrefixOutcome,
+    SessionDiag, SimOutcome, Simulator,
 };
 use acr_topo::Topology;
 use std::borrow::Borrow;
@@ -84,6 +88,11 @@ pub struct Verifier<'a> {
     topo: &'a Topology,
     spec: &'a Spec,
     tests: Vec<TestCase>,
+    /// Per test, the router its destination is delivered at
+    /// (`Topology::delivery_router`), computed once for every walk. Kept
+    /// beside `tests`, not in `TestCase`, which the context fingerprint
+    /// hashes.
+    deliver_at: Vec<Option<RouterId>>,
 }
 
 impl<'a> Verifier<'a> {
@@ -94,10 +103,15 @@ impl<'a> Verifier<'a> {
 
     /// `samples` packets per property.
     pub fn with_samples(topo: &'a Topology, spec: &'a Spec, samples: u32) -> Self {
+        let tests = spec.generate_tests(samples);
+        let deliver_at = (tests.iter())
+            .map(|t| topo.delivery_router(t.flow.dst))
+            .collect();
         Verifier {
             topo,
             spec,
-            tests: spec.generate_tests(samples),
+            tests,
+            deliver_at,
         }
     }
 
@@ -139,18 +153,19 @@ impl<'a> Verifier<'a> {
         // reference, which field-level borrows provide for free.
         let SimOutcome {
             outcomes,
-            fibs,
+            base_fibs,
             mut arena,
             session_diags,
         } = sim.run();
+        let base: Vec<&Fib> = base_fibs.iter().collect();
         let mut verification =
-            self.evaluate(&sim, &outcomes, &fibs, &mut arena, &session_diags[..]);
+            self.evaluate(&sim, &outcomes, &base, &mut arena, &session_diags[..]);
         verification.matrix = self.coverage(&verification, &arena, sim.models());
         (
             verification,
             SimOutcome {
                 outcomes,
-                fibs,
+                base_fibs,
                 arena,
                 session_diags,
             },
@@ -159,14 +174,16 @@ impl<'a> Verifier<'a> {
 
     /// Evaluates the test suite against precomputed simulation state:
     /// the records, with an empty coverage matrix. Shared by the full and
-    /// incremental paths. Generic over `Borrow` so
-    /// the candidate-validation path can pass outcome *references* into
-    /// the committed cache instead of cloning them.
+    /// incremental paths. `base_fibs` are every router's connected/static
+    /// FIB; each walk reads BGP forwarding from `outcomes` through a
+    /// [`FibView`]. Generic over `Borrow` so the candidate-validation path
+    /// can pass outcome *references* into the committed cache instead of
+    /// cloning them.
     pub(crate) fn evaluate<O: Borrow<PrefixOutcome>>(
         &self,
         sim: &Simulator<'_>,
         outcomes: &BTreeMap<Prefix, O>,
-        fibs: &[acr_sim::Fib],
+        base_fibs: &[&Fib],
         arena: &mut DerivArena,
         session_diags: &[SessionDiag],
     ) -> Verification {
@@ -178,20 +195,22 @@ impl<'a> Verifier<'a> {
             .map(|(p, _)| *p)
             .collect();
 
-        for test in &self.tests {
+        // The simulated prefixes covering the current test's destination,
+        // longest first: one buffer for every test.
+        let mut cover: Vec<(Prefix, &PrefixOutcome)> = Vec::new();
+        for (test, deliver_at) in self.tests.iter().zip(&self.deliver_at) {
             let prop = &self.spec.properties[test.property];
-            // Control-plane roots: every simulated prefix covering dst.
+            // Control-plane roots: every simulated prefix covering dst,
+            // in prefix order.
             let mut roots: Vec<DerivId> = Vec::new();
             let mut reject_roots: Vec<DerivId> = Vec::new();
             let mut flap_hit: Option<Prefix> = None;
-            for (p, o) in outcomes {
-                let o = o.borrow();
-                if p.contains(test.flow.dst) {
-                    roots.extend(o.deriv_roots());
-                    reject_roots.extend_from_slice(o.rejection_roots());
-                    if !o.is_converged() && flap_hit.is_none() {
-                        flap_hit = Some(*p);
-                    }
+            covering(outcomes, test.flow.dst, &mut cover);
+            for (p, o) in cover.iter().rev() {
+                roots.extend(o.deriv_roots());
+                reject_roots.extend_from_slice(o.rejection_roots());
+                if !o.is_converged() && flap_hit.is_none() {
+                    flap_hit = Some(*p);
                 }
             }
 
@@ -200,8 +219,17 @@ impl<'a> Verifier<'a> {
                 // network has no stable behaviour to certify.
                 (false, Some(Violation::Flapping(p)), Vec::new())
             } else {
-                let res =
-                    forward::walk(self.topo, sim.models(), fibs, test.start, &test.flow, arena);
+                let view = FibView::new(base_fibs, &cover);
+                let (start, flow) = (test.start, &test.flow);
+                let res = forward::walk(
+                    self.topo,
+                    sim.models(),
+                    view,
+                    *deliver_at,
+                    start,
+                    flow,
+                    arena,
+                );
                 roots.extend(res.derivs.iter().copied());
                 let (passed, violation) = judge(&prop.kind, &res);
                 (passed, violation, res.path)

@@ -1,8 +1,11 @@
 //! Where a repair job's time goes, span by span.
 //!
-//! Repairs every `wan(24,48)` Table-1 incident (`try_inject(fault, &net,
-//! 0)`, one job per injectable class): one untraced warm-up pass, then
-//! `N` traced passes (default 3). For every span name it prints calls,
+//! Repairs the six jobs of the benchmark's `wan72` workload on
+//! `wan(24,48)` — a missing redistribution twice (two distinct broken
+//! configurations), then a missing PBR permit, a missing peer group, an
+//! extra peer-group item and missing prefix-list items, each at its first
+//! observable site in router order (the workload's fixed-site rule): one
+//! untraced warm-up pass, then `N` traced passes (default 3). For every span name it prints calls,
 //! total ms and self ms, each per job; self time is a span's duration
 //! minus what its direct children cover (children on the same thread
 //! inside its interval, clipped to it). Each job runs inside a `job`
@@ -16,8 +19,18 @@ use acr::obs;
 use acr::obs::trace::{self, TraceEvent};
 use acr::prelude::*;
 use acr::topo::gen;
-use acr::workloads::TABLE1;
-use std::collections::BTreeMap;
+use acr::workloads::{inject_at, FaultType};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// The `wan72` workload's fault mix.
+const WAN72: [FaultType; 6] = [
+    FaultType::MissingRedistribution,
+    FaultType::MissingRedistribution,
+    FaultType::MissingPbrPermit,
+    FaultType::MissingPeerGroup,
+    FaultType::ExtraPeerGroupItem,
+    FaultType::MissingPrefixListItems,
+];
 
 fn main() {
     let passes: usize = std::env::args()
@@ -25,9 +38,17 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(3);
     let net = generate(&gen::wan(24, 48));
-    let incidents: Vec<_> = TABLE1
+    // Each fault at the first observable site whose broken configuration
+    // no earlier job has.
+    let mut taken = BTreeSet::new();
+    let incidents: Vec<_> = WAN72
         .iter()
-        .filter_map(|&(fault, _)| try_inject(fault, &net, 0))
+        .map(|&fault| {
+            (net.cfg.routers().into_iter())
+                .filter_map(|r| inject_at(fault, &net, &net.cfg, r))
+                .find(|inc| taken.insert(inc.broken.fingerprint()))
+                .unwrap_or_else(|| panic!("no site left for {fault:?}"))
+        })
         .collect();
     let engine = RepairEngine::with_defaults(&net.topo, &net.spec);
 
@@ -46,7 +67,7 @@ fn main() {
 
     let jobs = (passes * incidents.len()).max(1) as f64;
     println!(
-        "{} jobs ({passes} traced passes of {} wan(24,48) incidents), per job:",
+        "{} jobs ({passes} traced passes of the {} wan72 jobs), per job:",
         jobs,
         incidents.len()
     );

@@ -7,17 +7,21 @@
 //! committed once — as the engine does — and every distinct patch both
 //! operator vocabularies generate at every line of every device is
 //! validated against that commit and against a fresh full verification of
-//! the patched network: verdict, violation and path of every record and
-//! the coverage lines of every test must agree. The same slice also pins
-//! the verifier's full-rebuild oracle: candidates compiled from scratch
-//! must verify exactly as the delta-built ones do.
+//! the patched network: verdict, violation and path of every record, the
+//! coverage lines of every test and the shape of every record's
+//! derivation DAG must agree. Together with `prop_delta_sim.rs` (a
+//! delta-built simulator runs exactly as a fresh compile) this is what
+//! pins delta-built candidates and the cross-candidate policy memo.
 
 use acr::cfg::DeviceModel;
 use acr::core::templates::candidates_for_line;
 use acr::core::{universal_candidates, RepairCtx};
 use acr::prelude::*;
+use acr::sim::{DerivArena, DerivId};
 use acr::workloads::{inject_at, GeneratedNetwork, Incident, TABLE1};
-use std::collections::HashSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// What a sweep saw: candidates compared, how many of them pass every
@@ -66,18 +70,64 @@ fn candidates(net: &GeneratedNetwork, incident: &Incident) -> Vec<Patch> {
     patches
 }
 
+/// Structural hashes of derivation nodes in one arena: a node's kind,
+/// its lines and the set of its parents' hashes. Equal hashes in two
+/// arenas mean equal derivation DAGs, whatever ids each arena assigned.
+#[derive(Default)]
+struct Shapes(HashMap<DerivId, u64>);
+
+impl Shapes {
+    fn of(&mut self, arena: &DerivArena, id: DerivId) -> u64 {
+        if let Some(&h) = self.0.get(&id) {
+            return h;
+        }
+        let node = arena.node(id);
+        let mut parents: Vec<u64> = node.parents.iter().map(|p| self.of(arena, *p)).collect();
+        parents.sort_unstable();
+        let mut h = DefaultHasher::new();
+        (node.kind, node.lines, parents).hash(&mut h);
+        let h = h.finish();
+        self.0.insert(id, h);
+        h
+    }
+
+    /// The shapes of `roots`, as a sorted multiset: a verdict lists its
+    /// rejection roots by id, and ids follow the arena's history.
+    fn roots(&mut self, arena: &DerivArena, roots: &[DerivId]) -> Vec<u64> {
+        let mut shapes: Vec<u64> = roots.iter().map(|r| self.of(arena, *r)).collect();
+        shapes.sort_unstable();
+        shapes
+    }
+}
+
 impl Sweep {
     fn run(&mut self, net: &GeneratedNetwork, incident: &Incident) {
         let broken = &incident.broken;
         let verifier = Verifier::new(&net.topo, &net.spec);
         let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
         iv.commit(broken);
+        // The persistent arena's ids never change meaning: one cache for
+        // every candidate.
+        let mut inc_shapes = Shapes::default();
         for patch in candidates(net, incident) {
             let Ok(candidate) = patch.apply_cloned(broken) else {
                 continue;
             };
             let inc = iv.verify_candidate(&candidate, &patch);
-            let (full, _) = verifier.run_full(&candidate);
+            let (full, out) = verifier.run_full(&candidate);
+            // What symbolization walks: every record's derivation DAG, not
+            // only the lines it closes over.
+            let mut full_shapes = Shapes::default();
+            let shapes = inc.records.iter().zip(&full.records).all(|(a, b)| {
+                inc_shapes.roots(iv.arena(), &a.deriv_roots)
+                    == full_shapes.roots(&out.arena, &b.deriv_roots)
+            });
+            if !shapes {
+                self.disagreements.push(format!(
+                    "{:?}: {patch}: derivation DAGs differ",
+                    incident.fault
+                ));
+            }
             // The incremental verifier returns verdicts only: coverage is
             // built over its arena, with the candidate's compiled models.
             let compiled = (iv.base().expect("committed")).delta(&net.topo, &candidate, &patch);
@@ -143,43 +193,6 @@ fn verify_candidate_agrees_with_run_full_on_every_generated_candidate() {
         sweep.run(&net, &incident);
     }
     sweep.assert_sound(1000);
-}
-
-/// Delta construction is construction only: a verifier that compiles every
-/// candidate from scratch (`set_delta(false)`, the full-rebuild oracle)
-/// must re-simulate exactly the same prefixes and return the same
-/// `Verification` — records, flapping set and session diagnostics — with
-/// a derivation arena interned identically, so every `deriv_roots` id
-/// (which symbolization and coverage walk) names the same node in both. Only the build counters differ: the oracle compiles every device.
-#[test]
-fn delta_built_candidates_verify_exactly_as_full_rebuilds() {
-    let net = generate(&acr::topo::gen::wan(4, 8));
-    let mut compared = 0;
-    for incident in tier1_slice(&net) {
-        let broken = &incident.broken;
-        let mut delta = IncrementalVerifier::new(&net.topo, &net.spec);
-        let mut full = IncrementalVerifier::new(&net.topo, &net.spec);
-        full.set_delta(false);
-        assert_eq!(delta.commit(broken), full.commit(broken));
-        for patch in candidates(&net, &incident) {
-            let Ok(candidate) = patch.apply_cloned(broken) else {
-                continue;
-            };
-            let a = delta.verify_candidate(&candidate, &patch);
-            let b = full.verify_candidate(&candidate, &patch);
-            let what = format!("{:?}: {patch}", incident.fault);
-            let (sa, sb) = (delta.last_stats(), full.last_stats());
-            assert_eq!(
-                (sa.recomputed, sa.reused),
-                (sb.recomputed, sb.reused),
-                "{what}"
-            );
-            assert_eq!(a, b, "{what}");
-            assert!(delta.arena() == full.arena(), "{what}: arenas diverged");
-            compared += 1;
-        }
-    }
-    assert!(compared >= 1000, "only {compared} candidates compared");
 }
 
 /// Every class × every injectable site of `wan(4,8)`.
