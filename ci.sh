@@ -58,7 +58,10 @@ grep -q '"schema":"acr-journal/v6"' "$obs_tmp/journal.jsonl"
 rm -rf "$obs_tmp"
 
 echo "==> span_profile example (one traced pass over the wan(24,48) incidents)"
-cargo run --release -q --example span_profile -- 1 | grep -q '^engine.teardown '
+profile=$(cargo run --release -q --example span_profile -- 1)
+grep -q '^engine.teardown ' <<<"$profile"
+# The static baseline runs beside the cold commit, off the job's thread.
+sed -n "/^off the job's thread/,\$p" <<<"$profile" | grep -q '^flow.analyze '
 
 echo "==> acrd smoke (daemon-served repair == one-shot batch, JSONL over stdin)"
 acrd_daemon=$(./target/release/acrd --emit-corpus | ./target/release/acrd | tee /dev/stderr | grep -E '^(report_digest=|jobs=)')

@@ -390,12 +390,10 @@ impl<'a> RepairEngine<'a> {
         // The session keeps a small LRU of slots, so rotating job streams
         // resume warm on every revisit.
         let mut iv = IncrementalVerifier::new(self.topo, self.spec);
-        let (resumed, parked_statics) = match session.as_mut().and_then(|s| s.take(fp)) {
-            Some(slot) => (iv.resume(slot.warm, original, fp), Some(slot.statics)),
-            None => (None, None),
-        };
+        let slot = session.as_mut().and_then(|s| s.take(fp));
+        let resumed = slot.map(|slot| (iv.resume(slot.warm, original, fp), slot.statics));
         if let Some(s) = session.as_mut() {
-            if resumed.is_some() {
+            if matches!(resumed, Some((Some(_), _))) {
                 s.resident_hits += 1;
                 RESIDENT_HITS.inc();
             } else {
@@ -403,25 +401,27 @@ impl<'a> RepairEngine<'a> {
                 RESIDENT_MISSES.inc();
             }
         }
-        let base_verification = match resumed {
-            Some(v) => v,
-            None => {
-                let _s = span!("verify.commit", "verify");
-                iv.commit(original)
-            }
-        };
-        let initial_failed = base_verification.failed_count();
-
         // Static baseline: the broken network's dataflow facts (for the
         // localization prior and the journal's flow summary) and its own
         // lint findings — the gate only rejects candidates that introduce
         // *new* error keys, pre-existing ones may well be the fault under
-        // repair. Read off the verifier's committed compiled form, and
-        // pure in the configuration, so a revisit takes it from the slot:
-        // this is the job's one fixed point over the broken network, or
-        // none.
-        let statics = parked_statics
-            .unwrap_or_else(|| Baseline::build(self.topo, original, committed_base(&iv)));
+        // repair. Pure in the configuration, so a slot hit takes it from
+        // the slot; otherwise it is built from the cold commit's compiled
+        // form on a scoped thread beside the rest of the commit: this is
+        // the job's one fixed point over the broken network, or none.
+        let (base_verification, statics) = match resumed {
+            Some((Some(v), statics)) => (v, statics),
+            Some((None, statics)) => {
+                let _s = span!("verify.commit", "verify");
+                (iv.commit(original), statics)
+            }
+            None => {
+                let _s = span!("verify.commit", "verify");
+                iv.commit_with(original, |base| Baseline::build(self.topo, original, base))
+            }
+        };
+        let initial_failed = base_verification.failed_count();
+
         let flow_prior = flow_prior(self.spec, &base_verification, &statics.facts);
 
         // Validate-stage plumbing: the memo-cache keys every candidate
@@ -761,7 +761,9 @@ impl<'a> RepairEngine<'a> {
             let verification = variant
                 .verification
                 .get_or_init(|| Arc::new(reverify(iv, &variant.cfg, &variant.patch)));
-            let committed = committed_base(iv);
+            let committed = iv
+                .base()
+                .expect("a committed or resumed verifier holds its base");
             let compiled = if variant.patch.is_empty() {
                 committed.clone()
             } else {
@@ -994,13 +996,6 @@ impl<'a> RepairEngine<'a> {
             }
         }
     }
-}
-
-/// The committed compiled form of a verifier the job has committed or
-/// resumed.
-fn committed_base<'i>(iv: &'i IncrementalVerifier<'_>) -> &'i CompiledBase {
-    iv.base()
-        .expect("a committed or resumed verifier holds its base")
 }
 
 /// The `acr-flow` localization prior: every line the abstract

@@ -9,10 +9,10 @@
 //! [`IncrementalVerifier`] — its persistent arena, its cross-candidate
 //! policy memo — in candidate-index order.
 //!
-//! The broken network's static [`Baseline`] is read off the verifier's
-//! committed `CompiledBase`: a job compiles the broken network once, for
-//! the verifier, and the lint and flow baselines reuse that compiled
-//! form.
+//! The broken network's static [`Baseline`] is read off the cold
+//! commit's `CompiledBase`, on a scoped thread beside the rest of the
+//! commit: a job compiles the broken network once, for the verifier, and
+//! the lint and flow baselines reuse that compiled form.
 //!
 //! **Nothing network-wide runs per candidate.** The gate rejects a
 //! candidate that *introduces* a lint error, and every error rule is
@@ -387,6 +387,40 @@ mod tests {
             rejected >= 20 && passed >= 200,
             "both verdicts must be exercised: {rejected} rejected, {passed} passed"
         );
+    }
+
+    /// A cold job builds its static baseline on a scoped thread beside
+    /// the commit. Over every Table-1 fault on `wan(4,8)`, the baseline
+    /// the engine parks after a cold resident job equals one built
+    /// sequentially from a fresh compile of the broken network.
+    #[test]
+    fn the_overlapped_baseline_equals_a_sequential_build() {
+        let net = generate(&acr_topo::gen::wan(4, 8));
+        let engine = crate::RepairEngine::with_defaults(&net.topo, &net.spec);
+        for (fault, _) in TABLE1 {
+            let Some(incident) = try_inject(fault, &net, 0) else {
+                continue;
+            };
+            let broken = &incident.broken;
+            let mut session = crate::NetworkSession::new();
+            engine.repair_resident(broken, &mut session);
+            assert_eq!(
+                session.resident_misses, 1,
+                "{fault:?}: the job commits cold"
+            );
+            let overlapped = session.take(broken.fingerprint()).expect("parked").statics;
+            let compiled = CompiledBase::new(&net.topo, broken);
+            let sequential = Baseline::build(&net.topo, broken, &compiled);
+            assert_eq!(overlapped.keys, sequential.keys, "{fault:?}");
+            assert_eq!(overlapped.diags, sequential.diags, "{fault:?}");
+            let (pops, reference) = (overlapped.facts.iterations, sequential.facts.iterations);
+            assert_eq!(pops, reference, "{fault:?}");
+            assert_eq!(
+                overlapped.facts.fact_count(),
+                sequential.facts.fact_count(),
+                "{fault:?}"
+            );
+        }
     }
 
     /// Validates the candidates the templates generate at the broken

@@ -8,8 +8,9 @@
 //! Three facilities behind one on/off switch:
 //!
 //! - [`trace`] — span-based tracing with a guard API ([`span!`]),
-//!   with one timeline per thread (a repair job runs on one thread, so
-//!   its spans nest), exportable as Chrome trace-event JSON
+//!   with one timeline per thread (a repair job's spans nest on its own
+//!   thread; its static baseline's run beside the cold commit on a
+//!   scoped thread of their own), exportable as Chrome trace-event JSON
 //!   (`chrome://tracing`, Perfetto). Enabled by `ACR_TRACE=path`.
 //! - [`metrics`] — a registry of counters, gauges and fixed-bucket
 //!   histograms: simulator convergence rounds, memo-cache and lint-gate

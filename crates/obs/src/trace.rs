@@ -3,8 +3,10 @@
 //! A span is opened with [`span`] (or the [`crate::span!`] macro) and
 //! closed when its guard drops; the completed event records wall-clock
 //! start/duration relative to the process trace epoch plus the logical
-//! id of the thread that ran it (ids are assigned in first-span order; a
-//! repair job runs on one thread, so its spans nest on one id).
+//! id of the thread that ran it (ids are assigned in first-span order). A
+//! repair job's spans nest on its own thread's id, except the static
+//! baseline's, which runs beside the cold commit on a scoped thread and
+//! records that thread's id.
 //! [`export_chrome`] renders the buffer in the Chrome trace-event format
 //! (`{"traceEvents":[{"ph":"X",...}]}`), loadable in `chrome://tracing`
 //! or Perfetto.

@@ -13,7 +13,10 @@
 //!    [`IncrementalVerifier::base`] — simulates the whole universe and
 //!    caches every per-prefix outcome with its configuration-line closure,
 //!    plus every router's base FIB, in a **persistent content-addressed
-//!    arena** (old derivation ids stay valid),
+//!    arena** (old derivation ids stay valid);
+//!    [`IncrementalVerifier::commit_with`] runs the same body with one
+//!    caller-supplied pass over the compiled base on a scoped thread
+//!    beside it,
 //! 2. a candidate (committed configuration + patch) is delta-built from
 //!    the base ([`CompiledBase::delta`]: only patched devices recompile)
 //!    and the comparison of their old and new models
@@ -228,6 +231,36 @@ impl<'a> IncrementalVerifier<'a> {
     /// Returns the configuration's verdicts, without coverage.
     pub fn commit(&mut self, cfg: &NetworkConfig) -> Verification {
         let sim = Simulator::new(self.verifier.topo(), cfg);
+        self.commit_compiled(&sim, cfg)
+    }
+
+    /// [`IncrementalVerifier::commit`], with `side` run on one scoped
+    /// thread beside it: `side` gets the configuration's compiled form as
+    /// soon as it is compiled, runs while this thread simulates the
+    /// universe, fills the caches and evaluates, and is joined before the
+    /// call returns. The verdicts are [`IncrementalVerifier::commit`]'s,
+    /// and the base `side` saw is the one [`IncrementalVerifier::base`]
+    /// lends out afterwards (its models are the same `Arc`s). A panic in
+    /// `side` is re-raised here with its own payload.
+    pub fn commit_with<R: Send>(
+        &mut self,
+        cfg: &NetworkConfig,
+        side: impl FnOnce(&CompiledBase) -> R + Send,
+    ) -> (Verification, R) {
+        let sim = Simulator::new(self.verifier.topo(), cfg);
+        let base = sim.base();
+        std::thread::scope(|scope| {
+            let side = scope.spawn(move || side(base));
+            let verification = self.commit_compiled(&sim, cfg);
+            match side.join() {
+                Ok(r) => (verification, r),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
+    }
+
+    /// The one commit body, over `cfg`'s freshly compiled simulator.
+    fn commit_compiled(&mut self, sim: &Simulator<'_>, cfg: &NetworkConfig) -> Verification {
         let universe = sim.universe();
         // Nothing is cached about the new configuration: the cold rule.
         self.caches = Caches::default();
@@ -238,14 +271,14 @@ impl<'a> IncrementalVerifier<'a> {
         self.memo = PolicyMemo::new();
         self.memo.begin_run(sim.base().sessions(), &[]);
         let (arena, memo) = (&mut self.arena, &mut self.memo);
-        let mut run = simulate(&sim, &universe, affected, arena, memo);
+        let mut run = simulate(sim, &universe, affected, arena, memo);
         let fill = span!("verify.fill", "verify");
-        self.caches = Caches::fill(std::mem::take(&mut run.fresh), &sim, arena);
+        self.caches = Caches::fill(std::mem::take(&mut run.fresh), sim, arena);
         drop(fill);
         self.base = Some(sim.base().clone());
         self.base_fp = cfg.fingerprint();
         let (view, arena, _) = self.split();
-        let (verification, stats) = view.assemble(&sim, &universe, run, arena);
+        let (verification, stats) = view.assemble(sim, &universe, run, arena);
         self.last_stats = stats;
         verification
     }
@@ -931,6 +964,33 @@ mod tests {
         assert!(v.all_passed());
         // Full universe: the two spec prefixes plus the inserted network.
         assert_eq!(cold.last_stats().recomputed, 3, "cold fallback runs full");
+    }
+
+    #[test]
+    fn commit_with_verifies_as_commit_and_lends_the_committed_base() {
+        let (topo, cfg, spec) = scenario();
+        let plain = IncrementalVerifier::new(&topo, &spec).commit(&cfg);
+        let mut iv = IncrementalVerifier::new(&topo, &spec);
+        let (v, seen) = iv.commit_with(&cfg, |base| base.clone());
+        assert_eq!(v, plain);
+        let committed = iv.base().expect("committed").models();
+        assert_eq!(seen.models().len(), committed.len());
+        for (a, b) in seen.models().iter().zip(committed) {
+            assert!(Arc::ptr_eq(a, b), "the side saw another compile");
+        }
+    }
+
+    #[test]
+    fn a_panicking_side_unwinds_commit_with_with_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(u32);
+        let (topo, cfg, spec) = scenario();
+        let mut iv = IncrementalVerifier::new(&topo, &spec);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            iv.commit_with(&cfg, |_| std::panic::panic_any(Payload(7)))
+        }));
+        let payload = caught.expect_err("the side's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<Payload>(), Some(&Payload(7)));
     }
 
     #[test]

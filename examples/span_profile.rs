@@ -11,6 +11,12 @@
 //! inside its interval, clipped to it). Each job runs inside a `job`
 //! span, so `job`'s self time is the time no engine span covers.
 //!
+//! Spans on the job's own thread are its critical path: their self times
+//! sum to the wall, printed as the `critical path` line, which equals
+//! `job`'s total. Spans on any other thread (the static baseline, built
+//! beside the cold commit) ran overlapped with that path and print under
+//! their own heading.
+//!
 //! ```sh
 //! cargo run --release --example span_profile -- 5
 //! ```
@@ -71,19 +77,46 @@ fn main() {
         jobs,
         incidents.len()
     );
+    let events = trace::take();
+    let job_tids: BTreeSet<u32> = (events.iter())
+        .filter(|e| e.name == "job")
+        .map(|e| e.tid)
+        .collect();
+    let rows = per_name(&events, |e| job_tids.contains(&e.tid));
+    let critical: u64 = rows.values().map(|row| row.self_us).sum();
+    print_rows("on the job's thread", rows, jobs);
+    println!(
+        "{:<32} {:>8} {:>10.3}",
+        "critical path",
+        "",
+        ms(critical, jobs)
+    );
+    print_rows(
+        "off the job's thread",
+        per_name(&events, |e| !job_tids.contains(&e.tid)),
+        jobs,
+    );
+}
+
+fn ms(us: u64, jobs: f64) -> f64 {
+    us as f64 / 1e3 / jobs
+}
+
+/// One table of per-job rows under `heading`, largest self time first.
+fn print_rows(heading: &str, rows: BTreeMap<&'static str, Row>, jobs: f64) {
     println!(
         "{:<32} {:>8} {:>10} {:>10}",
-        "span", "calls", "total_ms", "self_ms"
+        heading, "calls", "total_ms", "self_ms"
     );
-    let mut rows: Vec<(&str, Row)> = per_name(&trace::take()).into_iter().collect();
+    let mut rows: Vec<(&str, Row)> = rows.into_iter().collect();
     rows.sort_by_key(|(_, row)| std::cmp::Reverse(row.self_us));
     for (name, row) in rows {
         println!(
             "{:<32} {:>8.2} {:>10.3} {:>10.3}",
             name,
             row.calls as f64 / jobs,
-            row.total_us as f64 / 1e3 / jobs,
-            row.self_us as f64 / 1e3 / jobs
+            ms(row.total_us, jobs),
+            ms(row.self_us, jobs)
         );
     }
 }
@@ -95,9 +128,13 @@ struct Row {
     self_us: u64,
 }
 
-/// Calls, total and self time per span name. On one thread spans nest,
-/// so a span's parent is the innermost open span its start falls in.
-fn per_name(events: &[TraceEvent]) -> BTreeMap<&'static str, Row> {
+/// Calls, total and self time per span name, over the events `keep`
+/// selects. On one thread spans nest, so a span's parent is the innermost
+/// open span its start falls in.
+fn per_name(
+    events: &[TraceEvent],
+    keep: impl Fn(&TraceEvent) -> bool,
+) -> BTreeMap<&'static str, Row> {
     let mut order: Vec<usize> = (0..events.len()).collect();
     order.sort_by_key(|&i| {
         let e = &events[i];
@@ -121,7 +158,7 @@ fn per_name(events: &[TraceEvent]) -> BTreeMap<&'static str, Row> {
         open.push(i);
     }
     let mut rows: BTreeMap<&'static str, Row> = BTreeMap::new();
-    for (e, covered) in events.iter().zip(covered) {
+    for (e, covered) in events.iter().zip(covered).filter(|(e, _)| keep(e)) {
         let row = rows.entry(e.name).or_default();
         row.calls += 1;
         row.total_us += e.dur_us;
