@@ -13,43 +13,43 @@
 //! lines that keep rewriting the route (the override policies of the
 //! incident).
 //!
-//! Two engines implement the same dynamics:
-//!
-//! * [`run_prefix_dense`] — the reference engine: every router recomputes
-//!   from every session every round.
-//! * [`run_prefix_sparse`] — the production engine: a router is
-//!   recomputed in round *t+1* only when it held round 0 or a session
-//!   neighbor's best changed (as a full [`Route`], derivation included)
-//!   in round *t*. A skipped router's inputs are bit-identical to the
-//!   previous round, so its recomputation would reproduce its current
-//!   best exactly — bests, rejection [`DerivId`]s, and arena first-intern
-//!   order all match the dense engine (see `states` below and the
-//!   `prop_sparse_sim` suite). The cycle-detection hash is maintained
-//!   incrementally (XOR of position-indexed per-router key hashes, with
-//!   true key-state verification on a hash hit — the dense engine trusts
-//!   the 64-bit hash), and history is a per-router change log instead of
-//!   a full `best.clone()` per round.
+//! One engine runs these dynamics, `run_prefix_sparse`: a router is
+//! recomputed in round *t+1* only when it held round 0 or a session
+//! neighbor's best changed (as a full [`Route`], derivation included) in
+//! round *t*. A skipped router's inputs are bit-identical to the previous
+//! round, so its recomputation would reproduce its current best exactly —
+//! bests, rejection [`DerivId`]s, and arena first-intern order all match
+//! a reference that recomputes every router from every session every
+//! round. That dense reference lives in `tests/converge_oracle.rs`, built
+//! on this module's own [`export`] and [`import`]. The cycle-detection
+//! hash is maintained incrementally (XOR of position-indexed per-router
+//! key hashes, with true key-state verification on a hash hit), and
+//! history is a per-router change log instead of a full copy of every
+//! router's best per round.
 //!
 //! Policy transfers (`export` then `import` over one session in one
-//! direction) are pure in the carried route, so the sparse engine
-//! memoizes them per simulation run ([`PolicyMemo`]); repeated rounds —
-//! a dirty router re-pulling an unchanged neighbor, or a flap cycling
-//! through the same states — cost a hash lookup instead of a policy walk.
-//! The memo key is the full [`Route`] (not [`RouteKey`]): communities and
-//! the derivation id are not protocol-key state but *do* influence the
-//! transfer result (community matches; provenance of the output).
+//! direction) are pure in the carried route, so the engine memoizes them
+//! in a [`PolicyMemo`] the caller owns. The incremental verifier keeps
+//! one memo across the commit and every candidate
+//! ([`PolicyMemo::begin_run`]), so most hits are transfers an earlier run
+//! already evaluated on a session the patch cannot reach; the rest are
+//! in-run repeats — a dirty router re-pulling an unchanged neighbor, or a
+//! flap cycling through the same states. Either way a hit costs a hash
+//! lookup instead of a policy walk. The memo key is the full [`Route`]
+//! (not [`RouteKey`]): communities and the derivation id are not
+//! protocol-key state but *do* influence the transfer result (community
+//! matches; provenance of the output).
 //!
 //! [`RouteKey`]: crate::route::RouteKey
 
 use crate::deriv::{DerivArena, DerivId, DerivKind};
 use crate::fxhash::FxHashMap;
 use crate::policy::{eval_policy_into, PolicyOutcome};
-use crate::route::{select_best, select_best_id, Route, RouteId, RouteInterner};
+use crate::route::{select_best_id, Route, RouteId, RouteInterner};
 use crate::session::Session;
 use acr_cfg::model::DeviceModel;
 use acr_cfg::LineId;
 use acr_net_types::{Asn, Prefix, RouterId};
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -134,22 +134,13 @@ pub struct RouterCtx<'a> {
     pub asn: Option<Asn>,
 }
 
-/// Which convergence engine to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvergeEngine {
-    /// The reference engine tests compare against: full recomputation
-    /// every round.
-    Dense,
-    /// The product engine: recompute only routers whose inputs changed.
-    Sparse,
-}
-
 /// Work accounting across one or more convergence runs. One "policy
 /// eval" is one actual walk of the export→import machinery; attempts the
-/// sparse engine serves from its memo are counted in `memo_hits` instead.
-/// The dense engine never skips and never memoizes, so on identical
-/// dynamics `recomputed_routers` and `policy_evals` bound the sparse
-/// engine's from above — `prop_sparse_sim` asserts both sides.
+/// engine serves from its memo are counted in `memo_hits` instead. The
+/// dense reference in `tests/converge_oracle.rs` fills the same counters
+/// but never skips and never memoizes, so on identical dynamics its
+/// `recomputed_routers` and `policy_evals` bound the engine's from above
+/// — that test asserts both sides.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvergeWork {
     /// Synchronous rounds computed (cycle-check-only iterations excluded).
@@ -160,7 +151,7 @@ pub struct ConvergeWork {
     pub skipped_routers: u64,
     /// Export→import evaluations actually performed.
     pub policy_evals: u64,
-    /// Evaluations served from the per-run [`PolicyMemo`].
+    /// Evaluations served from the caller's [`PolicyMemo`].
     pub memo_hits: u64,
 }
 
@@ -185,19 +176,21 @@ enum Evaluated {
     Silent,
 }
 
-/// Per-simulation-run memo over the transfer function, keyed on
-/// (session, direction, carried route). The transfer is pure in those
-/// inputs — the models and session views are fixed for a run, and the
-/// derivation arena is content-addressed, so re-running a transfer
-/// returns bit-identical routes and ids. The key must be the full
-/// [`Route`]: the route *key* excludes communities (matchable by
-/// policies) and the derivation id (flows into the output's provenance),
-/// both of which change the result.
+/// Memo over the transfer function, keyed on (session, direction,
+/// carried route). The transfer is pure in those inputs — the models and
+/// session views are fixed for a run, and the derivation arena is
+/// content-addressed, so re-running a transfer returns bit-identical
+/// routes and ids. The key must be the full [`Route`]: the route *key*
+/// excludes communities (matchable by policies) and the derivation id
+/// (flows into the output's provenance), both of which change the result.
 ///
-/// Hits only ever occur within one prefix's run (the prefix is part of
-/// the route), where they come from repeated rounds: a dirty router
-/// re-pulling an unchanged neighbor, or a flap cycling through the same
-/// states.
+/// A hit is always for the same prefix (the prefix is part of the
+/// route), but not necessarily from the same run: the incremental
+/// verifier keeps one memo across its commit and every candidate
+/// ([`PolicyMemo::begin_run`] between runs), and most hits are transfers
+/// an earlier run evaluated on a session the patch cannot reach. In-run
+/// hits come from repeated rounds: a dirty router re-pulling an
+/// unchanged neighbor, or a flap cycling through the same states.
 #[derive(Default)]
 pub struct PolicyMemo {
     /// `slots[2 * session_index + direction]`, direction = sender is `a`.
@@ -241,7 +234,7 @@ struct MemoEntry {
 /// and parent list, built in place and interned via
 /// [`DerivArena::intern_ref`] so a dedup hit allocates nothing.
 #[derive(Default)]
-struct EvalScratch {
+pub struct EvalScratch {
     lines: Vec<LineId>,
     parents: Vec<DerivId>,
 }
@@ -332,8 +325,8 @@ impl PolicyMemo {
     /// The memoized transfer. Returns `(first, result)` — `first` is true
     /// when this (session, direction, route) was not yet attempted *this
     /// run* (the caller records denials into its rejection set exactly
-    /// once per run, on that first attempt; the dense engine's duplicate
-    /// pushes dedup away in the final sort).
+    /// once per run, on that first attempt; the dense reference's
+    /// duplicate pushes dedup away in the final sort).
     #[allow(clippy::too_many_arguments)]
     fn transfer(
         &mut self,
@@ -392,29 +385,9 @@ fn transfer(
     }
 }
 
-/// Interns the constant per-router local candidate routes.
-fn intern_locals(
-    prefix: Prefix,
-    originations: &[Origination],
-    arena: &mut DerivArena,
-) -> Vec<Vec<Route>> {
-    originations
-        .iter()
-        .map(|o| {
-            o.sources
-                .iter()
-                .map(|(kind, lines)| {
-                    let deriv = arena.intern(*kind, lines.clone(), vec![]);
-                    Route::local(prefix, deriv)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Id-level twin of [`intern_locals`] for the interned sparse engine:
-/// same arena intern calls in the same order, with the routes hash-consed
-/// into `routes` instead of cloned per round.
+/// Interns the constant per-router local candidate routes, hash-consed
+/// into `routes`: one arena intern per origination source, in router
+/// then source order.
 fn intern_locals_ids(
     prefix: Prefix,
     originations: &[Origination],
@@ -436,10 +409,9 @@ fn intern_locals_ids(
 }
 
 /// Session indices per member router, in session order — the candidate
-/// evaluation order both engines share. Prefix-independent: callers
-/// running many prefixes build this once and pass it to every engine
-/// invocation (it showed up as per-prefix fixed cost when it was built
-/// inside the engines).
+/// evaluation order. Prefix-independent: callers running many prefixes
+/// build this once and pass it to every engine invocation (it showed up
+/// as per-prefix fixed cost when it was built inside the engine).
 pub fn index_sessions(sessions: &[Session], n: usize) -> Vec<Vec<u32>> {
     let mut sessions_of: Vec<Vec<u32>> = vec![Vec::new(); n];
     for (si, s) in sessions.iter().enumerate() {
@@ -455,7 +427,7 @@ pub fn index_sessions(sessions: &[Session], n: usize) -> Vec<Vec<u32>> {
 /// repair loop's small networks the per-prefix allocations were a
 /// measurable share of convergence wall time.
 #[derive(Default)]
-pub struct SparseScratch {
+pub(crate) struct SparseScratch {
     slot_hash: Vec<u64>,
     logs: Vec<Vec<(usize, Option<RouteId>)>>,
     seen_states: FxHashMap<u64, usize>,
@@ -466,133 +438,8 @@ pub struct SparseScratch {
 }
 
 impl SparseScratch {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SparseScratch::default()
-    }
-}
-
-/// The dense reference engine: every router recomputes from every session
-/// every round. Kept verbatim as the oracle the sparse engine is tested
-/// against (per-round scratch is reused, which does not change a single
-/// evaluation).
-pub fn run_prefix_dense(
-    prefix: Prefix,
-    routers: &[RouterCtx<'_>],
-    sessions: &[Session],
-    sessions_of: &[Vec<u32>],
-    originations: &[Origination],
-    arena: &mut DerivArena,
-    work: &mut ConvergeWork,
-) -> PrefixOutcome {
-    let n = routers.len();
-    // Local candidate routes never change across rounds.
-    let locals = intern_locals(prefix, originations, arena);
-
-    let mut best: Vec<Option<Route>> = (0..n)
-        .map(|i| select_best(locals[i].iter().cloned()))
-        .collect();
-    let mut seen_states: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut history: Vec<Vec<Option<Route>>> = Vec::new();
-    let mut rejections: Vec<DerivId> = Vec::new();
-
-    // Per-round scratch, allocated once and drained per router / swapped
-    // per round.
-    let mut next: Vec<Option<Route>> = Vec::with_capacity(n);
-    let mut candidates: Vec<Route> = Vec::new();
-    let mut eval = EvalScratch::default();
-
-    let max_rounds = MAX_ROUNDS_BASE + 4 * n;
-    for round in 0..max_rounds {
-        let state_hash = hash_state(&best);
-        if let Some(&first) = seen_states.get(&state_hash) {
-            // Revisited a state: rounds [first, round) form the cycle.
-            let cycle_len = round - first;
-            if cycle_len == 0 {
-                break; // defensive; cannot happen (hash inserted below)
-            }
-            let mut observed: Vec<Vec<Route>> = vec![Vec::new(); n];
-            for state in &history[first..] {
-                for (i, r) in state.iter().enumerate() {
-                    if let Some(r) = r {
-                        if !observed[i].iter().any(|o: &Route| o.key() == r.key()) {
-                            observed[i].push(r.clone());
-                        }
-                    }
-                }
-            }
-            rejections.sort_unstable();
-            rejections.dedup();
-            return PrefixOutcome::Flapping {
-                first_seen_round: first,
-                cycle_len,
-                observed,
-                rejections,
-            };
-        }
-        seen_states.insert(state_hash, round);
-        history.push(best.clone());
-
-        // Compute the next state.
-        work.rounds += 1;
-        work.recomputed_routers += n as u64;
-        next.clear();
-        for i in 0..n {
-            let me = &routers[i];
-            candidates.extend(locals[i].iter().cloned());
-            for &si in &sessions_of[i] {
-                let session = &sessions[si as usize];
-                let view = session.view_of(me.id).expect("indexed by member");
-                let neighbor = &routers[view.peer.index()];
-                let Some(neighbor_best) = &best[view.peer.index()] else {
-                    continue;
-                };
-                work.policy_evals += 1;
-                match export(neighbor, session, me.id, neighbor_best, arena, &mut eval) {
-                    Ok(msg) => match import(me, session, view.peer, &msg, arena, &mut eval) {
-                        Ok(imported) => candidates.push(imported),
-                        Err(Some(denied)) => rejections.push(denied),
-                        Err(None) => {} // AS-path loop: not config-attributable
-                    },
-                    Err(Some(denied)) => rejections.push(denied),
-                    Err(None) => {}
-                }
-            }
-            next.push(select_best(candidates.drain(..)));
-        }
-
-        let stable = next.iter().zip(&best).all(|(a, b)| match (a, b) {
-            (Some(x), Some(y)) => x.key() == y.key(),
-            (None, None) => true,
-            _ => false,
-        });
-        std::mem::swap(&mut best, &mut next);
-        if stable {
-            rejections.sort_unstable();
-            rejections.dedup();
-            return PrefixOutcome::Converged {
-                rounds: round + 1,
-                best,
-                rejections,
-            };
-        }
-    }
-    // Defensive cap without a repeated state (should not happen for
-    // deterministic synchronous dynamics over a finite state space, but we
-    // never want an infinite loop in a repair inner loop).
-    rejections.sort_unstable();
-    rejections.dedup();
-    PrefixOutcome::Flapping {
-        first_seen_round: 0,
-        cycle_len: max_rounds,
-        observed: vec![
-            best.into_iter()
-                .flatten()
-                .map(|r| vec![r])
-                .next()
-                .unwrap_or_default();
-            n
-        ],
-        rejections,
     }
 }
 
@@ -602,13 +449,13 @@ pub fn run_prefix_dense(
 ///
 /// The key is identified by its hash-consed key id, so hashing a slot
 /// never touches the AS path. Uses the crate's fast hasher, and need not
-/// match the dense engine's [`hash_state`]: the sparse engine's hash only
-/// has to be self-consistent (equal key states hash equal, which key-id
-/// equality gives exactly), and every hit is *verified* against the true
-/// key state before a cycle is declared — a collision between distinct
-/// states costs a spurious comparison rather than a false cycle, the
-/// same ~2^-64 regime as the dense engine, which trusts its SipHash
-/// fingerprint outright.
+/// match any other state hash (the dense reference in
+/// `tests/converge_oracle.rs` hashes whole states with SipHash): this
+/// hash only has to be self-consistent (equal key states hash equal,
+/// which key-id equality gives exactly), and every hit is *verified*
+/// against the true key state before a cycle is declared — a collision
+/// between distinct states costs a spurious comparison rather than a
+/// false cycle.
 fn hash_slot_id(routes: &RouteInterner, i: usize, r: Option<RouteId>) -> u64 {
     let mut hasher = crate::fxhash::FxHasher::default();
     i.hash(&mut hasher);
@@ -642,11 +489,12 @@ fn log_value_at(log: &[(usize, Option<RouteId>)], round: usize) -> Option<RouteI
     log[idx].1
 }
 
-/// The sparse worklist engine. Produces outcomes byte-identical to
-/// [`run_prefix_dense`] (modulo an astronomically unlikely 64-bit state
-/// hash collision, where the dense engine would mis-detect a cycle and
-/// this engine — which verifies hash hits against the reconstructed
-/// state — would not):
+/// The sparse worklist engine. Produces outcomes byte-identical to the
+/// dense reference in `tests/converge_oracle.rs`, which recomputes every
+/// router from every session every round (modulo an astronomically
+/// unlikely 64-bit state hash collision, where the reference would
+/// mis-detect a cycle and this engine — which verifies hash hits against
+/// the reconstructed state — would not):
 ///
 /// * **Skipping is exact.** `next[i]` is a pure function of the
 ///   neighbors' round-*t* bests and constant locals. If no session
@@ -654,18 +502,19 @@ fn log_value_at(log: &[(usize, Option<RouteId>)], round: usize) -> Option<RouteI
 ///   `i` would reproduce its current best bit-for-bit (same derivation
 ///   ids — the arena is content-addressed), so it is skipped. Dirtiness
 ///   propagates on *full* route change; the stability check stays
-///   key-based, exactly like the dense engine.
-/// * **Rejections are complete.** Every distinct transfer value the dense
-///   engine ever evaluates is first evaluated here at the same (round,
+///   key-based, exactly like the reference.
+/// * **Rejections are complete.** Every distinct transfer value the
+///   reference ever evaluates is first evaluated here at the same (round,
 ///   receiver, session) position — the sender's change made the receiver
-///   dirty — and its denial is recorded then. Dense re-evaluations of the
-///   same value only push duplicates, which its final dedup removes.
+///   dirty — and its denial is recorded then. The reference's
+///   re-evaluations of the same value only push duplicates, which its
+///   final dedup removes.
 /// * **Arena first-intern order is preserved.** New derivations only
 ///   appear on the first evaluation of a transfer value, and those first
-///   evaluations coincide positionally in both engines; everything else
-///   is a content-addressed dedup hit.
+///   evaluations coincide positionally in both; everything else is a
+///   content-addressed dedup hit.
 #[allow(clippy::too_many_arguments)]
-pub fn run_prefix_sparse(
+pub(crate) fn run_prefix_sparse(
     prefix: Prefix,
     routers: &[RouterCtx<'_>],
     sessions: &[Session],
@@ -683,7 +532,7 @@ pub fn run_prefix_sparse(
         .map(|i| select_best_id(&memo.routes, locals[i].iter().copied()))
         .collect();
     // Incremental state hash and per-router change logs (round, value) —
-    // the compact replacement for the dense engine's per-round history.
+    // the compact replacement for a per-round copy of every best.
     // All working buffers live in `scratch` and are reset here.
     let slot_hash = &mut scratch.slot_hash;
     slot_hash.clear();
@@ -722,8 +571,8 @@ pub fn run_prefix_sparse(
         if let Some(&first) = seen_states.get(&state_hash) {
             // Hash hit: verify true key-state equality against the
             // reconstructed round-`first` state before declaring a cycle
-            // (a collision between distinct states is skipped — the dense
-            // engine would mis-fire here, at probability ~2^-64).
+            // (a collision between distinct states is skipped — a trusted
+            // 64-bit hash would mis-fire here, at probability ~2^-64).
             let equal = logs
                 .iter()
                 .zip(&best)
@@ -733,7 +582,7 @@ pub fn run_prefix_sparse(
                 if cycle_len == 0 {
                     break; // defensive; cannot happen (hash inserted below)
                 }
-                // Reconstruct the dense `observed` sets: per router, the
+                // Reconstruct the reference's `observed` sets: per router, the
                 // first occurrence of each distinct key over the cycle
                 // rounds [first, round), in round order.
                 let mut observed: Vec<Vec<Route>> = vec![Vec::new(); n];
@@ -806,7 +655,7 @@ pub fn run_prefix_sparse(
             }
         }
 
-        // Key-stability, dense semantics: changes that only touch
+        // Key-stability, the reference's semantics: changes that only touch
         // non-key fields (derivation, communities) still converge.
         let stable = pending
             .iter()
@@ -838,7 +687,7 @@ pub fn run_prefix_sparse(
         std::mem::swap(&mut dirty, &mut next_dirty);
         next_dirty.fill(false);
     }
-    // Defensive cap, identical to the dense engine's.
+    // Defensive cap, identical to the reference's.
     rejections.sort_unstable();
     rejections.dedup();
     PrefixOutcome::Flapping {
@@ -866,7 +715,7 @@ pub fn run_prefix_sparse(
 /// paper's Figure 2 incident — so modelling the echo is essential.
 /// `Err(Some(deriv))` = export policy denied (negative provenance);
 /// `Err(None)` = no BGP process on the sender.
-fn export(
+pub fn export(
     sender: &RouterCtx<'_>,
     session: &Session,
     receiver: RouterId,
@@ -921,7 +770,7 @@ fn export(
 /// The import half: `receiver` accepts `msg` from `sender`.
 /// `Err(Some(deriv))` = import policy denied (negative provenance);
 /// `Err(None)` = AS-path loop rejection (not config-attributable).
-fn import(
+pub fn import(
     receiver: &RouterCtx<'_>,
     session: &Session,
     sender: RouterId,
@@ -962,20 +811,6 @@ fn import(
     out.learned_from = Some(sender);
     out.deriv = arena.intern_ref(DerivKind::Import, lines, parents);
     Ok(out)
-}
-
-fn hash_state(best: &[Option<Route>]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    for r in best {
-        match r {
-            Some(r) => {
-                1u8.hash(&mut hasher);
-                r.key().hash(&mut hasher);
-            }
-            None => 0u8.hash(&mut hasher),
-        }
-    }
-    hasher.finish()
 }
 
 #[cfg(test)]
@@ -1352,103 +1187,5 @@ mod tests {
             .push((DerivKind::OriginNetwork, vec![LineId::new(RouterId(0), 2)]));
         let _ = run_prefix(p("10.0.0.0/16"), &routers, &sessions, &orig, &mut arena);
         assert!(arena.len() < 128, "arena grew to {}", arena.len());
-    }
-
-    /// Runs both engines on the same dynamics and asserts byte-identical
-    /// outcomes *and* arenas, returning the work counters for invariant
-    /// checks.
-    fn both_engines(
-        topo: &Topology,
-        models: &[DeviceModel],
-        orig: &[Origination],
-        prefix: Prefix,
-    ) -> (PrefixOutcome, ConvergeWork, ConvergeWork) {
-        let (sessions, _) = establish(topo, models);
-        let routers = ctxs(topo, models);
-        let sessions_of = index_sessions(&sessions, routers.len());
-        let mut dense_arena = DerivArena::new();
-        let mut dense_work = ConvergeWork::default();
-        let dense = run_prefix_dense(
-            prefix,
-            &routers,
-            &sessions,
-            &sessions_of,
-            orig,
-            &mut dense_arena,
-            &mut dense_work,
-        );
-        let mut sparse_arena = DerivArena::new();
-        let mut sparse_work = ConvergeWork::default();
-        let mut memo = PolicyMemo::new();
-        let mut scratch = SparseScratch::new();
-        let sparse = run_prefix_sparse(
-            prefix,
-            &routers,
-            &sessions,
-            &sessions_of,
-            orig,
-            &mut sparse_arena,
-            &mut memo,
-            &mut scratch,
-            &mut sparse_work,
-        );
-        assert_eq!(dense, sparse, "outcomes must be byte-identical");
-        assert_eq!(dense_arena, sparse_arena, "arenas must be byte-identical");
-        (dense, dense_work, sparse_work)
-    }
-
-    fn origin_at_r0(n: usize) -> Vec<Origination> {
-        let mut orig = vec![Origination::default(); n];
-        orig[0]
-            .sources
-            .push((DerivKind::OriginNetwork, vec![LineId::new(RouterId(0), 2)]));
-        orig
-    }
-
-    #[test]
-    fn sparse_matches_dense_on_line() {
-        let (topo, models) = line3();
-        let (out, dense, sparse) = both_engines(&topo, &models, &origin_at_r0(3), p("10.0.0.0/16"));
-        assert!(out.is_converged());
-        assert!(
-            sparse.recomputed_routers < dense.recomputed_routers,
-            "sparse {sparse:?} vs dense {dense:?}"
-        );
-        assert!(sparse.policy_evals < dense.policy_evals);
-        assert_eq!(sparse.rounds, dense.rounds);
-    }
-
-    #[test]
-    fn sparse_matches_dense_on_flap() {
-        // Cycle detection must fire at the same first_seen_round and
-        // cycle_len, with identical observed sets.
-        let (topo, models) = bad_gadget();
-        let (out, dense, sparse) = both_engines(&topo, &models, &origin_at_r0(4), p("10.0.0.0/16"));
-        assert!(matches!(out, PrefixOutcome::Flapping { .. }));
-        assert!(sparse.policy_evals < dense.policy_evals);
-        assert!(
-            sparse.memo_hits > 0,
-            "a flap cycles through memoized transfers"
-        );
-    }
-
-    #[test]
-    fn sparse_matches_dense_on_stable_loop() {
-        let (topo, models) = mutual_overwrite();
-        let (out, _, _) = both_engines(&topo, &models, &origin_at_r0(3), p("10.0.0.0/16"));
-        assert!(out.is_converged());
-    }
-
-    #[test]
-    fn sparse_matches_dense_without_origination() {
-        let (topo, models) = line3();
-        let orig = vec![Origination::default(); 3];
-        let (out, dense, sparse) = both_engines(&topo, &models, &orig, p("10.0.0.0/16"));
-        let PrefixOutcome::Converged { rounds, .. } = out else {
-            panic!()
-        };
-        // Single-round prefixes do equal work in both engines.
-        assert_eq!(rounds, 1);
-        assert_eq!(sparse.recomputed_routers, dense.recomputed_routers);
     }
 }

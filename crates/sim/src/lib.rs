@@ -10,7 +10,12 @@
 //! - best-path selection (local-pref, path length, MED, router-id),
 //! - **convergence or oscillation**: the synchronous dynamics either reach
 //!   a fixed point or revisit a state, in which case the prefix is
-//!   *flapping* — exactly the failure mode of the example incident,
+//!   *flapping* — exactly the failure mode of the example incident. One
+//!   engine runs them (`bgp`: a router is recomputed only when a
+//!   neighbor's best changed, transfers are memoized); the dense
+//!   every-router-every-round reference it must match outcome for
+//!   outcome and arena for arena is a test oracle,
+//!   `tests/converge_oracle.rs`,
 //! - forwarding (connected + static base FIBs, with BGP answered from the
 //!   per-prefix outcomes by a lookup view) and a packet-forwarding walk
 //!   with loop/blackhole detection and PBR,
@@ -39,7 +44,7 @@ pub mod session;
 pub mod sim;
 
 pub use base::{compile_device, CompiledBase, DeltaInfo, SessionDelta, SessionPart, SimBuild};
-pub use bgp::{ConvergeEngine, ConvergeWork, PolicyMemo, PrefixOutcome, MAX_ROUNDS_BASE};
+pub use bgp::{ConvergeWork, PolicyMemo, PrefixOutcome, MAX_ROUNDS_BASE};
 pub use deriv::{DerivArena, DerivId, DerivKind, DerivNode};
 pub use fib::{bgp_entry, covering, Fib, FibAction, FibEntry, FibView};
 pub use forward::{ForwardOutcome, ForwardResult};

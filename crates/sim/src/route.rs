@@ -98,13 +98,6 @@ pub struct RouteKey {
     pub learned_from: Option<RouterId>,
 }
 
-/// Picks the best route among candidates (deterministic).
-pub fn select_best(candidates: impl IntoIterator<Item = Route>) -> Option<Route> {
-    candidates
-        .into_iter()
-        .max_by(|a, b| a.prefer(b).then_with(|| b.next_hop.cmp(&a.next_hop)))
-}
-
 /// Handle into a [`RouteInterner`]: `u32`-sized, `Copy`, and with the
 /// guarantee that two handles from the *same* interner are equal iff the
 /// full routes (communities and derivation id included) are equal.
@@ -242,11 +235,11 @@ impl RouteInterner {
     }
 }
 
-/// Id-level twin of [`select_best`]: identical comparator, identical
-/// last-maximal-wins semantics (`max_by` keeps the *last* among equal
-/// candidates), so for any candidate sequence
-/// `select_best_id(it, ids).map(|id| it.get(id))` ==
-/// `select_best(routes)` by reference.
+/// Picks the best route among candidates (deterministic): the maximum
+/// under [`Route::prefer`], then the lower next hop. Among equal
+/// candidates the *last* wins, as `Iterator::max_by` would pick it — the
+/// dense reference in `tests/converge_oracle.rs` selects over whole
+/// routes that way and must agree with this id-level selector.
 pub fn select_best_id(
     interner: &RouteInterner,
     ids: impl IntoIterator<Item = RouteId>,
@@ -302,6 +295,12 @@ mod tests {
         };
         assert_eq!(a.prefer(&b), Ordering::Greater);
         assert_eq!(b.prefer(&a), Ordering::Less);
+        // The selector the engine runs agrees, whichever comes first.
+        let mut it = RouteInterner::new();
+        let (ia, ib) = (it.intern(&a), it.intern(&b));
+        assert_eq!(select_best_id(&it, [ia, ib]), Some(ia));
+        assert_eq!(select_best_id(&it, [ib, ia]), Some(ia));
+        assert_eq!(select_best_id(&it, []), None);
     }
 
     #[test]
@@ -350,7 +349,7 @@ mod tests {
 
     #[test]
     fn select_best_is_deterministic_and_max() {
-        let routes = vec![
+        let routes = [
             base(),
             Route {
                 local_pref: 200,
@@ -361,15 +360,17 @@ mod tests {
                 ..base()
             },
         ];
-        let best = select_best(routes.clone()).unwrap();
+        let mut it = RouteInterner::new();
+        let ids: Vec<RouteId> = routes.iter().map(|r| it.intern(r)).collect();
+        let best = it.get(select_best_id(&it, ids.clone()).unwrap());
         assert_eq!(best.local_pref, 200);
-        let best2 = select_best(routes.into_iter().rev()).unwrap();
+        let best2 = it.get(select_best_id(&it, ids.into_iter().rev()).unwrap());
         assert_eq!(
             best.key(),
             best2.key(),
             "order of candidates must not matter"
         );
-        assert!(select_best(std::iter::empty()).is_none());
+        assert!(select_best_id(&it, std::iter::empty()).is_none());
     }
 
     #[test]
@@ -422,31 +423,5 @@ mod tests {
         // Different key -> different key id.
         let d = it.intern_owned(Route { med: 9, ..base() });
         assert_ne!(it.key_id(a), it.key_id(d));
-    }
-
-    #[test]
-    fn select_best_id_matches_select_best() {
-        let mk = |lp: u32, nh: u8, from: u32| Route {
-            local_pref: lp,
-            next_hop: Ipv4Addr::new(172, 16, 0, nh),
-            learned_from: Some(RouterId(from)),
-            ..base()
-        };
-        // Include an exact tie (same route twice) and a next-hop-only
-        // difference to exercise the last-maximal tiebreak path.
-        let cases: Vec<Vec<Route>> = vec![
-            vec![],
-            vec![base()],
-            vec![mk(100, 1, 1), mk(200, 2, 2), mk(100, 3, 3)],
-            vec![mk(100, 2, 1), mk(100, 1, 1), mk(100, 2, 1)],
-            vec![mk(100, 9, 2), mk(100, 1, 2)],
-        ];
-        for routes in cases {
-            let mut it = RouteInterner::new();
-            let ids: Vec<RouteId> = routes.iter().map(|r| it.intern(r)).collect();
-            let by_id = select_best_id(&it, ids).map(|id| it.get(id).clone());
-            let by_val = select_best(routes.clone());
-            assert_eq!(by_id, by_val, "candidates: {routes:?}");
-        }
     }
 }

@@ -9,8 +9,8 @@
 
 use crate::base::{CompiledBase, DeltaInfo, SimBuild};
 use crate::bgp::{
-    index_sessions, run_prefix_dense, run_prefix_sparse, ConvergeEngine, ConvergeWork, PolicyMemo,
-    PrefixOutcome, RouterCtx, SparseScratch,
+    index_sessions, run_prefix_sparse, ConvergeWork, PolicyMemo, PrefixOutcome, RouterCtx,
+    SparseScratch,
 };
 use crate::deriv::DerivArena;
 use crate::fib::{base_fib, covering, Fib, FibView};
@@ -129,7 +129,7 @@ impl<'a> Simulator<'a> {
     /// Runs exactly `prefixes` into a fresh arena.
     pub fn run_prefixes(&self, prefixes: &BTreeSet<Prefix>) -> SimOutcome {
         let mut arena = DerivArena::new();
-        let outcomes = self.run_prefixes_into(prefixes, &mut arena);
+        let (outcomes, _) = self.run_prefixes_with(prefixes, &mut arena, &mut PolicyMemo::new());
         let base_fibs = self.base_fibs(&mut arena);
         SimOutcome {
             outcomes,
@@ -140,34 +140,20 @@ impl<'a> Simulator<'a> {
     }
 
     /// Runs exactly `prefixes`, interning derivations into a caller-owned
-    /// arena. Because the arena is content-addressed and append-only,
-    /// cached [`PrefixOutcome`]s from earlier runs stay valid — this is
-    /// what the DNA-style incremental verifier builds on.
-    pub fn run_prefixes_into(
-        &self,
-        prefixes: &BTreeSet<Prefix>,
-        arena: &mut DerivArena,
-    ) -> BTreeMap<Prefix, PrefixOutcome> {
-        let mut memo = PolicyMemo::new();
-        self.run_prefixes_with(prefixes, arena, ConvergeEngine::Sparse, &mut memo)
-            .0
-    }
-
-    /// [`Simulator::run_prefixes_into`] with an explicit engine (the
-    /// product always runs [`ConvergeEngine::Sparse`]; tests name
-    /// [`ConvergeEngine::Dense`] as the reference) and a caller-owned
-    /// policy memo, returning the work performed. Keeping one memo alive
-    /// across runs (the incremental verifier's candidate loop) lets
-    /// transfers on sessions a patch cannot reach come back as hash hits
-    /// instead of re-evaluations; the caller is responsible for
-    /// [`PolicyMemo::begin_run`] between runs and for only reusing a memo
-    /// across runs that share `arena` and a positionally identical
-    /// session list.
+    /// arena and transfers into a caller-owned policy memo, and returns
+    /// the work performed. Because the arena is content-addressed and
+    /// append-only, cached [`PrefixOutcome`]s from earlier runs stay
+    /// valid — this is what the DNA-style incremental verifier builds on.
+    /// Keeping one memo alive across runs (the incremental verifier's
+    /// candidate loop) lets transfers on sessions a patch cannot reach
+    /// come back as hash hits instead of re-evaluations; the caller is
+    /// responsible for [`PolicyMemo::begin_run`] between runs and for the
+    /// conditions it states (one shared `arena`, shared models on
+    /// unpatched routers).
     pub fn run_prefixes_with(
         &self,
         prefixes: &BTreeSet<Prefix>,
         arena: &mut DerivArena,
-        engine: ConvergeEngine,
         memo: &mut PolicyMemo,
     ) -> (BTreeMap<Prefix, PrefixOutcome>, ConvergeWork) {
         let models = self.base.models();
@@ -193,28 +179,17 @@ impl<'a> Simulator<'a> {
         let mut scratch = SparseScratch::new();
         for prefix in prefixes {
             let orig = self.base.origin().dense(*prefix, models.len());
-            let outcome = match engine {
-                ConvergeEngine::Dense => run_prefix_dense(
-                    *prefix,
-                    &routers,
-                    sessions,
-                    &sessions_of,
-                    &orig,
-                    arena,
-                    &mut work,
-                ),
-                ConvergeEngine::Sparse => run_prefix_sparse(
-                    *prefix,
-                    &routers,
-                    sessions,
-                    &sessions_of,
-                    &orig,
-                    arena,
-                    memo,
-                    &mut scratch,
-                    &mut work,
-                ),
-            };
+            let outcome = run_prefix_sparse(
+                *prefix,
+                &routers,
+                sessions,
+                &sessions_of,
+                &orig,
+                arena,
+                memo,
+                &mut scratch,
+                &mut work,
+            );
             match &outcome {
                 PrefixOutcome::Converged { rounds, .. } => {
                     CONVERGENCE_ROUNDS.observe(*rounds as u64);

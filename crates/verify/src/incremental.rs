@@ -77,8 +77,8 @@ use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
 use acr_sim::{
-    CompiledBase, ConvergeEngine, DeltaInfo, DerivArena, Fib, PolicyMemo, PrefixOutcome,
-    SessionDelta, SimBuild, Simulator,
+    CompiledBase, DeltaInfo, DerivArena, Fib, PolicyMemo, PrefixOutcome, SessionDelta, SimBuild,
+    Simulator,
 };
 use acr_topo::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -523,7 +523,7 @@ fn simulate(
 ) -> Run {
     let build: SimBuild = sim.build_stats();
     let started = Instant::now();
-    let (fresh, _) = sim.run_prefixes_with(&affected, arena, ConvergeEngine::Sparse, memo);
+    let (fresh, _) = sim.run_prefixes_with(&affected, arena, memo);
     let stats = IncrementalStats {
         recomputed: fresh.len(),
         reused: universe.len() - fresh.len(),
