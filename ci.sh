@@ -17,6 +17,10 @@ else
     echo "==> clippy unavailable in this toolchain; skipping lint step"
 fi
 
+# Doc links to deleted or private items fail here instead of going stale.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 

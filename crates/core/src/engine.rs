@@ -19,7 +19,7 @@ use crate::session::{NetworkSession, Slot};
 use crate::strategy::{crossover, Strategy};
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
-use crate::validate::{reverify, validate_batch, Baseline, Verdict};
+use crate::validate::{reverify, validate, Baseline, Verdict};
 use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_lint::Diagnostic;
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
@@ -32,7 +32,6 @@ use acr_topo::Topology;
 use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 use std::time::Duration;
 
 static RUNS: Counter = Counter::new("engine.runs");
@@ -298,9 +297,9 @@ struct Variant {
     /// Patch from the *original* configuration (edits apply sequentially).
     patch: Patch,
     /// The variant's verdicts, roots in the job's persistent arena: set
-    /// when it was simulated in place (shared with an in-batch dup), or
-    /// by [`reverify`] the first time a memo-served variant is ranked.
-    verification: OnceCell<Arc<Verification>>,
+    /// when it was simulated in place, or by [`reverify`] the first time
+    /// a memo-served variant is ranked.
+    verification: OnceCell<Verification>,
     fitness: usize,
     /// What ranking and expanding the variant as a parent needs — see
     /// [`RepairEngine::statics_of`]. Computed on first use, once: most
@@ -463,7 +462,7 @@ impl<'a> RepairEngine<'a> {
                 cfg: original.clone(),
                 patch: Patch::new(),
                 fitness: initial_failed,
-                verification: OnceCell::from(Arc::new(base_verification)),
+                verification: OnceCell::from(base_verification),
                 statics: OnceCell::new(),
                 segments: Vec::new(),
             }];
@@ -507,37 +506,38 @@ impl<'a> RepairEngine<'a> {
                     };
                     break 'run (dried_up, best.segments.clone());
                 }
-                let (fresh_patches, fresh_segments): (Vec<Patch>, Vec<Vec<PatchSegment>>) =
-                    fresh.into_iter().unzip();
-
                 // ---- validate: lint gate + memo-cache + in-place verify ----
                 let validate_guard = stages.time("engine.validate", "engine");
-                let batch = validate_batch(
-                    fresh_patches,
-                    original,
-                    &mut iv,
-                    self.topo,
-                    self.config.lint.then_some(&statics),
-                    &mut *cache,
-                    ctx_base,
-                );
+                let lint_base = self.config.lint.then_some(&statics);
                 let mut kept: Vec<Variant> = Vec::new();
                 let (mut recomputed, mut reused) = (0, 0);
                 let (mut lint_rejected, mut validated, mut cached_count, mut invalid) =
                     (0, 0, 0, 0);
-                // Journal rows for this iteration's candidates, in batch
-                // (candidate-index) order.
+                // Journal rows for this iteration's candidates, in
+                // candidate-index order.
                 let mut cand_rows: Vec<String> = Vec::new();
                 let journal_on = acr_obs::enabled(acr_obs::JOURNAL);
-                for (vc, segs) in batch.into_iter().zip(fresh_segments) {
+                for (k, (patch, segs)) in fresh.into_iter().enumerate() {
+                    let verdict = {
+                        let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
+                        validate(
+                            &patch,
+                            original,
+                            &mut iv,
+                            self.topo,
+                            lint_base,
+                            &mut *cache,
+                            ctx_base,
+                        )
+                    };
                     let mut row = journal_on.then(|| {
                         json::Obj::new()
-                            .str("patch", &vc.patch.to_string())
+                            .str("patch", &patch.to_string())
                             .int("segments", segs.len())
                     });
                     // The one place a verdict's bucket is decided: every
                     // candidate lands in exactly one of the four counters.
-                    match vc.verdict {
+                    match verdict {
                         Verdict::Invalid => {
                             invalid += 1;
                             if let Some(r) = row.take() {
@@ -551,11 +551,13 @@ impl<'a> RepairEngine<'a> {
                             }
                         }
                         Verdict::Validated {
+                            cfg,
                             entry,
                             stats,
                             verification,
                         } => {
-                            if vc.memo_served {
+                            let memo_served = verification.is_none();
+                            if memo_served {
                                 cached_count += 1;
                             } else {
                                 validated += 1;
@@ -574,7 +576,7 @@ impl<'a> RepairEngine<'a> {
                                 cand_rows.push(
                                     r.str("outcome", if discard { "discarded" } else { "kept" })
                                         .int("fitness", fitness)
-                                        .bool("cached", vc.memo_served)
+                                        .bool("cached", memo_served)
                                         .build(),
                                 );
                             }
@@ -582,10 +584,10 @@ impl<'a> RepairEngine<'a> {
                                 continue;
                             }
                             kept.push(Variant {
-                                cfg: vc.cfg.expect("validated candidates carry a config"),
-                                patch: vc.patch,
+                                cfg,
+                                patch,
                                 verification: verification
-                                    .map_or_else(OnceCell::new, OnceCell::from),
+                                    .map_or_else(OnceCell::new, |v| OnceCell::from(*v)),
                                 fitness,
                                 statics: OnceCell::new(),
                                 segments: segs,
@@ -760,7 +762,7 @@ impl<'a> RepairEngine<'a> {
         variant.statics.get_or_init(|| {
             let verification = variant
                 .verification
-                .get_or_init(|| Arc::new(reverify(iv, &variant.cfg, &variant.patch)));
+                .get_or_init(|| reverify(iv, &variant.cfg, &variant.patch));
             let committed = iv
                 .base()
                 .expect("a committed or resumed verifier holds its base");
@@ -1145,7 +1147,7 @@ fn finish(
 
 /// The journal's per-iteration record: the iteration counters, the ranked
 /// suspects that seeded generation, and every candidate's verdict in
-/// batch order.
+/// candidate-index order.
 fn journal_iteration(stats: &IterationStats, suspects: &str, cand_rows: &[String]) {
     journal::emit(
         &json::Obj::new()

@@ -1,13 +1,14 @@
 //! The engine's validate stage: lint gate and memo-cache in front of
 //! the persistent incremental verifier.
 //!
-//! Each iteration hands this module the batch of fresh candidate
-//! patches. Per candidate the stage (1) materializes and re-parses the
-//! configuration, (2) runs the static lint gate, (3) serves the verdict
-//! from the simulation memo-cache when the config fingerprint was seen
-//! before, and (4) otherwise verifies it in place on the job's
-//! [`IncrementalVerifier`] — its persistent arena, its cross-candidate
-//! policy memo — in candidate-index order.
+//! The engine hands this module its fresh candidate patches one at a
+//! time, in candidate-index order. Per candidate [`validate`] (1)
+//! materializes and re-parses the configuration, (2) fingerprints it,
+//! (3) runs the static lint gate, (4) serves the verdict from the
+//! simulation memo-cache when the fingerprint was seen before, and (5)
+//! otherwise verifies it in place on the job's [`IncrementalVerifier`] —
+//! its persistent arena, its cross-candidate policy memo — and enters
+//! the verdict in the cache.
 //!
 //! The broken network's static [`Baseline`] is read off the cold
 //! commit's `CompiledBase`, on a scoped thread beside the rest of the
@@ -26,28 +27,23 @@
 //! **Determinism argument.** A candidate's verdict is a pure function of
 //! (committed base state, candidate config): verifying a candidate never
 //! updates the verifier's per-prefix caches, the policy memo is
-//! byte-exact to recomputing, and lint is stateless. The batch runs in
-//! three passes, all in candidate-index order:
+//! byte-exact to recomputing, and lint is stateless. So whether a
+//! candidate is memo-served or verified in place decides its accounting
+//! only, never its verdict, and the cache's contents — every later hit,
+//! miss and eviction — are a function of the candidate sequence, which
+//! the engine walks in one order. A candidate that renders to an earlier
+//! candidate's configuration is an ordinary cache hit.
 //!
-//! - **plan** peeks the memo-cache for every candidate at batch start (a
-//!   peek does not promote), so which candidates are hits never depends
-//!   on an insertion or LRU eviction made inside the same batch;
-//!   candidates that render to the *same* configuration are
-//!   deduplicated by fingerprint (the lowest index resolves, the rest
-//!   reuse its verdict);
-//! - **resolve** lints and verifies the rest in place;
-//! - the **post-pass** inserts fresh verdicts and promotes hits and dups.
-//!
-//! **Verdicts, not provenance.** A computed verdict's [`Verification`]
+//! **Verdicts, not provenance.** A verified candidate's [`Verification`]
 //! — records whose derivation roots resolve in the verifier's persistent
 //! arena, no coverage — stays where it was simulated and moves into the
-//! kept variant; an in-batch dup shares it. The memo-cache keeps only
-//! what a hit's consumer reads ([`CandidateEntry`]: the failed count and
-//! the universe size), so a memo-served verdict carries no verification.
-//! The engine builds a variant's coverage the first time it ranks it,
-//! and a memo-served variant is re-verified then ([`reverify`]) against
-//! the same committed base — most kept candidates are never ranked, so
-//! most verdicts never pay for provenance.
+//! kept variant. The memo-cache keeps only what a hit's consumer reads
+//! ([`CandidateEntry`]: the failed count and the universe size), so a
+//! memo-served verdict carries no verification. The engine builds a
+//! variant's coverage the first time it ranks it, and a memo-served
+//! variant is re-verified then ([`reverify`]) against the same committed
+//! base — most kept candidates are never ranked, so most verdicts never
+//! pay for provenance.
 
 use acr_cfg::{NetworkConfig, Patch};
 use acr_flow::FlowFacts;
@@ -57,8 +53,7 @@ use acr_obs::span;
 use acr_sim::CompiledBase;
 use acr_topo::Topology;
 use acr_verify::{CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// The static baseline of a committed configuration: everything a job
 /// reads about the broken network that is a pure function of (topology,
@@ -96,8 +91,7 @@ static LINT_GATE_REJECTED: Counter = Counter::new("lint.gate.rejected");
 static REVERIFIED: Counter = Counter::new("engine.reverified");
 
 /// What the validate stage concluded for one candidate patch — the one
-/// verdict type between a candidate's plan and the engine loop.
-#[derive(Clone)]
+/// verdict type between the validate stage and the engine loop.
 pub(crate) enum Verdict {
     /// The patch failed to apply or its devices no longer re-parse; it
     /// never reached the validators.
@@ -106,12 +100,15 @@ pub(crate) enum Verdict {
     LintRejected,
     /// Verified: freshly simulated, or served from memo.
     Validated {
+        /// The candidate configuration.
+        cfg: NetworkConfig,
         /// The verdict as the memo-cache holds it.
         entry: CandidateEntry,
         stats: IncrementalStats,
         /// The verification, roots in the verifier's persistent arena;
-        /// `None` when memo-served (see [`reverify`]).
-        verification: Option<Arc<Verification>>,
+        /// `None` exactly when memo-served (see [`reverify`]). Boxed so a
+        /// verdict stays small whatever its variant.
+        verification: Option<Box<Verification>>,
     },
 }
 
@@ -130,184 +127,71 @@ pub(crate) fn reverify(
     iv.verify_candidate(cfg, patch)
 }
 
-impl Verdict {
-    fn entry(&self) -> Option<CandidateEntry> {
-        match self {
-            Verdict::Validated { entry, .. } => Some(*entry),
-            _ => None,
-        }
-    }
-}
-
-/// One batch entry, index-aligned with the incoming patch order.
-pub(crate) struct ValidatedCandidate {
-    pub patch: Patch,
-    pub cfg: Option<NetworkConfig>,
-    pub verdict: Verdict,
-    /// The verdict came from memo (a cache hit, or an earlier candidate
-    /// of this batch with the same rendered config) rather than from a
-    /// simulation of this candidate: a validated one counts as
-    /// `validations_cached`.
-    pub memo_served: bool,
-}
-
-struct Prepared {
-    patch: Patch,
-    cfg: NetworkConfig,
-    fp: u64,
-}
-
-/// How one prepared candidate gets its verdict.
-enum Plan {
-    /// Reuse the verdict of an earlier item index (same rendered
-    /// config).
-    Dup(usize),
-    /// The memo-cache held this fingerprint at batch start.
-    Hit(CandidateEntry),
-    /// Simulate.
-    Compute,
-}
-
-/// Validates a batch of candidate patches against the committed base.
-/// Results come back index-aligned with `fresh`; all cache mutations
-/// happen here, in candidate-index order.
-pub(crate) fn validate_batch(
-    fresh: Vec<Patch>,
+/// Validates one candidate patch against the committed base: apply and
+/// re-parse, fingerprint, the lint gate (when `lint_base` is set), then
+/// the memo-cache — a hit is served and promoted — or an in-place
+/// verification whose verdict enters the cache. `ctx_base` is the
+/// (verifier context, committed base) half of the cache key.
+pub(crate) fn validate(
+    patch: &Patch,
     original: &NetworkConfig,
     iv: &mut IncrementalVerifier<'_>,
     topo: &Topology,
     lint_base: Option<&Baseline>,
     cache: &mut SimCache,
-    ctx_base: (u64, u64),
-) -> Vec<ValidatedCandidate> {
-    // ---- plan: materialize configs, fingerprint, dedup, and peek the
-    // memo-cache (not mutated until the post-pass, so every peek sees
-    // batch-start state) ------------------------------------------------
-    let prepare = span!("engine.validate.prepare", "engine").arg("candidates", fresh.len() as u64);
-    let (ctx_fp, base_fp) = ctx_base;
-    let mut out: Vec<ValidatedCandidate> = Vec::with_capacity(fresh.len());
-    let mut items: Vec<(usize, Prepared)> = Vec::new();
-    let mut plans: Vec<Plan> = Vec::new();
-    let mut by_fp: HashMap<u64, usize> = HashMap::new();
-    for patch in fresh {
-        let invalid = |patch| ValidatedCandidate {
-            patch,
-            cfg: None,
-            verdict: Verdict::Invalid,
-            memo_served: false,
-        };
-        let cfg = match patch.apply_cloned(original) {
-            Ok(cfg) if reparses(&cfg, &patch) => cfg,
-            _ => {
-                out.push(invalid(patch));
-                continue;
-            }
-        };
-        let fp = cfg.fingerprint();
-        let first = *by_fp.entry(fp).or_insert(items.len());
-        plans.push(if first != items.len() {
-            Plan::Dup(first)
-        } else if let Some(entry) = cache.peek_candidate((ctx_fp, base_fp, fp)) {
-            Plan::Hit(entry)
-        } else {
-            Plan::Compute
-        });
-        items.push((out.len(), Prepared { patch, cfg, fp }));
-        out.push(invalid(Patch::new())); // placeholder, replaced below
+    (ctx_fp, base_fp): (u64, u64),
+) -> Verdict {
+    let cfg = match patch.apply_cloned(original) {
+        Ok(cfg) if reparses(&cfg, patch) => cfg,
+        _ => return Verdict::Invalid,
+    };
+    let key = (ctx_fp, base_fp, cfg.fingerprint());
+    if lint_base.is_some_and(|base| introduces_lint_error(&cfg, patch, topo, base)) {
+        LINT_GATE_REJECTED.inc();
+        return Verdict::LintRejected;
     }
-    drop(prepare);
-
-    // ---- resolve: lint + simulate in place, in index order -----------
-    let resolved: Vec<Option<Verdict>> = (items.iter().zip(&plans).enumerate())
-        .map(|(k, ((_, it), plan))| match plan {
-            Plan::Dup(_) => None,
-            plan => {
-                let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
-                Some(resolve(it, plan, topo, lint_base, iv))
-            }
-        })
-        .collect();
-
-    // ---- post-pass: dup resolution + cache maintenance, index order --
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(items.len());
-    for (k, res) in resolved.into_iter().enumerate() {
-        let verdict = match (&plans[k], res) {
-            (Plan::Dup(j), _) => verdicts[*j].clone(),
-            (_, Some(verdict)) => verdict,
-            (_, None) => unreachable!("only dup plans are left unresolved"),
+    if let Some(entry) = cache.get(key) {
+        let stats = IncrementalStats {
+            recomputed: 0,
+            reused: entry.universe,
+            ..IncrementalStats::default()
         };
-        // A fresh simulation enters the cache; a hit is promoted — and so
-        // is a dup, which is an insert-then-hit.
-        if let Some(entry) = verdict.entry() {
-            let key = (ctx_fp, base_fp, items[k].1.fp);
-            match plans[k] {
-                Plan::Compute => cache.insert_candidate(key, entry),
-                Plan::Hit(_) | Plan::Dup(_) => cache.touch_candidate(key),
-            }
-        }
-        verdicts.push(verdict);
-    }
-
-    for (((slot, it), verdict), plan) in items.into_iter().zip(verdicts).zip(&plans) {
-        out[slot] = ValidatedCandidate {
-            patch: it.patch,
-            cfg: Some(it.cfg),
-            verdict,
-            memo_served: !matches!(plan, Plan::Compute),
+        return Verdict::Validated {
+            cfg,
+            entry,
+            stats,
+            verification: None,
         };
     }
-    out
+    let verification = iv.verify_candidate(&cfg, patch);
+    let stats = iv.last_stats();
+    let entry = CandidateEntry {
+        failed: verification.failed_count(),
+        universe: stats.recomputed + stats.reused,
+    };
+    cache.insert(key, entry);
+    Verdict::Validated {
+        cfg,
+        entry,
+        stats,
+        verification: Some(Box::new(verification)),
+    }
 }
 
 /// The lint gate: whether the candidate introduces an error finding the
 /// broken network did not have. Only the patched devices are linted —
 /// error rules are per-device, so every other device's error keys are
 /// in `base.keys` already.
-fn introduces_lint_error(it: &Prepared, topo: &Topology, base: &Baseline) -> bool {
+fn introduces_lint_error(
+    cfg: &NetworkConfig,
+    patch: &Patch,
+    topo: &Topology,
+    base: &Baseline,
+) -> bool {
     let _s = span!("lint.gate", "lint");
-    lint_devices(topo, &it.cfg, &it.patch.routers())
+    lint_devices(topo, cfg, &patch.routers())
         .errors()
         .any(|d| !base.keys.contains(&d.key()))
-}
-
-/// Resolves one non-dup candidate: the lint gate first, then the planned
-/// memo hit or a simulation on the persistent verifier.
-fn resolve(
-    it: &Prepared,
-    plan: &Plan,
-    topo: &Topology,
-    lint_base: Option<&Baseline>,
-    iv: &mut IncrementalVerifier<'_>,
-) -> Verdict {
-    if lint_base.is_some_and(|base| introduces_lint_error(it, topo, base)) {
-        LINT_GATE_REJECTED.inc();
-        return Verdict::LintRejected;
-    }
-    match plan {
-        Plan::Hit(entry) => Verdict::Validated {
-            entry: *entry,
-            stats: IncrementalStats {
-                recomputed: 0,
-                reused: entry.universe,
-                ..IncrementalStats::default()
-            },
-            verification: None,
-        },
-        Plan::Compute => {
-            let verification = iv.verify_candidate(&it.cfg, &it.patch);
-            let stats = iv.last_stats();
-            let entry = CandidateEntry {
-                failed: verification.failed_count(),
-                universe: stats.recomputed + stats.reused,
-            };
-            Verdict::Validated {
-                entry,
-                stats,
-                verification: Some(Arc::new(verification)),
-            }
-        }
-        Plan::Dup(_) => unreachable!("dups never reach resolve"),
-    }
 }
 
 /// Safety net: a candidate's touched devices must print to parseable text.
@@ -324,10 +208,12 @@ mod tests {
     use crate::templates::candidates_for_line;
     use crate::universal::universal_candidates;
     use crate::RepairCtx;
-    use acr_cfg::LineId;
+    use acr_cfg::{Edit, LineId};
     use acr_lint::lint_network;
     use acr_verify::Verifier;
     use acr_workloads::{generate, try_inject, TABLE1};
+    use std::collections::HashMap;
+    use std::time::Duration;
 
     /// The gate lints the patched devices only; the whole-network linter
     /// is the reference. Over every Table-1 fault on `wan(4,8)` and every
@@ -372,10 +258,8 @@ mod tests {
                 let reference = lint_network(&net.topo, &cfg)
                     .errors()
                     .any(|d| !reference_base.contains(&d.key()));
-                let fp = cfg.fingerprint();
-                let it = Prepared { patch, cfg, fp };
-                let gate = introduces_lint_error(&it, &net.topo, &base);
-                assert_eq!(gate, reference, "{fault:?}: {}", it.patch);
+                let gate = introduces_lint_error(&cfg, &patch, &net.topo, &base);
+                assert_eq!(gate, reference, "{fault:?}: {patch}");
                 if gate {
                     rejected += 1;
                 } else {
@@ -386,6 +270,97 @@ mod tests {
         assert!(
             rejected >= 20 && passed >= 200,
             "both verdicts must be exercised: {rejected} rejected, {passed} passed"
+        );
+    }
+
+    /// Two different patches that render to the same configuration —
+    /// `Replace { r, i, s }` and `Delete { r, i }` then
+    /// `Insert { r, i, s }` — validated in order against one cache: the
+    /// second is an ordinary memo hit, served the first's entry, with
+    /// nothing simulated and no simulation time.
+    #[test]
+    fn a_candidate_rendering_to_an_earlier_one_is_a_memo_hit() {
+        let net = generate(&acr_topo::gen::wan(4, 8));
+        let mut checked = 0;
+        let incidents = TABLE1.iter().flat_map(|(fault, _)| {
+            let net = &net;
+            (0..3).filter_map(move |seed| try_inject(*fault, net, seed).map(|i| (fault, i)))
+        });
+        for (fault, incident) in incidents {
+            let broken = &incident.broken;
+            let (verification, out) = Verifier::new(&net.topo, &net.spec).run_full(broken);
+            let compiled = CompiledBase::new(&net.topo, broken);
+            let ctx = RepairCtx {
+                topo: &net.topo,
+                cfg: broken,
+                verification: &verification,
+                coverage: &verification.matrix,
+                arena: &out.arena,
+                models: compiled.models(),
+            };
+            let replacement = (broken.devices())
+                .flat_map(|(router, device)| {
+                    device
+                        .lines()
+                        .map(move |(line, _)| LineId::new(router, line))
+                })
+                .flat_map(|line| candidates_for_line(line, &ctx))
+                .find_map(|fix| match fix.patch.edits.as_slice() {
+                    [Edit::Replace {
+                        router,
+                        index,
+                        stmt,
+                    }] => {
+                        let mut twin = Patch::single(Edit::Delete {
+                            router: *router,
+                            index: *index,
+                        });
+                        twin.push(Edit::Insert {
+                            router: *router,
+                            index: *index,
+                            stmt: stmt.clone(),
+                        });
+                        let renders =
+                            |p: &Patch| p.apply_cloned(broken).ok().map(|c| c.fingerprint());
+                        (renders(&fix.patch).is_some() && renders(&fix.patch) == renders(&twin))
+                            .then_some((fix.patch, twin))
+                    }
+                    _ => None,
+                });
+            let Some((replace, twin)) = replacement else {
+                continue;
+            };
+            assert_ne!(replace, twin);
+
+            let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
+            iv.commit(broken);
+            let ctx_base = (iv.verifier().context_fingerprint(), broken.fingerprint());
+            let mut cache = SimCache::default();
+            let mut run = |patch| match validate(
+                patch, broken, &mut iv, &net.topo, None, &mut cache, ctx_base,
+            ) {
+                Verdict::Validated {
+                    entry,
+                    stats,
+                    verification,
+                    ..
+                } => (entry, stats, verification.is_none()),
+                _ => panic!("{fault:?}: {patch} validates"),
+            };
+            let (entry, stats, served) = run(&replace);
+            assert!(!served && stats.recomputed > 0, "{fault:?}: {replace}");
+            let (again, stats, served) = run(&twin);
+            assert!(served, "{fault:?}: {twin} is memo-served");
+            assert_eq!(again, entry, "{fault:?}: {twin}");
+            assert_eq!(stats.recomputed, 0, "{fault:?}: {twin}");
+            assert_eq!(stats.reused, entry.universe, "{fault:?}: {twin}");
+            let sim_time = [stats.compile, stats.establish, stats.simulate];
+            assert_eq!(sim_time, [Duration::ZERO; 3], "{fault:?}: {twin}");
+            checked += 1;
+        }
+        assert!(
+            checked >= 3,
+            "only {checked} incidents had a Replace candidate"
         );
     }
 
@@ -424,10 +399,11 @@ mod tests {
     }
 
     /// Validates the candidates the templates generate at the broken
-    /// network's top-4 suspicious lines twice against one memo-cache: the
-    /// first batch verifies in place, the second is all memo-served. Each
-    /// memo-served candidate is re-verified as the engine does when it
-    /// first ranks one, and must match the first batch's in-place verdict
+    /// network's top-4 suspicious lines twice, in order, against one
+    /// memo-cache: the first pass verifies each rendered configuration in
+    /// place once, the second is all memo-served. Each memo-served
+    /// candidate is re-verified as the engine does when it first ranks
+    /// one, and must match the first pass's in-place verdict
     /// (records, the memo entry's failed count, per-test coverage) and
     /// `run_full`'s coverage; a failed test must cover its destination
     /// owner's origination lines. Returns how many verdicts were checked.
@@ -463,16 +439,28 @@ mod tests {
         }
         let ctx_base = (iv.verifier().context_fingerprint(), broken.fingerprint());
         let mut cache = SimCache::default();
-        let first = validate_batch(
-            patches.clone(),
-            broken,
-            &mut iv,
-            topo,
-            None,
-            &mut cache,
-            ctx_base,
-        );
-        let second = validate_batch(patches, broken, &mut iv, topo, None, &mut cache, ctx_base);
+        // First pass: each rendered configuration is verified in place
+        // once; a later candidate rendering to it is a memo hit with the
+        // same entry.
+        let mut in_place: HashMap<u64, (CandidateEntry, Verification)> = HashMap::new();
+        let mut validated = 0;
+        for patch in &patches {
+            let verdict = validate(patch, broken, &mut iv, topo, None, &mut cache, ctx_base);
+            let Verdict::Validated {
+                cfg,
+                entry,
+                verification,
+                ..
+            } = verdict
+            else {
+                continue;
+            };
+            validated += 1;
+            match verification {
+                Some(v) => assert!(in_place.insert(cfg.fingerprint(), (entry, *v)).is_none()),
+                None => assert_eq!(in_place[&cfg.fingerprint()].0, entry, "{patch}"),
+            }
+        }
 
         let records = |v: &Verification| -> Vec<_> {
             (v.records.iter())
@@ -481,40 +469,32 @@ mod tests {
         };
         let full = Verifier::new(topo, spec);
         let mut checked = 0;
-        for (a, b) in first.into_iter().zip(second) {
+        for patch in &patches {
+            let verdict = validate(patch, broken, &mut iv, topo, None, &mut cache, ctx_base);
             let Verdict::Validated {
-                entry,
-                verification,
-                ..
-            } = a.verdict
-            else {
-                assert!(b.verdict.entry().is_none(), "{}: validated once", b.patch);
-                continue;
-            };
-            let in_place = verification.expect("the first batch simulates in place");
-            let Verdict::Validated {
+                cfg,
                 entry: hit,
                 verification: served,
                 ..
-            } = b.verdict
+            } = verdict
             else {
-                panic!("{}: validated in the first batch only", b.patch);
+                continue;
             };
-            assert!(b.memo_served && served.is_none(), "{}: a memo hit", b.patch);
-            let cfg = b.cfg.expect("validated candidates carry a config");
-            let again = reverify(&mut iv, &cfg, &b.patch);
-            assert_eq!(records(&again), records(&in_place), "{}", b.patch);
-            assert_eq!(hit, entry, "{}", b.patch);
-            assert_eq!(hit.failed, again.failed_count(), "{}", b.patch);
+            assert!(served.is_none(), "{patch}: a memo hit");
+            let (entry, in_place) = &in_place[&cfg.fingerprint()];
+            let again = reverify(&mut iv, &cfg, patch);
+            assert_eq!(records(&again), records(in_place), "{patch}");
+            assert_eq!(hit, *entry, "{patch}");
+            assert_eq!(hit.failed, again.failed_count(), "{patch}");
 
-            let compiled = committed.delta(topo, &cfg, &b.patch).0;
+            let compiled = committed.delta(topo, &cfg, patch).0;
             let models = compiled.models();
             let coverage = iv.verifier().coverage(&again, iv.arena(), models);
-            let reference = iv.verifier().coverage(&in_place, iv.arena(), models);
+            let reference = iv.verifier().coverage(in_place, iv.arena(), models);
             for (x, y) in coverage.tests().iter().zip(reference.tests()) {
-                assert_eq!(x, y, "{}: test {}", b.patch, x.test);
+                assert_eq!(x, y, "{patch}: test {}", x.test);
             }
-            assert_eq!(coverage, full.run_full(&cfg).0.matrix, "{}", b.patch);
+            assert_eq!(coverage, full.run_full(&cfg).0.matrix, "{patch}");
             for (rec, cov) in again.records.iter().zip(coverage.tests()) {
                 let Some(owner) = topo.delivery_router(rec.flow.dst).filter(|_| !rec.passed) else {
                     continue;
@@ -536,11 +516,12 @@ mod tests {
                     .chain(m.redistribute.iter().map(|(_, l)| *l));
                 for line in origins {
                     let line = LineId::new(owner, line);
-                    assert!(cov.lines.contains(&line), "{}: {line}", b.patch);
+                    assert!(cov.lines.contains(&line), "{patch}: {line}");
                 }
             }
             checked += 1;
         }
+        assert_eq!(checked, validated, "the second pass validates as the first");
         checked
     }
 

@@ -109,8 +109,8 @@ fn attachment_prefix(i: usize) -> Prefix {
 
 /// A WAN: a *line* backbone (bb0 — bb1 — … — bb{n-1}) with `customers`
 /// single-homed PoP routers attached round-robin. Every backbone router
-/// owns attachment index *i*, customer *j* index `n+j` (see
-/// [`attachment_prefix`]: `10.i/16` below 256, `20/8` /24s above — so
+/// owns attachment index *i*, customer *j* index `n+j` (its prefix is
+/// `10.i/16` below 256 and a `20/8` /24 above — so
 /// scale-frontier shapes like `wan(200, 400)` work while small corpora
 /// keep their historical addressing).
 ///

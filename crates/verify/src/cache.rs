@@ -23,12 +23,11 @@
 //! candidate).
 //!
 //! One LRU, and no lock: the repair engine's thread is the only one that
-//! ever holds the cache. It peeks every candidate before a batch is
-//! resolved and inserts or touches in candidate-index order after the
-//! batch — so the table's
-//! contents, and every later hit or miss, are a function of the repair
-//! trajectory alone. `peek_candidate` does not promote; recency moves
-//! only through `touch_candidate` and `insert_candidate`.
+//! ever holds the cache. It looks each candidate up as it validates it,
+//! in candidate-index order, and inserts a miss's verdict right after
+//! verifying it — so the table's contents, and every later hit or miss,
+//! are a function of the repair trajectory alone. A hit ([`SimCache::get`])
+//! and an insert both make the entry the most recently used.
 //!
 //! [`NetworkConfig::fingerprint`]: acr_cfg::NetworkConfig::fingerprint
 
@@ -82,9 +81,14 @@ impl SimCache {
         }
     }
 
-    /// Looks up a candidate validation without touching LRU recency.
-    pub fn peek_candidate(&self, key: CandidateKey) -> Option<CandidateEntry> {
-        let hit = self.entries.get(&key).map(|(_, entry)| *entry);
+    /// Looks up a candidate validation; a hit becomes the most recently
+    /// used entry.
+    pub fn get(&mut self, key: CandidateKey) -> Option<CandidateEntry> {
+        self.tick += 1;
+        let hit = self.entries.get_mut(&key).map(|(stamp, entry)| {
+            *stamp = self.tick;
+            *entry
+        });
         match hit {
             Some(_) => CAND_HITS.inc(),
             None => CAND_MISSES.inc(),
@@ -92,18 +96,10 @@ impl SimCache {
         hit
     }
 
-    /// Marks a candidate entry as the most recently used, if present.
-    pub fn touch_candidate(&mut self, key: CandidateKey) {
-        self.tick += 1;
-        if let Some((stamp, _)) = self.entries.get_mut(&key) {
-            *stamp = self.tick;
-        }
-    }
-
     /// Inserts (or refreshes) a candidate entry as the most recently
     /// used, evicting the least recently used one when the table is
     /// full.
-    pub fn insert_candidate(&mut self, key: CandidateKey, entry: CandidateEntry) {
+    pub fn insert(&mut self, key: CandidateKey, entry: CandidateEntry) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             // Stamps are unique, so the victim does not depend on the
@@ -126,9 +122,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// `peek_candidate` bumps process-wide counters: the tests that call
-    /// it take turns, so `stats_count_hits_and_misses` reads exact deltas.
-    static PEEKS: Mutex<()> = Mutex::new(());
+    /// `get` bumps process-wide counters: the tests that call it take
+    /// turns, so `stats_count_hits_and_misses` reads exact deltas.
+    static LOOKUPS: Mutex<()> = Mutex::new(());
 
     fn entry(universe: usize) -> CandidateEntry {
         CandidateEntry {
@@ -141,38 +137,20 @@ mod tests {
         (0, 0, k)
     }
 
-    fn universe_at(c: &SimCache, k: u64) -> Option<usize> {
-        c.peek_candidate(key(k)).map(|e| e.universe)
+    fn universe_at(c: &mut SimCache, k: u64) -> Option<usize> {
+        c.get(key(k)).map(|e| e.universe)
     }
 
     #[test]
-    fn peek_does_not_promote() {
-        let _g = PEEKS.lock().unwrap_or_else(|e| e.into_inner());
+    fn get_promotes() {
+        let _g = LOOKUPS.lock().unwrap_or_else(|e| e.into_inner());
         let mut c = SimCache::new(2);
-        c.insert_candidate(key(1), entry(10));
-        c.insert_candidate(key(2), entry(20));
-        // Peeking 1 must not save it from eviction.
-        assert_eq!(universe_at(&c, 1), Some(10));
-        c.insert_candidate(key(3), entry(30));
-        assert_eq!(
-            universe_at(&c, 1),
-            None,
-            "oldest entry evicted despite peek"
-        );
-        assert_eq!(universe_at(&c, 2), Some(20));
-        assert_eq!(universe_at(&c, 3), Some(30));
-    }
-
-    #[test]
-    fn touch_promotes() {
-        let _g = PEEKS.lock().unwrap_or_else(|e| e.into_inner());
-        let mut c = SimCache::new(2);
-        c.insert_candidate(key(1), entry(10));
-        c.insert_candidate(key(2), entry(20));
-        c.touch_candidate(key(1));
-        c.insert_candidate(key(3), entry(30));
-        assert_eq!(universe_at(&c, 1), Some(10), "touched entry survives");
-        assert_eq!(universe_at(&c, 2), None, "untouched entry evicted");
+        c.insert(key(1), entry(10));
+        c.insert(key(2), entry(20));
+        assert_eq!(universe_at(&mut c, 1), Some(10));
+        c.insert(key(3), entry(30));
+        assert_eq!(universe_at(&mut c, 1), Some(10), "the hit entry survives");
+        assert_eq!(universe_at(&mut c, 2), None, "the other entry is evicted");
     }
 
     /// Eviction picks the least recently used entry of the whole table:
@@ -180,14 +158,15 @@ mod tests {
     /// its key hashes to.
     #[test]
     fn evicts_the_globally_least_recent_entry() {
+        let _g = LOOKUPS.lock().unwrap_or_else(|e| e.into_inner());
         let mut c = SimCache::new(8);
         for k in 0..8 {
-            c.insert_candidate(key(k), entry(k as usize));
+            c.insert(key(k), entry(k as usize));
         }
         for k in (0..8).filter(|k| *k != 5) {
-            c.touch_candidate(key(k));
+            assert!(c.get(key(k)).is_some());
         }
-        c.insert_candidate(key(8), entry(8));
+        c.insert(key(8), entry(8));
         assert_eq!(c.entries.len(), 8);
         assert!(!c.entries.contains_key(&key(5)), "LRU entry evicted");
         assert!((0..9)
@@ -201,12 +180,12 @@ mod tests {
     fn bounded_by_capacity() {
         let mut c = SimCache::new(2);
         for k in 0..1000 {
-            c.insert_candidate(key(k), entry(k as usize));
+            c.insert(key(k), entry(k as usize));
         }
         assert_eq!(c.entries.len(), 2);
         assert!(c.entries.contains_key(&key(998)) && c.entries.contains_key(&key(999)));
         // Refreshing a present key evicts nothing.
-        c.insert_candidate(key(998), entry(0));
+        c.insert(key(998), entry(0));
         assert_eq!(c.entries.len(), 2);
     }
 
@@ -214,13 +193,13 @@ mod tests {
     /// benchmark's `verify.cache_hit_ratio` is computed from.
     #[test]
     fn stats_count_hits_and_misses() {
-        let _g = PEEKS.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = LOOKUPS.lock().unwrap_or_else(|e| e.into_inner());
         acr_obs::enable_metrics();
         let before = (CAND_HITS.get(), CAND_MISSES.get());
         let mut c = SimCache::default();
-        c.insert_candidate(key(7), entry(7));
-        assert_eq!(universe_at(&c, 7), Some(7));
-        assert_eq!(universe_at(&c, 8), None);
+        c.insert(key(7), entry(7));
+        assert_eq!(universe_at(&mut c, 7), Some(7));
+        assert_eq!(universe_at(&mut c, 8), None);
         let after = (CAND_HITS.get(), CAND_MISSES.get());
         assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1));
     }

@@ -87,9 +87,9 @@ use std::time::{Duration, Instant};
 
 static PREFIXES_RECOMPUTED: Counter = Counter::new("verify.prefixes_recomputed");
 static PREFIXES_REUSED: Counter = Counter::new("verify.prefixes_reused");
-// Prefixes re-simulated, by the rule of `affected_prefixes` that chose
-// them: nothing cached, structural session change, AS value / bound policy
-// change (each: every prefix), or the narrowed union.
+// Prefixes re-simulated, by the rule that chose them: a commit (every
+// prefix), then `affected_prefixes`' structural session change, AS value /
+// bound policy change (each: every prefix), or the narrowed union.
 static INV_COLD: Counter = Counter::new("verify.invalidated.cold");
 static INV_SESSIONS: Counter = Counter::new("verify.invalidated.sessions");
 static INV_POLICY: Counter = Counter::new("verify.invalidated.policy");
@@ -262,9 +262,10 @@ impl<'a> IncrementalVerifier<'a> {
     /// The one commit body, over `cfg`'s freshly compiled simulator.
     fn commit_compiled(&mut self, sim: &Simulator<'_>, cfg: &NetworkConfig) -> Verification {
         let universe = sim.universe();
-        // Nothing is cached about the new configuration: the cold rule.
+        // Nothing is cached about the new configuration: every prefix
+        // runs, booked under the cold rule.
         self.caches = Caches::default();
-        let affected = affected_prefixes(&self.caches, None, &Patch::new(), &universe);
+        let affected = (universe.clone(), &INV_COLD);
         // The committed models changed, so the policy memo starts over;
         // this run re-seeds it and the first candidate already finds the
         // base's transfers.
@@ -289,6 +290,12 @@ impl<'a> IncrementalVerifier<'a> {
     /// persistent arena still grows (content-addressed, so cached ids stay
     /// valid), but per-prefix results of the base remain authoritative.
     /// Returns the candidate's verdicts, without coverage.
+    ///
+    /// # Panics
+    ///
+    /// When nothing was committed: a candidate is delta-built from the
+    /// committed base, so [`IncrementalVerifier::commit`] (or a successful
+    /// [`IncrementalVerifier::resume`]) must come first.
     pub fn verify_candidate(&mut self, cfg: &NetworkConfig, patch: &Patch) -> Verification {
         let (view, arena, memo) = self.split();
         let (verification, stats) = view.verify_candidate(cfg, patch, arena, memo);
@@ -297,11 +304,12 @@ impl<'a> IncrementalVerifier<'a> {
     }
 
     /// The read-only view of the committed state plus the two pieces a
-    /// call threads through it mutably.
+    /// call threads through it mutably. Panics when nothing was committed.
     fn split(&mut self) -> (BaseView<'_, 'a>, &mut DerivArena, &mut PolicyMemo) {
         let view = BaseView {
             verifier: &self.verifier,
-            base: self.base.as_ref(),
+            base: (self.base.as_ref())
+                .expect("verify_candidate needs a committed base: commit or resume first"),
             caches: &self.caches,
         };
         (view, &mut self.arena, &mut self.memo)
@@ -390,9 +398,7 @@ pub struct WarmState {
 /// candidate config, patch).
 struct BaseView<'v, 'a> {
     verifier: &'v Verifier<'a>,
-    /// `None` only while nothing was committed — and then nothing is
-    /// cached either, so a candidate simply runs cold.
-    base: Option<&'v CompiledBase>,
+    base: &'v CompiledBase,
     caches: &'v Caches,
 }
 
@@ -418,29 +424,20 @@ impl<'v, 'a> BaseView<'v, 'a> {
     ) -> (Verification, IncrementalStats) {
         // Build the candidate simulator: delta-compiled from the committed
         // base, whose model diff feeds the affected-prefix analysis.
-        let topo = self.verifier.topo();
-        let sim = match self.base {
-            Some(base) => Simulator::from_base_with_patch(topo, base, cfg, patch),
-            None => Simulator::new(topo, cfg),
-        };
+        let sim = Simulator::from_base_with_patch(self.verifier.topo(), self.base, cfg, patch);
+        let info = (sim.delta_info()).expect("a delta-built simulator carries its model diff");
         let universe = sim.universe();
         let affected = {
             let _s = span!("verify.affected", "verify");
-            affected_prefixes(self.caches, sim.delta_info(), patch, &universe)
+            affected_prefixes(self.caches, info, patch, &universe)
         };
-        // The cross-candidate memo is sound exactly when this candidate
-        // was delta-built: unchanged routers then hold the base's own
-        // `Arc`'d models, so a memoized transfer between two unpatched
-        // endpoints is pure in inputs the patch cannot reach. Structural
-        // session changes are fine — `begin_run` re-homes surviving
-        // slots by endpoint pair. A cold verifier runs on a fresh memo.
-        let mut local_memo = PolicyMemo::new();
-        let memo = if sim.delta_info().is_some() {
-            memo.begin_run(sim.base().sessions(), &patch.routers());
-            memo
-        } else {
-            &mut local_memo
-        };
+        // The cross-candidate memo is sound because this candidate was
+        // delta-built: unchanged routers hold the base's own `Arc`'d
+        // models, so a memoized transfer between two unpatched endpoints
+        // is pure in inputs the patch cannot reach. Structural session
+        // changes are fine — `begin_run` re-homes surviving slots by
+        // endpoint pair.
+        memo.begin_run(sim.base().sessions(), &patch.routers());
         let run = simulate(&sim, &universe, affected, arena, memo);
         self.assemble(&sim, &universe, run, arena)
     }
@@ -478,7 +475,7 @@ impl<'v, 'a> BaseView<'v, 'a> {
         // is read from `merged` by each walk's `FibView`; nothing is
         // installed.
         let fibs_span = span!("verify.fibs", "verify");
-        let committed = self.base.map_or(&[][..], |b| b.models());
+        let committed = self.base.models();
         let models = sim.models().iter().enumerate();
         let rebuilt: Vec<Option<Fib>> = models
             .map(|(i, m)| match committed.get(i) {
@@ -557,9 +554,8 @@ fn simulate(
 /// configuration and the candidate, or whose closure holds a renumbered
 /// line, is returned. What differs is read off `info`, the old-vs-new
 /// model diff; `patch` only locates the first edited line per router.
-///
-/// With nothing cached (or committed: `info` is `None`) that is every
-/// prefix. Otherwise:
+/// (A commit has nothing cached and runs every prefix; it books them
+/// under `verify.invalidated.cold` itself.) The affected set is
 ///
 /// 1. **Every prefix** when sessions changed structurally (routes may
 ///    flow along paths no cached closure has a trace of), or when a
@@ -580,14 +576,10 @@ fn simulate(
 /// 5. prefixes new to the universe, which have no cached outcome.
 fn affected_prefixes(
     caches: &Caches,
-    info: Option<&DeltaInfo>,
+    info: &DeltaInfo,
     patch: &Patch,
     universe: &BTreeSet<Prefix>,
 ) -> (BTreeSet<Prefix>, &'static Counter) {
-    let info = match info {
-        Some(info) if !caches.outcomes.is_empty() => info,
-        _ => return (universe.clone(), &INV_COLD),
-    };
     if info.session_delta == SessionDelta::Structural {
         return (universe.clone(), &INV_SESSIONS);
     }
