@@ -28,15 +28,24 @@ echo "==> cargo test (default features)"
 cargo test -q
 
 echo "==> exp_scenarios --smoke (scenario corpus + strategy A/B + golden digests)"
-scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep -E '^(corpus|report)_digest=')
+scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep -E '^(corpus|report|outcome)_digest=')
 # The corpus content itself is regression-pinned (golden_corpus.rs); the
 # bench must be running on exactly that corpus, and the beam repairs it
-# reports must decide as pinned.
+# reports must decide as pinned. `outcome_digest` pins the repairs
+# themselves (acr_serve::outcome_signature: everything but the final
+# iteration's validation-order fields) and moves only with a change
+# meant to alter what gets repaired; `report_digest` also covers the
+# final iteration's fitness / kept counts, which a change to the
+# validation order may move.
 if ! grep -qx 'corpus_digest=b1380ed19022fbaf' <<<"$scen"; then
     echo "FAIL: exp_scenarios ran on a corpus that does not match the golden pin" >&2
     exit 1
 fi
-if ! grep -qx 'report_digest=54719dd0d7a7c600' <<<"$scen"; then
+if ! grep -qx 'outcome_digest=02df1b3f1b8118ba' <<<"$scen"; then
+    echo "FAIL: exp_scenarios' beam repairs repaired differently ($scen)" >&2
+    exit 1
+fi
+if ! grep -qx 'report_digest=d6c8f8cdb4406a29' <<<"$scen"; then
     echo "FAIL: exp_scenarios' beam repairs decided differently ($scen)" >&2
     exit 1
 fi
@@ -45,7 +54,7 @@ fi
 # are deterministic and run in about a second, so a change that is not
 # meant to alter what they reproduce must print them byte-identically.
 echo "==> exp_table1 / exp_fig3 (stdout digests against pins)"
-for pin in exp_table1:c03296aa50a1f4bc exp_fig3:b6b10fbb080cbfe2; do
+for pin in exp_table1:204f7bd91a522511 exp_fig3:b6b10fbb080cbfe2; do
     got=$(cargo run --release -q -p acr-bench --bin "${pin%%:*}" | sha256sum | cut -c1-16)
     if [ "$got" != "${pin##*:}" ]; then
         echo "FAIL: ${pin%%:*} printed different output (sha256 prefix $got, pinned ${pin##*:})" >&2
@@ -69,9 +78,14 @@ sed -n "/^off the job's thread/,\$p" <<<"$profile" | grep -q '^flow.analyze '
 
 echo "==> acrd smoke (daemon-served repair == one-shot batch, JSONL over stdin)"
 acrd_daemon=$(./target/release/acrd --emit-corpus | ./target/release/acrd | tee /dev/stderr | grep -E '^(report_digest=|jobs=)')
-acrd_batch=$(./target/release/acrd --batch | tee /dev/stderr | grep '^report_digest=')
-if ! grep -qF "$acrd_batch" <<<"$acrd_daemon"; then
+acrd_batch=$(./target/release/acrd --batch | tee /dev/stderr | grep -E '^(report|outcome)_digest=')
+if ! grep -qF "$(grep '^report_digest=' <<<"$acrd_batch")" <<<"$acrd_daemon"; then
     echo "FAIL: daemon-served reports diverged from one-shot batch ($acrd_daemon vs $acrd_batch)" >&2
+    exit 1
+fi
+# The batch's repairs themselves, pinned as for exp_scenarios above.
+if ! grep -qx 'outcome_digest=d2fa7a375a252158' <<<"$acrd_batch"; then
+    echo "FAIL: acrd --batch repaired differently ($acrd_batch)" >&2
     exit 1
 fi
 # Graceful shutdown: the queue must be fully drained at EOF.
@@ -98,11 +112,14 @@ cargo test -q --manifest-path benchmark/Cargo.toml --test known_failures -- --ig
 # Decisions, checked mechanically: the smoke suite's decision digest per
 # workload must be the pinned one in both of its runs — end to end and
 # traced; results.json records the pair. A perf PR moves the timings this
-# prints, never these.
+# prints. These digests also cover the final iteration's fitness / kept /
+# lint_rejected / invalid counts, so a change to the validation order
+# may move them too; what guards the repairs themselves is the
+# `outcome_digest` pins of exp_scenarios and acrd --batch above.
 echo "==> benchmark/run.sh --smoke --seed 78 (decision digests, end to end and traced)"
 benchmark/run.sh --smoke --seed 78
-for pin in corpus12:5c9179f0ddc4760b scenarios8:b38b374edf65a19d \
-    serve_stream:523a5a4c6b8a6c3b wan72:623e3a50acef2f77; do
+for pin in corpus12:91109c08aafe8dc0 scenarios8:9c4ca0b41b94805c \
+    serve_stream:c3d111f11529cf70 wan72:f4f02d48c84a40cb; do
     runs=$(grep -o "\"decision_digest\":\"${pin##*:}\"" benchmark/out/results.json | wc -l || true)
     if [ "$runs" != 2 ]; then
         echo "FAIL: ${pin%%:*} decided differently: $runs of its 2 runs have decision_digest ${pin##*:}" >&2

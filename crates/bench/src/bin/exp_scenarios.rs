@@ -26,10 +26,12 @@
 //! for itself on exactly the incidents the paper's composed-fault
 //! discussion predicts.
 //!
-//! Two digests are printed: `corpus_digest=` (the scenario corpus
-//! content, which `ci.sh` checks against the golden pin) and
+//! Three digests are printed: `corpus_digest=` (the scenario corpus
+//! content, which `ci.sh` checks against the golden pin),
 //! `report_digest=` (FNV-1a over the acr-beam reports' semantic
-//! signatures). The corpus is already CI-sized, so `--smoke` is accepted but changes
+//! signatures) and `outcome_digest=` (the same over their
+//! [`acr_serve::outcome_signature`]s, which leave out the final
+//! iteration's validation-order fields). The corpus is already CI-sized, so `--smoke` is accepted but changes
 //! nothing — truncating it would dodge the incidents the A/B acceptance
 //! hinges on.
 //!
@@ -41,8 +43,8 @@ use acr_baselines::{AedStrategy, MetaProvStrategy};
 use acr_bench::{fmt_duration, percentile, rule, standard_network};
 use acr_cfg::NetworkConfig;
 use acr_core::{AcrStrategy, RepairConfig, RepairStrategy, Strategy, StrategyVerdict};
-use acr_net_types::{fnv1a, FNV_OFFSET};
 use acr_scenarios::{corpus, corpus_digest, Scenario, ScenarioFamily};
+use acr_serve::{digest, outcome_signature};
 use acr_topo::Topology;
 use acr_verify::{Spec, Verifier};
 use std::collections::BTreeMap;
@@ -83,12 +85,6 @@ fn signature(label: &str, r: &acr_core::RepairReport) -> String {
         iters.join(";"),
         attr.join(",")
     )
-}
-
-/// FNV-1a 64 over signature lines, newline-folded.
-fn digest(signatures: &[String]) -> u64 {
-    let line = |h, s: &String| fnv1a(fnv1a(h, s.as_bytes()), b"\n");
-    signatures.iter().fold(FNV_OFFSET, line)
 }
 
 /// The ACR strategies, rebuilt per scenario so reports carry its tags.
@@ -156,6 +152,7 @@ fn main() {
 
     let mut scored: Vec<(usize, Scored)> = Vec::new();
     let mut beam_signatures: Vec<String> = Vec::new();
+    let mut beam_outcomes: Vec<String> = Vec::new();
     for (si, scenario) in scenarios.iter().enumerate() {
         let spec = scenario.visible_spec(&net.spec);
         let mut attempts: Vec<Scored> = Vec::new();
@@ -173,6 +170,7 @@ fn main() {
             );
             if acr.name() == "acr-beam" {
                 beam_signatures.push(signature(&scenario.label, report));
+                beam_outcomes.push(outcome_signature(&scenario.label, report));
             }
             attempts.push(Scored {
                 strategy: acr.name().to_string(),
@@ -276,4 +274,5 @@ fn main() {
     assert!(families_covered >= 4, "corpus must cover all four families");
 
     println!("report_digest={:016x}", digest(&beam_signatures));
+    println!("outcome_digest={:016x}", digest(&beam_outcomes));
 }

@@ -13,6 +13,18 @@
 //!
 //! Termination (§5): a feasible update is found (fitness 0), no more
 //! candidates can be generated (S = ∅), or the iteration cap (500) is hit.
+//!
+//! The winner of a feasible iteration is its zero-fitness candidate with
+//! the shortest patch, the earliest candidate index breaking ties. The
+//! validate stage therefore walks an iteration's candidates in that
+//! preference order — patch length, then index — and stops at the first
+//! zero-fitness verdict: every candidate before it was validated and
+//! failed some test, and none after it could win. The candidates it
+//! never reaches are counted as `skipped`. Only an iteration that ends
+//! the run is cut short, and kept variants and journal rows are still
+//! assembled in candidate-index order, so the population, the RNG draws
+//! and every earlier iteration decide as if every candidate had been
+//! validated.
 
 use crate::ctx::RepairCtx;
 use crate::session::{NetworkSession, Slot};
@@ -41,6 +53,7 @@ static CAND_LINT_REJECTED: Counter = Counter::new("engine.candidates.lint_reject
 static CAND_VALIDATED: Counter = Counter::new("engine.candidates.validated");
 static CAND_CACHED: Counter = Counter::new("engine.candidates.cached");
 static CAND_INVALID: Counter = Counter::new("engine.candidates.invalid");
+static CAND_SKIPPED: Counter = Counter::new("engine.candidates.skipped");
 static CAND_KEPT: Counter = Counter::new("engine.candidates.kept");
 static RESIDENT_HITS: Counter = Counter::new("engine.resident.hits");
 static RESIDENT_MISSES: Counter = Counter::new("engine.resident.misses");
@@ -164,6 +177,9 @@ pub struct IterationStats {
     pub cached: usize,
     /// Candidates whose patch failed to apply or re-parse.
     pub invalid: usize,
+    /// Candidates never validated because an earlier one in preference
+    /// order already won the run (nonzero only in a final iteration).
+    pub skipped: usize,
 }
 
 /// How a repair run ended.
@@ -248,18 +264,19 @@ impl RepairReport {
     /// The candidate-accounting identity every report must satisfy:
     /// per iteration, every generated candidate lands in exactly one
     /// outcome bucket (`generated` equals the sum of `invalid`,
-    /// `lint_rejected`, `validated` and `cached`), so the candidates
-    /// that survive the lint gate decompose as *attempted = simulated
-    /// plus cached*; and the report totals are exactly the per-iteration
-    /// sums. Returns a description of the first violated equation.
+    /// `lint_rejected`, `validated`, `cached` and `skipped`), so the
+    /// candidates that were reached and survive the lint gate decompose
+    /// as *attempted = simulated plus cached*; and the report totals are
+    /// exactly the per-iteration sums. Returns a description of the
+    /// first violated equation.
     pub fn check_accounting(&self) -> Result<(), String> {
         for it in &self.iterations {
-            let buckets = it.invalid + it.lint_rejected + it.validated + it.cached;
+            let buckets = it.invalid + it.lint_rejected + it.validated + it.cached + it.skipped;
             if it.generated != buckets {
                 return Err(format!(
-                    "iteration {}: generated {} != invalid {} + lint_rejected {} + validated {} + cached {}",
+                    "iteration {}: generated {} != invalid {} + lint_rejected {} + validated {} + cached {} + skipped {}",
                     it.iteration, it.generated, it.invalid, it.lint_rejected, it.validated,
-                    it.cached
+                    it.cached, it.skipped
                 ));
             }
         }
@@ -307,6 +324,21 @@ struct Variant {
     statics: OnceCell<Statics>,
     /// Provenance of `patch`, one segment per operator application.
     segments: Vec<PatchSegment>,
+}
+
+/// A candidate's verdict reduced, as soon as it is reached, to what the
+/// validate stage's candidate-index pass reads: a discarded candidate's
+/// configuration and verification are dropped there and then.
+enum Reached {
+    Invalid,
+    LintRejected,
+    Validated {
+        fitness: usize,
+        memo_served: bool,
+        /// The configuration and verification of a candidate §5 keeps;
+        /// `None` when it is discarded.
+        kept: Option<(NetworkConfig, OnceCell<Verification>)>,
+    },
 }
 
 /// Everything about one variant that is fixed for the job and read each
@@ -509,19 +541,19 @@ impl<'a> RepairEngine<'a> {
                 // ---- validate: lint gate + memo-cache + in-place verify ----
                 let validate_guard = stages.time("engine.validate", "engine");
                 let lint_base = self.config.lint.then_some(&statics);
-                let mut kept: Vec<Variant> = Vec::new();
                 let (mut recomputed, mut reused) = (0, 0);
-                let (mut lint_rejected, mut validated, mut cached_count, mut invalid) =
-                    (0, 0, 0, 0);
-                // Journal rows for this iteration's candidates, in
-                // candidate-index order.
-                let mut cand_rows: Vec<String> = Vec::new();
-                let journal_on = acr_obs::enabled(acr_obs::JOURNAL);
-                for (k, (patch, segs)) in fresh.into_iter().enumerate() {
+                // Preference order — patch length, then candidate index
+                // (a stable sort) — up to the first zero-fitness verdict,
+                // the run's winner. Each verdict is reduced to what the
+                // index-order pass below reads as soon as it is reached.
+                let mut order: Vec<usize> = (0..generated).collect();
+                order.sort_by_key(|&k| fresh[k].0.len());
+                let mut reached: Vec<Option<Reached>> = (0..generated).map(|_| None).collect();
+                for k in order {
                     let verdict = {
                         let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
                         validate(
-                            &patch,
+                            &fresh[k].0,
                             original,
                             &mut iv,
                             self.topo,
@@ -530,38 +562,15 @@ impl<'a> RepairEngine<'a> {
                             ctx_base,
                         )
                     };
-                    let mut row = journal_on.then(|| {
-                        json::Obj::new()
-                            .str("patch", &patch.to_string())
-                            .int("segments", segs.len())
-                    });
-                    // The one place a verdict's bucket is decided: every
-                    // candidate lands in exactly one of the four counters.
-                    match verdict {
-                        Verdict::Invalid => {
-                            invalid += 1;
-                            if let Some(r) = row.take() {
-                                cand_rows.push(r.str("outcome", "invalid").build());
-                            }
-                        }
-                        Verdict::LintRejected => {
-                            lint_rejected += 1;
-                            if let Some(r) = row.take() {
-                                cand_rows.push(r.str("outcome", "lint_rejected").build());
-                            }
-                        }
+                    let r = match verdict {
+                        Verdict::Invalid => Reached::Invalid,
+                        Verdict::LintRejected => Reached::LintRejected,
                         Verdict::Validated {
                             cfg,
                             entry,
                             stats,
                             verification,
                         } => {
-                            let memo_served = verification.is_none();
-                            if memo_served {
-                                cached_count += 1;
-                            } else {
-                                validated += 1;
-                            }
                             recomputed += stats.recomputed;
                             reused += stats.reused;
                             stages.add("sim.compile", stats.compile);
@@ -569,36 +578,96 @@ impl<'a> RepairEngine<'a> {
                             stages.add("sim.simulate", stats.simulate);
                             stages.add("sim.converge", stats.converge);
                             let fitness = entry.failed;
+                            let memo_served = verification.is_none();
                             // §5: discard candidates whose fitness exceeds
                             // the previous iteration's fitness.
-                            let discard = fitness > prev_fitness;
-                            if let Some(r) = row.take() {
-                                cand_rows.push(
-                                    r.str("outcome", if discard { "discarded" } else { "kept" })
-                                        .int("fitness", fitness)
-                                        .bool("cached", memo_served)
-                                        .build(),
-                                );
-                            }
-                            if discard {
-                                continue;
-                            }
-                            kept.push(Variant {
-                                cfg,
-                                patch,
-                                verification: verification
-                                    .map_or_else(OnceCell::new, |v| OnceCell::from(*v)),
-                                fitness,
-                                statics: OnceCell::new(),
-                                segments: segs,
+                            let kept = (fitness <= prev_fitness).then(|| {
+                                let verification =
+                                    verification.map_or_else(OnceCell::new, |v| OnceCell::from(*v));
+                                (cfg, verification)
                             });
+                            Reached::Validated {
+                                fitness,
+                                memo_served,
+                                kept,
+                            }
                         }
+                    };
+                    let won = matches!(r, Reached::Validated { fitness: 0, .. });
+                    reached[k] = Some(r);
+                    if won {
+                        break;
+                    }
+                }
+
+                // Kept variants and journal rows in candidate-index order.
+                let mut kept: Vec<Variant> = Vec::new();
+                let (mut lint_rejected, mut validated, mut cached_count, mut invalid, mut skipped) =
+                    (0, 0, 0, 0, 0);
+                let mut cand_rows: Vec<String> = Vec::new();
+                let journal_on = acr_obs::enabled(acr_obs::JOURNAL);
+                for ((patch, segs), r) in fresh.into_iter().zip(reached) {
+                    let row = journal_on.then(|| {
+                        json::Obj::new()
+                            .str("patch", &patch.to_string())
+                            .int("segments", segs.len())
+                    });
+                    let mut verdict = None;
+                    // The one place a candidate's bucket is decided: every
+                    // candidate lands in exactly one of the five counters.
+                    let outcome = match r {
+                        None => {
+                            skipped += 1;
+                            "skipped"
+                        }
+                        Some(Reached::Invalid) => {
+                            invalid += 1;
+                            "invalid"
+                        }
+                        Some(Reached::LintRejected) => {
+                            lint_rejected += 1;
+                            "lint_rejected"
+                        }
+                        Some(Reached::Validated {
+                            fitness,
+                            memo_served,
+                            kept: kept_as,
+                        }) => {
+                            if memo_served {
+                                cached_count += 1;
+                            } else {
+                                validated += 1;
+                            }
+                            verdict = Some((fitness, memo_served));
+                            match kept_as {
+                                None => "discarded",
+                                Some((cfg, verification)) => {
+                                    kept.push(Variant {
+                                        cfg,
+                                        patch,
+                                        verification,
+                                        fitness,
+                                        statics: OnceCell::new(),
+                                        segments: segs,
+                                    });
+                                    "kept"
+                                }
+                            }
+                        }
+                    };
+                    if let Some(mut r) = row {
+                        r = r.str("outcome", outcome);
+                        if let Some((fitness, cached)) = verdict {
+                            r = r.int("fitness", fitness).bool("cached", cached);
+                        }
+                        cand_rows.push(r.build());
                     }
                 }
                 CAND_LINT_REJECTED.add(lint_rejected as u64);
                 CAND_VALIDATED.add(validated as u64);
                 CAND_CACHED.add(cached_count as u64);
                 CAND_INVALID.add(invalid as u64);
+                CAND_SKIPPED.add(skipped as u64);
                 drop(validate_guard);
 
                 let select_guard = stages.time("engine.select", "engine");
@@ -627,6 +696,7 @@ impl<'a> RepairEngine<'a> {
                     validated,
                     cached: cached_count,
                     invalid,
+                    skipped,
                 };
                 if journal_on {
                     journal_iteration(&stats, &suspects, &cand_rows);
@@ -1162,6 +1232,7 @@ fn journal_iteration(stats: &IterationStats, suspects: &str, cand_rows: &[String
             .int("validated", stats.validated)
             .int("cached", stats.cached)
             .int("invalid", stats.invalid)
+            .int("skipped", stats.skipped)
             .int("recomputed_prefixes", stats.recomputed_prefixes)
             .int("reused_prefixes", stats.reused_prefixes)
             .raw("suspects", suspects)

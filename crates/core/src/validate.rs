@@ -2,7 +2,8 @@
 //! the persistent incremental verifier.
 //!
 //! The engine hands this module its fresh candidate patches one at a
-//! time, in candidate-index order. Per candidate [`validate`] (1)
+//! time, in its preference order (patch length, then candidate index),
+//! up to the first zero-fitness verdict. Per candidate [`validate`] (1)
 //! materializes and re-parses the configuration, (2) fingerprints it,
 //! (3) runs the static lint gate, (4) serves the verdict from the
 //! simulation memo-cache when the fingerprint was seen before, and (5)
@@ -31,8 +32,9 @@
 //! candidate is memo-served or verified in place decides its accounting
 //! only, never its verdict, and the cache's contents — every later hit,
 //! miss and eviction — are a function of the candidate sequence, which
-//! the engine walks in one order. A candidate that renders to an earlier
-//! candidate's configuration is an ordinary cache hit.
+//! the engine walks in one order. So the order decides accounting only:
+//! which of two candidates rendering to one configuration is simulated
+//! and which is an ordinary cache hit.
 //!
 //! **Verdicts, not provenance.** A verified candidate's [`Verification`]
 //! — records whose derivation roots resolve in the verifier's persistent

@@ -27,10 +27,17 @@ fn run(
 
 /// The gate fires on a real incident: donor-copied edits that dangle are
 /// rejected without a validation, and the repair still lands.
+///
+/// The validate stage stops at the winner, so the gate only sees the
+/// candidates that sort before it (patch length, then index). The
+/// incident is the first Table-1 one (classes in `TABLE1` order,
+/// incident seeds 0–5, engine seed 0) on which the gate still prunes a
+/// candidate: `ExtraPeerGroupItem` at seed 3, 1 pruned, 1 validation
+/// against 6 without lint.
 #[test]
 fn lint_gate_prunes_candidates_and_repair_still_lands() {
     let net = generate(&gen::wan(4, 8));
-    let incident = try_inject(FaultType::StaleRouteMap, &net, 0).expect("injectable");
+    let incident = try_inject(FaultType::ExtraPeerGroupItem, &net, 3).expect("injectable");
     let on = run(&net, &incident.broken, true, 0);
     let off = run(&net, &incident.broken, false, 0);
     assert!(on.outcome.is_fixed() && off.outcome.is_fixed());

@@ -11,8 +11,9 @@
 //!   field, so cross-configuration diffs scrub exactly one object);
 //!   since v2 the config carries the run's scenario `tags`;
 //! - `iteration` — ranked suspects (line + suspiciousness), the
-//!   candidate patches of the iteration with their verdicts, fitness
-//!   and (v2) provenance-segment counts, and the iteration counters;
+//!   candidate patches of the iteration in candidate-index order with
+//!   their verdicts, fitness and (v2) provenance-segment counts, and the
+//!   iteration counters;
 //! - `run_end` — outcome, winning/best patch, totals; since v2 also the
 //!   per-patch `attribution` array (iteration / operator / origin line /
 //!   edit count per segment — the multi-patch audit trail) and the
@@ -36,7 +37,13 @@
 //!   to 0 reads v4 and v5 alike;
 //! - (v6) v5 minus the per-run sharded-convergence summary event (the
 //!   mechanism is deleted; DESIGN.md names the event). A reader that
-//!   ignores absent events reads v5 and v6 alike.
+//!   ignores absent events reads v5 and v6 alike. Later v6, additive:
+//!   the engine validates a final iteration only up to its winner, so
+//!   `iteration` carries a `skipped` counter and each candidate it never
+//!   reached a row with `"outcome":"skipped"` (no fitness). Every
+//!   candidate is `invalid`, `lint_rejected`, `validated`, `cached` or
+//!   `skipped`; a reader that defaults an absent counter to 0 reads
+//!   both alike.
 //!
 //! Sinks: a file (`ACR_JOURNAL=path`, append within one process) or an
 //! in-memory capture buffer for tests ([`capture_to_memory`] /

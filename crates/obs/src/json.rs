@@ -177,6 +177,13 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// The four hex digits of a `\\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, ParseError> {
+        let hex = (self.bytes.get(at..at + 4)).ok_or_else(|| self.err("truncated \\u escape"))?;
+        let s = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+        u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))
+    }
+
     fn err(&self, what: &str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -298,18 +305,24 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let s =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(s, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates are not produced by our emitter;
-                            // map unpaired ones to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A character above the BMP arrives as a
+                            // UTF-16 surrogate pair of escapes; an
+                            // unpaired surrogate decodes to the
+                            // replacement character.
+                            let paired = (0xd800..0xdc00).contains(&code)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u");
+                            let c = match paired.then(|| self.hex4(self.pos + 3)) {
+                                Some(Ok(low @ 0xdc00..=0xdfff)) => {
+                                    self.pos += 6;
+                                    char::from_u32(
+                                        0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00),
+                                    )
+                                }
+                                _ => char::from_u32(code),
+                            };
+                            out.push(c.unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -399,6 +412,20 @@ mod tests {
         let took = started.elapsed();
         assert_eq!(v.get("config").unwrap().as_str(), Some(big.as_str()));
         assert!(took.as_secs_f64() < 2.0, "1 MiB string took {took:?}");
+    }
+
+    /// A `\\u` surrogate pair decodes to the one character above the BMP
+    /// it encodes; an unpaired or mispaired surrogate to U+FFFD.
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_character() {
+        let s = |doc: &str| parse(doc).unwrap().as_str().unwrap().to_string();
+        assert_eq!(s(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(s(r#""a\ud83e\udd80b""#), "a🦀b");
+        assert_eq!(s(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(s(r#""\ud83dx""#), "\u{fffd}x");
+        assert_eq!(s(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert!(parse(r#""\ud83d\uzzzz""#).is_err());
     }
 
     /// Multi-byte characters and escapes on either side of a run

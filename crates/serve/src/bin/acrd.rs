@@ -21,8 +21,8 @@
 
 use acr_core::{RepairConfig, RepairEngine};
 use acr_serve::{
-    decision_signature, digest, full_signature, job_label, submit_line, Acrd, NetworkDef,
-    QuotaConfig, ServeConfig,
+    decision_signature, digest, full_signature, job_label, outcome_signature, submit_line, Acrd,
+    NetworkDef, QuotaConfig, ServeConfig,
 };
 use acr_topo::gen;
 use acr_workloads::{generate, sample_incidents};
@@ -90,6 +90,7 @@ fn main() {
             // incident, per round.
             let mut decision = Vec::new();
             let mut full = Vec::new();
+            let mut outcomes = Vec::new();
             for _ in 0..rounds {
                 for (i, inc) in incidents.iter().enumerate() {
                     let rc = RepairConfig {
@@ -101,10 +102,12 @@ fn main() {
                     let label = job_label(NETWORK, i as u64);
                     decision.push(decision_signature(&label, &report));
                     full.push(full_signature(&label, &report));
+                    outcomes.push(outcome_signature(&label, &report));
                 }
             }
             println!("report_digest={:016x}", digest(&decision));
             println!("full_digest={:016x}", digest(&full));
+            println!("outcome_digest={:016x}", digest(&outcomes));
             println!(
                 "jobs={} rejected=0 queue_depth=0 resident_hits=0",
                 decision.len()

@@ -46,4 +46,6 @@ pub use http::{serve, HttpServer};
 pub use proto::{parse_request, resolve_config, submit_line, Request, SubmitReq};
 pub use queue::{Job, JobQueue};
 pub use registry::{NetworkDef, NetworkEntry, Registry};
-pub use report::{decision_signature, digest, full_signature, job_label, report_json};
+pub use report::{
+    decision_signature, digest, full_signature, job_label, outcome_signature, report_json,
+};

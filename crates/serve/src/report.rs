@@ -1,7 +1,9 @@
 //! Report serialization and determinism signatures.
 //!
-//! The daemon's result payloads carry the full [`RepairReport`] as JSON,
-//! and its CI-facing digests fold per-job *signatures*:
+//! The daemon's result payloads carry the full [`RepairReport`] as JSON
+//! ([`report_json`]; each `iteration_detail` entry carries every
+//! funnel bucket, `skipped` included), and its CI-facing digests fold
+//! per-job *signatures*:
 //!
 //! - [`decision_signature`] — everything the repair *chose* (outcome +
 //!   patch, fitness trajectory, generation/keep decisions, attribution,
@@ -12,6 +14,12 @@
 //!   validated/cached/skipped accounting. A *cold* daemon (fresh session
 //!   per job) must match a one-shot [`acr_core::RepairEngine::repair`]
 //!   on this too.
+//! - [`outcome_signature`] — the decision signature without the final
+//!   iteration's `fitness`, `kept`, `lint_rejected` and `invalid`: the
+//!   repair itself and every decision that shaped the search. The engine
+//!   stops validating the final iteration at its winner, so which of
+//!   that iteration's candidates were reached is validation order, not
+//!   outcome; a change to that order must leave this signature alone.
 
 use acr_core::{RepairOutcome, RepairReport};
 use acr_net_types::{fnv1a, FNV_OFFSET};
@@ -61,20 +69,39 @@ pub fn outcome_kind(o: &RepairOutcome) -> &'static str {
 
 /// The decision trace of a report: what was decided, not what it cost.
 pub fn decision_signature(label: &str, r: &RepairReport) -> String {
+    signature(label, r, false)
+}
+
+/// The decision trace without the final iteration's validation-order
+/// fields (`fitness`, `kept`, `lint_rejected`, `invalid`): outcome,
+/// patch, attribution, initial failures, the iteration count, the final
+/// iteration's `best_fitness` and `generated`, and every earlier
+/// iteration in full.
+pub fn outcome_signature(label: &str, r: &RepairReport) -> String {
+    signature(label, r, true)
+}
+
+fn signature(label: &str, r: &RepairReport, outcome_only: bool) -> String {
+    let last = r.iterations.len().saturating_sub(1);
     let iters: Vec<String> = r
         .iterations
         .iter()
-        .map(|s| {
-            format!(
-                "{}:{}:{}:{}:{}:{}:{}",
-                s.iteration,
-                s.fitness,
-                s.best_fitness,
-                s.generated,
-                s.kept,
-                s.lint_rejected,
-                s.invalid
-            )
+        .enumerate()
+        .map(|(i, s)| {
+            if outcome_only && i == last {
+                format!("{}:{}:{}", s.iteration, s.best_fitness, s.generated)
+            } else {
+                format!(
+                    "{}:{}:{}:{}:{}:{}:{}",
+                    s.iteration,
+                    s.fitness,
+                    s.best_fitness,
+                    s.generated,
+                    s.kept,
+                    s.lint_rejected,
+                    s.invalid
+                )
+            }
         })
         .collect();
     let attr: Vec<String> = r
@@ -109,8 +136,13 @@ pub fn full_signature(label: &str, r: &RepairReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{}:{}:{}:{}:{}",
-                s.iteration, s.validated, s.cached, s.recomputed_prefixes, s.reused_prefixes
+                "{}:{}:{}:{}:{}:{}",
+                s.iteration,
+                s.validated,
+                s.cached,
+                s.skipped,
+                s.recomputed_prefixes,
+                s.reused_prefixes
             )
         })
         .collect();
@@ -141,6 +173,7 @@ pub fn report_json(r: &RepairReport) -> String {
                 .int("validated", s.validated)
                 .int("cached", s.cached)
                 .int("invalid", s.invalid)
+                .int("skipped", s.skipped)
                 .int("recomputed_prefixes", s.recomputed_prefixes)
                 .int("reused_prefixes", s.reused_prefixes)
                 .build()

@@ -24,7 +24,7 @@
 //!
 //! One LRU, and no lock: the repair engine's thread is the only one that
 //! ever holds the cache. It looks each candidate up as it validates it,
-//! in candidate-index order, and inserts a miss's verdict right after
+//! in its one validation order, and inserts a miss's verdict right after
 //! verifying it — so the table's contents, and every later hit or miss,
 //! are a function of the repair trajectory alone. A hit ([`SimCache::get`])
 //! and an insert both make the entry the most recently used.

@@ -3,7 +3,8 @@
 //!
 //! The engine's contract (see `acr-core`'s `validate` module) is that
 //! candidate verdicts are pure functions of batch-start state and all
-//! cache mutations happen in candidate-index order, so nothing outside
+//! cache mutations happen in one validation order (patch length, then
+//! candidate index), so nothing outside
 //! the inputs — hash seeds, allocation, timing — can influence a repair.
 //! This harness checks it differentially: every corpus incident is
 //! repaired twice (each run with its own fresh cache) and the runs must

@@ -228,9 +228,8 @@ fn counted_repair(run: impl FnOnce() -> RepairReport) -> (RepairReport, u64, u64
 fn a_single_iteration_repair_analyses_only_the_broken_network() {
     let _g = lock();
     let net = acr::workloads::generate(&acr::topo::gen::wan(4, 8));
-    let incident =
-        acr::workloads::try_inject(acr::workloads::FaultType::MissingRedistribution, &net, 0)
-            .expect("injectable");
+    let incident = acr::workloads::try_inject(acr::workloads::FaultType::MissingPbrPermit, &net, 0)
+        .expect("injectable");
     let (report, facts, pops) = counted_repair(|| {
         RepairEngine::with_defaults(&net.topo, &net.spec).repair(&incident.broken)
     });
@@ -250,9 +249,8 @@ fn a_single_iteration_repair_analyses_only_the_broken_network() {
 fn a_single_iteration_repair_builds_one_coverage() {
     let _g = lock();
     let net = acr::workloads::generate(&acr::topo::gen::wan(4, 8));
-    let incident =
-        acr::workloads::try_inject(acr::workloads::FaultType::MissingRedistribution, &net, 0)
-            .expect("injectable");
+    let incident = acr::workloads::try_inject(acr::workloads::FaultType::MissingPbrPermit, &net, 0)
+        .expect("injectable");
     obs::set_flags(obs::TRACE);
     let _ = trace::take();
     let report = RepairEngine::with_defaults(&net.topo, &net.spec).repair(&incident.broken);
@@ -277,7 +275,10 @@ fn a_single_iteration_repair_builds_one_coverage() {
 /// commit) plus the non-root parents it actually expands (at most the beam width per
 /// later iteration) — never the candidates — and decides exactly what it
 /// decided when every candidate carried a whole-network lint: the
-/// signature below was taken before the gate stopped computing one.
+/// signature below was taken before the gate stopped computing one, and
+/// re-derived when the validate stage began stopping at the winner —
+/// the first iteration is unchanged, and the second keeps its fitness
+/// and best fitness while its candidates past the winner are skipped.
 #[test]
 fn a_beam_repair_analyses_parents_not_candidates() {
     let _g = lock();
@@ -310,7 +311,7 @@ fn a_beam_repair_analyses_parents_not_candidates() {
     let digest = fnv1a(FNV_OFFSET, signature(&decisions).as_bytes());
     assert_eq!(
         digest,
-        0x6e54c05ca320bfa5,
+        0x47b76b4e692b3b6a,
         "{digest:#018x}: {}",
         signature(&decisions)
     );

@@ -45,6 +45,7 @@ pub fn check_journal_line(line: &str) -> json::Value {
                 "validated",
                 "cached",
                 "invalid",
+                "skipped",
                 "suspects",
                 "candidates",
             ]);
