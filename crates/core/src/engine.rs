@@ -5,7 +5,8 @@
 //! 1. **Localize** — score every covered line of each surviving variant
 //!    with SBFL (Tarantula by default) and take the most suspicious ones,
 //! 2. **Fix** — instantiate the templates attached to those lines
-//!    (brute-force Cartesian product, or genetic mutation + crossover),
+//!    (brute-force Cartesian product, beam search, or genetic mutation +
+//!    crossover),
 //! 3. **Validate** — run each candidate through the DNA-style incremental
 //!    verifier; the fitness of a candidate is its number of failed tests,
 //!    and candidates with fitness above the previous iteration's are
@@ -62,7 +63,7 @@ static RESIDENT_MISSES: Counter = Counter::new("engine.resident.misses");
 pub const DEFAULT_MAX_ITERATIONS: usize = 500;
 
 /// Population cap across iterations.
-const MAX_POPULATION: usize = 8;
+pub(crate) const MAX_POPULATION: usize = 8;
 
 /// Which change-operator vocabulary the engine draws candidates from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -887,14 +888,6 @@ impl<'a> RepairEngine<'a> {
             (parent.patch.concat(&fix.patch), segments)
         };
         match &self.config.strategy {
-            Strategy::BruteForce { top_lines } => {
-                // Expand every surviving variant: multi-place repairs
-                // accrete one template application per iteration.
-                for parent in population {
-                    let fixes = self.fixes_of(parent, iv, base, prior, *top_lines, None);
-                    out.extend(fixes.iter().map(|f| extend(parent, f)));
-                }
-            }
             Strategy::Genetic {
                 mutations,
                 crossovers,

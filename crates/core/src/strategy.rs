@@ -2,6 +2,8 @@
 //!
 //! **Brute force** systematically applies every applicable template to the
 //! most suspicious statements — the Cartesian product the paper describes.
+//! It is the [`Strategy::Beam`] that expands every surviving variant and
+//! makes no pairs ([`Strategy::brute_force`]).
 //!
 //! **Search-based (genetic)** randomly applies templates to suspicious
 //! statements "selected from either the original program or any one of the
@@ -11,16 +13,12 @@
 //! program — is what lets it assemble multi-place repairs (like the two
 //! prefix-list edits of the Figure 2 incident) across iterations.
 
+use crate::engine::MAX_POPULATION;
 use acr_cfg::Patch;
 
 /// Candidate-generation strategy for the repair engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Strategy {
-    /// Suspicious lines × applicable templates, from the best variant.
-    BruteForce {
-        /// How many top-ranked lines to expand beyond the tied maximum.
-        top_lines: usize,
-    },
     /// Random mutation over all variants plus single-point crossover.
     Genetic {
         /// Mutations attempted per iteration.
@@ -67,9 +65,16 @@ impl Default for Strategy {
 }
 
 impl Strategy {
-    /// A brute-force strategy with a sensible expansion width.
+    /// The paper's brute force (§4.2): suspicious lines × applicable
+    /// templates, expanded from every surviving variant, so multi-place
+    /// repairs accrete one template application per iteration. A beam as
+    /// wide as the population that makes no pairs.
     pub fn brute_force() -> Self {
-        Strategy::BruteForce { top_lines: 15 }
+        Strategy::Beam {
+            width: MAX_POPULATION,
+            top_lines: 15,
+            max_pairs: 0,
+        }
     }
 
     /// The single-patch ablation arm with a sensible expansion width.
@@ -131,7 +136,11 @@ mod tests {
         assert!(matches!(Strategy::default(), Strategy::Genetic { .. }));
         assert!(matches!(
             Strategy::brute_force(),
-            Strategy::BruteForce { top_lines: 15 }
+            Strategy::Beam {
+                top_lines: 15,
+                max_pairs: 0,
+                ..
+            }
         ));
     }
 }

@@ -14,8 +14,7 @@
 //! # both print report_digest=<hex>; equal means byte-identical decisions
 //! ```
 //!
-//! Flags: `--cold` (fresh session per job — the A/B baseline),
-//! `--http ADDR` (serve the HTTP surface alongside stdin),
+//! Flags: `--http ADDR` (serve the HTTP surface alongside stdin),
 //! `--quota-queue N` / `--quota-tenant N` (admission bounds),
 //! `--emit-corpus [ROUNDS]`, `--batch [ROUNDS]`.
 
@@ -36,7 +35,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut rounds = 1usize;
     let mut mode = "daemon";
-    let mut cold = false;
     let mut http_addr: Option<String> = None;
     let mut quota = QuotaConfig::default();
     let mut it = args.iter().peekable();
@@ -57,7 +55,6 @@ fn main() {
                 mode = "batch";
                 rounds = num(&mut it).unwrap_or(1);
             }
-            "--cold" => cold = true,
             "--http" => http_addr = it.next().cloned(),
             "--quota-queue" => quota.max_queued = num(&mut it).unwrap_or(quota.max_queued),
             "--quota-tenant" => quota.max_per_tenant = num(&mut it).unwrap_or(quota.max_per_tenant),
@@ -114,8 +111,7 @@ fn main() {
             );
         }
         _ => {
-            let cfg = ServeConfig { quota, cold };
-            let mut d = Acrd::new(cfg);
+            let mut d = Acrd::new(ServeConfig { quota });
             d.register(NetworkDef {
                 name: NETWORK.to_string(),
                 topo: Arc::new(net.topo),
@@ -127,9 +123,16 @@ fn main() {
                 eprintln!("acrd: http listening on {}", s.addr());
                 s
             });
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let line = line.expect("stdin read");
+            // A line is read as bytes: one that is not UTF-8 is decoded
+            // lossily and answered like any other malformed request.
+            let mut stdin = std::io::stdin().lock();
+            let mut buf = Vec::new();
+            loop {
+                buf.clear();
+                if stdin.read_until(b'\n', &mut buf).expect("stdin read") == 0 {
+                    break;
+                }
+                let line = String::from_utf8_lossy(&buf);
                 if line.trim().is_empty() {
                     continue;
                 }

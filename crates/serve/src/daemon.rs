@@ -8,16 +8,13 @@
 //! engine a one-shot batch run uses, which is what keeps a daemon-served
 //! report byte-identical to it.
 //!
-//! Serving modes:
-//!
-//! - **resident** (default): each job runs against its network's
-//!   [`acr_core::NetworkSession`] — cross-job simulation cache, warm
-//!   verifier state and static baseline per configuration. Decisions are
-//!   byte-identical to a cold run; validation cost drops.
-//! - **cold** (`ServeConfig::cold = true`): every job gets a fresh
-//!   session, making a served job *fully* byte-identical (accounting
-//!   included) to `RepairEngine::repair` — the A/B baseline and the
-//!   differential-testing anchor.
+//! Each job runs against its network's resident
+//! [`acr_core::NetworkSession`] — cross-job simulation cache, warm
+//! verifier state and static baseline per configuration. Decisions are
+//! byte-identical to a one-shot `RepairEngine::repair`; validation cost
+//! drops. A job that finds nothing resident to reuse — no warm slot for
+//! its configuration, no cached candidate — is byte-identical to the
+//! one-shot run, accounting included.
 //!
 //! A job that panics ends [`JobState::Failed`] with a `job_failed`
 //! journal event and takes nothing else down: [`Acrd::step`] runs the
@@ -34,7 +31,7 @@ use crate::proto::{parse_request, resolve_config, Request, SubmitReq};
 use crate::queue::{Job, JobQueue};
 use crate::registry::{NetworkDef, Registry};
 use crate::report::{decision_signature, digest, full_signature, outcome_kind, report_json};
-use acr_core::{NetworkSession, RepairConfig, RepairEngine};
+use acr_core::{RepairConfig, RepairEngine};
 use acr_net_types::{fnv1a, FNV_OFFSET};
 use acr_obs::metrics::{Counter, Gauge};
 use acr_obs::{journal, json};
@@ -53,22 +50,6 @@ static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeConfig {
     pub quota: QuotaConfig,
-    /// Serve from a fresh session per job (the cold A/B baseline)
-    /// instead of resident per-network state. Default `false`.
-    pub cold: bool,
-}
-
-impl ServeConfig {
-    /// Switches the daemon to cold serving (fresh session per job).
-    pub fn cold(mut self) -> Self {
-        self.cold = true;
-        self
-    }
-
-    /// Whether jobs run against resident state.
-    pub fn resident(&self) -> bool {
-        !self.cold
-    }
 }
 
 /// Where a job is in its lifecycle.
@@ -115,7 +96,6 @@ pub struct JobRecord {
 
 /// The daemon.
 pub struct Acrd {
-    cfg: ServeConfig,
     admission: Admission,
     registry: Registry,
     queue: JobQueue,
@@ -134,7 +114,6 @@ impl Acrd {
     pub fn new(cfg: ServeConfig) -> Self {
         Acrd {
             admission: Admission::new(cfg.quota),
-            cfg,
             registry: Registry::new(),
             queue: JobQueue::new(),
             records: BTreeMap::new(),
@@ -284,17 +263,11 @@ impl Acrd {
         let topo = entry.def.topo.clone();
         let spec = entry.def.spec.clone();
         let engine = RepairEngine::new(&topo, &spec, rc);
-        let resident_mode = self.cfg.resident();
         let t = Instant::now();
         let run = catch_unwind(AssertUnwindSafe(|| {
-            if resident_mode {
-                let hits_before = entry.session.resident_hits;
-                let report = engine.repair_resident(&job.broken, &mut entry.session);
-                (report, entry.session.resident_hits > hits_before)
-            } else {
-                let mut fresh = NetworkSession::new();
-                (engine.repair_resident(&job.broken, &mut fresh), false)
-            }
+            let hits_before = entry.session.resident_hits;
+            let report = engine.repair_resident(&job.broken, &mut entry.session);
+            (report, entry.session.resident_hits > hits_before)
         }));
         let wall = t.elapsed();
         let (report, resident) = match run {

@@ -19,7 +19,7 @@
 //! - [`daemon`] — [`Acrd`] itself: submit → schedule → repair → record,
 //!   multiplexing jobs over the deterministic repair engine.
 //!   Daemon-served reports are byte-identical to one-shot batch runs
-//!   (decisions always; full accounting in cold mode) — the
+//!   (decisions always; full accounting on a first visit) — the
 //!   `serve_differential` test and the ci.sh smoke assert it.
 //! - [`proto`] — the JSONL wire protocol (also carried by HTTP bodies).
 //! - [`http`] — a dependency-free `std::net` HTTP listener for

@@ -16,10 +16,7 @@ fn small() -> (GeneratedNetwork, NetworkConfig) {
 }
 
 fn daemon(net: &GeneratedNetwork, quota: QuotaConfig) -> Acrd {
-    let mut d = Acrd::new(ServeConfig {
-        quota,
-        ..ServeConfig::default()
-    });
+    let mut d = Acrd::new(ServeConfig { quota });
     d.register(NetworkDef {
         name: "net".to_string(),
         topo: Arc::new(net.topo.clone()),

@@ -1,11 +1,16 @@
 //! End-to-end daemon behavior: job lifecycle over the JSONL surface,
-//! resident-vs-cold serving, registry invalidation, journal events,
-//! graceful shutdown, a panicking job's isolation, and the HTTP listener.
+//! resident serving against one-shot repair, registry invalidation,
+//! journal events, graceful shutdown, a panicking job's isolation, the
+//! HTTP listener, and the `acrd` binary's stdin loop.
 
 use acr_cfg::NetworkConfig;
+use acr_core::{RepairConfig, RepairEngine};
 use acr_net_types::RouterId;
 use acr_obs::{journal, json};
-use acr_serve::{Acrd, NetworkDef, QuotaConfig, ServeConfig, SubmitReq};
+use acr_serve::{
+    decision_signature, digest, full_signature, job_label, Acrd, NetworkDef, QuotaConfig,
+    ServeConfig, SubmitReq,
+};
 use acr_topo::gen;
 use acr_workloads::{generate, sample_incidents, GeneratedNetwork};
 use std::collections::BTreeMap;
@@ -32,10 +37,9 @@ fn small() -> (GeneratedNetwork, NetworkConfig) {
     (net, broken)
 }
 
-fn daemon(net: &GeneratedNetwork, cold: bool) -> Acrd {
+fn daemon(net: &GeneratedNetwork) -> Acrd {
     let mut d = Acrd::new(ServeConfig {
         quota: QuotaConfig::default(),
-        cold,
     });
     d.register(NetworkDef {
         name: "net".to_string(),
@@ -71,7 +75,7 @@ fn req(net: &GeneratedNetwork, broken: &NetworkConfig, seed: u64) -> SubmitReq {
 fn job_lifecycle_over_the_jsonl_surface() {
     let _g = lock();
     let (net, broken) = small();
-    let mut d = daemon(&net, false);
+    let mut d = daemon(&net);
     let id = d.submit(req(&net, &broken, 0)).unwrap();
     assert!(id.starts_with("job-") && id.len() == 4 + 16, "id {id}");
 
@@ -109,8 +113,8 @@ fn job_lifecycle_over_the_jsonl_surface() {
 fn job_ids_are_deterministic_across_daemons() {
     let _g = lock();
     let (net, broken) = small();
-    let mut d1 = daemon(&net, false);
-    let mut d2 = daemon(&net, false);
+    let mut d1 = daemon(&net);
+    let mut d2 = daemon(&net);
     let a1 = d1.submit(req(&net, &broken, 0)).unwrap();
     let b1 = d1.submit(req(&net, &broken, 1)).unwrap();
     let a2 = d2.submit(req(&net, &broken, 0)).unwrap();
@@ -121,13 +125,13 @@ fn job_ids_are_deterministic_across_daemons() {
 }
 
 /// Resident serving: the second job on the same incident resumes warm
-/// state, validates nothing fresh, and reaches identical decisions. A
-/// cold daemon never goes resident; its decisions match too.
+/// state, validates nothing fresh, and reaches identical decisions. The
+/// first job is the one-shot repair, accounting included.
 #[test]
-fn resident_replay_matches_cold_decisions_with_less_work() {
+fn resident_replay_matches_one_shot_decisions_with_less_work() {
     let _g = lock();
     let (net, broken) = small();
-    let mut res = daemon(&net, false);
+    let mut res = daemon(&net);
     res.submit(req(&net, &broken, 0)).unwrap();
     res.submit(req(&net, &broken, 0)).unwrap();
     assert_eq!(res.drain(), 2);
@@ -139,20 +143,27 @@ fn resident_replay_matches_cold_decisions_with_less_work() {
     assert!(recs[0].validations > 0);
     assert_eq!(res.resident_jobs, 1);
 
-    let mut cold = daemon(&net, true);
-    cold.submit(req(&net, &broken, 0)).unwrap();
-    cold.submit(req(&net, &broken, 0)).unwrap();
-    assert_eq!(cold.drain(), 2);
-    let cold_recs: Vec<_> = cold.records_in_order().collect();
-    assert!(cold_recs.iter().all(|r| !r.resident));
-    assert_eq!(cold_recs[0].decision_sig, recs[0].decision_sig);
-    assert_eq!(cold_recs[0].full_sig, cold_recs[1].full_sig);
-    assert_eq!(cold.resident_jobs, 0);
-    // Decision digests agree across serving modes; the resident
+    let one_shot = RepairEngine::new(
+        &net.topo,
+        &net.spec,
+        RepairConfig {
+            seed: 0,
+            ..RepairConfig::default()
+        },
+    )
+    .repair(&broken);
+    let label = job_label("net", 0);
+    let (decision, full) = (
+        decision_signature(&label, &one_shot),
+        full_signature(&label, &one_shot),
+    );
+    assert_eq!(recs[0].full_sig, full);
+    assert_eq!(recs[0].decision_sig, decision);
+    // Decision digests agree with two one-shot runs; the resident
     // daemon's full (accounting-bearing) digest differs — that is the
     // entire point of residency.
-    assert_eq!(res.decision_digest(), cold.decision_digest());
-    assert_ne!(res.full_digest(), cold.full_digest());
+    assert_eq!(res.decision_digest(), digest(&[decision.clone(), decision]));
+    assert_ne!(res.full_digest(), digest(&[full.clone(), full]));
 }
 
 /// `invalidate` models a committed patch landing: warm state drops (the
@@ -161,7 +172,7 @@ fn resident_replay_matches_cold_decisions_with_less_work() {
 fn invalidate_drops_warm_state_not_correctness() {
     let _g = lock();
     let (net, broken) = small();
-    let mut d = daemon(&net, false);
+    let mut d = daemon(&net);
     d.submit(req(&net, &broken, 0)).unwrap();
     d.drain();
     assert!(d.registry().get("net").unwrap().session.has_warm());
@@ -185,7 +196,7 @@ fn invalidate_drops_warm_state_not_correctness() {
 fn finish_drains_the_queue_completely() {
     let _g = lock();
     let (net, broken) = small();
-    let mut d = daemon(&net, false);
+    let mut d = daemon(&net);
     for seed in 0..3 {
         d.submit(req(&net, &broken, seed)).unwrap();
     }
@@ -209,7 +220,7 @@ fn journal_daemon_events() {
     journal::capture_to_memory();
 
     let (net, broken) = small();
-    let mut d = daemon(&net, false);
+    let mut d = daemon(&net);
     let id = d.submit(req(&net, &broken, 0)).unwrap();
     let mut bad = req(&net, &broken, 1);
     bad.network = "nope".to_string();
@@ -289,7 +300,7 @@ fn a_panicking_job_fails_alone() {
     let _g = lock();
     let (net, broken) = small();
     let reference: Vec<String> = {
-        let mut d = daemon(&net, false);
+        let mut d = daemon(&net);
         d.submit(req(&net, &broken, 0)).unwrap();
         d.submit(req(&net, &broken, 0)).unwrap();
         d.drain();
@@ -300,7 +311,7 @@ fn a_panicking_job_fails_alone() {
 
     acr_obs::set_flags(acr_obs::JOURNAL);
     journal::capture_to_memory();
-    let mut d = daemon(&net, false);
+    let mut d = daemon(&net);
     let mut bad_spec = net.spec.clone();
     bad_spec.properties[0].start = RouterId(net.topo.len() as u32 + 7);
     d.register(NetworkDef {
@@ -350,7 +361,7 @@ fn a_panicking_job_fails_alone() {
 fn http_surface_round_trip() {
     let _g = lock();
     let (net, broken) = small();
-    let daemon = Arc::new(Mutex::new(daemon(&net, false)));
+    let daemon = Arc::new(Mutex::new(daemon(&net)));
     let server = acr_serve::serve(daemon.clone(), "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
@@ -420,7 +431,7 @@ fn http_surface_round_trip() {
 fn http_stalled_client_cannot_block_health() {
     let _g = lock();
     let (net, _) = small();
-    let daemon = Arc::new(Mutex::new(daemon(&net, false)));
+    let daemon = Arc::new(Mutex::new(daemon(&net)));
     let server = acr_serve::serve(daemon, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
@@ -448,7 +459,7 @@ fn http_stalled_client_cannot_block_health() {
 fn http_dripping_client_cannot_hold_the_listener() {
     let _g = lock();
     let (net, _) = small();
-    let daemon = Arc::new(Mutex::new(daemon(&net, false)));
+    let daemon = Arc::new(Mutex::new(daemon(&net)));
     let server = acr_serve::serve(daemon, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
@@ -482,7 +493,7 @@ fn http_dripping_client_cannot_hold_the_listener() {
 fn http_oversized_head_is_refused() {
     let _g = lock();
     let (net, _) = small();
-    let daemon = Arc::new(Mutex::new(daemon(&net, false)));
+    let daemon = Arc::new(Mutex::new(daemon(&net)));
     let server = acr_serve::serve(daemon, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
@@ -528,4 +539,34 @@ fn http_raw(addr: std::net::SocketAddr, request: &str) -> (u16, String) {
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     (code, payload)
+}
+
+/// A stdin line that is not UTF-8 is answered like any malformed
+/// request: `acrd` keeps serving, and at EOF it drains and exits 0.
+#[test]
+fn acrd_answers_a_non_utf8_line_and_keeps_serving() {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_acrd"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn acrd");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin
+        .write_all(b"\xff\xfe{}\n{\"op\":\"health\"}\n")
+        .unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{:?}\n{stdout}", out.status);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(lines[0].contains("\"ok\":false"), "{stdout}");
+    assert!(lines[1].contains("\"op\":\"health\""), "{stdout}");
+    assert_eq!(
+        lines.iter().filter(|l| l.contains("\"ok\":false")).count(),
+        1,
+        "{stdout}"
+    );
+    assert!(stdout.contains("queue_depth=0"), "{stdout}");
 }

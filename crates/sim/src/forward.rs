@@ -17,9 +17,6 @@ use acr_topo::Topology;
 use std::borrow::Borrow;
 use std::fmt;
 
-/// Hard cap on walk length; longer paths are reported as loops.
-pub const MAX_HOPS: usize = 64;
-
 /// Why a packet stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ForwardOutcome {
@@ -80,6 +77,10 @@ pub struct ForwardResult {
 /// which the caller computes once per destination. PBR lookups intern
 /// their derivations into `arena` on the fly (they depend on the concrete
 /// flow, so they cannot be precomputed with the FIB).
+///
+/// The revisit check is the walk's only loop rule. Every turn either
+/// pushes a router not yet on the path or returns, so a walk ends within
+/// `topo.len() + 1` hops however long a loop-free path is.
 pub fn walk<M: Borrow<DeviceModel>>(
     topo: &Topology,
     models: &[M],
@@ -95,7 +96,7 @@ pub fn walk<M: Borrow<DeviceModel>>(
     // The router owning `flow.dst` as an interface address, if any.
     let owner = topo.owner_of(flow.dst);
     loop {
-        if path.contains(&current) || path.len() >= MAX_HOPS {
+        if path.contains(&current) {
             path.push(current);
             return ForwardResult {
                 path: path.clone(),

@@ -2,14 +2,18 @@
 //!
 //! Each generator produces only the *graph*; `acr-workloads` layers
 //! role-appropriate configurations (and injected faults) on top.
+//!
+//! Every generator takes its prefixes from one address plan: attachment
+//! index *i* gets `10.i.0.0/16` below 256 and a /24 from `20.0.0.0/8`
+//! above, so no generator limits scale.
 
 use crate::topology::{Role, Topology, TopologyBuilder};
 use acr_net_types::{Prefix, RouterId};
 
-/// A full mesh of `n` backbone routers, each with one attached /16 carved
-/// from `10.0.0.0/8` (router *i* gets `10.i.0.0/16`, so up to 256 routers).
+/// A full mesh of `n` backbone routers; router *i* owns attachment
+/// index *i*.
 pub fn full_mesh(n: usize) -> Topology {
-    assert!((1..=256).contains(&n), "full_mesh supports 1..=256 routers");
+    assert!(n >= 1, "full_mesh needs a router");
     let mut b = TopologyBuilder::new();
     let ids: Vec<RouterId> = (0..n)
         .map(|i| b.router(&format!("R{i}"), Role::Backbone))
@@ -20,14 +24,14 @@ pub fn full_mesh(n: usize) -> Topology {
         }
     }
     for (i, id) in ids.iter().enumerate() {
-        b.attach(*id, Prefix::from_octets(10, i as u8, 0, 0, 16));
+        b.attach(*id, attachment_prefix(i));
     }
     b.build()
 }
 
-/// A ring of `n` routers with per-router /16 attachments.
+/// A ring of `n` routers; router *i* owns attachment index *i*.
 pub fn ring(n: usize) -> Topology {
-    assert!((3..=256).contains(&n), "ring supports 3..=256 routers");
+    assert!(n >= 3, "a ring needs 3 routers");
     let mut b = TopologyBuilder::new();
     let ids: Vec<RouterId> = (0..n)
         .map(|i| b.router(&format!("R{i}"), Role::Backbone))
@@ -36,14 +40,15 @@ pub fn ring(n: usize) -> Topology {
         b.link(ids[i], ids[(i + 1) % n]);
     }
     for (i, id) in ids.iter().enumerate() {
-        b.attach(*id, Prefix::from_octets(10, i as u8, 0, 0, 16));
+        b.attach(*id, attachment_prefix(i));
     }
     b.build()
 }
 
-/// A line (path graph) of `n` routers with attachments at both ends.
+/// A line (path graph) of `n` routers with attachments at both ends:
+/// `R0` owns attachment index 0, `R{n-1}` index `n - 1`.
 pub fn line(n: usize) -> Topology {
-    assert!((2..=256).contains(&n), "line supports 2..=256 routers");
+    assert!(n >= 2, "a line needs 2 routers");
     let mut b = TopologyBuilder::new();
     let ids: Vec<RouterId> = (0..n)
         .map(|i| b.router(&format!("R{i}"), Role::Backbone))
@@ -51,29 +56,29 @@ pub fn line(n: usize) -> Topology {
     for w in ids.windows(2) {
         b.link(w[0], w[1]);
     }
-    b.attach(ids[0], Prefix::from_octets(10, 0, 0, 0, 16));
-    b.attach(ids[n - 1], Prefix::from_octets(10, (n - 1) as u8, 0, 0, 16));
+    b.attach(ids[0], attachment_prefix(0));
+    b.attach(ids[n - 1], attachment_prefix(n - 1));
     b.build()
 }
 
-/// A star: one hub, `n` edge routers each with an attachment.
+/// A star: one hub, `n` edge routers; spoke *i* owns attachment index *i*.
 pub fn star(n: usize) -> Topology {
-    assert!((1..=255).contains(&n), "star supports 1..=255 spokes");
+    assert!(n >= 1, "a star needs a spoke");
     let mut b = TopologyBuilder::new();
     let hub = b.router("HUB", Role::Backbone);
     for i in 0..n {
         let spoke = b.router(&format!("E{i}"), Role::Edge);
         b.link(hub, spoke);
-        b.attach(spoke, Prefix::from_octets(10, i as u8, 0, 0, 16));
+        b.attach(spoke, attachment_prefix(i));
     }
     b.build()
 }
 
 /// A two-tier leaf–spine fabric: every leaf connects to every spine; each
-/// leaf carries one rack prefix `10.l.0.0/16`. This is the DCN shape the
-/// paper's plastic-surgery hypothesis (§6) targets.
+/// leaf *l* carries rack prefix attachment index *l*. This is the DCN
+/// shape the paper's plastic-surgery hypothesis (§6) targets.
 pub fn leaf_spine(spines: usize, leaves: usize) -> Topology {
-    assert!(spines >= 1 && (1..=256).contains(&leaves));
+    assert!(spines >= 1 && leaves >= 1);
     let mut b = TopologyBuilder::new();
     let spine_ids: Vec<RouterId> = (0..spines)
         .map(|i| b.router(&format!("S{i}"), Role::Spine))
@@ -87,16 +92,16 @@ pub fn leaf_spine(spines: usize, leaves: usize) -> Topology {
         }
     }
     for (i, l) in leaf_ids.iter().enumerate() {
-        b.attach(*l, Prefix::from_octets(10, i as u8, 0, 0, 16));
+        b.attach(*l, attachment_prefix(i));
     }
     b.build()
 }
 
-/// The attachment prefix for global attachment index `i`: the first 256
-/// get `10.i.0.0/16` — byte-identical to the historical scheme every
-/// pinned corpus and golden digest depends on — and indices from 256 up
-/// get /24s carved from `20.0.0.0/8` (`20.hi.lo.0/24`), which never
-/// overlap the /16 space.
+/// The address plan of every generator: the prefix for attachment index
+/// `i`. The first 256 get `10.i.0.0/16` — byte-identical to the
+/// historical scheme every pinned corpus and golden digest depends on —
+/// and indices from 256 up get /24s carved from `20.0.0.0/8`
+/// (`20.hi.lo.0/24`), which never overlap the /16 space.
 fn attachment_prefix(i: usize) -> Prefix {
     if i < 256 {
         Prefix::from_octets(10, i as u8, 0, 0, 16)
@@ -110,9 +115,11 @@ fn attachment_prefix(i: usize) -> Prefix {
 /// A WAN: a *line* backbone (bb0 — bb1 — … — bb{n-1}) with `customers`
 /// single-homed PoP routers attached round-robin. Every backbone router
 /// owns attachment index *i*, customer *j* index `n+j` (its prefix is
-/// `10.i/16` below 256 and a `20/8` /24 above — so
-/// scale-frontier shapes like `wan(200, 400)` work while small corpora
-/// keep their historical addressing).
+/// `10.i/16` below 256 and a `20/8` /24 above, so small corpora keep
+/// their historical addressing). Shapes above 180 routers, whose
+/// backbone paths run past 64 hops, verify clean up to `wan(200, 400)`;
+/// `tests/repair_incidents.rs` repairs every Table-1 class on
+/// `wan(64, 128)` under `heavy-tests`.
 ///
 /// The line (every backbone router is a cut vertex) makes single-device
 /// faults observable instead of being masked by rerouting — which is what
@@ -205,9 +212,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn oversized_mesh_panics() {
-        full_mesh(300);
+    fn attachments_stay_distinct_past_256_routers() {
+        for t in [ring(300), line(300)] {
+            let mut attached: Vec<Prefix> = t.attachments().map(|(_, p)| p).collect();
+            let n = attached.len();
+            attached.sort();
+            attached.dedup();
+            assert_eq!(attached.len(), n);
+        }
+        let far = line(300);
+        assert_eq!(
+            far.router(RouterId(299)).attached,
+            vec![Prefix::from_octets(20, 0, 43, 0, 24)]
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! configurations), then a missing PBR permit, a missing peer group, an
 //! extra peer-group item and missing prefix-list items, each at its first
 //! observable site in router order (the workload's fixed-site rule): one
-//! untraced warm-up pass, then `N` traced passes (default 3). For every span name it prints calls,
+//! untraced warm-up pass, then `N` traced passes (default 3). A second
+//! argument `B` sets the backbone size: the same fault mix on
+//! `wan(B, 2B)` (default 24). For every span name it prints calls,
 //! total ms and self ms, each per job; self time is a span's duration
 //! minus what its direct children cover (children on the same thread
 //! inside its interval, clipped to it). Each job runs inside a `job`
@@ -19,6 +21,7 @@
 //!
 //! ```sh
 //! cargo run --release --example span_profile -- 5
+//! cargo run --release --example span_profile -- 1 64   # 192 routers
 //! ```
 
 use acr::obs;
@@ -39,11 +42,14 @@ const WAN72: [FaultType; 6] = [
 ];
 
 fn main() {
-    let passes: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(3);
-    let net = generate(&gen::wan(24, 48));
+    let arg = |i: usize, default: usize| {
+        std::env::args()
+            .nth(i)
+            .and_then(|a| a.parse().ok())
+            .unwrap_or(default)
+    };
+    let (passes, backbone) = (arg(1, 3), arg(2, 24));
+    let net = generate(&gen::wan(backbone, 2 * backbone));
     // Each fault at the first observable site whose broken configuration
     // no earlier job has.
     let mut taken = BTreeSet::new();
@@ -73,9 +79,10 @@ fn main() {
 
     let jobs = (passes * incidents.len()).max(1) as f64;
     println!(
-        "{} jobs ({passes} traced passes of the {} wan72 jobs), per job:",
+        "{} jobs ({passes} traced passes of the {} wan72 jobs on {} routers), per job:",
         jobs,
-        incidents.len()
+        incidents.len(),
+        net.topo.len()
     );
     let events = trace::take();
     let job_tids: BTreeSet<u32> = (events.iter())

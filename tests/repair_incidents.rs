@@ -133,6 +133,29 @@ fn every_fixed_passes_full_verification_under_every_strategy() {
     }
 }
 
+/// Every class at its first observable site of `wan(64,128)`: 192
+/// routers, whose backbone paths run past 64 hops, repair `Fixed`, each
+/// confirmed by a fresh full verification.
+#[cfg(feature = "heavy-tests")]
+#[test]
+fn every_class_repairs_at_192_routers() {
+    let net = generate(&acr::topo::gen::wan(64, 128));
+    for (fault, _) in TABLE1 {
+        let inc = (net.cfg.routers().into_iter())
+            .find_map(|r| inject_at(fault, &net, &net.cfg, r))
+            .unwrap_or_else(|| panic!("{fault} must be injectable"));
+        let what = format!("{fault} on wan(64,128)");
+        let report = checked_repair(
+            &net.topo,
+            &net.spec,
+            &inc.broken,
+            RepairConfig::default(),
+            &what,
+        );
+        assert!(report.outcome.is_fixed(), "{what}: {:?}", report.outcome);
+    }
+}
+
 #[test]
 fn repairs_missing_redistribution() {
     repair_and_check(&wan(), FaultType::MissingRedistribution, 0);

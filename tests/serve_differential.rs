@@ -1,10 +1,11 @@
 //! Differential testing of daemon-served repair against one-shot batch
 //! repair (the ci.sh digest comparison, in-process and per-job).
 //!
-//! Contract: a **cold** daemon job (fresh session) is *fully*
-//! byte-identical to [`RepairEngine::repair`] — decisions AND the
-//! validated/cached accounting. A **resident** daemon matches on
-//! decisions while strictly reducing simulation work on replays.
+//! Contract: a daemon job that finds nothing resident to reuse — here,
+//! the first visit of each configuration — is *fully* byte-identical to
+//! [`RepairEngine::repair`]: decisions AND the validated/cached
+//! accounting. Replays match on decisions while strictly reducing
+//! simulation work.
 
 use acr::serve::{decision_signature, digest, full_signature, job_label};
 use acr::serve::{Acrd, NetworkDef, QuotaConfig, ServeConfig, SubmitReq};
@@ -42,10 +43,9 @@ fn req(net: &GeneratedNetwork, inc: &Incident, seed: u64) -> SubmitReq {
     }
 }
 
-fn daemon(net: &GeneratedNetwork, cold: bool) -> Acrd {
+fn daemon(net: &GeneratedNetwork) -> Acrd {
     let mut d = Acrd::new(ServeConfig {
         quota: QuotaConfig::default(),
-        cold,
     });
     d.register(NetworkDef {
         name: "net".to_string(),
@@ -55,8 +55,9 @@ fn daemon(net: &GeneratedNetwork, cold: bool) -> Acrd {
     d
 }
 
-/// The batch run of every incident: (decision, full) signatures.
-fn batch_sigs(net: &GeneratedNetwork, incidents: &[Incident]) -> Vec<(String, String)> {
+/// The batch run of every incident: (decision, full) signatures and the
+/// validations spent.
+fn batch_sigs(net: &GeneratedNetwork, incidents: &[Incident]) -> Vec<(String, String, usize)> {
     incidents
         .iter()
         .enumerate()
@@ -74,24 +75,28 @@ fn batch_sigs(net: &GeneratedNetwork, incidents: &[Incident]) -> Vec<(String, St
             (
                 decision_signature(&label, &report),
                 full_signature(&label, &report),
+                report.validations,
             )
         })
         .collect()
 }
 
-/// Cold daemon == batch, byte-for-byte including accounting, per job and
-/// by the two digests ci.sh compares cross-process.
+/// A daemon's first visit of each configuration == batch, byte-for-byte
+/// including accounting, per job and by the two digests ci.sh compares
+/// cross-process.
 #[test]
-fn cold_daemon_is_byte_identical_to_batch_everywhere() {
+fn first_visits_are_byte_identical_to_batch_everywhere() {
     let (net, incidents) = network();
-    let mut d = daemon(&net, true);
+    let mut d = daemon(&net);
     for (i, inc) in incidents.iter().enumerate() {
         d.submit(req(&net, inc, i as u64)).unwrap();
     }
     assert_eq!(d.drain(), incidents.len());
     let served: Vec<String> = d.records_in_order().map(|r| r.full_sig.clone()).collect();
-    let (decision, full): (Vec<String>, Vec<String>) =
-        batch_sigs(&net, &incidents).into_iter().unzip();
+    let (decision, full): (Vec<String>, Vec<String>) = batch_sigs(&net, &incidents)
+        .into_iter()
+        .map(|(decision, full, _)| (decision, full))
+        .unzip();
     assert_eq!(served, full, "daemon-served reports diverged from batch");
     assert_eq!(
         (d.decision_digest(), d.full_digest()),
@@ -100,33 +105,32 @@ fn cold_daemon_is_byte_identical_to_batch_everywhere() {
     );
 }
 
-/// Resident daemon: decisions equal to cold on every job; replays cut
-/// simulation work strictly.
+/// Resident daemon: decisions equal to one-shot on every job; replays
+/// cut simulation work strictly below the one-shot runs'.
 #[test]
 fn resident_daemon_matches_decisions_and_saves_work() {
     let (net, incidents) = network();
     // Repeat-major stream: each incident submitted twice back-to-back,
     // so the warm verifier slot (keyed to the last committed config)
     // gets a resume opportunity on every replay.
-    let run = |cold: bool| {
-        let mut d = daemon(&net, cold);
-        for (i, inc) in incidents.iter().enumerate() {
-            d.submit(req(&net, inc, i as u64)).unwrap();
-            d.submit(req(&net, inc, i as u64)).unwrap();
-        }
-        d.drain();
-        let sigs: Vec<String> = d
-            .records_in_order()
-            .map(|r| r.decision_sig.clone())
-            .collect();
-        let validations: usize = d.records_in_order().map(|r| r.validations).sum();
-        let resident_jobs = d.resident_jobs;
-        (sigs, validations, resident_jobs)
-    };
-    let (cold_sigs, cold_validations, cold_resident) = run(true);
-    let (res_sigs, res_validations, res_resident) = run(false);
-    assert_eq!(cold_sigs, res_sigs, "resident serving changed a decision");
-    assert_eq!(cold_resident, 0);
+    let mut d = daemon(&net);
+    for (i, inc) in incidents.iter().enumerate() {
+        d.submit(req(&net, inc, i as u64)).unwrap();
+        d.submit(req(&net, inc, i as u64)).unwrap();
+    }
+    d.drain();
+    let res_sigs: Vec<String> = d
+        .records_in_order()
+        .map(|r| r.decision_sig.clone())
+        .collect();
+    let res_validations: usize = d.records_in_order().map(|r| r.validations).sum();
+    let res_resident = d.resident_jobs;
+    let (mut batch, mut cold_validations) = (Vec::new(), 0);
+    for (decision, _, validations) in batch_sigs(&net, &incidents) {
+        batch.extend([decision.clone(), decision]);
+        cold_validations += 2 * validations;
+    }
+    assert_eq!(batch, res_sigs, "resident serving changed a decision");
     assert!(
         res_validations < cold_validations,
         "resident serving must cut simulations ({res_validations} vs {cold_validations})"
