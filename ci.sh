@@ -28,7 +28,7 @@ echo "==> cargo test (default features)"
 cargo test -q
 
 echo "==> exp_scenarios --smoke (scenario corpus + strategy A/B + golden digests)"
-scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee /dev/stderr | grep -E '^(corpus|report|outcome)_digest=')
+scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee -a /dev/stderr | grep -E '^(corpus|report|outcome)_digest=')
 # The corpus content itself is regression-pinned (golden_corpus.rs); the
 # bench must be running on exactly that corpus, and the beam repairs it
 # reports must decide as pinned. `outcome_digest` pins the repairs
@@ -77,8 +77,8 @@ grep -q '^engine.teardown ' <<<"$profile"
 sed -n "/^off the job's thread/,\$p" <<<"$profile" | grep -q '^flow.analyze '
 
 echo "==> acrd smoke (daemon-served repair == one-shot batch, JSONL over stdin)"
-acrd_daemon=$(./target/release/acrd --emit-corpus | ./target/release/acrd | tee /dev/stderr | grep -E '^(report_digest=|jobs=)')
-acrd_batch=$(./target/release/acrd --batch | tee /dev/stderr | grep -E '^(report|outcome)_digest=')
+acrd_daemon=$(./target/release/acrd --emit-corpus | ./target/release/acrd | tee -a /dev/stderr | grep -E '^(report_digest=|jobs=)')
+acrd_batch=$(./target/release/acrd --batch | tee -a /dev/stderr | grep -E '^(report|outcome)_digest=')
 if ! grep -qF "$(grep '^report_digest=' <<<"$acrd_batch")" <<<"$acrd_daemon"; then
     echo "FAIL: daemon-served reports diverged from one-shot batch ($acrd_daemon vs $acrd_batch)" >&2
     exit 1

@@ -13,7 +13,9 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Address of one configuration line in the network: router + 1-based line
-/// number (line = statement index + 1).
+/// number (line = statement index + 1). A delta-built candidate's compiled
+/// form names its statements in the committed configuration's lines
+/// instead, which [`crate::LineMap::render`] turns back into these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineId {
     pub router: RouterId,

@@ -16,7 +16,9 @@
 //!   routes — every element annotated with the source line that defined it
 //!   (the hook provenance needs).
 //! - [`patch`] — atomic edits (insert / delete / replace) and patches,
-//!   the unit of repair the fix-generation layer produces.
+//!   the unit of repair the fix-generation layer produces, and the
+//!   [`LineMap`] that numbers a patched configuration in the lines of the
+//!   one it was applied to.
 //! - [`mod@diff`] — LCS statement diffing of two configurations into a patch
 //!   (for reviewing repairs as changesets and comparing against ground
 //!   truth).
@@ -39,4 +41,4 @@ pub use error::CfgError;
 pub use model::{
     AclEntry, DeviceModel, GroupCfg, MatchCond, PeerCfg, PlEntry, PolicyNode, StaticRouteCfg,
 };
-pub use patch::{Edit, Patch};
+pub use patch::{Edit, LineMap, Patch};

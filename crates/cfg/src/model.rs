@@ -5,7 +5,10 @@
 //! and PBR rules assembled. Every semantic element carries the 1-based
 //! source line(s) that defined it — the attribution the provenance layer
 //! threads through route derivations so that SBFL can map test coverage
-//! back onto configuration lines.
+//! back onto configuration lines. A model built with
+//! [`DeviceModel::numbered`] carries the lines of a numbering instead
+//! (a patched device in its committed configuration's lines, see
+//! [`crate::LineMap`]).
 //!
 //! Model construction is *total* for parseable configs: dangling references
 //! (a peer policy naming an undefined route-policy, an undefined prefix
@@ -441,12 +444,13 @@ impl DeviceModel {
         }
 
         // Sort policy nodes and prefix-list entries for deterministic
-        // evaluation order.
+        // evaluation order. Both sorts are stable, so ties keep statement
+        // order and no evaluation order reads a line number.
         for nodes in m.route_policies.values_mut() {
             nodes.sort_by_key(|n| n.node);
         }
         for entries in m.prefix_lists.values_mut() {
-            entries.sort_by_key(|e| (e.index, e.line));
+            entries.sort_by_key(|e| e.index);
         }
 
         // Dangling-reference warnings.
@@ -486,6 +490,61 @@ impl DeviceModel {
             }
         }
         m
+    }
+
+    /// The model of `cfg` with its statements numbered by `ids` — the
+    /// line of each statement, by index — instead of `1..=len`: the model
+    /// [`DeviceModel::from_config`] builds, every line replaced by its
+    /// number. Orders and warning texts are the text's, so two numberings
+    /// of one configuration differ in their line labels alone.
+    pub fn numbered(cfg: &DeviceConfig, ids: &[u32]) -> DeviceModel {
+        debug_assert_eq!(ids.len(), cfg.len());
+        let mut m = DeviceModel::from_config(cfg);
+        m.relabel(|line| ids[line as usize - 1]);
+        m
+    }
+
+    /// Replaces every line this model names by `f(line)`.
+    fn relabel(&mut self, f: impl Fn(u32) -> u32) {
+        let at = |l: &mut u32| *l = f(*l);
+        let named = |x: &mut Option<(String, u32)>| x.iter_mut().for_each(|(_, l)| at(l));
+        self.asn.iter_mut().for_each(|(_, l)| at(l));
+        self.router_id.iter_mut().for_each(|(_, l)| at(l));
+        self.networks.iter_mut().for_each(|(_, l)| at(l));
+        self.redistribute.iter_mut().for_each(|(_, l)| at(l));
+        for i in &mut self.interfaces {
+            at(&mut i.line);
+            i.addr.iter_mut().for_each(|(_, _, l)| at(l));
+        }
+        self.static_routes.iter_mut().for_each(|s| at(&mut s.line));
+        for e in self.prefix_lists.values_mut().flatten() {
+            at(&mut e.line);
+        }
+        for n in self.route_policies.values_mut().flatten() {
+            at(&mut n.line);
+            n.matches.iter_mut().for_each(|(_, l)| at(l));
+            n.applies.iter_mut().for_each(|(_, l)| at(l));
+        }
+        for p in self.peers.values_mut() {
+            p.asn.iter_mut().for_each(|(_, l)| at(l));
+            named(&mut p.import_policy);
+            named(&mut p.export_policy);
+            named(&mut p.group);
+            p.lines.iter_mut().for_each(at);
+        }
+        for g in self.groups.values_mut() {
+            g.def_line.iter_mut().for_each(at);
+            g.asn.iter_mut().for_each(|(_, l)| at(l));
+            named(&mut g.import_policy);
+            named(&mut g.export_policy);
+        }
+        for e in self.acls.values_mut().flatten() {
+            at(&mut e.line);
+        }
+        for e in self.pbr_policies.values_mut().flatten() {
+            at(&mut e.line);
+        }
+        named(&mut self.pbr_applied);
     }
 
     /// Evaluates a named prefix list against a route prefix.
@@ -697,6 +756,46 @@ ip route-static 20.0.0.0 16 NULL0
         );
         assert_eq!(m.pbr_policies["pbr1"].len(), 2);
         assert!(m.warnings.is_empty());
+    }
+
+    /// Numbering a configuration by `k + line` labels it as the same text
+    /// behind `k` remarks: every line field is relabeled, nothing else.
+    #[test]
+    fn a_numbered_model_is_the_model_with_its_lines_relabeled() {
+        let text = format!(
+            "{SAMPLE}acl 3000\n rule 5 permit ip source 10.0.0.0 16 destination 20.0.0.0 16\ninterface G0\n ip address 10.9.9.1 30\ntraffic-policy pbr1\n match acl 3000 permit\napply traffic-policy pbr1\n"
+        );
+        let cfg = parse_device("A", &text).unwrap();
+        let k = 1000;
+        let ids: Vec<u32> = (1..=cfg.len() as u32).map(|l| l + k).collect();
+        let numbered = DeviceModel::numbered(&cfg, &ids);
+        let mut behind = vec![Stmt::Remark("r".into()); k as usize];
+        behind.extend(cfg.stmts().iter().cloned());
+        let shifted = DeviceModel::from_config(&DeviceConfig::new("A", behind));
+        assert!(numbered.warnings.is_empty());
+        assert_eq!(numbered, shifted);
+        let natural: Vec<u32> = (1..=cfg.len() as u32).collect();
+        assert_eq!(
+            DeviceModel::numbered(&cfg, &natural),
+            DeviceModel::from_config(&cfg)
+        );
+    }
+
+    /// Entries of one index keep statement order whatever their lines.
+    #[test]
+    fn prefix_list_ties_keep_statement_order() {
+        let cfg = parse_device(
+            "X",
+            "ip prefix-list p index 10 deny 10.0.0.0 16\nip prefix-list p index 10 permit 10.0.0.0 8\n",
+        )
+        .unwrap();
+        let m = DeviceModel::numbered(&cfg, &[7, 3]);
+        let lines: Vec<u32> = m.prefix_lists["p"].iter().map(|e| e.line).collect();
+        assert_eq!(lines, [7, 3]);
+        assert_eq!(
+            m.eval_prefix_list("p", "10.0.0.0/16".parse().unwrap()),
+            Some((false, 7))
+        );
     }
 
     #[test]

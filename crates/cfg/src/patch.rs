@@ -16,6 +16,7 @@ use crate::ast::Stmt;
 use crate::config::{LineId, NetworkConfig};
 use crate::error::CfgError;
 use acr_net_types::RouterId;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One atomic edit on one device's statement list.
@@ -191,6 +192,114 @@ impl Patch {
         let mut clone = net.clone();
         self.apply(&mut clone)?;
         Ok(clone)
+    }
+}
+
+/// How a patched configuration's statements are numbered in the lines of
+/// the configuration the patch was applied to — the committed one.
+///
+/// A statement the patch kept keeps its committed line; an inserted or
+/// replaced statement gets a fresh line above its device's committed
+/// length, so a renumbered statement is not a changed one. Lines the patch
+/// deleted or replaced are *dead*: nothing the patched configuration
+/// compiles to can name them. [`LineMap::render`] turns a line of this
+/// numbering into the patched configuration's own line. Routers the patch
+/// does not touch are numbered as they are, and the empty map numbers
+/// every device by its own lines.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LineMap {
+    devices: BTreeMap<RouterId, DeviceLines>,
+}
+
+/// One touched device's numbering.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct DeviceLines {
+    /// The committed device's length: lines up to it are committed ones,
+    /// lines above it fresh.
+    committed: u32,
+    /// Per patched statement, by index, its line.
+    ids: Vec<u32>,
+    /// Per line, the patched statement's own 1-based line; 0 for a dead
+    /// line.
+    rendered: Vec<u32>,
+}
+
+impl LineMap {
+    /// The numbering of `cfg`, which must be a configuration `patch`
+    /// applies to, with `patch` applied. A touched device's committed
+    /// length is its patched length minus the patch's inserts plus its
+    /// deletes, so the committed configuration itself is not needed.
+    pub fn new(cfg: &NetworkConfig, patch: &Patch) -> LineMap {
+        let mut devices = BTreeMap::new();
+        for router in patch.routers() {
+            let Some(device) = cfg.device(router) else {
+                continue;
+            };
+            let edits = patch.edits.iter().filter(|e| e.router() == router);
+            let (inserts, deletes) = edits.clone().fold((0, 0), |(i, d), e| match e {
+                Edit::Insert { .. } => (i + 1, d),
+                Edit::Delete { .. } => (i, d + 1),
+                Edit::Replace { .. } => (i, d),
+            });
+            let committed = (device.len() + deletes - inserts) as u32;
+            let mut ids: Vec<u32> = (1..=committed).collect();
+            let mut fresh = committed;
+            for edit in edits {
+                match edit {
+                    Edit::Insert { index, .. } => {
+                        fresh += 1;
+                        ids.insert(*index, fresh);
+                    }
+                    Edit::Delete { index, .. } => {
+                        ids.remove(*index);
+                    }
+                    Edit::Replace { index, .. } => {
+                        fresh += 1;
+                        ids[*index] = fresh;
+                    }
+                }
+            }
+            let mut rendered = vec![0; fresh as usize + 1];
+            for (i, id) in ids.iter().enumerate() {
+                rendered[*id as usize] = i as u32 + 1;
+            }
+            let lines = DeviceLines {
+                committed,
+                ids,
+                rendered,
+            };
+            devices.insert(router, lines);
+        }
+        LineMap { devices }
+    }
+
+    /// The line of each of a touched router's statements, by index;
+    /// `None` for a router numbered by its own lines.
+    pub fn ids(&self, router: RouterId) -> Option<&[u32]> {
+        self.devices.get(&router).map(|d| &d.ids[..])
+    }
+
+    /// The dead lines — the committed lines the patch deleted or
+    /// replaced — in order.
+    pub fn dead(&self) -> impl Iterator<Item = LineId> + '_ {
+        self.devices.iter().flat_map(|(router, d)| {
+            (1..=d.committed)
+                .filter(|l| d.rendered[*l as usize] == 0)
+                .map(|l| LineId::new(*router, l))
+        })
+    }
+
+    /// The patched configuration's own line for `l`, a line of this
+    /// numbering. A dead line has none; it renders as itself.
+    pub fn render(&self, l: LineId) -> LineId {
+        match self.devices.get(&l.router) {
+            Some(d) => {
+                let own = d.rendered.get(l.line as usize).copied().unwrap_or(0);
+                debug_assert!(own != 0, "{l} is not a line of the patched configuration");
+                LineId::new(l.router, if own == 0 { l.line } else { own })
+            }
+            None => l,
+        }
     }
 }
 
@@ -383,6 +492,58 @@ mod tests {
             index: 0,
         }));
         assert_eq!(q.len(), 4);
+    }
+
+    /// A kept statement keeps its committed line, an inserted or replaced
+    /// one gets a fresh line, and rendering recovers the patched lines.
+    #[test]
+    fn line_map_numbers_kept_statements_by_their_committed_lines() {
+        let n = net();
+        let r = RouterId(0);
+        let patch = Patch {
+            edits: vec![
+                Edit::Insert {
+                    router: r,
+                    index: 0,
+                    stmt: Stmt::Remark("top".into()),
+                },
+                Edit::Delete {
+                    router: r,
+                    index: 2,
+                },
+                Edit::Replace {
+                    router: r,
+                    index: 2,
+                    stmt: static_route("99.0.0.0/8"),
+                },
+                Edit::Insert {
+                    router: r,
+                    index: 3,
+                    stmt: static_route("98.0.0.0/8"),
+                },
+            ],
+        };
+        let patched = patch.apply_cloned(&n).unwrap();
+        let map = LineMap::new(&patched, &patch);
+        // Committed: 1 bgp, 2 router-id, 3 static. Patched: remark,
+        // bgp, the replacement of line 3, the appended route.
+        assert_eq!(map.ids(r), Some(&[4, 1, 5, 6][..]));
+        assert_eq!(
+            map.dead().collect::<Vec<_>>(),
+            [LineId::new(r, 2), LineId::new(r, 3)]
+        );
+        let own: Vec<u32> = [4, 1, 5, 6]
+            .map(|l| map.render(LineId::new(r, l)).line)
+            .into();
+        assert_eq!(own, [1, 2, 3, 4]);
+        let other = LineId::new(RouterId(5), 9);
+        assert_eq!(
+            map.render(other),
+            other,
+            "an untouched router keeps its lines"
+        );
+        assert_eq!(map.ids(RouterId(5)), None);
+        assert_eq!(LineMap::new(&n, &Patch::new()), LineMap::default());
     }
 
     #[test]

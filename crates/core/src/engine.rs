@@ -814,11 +814,14 @@ impl<'a> RepairEngine<'a> {
     /// variant is re-verified first, against the committed base it was
     /// validated against. The root — which *is* the broken network — takes
     /// the verifier's committed compiled form and the job's baseline
-    /// findings; any other variant is compiled as a delta of the committed
-    /// form (only its patched devices recompile) and, with linting on,
-    /// gets the whole-network lint of its configuration, dataflow warnings
-    /// included (one fixed point). Coverage is built from the verdict's
-    /// roots in the persistent arena and the compiled models. Only a
+    /// findings; any other variant is compiled as a patch of the
+    /// committed form in its own lines ([`CompiledBase::patched`]: only
+    /// its patched devices recompile; templates, lint and the flow
+    /// analysis read its models by line) and, with linting on, gets the
+    /// whole-network lint of its configuration, dataflow warnings
+    /// included (one fixed point). Coverage is built
+    /// from the verdict's roots in the persistent arena, rendered through
+    /// the verdict's line map, and the compiled models. Only a
     /// variant that gets *ranked* needs any of it, which is why this runs
     /// here and not in the validate stage: a job that ends in its first
     /// iteration builds the coverage of the broken network and nothing
@@ -840,7 +843,7 @@ impl<'a> RepairEngine<'a> {
             let compiled = if variant.patch.is_empty() {
                 committed.clone()
             } else {
-                committed.delta(self.topo, &variant.cfg, &variant.patch).0
+                committed.patched(self.topo, &variant.cfg, &variant.patch)
             };
             let coverage = iv
                 .verifier()

@@ -60,7 +60,9 @@ pub fn solve_prefix_set(ctx: &RepairCtx<'_>, anchor_lines: &[LineId]) -> Option<
 }
 
 /// Whether the test's derivations include a policy-denial node whose own
-/// lines touch the anchor — the signature of an under-matching fault.
+/// lines touch the anchor — the signature of an under-matching fault. A
+/// node's lines are rendered through the verification's line map first:
+/// the anchor names lines of the configuration the context repairs.
 fn denied_at_anchor(
     ctx: &RepairCtx<'_>,
     rec: &acr_verify::TestRecord,
@@ -74,8 +76,12 @@ fn denied_at_anchor(
             continue;
         }
         let node = ctx.arena.node(id);
+        let lines = &ctx.verification.line_map;
         if matches!(node.kind, DerivKind::ImportDenied | DerivKind::ExportDenied)
-            && node.lines.iter().any(|l| anchor_lines.contains(l))
+            && node
+                .lines
+                .iter()
+                .any(|l| anchor_lines.contains(&lines.render(*l)))
         {
             return true;
         }
@@ -185,6 +191,59 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// A candidate's derivations name committed lines. A remark above the
+    /// missing-prefix-list-items fault moves every line of its device, and
+    /// the candidate's denial nodes still touch each anchor, given in the
+    /// candidate's own lines, exactly where a full verification of the
+    /// candidate finds them.
+    #[test]
+    fn denials_are_found_at_a_candidates_own_lines() {
+        use acr_cfg::{Edit, Patch, Stmt};
+        use acr_verify::IncrementalVerifier;
+        use acr_workloads::{generate, inject_at, FaultType};
+        let net = generate(&acr_topo::gen::wan(4, 8));
+        let fault = FaultType::MissingPrefixListItems;
+        let incident = (net.cfg.routers().into_iter())
+            .find_map(|r| inject_at(fault, &net, &net.cfg, r))
+            .expect("an injectable site");
+        let router = incident.patch.edits[0].router();
+        let patch = Patch::single(Edit::Insert {
+            router,
+            index: 0,
+            stmt: Stmt::Remark("moved".into()),
+        });
+        let cfg = patch.apply_cloned(&incident.broken).unwrap();
+        let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
+        iv.commit(&incident.broken);
+        let inc = iv.verify_candidate(&cfg, &patch);
+        let (full, out) = Verifier::new(&net.topo, &net.spec).run_full(&cfg);
+        let compiled = CompiledBase::new(&net.topo, &cfg);
+        let coverage = iv.verifier().coverage(&inc, iv.arena(), compiled.models());
+        let ctx = |verification, coverage, arena| RepairCtx {
+            topo: &net.topo,
+            cfg: &cfg,
+            verification,
+            coverage,
+            arena,
+            models: compiled.models(),
+        };
+        let (a, b) = (
+            ctx(&inc, &coverage, iv.arena()),
+            ctx(&full, &full.matrix, &out.arena),
+        );
+        let mut denied = 0;
+        for (line, _) in cfg.device(router).unwrap().lines() {
+            let anchor = [LineId::new(router, line)];
+            for (x, y) in inc.records.iter().zip(&full.records) {
+                let d = denied_at_anchor(&a, x, &anchor);
+                assert_eq!(d, denied_at_anchor(&b, y, &anchor), "{:?}", anchor[0]);
+                denied += usize::from(d);
+            }
+            assert_eq!(solve_prefix_set(&a, &anchor), solve_prefix_set(&b, &anchor));
+        }
+        assert!(denied > 0, "some denial touches the faulty device");
     }
 
     #[test]

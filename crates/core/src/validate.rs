@@ -489,7 +489,7 @@ mod tests {
             assert_eq!(hit, *entry, "{patch}");
             assert_eq!(hit.failed, again.failed_count(), "{patch}");
 
-            let compiled = committed.delta(topo, &cfg, patch).0;
+            let compiled = committed.patched(topo, &cfg, patch);
             let models = compiled.models();
             let coverage = iv.verifier().coverage(&again, iv.arena(), models);
             let reference = iv.verifier().coverage(in_place, iv.arena(), models);

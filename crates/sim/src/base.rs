@@ -11,7 +11,11 @@
 //! compiled form from a base plus a [`Patch`]:
 //!
 //! - **models** — only devices the patch touches are recompiled; every
-//!   other router shares the base's `Arc<DeviceModel>`.
+//!   other router shares the base's `Arc<DeviceModel>`. A recompiled
+//!   device is numbered in the base's lines through the patch's
+//!   [`LineMap`]: a statement the patch kept keeps its line, an inserted
+//!   or replaced one gets a fresh line, so a statement that only moved
+//!   compiles to what it compiled to before.
 //! - **sessions** — a router's establishment part depends only on its own
 //!   `peers`/AS value, its topological neighbors' `peers`/AS values, and
 //!   the static topology (see [`establish_router`]). So establishment
@@ -28,14 +32,17 @@
 //! router side by side, so it is also the one place that says *what
 //! changed* for the incremental verifier ([`DeltaInfo`]): the session
 //! class, whether a bound policy or an AS value differs, which
-//! originations and which prefix-list entries do. `acr-verify` turns that
-//! diff — never the patch's statements — into its affected-prefix set.
+//! originations and which prefix-list entries do, and — through the line
+//! map — which lines the patch deleted or replaced. `acr-verify` turns
+//! that diff — never the patch's statements — into its affected-prefix
+//! set, and renders through the map whatever of a candidate's
+//! verification names a line.
 
 use crate::bgp::Origination;
 use crate::origin::{router_origins, OriginIndex};
 use crate::session::{establish_router, Session, SessionDiag};
 use acr_cfg::model::{DeviceModel, PlEntry, PolicyNode};
-use acr_cfg::{LineId, NetworkConfig, Patch};
+use acr_cfg::{LineId, LineMap, NetworkConfig, Patch};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
@@ -78,10 +85,10 @@ pub struct SimBuild {
 pub enum SessionDelta {
     /// Sessions and diagnostics are byte-identical to the base.
     Unchanged,
-    /// Only line attributions moved (an edit shifted statements on a
-    /// touched router). All moved lines are at-or-after the edit point,
-    /// so the verifier's closure-region rule already invalidates every
-    /// prefix that could observe them.
+    /// Only line attributions changed: a peer statement was restated,
+    /// deleted beside a duplicate, or replaced by an equal one. The
+    /// sessions carry the same endpoints and policies; the base's lines
+    /// of each changed one are in [`DeltaInfo::stale_session_lines`].
     LinesOnly,
     /// A session or diagnostic appeared, disappeared, or changed its
     /// endpoints/policy bindings — routes may flow along new paths with
@@ -96,8 +103,8 @@ pub struct DeltaInfo {
     pub session_delta: SessionDelta,
     /// Under [`SessionDelta::LinesOnly`]: the *base's* lines of every
     /// session whose attribution differs. A restated peer statement adds
-    /// to (or takes from) a session's line set without shifting the lines
-    /// cached closures already hold, so the region rule alone misses it.
+    /// to (or takes from) a session's line set without killing a line
+    /// cached closures already hold, so the dead lines alone miss it.
     pub stale_session_lines: Vec<LineId>,
     /// A touched router's AS value differs, or a route-policy one of its
     /// peers binds has a different node list once line numbers are set
@@ -113,6 +120,11 @@ pub struct DeltaInfo {
     /// aside — after their common head and tail. A route whose prefix
     /// none of them [`PlEntry::matches`] evaluates every list as before.
     pub changed_pl_entries: Vec<PlEntry>,
+    /// The numbering of the touched devices: [`LineMap::dead`] names
+    /// the base lines the patch deleted or replaced, and
+    /// [`LineMap::render`] turns a line of the candidate's compiled form
+    /// into the candidate's own line.
+    pub lines: LineMap,
 }
 
 /// The compiled form of one configuration over a topology: models,
@@ -202,15 +214,38 @@ impl CompiledBase {
 
     /// The compiled form of `cfg`, which must equal this base's
     /// configuration with `patch` applied, and what changed: recompiles
-    /// the touched devices, re-runs establishment where it can matter and
-    /// splices the origination index. The result is field-for-field
-    /// identical to `CompiledBase::new(topo, cfg)` except for its build
-    /// stats — see the module docs for the argument.
+    /// the touched devices in this base's lines ([`DeltaInfo::lines`]),
+    /// re-runs establishment where it can matter and splices the
+    /// origination index. Rendered through the line map, the result is
+    /// field-for-field identical to `CompiledBase::new(topo, cfg)` except
+    /// for its build stats — see the module docs for the argument.
     pub fn delta(
         &self,
         topo: &Topology,
         cfg: &NetworkConfig,
         patch: &Patch,
+    ) -> (CompiledBase, DeltaInfo) {
+        self.delta_numbered(topo, cfg, patch, LineMap::new(cfg, patch))
+    }
+
+    /// The compiled form of `cfg` — this base's configuration with
+    /// `patch` applied — in `cfg`'s own lines: [`CompiledBase::delta`]
+    /// with the touched devices numbered `1..=len`, so it equals
+    /// `CompiledBase::new(topo, cfg)` field for field while sharing every
+    /// untouched part. For readers of a candidate's models by line
+    /// (templates, lint, the flow analysis); the incremental verifier
+    /// simulates `delta`'s form.
+    pub fn patched(&self, topo: &Topology, cfg: &NetworkConfig, patch: &Patch) -> CompiledBase {
+        self.delta_numbered(topo, cfg, patch, LineMap::default()).0
+    }
+
+    /// The one delta body, the touched devices numbered by `lines`.
+    fn delta_numbered(
+        &self,
+        topo: &Topology,
+        cfg: &NetworkConfig,
+        patch: &Patch,
+        lines: LineMap,
     ) -> (CompiledBase, DeltaInfo) {
         let t = Instant::now();
         let touched = patch.routers();
@@ -223,7 +258,10 @@ impl CompiledBase {
         let mut policy_changed = false;
         for r in &touched {
             let old = &self.models[r.index()];
-            let new = compile_device(topo, cfg, *r);
+            let new = match (cfg.device(*r), lines.ids(*r)) {
+                (Some(device), Some(ids)) => DeviceModel::numbered(device, ids),
+                _ => compile_device(topo, cfg, *r),
+            };
             let as_changed = as_value(old) != as_value(&new);
             if old.peers != new.peers || as_changed {
                 session_changed.insert(*r);
@@ -337,6 +375,7 @@ impl CompiledBase {
             policy_changed,
             changed_origin_prefixes,
             changed_pl_entries,
+            lines,
         };
         (base, info)
     }
@@ -424,9 +463,10 @@ fn concat_parts(parts: &[Arc<SessionPart>]) -> (Vec<Session>, Vec<SessionDiag>) 
 }
 
 /// Structure equality: identical sessions/diagnostics up to line
-/// attribution. Line-only differences are what the closure-region rule
-/// already invalidates; anything else (endpoints, policy names, failure
-/// modes) changes where routes can flow and forces a full reset.
+/// attribution. A line-only difference invalidates the prefixes whose
+/// closures hold the changed sessions' lines; anything else (endpoints,
+/// policy names, failure modes) changes where routes can flow and forces
+/// a full reset.
 fn same_structure(
     a_sessions: &[Session],
     a_diags: &[SessionDiag],
@@ -519,11 +559,58 @@ mod tests {
         let cfg2 = patch.apply_cloned(&cfg).unwrap();
         let (d, info) = base.delta(&topo, &cfg2, &patch);
         assert_eq!(info.session_delta, SessionDelta::Structural);
-        // The delta state still matches a fresh compile exactly.
+        // Rendered, the delta state matches a fresh compile exactly.
         let fresh = CompiledBase::new(&topo, &cfg2);
-        assert_eq!(d.parts, fresh.parts);
-        assert_eq!(d.sessions, fresh.sessions);
-        assert_eq!(d.session_diags, fresh.session_diags);
+        let render = |p: &SessionPart| SessionPart {
+            sessions: p.sessions.iter().map(|s| s.rendered(&info.lines)).collect(),
+            diags: p.diags.iter().map(|d| d.rendered(&info.lines)).collect(),
+        };
+        assert!(d
+            .parts
+            .iter()
+            .map(|p| render(p))
+            .eq(fresh.parts.iter().map(|p| (**p).clone())));
+        let sessions = d.sessions.iter().map(|s| s.rendered(&info.lines));
+        assert!(sessions.eq(fresh.sessions.iter().cloned()));
+        let diags = d.session_diags.iter().map(|s| s.rendered(&info.lines));
+        assert!(diags.eq(fresh.session_diags.iter().cloned()));
+        assert_eq!(
+            info.lines.dead().collect::<Vec<_>>(),
+            [LineId::new(RouterId(1), 3)]
+        );
+    }
+
+    /// A statement inserted above every line of a device moves them all
+    /// and changes none: the sessions, originations and prefix lists
+    /// compile as before, and no line is dead.
+    #[test]
+    fn a_renumbering_patch_changes_nothing() {
+        let (topo, cfg) = line3();
+        let base = CompiledBase::new(&topo, &cfg);
+        for router in [RouterId(0), RouterId(1)] {
+            let patch = Patch::single(Edit::Insert {
+                router,
+                index: 0,
+                stmt: Stmt::Remark("moved".into()),
+            });
+            let cfg2 = patch.apply_cloned(&cfg).unwrap();
+            let (d, info) = base.delta(&topo, &cfg2, &patch);
+            assert_eq!(info.session_delta, SessionDelta::Unchanged);
+            assert!(Arc::ptr_eq(&d.sessions, &base.sessions));
+            assert!(info.changed_origin_prefixes.is_empty());
+            assert!(!info.policy_changed && info.changed_pl_entries.is_empty());
+            assert_eq!(info.lines.dead().count(), 0);
+            assert_eq!(*d.models[router.index()], *base.models[router.index()]);
+            // In the candidate's own lines it is a fresh compile, sharing
+            // what the patch left alone.
+            let own = base.patched(&topo, &cfg2, &patch);
+            let fresh = CompiledBase::new(&topo, &cfg2);
+            assert_eq!(own.models, fresh.models);
+            assert_eq!(own.sessions, fresh.sessions);
+            assert_eq!(own.session_diags, fresh.session_diags);
+            assert_eq!(own.origin, fresh.origin);
+            assert!(Arc::ptr_eq(&own.models[2], &base.models[2]));
+        }
     }
 
     /// The model diff sets line numbers aside: a remark that renumbers a

@@ -36,11 +36,9 @@
 //! in-run repeats — a dirty router re-pulling an unchanged neighbor, or a
 //! flap cycling through the same states. Either way a hit costs a hash
 //! lookup instead of a policy walk. The memo key is the full [`Route`]
-//! (not [`RouteKey`]): communities and the derivation id are not
+//! (not its protocol key): communities and the derivation id are not
 //! protocol-key state but *do* influence the transfer result (community
 //! matches; provenance of the output).
-//!
-//! [`RouteKey`]: crate::route::RouteKey
 
 use crate::deriv::{DerivArena, DerivId, DerivKind};
 use crate::fxhash::FxHashMap;
@@ -470,7 +468,8 @@ fn hash_slot_id(routes: &RouteInterner, i: usize, r: Option<RouteId>) -> u64 {
 }
 
 /// Protocol-key equality of two id slots — an integer compare, since key
-/// ids are hash-consed over [`crate::route::RouteKey`].
+/// ids are hash-consed over the routes' protocol keys
+/// ([`RouteInterner::key_id`]).
 fn keys_eq_id(routes: &RouteInterner, a: Option<RouteId>, b: Option<RouteId>) -> bool {
     match (a, b) {
         (Some(x), Some(y)) => x == y || routes.key_id(x) == routes.key_id(y),

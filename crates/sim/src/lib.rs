@@ -49,6 +49,6 @@ pub use deriv::{DerivArena, DerivId, DerivKind, DerivNode};
 pub use fib::{bgp_entry, covering, Fib, FibAction, FibEntry, FibView};
 pub use forward::{ForwardOutcome, ForwardResult};
 pub use origin::OriginIndex;
-pub use route::{select_best_id, Route, RouteId, RouteInterner, RouteKey};
+pub use route::{select_best_id, Route, RouteId, RouteInterner};
 pub use session::{Session, SessionDiag, SessionFailure};
 pub use sim::{SimOutcome, Simulator};

@@ -13,7 +13,7 @@ pub const DEFAULT_LOCAL_PREF: u32 = 100;
 /// `Hash` covers every field (derivation id included) — the sparse
 /// engine's policy memo keys on the full route, since communities and
 /// provenance influence transfer results even though they are outside
-/// [`RouteKey`].
+/// the route's protocol key (see [`RouteInterner::key_id`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Route {
     pub prefix: Prefix,
@@ -45,20 +45,6 @@ impl Route {
         }
     }
 
-    /// The semantic key used for convergence detection — everything that
-    /// influences routing behaviour, *excluding* the derivation id (which
-    /// is provenance metadata, not protocol state).
-    pub fn key(&self) -> RouteKey {
-        RouteKey {
-            prefix: self.prefix,
-            as_path: self.as_path.clone(),
-            local_pref: self.local_pref,
-            med: self.med,
-            next_hop: self.next_hop,
-            learned_from: self.learned_from,
-        }
-    }
-
     /// BGP decision process: `Ordering::Greater` means `self` is preferred
     /// over `other`.
     ///
@@ -86,18 +72,6 @@ impl Route {
     }
 }
 
-/// The protocol-visible part of a route, used for state hashing and
-/// fixed-point detection.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RouteKey {
-    pub prefix: Prefix,
-    pub as_path: AsPath,
-    pub local_pref: u32,
-    pub med: u32,
-    pub next_hop: Ipv4Addr,
-    pub learned_from: Option<RouterId>,
-}
-
 /// Handle into a [`RouteInterner`]: `u32`-sized, `Copy`, and with the
 /// guarantee that two handles from the *same* interner are equal iff the
 /// full routes (communities and derivation id included) are equal.
@@ -109,26 +83,42 @@ pub struct RouteId(pub u32);
 /// * the **route id** identifies the full route (id equality ⟺ `Route`
 ///   equality), so candidate comparison, memo lookup, and dirty-set
 ///   checks in the sparse engine collapse to integer ops;
-/// * each route additionally carries a **key id**, hash-consed over
-///   [`RouteKey`] (key-id equality ⟺ `RouteKey` equality), so
-///   convergence/stability checks and state hashing never materialise a
-///   `RouteKey` (which would clone the AS path).
+/// * each route additionally carries a **key id**, hash-consed over the
+///   route's protocol key — everything that influences routing
+///   behaviour, the derivation id and communities excluded (key-id
+///   equality ⟺ key equality) — so convergence/stability checks and
+///   state hashing compare integers and never clone an AS path.
 ///
 /// The arena is append-only: ids stay valid for the interner's lifetime,
 /// which lets a [`crate::bgp::PolicyMemo`] keep one interner alive across
-/// an entire repair loop. Bucket + full-content confirm mirrors
-/// `DerivArena::intern_ref` — the 64-bit hash only narrows the search.
+/// an entire repair loop. Each index maps a content hash to the newest id
+/// with that hash, and older ids with the same hash chain through a
+/// per-id `next` — `DerivArena::intern_ref`'s layout, so an index costs
+/// no heap block per hash. A lookup confirms by full content compare: the
+/// 64-bit hash only routes.
 #[derive(Debug, Default, Clone)]
 pub struct RouteInterner {
     routes: Vec<Route>,
     key_ids: Vec<u32>,
     /// Representative route per key id (first route interned with it).
     key_repr: Vec<RouteId>,
-    index: FxHashMap<u64, Vec<RouteId>>,
-    key_index: FxHashMap<u64, Vec<u32>>,
+    /// Route hash -> the newest route id with that hash.
+    index: FxHashMap<u64, u32>,
+    /// Per route id, the next older route id with the same hash, or
+    /// [`END`].
+    next: Vec<u32>,
+    /// Key hash -> the newest key id with that hash.
+    key_index: FxHashMap<u64, u32>,
+    /// Per key id, the next older key id with the same hash, or [`END`].
+    key_next: Vec<u32>,
 }
 
-fn same_key(a: &Route, b: &Route) -> bool {
+/// No older id shares the hash.
+const END: u32 = u32::MAX;
+
+/// Protocol-key equality: every field but the derivation id and the
+/// communities.
+pub(crate) fn same_key(a: &Route, b: &Route) -> bool {
     a.prefix == b.prefix
         && a.as_path == b.as_path
         && a.local_pref == b.local_pref
@@ -154,8 +144,9 @@ impl RouteInterner {
         &self.routes[id.0 as usize]
     }
 
-    /// The hash-consed [`RouteKey`] identity of `id`. Equal key ids ⟺
-    /// equal route keys, across all routes in this interner.
+    /// The hash-consed protocol-key identity of `id`: equal key ids ⟺
+    /// equal routes once the derivation id and the communities are set
+    /// aside, across all routes in this interner.
     pub fn key_id(&self, id: RouteId) -> u32 {
         self.key_ids[id.0 as usize]
     }
@@ -178,42 +169,39 @@ impl RouteInterner {
     }
 
     fn lookup(&self, hash: u64, r: &Route) -> Option<RouteId> {
-        self.index
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|id| self.routes[id.0 as usize] == *r)
+        let mut at = self.index.get(&hash).copied().unwrap_or(END);
+        while at != END {
+            if self.routes[at as usize] == *r {
+                return Some(RouteId(at));
+            }
+            at = self.next[at as usize];
+        }
+        None
     }
 
+    /// Appends a route no id holds yet, with its key id: an existing one
+    /// when a route with the same key was interned before, else fresh.
     fn push(&mut self, hash: u64, r: Route) -> RouteId {
-        let id = RouteId(self.routes.len() as u32);
-        // Key interning inspects `self.routes` via representatives, so
-        // push the route first and backfill the key id.
-        self.routes.push(r);
-        self.key_ids.push(0);
-        let kh = Self::key_hash(&self.routes[id.0 as usize]);
-        let mut kid = None;
-        if let Some(bucket) = self.key_index.get(&kh) {
-            for &cand in bucket.iter() {
-                let repr = self.key_repr[cand as usize];
-                if same_key(&self.routes[repr.0 as usize], &self.routes[id.0 as usize]) {
-                    kid = Some(cand);
-                    break;
-                }
-            }
+        let id = self.routes.len() as u32;
+        let kh = Self::key_hash(&r);
+        let newest = self.key_index.get(&kh).copied().unwrap_or(END);
+        let mut at = newest;
+        while at != END && !same_key(&self.routes[self.key_repr[at as usize].0 as usize], &r) {
+            at = self.key_next[at as usize];
         }
-        let kid = match kid {
-            Some(k) => k,
-            None => {
-                let fresh = self.key_repr.len() as u32;
-                self.key_index.entry(kh).or_default().push(fresh);
-                self.key_repr.push(id);
-                fresh
-            }
+        let kid = if at != END {
+            at
+        } else {
+            let fresh = self.key_repr.len() as u32;
+            self.key_repr.push(RouteId(id));
+            self.key_next.push(newest);
+            self.key_index.insert(kh, fresh);
+            fresh
         };
-        self.key_ids[id.0 as usize] = kid;
-        self.index.entry(hash).or_default().push(id);
-        id
+        self.routes.push(r);
+        self.key_ids.push(kid);
+        self.next.push(self.index.insert(hash, id).unwrap_or(END));
+        RouteId(id)
     }
 
     /// Interns a route by reference, cloning only on a miss.
@@ -365,11 +353,7 @@ mod tests {
         let best = it.get(select_best_id(&it, ids.clone()).unwrap());
         assert_eq!(best.local_pref, 200);
         let best2 = it.get(select_best_id(&it, ids.into_iter().rev()).unwrap());
-        assert_eq!(
-            best.key(),
-            best2.key(),
-            "order of candidates must not matter"
-        );
+        assert!(same_key(best, best2), "order of candidates must not matter");
         assert!(select_best_id(&it, std::iter::empty()).is_none());
     }
 
@@ -380,7 +364,8 @@ mod tests {
             deriv: DerivId(99),
             ..base()
         };
-        assert_eq!(a.key(), b.key());
+        assert!(same_key(&a, &b));
+        assert!(!same_key(&a, &Route { med: 1, ..base() }));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! exactly why.
 
 use acr_cfg::model::DeviceModel;
-use acr_cfg::LineId;
+use acr_cfg::{LineId, LineMap};
 use acr_net_types::{Asn, Ipv4Addr, RouterId};
 use acr_topo::Topology;
 use std::borrow::Borrow;
@@ -41,6 +41,26 @@ pub struct Session {
 }
 
 impl Session {
+    /// The session with every line rendered through `lines` (see
+    /// [`crate::DeltaInfo::lines`]).
+    pub fn rendered(&self, lines: &LineMap) -> Session {
+        let all = |v: &[LineId]| v.iter().map(|l| lines.render(*l)).collect();
+        let policy = |p: &Option<(String, LineId)>| {
+            (p.as_ref()).map(|(name, l)| (name.clone(), lines.render(*l)))
+        };
+        Session {
+            a_lines: all(&self.a_lines),
+            b_lines: all(&self.b_lines),
+            a_base: all(&self.a_base),
+            b_base: all(&self.b_base),
+            a_import: policy(&self.a_import),
+            a_export: policy(&self.a_export),
+            b_import: policy(&self.b_import),
+            b_export: policy(&self.b_export),
+            ..self.clone()
+        }
+    }
+
     /// The far-end router as seen from `router`.
     pub fn peer_of(&self, router: RouterId) -> Option<RouterId> {
         if self.a == router {
@@ -135,6 +155,19 @@ pub struct SessionDiag {
     pub failure: SessionFailure,
     /// Lines configuring this half-session.
     pub lines: Vec<LineId>,
+}
+
+impl SessionDiag {
+    /// The diagnostic with its lines rendered through `lines` (see
+    /// [`crate::DeltaInfo::lines`]).
+    pub fn rendered(&self, lines: &LineMap) -> SessionDiag {
+        SessionDiag {
+            router: self.router,
+            peer_addr: self.peer_addr,
+            failure: self.failure.clone(),
+            lines: self.lines.iter().map(|l| lines.render(*l)).collect(),
+        }
+    }
 }
 
 /// Establishes sessions for the whole network.

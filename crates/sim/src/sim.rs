@@ -60,10 +60,12 @@ impl<'a> Simulator<'a> {
     /// with `patch` applied, and `base` must be compiled against `topo`.
     /// Only devices the patch touches are recompiled; session
     /// establishment re-runs only for routers whose peer stanzas or AS
-    /// values changed (plus their neighbors). The result is
-    /// field-for-field identical to `Simulator::new(topo, cfg)` — see
-    /// [`crate::base`] for the argument and `tests/prop_delta_sim.rs` for
-    /// the evidence.
+    /// values changed (plus their neighbors). Recompiled devices are
+    /// numbered in `base`'s lines; rendered through
+    /// [`DeltaInfo::lines`], every line the simulator produces is the one
+    /// `Simulator::new(topo, cfg)` produces, and everything else is
+    /// field-for-field identical — see [`crate::base`] for the argument
+    /// and `tests/prop_delta_sim.rs` for the evidence.
     pub fn from_base_with_patch(
         topo: &'a Topology,
         base: &CompiledBase,
@@ -421,9 +423,11 @@ mod tests {
                 PrefixOutcome::Converged { best: ba, .. },
                 PrefixOutcome::Converged { best: bb, .. },
             ) => {
-                let ka: Vec<_> = ba.iter().map(|r| r.as_ref().map(|r| r.key())).collect();
-                let kb: Vec<_> = bb.iter().map(|r| r.as_ref().map(|r| r.key())).collect();
-                assert_eq!(ka, kb);
+                let same = |a: &Option<crate::Route>, b: &Option<crate::Route>| match (a, b) {
+                    (Some(a), Some(b)) => crate::route::same_key(a, b),
+                    (a, b) => a.is_none() && b.is_none(),
+                };
+                assert!(ba.len() == bb.len() && ba.iter().zip(bb).all(|(a, b)| same(a, b)));
             }
             _ => panic!("both must converge"),
         }

@@ -78,6 +78,19 @@ fn intern_locals(
         .collect()
 }
 
+/// A route's protocol key: every field but the derivation id and the
+/// communities — what convergence compares and what a state hashes.
+fn key(r: &Route) -> (Prefix, &AsPath, u32, u32, Ipv4Addr, Option<RouterId>) {
+    (
+        r.prefix,
+        &r.as_path,
+        r.local_pref,
+        r.med,
+        r.next_hop,
+        r.learned_from,
+    )
+}
+
 /// SipHash fingerprint of the full key state, trusted outright.
 fn hash_state(best: &[Option<Route>]) -> u64 {
     let mut hasher = DefaultHasher::new();
@@ -85,7 +98,7 @@ fn hash_state(best: &[Option<Route>]) -> u64 {
         match r {
             Some(r) => {
                 1u8.hash(&mut hasher);
-                r.key().hash(&mut hasher);
+                key(r).hash(&mut hasher);
             }
             None => 0u8.hash(&mut hasher),
         }
@@ -135,7 +148,7 @@ fn run_prefix_dense(
             for state in &history[first..] {
                 for (i, r) in state.iter().enumerate() {
                     if let Some(r) = r {
-                        if !observed[i].iter().any(|o: &Route| o.key() == r.key()) {
+                        if !observed[i].iter().any(|o: &Route| key(o) == key(r)) {
                             observed[i].push(r.clone());
                         }
                     }
@@ -182,7 +195,7 @@ fn run_prefix_dense(
         }
 
         let stable = next.iter().zip(&best).all(|(a, b)| match (a, b) {
-            (Some(x), Some(y)) => x.key() == y.key(),
+            (Some(x), Some(y)) => key(x) == key(y),
             (None, None) => true,
             _ => false,
         });

@@ -21,7 +21,11 @@
 //!    the base ([`CompiledBase::delta`]: only patched devices recompile)
 //!    and the comparison of their old and new models
 //!    ([`acr_sim::DeltaInfo`]) yields the *affected prefixes* under the
-//!    contract below,
+//!    contract below. A recompiled device is numbered in the committed
+//!    lines ([`acr_sim::DeltaInfo::lines`]): a statement the patch kept
+//!    keeps its committed line and an inserted or replaced one gets a
+//!    fresh line above its device's committed length, so a statement that
+//!    only moved is the statement every cached closure names,
 //! 3. only affected prefixes are re-simulated, by the same
 //!    [`Simulator::run_prefixes_with`] call the commit makes; one tail
 //!    merges them over the cache, borrows the committed base FIBs
@@ -34,7 +38,11 @@
 //! roots in the persistent arena, and an empty coverage matrix. A reader
 //! that needs coverage builds it with [`Verifier::coverage`] over
 //! [`IncrementalVerifier::arena`]; the arena only grows, so a verdict's
-//! roots keep resolving there for the life of the verifier.
+//! roots keep resolving there for the life of the verifier. Line numbers
+//! are rendered only where a candidate's verification leaves the
+//! verifier: its session diagnostics are in the candidate's own lines,
+//! and its [`Verification::line_map`] renders what its derivations name
+//! ([`Verifier::coverage`] does).
 //!
 //! [`IncrementalVerifier::suspend`] parks all of it — the compiled base
 //! included, as it is — in an owned [`WarmState`], and
@@ -48,9 +56,9 @@
 //! prefix's originations, and — through `eval_policy` — the touched
 //! models' `route_policies` and `prefix_lists`; a cached outcome is a pure
 //! function of those. Every prefix for which one of them can differ, or
-//! whose closure holds a renumbered line, is in the set. With nothing
-//! cached that is every prefix; otherwise five rules, fed by the model
-//! diff and never by the patch's statements:
+//! whose closure holds a line the candidate no longer has, is in the set.
+//! With nothing cached that is every prefix; otherwise five rules, fed by
+//! the model diff and never by the patch's statements:
 //!
 //! 1. **every prefix** when sessions changed structurally, a touched
 //!    router's AS value changed, or a policy bound by one of its peers has
@@ -62,9 +70,8 @@
 //! 2. prefixes whose originations changed,
 //! 3. prefixes matched by a prefix-list entry the old and new model do not
 //!    share (modulo line numbers),
-//! 4. prefixes whose closure holds a line at or after the first edited
-//!    line of its router (it may have been renumbered or removed), or a
-//!    line of a session whose attribution changed,
+//! 4. prefixes whose closure holds a line the patch deleted or replaced,
+//!    or a line of a session whose attribution changed,
 //! 5. prefixes new to the universe.
 //!
 //! Static routes, ACLs and PBR need no rule: base FIBs are rebuilt for
@@ -72,13 +79,13 @@
 
 use crate::spec::Spec;
 use crate::verify::{Verification, Verifier};
-use acr_cfg::{LineId, NetworkConfig, Patch};
+use acr_cfg::{LineId, LineMap, NetworkConfig, Patch};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_obs::span;
 use acr_sim::{
-    CompiledBase, DeltaInfo, DerivArena, Fib, PolicyMemo, PrefixOutcome, SessionDelta, SimBuild,
-    Simulator,
+    CompiledBase, DeltaInfo, DerivArena, Fib, PolicyMemo, PrefixOutcome, SessionDelta, SessionDiag,
+    SimBuild, Simulator,
 };
 use acr_topo::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -279,7 +286,7 @@ impl<'a> IncrementalVerifier<'a> {
         self.base = Some(sim.base().clone());
         self.base_fp = cfg.fingerprint();
         let (view, arena, _) = self.split();
-        let (verification, stats) = view.assemble(sim, &universe, run, arena);
+        let (verification, stats) = view.assemble(sim, &universe, run, arena, LineMap::default());
         self.last_stats = stats;
         verification
     }
@@ -289,7 +296,9 @@ impl<'a> IncrementalVerifier<'a> {
     /// *without* updating the cache — the repair engine's inner loop. The
     /// persistent arena still grows (content-addressed, so cached ids stay
     /// valid), but per-prefix results of the base remain authoritative.
-    /// Returns the candidate's verdicts, without coverage.
+    /// Returns the candidate's verdicts, without coverage; its derivations
+    /// name lines of the committed numbering, which its
+    /// [`Verification::line_map`] renders.
     ///
     /// # Panics
     ///
@@ -429,7 +438,7 @@ impl<'v, 'a> BaseView<'v, 'a> {
         let universe = sim.universe();
         let affected = {
             let _s = span!("verify.affected", "verify");
-            affected_prefixes(self.caches, info, patch, &universe)
+            affected_prefixes(self.caches, info, &universe)
         };
         // The cross-candidate memo is sound because this candidate was
         // delta-built: unchanged routers hold the base's own `Arc`'d
@@ -439,19 +448,23 @@ impl<'v, 'a> BaseView<'v, 'a> {
         // endpoint pair.
         memo.begin_run(sim.base().sessions(), &patch.routers());
         let run = simulate(&sim, &universe, affected, arena, memo);
-        self.assemble(&sim, &universe, run, arena)
+        let lines = info.lines.clone();
+        self.assemble(&sim, &universe, run, arena, lines)
     }
 
     /// The one tail of commit, resume and candidate: fresh outcomes over
     /// the cache, the base FIBs (the committed ones, rebuilt only for
     /// recompiled routers), then the property walks on the merged state,
-    /// each reading BGP forwarding from the merged outcomes.
+    /// each reading BGP forwarding from the merged outcomes. `lines`
+    /// numbers `sim`'s recompiled devices; the verification leaves with
+    /// its session diagnostics rendered and carries it for the rest.
     fn assemble(
         &self,
         sim: &Simulator<'a>,
         universe: &BTreeSet<Prefix>,
         run: Run,
         arena: &mut DerivArena,
+        lines: LineMap,
     ) -> (Verification, IncrementalStats) {
         let Run {
             fresh,
@@ -494,10 +507,11 @@ impl<'v, 'a> BaseView<'v, 'a> {
         FIB_ROUTERS_REBUILT.add(stats.compiled_devices as u64);
         FIB_ROUTERS_REUSED.add((base_fibs.len() - stats.compiled_devices) as u64);
         stats.simulate = started.elapsed();
-        let diags = sim.session_diags();
-        let verification = self
-            .verifier
-            .evaluate(sim, &merged, &base_fibs, arena, diags);
+        let diags: Vec<SessionDiag> = (sim.session_diags().iter())
+            .map(|d| d.rendered(&lines))
+            .collect();
+        let mut verification = (self.verifier).evaluate(sim, &merged, &base_fibs, arena, &diags);
+        verification.line_map = lines;
         (verification, stats)
     }
 }
@@ -549,13 +563,15 @@ fn simulate(
 /// what a per-prefix run reads: the session vector (views, base lines,
 /// policy bindings), each router's AS value, the prefix's originations,
 /// and `eval_policy` over the touched models' `route_policies` and
-/// `prefix_lists`. Every
-/// universe prefix for which one of them can differ between the committed
-/// configuration and the candidate, or whose closure holds a renumbered
-/// line, is returned. What differs is read off `info`, the old-vs-new
-/// model diff; `patch` only locates the first edited line per router.
-/// (A commit has nothing cached and runs every prefix; it books them
-/// under `verify.invalidated.cold` itself.) The affected set is
+/// `prefix_lists`. The candidate's recompiled devices are numbered in the
+/// committed lines ([`DeltaInfo::lines`]), so a statement the patch kept
+/// is named by the same line on both sides and a moved statement changes
+/// none of those inputs. Every universe prefix for which one of them can
+/// differ between the committed configuration and the candidate, or whose
+/// closure holds a line the candidate no longer has, is returned. What
+/// differs is read off `info`, the old-vs-new model diff. (A commit has
+/// nothing cached and runs every prefix; it books them under
+/// `verify.invalidated.cold` itself.) The affected set is
 ///
 /// 1. **Every prefix** when sessions changed structurally (routes may
 ///    flow along paths no cached closure has a trace of), or when a
@@ -570,14 +586,13 @@ fn simulate(
 /// 2. prefixes whose originations changed on a touched router;
 /// 3. prefixes matched by a changed prefix-list entry (an entry can only
 ///    decide a route it matches);
-/// 4. prefixes whose closure holds a line at or after the first edited
-///    line of its router — renumbered, replaced or gone — or a line of a
-///    session whose attribution changed without a structural change;
+/// 4. prefixes whose closure holds a line the patch deleted or replaced,
+///    or a line of a session whose attribution changed without a
+///    structural change;
 /// 5. prefixes new to the universe, which have no cached outcome.
 fn affected_prefixes(
     caches: &Caches,
     info: &DeltaInfo,
-    patch: &Patch,
     universe: &BTreeSet<Prefix>,
 ) -> (BTreeSet<Prefix>, &'static Counter) {
     if info.session_delta == SessionDelta::Structural {
@@ -586,20 +601,15 @@ fn affected_prefixes(
     if info.policy_changed {
         return (universe.clone(), &INV_POLICY);
     }
-    let mut first_edit: BTreeMap<RouterId, u32> = BTreeMap::new();
-    for edit in &patch.edits {
-        let line = edit.index() as u32 + 1;
-        let first = first_edit.entry(edit.router()).or_insert(line);
-        *first = line.min(*first);
-    }
-    let stale = |l: &LineId| {
-        first_edit.get(&l.router).is_some_and(|m| l.line >= *m)
-            || info.stale_session_lines.contains(l)
-    };
+    // A handful of lines, each looked up in a closure: no closure is
+    // scanned.
+    let stale: Vec<LineId> = (info.lines.dead())
+        .chain(info.stale_session_lines.iter().copied())
+        .collect();
     let narrowed = universe.iter().filter(|p| {
         info.changed_origin_prefixes.contains(p)
             || info.changed_pl_entries.iter().any(|e| e.matches(**p))
-            || caches.closures.get(p).is_none_or(|c| c.iter().any(stale))
+            || (caches.closures.get(p)).is_none_or(|c| stale.iter().any(|l| c.contains(l)))
     });
     (narrowed.copied().collect(), &INV_NARROWED)
 }
@@ -790,10 +800,11 @@ mod tests {
         assert_eq!((stats.recomputed, stats.reused), (2, 1));
     }
 
-    /// A remark above R2's policy renumbers it: only 10.0/16, imported
-    /// through it, holds a line at or after the edit.
+    /// A remark above R2's policy moves it and changes nothing: 10.0/16,
+    /// imported through it, holds the policy's lines by the statements'
+    /// committed numbers, which the candidate keeps.
     #[test]
-    fn renumbered_policy_invalidates_the_prefixes_holding_its_lines() {
+    fn renumbered_policy_invalidates_nothing() {
         let (topo, cfg, spec) = scenario();
         let patch = Patch::single(Edit::Insert {
             router: RouterId(2),
@@ -802,7 +813,28 @@ mod tests {
         });
         let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
         assert!(v.all_passed());
-        assert_eq!((stats.recomputed, stats.reused), (1, 1));
+        assert_eq!((stats.recomputed, stats.reused), (0, 2));
+    }
+
+    /// A remark at the top of every device moves every line of the
+    /// network, session lines included, and re-simulates nothing; the
+    /// coverage still names the candidate's own lines (`candidate`
+    /// compares it with a full verification).
+    #[test]
+    fn a_remark_above_every_device_recomputes_nothing() {
+        let (topo, cfg, spec) = scenario();
+        let mut patch = Patch::new();
+        for router in cfg.routers() {
+            patch.push(Edit::Insert {
+                router,
+                index: 0,
+                stmt: Stmt::Remark("moved".into()),
+            });
+        }
+        let (v, stats) = candidate(&topo, &spec, &cfg, &patch);
+        assert!(v.all_passed());
+        assert_eq!((stats.recomputed, stats.reused), (0, 2));
+        assert_eq!(stats.established_routers, 0, "no session changed");
     }
 
     /// Restating a `network` below everything gives its prefix a second
@@ -881,18 +913,19 @@ mod tests {
         assert_eq!((stats.recomputed, stats.reused), (2, 0));
     }
 
+    /// A `network` inserted above R0's peer statement moves the session
+    /// line 10.0/16 and 10.4/16 both cross, and changes neither: only the
+    /// new prefix runs.
     #[test]
     fn incremental_matches_full_verification() {
         let (topo, cfg, spec) = scenario();
-        // Edit that shifts lines on R0 (insert at top region) and touches
-        // 10.0/16's closure; 10.4/16 crosses R0's session line too.
         let patch = Patch::single(Edit::Insert {
             router: RouterId(0),
             index: 2,
             stmt: Stmt::Network(p("10.9.0.0/16")),
         });
         let (_, stats) = candidate(&topo, &spec, &cfg, &patch);
-        assert_eq!((stats.recomputed, stats.reused), (3, 0));
+        assert_eq!((stats.recomputed, stats.reused), (1, 2));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::spec::{PropertyKind, Spec, TestCase};
 use crate::violation::Violation;
-use acr_cfg::{DeviceModel, NetworkConfig};
+use acr_cfg::{DeviceModel, LineId, LineMap, NetworkConfig};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::span;
 use acr_prov::{CoverageMatrix, TestCoverage, TestId};
@@ -31,7 +31,7 @@ use acr_sim::{
 };
 use acr_topo::Topology;
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One test's verification record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +60,16 @@ pub struct Verification {
     pub matrix: CoverageMatrix,
     /// Prefixes that failed to converge in this run.
     pub flapping: Vec<Prefix>,
-    /// Configured-but-down peers (for peer-repair templates).
+    /// Configured-but-down peers (for peer-repair templates), in the
+    /// verified configuration's own lines.
     pub session_diags: Vec<SessionDiag>,
+    /// How the lines of the records' derivations render to the verified
+    /// configuration's own lines: empty (every line is its own) for a
+    /// full run or a commit; for a candidate, the patch's line map — its
+    /// recompiled devices were numbered in the committed lines
+    /// ([`acr_sim::DeltaInfo::lines`]). A reader of the arena renders
+    /// through it.
+    pub line_map: LineMap,
 }
 
 impl Verification {
@@ -258,12 +266,14 @@ impl<'a> Verifier<'a> {
             matrix: CoverageMatrix::new(),
             flapping,
             session_diags: session_diags.to_vec(),
+            line_map: LineMap::default(),
         }
     }
 
     /// The coverage matrix of `v`, whose derivation roots resolve in
-    /// `arena`; `models` are the verified configuration's device models.
-    /// A test covers the configuration lines in the closure of its roots;
+    /// `arena`; `models` are the verified configuration's device models,
+    /// in its own lines. A test covers the configuration lines in the
+    /// closure of its roots, rendered through [`Verification::line_map`];
     /// a failed test also covers every session diagnostic's lines and the
     /// origination lines of its destination's owner (negative
     /// provenance, Y!-style). Without the latter, omission faults (e.g. a
@@ -278,19 +288,19 @@ impl<'a> Verifier<'a> {
         let _s = span!("verify.coverage", "verify").arg("tests", v.records.len() as u64);
         let mut matrix = CoverageMatrix::new();
         for rec in &v.records {
-            let mut lines = arena.closure_lines(rec.deriv_roots.iter().copied());
+            let closure = arena.closure_lines(rec.deriv_roots.iter().copied());
+            let mut lines: BTreeSet<LineId> =
+                closure.into_iter().map(|l| v.line_map.render(l)).collect();
             if !rec.passed {
                 for d in &v.session_diags {
                     lines.extend(d.lines.iter().copied());
                 }
                 lines.extend(negative_origin_lines(self.topo, models, rec.flow.dst));
-                lines.sort_unstable();
-                lines.dedup();
             }
             matrix.push(TestCoverage {
                 test: rec.id,
                 passed: rec.passed,
-                lines: lines.into_iter().collect(),
+                lines,
             });
         }
         matrix

@@ -17,7 +17,9 @@
 //! sum to the wall, printed as the `critical path` line, which equals
 //! `job`'s total. Spans on any other thread (the static baseline, built
 //! beside the cold commit) ran overlapped with that path and print under
-//! their own heading.
+//! their own heading. Last, the traced passes' verifier counters, per
+//! job: prefixes re-simulated by the rule that chose them
+//! (`verify.invalidated.*`) and recomputed against reused.
 //!
 //! ```sh
 //! cargo run --release --example span_profile -- 5
@@ -25,11 +27,22 @@
 //! ```
 
 use acr::obs;
+use acr::obs::metrics::{self, MetricValue};
 use acr::obs::trace::{self, TraceEvent};
 use acr::prelude::*;
 use acr::topo::gen;
 use acr::workloads::{inject_at, FaultType};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The verifier counters printed per job.
+const COUNTERS: [&str; 6] = [
+    "verify.invalidated.cold",
+    "verify.invalidated.sessions",
+    "verify.invalidated.policy",
+    "verify.invalidated.narrowed",
+    "verify.prefixes_recomputed",
+    "verify.prefixes_reused",
+];
 
 /// The `wan72` workload's fault mix.
 const WAN72: [FaultType; 6] = [
@@ -67,8 +80,9 @@ fn main() {
     for inc in &incidents {
         engine.repair(&inc.broken);
     }
-    obs::set_flags(obs::TRACE);
+    obs::set_flags(obs::TRACE | obs::METRICS);
     let _ = trace::take();
+    metrics::reset();
     for _ in 0..passes {
         for inc in &incidents {
             let _job = trace::span("job", "profile");
@@ -103,6 +117,15 @@ fn main() {
         per_name(&events, |e| !job_tids.contains(&e.tid)),
         jobs,
     );
+    let counters = metrics::snapshot();
+    println!("{:<32} {:>8}", "verifier counters", "per_job");
+    for name in COUNTERS {
+        let n = match counters.get(name) {
+            Some(MetricValue::Counter(n)) => *n,
+            _ => 0,
+        };
+        println!("{:<32} {:>8.1}", name, n as f64 / jobs);
+    }
 }
 
 fn ms(us: u64, jobs: f64) -> f64 {

@@ -5,15 +5,20 @@
 //! verification rejects, nor hide a correct repair behind a stale cached
 //! outcome. For a Table-1 incident on `wan(4,8)` the broken network is
 //! committed once — as the engine does — and every distinct patch both
-//! operator vocabularies generate at every line of every device is
-//! validated against that commit and against a fresh full verification of
-//! the patched network: verdict, violation and path of every record, the
-//! coverage lines of every test and the shape of every record's
-//! derivation DAG must agree. Together with `prop_delta_sim.rs` (a
-//! delta-built simulator runs exactly as a fresh compile) this is what
-//! pins delta-built candidates and the cross-candidate policy memo.
+//! operator vocabularies generate at every line of every device, plus
+//! three renumbering patches per device (a remark at index 0, a remark
+//! above its first peer statement, and that statement deleted and
+//! re-inserted under the `bgp` header), is validated against that commit
+//! and against a fresh full verification of the patched network:
+//! verdict, violation and path of every record, the coverage lines of
+//! every test and the shape of every record's derivation DAG must agree.
+//! A candidate's derivations name lines of the committed numbering, so
+//! its shapes hash the lines rendered through its line map. Together with
+//! `prop_delta_sim.rs` (a delta-built simulator runs exactly as a fresh
+//! compile) this is what pins delta-built candidates and the
+//! cross-candidate policy memo.
 
-use acr::cfg::DeviceModel;
+use acr::cfg::{DeviceModel, LineMap};
 use acr::core::templates::candidates_for_line;
 use acr::core::{universal_candidates, RepairCtx};
 use acr::prelude::*;
@@ -67,27 +72,90 @@ fn candidates(net: &GeneratedNetwork, incident: &Incident) -> Vec<Patch> {
             }
         }
     }
+    for (router, device) in broken.devices() {
+        for patch in renumberings(router, device) {
+            if seen.insert(patch.clone()) {
+                patches.push(patch);
+            }
+        }
+    }
     patches
 }
 
-/// Structural hashes of derivation nodes in one arena: a node's kind,
-/// its lines and the set of its parents' hashes. Equal hashes in two
-/// arenas mean equal derivation DAGs, whatever ids each arena assigned.
-#[derive(Default)]
-struct Shapes(HashMap<DerivId, u64>);
+/// Patches that move a device's lines: a remark at index 0, a remark
+/// just above its first peer statement (every session line after it
+/// moves), and that statement deleted and re-inserted right under the
+/// `bgp` header — a dead line and a fresh one for the same statement.
+fn renumberings(router: RouterId, device: &DeviceConfig) -> Vec<Patch> {
+    let remark = |index| Edit::Insert {
+        router,
+        index,
+        stmt: Stmt::Remark("moved".into()),
+    };
+    let mut out = vec![Patch::single(remark(0))];
+    let stmts = device.stmts();
+    let is_peer = |s: &Stmt| {
+        matches!(
+            s,
+            Stmt::PeerAs { .. } | Stmt::PeerGroup { .. } | Stmt::PeerPolicy { .. }
+        )
+    };
+    let Some(peer) = stmts.iter().position(is_peer) else {
+        return out;
+    };
+    out.push(Patch::single(remark(peer)));
+    if let Some(bgp) = stmts.iter().position(|s| matches!(s, Stmt::BgpProcess(_))) {
+        if peer > bgp + 1 {
+            out.push(Patch {
+                edits: vec![
+                    Edit::Delete {
+                        router,
+                        index: peer,
+                    },
+                    Edit::Insert {
+                        router,
+                        index: bgp + 1,
+                        stmt: stmts[peer].clone(),
+                    },
+                ],
+            });
+        }
+    }
+    out
+}
 
-impl Shapes {
+/// Structural hashes of derivation nodes in one arena, read through one
+/// verification's line map: a node's kind, its lines rendered (a node's
+/// lines are a set: sorted again after rendering) and the set of its
+/// parents' hashes. Equal hashes in two arenas mean equal derivation DAGs
+/// in the verified configuration's own lines, whatever ids and whatever
+/// numbering each arena used.
+struct Shapes<'m> {
+    lines: &'m LineMap,
+    seen: HashMap<DerivId, u64>,
+}
+
+impl<'m> Shapes<'m> {
+    fn new(lines: &'m LineMap) -> Self {
+        Shapes {
+            lines,
+            seen: HashMap::new(),
+        }
+    }
+
     fn of(&mut self, arena: &DerivArena, id: DerivId) -> u64 {
-        if let Some(&h) = self.0.get(&id) {
+        if let Some(&h) = self.seen.get(&id) {
             return h;
         }
         let node = arena.node(id);
         let mut parents: Vec<u64> = node.parents.iter().map(|p| self.of(arena, *p)).collect();
         parents.sort_unstable();
+        let mut lines: Vec<LineId> = node.lines.iter().map(|l| self.lines.render(*l)).collect();
+        lines.sort_unstable();
         let mut h = DefaultHasher::new();
-        (node.kind, node.lines, parents).hash(&mut h);
+        (node.kind, lines, parents).hash(&mut h);
         let h = h.finish();
-        self.0.insert(id, h);
+        self.seen.insert(id, h);
         h
     }
 
@@ -106,9 +174,7 @@ impl Sweep {
         let verifier = Verifier::new(&net.topo, &net.spec);
         let mut iv = IncrementalVerifier::new(&net.topo, &net.spec);
         iv.commit(broken);
-        // The persistent arena's ids never change meaning: one cache for
-        // every candidate.
-        let mut inc_shapes = Shapes::default();
+        let own_lines = LineMap::default();
         for patch in candidates(net, incident) {
             let Ok(candidate) = patch.apply_cloned(broken) else {
                 continue;
@@ -116,8 +182,11 @@ impl Sweep {
             let inc = iv.verify_candidate(&candidate, &patch);
             let (full, out) = verifier.run_full(&candidate);
             // What symbolization walks: every record's derivation DAG, not
-            // only the lines it closes over.
-            let mut full_shapes = Shapes::default();
+            // only the lines it closes over. A persistent-arena node reads
+            // differently under each candidate's line map: one cache per
+            // candidate.
+            let mut inc_shapes = Shapes::new(&inc.line_map);
+            let mut full_shapes = Shapes::new(&own_lines);
             let shapes = inc.records.iter().zip(&full.records).all(|(a, b)| {
                 inc_shapes.roots(iv.arena(), &a.deriv_roots)
                     == full_shapes.roots(&out.arena, &b.deriv_roots)
@@ -129,9 +198,11 @@ impl Sweep {
                 ));
             }
             // The incremental verifier returns verdicts only: coverage is
-            // built over its arena, with the candidate's compiled models.
-            let compiled = (iv.base().expect("committed")).delta(&net.topo, &candidate, &patch);
-            let inc_coverage = verifier.coverage(&inc, iv.arena(), compiled.0.models());
+            // built over its arena, with the candidate's models in its own
+            // lines, as the engine builds them.
+            let compiled = (iv.base().expect("committed")).patched(&net.topo, &candidate, &patch);
+            let inc_coverage = verifier.coverage(&inc, iv.arena(), compiled.models());
+            let diags = inc.session_diags == full.session_diags;
             let records = inc.records.len() == full.records.len()
                 && inc.records.iter().zip(&full.records).all(|(a, b)| {
                     (a.passed, &a.violation, &a.path) == (b.passed, &b.violation, &b.path)
@@ -139,7 +210,7 @@ impl Sweep {
             let coverage = (inc_coverage.tests().iter())
                 .zip(full.matrix.tests())
                 .all(|(a, b)| a.lines == b.lines);
-            if !(records && coverage) {
+            if !(records && coverage && diags) {
                 self.disagreements.push(format!(
                     "{:?}: {patch}: incremental {} failed, full {} failed{}",
                     incident.fault,

@@ -1,11 +1,15 @@
 //! Delta-compiled simulation ≡ fresh compilation, property-tested.
 //!
 //! The delta path (`Simulator::from_base_with_patch`) recompiles only the
-//! devices a patch touches and re-establishes sessions only where
-//! establishment can change. Its contract is **field-for-field equality**
-//! with `Simulator::new` on the patched configuration — including the
-//! derivation arena, whose content-addressed node list is equal exactly
-//! when both builds intern the same derivations in the same order.
+//! devices a patch touches, numbered in the base's lines, and
+//! re-establishes sessions only where establishment can change. Its
+//! contract is **field-for-field equality** with `Simulator::new` on the
+//! patched configuration once every line is rendered through the delta's
+//! line map — including the derivation arena, whose content-addressed
+//! node list is equal exactly when both builds intern the same
+//! derivations in the same order. Rendering is one-to-one on the lines a
+//! candidate names, so re-interning the delta's nodes in order with
+//! rendered lines gives each node its old id.
 //!
 //! The property is exercised over random Table-1 fault injections (all
 //! nine fault classes supply the base configurations) crossed with random
@@ -18,14 +22,49 @@
 //! injection patch itself — the candidate shape the repair loop
 //! validates, a small edit against a committed base.
 
+use acr::cfg::LineMap;
 use acr::prelude::*;
 use acr::workloads::{inject_at, TABLE1};
-use acr_sim::CompiledBase;
+use acr_sim::{CompiledBase, DerivArena, DerivId, SimOutcome};
+use std::sync::Arc;
+
+/// `out` with every line rendered through `lines`: the arena re-interned
+/// node by node, the session diagnostics mapped.
+fn rendered(out: SimOutcome, lines: &LineMap) -> SimOutcome {
+    let mut arena = DerivArena::new();
+    for i in 0..out.arena.len() as u32 {
+        let node = out.arena.node(DerivId(i));
+        let own = node.lines.iter().map(|l| lines.render(*l)).collect();
+        let id = arena.intern(node.kind, own, node.parents.to_vec());
+        assert_eq!(id, DerivId(i), "rendering merged two derivations");
+    }
+    let diags = out.session_diags.iter().map(|d| d.rendered(lines));
+    SimOutcome {
+        arena,
+        session_diags: Arc::new(diags.collect()),
+        ..out
+    }
+}
+
+/// The delta-built simulator of `patched` rendered equals its fresh
+/// compile: sessions, diagnostics and the whole run.
+fn assert_renders_to_fresh(fresh: &Simulator<'_>, delta: &Simulator<'_>) {
+    let lines = &delta.delta_info().expect("delta-built").lines;
+    let sessions = delta.sessions().iter().map(|s| s.rendered(lines));
+    assert!(sessions.eq(fresh.sessions().iter().cloned()), "sessions");
+    let diags = delta.session_diags().iter().map(|d| d.rendered(lines));
+    assert!(
+        diags.eq(fresh.session_diags().iter().cloned()),
+        "diagnostics"
+    );
+    assert_eq!(fresh.universe(), delta.universe());
+    assert_eq!(fresh.run(), rendered(delta.run(), lines), "outcomes");
+}
 
 #[cfg(feature = "heavy-tests")]
 use acr::workloads::try_inject;
 #[cfg(feature = "heavy-tests")]
-use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
+use proptest::prelude::{any, prop_assert, prop_assume, proptest, ProptestConfig};
 
 /// Materializes one edit against `cfg` from raw fuzz inputs. Beyond the
 /// benign inserts the incremental-verification proptests use, this
@@ -79,9 +118,10 @@ fn edit_from(cfg: &NetworkConfig, ri: usize, pos: u16, kind: u8) -> Edit {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `from_base_with_patch` produces a `SimOutcome` field-for-field
-    /// equal to a fresh `Simulator::new` on the patched configuration —
-    /// arena included — for random injected bases × random patches.
+    /// `from_base_with_patch` produces a `SimOutcome` that renders
+    /// field-for-field equal to a fresh `Simulator::new` on the patched
+    /// configuration — arena included — for random injected bases ×
+    /// random patches.
     #[test]
     fn delta_build_equals_fresh_build(
         fi in any::<usize>(),
@@ -119,17 +159,14 @@ proptest! {
         let fresh = Simulator::new(&net.topo, &patched);
         let delta = Simulator::from_base_with_patch(&net.topo, &base, &patched, &patch);
 
-        prop_assert_eq!(fresh.universe(), delta.universe());
-        prop_assert_eq!(fresh.sessions(), delta.sessions());
-        prop_assert_eq!(fresh.session_diags(), delta.session_diags());
-        prop_assert_eq!(fresh.run(), delta.run());
+        assert_renders_to_fresh(&fresh, &delta);
         prop_assert!(delta.build_stats().delta);
     }
 }
 
 /// Every Table-1 class at its first injectable site of `wan(4,8)` — the
 /// configurations the benchmark's workloads repair: the simulator
-/// delta-built from the clean network's base equals the fresh build,
+/// delta-built from the clean network's base renders to the fresh build,
 /// field for field.
 #[test]
 fn delta_equals_fresh_on_every_table1_class() {
@@ -143,6 +180,6 @@ fn delta_equals_fresh_on_every_table1_class() {
         let fresh = Simulator::new(&net.topo, &incident.broken);
         let delta =
             Simulator::from_base_with_patch(&net.topo, &base, &incident.broken, &incident.patch);
-        assert_eq!(fresh.run(), delta.run(), "{fault:?}: outcomes");
+        assert_renders_to_fresh(&fresh, &delta);
     }
 }
