@@ -62,6 +62,20 @@ for pin in exp_table1:204f7bd91a522511 exp_fig3:b6b10fbb080cbfe2; do
     fi
 done
 
+# The lint's own A/B: how many Table-1 classes a static pass sees, and
+# what lint seeding and pruning save the repairs. No other pin covers
+# the lint-on/off repairs, so a lint change that costs validations fails
+# here.
+echo "==> exp_lint (static detection + lint-on/off repair A/B against pins)"
+lint_ab=$(cargo run --release -q -p acr-bench --bin exp_lint | tee -a /dev/stderr)
+for want in 'statically visible fault types: 8/9' \
+    'total candidate validations: 440 (lint off) vs 116 (lint on)'; do
+    if ! grep -qF "$want" <<<"$lint_ab"; then
+        echo "FAIL: exp_lint no longer prints '$want'" >&2
+        exit 1
+    fi
+done
+
 echo "==> trace_repair example (ACR_TRACE/ACR_JOURNAL env path)"
 obs_tmp=$(mktemp -d)
 ACR_TRACE="$obs_tmp/trace.json" ACR_JOURNAL="$obs_tmp/journal.jsonl" \

@@ -12,10 +12,10 @@
 //!
 //! Model construction is *total* for parseable configs: dangling references
 //! (a peer policy naming an undefined route-policy, an undefined prefix
-//! list, a peer joining an undefined group) are recorded as
-//! [`DeviceModel::warnings`] and given "match nothing" semantics rather
-//! than rejected, because injected misconfigurations (the whole point of
-//! ACR) frequently *are* dangling references.
+//! list, a peer joining an undefined group) are given "match nothing"
+//! semantics rather than rejected, because injected misconfigurations (the
+//! whole point of ACR) frequently *are* dangling references. Reporting
+//! them is `acr-lint`'s job (its `undefined-*` rules).
 
 use crate::ast::{AclRuleCfg, Dir, NextHop, PbrAction, PeerRef, PlAction, Proto, Stmt};
 use crate::config::DeviceConfig;
@@ -198,8 +198,6 @@ pub struct DeviceModel {
     pub pbr_policies: BTreeMap<String, Vec<PbrEntry>>,
     /// Applied PBR policy (name, line) if any.
     pub pbr_applied: Option<(String, u32)>,
-    /// Dangling-reference warnings (kept, not fatal — see module docs).
-    pub warnings: Vec<String>,
 }
 
 impl DeviceModel {
@@ -217,13 +215,7 @@ impl DeviceModel {
 
         for (line, stmt) in cfg.lines() {
             match stmt {
-                Stmt::BgpProcess(asn) => {
-                    if m.asn.is_some() {
-                        m.warnings
-                            .push(format!("duplicate bgp process at line {line}"));
-                    }
-                    m.asn = Some((*asn, line));
-                }
+                Stmt::BgpProcess(asn) => m.asn = Some((*asn, line)),
                 Stmt::RouterId(ip) => m.router_id = Some((*ip, line)),
                 Stmt::Network(p) => m.networks.push((*p, line)),
                 Stmt::ImportRoute(proto) => m.redistribute.push((*proto, line)),
@@ -407,35 +399,28 @@ impl DeviceModel {
         // Second pass: resolve group inheritance onto member peers.
         let groups = m.groups.clone();
         for peer in m.peers.values_mut() {
-            if let Some((gname, gline)) = peer.group.clone() {
-                match groups.get(&gname) {
-                    Some(g) => {
-                        if peer.asn.is_none() {
-                            peer.asn = g.asn;
-                            if let Some((_, l)) = g.asn {
-                                peer.lines.push(l);
-                            }
-                        }
-                        if peer.import_policy.is_none() {
-                            peer.import_policy = g.import_policy.clone();
-                            if let Some((_, l)) = &g.import_policy {
-                                peer.lines.push(*l);
-                            }
-                        }
-                        if peer.export_policy.is_none() {
-                            peer.export_policy = g.export_policy.clone();
-                            if let Some((_, l)) = &g.export_policy {
-                                peer.lines.push(*l);
-                            }
-                        }
-                        if let Some(l) = g.def_line {
+            if let Some((gname, _)) = &peer.group {
+                if let Some(g) = groups.get(gname) {
+                    if peer.asn.is_none() {
+                        peer.asn = g.asn;
+                        if let Some((_, l)) = g.asn {
                             peer.lines.push(l);
                         }
                     }
-                    None => {
-                        m.warnings.push(format!(
-                            "peer joins undefined group `{gname}` (line {gline})"
-                        ));
+                    if peer.import_policy.is_none() {
+                        peer.import_policy = g.import_policy.clone();
+                        if let Some((_, l)) = &g.import_policy {
+                            peer.lines.push(*l);
+                        }
+                    }
+                    if peer.export_policy.is_none() {
+                        peer.export_policy = g.export_policy.clone();
+                        if let Some((_, l)) = &g.export_policy {
+                            peer.lines.push(*l);
+                        }
+                    }
+                    if let Some(l) = g.def_line {
+                        peer.lines.push(l);
                     }
                 }
             }
@@ -452,51 +437,14 @@ impl DeviceModel {
         for entries in m.prefix_lists.values_mut() {
             entries.sort_by_key(|e| e.index);
         }
-
-        // Dangling-reference warnings.
-        let policy_names: Vec<String> = m.route_policies.keys().cloned().collect();
-        for (ip, peer) in &m.peers {
-            for pol in [&peer.import_policy, &peer.export_policy]
-                .into_iter()
-                .flatten()
-            {
-                if !policy_names.contains(&pol.0) {
-                    m.warnings.push(format!(
-                        "peer {ip} references undefined route-policy `{}` (line {})",
-                        pol.0, pol.1
-                    ));
-                }
-            }
-        }
-        for nodes in m.route_policies.values() {
-            for node in nodes {
-                for (cond, line) in &node.matches {
-                    if let MatchCond::PrefixList(list) = cond {
-                        if !m.prefix_lists.contains_key(list) {
-                            m.warnings.push(format!(
-                                "route-policy node at line {} matches undefined prefix-list `{list}` (line {line})",
-                                node.line
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((name, line)) = &m.pbr_applied {
-            if !m.pbr_policies.contains_key(name) {
-                m.warnings.push(format!(
-                    "applied traffic-policy `{name}` is undefined (line {line})"
-                ));
-            }
-        }
         m
     }
 
     /// The model of `cfg` with its statements numbered by `ids` — the
     /// line of each statement, by index — instead of `1..=len`: the model
     /// [`DeviceModel::from_config`] builds, every line replaced by its
-    /// number. Orders and warning texts are the text's, so two numberings
-    /// of one configuration differ in their line labels alone.
+    /// number. Orders are the text's, so two numberings of one
+    /// configuration differ in their line labels alone.
     pub fn numbered(cfg: &DeviceConfig, ids: &[u32]) -> DeviceModel {
         debug_assert_eq!(ids.len(), cfg.len());
         let mut m = DeviceModel::from_config(cfg);
@@ -620,7 +568,6 @@ ip route-static 20.0.0.0 16 NULL0
         assert_eq!(m.networks, vec![("10.70.0.0/16".parse().unwrap(), 3)]);
         assert_eq!(m.redistribute, vec![(Proto::Static, 4)]);
         assert_eq!(m.static_routes.len(), 1);
-        assert!(m.warnings.is_empty(), "{:?}", m.warnings);
     }
 
     #[test]
@@ -705,6 +652,8 @@ ip route-static 20.0.0.0 16 NULL0
             .is_none());
     }
 
+    /// Dangling references build a model with "match nothing" semantics;
+    /// warning about them is `acr-lint`'s `undefined-*` rules' job.
     #[test]
     fn dangling_references_warn_not_fail() {
         let cfg = parse_device(
@@ -713,10 +662,20 @@ ip route-static 20.0.0.0 16 NULL0
         )
         .unwrap();
         let m = DeviceModel::from_config(&cfg);
-        assert_eq!(m.warnings.len(), 3, "{:?}", m.warnings);
-        assert!(m.warnings.iter().any(|w| w.contains("ghost")));
-        assert!(m.warnings.iter().any(|w| w.contains("nopol")));
-        assert!(m.warnings.iter().any(|w| w.contains("nolist")));
+        // A peer of an undefined group inherits nothing from it.
+        let ghost = &m.peers[&Ipv4Addr::new(10, 0, 0, 1)];
+        assert_eq!(ghost.group, Some(("ghost".to_string(), 2)));
+        assert_eq!((ghost.asn, &ghost.import_policy), (None, &None));
+        assert_eq!(ghost.lines, [2]);
+        // An undefined policy stays applied by name, with no nodes.
+        let nopol = &m.peers[&Ipv4Addr::new(10, 0, 0, 2)];
+        assert_eq!(nopol.import_policy, Some(("nopol".to_string(), 3)));
+        assert!(!m.route_policies.contains_key("nopol"));
+        // An undefined list matches nothing.
+        assert_eq!(
+            m.eval_prefix_list("nolist", "10.0.0.0/8".parse().unwrap()),
+            None
+        );
     }
 
     #[test]
@@ -755,7 +714,6 @@ ip route-static 20.0.0.0 16 NULL0
             Some("pbr1")
         );
         assert_eq!(m.pbr_policies["pbr1"].len(), 2);
-        assert!(m.warnings.is_empty());
     }
 
     /// Numbering a configuration by `k + line` labels it as the same text
@@ -772,7 +730,6 @@ ip route-static 20.0.0.0 16 NULL0
         let mut behind = vec![Stmt::Remark("r".into()); k as usize];
         behind.extend(cfg.stmts().iter().cloned());
         let shifted = DeviceModel::from_config(&DeviceConfig::new("A", behind));
-        assert!(numbered.warnings.is_empty());
         assert_eq!(numbered, shifted);
         let natural: Vec<u32> = (1..=cfg.len() as u32).collect();
         assert_eq!(
@@ -798,10 +755,11 @@ ip route-static 20.0.0.0 16 NULL0
         );
     }
 
+    /// A second `bgp` process replaces the first; nothing reports it.
     #[test]
-    fn duplicate_bgp_warns() {
+    fn duplicate_bgp_keeps_the_last_process() {
         let cfg = parse_device("X", "bgp 1\nbgp 2\n").unwrap();
         let m = DeviceModel::from_config(&cfg);
-        assert!(m.warnings.iter().any(|w| w.contains("duplicate")));
+        assert_eq!(m.asn, Some((Asn(2), 2)));
     }
 }

@@ -37,14 +37,14 @@
 //! The visit order is part of the contract. Restricted to one prefix,
 //! lowest-id-first is exactly the order a single ordered worklist of
 //! `(router, prefix)` pairs pops that prefix's facts in, so iteration
-//! counts, fact contents and the transfer log are deterministic and
-//! pinned (`tests/facts_pin.rs`). Ordering the worklist by distance from
+//! counts and fact contents are deterministic and pinned
+//! (`tests/facts_pin.rs`). Ordering the worklist by distance from
 //! the originators instead makes more pops, not fewer: path-length upper
 //! bounds climb until widened, and an ascending-id sweep climbs a whole
 //! chain in one pass where rank order ping-pongs between neighbours.
 
 use crate::domain::AbstractRoute;
-use crate::transfer::{abstract_policy, TransferLog};
+use crate::transfer::abstract_policy;
 use acr_cfg::{DeviceModel, LineId, NetworkConfig};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
@@ -75,8 +75,8 @@ pub struct SessionFacts {
     pub b_to_a: DirFacts,
 }
 
-/// The analysis result: the abstract RIB plus everything the lints and
-/// the localization prior consume.
+/// The analysis result: the abstract RIB plus everything the
+/// `unimportable-route` lint and the localization prior consume.
 #[derive(Debug, Clone)]
 pub struct FlowFacts {
     /// Join of every route (router, prefix) may ever hold.
@@ -87,12 +87,6 @@ pub struct FlowFacts {
     /// May-offered / may-accepted prefixes per session, index-parallel
     /// to [`FlowFacts::sessions`].
     pub session_facts: Vec<SessionFacts>,
-    /// Route-policies attached to an established session (the *applied*
-    /// policies), with one applying line for diagnostics.
-    pub applied_policies: BTreeMap<(RouterId, String), LineId>,
-    /// Liveness log: policy nodes / community clauses that may-matched
-    /// at least once anywhere in the network.
-    pub log: TransferLog,
     /// Originated prefixes per router with their defining lines.
     pub origins: BTreeMap<(RouterId, Prefix), Vec<LineId>>,
     /// Per prefix, the configuration lines that may have contributed to
@@ -151,7 +145,6 @@ struct Propagation<'n> {
     /// offered and accepted so far — ascending, since prefixes are.
     offered: Vec<[Vec<Prefix>; 2]>,
     accepted: Vec<[Vec<Prefix>; 2]>,
-    log: TransferLog,
     /// Settled facts of every prefix so far.
     rib: Vec<((RouterId, Prefix), AbstractRoute)>,
     /// Settled support of every prefix so far, ascending.
@@ -178,7 +171,6 @@ impl<'n> Propagation<'n> {
             lines: Vec::new(),
             offered: vec![Default::default(); sessions.len()],
             accepted: vec![Default::default(); sessions.len()],
-            log: TransferLog::default(),
             rib: Vec::new(),
             support_by_prefix: Vec::new(),
             iterations: 0,
@@ -217,7 +209,6 @@ impl<'n> Propagation<'n> {
             lines,
             offered,
             accepted,
-            log,
             ..
         } = self;
         let fact = slots[r.index()]
@@ -238,7 +229,6 @@ impl<'n> Propagation<'n> {
                 p,
                 &fact,
                 true,
-                Some(&mut *log),
                 lines,
             ) else {
                 continue; // definitely denied on export
@@ -253,7 +243,6 @@ impl<'n> Propagation<'n> {
                 p,
                 &exported,
                 false,
-                Some(&mut *log),
                 lines,
             ) else {
                 continue; // definitely denied on import
@@ -321,10 +310,8 @@ impl<'n> Propagation<'n> {
             .collect();
         FlowFacts {
             rib: self.rib.into_iter().collect(),
-            applied_policies: applied_policies(&sessions),
             sessions,
             session_facts,
-            log: self.log,
             origins,
             support: self.support_by_prefix.into_iter().collect(),
             iterations: self.iterations,
@@ -344,25 +331,6 @@ fn push_once(list: &mut Vec<Prefix>, p: Prefix) -> bool {
         list.push(p);
     }
     new
-}
-
-/// Route-policies applied on `sessions`, each with its first applying
-/// line.
-fn applied_policies(sessions: &[Session]) -> BTreeMap<(RouterId, String), LineId> {
-    let mut applied = BTreeMap::new();
-    for s in sessions {
-        for (r, policy) in [
-            (s.a, &s.a_import),
-            (s.a, &s.a_export),
-            (s.b, &s.b_import),
-            (s.b, &s.b_export),
-        ] {
-            if let Some((name, line)) = policy {
-                applied.entry((r, name.clone())).or_insert(*line);
-            }
-        }
-    }
-    applied
 }
 
 /// Analyzes a network, compiling it first (the shape of
@@ -488,7 +456,7 @@ mod tests {
     /// `analyze` returns a fixed point, not a prefix of one: one sweep of
     /// every fact, at its returned value, through the per-prefix step the
     /// analysis uses dirties nothing and reproduces everything — every
-    /// fact, offered / accepted prefix, live node and support line. On
+    /// fact, offered / accepted prefix and support line. On
     /// real networks this is what catches a new slot that was never
     /// marked dirty, or lines taken from an evaluation below the fact's
     /// final value (the last pop of a fact evaluates its final value, so
@@ -541,11 +509,6 @@ mod tests {
             let again = sweep.finish(facts.sessions.clone(), facts.origins.clone());
             assert_eq!(again.rib, facts.rib, "case {i}");
             assert_eq!(again.session_facts, facts.session_facts, "case {i}");
-            assert_eq!(again.log.live_nodes, facts.log.live_nodes, "case {i}");
-            assert_eq!(
-                again.log.live_community_clauses, facts.log.live_community_clauses,
-                "case {i}"
-            );
             assert_eq!(again.support, facts.support, "case {i}");
         }
     }

@@ -11,15 +11,16 @@
 //! the configuration lines that may have contributed.
 //!
 //! Because the relation over-approximates every concrete behaviour, its
-//! *negatives* are definite: a prefix that **cannot** be accepted
-//! anywhere, a policy node that **cannot** match any route, a community
-//! that **cannot** have been set upstream. Two consumers build on
-//! that:
+//! *negatives* are definite: a prefix that **cannot** be accepted by any
+//! neighbour of its origin cannot be in any simulation either. Two
+//! consumers read the facts:
 //!
-//! - `acr-lint`'s cross-device rules report the definite negatives as
-//!   network-wide diagnostics;
-//! - `acr-localize` boosts lines on the abstract derivation path of a
-//!   violated property ([`FlowFacts::support_for`]).
+//! - `acr-lint`'s one cross-device rule, `unimportable-route`, reports
+//!   an originated prefix that some export offers and no import accepts
+//!   ([`FlowFacts::origins`], [`FlowFacts::session_facts`]);
+//! - the repair engine's localization prior damps the lines on the
+//!   abstract derivation path of a violated property
+//!   ([`FlowFacts::support_for`]).
 //!
 //! A third, the patch-invisibility proof ([`gate::patch_invisible`]),
 //! no longer has a caller in the engine — it skipped at most one
@@ -38,4 +39,4 @@ pub mod transfer;
 pub use analysis::{analyze, analyze_with_models, DirFacts, FlowFacts, SessionFacts};
 pub use domain::{AbstractRoute, Interval};
 pub use gate::patch_invisible;
-pub use transfer::{abstract_policy, TransferLog};
+pub use transfer::abstract_policy;

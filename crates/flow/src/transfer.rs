@@ -18,7 +18,7 @@
 //!   that may match contribute their outcome as one possible world;
 //! - the result is the join over every may-permitting world; `None`
 //!   means the route is **definitely denied** — the definite negative
-//!   the cross-device lints build on.
+//!   the `unimportable-route` lint builds on.
 //!
 //! Soundness: every concrete evaluation picks the first node whose
 //! clauses all match. That node is `No` for the abstract scan only if a
@@ -33,7 +33,6 @@ use crate::domain::{AbstractRoute, Interval};
 use acr_cfg::model::{ApplyAction, MatchCond, PolicyNode};
 use acr_cfg::{DeviceModel, LineId};
 use acr_net_types::{Prefix, RouterId};
-use std::collections::BTreeSet;
 
 /// How a policy node relates to the abstract route under analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,17 +43,6 @@ enum MatchState {
     May,
     /// Every clause definitely holds.
     Must,
-}
-
-/// Statically observable evaluation events, collected across the whole
-/// fixed point; the complement of "live" is the definite-negative
-/// evidence the lints report.
-#[derive(Debug, Default, Clone)]
-pub struct TransferLog {
-    /// Node header lines that may-matched at least one route.
-    pub live_nodes: BTreeSet<LineId>,
-    /// `if-match community` clause lines that may-matched at least once.
-    pub live_community_clauses: BTreeSet<LineId>,
 }
 
 /// One abstract policy application: `policy` of `model` applied to a
@@ -70,7 +58,6 @@ pub struct TransferLog {
 /// result is `None`). They are monotone in `input`: a community joining
 /// the may-set can only turn a node from definitely skipped into may
 /// match, so an evaluation at a larger input reports a superset.
-#[allow(clippy::too_many_arguments)]
 pub fn abstract_policy(
     model: &DeviceModel,
     router: RouterId,
@@ -78,7 +65,6 @@ pub fn abstract_policy(
     p: Prefix,
     input: &AbstractRoute,
     export_hop: bool,
-    log: Option<&mut TransferLog>,
     lines: &mut Vec<LineId>,
 ) -> Option<AbstractRoute> {
     let hop = |mut r: AbstractRoute, overwrote: bool| {
@@ -96,18 +82,11 @@ pub fn abstract_policy(
         return Some(hop(input.clone(), false));
     };
 
-    let mut log = log;
     let mut acc: Option<AbstractRoute> = None;
     for node in nodes {
-        let (state, live_comm) = node_match_state(model, node, p, input);
+        let state = node_match_state(model, node, p, input);
         if state == MatchState::No {
             continue;
-        }
-        if let Some(log) = log.as_deref_mut() {
-            log.live_nodes.insert(LineId::new(router, node.line));
-            for line in live_comm {
-                log.live_community_clauses.insert(LineId::new(router, line));
-            }
         }
         if node.action == acr_cfg::PlAction::Permit {
             let (route, overwrote) = apply_node(node, input, router, lines);
@@ -128,38 +107,35 @@ pub fn abstract_policy(
     acc
 }
 
-/// Clause conjunction for one node. Returns the match state plus the
-/// community-clause lines that may-matched (for liveness logging).
+/// Clause conjunction for one node.
 fn node_match_state(
     model: &DeviceModel,
     node: &PolicyNode,
     p: Prefix,
     input: &AbstractRoute,
-) -> (MatchState, Vec<u32>) {
+) -> MatchState {
     let mut state = MatchState::Must;
-    let mut live_comm = Vec::new();
-    for (cond, line) in &node.matches {
+    for (cond, _) in &node.matches {
         match cond {
             MatchCond::PrefixList(list) => {
                 // Exact given the concrete prefix: Some(true) is the only
                 // satisfied shape (undefined lists never match).
                 if !matches!(model.eval_prefix_list(list, p), Some((true, _))) {
-                    return (MatchState::No, Vec::new());
+                    return MatchState::No;
                 }
             }
             MatchCond::Community(c) => {
                 if input.communities.contains(c) {
                     // Present in the may-set: may match, never must.
-                    live_comm.push(*line);
                     state = MatchState::May;
                 } else {
                     // Outside the may-set: definitely absent.
-                    return (MatchState::No, Vec::new());
+                    return MatchState::No;
                 }
             }
         }
     }
-    (state, live_comm)
+    state
 }
 
 /// Applies a permit node's actions abstractly (in statement order, like
@@ -227,7 +203,6 @@ mod tests {
             p("10.0.0.0/16"),
             &input,
             false,
-            None,
             &mut Vec::new(),
         )
         .unwrap();
@@ -240,7 +215,6 @@ mod tests {
             p("20.0.0.0/16"),
             &input,
             false,
-            None,
             &mut Vec::new(),
         )
         .unwrap();
@@ -263,7 +237,6 @@ mod tests {
             p("10.0.0.0/16"),
             &input,
             false,
-            None,
             &mut Vec::new(),
         )
         .unwrap();
@@ -280,7 +253,6 @@ mod tests {
             p("10.0.0.0/16"),
             &input,
             false,
-            None,
             &mut Vec::new(),
         )
         .unwrap();
@@ -302,7 +274,6 @@ mod tests {
             p("10.0.0.0/16"),
             &input,
             true,
-            None,
             &mut Vec::new()
         )
         .is_none());
@@ -314,7 +285,6 @@ mod tests {
             p("10.0.0.0/16"),
             &input,
             true,
-            None,
             &mut Vec::new(),
         )
         .unwrap();
@@ -327,7 +297,6 @@ mod tests {
             p("10.0.0.0/16"),
             &input,
             true,
-            None,
             &mut Vec::new(),
         )
         .unwrap();

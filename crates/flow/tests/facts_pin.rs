@@ -1,14 +1,13 @@
 //! Content pins for [`acr_flow::analyze`].
 //!
-//! These digests were taken while every abstract route still carried a
-//! `support` line set (cloned and merged at every worklist pop: 94 % of
-//! a fixed point) and are what moving it into the per-prefix table
-//! beside the RIB had to reproduce, unedited. Everything a consumer can
-//! read is covered — the RIB's intervals and community may-sets, the
-//! per-session offered/accepted sets, the liveness log, the origins, and
+//! These digests were derived over the kept fields while the analysis
+//! still collected a liveness log and an applied-policy table, and are
+//! what deleting those two had to reproduce, unedited. Everything a
+//! consumer can read is covered — the RIB's intervals and community
+//! may-sets, the per-session offered/accepted sets, the origins, and
 //! `support_for(dst)` of every spec property — and only `iterations`
 //! (worklist pops) is left out of the digests: fewer pops for the same
-//! facts was the point. The 72-router case bounds the pops per fact, so
+//! facts was the point of earlier changes. The 72-router case bounds the pops per fact, so
 //! a change that re-enqueues a fact for anything but a grown value shows
 //! up as a count, not as a timing, and pins the exact pop count: the
 //! visit order (lowest router id first within a prefix) is part of the
@@ -46,9 +45,6 @@ fn content_digest(facts: &FlowFacts, spec: &Spec) -> u64 {
         )
         .unwrap();
     }
-    writeln!(s, "applied {:?}", facts.applied_policies).unwrap();
-    writeln!(s, "live_nodes {:?}", facts.log.live_nodes).unwrap();
-    writeln!(s, "live_comm {:?}", facts.log.live_community_clauses).unwrap();
     writeln!(s, "origins {:?}", facts.origins).unwrap();
     for prop in &spec.properties {
         writeln!(
@@ -89,7 +85,7 @@ fn fig2_facts_are_pinned() {
     ];
     assert_eq!(
         got,
-        [0xbee731084761c07a, 0xae38a760ecf13836],
+        [0xc46dad824065ccfd, 0x750be8478f974331],
         "{got:#018x?}"
     );
 }
@@ -97,18 +93,18 @@ fn fig2_facts_are_pinned() {
 #[test]
 fn wan_4_8_table1_incident_facts_are_pinned() {
     const PINS: [u64; 12] = [
-        0x24cf2abf1bf9cc52,
-        0x3569173b7dab3cfb,
-        0xab72e96c6a464baa, // PBR faults and a wrong overwrite ASN leave
-        0xab72e96c6a464baa, // the may-relation at the healthy network's
-        0x006db57571c1192c,
-        0xcd328146c60bf517,
-        0x82d4584dc2b014af,
-        0x4940d24eccecc376,
-        0x9c4d4dd05fe492fc,
-        0xab72e96c6a464baa,
-        0x37d59a43a638ebcb,
-        0xee47de00fef8d097,
+        0xe840de77ac18d0c8,
+        0x7b039b70774c1966,
+        0x8899a4ca6e07cbfe, // PBR faults and a wrong overwrite ASN leave
+        0x8899a4ca6e07cbfe, // the may-relation at the healthy network's
+        0xb89b6700b8c8b70c,
+        0xd778bd084035c410,
+        0xdc6fbef16ebd27eb,
+        0xad5691a5555d1c6c,
+        0x252b4daa2a58791b,
+        0x8899a4ca6e07cbfe,
+        0x843341386de9fab7,
+        0xbab4297c569d2e73,
     ];
     let net = generate(&gen::wan(4, 8));
     let got: Vec<u64> = CORPUS12
@@ -127,7 +123,7 @@ fn wan_24_48_incident_facts_are_pinned() {
     let inc = try_inject(FaultType::MissingPrefixListItems, &net, 0).expect("injectable");
     let facts = analyze(&net.topo, &inc.broken);
     let got = content_digest(&facts, &net.spec);
-    assert_eq!(got, 0x4af40217abab30c3, "{got:#018x}");
+    assert_eq!(got, 0x405e6027b8da38d1, "{got:#018x}");
     // 2.14 pops per fact; 5.07 while a support-only change re-enqueued.
     let (pops, count) = (facts.iterations, facts.fact_count() as u64);
     assert!(2 * pops <= 5 * count, "{pops} pops for {count} facts");

@@ -113,25 +113,10 @@ rules! {
     /// Two devices sharing one router-id.
     DuplicateRouterId => "duplicate-router-id",
 
-    // ---- cross-device rules over the acr-flow may-propagation facts ----
-    /// A node of an applied route-policy that no route anywhere in the
-    /// network can ever match.
-    DeadPolicyTerm => "dead-policy-term",
+    // ---- the cross-device rule over the acr-flow may-propagation facts ----
     /// An originated route offered to at least one neighbor but
     /// importable by none of them.
     UnimportableRoute => "unimportable-route",
-    /// An `if-match community` clause in an applied policy whose
-    /// community no upstream device can ever have set.
-    CommunityNeverSet => "community-never-set",
-    /// An originated prefix that cannot leave its origin: every
-    /// established session's export definitely denies it.
-    PropagationBlackhole => "propagation-blackhole",
-    /// A session where the sender's export lets prefixes through that
-    /// the receiver's import policy then rejects wholesale.
-    ExportImportMismatch => "export-import-mismatch",
-    /// A bogon/martian (or default) route crossing a session between
-    /// different topology roles.
-    BogonLeak => "bogon-leak",
 }
 
 impl Rule {

@@ -1,142 +1,38 @@
-//! Cross-device rules over the `acr-flow` may-propagation facts.
+//! The cross-device rule over the `acr-flow` may-propagation facts.
 //!
-//! Every rule here fires on a **definite negative** of the abstract
-//! interpretation: the may-relation over-approximates every concrete
-//! behaviour, so "cannot happen abstractly" implies "cannot happen in
-//! any simulation" — which is what keeps these rules false-positive
-//! free on the clean workload corpus. All of them are
-//! [`Severity::Warning`](crate::Severity): they describe network-wide
-//! intent mismatches, not per-device incoherence, so they seed
-//! localization but never veto a candidate.
+//! [`Rule::UnimportableRoute`] fires on a **definite negative** of the
+//! abstract interpretation: the may-relation over-approximates every
+//! concrete behaviour, so "cannot be accepted abstractly" implies
+//! "cannot be accepted in any simulation" — which is what keeps the rule
+//! false-positive free on the clean workload corpus. It is a
+//! [`Severity::Warning`](crate::Severity): it describes a network-wide
+//! intent mismatch, not per-device incoherence, so it seeds
+//! localization but never vetoes a candidate.
 
-use crate::ctx::{Ctx, DiagExt};
+use crate::ctx::Ctx;
 use crate::diag::{Diagnostic, Rule};
-use acr_cfg::model::{ApplyAction, MatchCond};
-use acr_cfg::LineId;
-use acr_flow::{DirFacts, FlowFacts};
-use acr_net_types::{Community, Prefix};
-use std::collections::BTreeSet;
+use acr_flow::FlowFacts;
 
+/// [`Rule::UnimportableRoute`]: an originated prefix that passes at least
+/// one of its origin's export policies but is rejected by every
+/// neighbor's import.
 pub(crate) fn run(ctx: &Ctx<'_>, facts: &FlowFacts, out: &mut Vec<Diagnostic>) {
-    dead_policy_terms(ctx, facts, out);
-    community_never_set(ctx, facts, out);
-    origin_fates(ctx, facts, out);
-    export_import_mismatch(ctx, facts, out);
-    bogon_leaks(ctx, facts, out);
-}
-
-/// [`Rule::DeadPolicyTerm`]: a node of a session-applied policy that
-/// may-matched no route during the whole fixed point.
-fn dead_policy_terms(ctx: &Ctx<'_>, facts: &FlowFacts, out: &mut Vec<Diagnostic>) {
-    for ((r, policy), app_line) in &facts.applied_policies {
-        let Some(model) = ctx.model(*r) else { continue };
-        let Some(nodes) = model.route_policies.get(policy) else {
-            continue;
-        };
-        for node in nodes {
-            if !facts.log.live_nodes.contains(&LineId::new(*r, node.line)) {
-                out.push(
-                    ctx.diag(
-                        Rule::DeadPolicyTerm,
-                        *r,
-                        (node.line, node.line),
-                        format!(
-                            "node {} of applied route-policy `{policy}` matches no \
-                             route any device in the network can propagate",
-                            node.node
-                        ),
-                    )
-                    .with_related(
-                        ctx,
-                        *r,
-                        app_line.line,
-                        "policy applied here",
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// [`Rule::CommunityNeverSet`]: an `if-match community` clause in an
-/// applied policy naming a community that no `apply community` anywhere
-/// in the network can have attached (locally originated routes start
-/// with none).
-fn community_never_set(ctx: &Ctx<'_>, facts: &FlowFacts, out: &mut Vec<Diagnostic>) {
-    let mut settable: BTreeSet<Community> = BTreeSet::new();
-    for (_, _, model) in ctx.devices() {
-        for nodes in model.route_policies.values() {
-            for node in nodes {
-                for (action, _) in &node.applies {
-                    if let ApplyAction::Community(c) = action {
-                        settable.insert(*c);
-                    }
-                }
-            }
-        }
-    }
-    for ((r, policy), app_line) in &facts.applied_policies {
-        let Some(model) = ctx.model(*r) else { continue };
-        let Some(nodes) = model.route_policies.get(policy) else {
-            continue;
-        };
-        for node in nodes {
-            for (cond, line) in &node.matches {
-                if let MatchCond::Community(c) = cond {
-                    if !settable.contains(c) {
-                        out.push(
-                            ctx.diag(
-                                Rule::CommunityNeverSet,
-                                *r,
-                                (*line, *line),
-                                format!(
-                                    "route-policy `{policy}` matches community {c}, \
-                                     which no device in the network ever applies"
-                                ),
-                            )
-                            .with_related(
-                                ctx,
-                                *r,
-                                app_line.line,
-                                "policy applied here",
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`Rule::PropagationBlackhole`] and [`Rule::UnimportableRoute`]: an
-/// originated prefix that either cannot pass any of its origin's export
-/// policies, or passes at least one but is rejected by every neighbor's
-/// import.
-fn origin_fates(ctx: &Ctx<'_>, facts: &FlowFacts, out: &mut Vec<Diagnostic>) {
     for ((r, p), lines) in &facts.origins {
-        let mut has_session = false;
         let mut offered = false;
         let mut accepted = false;
-        for si in 0..facts.sessions.len() {
-            let Some(dir) = dir_of(facts, si, *r) else {
+        for (s, sf) in facts.sessions.iter().zip(&facts.session_facts) {
+            let dir = if s.a == *r {
+                &sf.a_to_b
+            } else if s.b == *r {
+                &sf.b_to_a
+            } else {
                 continue;
             };
-            has_session = true;
             offered |= dir.offered.contains(p);
             accepted |= dir.accepted.contains(p);
         }
-        let line = lines.iter().map(|l| l.line).min().unwrap_or(1);
-        if has_session && !offered {
-            out.push(ctx.diag(
-                Rule::PropagationBlackhole,
-                *r,
-                (line, line),
-                format!(
-                    "originated prefix {p} is denied by the export policy of every \
-                     established session — it can never leave this device"
-                ),
-            ));
-        } else if offered && !accepted {
+        if offered && !accepted {
+            let line = lines.iter().map(|l| l.line).min().unwrap_or(1);
             out.push(ctx.diag(
                 Rule::UnimportableRoute,
                 *r,
@@ -147,128 +43,5 @@ fn origin_fates(ctx: &Ctx<'_>, facts: &FlowFacts, out: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
-    }
-}
-
-/// [`Rule::ExportImportMismatch`]: one direction of a session where the
-/// sender's export lets routes through but the receiver's import policy
-/// rejects every one of them.
-fn export_import_mismatch(ctx: &Ctx<'_>, facts: &FlowFacts, out: &mut Vec<Diagnostic>) {
-    for (si, s) in facts.sessions.iter().enumerate() {
-        for sender in [s.a, s.b] {
-            let Some(dir) = dir_of(facts, si, sender) else {
-                continue;
-            };
-            if dir.offered.is_empty() || !dir.accepted.is_empty() {
-                continue;
-            }
-            let Some(view) = s.view_of(sender) else {
-                continue;
-            };
-            let receiver = view.peer;
-            let recv_view = s.view_of(receiver).expect("sessions are symmetric");
-            let Some((import, import_line)) = recv_view.import else {
-                continue; // nothing rejected them — they just never arrive
-            };
-            let mut d = ctx.diag(
-                Rule::ExportImportMismatch,
-                receiver,
-                (import_line.line, import_line.line),
-                format!(
-                    "import policy `{import}` rejects every route {} can export \
-                     on this session",
-                    ctx.name_of(sender)
-                ),
-            );
-            if let Some((export, export_line)) = view.export {
-                d = d.with_related(
-                    ctx,
-                    sender,
-                    export_line.line,
-                    &format!("peer exports via `{export}`"),
-                );
-            } else if let Some(l) = view.base_lines.first() {
-                d = d.with_related(ctx, sender, l.line, "peer session configured here");
-            }
-            out.push(d);
-        }
-    }
-}
-
-/// [`Rule::BogonLeak`]: a bogon/martian (or the default route) may be
-/// accepted across a session whose endpoints play different topology
-/// roles — past exactly the boundary where it should have been
-/// filtered.
-fn bogon_leaks(ctx: &Ctx<'_>, facts: &FlowFacts, out: &mut Vec<Diagnostic>) {
-    let bogons: Vec<Prefix> = [
-        "0.0.0.0/8",
-        "127.0.0.0/8",
-        "169.254.0.0/16",
-        "192.0.2.0/24",
-        "224.0.0.0/4",
-        "240.0.0.0/4",
-    ]
-    .iter()
-    .map(|s| s.parse().expect("static bogon table parses"))
-    .collect();
-    let is_bogon = |p: Prefix| p.len() == 0 || bogons.iter().any(|b| b.covers(p));
-
-    for (si, s) in facts.sessions.iter().enumerate() {
-        let role_a = ctx.topo.router(s.a).role;
-        let role_b = ctx.topo.router(s.b).role;
-        if role_a == role_b {
-            continue;
-        }
-        for sender in [s.a, s.b] {
-            let Some(dir) = dir_of(facts, si, sender) else {
-                continue;
-            };
-            let Some(view) = s.view_of(sender) else {
-                continue;
-            };
-            let receiver = view.peer;
-            let recv_view = s.view_of(receiver).expect("sessions are symmetric");
-            let line = recv_view
-                .import
-                .map(|(_, l)| l.line)
-                .or_else(|| recv_view.base_lines.first().map(|l| l.line))
-                .unwrap_or(1);
-            for p in dir.accepted.iter().copied().filter(|p| is_bogon(*p)) {
-                out.push(
-                    ctx.diag(
-                        Rule::BogonLeak,
-                        receiver,
-                        (line, line),
-                        format!(
-                            "bogon prefix {p} can cross the {}/{} role boundary \
-                             from {}",
-                            ctx.topo.router(sender).role,
-                            ctx.topo.router(receiver).role,
-                            ctx.name_of(sender)
-                        ),
-                    )
-                    .with_related(
-                        ctx,
-                        sender,
-                        s.view_of(sender)
-                            .and_then(|v| v.base_lines.first().map(|l| l.line))
-                            .unwrap_or(1),
-                        "sent from here",
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// `sender`'s outbound direction on session `si`, if it participates.
-fn dir_of(facts: &FlowFacts, si: usize, sender: acr_net_types::RouterId) -> Option<&DirFacts> {
-    let s = &facts.sessions[si];
-    if s.a == sender {
-        Some(&facts.session_facts[si].a_to_b)
-    } else if s.b == sender {
-        Some(&facts.session_facts[si].b_to_a)
-    } else {
-        None
     }
 }

@@ -11,7 +11,9 @@
 //! never defined — "missing a routing policy"), shadowed prefix-list
 //! entries (the Figure 2 `0.0.0.0 0` catch-all makes every later entry
 //! dead), PBR rules behind a catch-all redirect, dead peer-group items,
-//! wrong-AS overwrites, and cross-device session asymmetries.
+//! wrong-AS overwrites, and cross-device session asymmetries. One rule
+//! reads the `acr-flow` may-propagation facts: `unimportable-route`, an
+//! originated prefix some export offers and no neighbor can import.
 //!
 //! Findings feed the repair loop twice (see `acr-core`):
 //!
@@ -66,7 +68,7 @@ pub fn lint_network(topo: &Topology, cfg: &NetworkConfig) -> LintReport {
 
 /// Lints a network against its compiled form and the dataflow facts the
 /// caller computed over it — the repair engine runs one `acr-flow` fixed
-/// point per configuration and shares it between the dataflow rules here
+/// point per configuration and shares it between the dataflow rule here
 /// and its localization prior.
 ///
 /// `base` must be the compiled form of `cfg` and `facts` must be

@@ -1,8 +1,8 @@
-//! Golden renderer tests for the cross-device `acr-flow` rules: one
-//! minimal two-router incident per rule, with the report text pinned
-//! byte for byte so both the analysis verdicts and the rustc-style
-//! formatting are regression-guarded. (The companion guard — that none
-//! of these rules fires on the *clean* workload corpus — lives in
+//! Golden renderer test for the cross-device `acr-flow` rule
+//! (`unimportable-route`): one minimal two-router incident, with the
+//! report text pinned byte for byte so both the analysis verdict and the
+//! rustc-style formatting are regression-guarded. (The companion guard —
+//! that the rule does not fire on the *clean* workload corpus — lives in
 //! `table1_detection.rs`.)
 
 use acr_cfg::parse::parse_device;
@@ -28,118 +28,9 @@ fn render(roles: &[(&str, Role)], cfgs: &[&str]) -> String {
 
 const TWO_BACKBONES: &[(&str, Role)] = &[("A", Role::Backbone), ("B", Role::Backbone)];
 
-/// Node 10 matches B's real origin, keeping the policy (and the
-/// session) alive; node 20 matches a prefix nothing in the network can
-/// propagate.
-#[test]
-fn dead_policy_term_golden() {
-    let report = render(
-        TWO_BACKBONES,
-        &[
-            "bgp 65001\n\
-             peer 172.16.0.2 as-number 65002\n\
-             peer 172.16.0.2 route-policy FromB import\n\
-             route-policy FromB permit node 10\n\
-             if-match ip-prefix real\n\
-             route-policy FromB permit node 20\n\
-             if-match ip-prefix ghost\n\
-             ip prefix-list real index 10 permit 10.1.0.0 16\n\
-             ip prefix-list ghost index 10 permit 10.99.0.0 16\n",
-            "bgp 65002\n\
-             peer 172.16.0.1 as-number 65001\n\
-             network 10.1.0.0 16\n",
-        ],
-    );
-    let expected = "\
-warning[dead-policy-term]: node 20 of applied route-policy `FromB` matches no route any device in the network can propagate
-  --> A:6
-   |
- 6 | route-policy FromB permit node 20
-   |
-   = related: A:3 policy applied here — `peer 172.16.0.2 route-policy FromB import`
-
-0 errors, 1 warning
-";
-    assert_eq!(report, expected);
-}
-
-/// Node 20 matches community 100:1, which no `apply community` anywhere
-/// in the network can attach — so the match is flagged, and the node it
-/// guards is necessarily dead too.
-#[test]
-fn community_never_set_golden() {
-    let report = render(
-        TWO_BACKBONES,
-        &[
-            "bgp 65001\n\
-             peer 172.16.0.2 as-number 65002\n\
-             peer 172.16.0.2 route-policy FromB import\n\
-             route-policy FromB permit node 10\n\
-             if-match ip-prefix real\n\
-             route-policy FromB permit node 20\n\
-             if-match community 100:1\n\
-             ip prefix-list real index 10 permit 10.1.0.0 16\n",
-            "bgp 65002\n\
-             peer 172.16.0.1 as-number 65001\n\
-             network 10.1.0.0 16\n",
-        ],
-    );
-    let expected = "\
-warning[dead-policy-term]: node 20 of applied route-policy `FromB` matches no route any device in the network can propagate
-  --> A:6
-   |
- 6 | route-policy FromB permit node 20
-   |
-   = related: A:3 policy applied here — `peer 172.16.0.2 route-policy FromB import`
-
-warning[community-never-set]: route-policy `FromB` matches community 100:1, which no device in the network ever applies
-  --> A:7
-   |
- 7 |  if-match community 100:1
-   |
-   = related: A:3 policy applied here — `peer 172.16.0.2 route-policy FromB import`
-
-0 errors, 2 warnings
-";
-    assert_eq!(report, expected);
-}
-
-/// A originates two prefixes; its export policy announces only
-/// 10.9.0.0/16 (keeping the policy node live), so 10.5.0.0/16 can never
-/// leave the device.
-#[test]
-fn propagation_blackhole_golden() {
-    let report = render(
-        TWO_BACKBONES,
-        &[
-            "bgp 65001\n\
-             peer 172.16.0.2 as-number 65002\n\
-             peer 172.16.0.2 route-policy Out export\n\
-             network 10.9.0.0 16\n\
-             network 10.5.0.0 16\n\
-             route-policy Out permit node 10\n\
-             if-match ip-prefix announce\n\
-             ip prefix-list announce index 10 permit 10.9.0.0 16\n",
-            "bgp 65002\n\
-             peer 172.16.0.1 as-number 65001\n",
-        ],
-    );
-    let expected = "\
-warning[propagation-blackhole]: originated prefix 10.5.0.0/16 is denied by the export policy of every established session — it can never leave this device
-  --> A:1
-   |
- 1 | bgp 65001
-   |
-
-0 errors, 1 warning
-";
-    assert_eq!(report, expected);
-}
-
 /// A exports both origins unfiltered, but B's import keeps only
 /// 10.9.0.0/16 — 10.5.0.0/16 survives export and is still unimportable
-/// everywhere (and because *something* crosses the session, this is not
-/// an export/import mismatch).
+/// everywhere.
 #[test]
 fn unimportable_route_golden() {
     let report = render(
@@ -165,87 +56,6 @@ warning[unimportable-route]: originated prefix 10.5.0.0/16 survives an export po
    |
 
 0 errors, 1 warning
-";
-    assert_eq!(report, expected);
-}
-
-/// B's import rejects *every* route A can offer on the session: the
-/// mismatch is reported on B's import line, pointing back at A — and
-/// the two consequences (A's origin is unimportable, B's only policy
-/// node is dead) are reported alongside it.
-#[test]
-fn export_import_mismatch_golden() {
-    let report = render(
-        TWO_BACKBONES,
-        &[
-            "bgp 65001\n\
-             peer 172.16.0.2 as-number 65002\n\
-             network 10.5.0.0 16\n",
-            "bgp 65002\n\
-             peer 172.16.0.1 as-number 65001\n\
-             peer 172.16.0.1 route-policy In import\n\
-             route-policy In permit node 10\n\
-             if-match ip-prefix keep\n\
-             ip prefix-list keep index 10 permit 10.99.0.0 16\n",
-        ],
-    );
-    let expected = "\
-warning[unimportable-route]: originated prefix 10.5.0.0/16 survives an export policy but no neighbor's import policy can accept it
-  --> A:1
-   |
- 1 | bgp 65001
-   |
-
-warning[export-import-mismatch]: import policy `In` rejects every route A can export on this session
-  --> B:3
-   |
- 3 |  peer 172.16.0.1 route-policy In import
-   |
-   = related: A:2 peer session configured here — `peer 172.16.0.2 as-number 65002`
-
-warning[dead-policy-term]: node 10 of applied route-policy `In` matches no route any device in the network can propagate
-  --> B:4
-   |
- 4 | route-policy In permit node 10
-   |
-   = related: B:3 policy applied here — `peer 172.16.0.1 route-policy In import`
-
-0 errors, 3 warnings
-";
-    assert_eq!(report, expected);
-}
-
-/// A test prefix (192.0.2.0/24, RFC 5737) crosses the backbone/PoP role
-/// boundary unfiltered in both directions: once A→P, and once P→A after
-/// the abstract re-advertisement.
-#[test]
-fn bogon_leak_golden() {
-    let report = render(
-        &[("A", Role::Backbone), ("P", Role::PoP)],
-        &[
-            "bgp 65001\n\
-             peer 172.16.0.2 as-number 64999\n\
-             network 192.0.2.0 24\n",
-            "bgp 64999\n\
-             peer 172.16.0.1 as-number 65001\n",
-        ],
-    );
-    let expected = "\
-warning[bogon-leak]: bogon prefix 192.0.2.0/24 can cross the pop/backbone role boundary from P
-  --> A:2
-   |
- 2 |  peer 172.16.0.2 as-number 64999
-   |
-   = related: P:2 sent from here — `peer 172.16.0.1 as-number 65001`
-
-warning[bogon-leak]: bogon prefix 192.0.2.0/24 can cross the backbone/pop role boundary from A
-  --> P:2
-   |
- 2 |  peer 172.16.0.1 as-number 65001
-   |
-   = related: A:2 sent from here — `peer 172.16.0.2 as-number 64999`
-
-0 errors, 2 warnings
 ";
     assert_eq!(report, expected);
 }

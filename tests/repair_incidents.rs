@@ -7,8 +7,11 @@
 //! "there are only 9 types of errors out of over 100 real-world
 //! incidents", so a small template vocabulary covers them.
 
+use acr::net_types::AsPath;
 use acr::prelude::*;
+use acr::sim::PrefixOutcome;
 use acr_workloads::{inject_at, GeneratedNetwork, TABLE1};
+use std::collections::BTreeMap;
 
 fn wan() -> GeneratedNetwork {
     generate(&acr::topo::gen::wan(4, 8))
@@ -73,9 +76,33 @@ fn repair_and_check(net: &GeneratedNetwork, fault: FaultType, seed: u64) {
     );
 }
 
+/// Per prefix, every router's converged best route as (next hop,
+/// learned from, AS path), indexed by router.
+type Routing = BTreeMap<Prefix, Vec<Option<(Ipv4Addr, Option<RouterId>, AsPath)>>>;
+
+/// The converged routing of `cfg`; a flapping prefix fails `what`.
+fn converged_routing(topo: &Topology, cfg: &NetworkConfig, what: &str) -> Routing {
+    let out = Simulator::new(topo, cfg).run();
+    (out.outcomes.into_iter())
+        .map(|(p, outcome)| {
+            let PrefixOutcome::Converged { best, .. } = outcome else {
+                panic!("{what}: {p} flaps");
+            };
+            let routes = best
+                .into_iter()
+                .map(|route| route.map(|r| (r.next_hop, r.learned_from, r.as_path)));
+            (p, routes.collect())
+        })
+        .collect()
+}
+
 /// Every Table-1 class at every injectable site of the WAN under
-/// `config`; returns `(jobs, fixed)`.
+/// `config`; returns `(jobs, fixed)`. Beyond `checked_repair`, the
+/// intended network is the oracle: a `Fixed` must route exactly as the
+/// configuration the fault was injected into, per prefix and router —
+/// stronger than the spec, whose probes start at two remote routers.
 fn sweep_every_site(net: &GeneratedNetwork, config: &RepairConfig) -> (usize, usize) {
+    let intended = converged_routing(&net.topo, &net.cfg, "the intended network");
     let (mut jobs, mut fixed) = (0, 0);
     for (fault, _) in TABLE1 {
         for router in net.cfg.routers() {
@@ -85,7 +112,20 @@ fn sweep_every_site(net: &GeneratedNetwork, config: &RepairConfig) -> (usize, us
             let what = format!("{fault} at {router}");
             let report = checked_repair(&net.topo, &net.spec, &inc.broken, config.clone(), &what);
             jobs += 1;
-            fixed += report.outcome.is_fixed() as usize;
+            if let RepairOutcome::Fixed { repaired, .. } = &report.outcome {
+                fixed += 1;
+                let got = converged_routing(&net.topo, repaired, &what);
+                let differs = |p: &Prefix| got.get(p) != intended.get(p);
+                let keys = got.keys().chain(intended.keys());
+                if let Some(p) = keys.filter(|p| differs(p)).min() {
+                    panic!(
+                        "{what}: Fixed, yet {p} routes unlike the intended network: \
+                         {:?} instead of {:?}",
+                        got.get(p),
+                        intended.get(p)
+                    );
+                }
+            }
         }
     }
     (jobs, fixed)
@@ -93,13 +133,27 @@ fn sweep_every_site(net: &GeneratedNetwork, config: &RepairConfig) -> (usize, us
 
 /// A `Fixed` is always fixed — the product-side twin of
 /// `benchmark/tests/known_failures.rs`: every class × every injectable
-/// site under the default configuration. `MissingRoutePolicy` on the last
-/// backbone router used to end `Fixed` on a patch `run_full` rejects.
+/// site under the default configuration, each `Fixed` confirmed by a full
+/// verification and by the intended network's routing.
+/// `MissingRoutePolicy` on the last backbone router used to end `Fixed`
+/// on a patch `run_full` rejects.
 #[test]
 fn every_fixed_passes_full_verification_at_every_site() {
     let (jobs, fixed) = sweep_every_site(&wan(), &RepairConfig::default());
     assert!(
         jobs >= 25 && fixed * 10 >= jobs * 9,
+        "{fixed} of {jobs} fixed"
+    );
+}
+
+/// The same sweep at twice the size: 56 jobs on `wan(8,16)`, of which
+/// only `MissingRoutePolicy` at the last backbone router is not fixed.
+#[test]
+fn every_fixed_routes_as_intended_on_wan_8_16() {
+    let net = generate(&acr::topo::gen::wan(8, 16));
+    let (jobs, fixed) = sweep_every_site(&net, &RepairConfig::default());
+    assert!(
+        jobs >= 50 && fixed * 10 >= jobs * 9,
         "{fixed} of {jobs} fixed"
     );
 }
