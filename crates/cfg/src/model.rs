@@ -755,7 +755,8 @@ ip route-static 20.0.0.0 16 NULL0
         );
     }
 
-    /// A second `bgp` process replaces the first; nothing reports it.
+    /// A second `bgp` process replaces the first (`acr-lint` warns:
+    /// `duplicate-bgp-process`).
     #[test]
     fn duplicate_bgp_keeps_the_last_process() {
         let cfg = parse_device("X", "bgp 1\nbgp 2\n").unwrap();

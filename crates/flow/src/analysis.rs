@@ -16,11 +16,11 @@
 //! transfer ([`crate::transfer`]), and the receiving fact joins the
 //! result. AS-path loop suppression is deliberately ignored — dropping
 //! a check only grows the may-relation, and it is exactly what
-//! `as-path overwrite` defeats in the paper's incident. Path-length
-//! intervals are widened to `[lo, inf)` once their upper bound passes
-//! `routers + 8`, which bounds the lattice height; everything else
-//! (LOCAL_PREF constants, community sets) is finite, so the fixed point
-//! terminates.
+//! `as-path overwrite` defeats in the paper's incident. The lattice is
+//! finite — a fact is a community may-set, and every community in it is
+//! named by an `apply community` line of the configuration — so the
+//! fixed point terminates without widening: a router is re-enqueued
+//! only when its fact is new or its may-set grew.
 //!
 //! The configuration lines behind a route are not part of the lattice:
 //! no transfer function reads them and their one reader
@@ -34,14 +34,13 @@
 //! input, so the last evaluation of a fact — at its final value —
 //! reports a superset of every earlier one.
 //!
-//! The visit order is part of the contract. Restricted to one prefix,
-//! lowest-id-first is exactly the order a single ordered worklist of
-//! `(router, prefix)` pairs pops that prefix's facts in, so iteration
-//! counts and fact contents are deterministic and pinned
-//! (`tests/facts_pin.rs`). Ordering the worklist by distance from
-//! the originators instead makes more pops, not fewer: path-length upper
-//! bounds climb until widened, and an ascending-id sweep climbs a whole
-//! chain in one pass where rank order ping-pongs between neighbours.
+//! A fact is popped once after it appears and once after each growth of
+//! its may-set (a growth while a pop is pending shares it), so pops are
+//! at most facts plus community growths. On the benchmark networks no
+//! may-set grows once its fact exists, so every fact is popped exactly
+//! once, whatever the visit order. Lowest-id-first stays the order for
+//! determinism: iteration counts and fact contents are pinned
+//! (`tests/facts_pin.rs`).
 
 use crate::domain::AbstractRoute;
 use crate::transfer::abstract_policy;
@@ -131,7 +130,6 @@ struct Propagation<'n> {
     sessions: &'n [Session],
     /// The sessions each router is on (indices into `sessions`).
     adjacency: Vec<Vec<usize>>,
-    widen_cap: u32,
     /// The prefix's abstract RIB, indexed by router.
     slots: Vec<Option<AbstractRoute>>,
     /// Routers whose slot is new or grew since it last crossed its
@@ -164,7 +162,6 @@ impl<'n> Propagation<'n> {
             models,
             sessions,
             adjacency,
-            widen_cap: n as u32 + 8,
             slots: vec![None; n],
             dirty: vec![0; n.div_ceil(64)],
             support: Vec::new(),
@@ -202,7 +199,6 @@ impl<'n> Propagation<'n> {
             models,
             sessions,
             adjacency,
-            widen_cap,
             slots,
             dirty,
             support,
@@ -228,7 +224,6 @@ impl<'n> Propagation<'n> {
                 out_view.export.map(|(n, _)| n),
                 p,
                 &fact,
-                true,
                 lines,
             ) else {
                 continue; // definitely denied on export
@@ -236,18 +231,16 @@ impl<'n> Propagation<'n> {
             push_once(&mut offered[si][dir], p);
 
             let in_view = session.view_of(peer).expect("peer_of implies a peer view");
-            let Some(mut imported) = abstract_policy(
+            let Some(imported) = abstract_policy(
                 &models[peer.index()],
                 peer,
                 in_view.import.map(|(n, _)| n),
                 p,
                 &exported,
-                false,
                 lines,
             ) else {
                 continue; // definitely denied on import
             };
-            imported.path_len = imported.path_len.widen(*widen_cap);
             // Session and policy-application lines do not depend on the
             // route: they go in once per direction and prefix.
             if push_once(&mut accepted[si][dir], p) {
@@ -414,29 +407,72 @@ mod tests {
         assert!(facts.fact_count() >= 3);
     }
 
+    /// A chain of routers `R0 – R1 – …` configured by `texts`, the
+    /// `i`-th link numbered `172.16.0.(4i+1)` / `.(4i+2)`.
+    fn chain(texts: &[&str]) -> (Topology, NetworkConfig, Vec<RouterId>) {
+        use acr_cfg::parse::parse_device;
+        use acr_topo::{Role, TopologyBuilder};
+        let mut tb = TopologyBuilder::new();
+        let names: Vec<String> = (0..texts.len()).map(|i| format!("R{i}")).collect();
+        let ids: Vec<RouterId> = names.iter().map(|n| tb.router(n, Role::Backbone)).collect();
+        for pair in ids.windows(2) {
+            tb.link(pair[0], pair[1]);
+        }
+        let topo = tb.build();
+        let mut cfg = NetworkConfig::new();
+        for ((&id, name), text) in ids.iter().zip(&names).zip(texts) {
+            cfg.insert(id, parse_device(name, text).unwrap());
+        }
+        (topo, cfg, ids)
+    }
+
+    /// One sweep of every fact of `topo`/`cfg`'s analysis, at its
+    /// returned value, through the per-prefix step the analysis uses
+    /// dirties nothing and reproduces everything — every fact, offered /
+    /// accepted prefix and support line. This catches a new slot that
+    /// was never marked dirty, or lines taken from an evaluation below
+    /// the fact's final value (the last pop of a fact evaluates its
+    /// final value, so the sweep's results are exactly the analysis's).
+    fn assert_closed(case: &str, topo: &Topology, cfg: &NetworkConfig) {
+        let base = CompiledBase::new(topo, cfg);
+        let facts = analyze_with_models(topo, &base);
+        let mut by_prefix: BTreeMap<Prefix, Vec<(RouterId, &AbstractRoute)>> = BTreeMap::new();
+        for (&(r, p), route) in &facts.rib {
+            by_prefix.entry(p).or_default().push((r, route));
+        }
+        let mut sweep = Propagation::new(base.models(), &facts.sessions);
+        for (&p, held) in &by_prefix {
+            for (&(_, q), lines) in &facts.origins {
+                if q == p {
+                    sweep.support.extend_from_slice(lines);
+                }
+            }
+            for &(r, route) in held {
+                sweep.slots[r.index()] = Some(route.clone());
+            }
+            for &(r, _) in held {
+                sweep.propagate(r, p);
+            }
+            assert_eq!(sweep.pop(), None, "{case}: sweep dirtied a fact for {p}");
+            sweep.settle(p);
+        }
+        let again = sweep.finish(facts.sessions.clone(), facts.origins.clone());
+        assert_eq!(again.rib, facts.rib, "{case}");
+        assert_eq!(again.session_facts, facts.session_facts, "{case}");
+        assert_eq!(again.support, facts.support, "{case}");
+    }
+
     /// A prefix crosses policy-free sessions. The fact it creates at the
     /// next router carries nothing a later join could grow, so it is
     /// enqueued for being new — or the prefix stops one hop from home.
     #[test]
     fn policy_free_sessions_still_propagate_a_prefix() {
-        use acr_cfg::parse::parse_device;
-        use acr_topo::{Role, TopologyBuilder};
-        let mut tb = TopologyBuilder::new();
-        let a = tb.router("A", Role::Backbone);
-        let b = tb.router("B", Role::Backbone);
-        let c = tb.router("C", Role::Backbone);
-        tb.link(a, b); // 172.16.0.1 / .2
-        tb.link(b, c); // 172.16.0.5 / .6
-        let topo = tb.build();
-        let mut cfg = NetworkConfig::new();
-        let texts = [
+        let (topo, cfg, ids) = chain(&[
             "bgp 65001\n peer 172.16.0.2 as-number 65002\n network 10.1.0.0 16\n",
             "bgp 65002\n peer 172.16.0.1 as-number 65001\n peer 172.16.0.6 as-number 65003\n",
             "bgp 65003\n peer 172.16.0.5 as-number 65002\n",
-        ];
-        for ((id, name), text) in [(a, "A"), (b, "B"), (c, "C")].into_iter().zip(texts) {
-            cfg.insert(id, parse_device(name, text).unwrap());
-        }
+        ]);
+        let [a, b, c] = ids[..] else { unreachable!() };
         let facts = analyze(&topo, &cfg);
         assert_eq!(facts.sessions.len(), 2);
         let prefix = p("10.1.0.0/16");
@@ -445,22 +481,44 @@ mod tests {
         let ab = &facts.session_facts[0];
         assert!(ab.a_to_b.accepted.contains(&prefix) && ab.b_to_a.offered.contains(&prefix));
         // Three: it crosses B.
-        let at_c = facts.may_have(c, prefix).expect("crosses B");
-        assert_eq!(at_c.path_len.lo, 2);
-        // Support is the origination plus both sessions' lines.
+        assert!(facts.may_have(c, prefix).is_some(), "crosses B");
+        // Support is the origination plus both sessions' lines, C's
+        // included.
         let support = facts.support_for(prefix);
         assert!(support.contains(&LineId::new(a, 3)), "{support:?}");
         assert!(support.iter().any(|l| l.router == c), "{support:?}");
     }
 
-    /// `analyze` returns a fixed point, not a prefix of one: one sweep of
-    /// every fact, at its returned value, through the per-prefix step the
-    /// analysis uses dirties nothing and reproduces everything — every
-    /// fact, offered / accepted prefix and support line. On
-    /// real networks this is what catches a new slot that was never
-    /// marked dirty, or lines taken from an evaluation below the fact's
-    /// final value (the last pop of a fact evaluates its final value, so
-    /// the sweep's results are exactly the analysis's).
+    /// The one re-enqueue cause left: a may-set that grows after its
+    /// fact exists. B originates and A tags what it exports to B, so B's
+    /// origin fact grows at A's first pop, and A's fact grows in turn
+    /// when B exports the tag back; each is popped once for being new
+    /// and once for growing. No benchmark network applies a community,
+    /// so this test is where the second pop is exercised.
+    #[test]
+    fn a_grown_may_set_is_popped_again_and_still_closed() {
+        let (topo, cfg, ids) = chain(&[
+            "bgp 65001\n peer 172.16.0.2 as-number 65002\n\
+             peer 172.16.0.2 route-policy TAG export\n\
+             route-policy TAG permit node 10\n apply community 65000:1\n",
+            "bgp 65002\n peer 172.16.0.1 as-number 65001\n network 10.1.0.0 16\n",
+        ]);
+        let facts = analyze(&topo, &cfg);
+        let (prefix, tag) = (p("10.1.0.0/16"), "65000:1".parse().unwrap());
+        for r in ids {
+            let fact = facts
+                .may_have(r, prefix)
+                .expect("both routers hold the prefix");
+            assert!(fact.communities.contains(&tag), "{r}: {fact:?}");
+        }
+        assert_eq!(facts.fact_count(), 2);
+        assert_eq!(facts.iterations, 4, "two facts, each grown once");
+        assert_closed("tagged chain", &topo, &cfg);
+    }
+
+    /// `analyze` returns a fixed point, not a prefix of one (see
+    /// [`assert_closed`]), on Figure 2, every Table-1 class of `wan(4,8)`
+    /// and a 72-router incident.
     #[test]
     fn analyze_returns_a_closed_fixed_point() {
         use acr_topo::gen;
@@ -484,32 +542,7 @@ mod tests {
         assert!(wan72.topo.routers().len() > 64);
         cases.push((&wan72.topo, inc.broken));
         for (i, (topo, cfg)) in cases.iter().enumerate() {
-            let base = CompiledBase::new(topo, cfg);
-            let facts = analyze_with_models(topo, &base);
-            let mut by_prefix: BTreeMap<Prefix, Vec<(RouterId, &AbstractRoute)>> = BTreeMap::new();
-            for (&(r, p), route) in &facts.rib {
-                by_prefix.entry(p).or_default().push((r, route));
-            }
-            let mut sweep = Propagation::new(base.models(), &facts.sessions);
-            for (&p, held) in &by_prefix {
-                for (&(_, q), lines) in &facts.origins {
-                    if q == p {
-                        sweep.support.extend_from_slice(lines);
-                    }
-                }
-                for &(r, route) in held {
-                    sweep.slots[r.index()] = Some(route.clone());
-                }
-                for &(r, _) in held {
-                    sweep.propagate(r, p);
-                }
-                assert_eq!(sweep.pop(), None, "case {i}: sweep dirtied a fact for {p}");
-                sweep.settle(p);
-            }
-            let again = sweep.finish(facts.sessions.clone(), facts.origins.clone());
-            assert_eq!(again.rib, facts.rib, "case {i}");
-            assert_eq!(again.session_facts, facts.session_facts, "case {i}");
-            assert_eq!(again.support, facts.support, "case {i}");
+            assert_closed(&format!("case {i}"), topo, cfg);
         }
     }
 

@@ -5,10 +5,11 @@
 //! runs a worklist fixed point over abstract transfer summaries compiled
 //! from the `acr-cfg` device models, producing — without a single
 //! simulation round — an over-approximate **may-propagation** relation:
-//! for each (origin prefix, router, session, direction), which abstract
-//! route attributes (AS-path length interval, LOCAL_PREF interval,
-//! community may-set) may arrive and may be exported, and per prefix
-//! the configuration lines that may have contributed.
+//! for each (origin prefix, router, session, direction), whether a route
+//! may arrive and may be exported and which communities it may carry (a
+//! may-set, the one attribute policy matching reads beside the exact
+//! prefix), and per prefix the configuration lines that may have
+//! contributed.
 //!
 //! Because the relation over-approximates every concrete behaviour, its
 //! *negatives* are definite: a prefix that **cannot** be accepted by any
@@ -37,6 +38,6 @@ pub mod gate;
 pub mod transfer;
 
 pub use analysis::{analyze, analyze_with_models, DirFacts, FlowFacts, SessionFacts};
-pub use domain::{AbstractRoute, Interval};
+pub use domain::AbstractRoute;
 pub use gate::patch_invisible;
 pub use transfer::abstract_policy;

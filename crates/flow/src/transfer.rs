@@ -27,9 +27,13 @@
 //! is in the may-set by the RIB invariant). The scan cannot have
 //! stopped earlier at a `Must` node, because a definitely-matching node
 //! also matches concretely and would have been the concrete pick. So
-//! the concrete node's world is always joined in.
+//! the concrete node's world is always joined in. Of that node's
+//! applies, only `apply community` changes the abstract value; the
+//! AS-path, LOCAL_PREF and MED applies, and the export hop's prepend
+//! and LOCAL_PREF reset, touch attributes the domain does not track,
+//! so the transfer is the same on export and import.
 
-use crate::domain::{AbstractRoute, Interval};
+use crate::domain::AbstractRoute;
 use acr_cfg::model::{ApplyAction, MatchCond, PolicyNode};
 use acr_cfg::{DeviceModel, LineId};
 use acr_net_types::{Prefix, RouterId};
@@ -46,9 +50,7 @@ enum MatchState {
 }
 
 /// One abstract policy application: `policy` of `model` applied to a
-/// route for `p`. `export_hop` selects export semantics (the sender
-/// prepends its own ASN unless the matched node overwrote the path, and
-/// LOCAL_PREF resets to the default — mirroring `acr_sim::bgp::export`).
+/// route for `p`, on export or import alike.
 ///
 /// Returns `None` iff the route is definitely denied. An absent or
 /// undefined policy permits unchanged, like the simulator.
@@ -64,22 +66,12 @@ pub fn abstract_policy(
     policy: Option<&str>,
     p: Prefix,
     input: &AbstractRoute,
-    export_hop: bool,
     lines: &mut Vec<LineId>,
 ) -> Option<AbstractRoute> {
-    let hop = |mut r: AbstractRoute, overwrote: bool| {
-        if export_hop {
-            if !overwrote {
-                r.path_len = r.path_len.add(1);
-            }
-            r.local_pref = Interval::point(acr_sim::route::DEFAULT_LOCAL_PREF);
-        }
-        r
-    };
     let Some(nodes) = policy.and_then(|name| model.route_policies.get(name)) else {
         // No policy attached, or the attached name is undefined: the
         // simulator permits the route unchanged.
-        return Some(hop(input.clone(), false));
+        return Some(input.clone());
     };
 
     let mut acc: Option<AbstractRoute> = None;
@@ -89,8 +81,7 @@ pub fn abstract_policy(
             continue;
         }
         if node.action == acr_cfg::PlAction::Permit {
-            let (route, overwrote) = apply_node(node, input, router, lines);
-            let world = hop(route, overwrote);
+            let world = apply_node(node, input, router, lines);
             match &mut acc {
                 Some(a) => {
                     a.join_from(&world);
@@ -138,45 +129,32 @@ fn node_match_state(
     state
 }
 
-/// Applies a permit node's actions abstractly (in statement order, like
-/// the simulator). Returns the transformed route and whether the node
-/// overwrote the AS path; the node, clause and apply lines go to `lines`.
+/// Applies a permit node's actions abstractly: `apply community` joins
+/// the may-set, and every other apply leaves the value as it is. The
+/// node, clause and apply lines go to `lines`.
 fn apply_node(
     node: &PolicyNode,
     input: &AbstractRoute,
     router: RouterId,
     lines: &mut Vec<LineId>,
-) -> (AbstractRoute, bool) {
+) -> AbstractRoute {
     let mut out = input.clone();
     lines.push(LineId::new(router, node.line));
     lines.extend(node.matches.iter().map(|(_, l)| LineId::new(router, *l)));
-    let mut overwrote = false;
     for (action, line) in &node.applies {
         lines.push(LineId::new(router, *line));
-        match action {
-            ApplyAction::AsPathOverwrite(_) => {
-                out.path_len = Interval::point(1);
-                overwrote = true;
-            }
-            ApplyAction::AsPathPrepend { count, .. } => {
-                out.path_len = out.path_len.add(*count);
-            }
-            ApplyAction::LocalPref(v) => {
-                out.local_pref = Interval::point(*v);
-            }
-            ApplyAction::Med(_) => {} // MED is not tracked by the domain
-            ApplyAction::Community(c) => {
-                out.communities.insert(*c);
-            }
+        if let ApplyAction::Community(c) = action {
+            out.communities.insert(*c);
         }
     }
-    (out, overwrote)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use acr_cfg::parse::parse_device;
+    use acr_net_types::Community;
 
     fn model(text: &str) -> DeviceModel {
         DeviceModel::from_config(&parse_device("R", text).unwrap())
@@ -186,124 +164,86 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The may-set `policy` leaves on a route for `prefix` carrying `input`.
+    fn eval(
+        m: &DeviceModel,
+        policy: Option<&str>,
+        prefix: &str,
+        input: &[&str],
+    ) -> Option<Vec<Community>> {
+        let mut route = AbstractRoute::origin();
+        route.communities = input.iter().map(|c| c.parse().unwrap()).collect();
+        let out = abstract_policy(m, RouterId(0), policy, p(prefix), &route, &mut Vec::new())?;
+        Some(out.communities.into_iter().collect())
+    }
+
+    fn cs(list: &[&str]) -> Vec<Community> {
+        list.iter().map(|c| c.parse().unwrap()).collect()
+    }
+
     #[test]
     fn prefix_clause_is_exact_and_first_must_match_stops() {
         let m = model(
             "bgp 65001\n\
-             route-policy P permit node 10\n if-match ip-prefix L\n apply local-preference 200\n\
-             route-policy P permit node 20\n apply local-preference 300\n\
+             route-policy P permit node 10\n if-match ip-prefix L\n apply community 65000:200\n\
+             route-policy P permit node 20\n apply community 65000:300\n\
              ip prefix-list L index 10 permit 10.0.0.0 16\n",
         );
-        let input = AbstractRoute::origin();
         // 10.0/16 definitely matches node 10 — node 20 is unreachable.
-        let out = abstract_policy(
-            &m,
-            RouterId(0),
-            Some("P"),
-            p("10.0.0.0/16"),
-            &input,
-            false,
-            &mut Vec::new(),
-        )
-        .unwrap();
-        assert_eq!(out.local_pref, Interval::point(200));
+        let out = eval(&m, Some("P"), "10.0.0.0/16", &[]);
+        assert_eq!(out, Some(cs(&["65000:200"])));
         // 20.0/16 misses node 10, definitely matches node 20.
-        let out = abstract_policy(
-            &m,
-            RouterId(0),
-            Some("P"),
-            p("20.0.0.0/16"),
-            &input,
-            false,
-            &mut Vec::new(),
-        )
-        .unwrap();
-        assert_eq!(out.local_pref, Interval::point(300));
+        let out = eval(&m, Some("P"), "20.0.0.0/16", &[]);
+        assert_eq!(out, Some(cs(&["65000:300"])));
     }
 
     #[test]
     fn community_clause_joins_both_worlds() {
         let m = model(
             "bgp 65001\n\
-             route-policy P permit node 10\n if-match community 65000:1\n apply local-preference 200\n\
-             route-policy P permit node 20\n apply local-preference 50\n",
+             route-policy P permit node 10\n if-match community 65000:1\n apply community 65000:200\n\
+             route-policy P permit node 20\n apply community 65000:50\n",
         );
-        let mut input = AbstractRoute::origin();
-        input.communities.insert("65000:1".parse().unwrap());
-        let out = abstract_policy(
-            &m,
-            RouterId(0),
-            Some("P"),
-            p("10.0.0.0/16"),
-            &input,
-            false,
-            &mut Vec::new(),
-        )
-        .unwrap();
         // Node 10 may match (community maybe present), node 20 must:
         // both worlds joined.
-        assert_eq!(out.local_pref, Interval::new(50, 200));
+        let out = eval(&m, Some("P"), "10.0.0.0/16", &["65000:1"]);
+        assert_eq!(out, Some(cs(&["65000:1", "65000:50", "65000:200"])));
         // Without the community in the may-set, node 10 is definitely
         // skipped.
-        let input = AbstractRoute::origin();
-        let out = abstract_policy(
-            &m,
-            RouterId(0),
-            Some("P"),
-            p("10.0.0.0/16"),
-            &input,
-            false,
-            &mut Vec::new(),
-        )
-        .unwrap();
-        assert_eq!(out.local_pref, Interval::point(50));
+        let out = eval(&m, Some("P"), "10.0.0.0/16", &[]);
+        assert_eq!(out, Some(cs(&["65000:50"])));
     }
 
     #[test]
-    fn deny_only_policy_is_definite_deny_and_export_hop_prepends() {
+    fn deny_only_policy_is_definite_deny() {
         let m = model(
             "bgp 65001\n\
              route-policy D deny node 10\n\
              route-policy O permit node 10\n apply as-path overwrite\n",
         );
-        let input = AbstractRoute::origin();
-        assert!(abstract_policy(
+        let mut lines = Vec::new();
+        let denied = abstract_policy(
             &m,
             RouterId(0),
             Some("D"),
             p("10.0.0.0/16"),
-            &input,
-            true,
-            &mut Vec::new()
-        )
-        .is_none());
-        // Overwrite pins the exported length to 1 (no prepend applied).
-        let out = abstract_policy(
+            &AbstractRoute::origin(),
+            &mut lines,
+        );
+        assert!(denied.is_none());
+        assert!(lines.is_empty(), "a denial reports no lines: {lines:?}");
+        // An untracked apply permits unchanged but reports its lines.
+        let permitted = abstract_policy(
             &m,
             RouterId(0),
             Some("O"),
             p("10.0.0.0/16"),
-            &input,
-            true,
-            &mut Vec::new(),
-        )
-        .unwrap();
-        assert_eq!(out.path_len, Interval::point(1));
-        // No policy: the export hop prepends one hop.
-        let out = abstract_policy(
-            &m,
-            RouterId(0),
-            None,
-            p("10.0.0.0/16"),
-            &input,
-            true,
-            &mut Vec::new(),
-        )
-        .unwrap();
-        assert_eq!(out.path_len, Interval::point(1));
-        assert_eq!(
-            out.local_pref,
-            Interval::point(acr_sim::route::DEFAULT_LOCAL_PREF)
+            &AbstractRoute::origin(),
+            &mut lines,
         );
+        assert_eq!(permitted, Some(AbstractRoute::origin()));
+        assert_eq!(lines.len(), 2, "node and apply lines: {lines:?}");
+        // No policy permits unchanged.
+        assert_eq!(eval(&m, None, "10.0.0.0/16", &[]), Some(vec![]));
     }
 }

@@ -3,8 +3,9 @@
 //! 1. **Over-approximation.** Every route concrete simulation ever
 //!    materializes — converged bests and routes observed inside a
 //!    flapping cycle alike — is covered by an abstract may-fact:
-//!    `may_have(router, prefix)` exists and its intervals/may-sets
-//!    contain the concrete attributes. Fuzzed over topology families ×
+//!    `may_have(router, prefix)` exists and its community may-set
+//!    contains every community the concrete route carries (the one
+//!    attribute the abstract route tracks). Fuzzed over topology families ×
 //!    Table-1 fault injections behind `heavy-tests`; one fixed slice —
 //!    every Table-1 class at its first injectable site of `wan(4,8)` and
 //!    the Figure 2 flap — runs in the default feature set through the

@@ -93,6 +93,9 @@ rules! {
     ClobberedAsPathPrepend => "clobbered-as-path-prepend",
     /// A block sub-statement outside the block kind it requires.
     MisplacedStatement => "misplaced-statement",
+    /// A `bgp <asn>` line after the device's first: the device runs the
+    /// last one's ASN.
+    DuplicateBgpProcess => "duplicate-bgp-process",
     /// A peer's configured `as-number` disagrees with the neighbor's
     /// `bgp <asn>` process.
     SessionAsnMismatch => "session-asn-mismatch",

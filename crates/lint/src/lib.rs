@@ -325,6 +325,28 @@ mod tests {
     }
 
     #[test]
+    fn every_bgp_line_after_the_first_warns() {
+        let (topo, cfg, a, _) = pair(
+            "bgp 65001\n peer 172.16.0.2 as-number 65002\nbgp 65003\nbgp 65004\n",
+            "bgp 65002\n peer 172.16.0.1 as-number 65001\n",
+        );
+        let report = lint_network(&topo, &cfg);
+        let dups: Vec<_> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == Rule::DuplicateBgpProcess)
+            .collect();
+        let spans: Vec<_> = dups.iter().map(|d| (d.device, d.span)).collect();
+        assert_eq!(spans, [(a, (3, 3)), (a, (4, 4))], "{}", report.render(&cfg));
+        for d in dups {
+            // The later line changes the live ASN: a warning, never a veto.
+            assert_eq!(d.severity, Severity::Warning);
+            let related: Vec<_> = d.related.iter().map(|n| (n.device, n.line)).collect();
+            assert_eq!(related, [(a, 1)]);
+        }
+    }
+
+    #[test]
     fn group_asn_conflict_fires() {
         let (topo, cfg, _, _) = pair(
             concat!(

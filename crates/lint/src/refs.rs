@@ -1,9 +1,10 @@
-//! Reference hygiene: undefined references, unused definitions, and
-//! misplaced block sub-statements. All checks are per-device and work on
-//! the raw statement stream (exact lines) cross-checked against the
-//! semantic model (resolved name tables).
+//! Reference hygiene: undefined references, unused definitions,
+//! misplaced block sub-statements and repeated `bgp` processes. All
+//! checks are per-device and work on the raw statement stream (exact
+//! lines) cross-checked against the semantic model (resolved name
+//! tables).
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, DiagExt};
 use crate::diag::{Diagnostic, Rule};
 use acr_cfg::ast::Stmt;
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,9 +25,33 @@ pub(crate) fn run(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
         // First referencing line of each dangling name (dedup: one
         // diagnostic per name, however often it is referenced).
         let mut dangling: BTreeMap<(Rule, String), u32> = BTreeMap::new();
+        // The first `bgp <asn>` line and its ASN.
+        let mut first_bgp = None;
 
         for (line, stmt) in device.lines() {
             match stmt {
+                Stmt::BgpProcess(asn) => match first_bgp {
+                    None => first_bgp = Some((line, asn.0)),
+                    // Not inert: the model takes the last line's ASN, so
+                    // this is a warning the candidate gate never vetoes.
+                    Some((first, first_asn)) => out.push(
+                        ctx.diag(
+                            Rule::DuplicateBgpProcess,
+                            id,
+                            (line, line),
+                            format!(
+                                "a second BGP process `bgp {}` replaces `bgp {first_asn}`",
+                                asn.0
+                            ),
+                        )
+                        .with_related(
+                            ctx,
+                            id,
+                            first,
+                            "the device's first BGP process",
+                        ),
+                    ),
+                },
                 Stmt::RoutePolicyDef { name, .. } => {
                     policy_defs.entry(name).or_insert(line);
                 }

@@ -60,3 +60,29 @@ fn clean_report_renders_empty() {
     assert!(report.is_clean());
     assert_eq!(report.render(&cfg), "");
 }
+
+/// A second `bgp` line replaces the device's ASN: a warning at the later
+/// line, with the first as its related note.
+#[test]
+fn duplicate_bgp_process_golden() {
+    let mut tb = TopologyBuilder::new();
+    let a = tb.router("A", Role::Backbone);
+    let topo = tb.build();
+    let mut cfg = NetworkConfig::new();
+    cfg.insert(
+        a,
+        parse_device("A", "bgp 65001\n network 10.1.0.0 16\nbgp 65009\n").unwrap(),
+    );
+    let report = lint_network(&topo, &cfg);
+    let expected = "\
+warning[duplicate-bgp-process]: a second BGP process `bgp 65009` replaces `bgp 65001`
+  --> A:3
+   |
+ 3 | bgp 65009
+   |
+   = related: A:1 the device's first BGP process — `bgp 65001`
+
+0 errors, 1 warning
+";
+    assert_eq!(report.render(&cfg), expected);
+}
