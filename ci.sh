@@ -54,9 +54,18 @@ fi
 # A/B, checked mechanically: the binaries are deterministic and run in a
 # few seconds, so a change that is not meant to alter what they
 # reproduce must print them byte-identically.
+# exp_lint runs once for both of its checks: its stdout goes to a file
+# (hashed as is — a `$(...)` capture would strip trailing newlines) and
+# to stderr for the log.
 echo "==> exp_table1 / exp_fig3 / exp_lint (stdout digests against pins)"
+lint_out=$(mktemp)
+cargo run --release -q -p acr-bench --bin exp_lint | tee -a /dev/stderr >"$lint_out"
 for pin in exp_table1:204f7bd91a522511 exp_fig3:b6b10fbb080cbfe2 exp_lint:a0660ccdba85a200; do
-    got=$(cargo run --release -q -p acr-bench --bin "${pin%%:*}" | sha256sum | cut -c1-16)
+    if [ "${pin%%:*}" = exp_lint ]; then
+        got=$(sha256sum <"$lint_out" | cut -c1-16)
+    else
+        got=$(cargo run --release -q -p acr-bench --bin "${pin%%:*}" | sha256sum | cut -c1-16)
+    fi
     if [ "$got" != "${pin##*:}" ]; then
         echo "FAIL: ${pin%%:*} printed different output (sha256 prefix $got, pinned ${pin##*:})" >&2
         exit 1
@@ -68,14 +77,14 @@ done
 # digest above already covers these lines; these greps say which one
 # moved.
 echo "==> exp_lint (static detection + lint-on/off repair A/B against pins)"
-lint_ab=$(cargo run --release -q -p acr-bench --bin exp_lint | tee -a /dev/stderr)
 for want in 'statically visible fault types: 8/9' \
     'total candidate validations: 440 (lint off) vs 116 (lint on)'; do
-    if ! grep -qF "$want" <<<"$lint_ab"; then
+    if ! grep -qF "$want" "$lint_out"; then
         echo "FAIL: exp_lint no longer prints '$want'" >&2
         exit 1
     fi
 done
+rm -f "$lint_out"
 
 echo "==> trace_repair example (ACR_TRACE/ACR_JOURNAL env path)"
 obs_tmp=$(mktemp -d)

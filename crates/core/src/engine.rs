@@ -42,7 +42,7 @@ use acr_obs::{journal, json, span, Stages};
 use acr_prov::CoverageMatrix;
 use acr_sim::CompiledBase;
 use acr_topo::Topology;
-use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
+use acr_verify::{IncrementalVerifier, Spec, Verification};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
@@ -327,21 +327,6 @@ struct Variant {
     segments: Vec<PatchSegment>,
 }
 
-/// A candidate's verdict reduced, as soon as it is reached, to what the
-/// validate stage's candidate-index pass reads: a discarded candidate's
-/// configuration and verification are dropped there and then.
-enum Reached {
-    Invalid,
-    LintRejected,
-    Validated {
-        fitness: usize,
-        memo_served: bool,
-        /// The configuration and verification of a candidate §5 keeps;
-        /// `None` when it is discarded.
-        kept: Option<(NetworkConfig, OnceCell<Verification>)>,
-    },
-}
-
 /// Everything about one variant that is fixed for the job and read each
 /// time it is expanded (once per *mutation* under the genetic strategy).
 struct Statics {
@@ -379,36 +364,35 @@ impl<'a> RepairEngine<'a> {
     }
 
     /// Runs localize–fix–validate on `original` until one of the paper's
-    /// three termination conditions fires.
+    /// three termination conditions fires: a resident repair against a
+    /// fresh [`NetworkSession`], which is dropped before returning.
     pub fn repair(&self, original: &NetworkConfig) -> RepairReport {
-        self.run(original, None)
+        let mut session = NetworkSession::new();
+        let report = self.run(original, &mut session);
+        let _s = span!("engine.teardown", "engine");
+        drop(session);
+        report
     }
 
     /// [`RepairEngine::repair`] against resident per-network state: the
-    /// daemon entry point. When the session holds a slot for `original`
-    /// (by fingerprint) its warm verifier state is resumed (skipping the
-    /// full base verification) and its static baseline reused (skipping
-    /// the flow analysis and the lint), the run validates through the
-    /// session's memo-cache instead of a fresh one, and on return verifier
-    /// and baseline are parked back into the session for the next
-    /// incident. Reuse is decision-transparent: outcome, patch, fitness
-    /// trajectory and generation/keep decisions are identical to a cold
-    /// [`RepairEngine::repair`] with the same seed — only the
-    /// validation-cost accounting (`validations` vs
+    /// daemon entry point. A slot parked for `original` (by fingerprint)
+    /// under this engine's verifier context is reused whole — its warm
+    /// verifier skips the base verification, its static baseline the flow
+    /// analysis and the lint — or not at all. The run validates through
+    /// the session's memo-cache and parks verifier and baseline back for
+    /// the next incident. A one-shot [`RepairEngine::repair`] is this run
+    /// on a first visit, so reuse is decision-transparent by construction:
+    /// only the validation-cost accounting (`validations` vs
     /// `validations_cached`, prefixes recomputed) moves.
     pub fn repair_resident(
         &self,
         original: &NetworkConfig,
         session: &mut NetworkSession,
     ) -> RepairReport {
-        self.run(original, Some(session))
+        self.run(original, session)
     }
 
-    fn run(
-        &self,
-        original: &NetworkConfig,
-        mut session: Option<&mut NetworkSession>,
-    ) -> RepairReport {
+    fn run(&self, original: &NetworkConfig, session: &mut NetworkSession) -> RepairReport {
         let stages = Stages::new();
         RUNS.inc();
         let commit_guard = stages.time("engine.commit", "engine");
@@ -417,37 +401,32 @@ impl<'a> RepairEngine<'a> {
         // the session slot, the verifier's resume gate and the memo-cache.
         let fp = original.fingerprint();
         // Resident resume: a session slot parked under this exact broken
-        // configuration holds its suspended verifier, which replays its
-        // caches instead of committing cold, and its static baseline.
-        // The session keeps a small LRU of slots, so rotating job streams
-        // resume warm on every revisit.
+        // configuration and verifier context holds its suspended verifier,
+        // which replays its caches instead of committing cold, and its
+        // static baseline; any other slot is dropped whole. The session
+        // keeps a small LRU of slots, so rotating job streams resume warm
+        // on every revisit.
         let mut iv = IncrementalVerifier::new(self.topo, self.spec);
-        let slot = session.as_mut().and_then(|s| s.take(fp));
-        let resumed = slot.map(|slot| (iv.resume(slot.warm, original, fp), slot.statics));
-        if let Some(s) = session.as_mut() {
-            if matches!(resumed, Some((Some(_), _))) {
-                s.resident_hits += 1;
-                RESIDENT_HITS.inc();
-            } else {
-                s.resident_misses += 1;
-                RESIDENT_MISSES.inc();
-            }
-        }
+        let resumed = session
+            .take(fp)
+            .and_then(|slot| Some((iv.resume(slot.warm, original, fp)?, slot.statics)));
         // Static baseline: the broken network's dataflow facts (for the
         // localization prior and the journal's flow summary) and its own
         // lint findings — the gate only rejects candidates that introduce
         // *new* error keys, pre-existing ones may well be the fault under
-        // repair. Pure in the configuration, so a slot hit takes it from
-        // the slot; otherwise it is built from the cold commit's compiled
+        // repair. Pure in (topology, configuration), so a resumed slot
+        // brings it; otherwise it is built from the cold commit's compiled
         // form on a scoped thread beside the rest of the commit: this is
         // the job's one fixed point over the broken network, or none.
         let (base_verification, statics) = match resumed {
-            Some((Some(v), statics)) => (v, statics),
-            Some((None, statics)) => {
-                let _s = span!("verify.commit", "verify");
-                (iv.commit(original), statics)
+            Some(hit) => {
+                session.resident_hits += 1;
+                RESIDENT_HITS.inc();
+                hit
             }
             None => {
+                session.resident_misses += 1;
+                RESIDENT_MISSES.inc();
                 let _s = span!("verify.commit", "verify");
                 iv.commit_with(original, |base| Baseline::build(self.topo, original, base))
             }
@@ -456,16 +435,9 @@ impl<'a> RepairEngine<'a> {
 
         let flow_prior = flow_prior(self.spec, &base_verification, &statics.facts);
 
-        // Validate-stage plumbing: the memo-cache keys every candidate
-        // under (verifier context, committed base, candidate config). The
-        // cache is the session's, pooled across its jobs, or one this run
-        // owns.
+        // The session's memo-cache, pooled across its jobs, keys every
+        // candidate under (verifier context, committed base, candidate).
         let ctx_base = (iv.verifier().context_fingerprint(), fp);
-        let mut own_cache = None;
-        let cache = match session.as_deref_mut() {
-            Some(s) => &mut s.cache,
-            None => own_cache.insert(SimCache::default()),
-        };
         drop(commit_guard);
 
         self.journal_run_start(original, initial_failed);
@@ -545,13 +517,13 @@ impl<'a> RepairEngine<'a> {
                 let (mut recomputed, mut reused) = (0, 0);
                 // Preference order — patch length, then candidate index
                 // (a stable sort) — up to the first zero-fitness verdict,
-                // the run's winner. Each verdict is reduced to what the
-                // index-order pass below reads as soon as it is reached.
+                // the run's winner. A verdict §5 discards drops its
+                // configuration and verification as soon as it is reached.
                 let mut order: Vec<usize> = (0..generated).collect();
                 order.sort_by_key(|&k| fresh[k].0.len());
-                let mut reached: Vec<Option<Reached>> = (0..generated).map(|_| None).collect();
+                let mut reached: Vec<Option<Verdict>> = (0..generated).map(|_| None).collect();
                 for k in order {
-                    let verdict = {
+                    let mut verdict = {
                         let _s = span!("engine.validate.candidate", "engine").arg("idx", k as u64);
                         validate(
                             &fresh[k].0,
@@ -559,43 +531,31 @@ impl<'a> RepairEngine<'a> {
                             &mut iv,
                             self.topo,
                             lint_base,
-                            &mut *cache,
+                            &mut session.cache,
                             ctx_base,
                         )
                     };
-                    let r = match verdict {
-                        Verdict::Invalid => Reached::Invalid,
-                        Verdict::LintRejected => Reached::LintRejected,
-                        Verdict::Validated {
-                            cfg,
-                            entry,
-                            stats,
-                            verification,
-                        } => {
-                            recomputed += stats.recomputed;
-                            reused += stats.reused;
-                            stages.add("sim.compile", stats.compile);
-                            stages.add("sim.establish", stats.establish);
-                            stages.add("sim.simulate", stats.simulate);
-                            stages.add("sim.converge", stats.converge);
-                            let fitness = entry.failed;
-                            let memo_served = verification.is_none();
-                            // §5: discard candidates whose fitness exceeds
-                            // the previous iteration's fitness.
-                            let kept = (fitness <= prev_fitness).then(|| {
-                                let verification =
-                                    verification.map_or_else(OnceCell::new, |v| OnceCell::from(*v));
-                                (cfg, verification)
-                            });
-                            Reached::Validated {
-                                fitness,
-                                memo_served,
-                                kept,
-                            }
+                    if let Verdict::Validated {
+                        fitness,
+                        stats,
+                        variant,
+                        ..
+                    } = &mut verdict
+                    {
+                        recomputed += stats.recomputed;
+                        reused += stats.reused;
+                        stages.add("sim.compile", stats.compile);
+                        stages.add("sim.establish", stats.establish);
+                        stages.add("sim.simulate", stats.simulate);
+                        stages.add("sim.converge", stats.converge);
+                        // §5: discard candidates whose fitness exceeds the
+                        // previous iteration's fitness.
+                        if *fitness > prev_fitness {
+                            *variant = None;
                         }
-                    };
-                    let won = matches!(r, Reached::Validated { fitness: 0, .. });
-                    reached[k] = Some(r);
+                    }
+                    let won = matches!(verdict, Verdict::Validated { fitness: 0, .. });
+                    reached[k] = Some(verdict);
                     if won {
                         break;
                     }
@@ -621,18 +581,19 @@ impl<'a> RepairEngine<'a> {
                             skipped += 1;
                             "skipped"
                         }
-                        Some(Reached::Invalid) => {
+                        Some(Verdict::Invalid) => {
                             invalid += 1;
                             "invalid"
                         }
-                        Some(Reached::LintRejected) => {
+                        Some(Verdict::LintRejected) => {
                             lint_rejected += 1;
                             "lint_rejected"
                         }
-                        Some(Reached::Validated {
+                        Some(Verdict::Validated {
                             fitness,
                             memo_served,
-                            kept: kept_as,
+                            variant,
+                            ..
                         }) => {
                             if memo_served {
                                 cached_count += 1;
@@ -640,9 +601,10 @@ impl<'a> RepairEngine<'a> {
                                 validated += 1;
                             }
                             verdict = Some((fitness, memo_served));
-                            match kept_as {
+                            match variant {
                                 None => "discarded",
-                                Some((cfg, verification)) => {
+                                Some(kept_as) => {
+                                    let (cfg, verification) = *kept_as;
                                     kept.push(Variant {
                                         cfg,
                                         patch,
@@ -738,18 +700,9 @@ impl<'a> RepairEngine<'a> {
 
         // Park the verifier (compiled base, per-prefix caches, memo) and
         // the baseline back in the session as the most recent slot, for
-        // the next incident against this configuration. A one-shot run
-        // frees them here instead, under a span of its own.
-        match session {
-            Some(s) => {
-                if let Some(warm) = iv.suspend() {
-                    s.park(Slot { fp, statics, warm });
-                }
-            }
-            None => {
-                let _s = span!("engine.teardown", "engine");
-                drop((iv, statics, own_cache));
-            }
+        // the next incident against this configuration.
+        if let Some(warm) = iv.suspend() {
+            session.park(Slot { fp, statics, warm });
         }
         report
     }

@@ -1,24 +1,27 @@
 //! Cross-run resident state — what a repair daemon keeps per network
 //! between incidents.
 //!
-//! A one-shot [`crate::RepairEngine::repair`] rebuilds everything from
-//! scratch: the compiled base (the configuration's models and sessions,
-//! built once per job), the per-prefix verification caches, the policy
-//! memo and route interner, the dataflow facts and the lint findings. A
-//! [`NetworkSession`] parks all of that across runs:
+//! Every repair runs against a session: a one-shot
+//! [`crate::RepairEngine::repair`] owns a fresh one and drops it on
+//! return, so it rebuilds everything from scratch — the compiled base
+//! (the configuration's models and sessions, built once per job), the
+//! per-prefix verification caches, the policy memo and route interner,
+//! the dataflow facts and the lint findings. A [`NetworkSession`] kept
+//! across runs parks all of that:
 //!
 //! - the **simulation memo-cache** ([`SimCache`]) pools candidate
-//!   verdicts across every job served against the same committed base
-//!   (a one-shot run owns a fresh one instead),
+//!   verdicts across every job served against the same committed base,
 //! - one **slot per recently served broken configuration**, keyed by its
 //!   fingerprint, most recently used first, [`WARM_SLOTS`] deep. A slot
 //!   holds the suspended verifier ([`WarmState`]: the configuration's one
 //!   compiled base, per-prefix outcome/closure/FIB caches, derivation
 //!   arena, policy memo) and the configuration's static baseline
 //!   (`acr-flow` facts and lint findings read off that base — pure
-//!   functions of the configuration). A job whose broken configuration
-//!   is byte-identical to a parked slot's re-installs the verifier —
-//!   zero prefixes re-simulated at commit — and analyses nothing; so a
+//!   functions of the topology and the configuration). A job whose broken configuration
+//!   is byte-identical to a parked slot's, under the same verifier
+//!   context, re-installs the verifier — zero prefixes re-simulated at
+//!   commit — and analyses nothing; a slot whose context differs is
+//!   dropped whole and the job commits cold. So a
 //!   *rotating* job stream — incidents alternating between a handful of
 //!   broken configurations of the same network — resumes warm on every
 //!   revisit instead of thrashing.
@@ -55,7 +58,8 @@ pub struct NetworkSession {
     /// Runs that resumed warm verifier state.
     pub resident_hits: u64,
     /// Runs that had to commit cold (no slot held the incident's
-    /// configuration).
+    /// configuration under the run's verifier context); every one-shot
+    /// run is one.
     pub resident_misses: u64,
 }
 

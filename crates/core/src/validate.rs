@@ -46,6 +46,10 @@
 //! variant is re-verified then ([`reverify`]) against the same committed
 //! base — most kept candidates are never ranked, so most verdicts never
 //! pay for provenance.
+//!
+//! **One verdict type.** The engine stores each [`Verdict`] as it is,
+//! clearing its `variant` when §5 discards the candidate: the §5 rule
+//! stays in the engine.
 
 use acr_cfg::{NetworkConfig, Patch};
 use acr_flow::FlowFacts;
@@ -55,6 +59,7 @@ use acr_obs::span;
 use acr_sim::CompiledBase;
 use acr_topo::Topology;
 use acr_verify::{CandidateEntry, IncrementalStats, IncrementalVerifier, SimCache, Verification};
+use std::cell::OnceCell;
 use std::collections::HashSet;
 
 /// The static baseline of a committed configuration: everything a job
@@ -102,15 +107,16 @@ pub(crate) enum Verdict {
     LintRejected,
     /// Verified: freshly simulated, or served from memo.
     Validated {
-        /// The candidate configuration.
-        cfg: NetworkConfig,
-        /// The verdict as the memo-cache holds it.
-        entry: CandidateEntry,
+        /// The number of failed tests.
+        fitness: usize,
+        /// Served from the memo-cache, nothing simulated.
+        memo_served: bool,
         stats: IncrementalStats,
-        /// The verification, roots in the verifier's persistent arena;
-        /// `None` exactly when memo-served (see [`reverify`]). Boxed so a
-        /// verdict stays small whatever its variant.
-        verification: Option<Box<Verification>>,
+        /// The candidate configuration and its verification, roots in
+        /// the verifier's persistent arena — unset exactly when
+        /// memo-served (see [`reverify`]). The engine clears it when §5
+        /// discards the candidate. Boxed so a verdict stays small.
+        variant: Option<Box<(NetworkConfig, OnceCell<Verification>)>>,
     },
 }
 
@@ -159,10 +165,10 @@ pub(crate) fn validate(
             ..IncrementalStats::default()
         };
         return Verdict::Validated {
-            cfg,
-            entry,
+            fitness: entry.failed,
+            memo_served: true,
             stats,
-            verification: None,
+            variant: Some(Box::new((cfg, OnceCell::new()))),
         };
     }
     let verification = iv.verify_candidate(&cfg, patch);
@@ -173,10 +179,10 @@ pub(crate) fn validate(
     };
     cache.insert(key, entry);
     Verdict::Validated {
-        cfg,
-        entry,
+        fitness: entry.failed,
+        memo_served: false,
         stats,
-        verification: Some(Box::new(verification)),
+        variant: Some(Box::new((cfg, OnceCell::from(verification)))),
     }
 }
 
@@ -342,20 +348,21 @@ mod tests {
                 patch, broken, &mut iv, &net.topo, None, &mut cache, ctx_base,
             ) {
                 Verdict::Validated {
-                    entry,
+                    fitness,
+                    memo_served,
                     stats,
-                    verification,
                     ..
-                } => (entry, stats, verification.is_none()),
+                } => (fitness, stats, memo_served),
                 _ => panic!("{fault:?}: {patch} validates"),
             };
-            let (entry, stats, served) = run(&replace);
+            let (fitness, stats, served) = run(&replace);
             assert!(!served && stats.recomputed > 0, "{fault:?}: {replace}");
+            let universe = stats.recomputed + stats.reused;
             let (again, stats, served) = run(&twin);
             assert!(served, "{fault:?}: {twin} is memo-served");
-            assert_eq!(again, entry, "{fault:?}: {twin}");
+            assert_eq!(again, fitness, "{fault:?}: {twin}");
             assert_eq!(stats.recomputed, 0, "{fault:?}: {twin}");
-            assert_eq!(stats.reused, entry.universe, "{fault:?}: {twin}");
+            assert_eq!(stats.reused, universe, "{fault:?}: {twin}");
             let sim_time = [stats.compile, stats.establish, stats.simulate];
             assert_eq!(sim_time, [Duration::ZERO; 3], "{fault:?}: {twin}");
             checked += 1;
@@ -443,24 +450,32 @@ mod tests {
         let mut cache = SimCache::default();
         // First pass: each rendered configuration is verified in place
         // once; a later candidate rendering to it is a memo hit with the
-        // same entry.
-        let mut in_place: HashMap<u64, (CandidateEntry, Verification)> = HashMap::new();
+        // same fitness over the same prefix universe.
+        let mut in_place: HashMap<u64, ((usize, usize), Verification)> = HashMap::new();
         let mut validated = 0;
         for patch in &patches {
             let verdict = validate(patch, broken, &mut iv, topo, None, &mut cache, ctx_base);
             let Verdict::Validated {
-                cfg,
-                entry,
-                verification,
-                ..
+                fitness,
+                memo_served,
+                stats,
+                variant: Some(variant),
             } = verdict
             else {
                 continue;
             };
+            let (cfg, verification) = *variant;
             validated += 1;
-            match verification {
-                Some(v) => assert!(in_place.insert(cfg.fingerprint(), (entry, *v)).is_none()),
-                None => assert_eq!(in_place[&cfg.fingerprint()].0, entry, "{patch}"),
+            let seen = (fitness, stats.recomputed + stats.reused);
+            match verification.into_inner() {
+                Some(v) => {
+                    assert!(!memo_served, "{patch}");
+                    assert!(in_place.insert(cfg.fingerprint(), (seen, v)).is_none());
+                }
+                None => {
+                    assert!(memo_served, "{patch}");
+                    assert_eq!(in_place[&cfg.fingerprint()].0, seen, "{patch}");
+                }
             }
         }
 
@@ -474,20 +489,21 @@ mod tests {
         for patch in &patches {
             let verdict = validate(patch, broken, &mut iv, topo, None, &mut cache, ctx_base);
             let Verdict::Validated {
-                cfg,
-                entry: hit,
-                verification: served,
-                ..
+                fitness: hit,
+                memo_served,
+                stats,
+                variant: Some(variant),
             } = verdict
             else {
                 continue;
             };
-            assert!(served.is_none(), "{patch}: a memo hit");
-            let (entry, in_place) = &in_place[&cfg.fingerprint()];
+            let (cfg, served) = *variant;
+            assert!(memo_served && served.get().is_none(), "{patch}: a memo hit");
+            let (seen, in_place) = &in_place[&cfg.fingerprint()];
             let again = reverify(&mut iv, &cfg, patch);
             assert_eq!(records(&again), records(in_place), "{patch}");
-            assert_eq!(hit, *entry, "{patch}");
-            assert_eq!(hit.failed, again.failed_count(), "{patch}");
+            assert_eq!((hit, stats.reused), *seen, "{patch}");
+            assert_eq!(hit, again.failed_count(), "{patch}");
 
             let compiled = committed.patched(topo, &cfg, patch);
             let models = compiled.models();

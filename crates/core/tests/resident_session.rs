@@ -5,8 +5,9 @@
 //! moving validation work from simulation into the cross-job caches.
 
 use acr_core::{NetworkSession, RepairConfig, RepairEngine, RepairReport, WARM_SLOTS};
-use acr_topo::gen;
-use acr_workloads::{generate, sample_incidents, try_inject, FaultType, GeneratedNetwork};
+use acr_net_types::Prefix;
+use acr_topo::{gen, Topology, TopologyBuilder};
+use acr_workloads::{generate, sample_incidents, try_inject, FaultType, GeneratedNetwork, TABLE1};
 use std::sync::Mutex;
 
 /// `a_warm_revisit_analyses_nothing` reads a process-global counter that
@@ -233,4 +234,114 @@ fn different_incident_misses_warm_state_but_stays_exact() {
     assert_eq!(session.resident_misses, 2);
     let batch = engine(&net, 0).repair(&incidents[1].broken);
     assert_eq!(decision_trace(&batch), decision_trace(&served));
+}
+
+/// [`decision_trace`] plus the validation-cost accounting —
+/// `acr_serve::full_signature`'s fields: a cold resident job must match
+/// a one-shot run on these too.
+fn full_trace(r: &RepairReport) -> String {
+    let mut s = format!(
+        "{} || v={} c={}",
+        decision_trace(r),
+        r.validations,
+        r.validations_cached
+    );
+    for it in &r.iterations {
+        s.push_str(&format!(
+            ";{}:{}:{}:{}:{}:{}",
+            it.iteration,
+            it.validated,
+            it.cached,
+            it.skipped,
+            it.recomputed_prefixes,
+            it.reused_prefixes
+        ));
+    }
+    s
+}
+
+/// `topo` rebuilt with one more prefix attached to `at`: the same
+/// routers and links in the same order, so the same peer addresses, but
+/// another verifier context.
+fn with_extra_attachment(topo: &Topology, at: &str, prefix: Prefix) -> Topology {
+    let mut b = TopologyBuilder::new();
+    for r in topo.routers() {
+        b.router(&r.name, r.role);
+    }
+    for l in topo.links() {
+        b.link(l.a.router, l.b.router);
+    }
+    for r in topo.routers() {
+        for p in &r.attached {
+            b.attach(r.id, *p);
+        }
+    }
+    b.attach(topo.by_name(at).expect("router exists"), prefix);
+    b.build()
+}
+
+/// A slot is reused whole or not at all. One session serves the same
+/// broken configuration to two engines whose topologies differ by one
+/// prefix attached to customer `C1`, which `BB1`'s ingress filter on the
+/// session to it cannot admit: the lint baseline gains an
+/// `import-filter-gap` finding. The slot the first job parks is found by
+/// fingerprint but its verifier context misses, so the second job
+/// commits cold — baseline included — and equals a one-shot run of its
+/// own engine. Checked on every Table-1 incident (seeds 0–2) whose lint
+/// findings or dataflow facts differ between the two topologies, i.e.
+/// where the parked baseline is stale.
+#[test]
+fn a_slot_whose_resume_misses_is_not_reused() {
+    let _g = lock();
+    let net = generate(&gen::wan(4, 8));
+    let other = with_extra_attachment(&net.topo, "C1", "10.200.0.0/16".parse().unwrap());
+    for l in net.topo.links() {
+        let o = &other.links()[l.id.0 as usize];
+        assert_eq!((&l.a, &l.b), (&o.a, &o.b), "same peer addresses");
+    }
+    let first = RepairEngine::with_defaults(&net.topo, &net.spec);
+    let second = RepairEngine::with_defaults(&other, &net.spec);
+    let mut stale = 0;
+    for (fault, _) in TABLE1 {
+        for seed in 0..3 {
+            let Some(inc) = try_inject(fault, &net, seed) else {
+                continue;
+            };
+            let broken = &inc.broken;
+            let differs = acr_lint::lint_network(&net.topo, broken).diagnostics
+                != acr_lint::lint_network(&other, broken).diagnostics
+                || acr_flow::analyze(&net.topo, broken).rib
+                    != acr_flow::analyze(&other, broken).rib;
+            if !differs {
+                continue;
+            }
+            stale += 1;
+            let mut session = NetworkSession::new();
+            first.repair_resident(broken, &mut session);
+            let served = second.repair_resident(broken, &mut session);
+            assert_eq!(session.resident_hits, 0, "{fault:?}/{seed}");
+            assert_eq!(session.resident_misses, 2, "{fault:?}/{seed}");
+            assert_eq!(
+                session.warm_len(),
+                1,
+                "{fault:?}/{seed}: the stale slot is gone"
+            );
+            let one_shot = second.repair(broken);
+            assert_eq!(
+                decision_trace(&served),
+                decision_trace(&one_shot),
+                "{fault:?}/{seed}"
+            );
+            assert_eq!(
+                full_trace(&served),
+                full_trace(&one_shot),
+                "{fault:?}/{seed}"
+            );
+            assert_eq!(served.validations, one_shot.validations, "{fault:?}/{seed}");
+        }
+    }
+    assert!(
+        stale > 0,
+        "no incident's baseline differs between the topologies"
+    );
 }

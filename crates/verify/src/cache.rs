@@ -1,4 +1,8 @@
-//! The simulation memo-cache of a repair run or a resident session.
+//! The simulation memo-cache of a resident session.
+//!
+//! Every repair run validates through the cache of the session it runs
+//! against; a one-shot run's session is fresh and dropped with it, so its
+//! cache is too.
 //!
 //! Candidate generation revisits configurations constantly — crossover
 //! recombines population members into patches it already tried, and a
