@@ -28,7 +28,13 @@ echo "==> cargo test (default features)"
 cargo test -q
 
 echo "==> exp_scenarios --smoke (scenario corpus + strategy A/B + golden digests)"
-scen=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke | tee -a /dev/stderr | grep -E '^(corpus|report|outcome)_digest=')
+# Each output below is captured, then printed to stderr for the log
+# through the script's own descriptor, so `./ci.sh > log 2>&1` keeps every
+# line in order (a `tee -a /dev/stderr` reopens the file and its lines get
+# overwritten by later stdout).
+scen_out=$(cargo run --release -q -p acr-bench --bin exp_scenarios -- --smoke)
+printf '%s\n' "$scen_out" >&2
+scen=$(grep -E '^(corpus|report|outcome)_digest=' <<<"$scen_out")
 # The corpus content itself is regression-pinned (golden_corpus.rs); the
 # bench must be running on exactly that corpus, and the beam repairs it
 # reports must decide as pinned. `outcome_digest` pins the repairs
@@ -55,11 +61,12 @@ fi
 # few seconds, so a change that is not meant to alter what they
 # reproduce must print them byte-identically.
 # exp_lint runs once for both of its checks: its stdout goes to a file
-# (hashed as is — a `$(...)` capture would strip trailing newlines) and
+# (hashed as is — a `$(...)` capture would strip trailing newlines), then
 # to stderr for the log.
 echo "==> exp_table1 / exp_fig3 / exp_lint (stdout digests against pins)"
 lint_out=$(mktemp)
-cargo run --release -q -p acr-bench --bin exp_lint | tee -a /dev/stderr >"$lint_out"
+cargo run --release -q -p acr-bench --bin exp_lint >"$lint_out"
+cat "$lint_out" >&2
 for pin in exp_table1:204f7bd91a522511 exp_fig3:b6b10fbb080cbfe2 exp_lint:a0660ccdba85a200; do
     if [ "${pin%%:*}" = exp_lint ]; then
         got=$(sha256sum <"$lint_out" | cut -c1-16)
@@ -101,8 +108,12 @@ grep -q '^engine.teardown ' <<<"$profile"
 sed -n "/^off the job's thread/,\$p" <<<"$profile" | grep -q '^flow.analyze '
 
 echo "==> acrd smoke (daemon-served repair == one-shot batch, JSONL over stdin)"
-acrd_daemon=$(./target/release/acrd --emit-corpus | ./target/release/acrd | tee -a /dev/stderr | grep -E '^(report_digest=|jobs=)')
-acrd_batch=$(./target/release/acrd --batch | tee -a /dev/stderr | grep -E '^(report|outcome)_digest=')
+acrd_daemon_out=$(./target/release/acrd --emit-corpus | ./target/release/acrd)
+printf '%s\n' "$acrd_daemon_out" >&2
+acrd_daemon=$(grep -E '^(report_digest=|jobs=)' <<<"$acrd_daemon_out")
+acrd_batch_out=$(./target/release/acrd --batch)
+printf '%s\n' "$acrd_batch_out" >&2
+acrd_batch=$(grep -E '^(report|outcome)_digest=' <<<"$acrd_batch_out")
 if ! grep -qF "$(grep '^report_digest=' <<<"$acrd_batch")" <<<"$acrd_daemon"; then
     echo "FAIL: daemon-served reports diverged from one-shot batch ($acrd_daemon vs $acrd_batch)" >&2
     exit 1

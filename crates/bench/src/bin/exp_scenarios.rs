@@ -8,7 +8,8 @@
 //! [`RepairStrategy`] implementations on every scenario:
 //!
 //! - `acr-beam` — ACR with the multi-patch beam search,
-//! - `acr-single` — ACR restricted to single-site patches (ablation),
+//! - `acr-single` — one round of brute force: single-site patches to the
+//!   original configuration (ablation),
 //! - `metaprov` — the provenance baseline,
 //! - `aed` — the synthesis baseline (400-validation budget).
 //!
@@ -42,6 +43,7 @@
 use acr_baselines::{AedStrategy, MetaProvStrategy};
 use acr_bench::{fmt_duration, percentile, rule, standard_network};
 use acr_cfg::NetworkConfig;
+use acr_core::engine::DEFAULT_MAX_ITERATIONS;
 use acr_core::{AcrStrategy, RepairConfig, RepairStrategy, Strategy, StrategyVerdict};
 use acr_scenarios::{corpus, corpus_digest, Scenario, ScenarioFamily};
 use acr_serve::{digest, outcome_signature};
@@ -89,20 +91,23 @@ fn signature(label: &str, r: &acr_core::RepairReport) -> String {
 
 /// The ACR strategies, rebuilt per scenario so reports carry its tags.
 fn acr_strategies(scenario: &Scenario) -> Vec<AcrStrategy> {
-    let with = |label: &str, strategy: Strategy| {
+    let with = |label: &str, strategy: Strategy, max_iterations: usize| {
         AcrStrategy::new(
             label,
             RepairConfig {
                 seed: 11,
                 strategy,
+                max_iterations,
                 tags: scenario.tags(),
                 ..RepairConfig::default()
             },
         )
     };
     vec![
-        with("acr-beam", Strategy::beam()),
-        with("acr-single", Strategy::single_patch()),
+        with("acr-beam", Strategy::beam(), DEFAULT_MAX_ITERATIONS),
+        // The single-patch ablation: one round of brute force, every
+        // candidate one template application to the original.
+        with("acr-single", Strategy::brute_force(), 1),
     ]
 }
 

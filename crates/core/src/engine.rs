@@ -35,7 +35,7 @@ use crate::universal::universal_candidates;
 use crate::validate::{reverify, validate, Baseline, Verdict};
 use acr_cfg::{LineId, NetworkConfig, Patch};
 use acr_lint::Diagnostic;
-use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
+use acr_localize::{localize_boosted, Ranking, SbflFormula};
 use acr_net_types::SplitMix64;
 use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, span, Stages};
@@ -368,7 +368,7 @@ impl<'a> RepairEngine<'a> {
     /// fresh [`NetworkSession`], which is dropped before returning.
     pub fn repair(&self, original: &NetworkConfig) -> RepairReport {
         let mut session = NetworkSession::new();
-        let report = self.run(original, &mut session);
+        let report = self.repair_resident(original, &mut session);
         let _s = span!("engine.teardown", "engine");
         drop(session);
         report
@@ -389,10 +389,6 @@ impl<'a> RepairEngine<'a> {
         original: &NetworkConfig,
         session: &mut NetworkSession,
     ) -> RepairReport {
-        self.run(original, session)
-    }
-
-    fn run(&self, original: &NetworkConfig, session: &mut NetworkSession) -> RepairReport {
         let stages = Stages::new();
         RUNS.inc();
         let commit_guard = stages.time("engine.commit", "engine");
@@ -810,11 +806,7 @@ impl<'a> RepairEngine<'a> {
                 let report = acr_lint::lint_with_models(self.topo, &variant.cfg, &compiled, &facts);
                 boost_map(&report.diagnostics)
             };
-            let ranking = if boosts.is_empty() {
-                localize(&coverage, self.config.formula)
-            } else {
-                localize_boosted(&coverage, self.config.formula, &boosts)
-            };
+            let ranking = localize_boosted(&coverage, self.config.formula, &boosts);
             Statics {
                 compiled,
                 coverage,
@@ -880,16 +872,6 @@ impl<'a> RepairEngine<'a> {
                         }];
                         out.push((child, segments));
                     }
-                }
-            }
-            Strategy::SinglePatch { top_lines } => {
-                // Expand only the unpatched root: every candidate is one
-                // template application to the original configuration.
-                // Once the root is evicted (or its pool is exhausted via
-                // dedup) the search dries up — by design.
-                for parent in population.iter().filter(|v| v.patch.is_empty()) {
-                    let fixes = self.fixes_of(parent, iv, base, prior, *top_lines, None);
-                    out.extend(fixes.iter().map(|f| extend(parent, f)));
                 }
             }
             Strategy::Beam {

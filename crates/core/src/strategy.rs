@@ -3,7 +3,11 @@
 //! **Brute force** systematically applies every applicable template to the
 //! most suspicious statements — the Cartesian product the paper describes.
 //! It is the [`Strategy::Beam`] that expands every surviving variant and
-//! makes no pairs ([`Strategy::brute_force`]).
+//! makes no pairs ([`Strategy::brute_force`]). One round of it
+//! (`max_iterations: 1`) is the single-patch ablation arm: the population
+//! is the unpatched root, so every candidate is one template application
+//! to the original configuration, and a repair that needs edits at two
+//! independent fault sites is out of its reach.
 //!
 //! **Search-based (genetic)** randomly applies templates to suspicious
 //! statements "selected from either the original program or any one of the
@@ -27,14 +31,6 @@ pub enum Strategy {
         crossovers: usize,
         /// Suspicious-line pool size to sample from.
         top_k: usize,
-    },
-    /// One template application to the *original* configuration only: no
-    /// patch accretion across iterations, no crossover. This is the
-    /// ablation arm of the multi-patch A/B — by construction it cannot
-    /// assemble repairs that need edits at two independent fault sites.
-    SinglePatch {
-        /// How many top-ranked lines to expand beyond the tied maximum.
-        top_lines: usize,
     },
     /// Multi-patch beam search over patch *sets*: the best `width`
     /// variants are each expanded with every per-suspect template fix
@@ -75,11 +71,6 @@ impl Strategy {
             top_lines: 15,
             max_pairs: 0,
         }
-    }
-
-    /// The single-patch ablation arm with a sensible expansion width.
-    pub fn single_patch() -> Self {
-        Strategy::SinglePatch { top_lines: 15 }
     }
 
     /// A multi-patch beam with sensible defaults.

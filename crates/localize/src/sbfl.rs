@@ -1,7 +1,13 @@
 //! Spectrum-Based Fault Localization formulas.
+//!
+//! One scoring loop ranks a coverage matrix: [`localize_boosted`], which
+//! folds static-analysis boosts into the spectrum scores. Plain
+//! [`localize`] is that loop with no boosts.
 
 use crate::ranking::Ranking;
+use acr_cfg::LineId;
 use acr_prov::CoverageMatrix;
+use std::collections::BTreeMap;
 
 /// The SBFL suspiciousness formulas implemented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,20 +77,10 @@ pub fn suspiciousness(
     }
 }
 
-/// Scores every covered line of a coverage matrix.
+/// Scores every covered line of a coverage matrix: [`localize_boosted`]
+/// with no boosts, under which every factor is 1 and no line is added.
 pub fn localize(matrix: &CoverageMatrix, formula: SbflFormula) -> Ranking {
-    let (total_passed, total_failed) = matrix.totals();
-    let entries = matrix
-        .per_line_counts()
-        .into_iter()
-        .map(|(line, (p, f))| {
-            (
-                line,
-                suspiciousness(formula, p, f, total_passed, total_failed),
-            )
-        })
-        .collect();
-    Ranking::new(entries)
+    localize_boosted(matrix, formula, &BTreeMap::new())
 }
 
 /// Scores every covered line, multiplying suspiciousness by a per-line
@@ -98,10 +94,10 @@ pub fn localize(matrix: &CoverageMatrix, formula: SbflFormula) -> Ranking {
 pub fn localize_boosted(
     matrix: &CoverageMatrix,
     formula: SbflFormula,
-    boosts: &std::collections::BTreeMap<acr_cfg::LineId, f64>,
+    boosts: &BTreeMap<LineId, f64>,
 ) -> Ranking {
     let (total_passed, total_failed) = matrix.totals();
-    let mut entries: Vec<(acr_cfg::LineId, f64)> = matrix
+    let mut entries: Vec<(LineId, f64)> = matrix
         .per_line_counts()
         .into_iter()
         .map(|(line, (p, f))| {
@@ -117,10 +113,15 @@ pub fn localize_boosted(
             (line, score)
         })
         .collect();
-    // Flagged lines the spectrum never saw still deserve a slot.
-    let covered: std::collections::BTreeSet<_> = entries.iter().map(|(l, _)| *l).collect();
+    // Flagged lines the spectrum never saw still deserve a slot. The
+    // covered lines came out of a sorted map, so they stay searchable.
+    let covered = entries.len();
     for (&line, &factor) in boosts {
-        if factor > 1.0 && !covered.contains(&line) {
+        if factor > 1.0
+            && entries[..covered]
+                .binary_search_by_key(&line, |(l, _)| *l)
+                .is_err()
+        {
             entries.push((line, 0.05 * factor));
         }
     }
@@ -130,7 +131,6 @@ pub fn localize_boosted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acr_cfg::LineId;
     use acr_net_types::RouterId;
     use acr_prov::{TestCoverage, TestId};
 

@@ -30,9 +30,13 @@
 //! Policy transfers (`export` then `import` over one session in one
 //! direction) are pure in the carried route, so the engine memoizes them
 //! in a [`PolicyMemo`] the caller owns. The incremental verifier keeps
-//! one memo across the commit and every candidate
-//! ([`PolicyMemo::begin_run`]), so most hits are transfers an earlier run
-//! already evaluated on a session the patch cannot reach; the rest are
+//! one memo across the commit and every candidate, and
+//! [`PolicyMemo::begin_run`] keeps a session's slots by one rule: both
+//! endpoints untouched and the same link with equal content in the
+//! previous list, the slots moving to the link's new index. So most hits
+//! are transfers an earlier run already evaluated on a session the patch
+//! cannot reach — the "simulate only what a change can affect" argument
+//! of selective symbolic simulation; the rest are
 //! in-run repeats — a dirty router re-pulling an unchanged neighbor, or a
 //! flap cycling through the same states. Either way a hit costs a hash
 //! lookup instead of a policy walk. The memo key is the full [`Route`]
@@ -47,7 +51,7 @@ use crate::route::{select_best_id, Route, RouteId, RouteInterner};
 use crate::session::Session;
 use acr_cfg::model::DeviceModel;
 use acr_cfg::LineId;
-use acr_net_types::{Asn, Prefix, RouterId};
+use acr_net_types::{Asn, Ipv4Addr, Prefix, RouterId};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -215,9 +219,9 @@ pub struct PolicyMemo {
     /// before the next run reuses the memo.
     poisoned: Vec<RouterId>,
     /// The session list `slots` is indexed against — kept so the next
-    /// [`PolicyMemo::begin_run`] can detect a structurally changed list
-    /// and re-home surviving entries by endpoint pair instead of
-    /// discarding them (an `Arc` clone, so carrying it is free).
+    /// [`PolicyMemo::begin_run`] can move each surviving slot to its
+    /// link's index in the new list instead of discarding it (an `Arc`
+    /// clone, so carrying it is free).
     sessions: Option<Arc<Vec<Session>>>,
 }
 
@@ -253,19 +257,16 @@ impl PolicyMemo {
     /// Prepares a memo that outlives one simulation for its next run.
     /// Bumps the generation (so every surviving entry reads as "not yet
     /// attempted this run" and its denial is re-recorded exactly once)
-    /// and drops entries for sessions adjacent to `changed` routers —
-    /// plus those poisoned by the previous run's changed routers, whose
-    /// entries encode that run's patched semantics. Entries on sessions
-    /// between untouched routers are pure in inputs the patch cannot
-    /// reach, so they remain bit-exact.
-    ///
-    /// When `sessions` still lines up with the previous run's list
-    /// (same endpoint pairs in the same order — every non-structural
-    /// delta), slots are reused in place; any slot whose session content
-    /// changed is cleared. A structurally changed list (sessions added,
-    /// removed, or reordered) shifts slot indices instead of merely
-    /// invalidating entries, so surviving slots are re-homed by endpoint
-    /// pair, gated on full content equality of the old and new session.
+    /// and keeps a session's slots by one rule: both endpoints are
+    /// untouched — not in `changed`, and not poisoned by the previous
+    /// run's changed routers, whose entries encode that run's patched
+    /// semantics — and the previous list holds the same link (keyed by
+    /// its two interface addresses) with equal content. Entries on such
+    /// a session are pure in inputs the patch cannot reach, so they
+    /// remain bit-exact. A kept slot moves to the session's index in the
+    /// new list, so sessions added, removed or reordered by a structural
+    /// patch shift slots instead of discarding them; on an unchanged list
+    /// every session maps to its own index. Every other slot starts empty.
     ///
     /// The caller must only keep a memo across runs that share a
     /// content-addressed arena and whose unpatched routers share device
@@ -273,45 +274,35 @@ impl PolicyMemo {
     pub fn begin_run(&mut self, sessions: &Arc<Vec<Session>>, changed: &[RouterId]) {
         self.gen = self.gen.wrapping_add(1);
         let prev = self.sessions.replace(Arc::clone(sessions));
-        let stale = |r: &RouterId| changed.contains(r) || self.poisoned.contains(r);
-        let aligned = prev.as_ref().is_some_and(|p| {
-            Arc::ptr_eq(p, sessions)
-                || (p.len() == sessions.len()
-                    && p.iter()
-                        .zip(sessions.iter())
-                        .all(|(x, y)| x.a == y.a && x.b == y.b))
-        });
-        if aligned {
-            let prev = prev.expect("aligned implies a previous list");
-            let same_arc = Arc::ptr_eq(&prev, sessions);
+        let mut old_slots = std::mem::take(&mut self.slots);
+        self.slots
+            .resize_with(sessions.len() * 2, FxHashMap::default);
+        if let Some(prev) = prev {
+            let stale = |r: &RouterId| changed.contains(r) || self.poisoned.contains(r);
+            // The same `Arc` is the same content at the same indices.
+            let same = Arc::ptr_eq(&prev, sessions);
+            let by_link: FxHashMap<(Ipv4Addr, Ipv4Addr), usize> = if same {
+                FxHashMap::default()
+            } else {
+                (prev.iter().enumerate())
+                    .map(|(osi, s)| ((s.a_addr, s.b_addr), osi))
+                    .collect()
+            };
             for (si, s) in sessions.iter().enumerate() {
-                if stale(&s.a) || stale(&s.b) || (!same_arc && prev[si] != *s) {
-                    for idx in [si * 2, si * 2 + 1] {
-                        if let Some(slot) = self.slots.get_mut(idx) {
-                            slot.clear();
-                        }
-                    }
+                if stale(&s.a) || stale(&s.b) {
+                    continue;
                 }
-            }
-        } else {
-            let mut old_slots = std::mem::take(&mut self.slots);
-            self.slots
-                .resize_with(sessions.len() * 2, FxHashMap::default);
-            if let Some(prev) = prev {
-                let mut by_pair: FxHashMap<(RouterId, RouterId), usize> = FxHashMap::default();
-                for (osi, s) in prev.iter().enumerate() {
-                    by_pair.insert((s.a, s.b), osi);
-                }
-                for (si, s) in sessions.iter().enumerate() {
-                    if stale(&s.a) || stale(&s.b) {
-                        continue;
+                let osi = if same {
+                    si
+                } else {
+                    match by_link.get(&(s.a_addr, s.b_addr)) {
+                        Some(&osi) if prev[osi] == *s => osi,
+                        _ => continue,
                     }
-                    let Some(&osi) = by_pair.get(&(s.a, s.b)) else {
-                        continue;
-                    };
-                    if prev[osi] == *s && old_slots.len() > osi * 2 + 1 {
-                        self.slots[si * 2] = std::mem::take(&mut old_slots[osi * 2]);
-                        self.slots[si * 2 + 1] = std::mem::take(&mut old_slots[osi * 2 + 1]);
+                };
+                for d in 0..2 {
+                    if let Some(slot) = old_slots.get_mut(osi * 2 + d) {
+                        self.slots[si * 2 + d] = std::mem::take(slot);
                     }
                 }
             }
@@ -1186,5 +1177,142 @@ mod tests {
             .push((DerivKind::OriginNetwork, vec![LineId::new(RouterId(0), 2)]));
         let _ = run_prefix(p("10.0.0.0/16"), &routers, &sessions, &orig, &mut arena);
         assert!(arena.len() < 128, "arena grew to {}", arena.len());
+    }
+
+    /// A session between routers `a` and `b` over link `net`
+    /// (172.16.`net`.1 ↔ .2).
+    fn link(a: u32, b: u32, net: u8) -> Session {
+        Session {
+            a: RouterId(a),
+            b: RouterId(b),
+            a_addr: Ipv4Addr::new(172, 16, net, 1),
+            b_addr: Ipv4Addr::new(172, 16, net, 2),
+            a_lines: vec![],
+            b_lines: vec![],
+            a_base: vec![],
+            b_base: vec![],
+            a_import: None,
+            a_export: None,
+            b_import: None,
+            b_export: None,
+        }
+    }
+
+    /// Gives both directions of every session one entry keyed by the
+    /// session's index in `sessions`, so a kept slot names where it came
+    /// from.
+    fn fill(memo: &mut PolicyMemo, sessions: &[Session]) {
+        for si in 0..sessions.len() {
+            for d in 0..2 {
+                let idx = memo.slot_index(si as u32, d == 1);
+                let entry = MemoEntry {
+                    t: Transfer::Silent,
+                    gen: memo.gen,
+                };
+                memo.slots[idx].insert(RouteId(si as u32), entry);
+            }
+        }
+    }
+
+    /// A memo that ran once over `sessions`, every slot filled.
+    fn ran_over(sessions: &Arc<Vec<Session>>) -> PolicyMemo {
+        let mut memo = PolicyMemo::new();
+        memo.begin_run(sessions, &[]);
+        fill(&mut memo, sessions);
+        memo
+    }
+
+    /// Per session of the current list, the previous index its slots
+    /// came from (`None`: both empty). Both directions always agree.
+    fn held(memo: &PolicyMemo) -> Vec<Option<u32>> {
+        let n = memo.sessions.as_ref().map_or(0, |s| s.len());
+        (0..n)
+            .map(|si| {
+                let of = |idx: usize| {
+                    let slot = &memo.slots[idx];
+                    assert!(slot.len() <= 1, "slot {idx} holds {}", slot.len());
+                    slot.keys().next().map(|r| r.0)
+                };
+                let (x, y) = (of(si * 2), of(si * 2 + 1));
+                assert_eq!(x, y, "session {si}: directions disagree");
+                x
+            })
+            .collect()
+    }
+
+    fn chain() -> Arc<Vec<Session>> {
+        Arc::new(vec![link(0, 1, 0), link(1, 2, 1), link(2, 3, 2)])
+    }
+
+    #[test]
+    fn begin_run_on_the_same_list_keeps_untouched_slots() {
+        let sessions = chain();
+        let mut memo = ran_over(&sessions);
+        memo.begin_run(&sessions, &[]);
+        assert_eq!(held(&memo), [Some(0), Some(1), Some(2)]);
+    }
+
+    #[test]
+    fn begin_run_clears_a_touched_routers_sessions() {
+        let sessions = chain();
+        let mut memo = ran_over(&sessions);
+        memo.begin_run(&sessions, &[RouterId(1)]);
+        assert_eq!(held(&memo), [None, None, Some(2)]);
+    }
+
+    #[test]
+    fn begin_run_clears_what_the_previous_run_poisoned() {
+        let sessions = chain();
+        let mut memo = ran_over(&sessions);
+        // A candidate patched R3 and refilled every slot with its
+        // semantics; the next run (nothing changed) must not see R3's.
+        memo.begin_run(&sessions, &[RouterId(3)]);
+        fill(&mut memo, &sessions);
+        memo.begin_run(&sessions, &[]);
+        assert_eq!(held(&memo), [Some(0), Some(1), None]);
+        // Poison lasts one run.
+        fill(&mut memo, &sessions);
+        memo.begin_run(&sessions, &[]);
+        assert_eq!(held(&memo), [Some(0), Some(1), Some(2)]);
+    }
+
+    #[test]
+    fn begin_run_keeps_an_equal_rebuilt_list() {
+        let sessions = chain();
+        let mut memo = ran_over(&sessions);
+        memo.begin_run(&Arc::new(sessions.to_vec()), &[]);
+        assert_eq!(held(&memo), [Some(0), Some(1), Some(2)]);
+    }
+
+    #[test]
+    fn begin_run_clears_a_session_whose_content_changed() {
+        let sessions = chain();
+        let mut memo = ran_over(&sessions);
+        let mut rebuilt = sessions.to_vec();
+        rebuilt[1].b_import = Some(("P".to_string(), LineId::new(RouterId(2), 4)));
+        memo.begin_run(&Arc::new(rebuilt), &[]);
+        assert_eq!(held(&memo), [Some(0), None, Some(2)]);
+    }
+
+    #[test]
+    fn begin_run_rehomes_slots_across_a_structural_insert() {
+        let sessions = chain();
+        let mut memo = ran_over(&sessions);
+        let mut grown = sessions.to_vec();
+        grown.insert(1, link(0, 4, 9));
+        memo.begin_run(&Arc::new(grown), &[RouterId(4)]);
+        assert_eq!(held(&memo), [Some(0), None, Some(1), Some(2)]);
+    }
+
+    #[test]
+    fn begin_run_keeps_both_parallel_links_across_a_structural_change() {
+        // Two links between R0 and R1: a slot is the link's, not the
+        // router pair's.
+        let sessions = Arc::new(vec![link(0, 1, 0), link(0, 1, 1), link(2, 3, 2)]);
+        let mut memo = ran_over(&sessions);
+        let mut grown = vec![link(2, 4, 9)];
+        grown.extend(sessions.iter().cloned());
+        memo.begin_run(&Arc::new(grown), &[RouterId(4)]);
+        assert_eq!(held(&memo), [None, Some(0), Some(1), Some(2)]);
     }
 }

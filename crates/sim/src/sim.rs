@@ -122,16 +122,11 @@ impl<'a> Simulator<'a> {
         self.base.origin().universe()
     }
 
-    /// Runs every prefix in the universe.
+    /// Runs every prefix in the universe into a fresh arena.
     pub fn run(&self) -> SimOutcome {
-        let universe = self.universe();
-        self.run_prefixes(&universe)
-    }
-
-    /// Runs exactly `prefixes` into a fresh arena.
-    pub fn run_prefixes(&self, prefixes: &BTreeSet<Prefix>) -> SimOutcome {
         let mut arena = DerivArena::new();
-        let (outcomes, _) = self.run_prefixes_with(prefixes, &mut arena, &mut PolicyMemo::new());
+        let (outcomes, _) =
+            self.run_prefixes_with(&self.universe(), &mut arena, &mut PolicyMemo::new());
         let base_fibs = self.base_fibs(&mut arena);
         SimOutcome {
             outcomes,
@@ -413,11 +408,12 @@ mod tests {
         let sim = Simulator::new(&topo, &cfg);
         let full = sim.run();
         let one: BTreeSet<Prefix> = [p("10.2.0.0/16")].into_iter().collect();
-        let partial = sim.run_prefixes(&one);
-        assert_eq!(partial.outcomes.len(), 1);
+        let (partial, _) =
+            sim.run_prefixes_with(&one, &mut DerivArena::new(), &mut PolicyMemo::new());
+        assert_eq!(partial.len(), 1);
         // The subset result for the shared prefix agrees with the full run.
         let a = &full.outcomes[&p("10.2.0.0/16")];
-        let b = &partial.outcomes[&p("10.2.0.0/16")];
+        let b = &partial[&p("10.2.0.0/16")];
         match (a, b) {
             (
                 PrefixOutcome::Converged { best: ba, .. },

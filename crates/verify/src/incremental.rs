@@ -419,7 +419,7 @@ impl<'v, 'a> BaseView<'v, 'a> {
     /// committed base's device models for unpatched routers (delta
     /// construction), and [`PolicyMemo::begin_run`] drops
     /// entries on sessions adjacent to routers the patch (or the previous
-    /// candidate's patch) touched, re-homing the rest by endpoint pair
+    /// candidate's patch) touched, moving the rest to their link's index
     /// when the session list changed shape. What survives — unchanged
     /// `Arc`-shared device models evaluating pure transfer functions over
     /// content-identical sessions — is byte-exact to recomputing, so
@@ -444,8 +444,8 @@ impl<'v, 'a> BaseView<'v, 'a> {
         // delta-built: unchanged routers hold the base's own `Arc`'d
         // models, so a memoized transfer between two unpatched endpoints
         // is pure in inputs the patch cannot reach. Structural session
-        // changes are fine — `begin_run` re-homes surviving slots by
-        // endpoint pair.
+        // changes are fine — `begin_run` moves surviving slots to their
+        // link's new index.
         memo.begin_run(sim.base().sessions(), &patch.routers());
         let run = simulate(&sim, &universe, affected, arena, memo);
         let lines = info.lines.clone();

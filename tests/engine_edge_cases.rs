@@ -150,3 +150,43 @@ fn run_compound(net: &acr::workloads::GeneratedNetwork, broken: NetworkConfig) {
     let (v2, _) = verifier.run_full(&repaired);
     assert!(v2.all_passed());
 }
+
+/// The single-patch ablation is one round of brute force: every
+/// candidate is one template application to the original configuration,
+/// so on a two-fault scenario the run takes exactly one iteration and its
+/// best patch holds at most one fix from it.
+#[test]
+fn one_round_of_brute_force_is_a_single_patch() {
+    let net = generate(&acr::topo::gen::wan(4, 8));
+    let scenarios = corpus(&net, 1, 2024);
+    assert!(scenarios.iter().any(|s| s.faults.len() == 2));
+    for scenario in scenarios.iter().filter(|s| s.faults.len() == 2) {
+        let spec = scenario.visible_spec(&net.spec);
+        let engine = RepairEngine::new(
+            &net.topo,
+            &spec,
+            RepairConfig {
+                seed: 11,
+                strategy: Strategy::brute_force(),
+                max_iterations: 1,
+                ..RepairConfig::default()
+            },
+        );
+        let report = engine.repair(&scenario.broken);
+        assert_eq!(report.iterations.len(), 1, "{}", scenario.label);
+        let fixes = report
+            .attribution
+            .iter()
+            .filter(|s| s.iteration == 1)
+            .count();
+        assert!(fixes <= 1, "{}: {:?}", scenario.label, report.attribution);
+        assert!(
+            matches!(
+                report.outcome,
+                RepairOutcome::Fixed { .. } | RepairOutcome::IterationLimit { .. }
+            ),
+            "{}: one round ends fixed or at the cap",
+            scenario.label
+        );
+    }
+}
